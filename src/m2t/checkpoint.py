@@ -57,6 +57,8 @@ def load_checkpoint(path) -> dict:
         buf = f.read()
     if buf[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    if len(buf) < 16:
+        raise CheckpointError(f"{path}: truncated header")
     version = struct.unpack_from("<I", buf, 8)[0]
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(version)
@@ -69,8 +71,13 @@ def load_checkpoint(path) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})") from None
 
-    spec = MlpSpec.from_dict(header["encoder_spec"])
-    names = [entry["name"] for entry in header["arrays"]]
+    try:
+        spec = MlpSpec.from_dict(header["encoder_spec"])
+        names = [entry["name"] for entry in header["arrays"]]
+        shapes = [tuple(entry["shape"]) for entry in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(
+            f"{path}: malformed header ({type(e).__name__}: {e})") from None
     if set(names) != expected_array_names(spec):
         raise CheckpointError(
             f"{path}: array names {sorted(names)} do not match the encoder "
@@ -78,13 +85,12 @@ def load_checkpoint(path) -> dict:
 
     arrays = {}
     offset = header_end
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in zip(names, shapes):
         count = int(np.prod(shape)) if shape else 1
         end = offset + count * 8
         if len(buf) < end:
-            raise CheckpointError(f"{path}: truncated array {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(
+            raise CheckpointError(f"{path}: truncated array {name}")
+        arrays[name] = np.frombuffer(
             buf[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
         offset = end
     if offset != len(buf):

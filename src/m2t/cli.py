@@ -77,11 +77,7 @@ def _finish_manifest(path: Path) -> None:
 
 
 def cmd_pretrain(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -126,11 +122,7 @@ def _run_grid(cfg: TrainConfig, out_dir: Path) -> int:
 
 
 def cmd_ablate(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return _run_grid(cfg, out_dir)
@@ -248,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 The engine is deliberately small: 2-D (and 1-D / scalar) arrays, a recording
 tape, and exactly the operations needed for MLP encoders, batch
-normalization, and the training losses. Everything is double precision so
-that gradient checks and statistics-equivalence tests have numerical
-headroom.
+normalization (one fused op, :func:`batch_norm`) and the training losses.
+Everything is double precision so that gradient checks and
+statistics-equivalence tests have numerical headroom.
 
 Gradients are recorded on an explicit :class:`Tape`. Operations record
 themselves only while a tape is active (see :func:`record`) and only when at
@@ -22,7 +22,7 @@ pass sums gradients over the expanded axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -454,43 +454,7 @@ def reduce(op: str, x, axis: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# row-structured ops (worker slicing, permutations)
-
-
-def slice_rows(x, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    if not 0 <= start < stop <= x.shape[0]:
-        raise DimensionError(
-            f"row slice [{start}:{stop}] invalid for shape {x.shape}")
-    out = x.values[start:stop].copy()
-
-    def bw(g):
-        full = np.zeros_like(x.values)
-        full[start:stop] = g
-        return (full,)
-
-    return _emit("slice_rows", (x,), out, bw)
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise DimensionError("concat_rows of zero parts")
-    trailing = {p.shape[1:] for p in parts}
-    if len(trailing) != 1:
-        raise DimensionError(
-            f"concat_rows trailing shapes disagree: {sorted(trailing)}")
-    out = np.concatenate([p.values for p in parts], axis=0)
-    counts = [p.shape[0] for p in parts]
-
-    def bw(g):
-        grads, ofs = [], 0
-        for n in counts:
-            grads.append(g[ofs:ofs + n].copy())
-            ofs += n
-        return tuple(grads)
-
-    return _emit("concat_rows", tuple(parts), out, bw)
+# row-structured ops (permutations)
 
 
 def gather_rows(x, index: np.ndarray) -> Tensor:
@@ -510,6 +474,62 @@ def gather_rows(x, index: np.ndarray) -> Tensor:
         return (full,)
 
     return _emit("gather_rows", (x,), out, bw)
+
+
+# ---------------------------------------------------------------------------
+# batch normalization
+
+
+def batch_norm(x, groups: int, gamma, beta, eps: float,
+               stats: Optional[tuple] = None) -> Tensor:
+    """gamma * (x - mean) / sqrt(var + eps) + beta over equal row groups.
+
+    The (B, C) batch splits into ``groups`` contiguous blocks, each
+    normalized with its own mean and biased variance (the numpy operations
+    of :func:`mean` and :func:`var`, so results match the composed ops bit
+    for bit) or with the given per-channel constants ``stats = (mean, var)``.
+    One tape entry with the closed-form backward: with inv = 1/sqrt(var +
+    eps) and g_hat = g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat *
+    mean(g_hat * xhat)) per group, or inv * g_hat for given stats.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.values.ndim != 2:
+        raise DimensionError(
+            f"batch_norm expects batch x channels, got shape {x.shape}")
+    b, c = x.shape
+    if groups < 1 or b == 0 or b % groups != 0:
+        raise DimensionError(
+            f"{b} rows do not split into {groups} equal groups")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"channel mismatch: x has {c}, gamma {gamma.shape}, "
+            f"beta {beta.shape}")
+    x3 = x.values.reshape(groups, b // groups, c)
+    if stats is None:
+        mu = x3.mean(axis=1, keepdims=True)
+        dev = x3 - mu
+        var = np.mean(dev * dev, axis=1, keepdims=True)
+    else:
+        mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
+        if mu.shape != (c,) or var.shape != (c,):
+            raise DimensionError(
+                f"channel mismatch: x has {c}, stats {mu.shape}/{var.shape}")
+        dev = x3 - mu
+    std = np.sqrt(var + eps)
+    xhat = dev / std
+    out = (gamma.values * xhat + beta.values).reshape(b, c)
+
+    def bw(g):
+        dx = None
+        if x.requires_grad:
+            g_hat = g.reshape(x3.shape) * gamma.values
+            if stats is None:
+                g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
+                         - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
+            dx = ((1.0 / std) * g_hat).reshape(b, c)
+        return dx, (g * xhat.reshape(b, c)).sum(axis=0), g.sum(axis=0)
+
+    return _emit("batch_norm", (x, gamma, beta), out, bw)
 
 
 # ---------------------------------------------------------------------------

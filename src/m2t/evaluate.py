@@ -16,55 +16,32 @@ from .engine import Tensor, backward, record
 from .model import MlpSpec, expected_array_names
 
 
-def _layer_arrays(payload: dict):
-    spec = MlpSpec.from_dict(payload["encoder_spec"])
-    arrays = payload["arrays"]
-    missing = expected_array_names(spec) - set(arrays)
-    if missing:
-        raise ValueError(f"teacher dump is missing arrays: {sorted(missing)}")
-    eps_list = list(payload.get("bn_eps", []))
-    bn_index = 0
-    layers = []
-    for i in range(spec.n_layers):
-        entry = {
-            "weight": arrays[f"enc{i}.weight"],
-            "bias": arrays[f"enc{i}.bias"],
-            "relu": spec.relu[i],
-            "bn": None,
-        }
-        if spec.bn[i]:
-            eps = eps_list[bn_index] if bn_index < len(eps_list) else 1e-5
-            entry["bn"] = {
-                "gamma": arrays[f"enc{i}.gamma"],
-                "beta": arrays[f"enc{i}.beta"],
-                "mean": arrays[f"enc{i}.hist_mean"],
-                "var": arrays[f"enc{i}.hist_var"],
-                "eps": eps,
-            }
-            bn_index += 1
-        layers.append(entry)
-    return spec, layers
-
-
 def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
     """Teacher-encoder forward in inference mode (history statistics only).
 
     Purely per-sample affine + ReLU composition: batch composition cannot
     influence any output row.
     """
-    spec, layers = _layer_arrays(payload)
+    spec = MlpSpec.from_dict(payload["encoder_spec"])
+    arrays = payload["arrays"]
+    missing = expected_array_names(spec) - set(arrays)
+    if missing:
+        raise ValueError(f"teacher dump is missing arrays: {sorted(missing)}")
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise ValueError(
             f"samples of shape {x.shape} do not match encoder input width "
             f"{spec.in_dim}")
-    for layer in layers:
-        x = x @ layer["weight"] + layer["bias"]
-        bn = layer["bn"]
-        if bn is not None:
-            x = (bn["gamma"] * (x - bn["mean"])
-                 / np.sqrt(bn["var"] + bn["eps"]) + bn["beta"])
-        if layer["relu"]:
+    eps = iter(payload.get("bn_eps", []))
+    for i in range(spec.n_layers):
+        x = x @ arrays[f"enc{i}.weight"] + arrays[f"enc{i}.bias"]
+        if spec.bn[i]:
+            x = engine.batch_norm(
+                x, 1, arrays[f"enc{i}.gamma"], arrays[f"enc{i}.beta"],
+                next(eps, 1e-5),
+                stats=(arrays[f"enc{i}.hist_mean"], arrays[f"enc{i}.hist_var"]),
+            ).values
+        if spec.relu[i]:
             x = np.maximum(x, 0.0)
     return x
 
@@ -113,8 +90,8 @@ class _ProbeHead:
         else:
             self.running_mean = (1 - mo) * self.running_mean + mo * mu
             self.running_var = (1 - mo) * self.running_var + mo * var
-        xhat = engine.constant((x - mu) / np.sqrt(var + self.eps))
-        h = self.gamma * xhat + self.beta
+        h = engine.batch_norm(x, 1, self.gamma, self.beta, self.eps,
+                              stats=(mu, var))
         return engine.matmul(h, self.weight) + self.bias
 
     def infer_logits(self, x: np.ndarray) -> np.ndarray:

@@ -61,6 +61,24 @@ def _case_reduce(op):
     return build
 
 
+def _case_batch_norm(rng):
+    # Groups 1 and 2, each with batch and with given statistics, in one
+    # loss; random weights keep the batch-statistics x gradient nonzero.
+    x = parameter(rng.uniform(-2, 2, size=(8, 3)))
+    gamma = parameter(rng.uniform(0.5, 2.0, size=3))
+    beta = parameter(rng.uniform(-2, 2, size=3))
+    given = (rng.uniform(-1, 1, size=3), rng.uniform(0.5, 2.0, size=3))
+    cases = [(groups, stats, constant(rng.uniform(-2, 2, size=(8, 3))))
+             for groups in (1, 2) for stats in (None, given)]
+
+    def f():
+        return sum(engine.sum(engine.mul(
+            engine.batch_norm(x, groups, gamma, beta, 1e-5, stats), w))
+            for groups, stats, w in cases)
+
+    return f, [("x", x), ("gamma", gamma), ("beta", beta)]
+
+
 def _randomize_student(pair, rng):
     # Perturb every block (biases and BN affines included) away from the
     # symmetric init: keeps the check off measure-zero kinks such as
@@ -116,6 +134,7 @@ SUITES = {
     "mean": _case_reduce("mean"),
     "sum": _case_reduce("sum"),
     "var": _case_reduce("var"),
+    "batch_norm": _case_batch_norm,
     "byol_mlp": _case_byol_mlp,
     "symmetrized_loss": _case_symmetrized,
 }

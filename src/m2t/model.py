@@ -29,6 +29,7 @@ from .normalization import (
     WorkerLayout,
     constant_batch_stats,
     momentum_bn_forward,
+    momentum_bn_lazy_commit,
     plain_bn_forward,
     shuffling_bn_forward,
     synced_bn_forward,
@@ -340,29 +341,16 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
     Returns the total L2 drift of the histories, the per-iteration
     history-movement metric.
     """
-    from .normalization import momentum_bn_lazy_commit
-
     drift_sq = 0.0
     for state in pair.teacher_bn_states():
         if not state.pending:
             continue
-        before_mean = None if state.hist_mean is None else state.hist_mean.copy()
-        before_var = None if state.hist_var is None else state.hist_var.copy()
-        if len(state.pending) == 1:
-            s = state.pending[0]
-            momentum_bn_lazy_commit(state, s, s, alpha)
-        elif len(state.pending) == 2:
-            s_a, s_b = state.pending
-            momentum_bn_lazy_commit(state, s_a, s_b, alpha)
-        else:
-            raise ValueError(
-                f"{len(state.pending)} pending view statistics; expected 1 or 2")
-        if before_mean is not None:
-            drift_sq += float(np.sum((state.hist_mean - before_mean) ** 2))
-            drift_sq += float(np.sum((state.hist_var - before_var) ** 2))
-        else:
-            drift_sq += float(np.sum(state.hist_mean ** 2))
-            drift_sq += float(np.sum(state.hist_var ** 2))
+        # The first commit measures drift from zero (x - 0.0 == x exactly).
+        before_mean = 0.0 if state.hist_mean is None else state.hist_mean.copy()
+        before_var = 0.0 if state.hist_var is None else state.hist_var.copy()
+        momentum_bn_lazy_commit(state, alpha)
+        drift_sq += float(np.sum((state.hist_mean - before_mean) ** 2))
+        drift_sq += float(np.sum((state.hist_var - before_var) ** 2))
     return float(np.sqrt(drift_sq))
 
 

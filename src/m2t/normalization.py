@@ -1,19 +1,24 @@
 """Batch-normalization variants over 2-D activations (batch x channels).
 
 Four normalization flavours cover the student/teacher combinations studied
-here:
+here, and each is one call to the fused :func:`m2t.engine.batch_norm` op
+(normalize equal row groups with their own or with given statistics):
 
 * plain: each simulated worker normalizes its own slice of the batch with
-  that slice's statistics;
-* synced: statistics are taken over the union of all workers' samples, so
-  the result matches single-worker BN on the whole batch bit for bit;
+  that slice's statistics (one group per worker);
+* synced: statistics are taken over the union of all workers' samples (one
+  group), so the result matches single-worker BN on the whole batch bit for
+  bit;
 * shuffling: samples are permuted across workers before per-worker BN and
   the permutation is undone afterwards, so a worker's statistics never come
   from its own samples in original order;
 * momentum: normalization uses a convex blend of the current batch
   statistics with an exponentially averaged history, and the history itself
   is only committed once per iteration (lazily), after both views of a
-  symmetrized step have been processed.
+  symmetrized step have been processed (given statistics).
+
+:func:`bn_apply` on :func:`batch_stats` composes the same arithmetic from
+generic engine ops; it is the reference the fused op is tested against.
 
 The blend coefficient ``alpha`` supports two conventions because the update
 can be written with the weight on either operand. ``weight_on_batch`` (the
@@ -32,8 +37,6 @@ back-propagates, so no gradient correction of the history is needed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,15 +46,6 @@ from . import engine
 from .engine import DimensionError, Tensor
 
 ALPHA_SEMANTICS = ("weight_on_batch", "weight_on_history")
-
-
-def thread_cap() -> int:
-    """Intra-iteration parallelism cap from the M2T_THREADS env var (>= 1)."""
-    raw = os.environ.get("M2T_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -195,7 +189,7 @@ def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
 
 
 def bn_apply(x: Tensor, stats: BatchStats, p: NormParams) -> Tensor:
-    """gamma * (x - mean) / sqrt(var + eps) + beta.
+    """gamma * (x - mean) / sqrt(var + eps) + beta, from generic engine ops.
 
     Differentiable in x, gamma and beta; whether gradient also flows through
     the statistics depends on how they were computed (tape-linked for current
@@ -224,37 +218,17 @@ def _validate_layout(x: Tensor, layout: WorkerLayout) -> None:
 def plain_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams) -> Tensor:
     """Per-worker BN: each slice is normalized by its own statistics."""
     _validate_layout(x, layout)
-    if layout.num_workers == 1:
-        return bn_apply(x, batch_stats(x), p)
-
-    cap = thread_cap()
-    if cap > 1 and not x.requires_grad:
-        # Constant input (teacher side): slice statistics are independent
-        # and taken concurrently; normalization and assembly stay
-        # sequential in worker-index order, so nothing races the tape.
-        slices = [x.values[a:b] for a, b in layout.ranges]
-        with ThreadPoolExecutor(max_workers=min(cap, layout.num_workers)) as ex:
-            stats = list(ex.map(constant_batch_stats, slices))
-        parts = [bn_apply(engine.constant(s), st, p)
-                 for s, st in zip(slices, stats)]
-        return engine.concat_rows(parts)
-
-    parts = []
-    for a, b in layout.ranges:
-        piece = engine.slice_rows(x, a, b)
-        parts.append(bn_apply(piece, batch_stats(piece), p))
-    return engine.concat_rows(parts)
+    return engine.batch_norm(x, layout.num_workers, p.gamma, p.beta, p.eps)
 
 
 def synced_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams) -> Tensor:
     """Simulated cross-worker BN: statistics over the union of all slices.
 
-    Computed directly on the concatenated batch with the same summation
-    order as single-worker BN, so the defining equivalence holds bit for
-    bit.
+    One group over the concatenated batch is exactly single-worker BN, so
+    the defining equivalence holds bit for bit.
     """
     _validate_layout(x, layout)
-    return bn_apply(x, batch_stats(x), p)
+    return engine.batch_norm(x, 1, p.gamma, p.beta, p.eps)
 
 
 def shuffling_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams,
@@ -308,22 +282,27 @@ def momentum_bn_forward(x: Tensor, state: MomentumBNState, alpha: float,
     _check_alpha(alpha)
     s = constant_batch_stats(x.values)
     use = _blend(state, s, alpha)
-    y = bn_apply(x, use, p)
+    y = engine.batch_norm(x, 1, p.gamma, p.beta, p.eps,
+                          stats=(use.mean.values, use.var.values))
     state.pending.append(s)
     return y, s
 
 
-def momentum_bn_lazy_commit(state: MomentumBNState, s_v: BatchStats,
-                            s_v2: BatchStats, alpha: float) -> None:
-    """Fold the average of the two views' statistics into the history.
+def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
+    """Fold the average of the pending views' statistics into the history.
 
     Called exactly once per iteration, after both view forwards, so neither
     view's statistics can leak into the other view's normalization within
-    the same iteration.
+    the same iteration. A single pending view (one-view recipes) commits as
+    the average of itself with itself, which is that view's statistics.
     """
     _check_alpha(alpha)
     if not state.pending:
         raise ValueError("lazy commit with no pending view statistics")
+    if len(state.pending) > 2:
+        raise ValueError(
+            f"{len(state.pending)} pending view statistics; expected 1 or 2")
+    s_v, s_v2 = state.pending[0], state.pending[-1]
     if s_v.count != s_v2.count:
         raise ValueError(
             f"view statistics counts differ: {s_v.count} vs {s_v2.count}")

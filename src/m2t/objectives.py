@@ -142,10 +142,10 @@ def queue_update(queue: NegQueue, new_keys: np.ndarray) -> None:
         queue._cursor = 0
         queue.size = queue.capacity
         return
-    for row in keys:
-        queue._buf[queue._cursor] = row
-        queue._cursor = (queue._cursor + 1) % queue.capacity
-        queue.size = min(queue.size + 1, queue.capacity)
+    n = keys.shape[0]
+    queue._buf[(queue._cursor + np.arange(n)) % queue.capacity] = keys
+    queue._cursor = (queue._cursor + n) % queue.capacity
+    queue.size = min(queue.size + n, queue.capacity)
 
 
 def infonce_loss(q: Tensor, k_pos: Tensor, queue: NegQueue,

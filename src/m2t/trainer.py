@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .config import TrainConfig
+from .config import ConfigError, TrainConfig
 from .data import Dataset, make_views, synth_clusters, load_idx
 from .engine import HEALTH, Tensor, backward, record
 from .model import (
@@ -233,8 +233,9 @@ class Trainer:
 
         n = len(self.dataset)
         if n < cfg.batch_size:
-            raise ValueError(
-                f"dataset of {n} samples smaller than batch {cfg.batch_size}")
+            raise ConfigError(
+                f"data: dataset of {n} samples smaller than batch_size "
+                f"{cfg.batch_size}")
         full, rem = divmod(n, cfg.batch_size)
         # The trailing partial batch is kept when the worker split allows it.
         self.batch_starts = [i * cfg.batch_size for i in range(full)]

@@ -151,6 +151,14 @@ class TestPretrainCommand:
         assert code == 2
         assert "learning" in capsys.readouterr().err
 
+    def test_dataset_smaller_than_batch_exits_2(self, tmp_path, capsys):
+        code = main(["pretrain", "--preset", "default-synth",
+                     "--set", "data.per_class=5",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "batch_size" in err
+
     def test_zero_epochs_is_valid(self, tmp_path):
         out = tmp_path / "run"
         code = main(["pretrain", *TINY_ARGS, "--set", "epochs=0",
@@ -217,6 +225,29 @@ class TestEvalCommand:
         bad.write_bytes(bytes(raw))
         code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds)])
         assert code == 4
+
+    def test_short_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
+        _, ds = run_dir
+        bad = tmp_path / "short.m2t"
+        bad.write_bytes(MAGIC + b"\x01\x00")
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds)])
+        assert code == 2
+        assert "error: " in capsys.readouterr().err
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(bad)
+
+    def test_header_without_encoder_spec_exits_2(self, run_dir, tmp_path,
+                                                 capsys):
+        _, ds = run_dir
+        header = json.dumps({"arrays": []}).encode("utf-8")
+        bad = tmp_path / "nospec.m2t"
+        bad.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION)
+                        + struct.pack("<I", len(header)) + header)
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds)])
+        assert code == 2
+        assert "encoder_spec" in capsys.readouterr().err
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(bad)
 
     def test_single_class_probe_is_clean_error(self, run_dir, tmp_path,
                                                capsys):

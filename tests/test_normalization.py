@@ -170,15 +170,66 @@ class TestPlainBn:
 
         assert engine.finite_diff_check(f, [("x", x)]).passed
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        x = constant(rng.normal(size=(32, 8)))
-        p = identity_norm_params(8)
-        monkeypatch.setenv("M2T_THREADS", "1")
-        sequential = plain_bn_forward(x, WorkerLayout(32, 4), p)
-        monkeypatch.setenv("M2T_THREADS", "4")
-        threaded = plain_bn_forward(x, WorkerLayout(32, 4), p)
-        assert sequential.values.tobytes() == threaded.values.tobytes()
+    def test_student_forward_is_one_tape_entry(self):
+        x = parameter(np.random.default_rng(6).normal(size=(32, 8)))
+        p = identity_norm_params(8, requires_grad=True)
+        with record() as tape:
+            plain_bn_forward(x, WorkerLayout(32, 4), p)
+        assert [e.op for e in tape.entries] == ["batch_norm"]
+
+
+class TestBatchNormKernel:
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_gradients_match_composed_slices(self, groups):
+        """The closed-form backward agrees with autodiff through the composed
+        per-slice bn_apply(piece, batch_stats(piece)) path."""
+        rng = np.random.default_rng(groups)
+        values = rng.normal(1.0, 2.0, size=(16, 5))
+        weights = rng.normal(size=(16, 5))
+        gamma0 = rng.uniform(0.5, 2.0, size=5)
+        beta0 = rng.uniform(-1.0, 1.0, size=5)
+        per = 16 // groups
+
+        def fused(x, p):
+            y = engine.batch_norm(x, groups, p.gamma, p.beta, p.eps)
+            return engine.sum(y * weights)
+
+        def composed(x, p):
+            loss = 0.0
+            for a in range(0, 16, per):
+                piece = engine.gather_rows(x, np.arange(a, a + per))
+                y = bn_apply(piece, batch_stats(piece), p)
+                loss = loss + engine.sum(y * weights[a:a + per])
+            return loss
+
+        def grads(loss_fn):
+            x = parameter(values.copy())
+            p = norm.NormParams(gamma=parameter(gamma0.copy()),
+                                beta=parameter(beta0.copy()))
+            with record():
+                loss = loss_fn(x, p)
+            backward(loss)
+            return x.grad, p.gamma.grad, p.beta.grad
+
+        for got, want in zip(grads(fused), grads(composed)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_given_stats_are_gradient_constants(self):
+        x = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        gamma, beta = parameter([2.0, 0.5]), parameter([0.0, 0.0])
+        with record():
+            loss = engine.sum(engine.batch_norm(
+                x, 1, gamma, beta, 1e-5,
+                stats=(np.array([1.0, 1.0]), np.array([3.0, 3.0]))))
+        backward(loss)
+        np.testing.assert_allclose(
+            x.grad, np.tile(np.array([2.0, 0.5]) / np.sqrt(3.0 + 1e-5), (2, 1)),
+            rtol=1e-15)
+
+    def test_uneven_groups_rejected(self):
+        with pytest.raises(DimensionError, match="groups"):
+            engine.batch_norm(constant(np.zeros((6, 2))), 4,
+                              np.ones(2), np.zeros(2), 1e-5)
 
 
 class TestSyncedBn:
@@ -324,7 +375,7 @@ class TestLazyCommit:
                                 initialized=True)
         s = self._stats([2.0], [3.0])
         state.pending.extend([s, s])
-        momentum_bn_lazy_commit(state, s, s, 0.7)
+        momentum_bn_lazy_commit(state, 0.7)
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [3.0])
         assert state.pending == []
@@ -334,7 +385,7 @@ class TestLazyCommit:
                                 initialized=True)
         s1, s2 = self._stats([1.0], [2.0]), self._stats([3.0], [4.0])
         state.pending.extend([s1, s2])
-        momentum_bn_lazy_commit(state, s1, s2, 1.0)
+        momentum_bn_lazy_commit(state, 1.0)
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [3.0])
 
@@ -343,14 +394,26 @@ class TestLazyCommit:
                                 initialized=True)
         s = self._stats([4.0], [1.0])
         state.pending.extend([s, s])
-        momentum_bn_lazy_commit(state, s, s, 0.25)
+        momentum_bn_lazy_commit(state, 0.25)
         np.testing.assert_allclose(state.hist_mean, [1.0])
 
     def test_commit_without_pending_rejected(self):
         state = MomentumBNState()
-        s = self._stats([1.0], [1.0])
         with pytest.raises(ValueError, match="pending"):
-            momentum_bn_lazy_commit(state, s, s, 0.5)
+            momentum_bn_lazy_commit(state, 0.5)
+
+    def test_single_pending_view_commits_its_stats(self):
+        state = MomentumBNState()
+        state.pending.append(self._stats([1.5], [2.5]))
+        momentum_bn_lazy_commit(state, 0.3)
+        np.testing.assert_array_equal(state.hist_mean, [1.5])
+        np.testing.assert_array_equal(state.hist_var, [2.5])
+
+    def test_more_than_two_pending_rejected(self):
+        state = MomentumBNState()
+        state.pending.extend([self._stats([1.0], [1.0])] * 3)
+        with pytest.raises(ValueError, match="expected 1 or 2"):
+            momentum_bn_lazy_commit(state, 0.5)
 
     def test_count_mismatch_rejected(self):
         state = MomentumBNState()
@@ -358,13 +421,13 @@ class TestLazyCommit:
         s2 = self._stats([1.0], [1.0], count=8)
         state.pending.extend([s1, s2])
         with pytest.raises(ValueError, match="count"):
-            momentum_bn_lazy_commit(state, s1, s2, 0.5)
+            momentum_bn_lazy_commit(state, 0.5)
 
     def test_first_commit_seeds_history_with_view_average(self):
         state = MomentumBNState()
         s1, s2 = self._stats([1.0], [2.0]), self._stats([3.0], [6.0])
         state.pending.extend([s1, s2])
-        momentum_bn_lazy_commit(state, s1, s2, 0.1)
+        momentum_bn_lazy_commit(state, 0.1)
         assert state.initialized
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [4.0])
@@ -378,7 +441,7 @@ class TestLazyCommit:
             s1 = self._stats([0.0], [v1])
             s2 = self._stats([0.0], [v2])
             state.pending.extend([s1, s2])
-            momentum_bn_lazy_commit(state, s1, s2, alpha)
+            momentum_bn_lazy_commit(state, alpha)
             assert state.hist_var[0] >= 0.0
 
 
@@ -395,7 +458,7 @@ class TestLeakageFreedom:
                                     initialized=True)
             y_other, s_other = momentum_bn_forward(constant(other_view), state, 0.5, p)
             y_v, s_v = momentum_bn_forward(constant(v), state, 0.5, p)
-            momentum_bn_lazy_commit(state, s_other, s_v, 0.5)
+            momentum_bn_lazy_commit(state, 0.5)
             return y_v.values.tobytes()
 
         base = teacher_pass(rng.normal(size=(8, 3)))

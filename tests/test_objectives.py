@@ -200,6 +200,19 @@ class TestNegQueue:
         expected /= np.linalg.norm(expected, axis=1, keepdims=True)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
+    def test_batch_enqueue_across_wrap_matches_row_by_row(self):
+        rng = np.random.default_rng(10)
+        batches = [rng.normal(size=(n, 3)) for n in (3, 4, 2)]
+        batched, by_row = NegQueue(capacity=5, dim=3), NegQueue(capacity=5, dim=3)
+        for keys in batches:
+            # 3 rows leave the queue partly filled; the next 4 wrap past the
+            # end, and 2 more wrap again from a mid-buffer cursor.
+            queue_update(batched, keys)
+            for row in keys:
+                queue_update(by_row, row[None, :])
+            assert batched.keys().tobytes() == by_row.keys().tobytes()
+            assert len(batched) == len(by_row)
+
     def test_empty_enqueue_is_noop(self):
         queue = NegQueue(capacity=4, dim=3)
         queue_update(queue, np.zeros((0, 3)))
