@@ -81,9 +81,6 @@ def cmd_pretrain(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.preset == "table1-grid":
-        return _run_grid(cfg, out_dir)
-
     metrics_path = out_dir / "metrics.csv"
     ckpt_path = out_dir / "checkpoint.m2t"
     manifest_path = _write_manifest(out_dir, cfg, {
@@ -104,7 +101,10 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _run_grid(cfg: TrainConfig, out_dir: Path) -> int:
+def cmd_ablate(args) -> int:
+    cfg = _load_config(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = _write_manifest(out_dir, cfg, {"grid": str(out_dir / "grid.json")})
     rows = ablation_grid(cfg)
     summary = []
@@ -119,13 +119,6 @@ def _run_grid(cfg: TrainConfig, out_dir: Path) -> int:
     _finish_manifest(manifest_path)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _run_grid(cfg, out_dir)
 
 
 def _load_eval_dataset(path):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .data import AugmentSpec
-from .model import MlpSpec
+from .model import STUDENT_BN_KINDS, TEACHER_BN_KINDS, MlpSpec
+from .normalization import ALPHA_SEMANTICS
 
 MODES = ("byol_m2t", "byol_plain", "byol_synced", "moco")
 OPTIMIZERS = ("sgd", "lars")
@@ -131,7 +132,7 @@ class TrainConfig:
             raise ConfigError("alpha_base: must lie in [0, 1]")
         if self.m_base > 1:
             raise ConfigError("m_base: must lie in [0, 1]")
-        if self.alpha_semantics not in ("weight_on_batch", "weight_on_history"):
+        if self.alpha_semantics not in ALPHA_SEMANTICS:
             raise ConfigError("alpha_semantics: must be 'weight_on_batch' or "
                               "'weight_on_history'")
         for name in ("m_schedule", "alpha_schedule"):
@@ -148,9 +149,9 @@ class TrainConfig:
         if self.log_interval < 1:
             raise ConfigError("log_interval: must be >= 1")
         resolved = self.resolved_bn()
-        if resolved[0] not in ("plain", "synced"):
+        if resolved[0] not in STUDENT_BN_KINDS:
             raise ConfigError(f"student_bn: invalid kind {resolved[0]!r}")
-        if resolved[1] not in ("momentum", "plain", "synced", "shuffling"):
+        if resolved[1] not in TEACHER_BN_KINDS:
             raise ConfigError(f"teacher_bn: invalid kind {resolved[1]!r}")
         self.data.validate()
 

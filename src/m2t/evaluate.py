@@ -13,7 +13,7 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor, backward, record
-from .model import MlpSpec, expected_array_names
+from .model import forward_mlp, history_norm, load_teacher
 
 
 def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
@@ -22,28 +22,13 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
     Purely per-sample affine + ReLU composition: batch composition cannot
     influence any output row.
     """
-    spec = MlpSpec.from_dict(payload["encoder_spec"])
-    arrays = payload["arrays"]
-    missing = expected_array_names(spec) - set(arrays)
-    if missing:
-        raise ValueError(f"teacher dump is missing arrays: {sorted(missing)}")
+    encoder = load_teacher(payload)
     x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+    if x.ndim != 2 or x.shape[1] != encoder.spec.in_dim:
         raise ValueError(
             f"samples of shape {x.shape} do not match encoder input width "
-            f"{spec.in_dim}")
-    eps = iter(payload.get("bn_eps", []))
-    for i in range(spec.n_layers):
-        x = x @ arrays[f"enc{i}.weight"] + arrays[f"enc{i}.bias"]
-        if spec.bn[i]:
-            x = engine.batch_norm(
-                x, 1, arrays[f"enc{i}.gamma"], arrays[f"enc{i}.beta"],
-                next(eps, 1e-5),
-                stats=(arrays[f"enc{i}.hist_mean"], arrays[f"enc{i}.hist_var"]),
-            ).values
-        if spec.relu[i]:
-            x = np.maximum(x, 0.0)
-    return x
+            f"{encoder.spec.in_dim}")
+    return forward_mlp(encoder, engine.constant(x), history_norm).values
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +80,10 @@ class _ProbeHead:
         return engine.matmul(h, self.weight) + self.bias
 
     def infer_logits(self, x: np.ndarray) -> np.ndarray:
-        xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        h = self.gamma.values * xhat + self.beta.values
-        return h @ self.weight.values + self.bias.values
+        h = engine.batch_norm(x, 1, self.gamma.values, self.beta.values,
+                              self.eps,
+                              stats=(self.running_mean, self.running_var))
+        return h.values @ self.weight.values + self.bias.values
 
 
 def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,

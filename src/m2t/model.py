@@ -12,12 +12,17 @@ momentum history of its whole-batch statistics, committed once per
 iteration. In momentum mode that history also drives the forward blend; in
 the baseline modes it exists purely so that frozen-feature evaluation has
 per-sample inference statistics.
+
+Student, teacher and frozen inference run the same layer loop,
+:func:`forward_mlp`, and differ only in the BN callable they pass. The
+teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
+:func:`load_teacher` reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -135,28 +140,18 @@ class Mlp:
 
 
 def _init_mlp(name: str, spec: MlpSpec, rng: np.random.Generator,
-              trainable: bool, eps: float,
-              with_state: bool = False,
-              alpha_semantics: str = "weight_on_batch") -> Mlp:
+              eps: float) -> Mlp:
     layers = []
     for i in range(spec.n_layers):
         fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        w = Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)),
-                   requires_grad=trainable)
-        b = Tensor(np.zeros(fan_out), requires_grad=trainable)
+        w = engine.parameter(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
+        b = engine.parameter(np.zeros(fan_out))
         norm = None
-        state = None
         if spec.bn[i]:
-            norm = NormParams(
-                gamma=Tensor(np.ones(fan_out), requires_grad=trainable),
-                beta=Tensor(np.zeros(fan_out), requires_grad=trainable),
-                eps=eps,
-            )
-            if with_state:
-                state = MomentumBNState(alpha_semantics=alpha_semantics)
-        layers.append(Layer(weight=w, bias=b, norm=norm, relu=spec.relu[i],
-                            state=state))
+            norm = NormParams(gamma=engine.parameter(np.ones(fan_out)),
+                              beta=engine.parameter(np.zeros(fan_out)), eps=eps)
+        layers.append(Layer(weight=w, bias=b, norm=norm, relu=spec.relu[i]))
     return Mlp(name, spec, layers)
 
 
@@ -235,9 +230,9 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
         raise DimensionError(
             f"projector out {projector_spec.out_dim} != predictor in "
             f"{predictor_spec.in_dim}")
-    encoder = _init_mlp("enc", encoder_spec, rng, trainable=True, eps=eps)
-    projector = _init_mlp("proj", projector_spec, rng, trainable=True, eps=eps)
-    predictor = _init_mlp("pred", predictor_spec, rng, trainable=True, eps=eps)
+    encoder = _init_mlp("enc", encoder_spec, rng, eps=eps)
+    projector = _init_mlp("proj", projector_spec, rng, eps=eps)
+    predictor = _init_mlp("pred", predictor_spec, rng, eps=eps)
     return StudentTeacherPair(encoder, projector, predictor,
                               student_bn=student_bn, teacher_bn=teacher_bn,
                               alpha_semantics=alpha_semantics)
@@ -247,23 +242,15 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
 # forwards
 
 
-def _affine(x: Tensor, layer: Layer) -> Tensor:
-    if x.values.shape[-1] != layer.weight.shape[0]:
-        raise DimensionError(
-            f"input width {x.values.shape[-1]} does not match layer "
-            f"fan-in {layer.weight.shape[0]}")
-    return engine.matmul(x, layer.weight) + layer.bias
-
-
-def _forward_student_mlp(mlp: Mlp, x: Tensor, layout: WorkerLayout,
-                         bn_kind: str) -> Tensor:
+def forward_mlp(mlp: Mlp, x: Tensor,
+                norm: Callable[[Tensor, Layer], Tensor]) -> Tensor:
+    """The one MLP layer loop: affine, then ``norm(x, layer)`` on BN layers,
+    then ReLU. Each role (student, teacher, frozen inference) differs only in
+    the BN callable it passes."""
     for layer in mlp.layers:
-        x = _affine(x, layer)
+        x = engine.matmul(x, layer.weight) + layer.bias
         if layer.norm is not None:
-            if bn_kind == "plain":
-                x = plain_bn_forward(x, layout, layer.norm)
-            else:
-                x = synced_bn_forward(x, layout, layer.norm)
+            x = norm(x, layer)
         if layer.relu:
             x = engine.relu(x)
     return x
@@ -272,38 +259,15 @@ def _forward_student_mlp(mlp: Mlp, x: Tensor, layout: WorkerLayout,
 def forward_student(pair: StudentTeacherPair, v,
                     layout: WorkerLayout) -> tuple[Tensor, Tensor]:
     """Full student pass: returns (projection z, prediction p)."""
-    x = engine.as_tensor(v)
-    z = _forward_student_mlp(pair.encoder, x, layout, pair.student_bn)
-    z = _forward_student_mlp(pair.projector, z, layout, pair.student_bn)
-    p = _forward_student_mlp(pair.predictor, z, layout, pair.student_bn)
+    bn = plain_bn_forward if pair.student_bn == "plain" else synced_bn_forward
+
+    def norm(x: Tensor, layer: Layer) -> Tensor:
+        return bn(x, layout, layer.norm)
+
+    z = forward_mlp(pair.encoder, engine.as_tensor(v), norm)
+    z = forward_mlp(pair.projector, z, norm)
+    p = forward_mlp(pair.predictor, z, norm)
     return z, p
-
-
-def _forward_teacher_mlp(mlp: Mlp, x: Tensor, alpha: float, bn_kind: str,
-                         layout: Optional[WorkerLayout],
-                         perm_seed: Optional[int]) -> Tensor:
-    for layer in mlp.layers:
-        x = _affine(x, layer)
-        if layer.norm is not None:
-            if bn_kind == "momentum":
-                x, _ = momentum_bn_forward(x, layer.state, alpha, layer.norm)
-            else:
-                if layout is None:
-                    raise ValueError(
-                        f"teacher BN kind {bn_kind!r} needs a worker layout")
-                # Whole-batch statistics are retained for the history commit
-                # regardless of how the normalization groups the samples.
-                layer.state.pending.append(constant_batch_stats(x.values))
-                if bn_kind == "plain":
-                    x = plain_bn_forward(x, layout, layer.norm)
-                elif bn_kind == "synced":
-                    x = synced_bn_forward(x, layout, layer.norm)
-                else:
-                    x = shuffling_bn_forward(x, layout, layer.norm,
-                                             perm_seed=perm_seed)
-        if layer.relu:
-            x = engine.relu(x)
-    return x
 
 
 def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
@@ -314,12 +278,33 @@ def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
     Each BN layer's per-view statistics land on its state's pending list;
     commit them once per iteration via :func:`commit_teacher_bn`.
     """
+    kind = pair.teacher_bn
+
+    def norm(x: Tensor, layer: Layer) -> Tensor:
+        if kind == "momentum":
+            return momentum_bn_forward(x, layer.state, alpha, layer.norm)[0]
+        if layout is None:
+            raise ValueError(f"teacher BN kind {kind!r} needs a worker layout")
+        # Whole-batch statistics are retained for the history commit
+        # regardless of how the normalization groups the samples.
+        layer.state.pending.append(constant_batch_stats(x.values))
+        if kind == "plain":
+            return plain_bn_forward(x, layout, layer.norm)
+        if kind == "synced":
+            return synced_bn_forward(x, layout, layer.norm)
+        return shuffling_bn_forward(x, layout, layer.norm, perm_seed=perm_seed)
+
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
-    x = _forward_teacher_mlp(pair.t_encoder, x, alpha, pair.teacher_bn,
-                             layout, perm_seed)
-    x = _forward_teacher_mlp(pair.t_projector, x, alpha, pair.teacher_bn,
-                             layout, perm_seed)
-    return x
+    x = forward_mlp(pair.t_encoder, x, norm)
+    return forward_mlp(pair.t_projector, x, norm)
+
+
+def history_norm(x: Tensor, layer: Layer) -> Tensor:
+    """Inference BN: normalize with the layer's stored history alone, so a
+    sample's output does not depend on the rest of its batch."""
+    return engine.batch_norm(x, 1, layer.norm.gamma, layer.norm.beta,
+                             layer.norm.eps,
+                             stats=(layer.state.hist_mean, layer.state.hist_var))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +343,15 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
 # teacher dump
 
 
-def dump_teacher(pair: StudentTeacherPair) -> dict:
-    """Serializable payload of the teacher encoder: weights, BN affines and
-    final momentum histories. This is the frozen feature extractor; the
-    projector and the student's predictor are deliberately excluded."""
+def dump_teacher(encoder: Mlp) -> dict:
+    """Serializable payload of a teacher encoder (``pair.t_encoder``):
+    weights, BN affines and final momentum histories. This is the frozen
+    feature extractor; the projector and the student's predictor are
+    deliberately excluded."""
     arrays: dict[str, np.ndarray] = {}
     init_flags = []
     bn_eps = []
-    for i, layer in enumerate(pair.t_encoder.layers):
+    for i, layer in enumerate(encoder.layers):
         arrays[f"enc{i}.weight"] = layer.weight.values.copy()
         arrays[f"enc{i}.bias"] = layer.bias.values.copy()
         if layer.norm is not None:
@@ -384,11 +370,38 @@ def dump_teacher(pair: StudentTeacherPair) -> dict:
             bn_eps.append(layer.norm.eps)
     return {
         "version": TEACHER_DUMP_VERSION,
-        "encoder_spec": pair.t_encoder.spec.to_dict(),
+        "encoder_spec": encoder.spec.to_dict(),
         "bn_initialized": init_flags,
         "bn_eps": bn_eps,
         "arrays": arrays,
     }
+
+
+def load_teacher(payload: dict) -> Mlp:
+    """The frozen teacher encoder of a :func:`dump_teacher` payload (its
+    inverse). Tensors share the payload's arrays; a payload without
+    ``bn_eps`` gets the default eps."""
+    spec = MlpSpec.from_dict(payload["encoder_spec"])
+    arrays = payload["arrays"]
+    missing = expected_array_names(spec) - set(arrays)
+    if missing:
+        raise ValueError(f"teacher dump is missing arrays: {sorted(missing)}")
+    init_flags = iter(payload.get("bn_initialized", []))
+    bn_eps = iter(payload.get("bn_eps", []))
+    layers = []
+    for i in range(spec.n_layers):
+        norm = state = None
+        if spec.bn[i]:
+            norm = NormParams(gamma=Tensor(arrays[f"enc{i}.gamma"]),
+                              beta=Tensor(arrays[f"enc{i}.beta"]),
+                              eps=next(bn_eps, 1e-5))
+            state = MomentumBNState(hist_mean=arrays[f"enc{i}.hist_mean"],
+                                    hist_var=arrays[f"enc{i}.hist_var"],
+                                    initialized=bool(next(init_flags, True)))
+        layers.append(Layer(weight=Tensor(arrays[f"enc{i}.weight"]),
+                            bias=Tensor(arrays[f"enc{i}.bias"]),
+                            norm=norm, relu=spec.relu[i], state=state))
+    return Mlp("t_enc", spec, layers)
 
 
 def expected_array_names(encoder_spec: MlpSpec) -> set:

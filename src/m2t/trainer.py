@@ -25,7 +25,7 @@ import numpy as np
 
 from . import engine
 from .config import ConfigError, TrainConfig
-from .data import Dataset, make_views, synth_clusters, load_idx
+from .data import Dataset, IdxFormatError, make_views, synth_clusters, load_idx
 from .engine import HEALTH, Tensor, backward, record
 from .model import (
     StudentTeacherPair,
@@ -168,7 +168,10 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
     if d.kind == "synthetic":
         return synth_clusters(d.num_classes, d.dim, d.per_class, d.spread,
                               seed=substream_int(cfg.seed, "data"))
-    return load_idx(d.images_path, d.labels_path)
+    try:
+        return load_idx(d.images_path, d.labels_path)
+    except (OSError, IdxFormatError) as e:
+        raise ConfigError(f"data: {e}") from e
 
 
 def build_model(cfg: TrainConfig, in_dim: int) -> StudentTeacherPair:
@@ -370,9 +373,9 @@ class Trainer:
                 if k % cfg.log_interval == 0:
                     metrics.append(rec)
                 k += 1
-        return TrainResult(payload=dump_teacher(self.pair), metrics=metrics,
-                           config=cfg, health=HEALTH.as_dict(),
-                           dataset=self.dataset)
+        return TrainResult(payload=dump_teacher(self.pair.t_encoder),
+                           metrics=metrics, config=cfg,
+                           health=HEALTH.as_dict(), dataset=self.dataset)
 
 
 def run_training(cfg: TrainConfig,

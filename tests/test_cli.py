@@ -16,7 +16,7 @@ from m2t.checkpoint import (
 )
 from m2t.cli import main, write_metrics_csv
 from m2t.config import DataConfig, TrainConfig
-from m2t.data import AugmentSpec
+from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec, write_idx_images
 from m2t.evaluate import extract_features
 from m2t.trainer import run_training
 
@@ -158,6 +158,42 @@ class TestPretrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "batch_size" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        (b"\x00\x00\x08", "truncated header"),
+        (struct.pack(">IIII", IDX_IMAGES_MAGIC, 5, 2, 2), "pixels"),
+    ], ids=["missing", "three-bytes", "header-without-pixels"])
+    def test_bad_idx_images_exit_2(self, tmp_path, capsys, content, message):
+        images = tmp_path / "images.idx"
+        if content is not None:
+            images.write_bytes(content)
+        code = main(["pretrain", *TINY_ARGS, "--set", "data.kind=idx",
+                     "--set", f"data.images_path={images}",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and message in err
+
+    def test_missing_idx_labels_exit_2(self, tmp_path, capsys):
+        images = tmp_path / "images.idx"
+        write_idx_images(np.zeros((32, 8)), (2, 4), images)
+        code = main(["pretrain", *TINY_ARGS, "--set", "data.kind=idx",
+                     "--set", f"data.images_path={images}",
+                     "--set", f"data.labels_path={tmp_path / 'labels.idx'}",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: data: ")
+
+    def test_table1_grid_preset_trains_one_run(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["pretrain", *TINY_ARGS[2:], "--preset", "table1-grid",
+                     "--out", str(out)])
+        assert code == 0
+        assert (out / "metrics.csv").exists()
+        assert (out / "checkpoint.m2t").exists()
+        assert not (out / "grid.json").exists()
+        assert not list(out.glob("metrics_*.csv"))
 
     def test_zero_epochs_is_valid(self, tmp_path):
         out = tmp_path / "run"

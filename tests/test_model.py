@@ -15,11 +15,14 @@ from m2t.model import (
     dump_teacher,
     ema_update,
     expected_array_names,
+    forward_mlp,
     forward_student,
     forward_teacher,
+    load_teacher,
     mlp_spec,
 )
-from m2t.normalization import WorkerLayout
+from m2t.evaluate import extract_features
+from m2t.normalization import WorkerLayout, momentum_bn_forward
 
 
 def tiny_pair(seed=0, in_dim=4, student_bn="plain", teacher_bn="momentum"):
@@ -265,18 +268,67 @@ class TestCommit:
 class TestDumpTeacher:
     def test_payload_excludes_predictor_and_projector(self):
         pair = tiny_pair(seed=26)
-        payload = dump_teacher(pair)
+        payload = dump_teacher(pair.t_encoder)
         assert all(name.startswith("enc") for name in payload["arrays"])
         assert payload["version"] == TEACHER_DUMP_VERSION
 
     def test_array_name_set_matches_spec(self):
         pair = tiny_pair(seed=27)
-        payload = dump_teacher(pair)
+        payload = dump_teacher(pair.t_encoder)
         assert set(payload["arrays"]) == expected_array_names(pair.t_encoder.spec)
 
     def test_uninitialized_history_dumps_identity_stats(self):
         pair = tiny_pair(seed=28)
-        payload = dump_teacher(pair)
+        payload = dump_teacher(pair.t_encoder)
         assert payload["bn_initialized"] == [False, False]
         np.testing.assert_array_equal(payload["arrays"]["enc0.hist_var"], 1.0)
         np.testing.assert_array_equal(payload["arrays"]["enc0.hist_mean"], 0.0)
+
+
+def trained_teacher_pair(seed=29):
+    """A pair whose teacher encoder has committed histories and non-trivial
+    BN affines."""
+    pair = tiny_pair(seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for layer in pair.t_encoder.layers:
+        layer.norm.gamma.values = rng.uniform(0.5, 1.5, size=layer.norm.channels)
+        layer.norm.beta.values = rng.normal(size=layer.norm.channels)
+    for _ in range(2):
+        forward_teacher(pair, rng.normal(size=(8, 4)), alpha=0.5)
+        commit_teacher_bn(pair, alpha=0.5)
+    return pair
+
+
+class TestLoadTeacher:
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_dump_of_load_reproduces_payload(self, trained):
+        pair = trained_teacher_pair() if trained else tiny_pair(seed=30)
+        payload = dump_teacher(pair.t_encoder)
+        again = dump_teacher(load_teacher(payload))
+        assert again["bn_initialized"] == payload["bn_initialized"] \
+            == [trained, trained]
+        assert again["bn_eps"] == payload["bn_eps"]
+        assert again["encoder_spec"] == payload["encoder_spec"]
+        assert set(again["arrays"]) == set(payload["arrays"])
+        for name, arr in payload["arrays"].items():
+            assert again["arrays"][name].tobytes() == arr.tobytes()
+
+    def test_missing_array_rejected(self):
+        payload = dump_teacher(tiny_pair(seed=31).t_encoder)
+        del payload["arrays"]["enc1.hist_var"]
+        with pytest.raises(ValueError, match="missing"):
+            load_teacher(payload)
+
+    def test_alpha_zero_momentum_encoder_equals_frozen_features(self):
+        # With history weight 1 the training teacher's momentum BN uses the
+        # history alone, which is exactly the evaluation path.
+        pair = trained_teacher_pair()
+        x = np.random.default_rng(32).normal(size=(8, 4))
+        payload = dump_teacher(pair.t_encoder)
+
+        def momentum(h, layer):
+            return momentum_bn_forward(h, layer.state, 0.0, layer.norm)[0]
+
+        train_side = forward_mlp(pair.t_encoder, engine.constant(x), momentum)
+        assert train_side.values.tobytes() \
+            == extract_features(payload, x).tobytes()
