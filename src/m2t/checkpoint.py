@@ -1,20 +1,21 @@
-"""Versioned binary checkpoint container for teacher dumps.
+"""Versioned binary container: a JSON header plus named float64 arrays.
 
 Layout: an 8-byte magic, a little-endian u32 format version, a u32 header
-length, a JSON header (encoder spec, BN metadata, array index with shapes,
-in a fixed order), then the raw array payload as little-endian float64 in
-header order. The loader rejects unknown versions and requires the array
-name set to match the encoder spec exactly.
+length, a JSON header, then the arrays as little-endian float64 in header
+order. The header holds every payload key but ``arrays`` as is, and under
+``arrays`` one ``{"name", "shape"}`` entry per array. The loader returns
+exactly the saved payload and rejects unknown versions and malformed
+containers; what the arrays mean is up to the payload's reader, e.g.
+:func:`m2t.model.load_teacher` for teacher dumps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
-
-from .model import MlpSpec, expected_array_names
 
 MAGIC = b"M2TCKPT\x00"
 FORMAT_VERSION = 1
@@ -34,21 +35,15 @@ class CheckpointVersionError(CheckpointError):
 
 def save_checkpoint(payload: dict, path) -> None:
     arrays = payload["arrays"]
-    index = [{"name": name, "shape": list(arr.shape)}
-             for name, arr in arrays.items()]
-    header = {
-        "encoder_spec": payload["encoder_spec"],
-        "bn_initialized": payload.get("bn_initialized", []),
-        "bn_eps": payload.get("bn_eps", []),
-        "arrays": index,
-    }
+    header = dict(payload, arrays=[{"name": name, "shape": list(arr.shape)}
+                                   for name, arr in arrays.items()])
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", FORMAT_VERSION))
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)
-        for name, arr in arrays.items():
+        for arr in arrays.values():
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -67,27 +62,24 @@ def load_checkpoint(path) -> dict:
     if len(buf) < header_end:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(buf[16:header_end].decode("utf-8"))
+        payload = json.loads(buf[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})") from None
 
-    try:
-        spec = MlpSpec.from_dict(header["encoder_spec"])
-        names = [entry["name"] for entry in header["arrays"]]
-        shapes = [tuple(entry["shape"]) for entry in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(
-            f"{path}: malformed header ({type(e).__name__}: {e})") from None
-    if set(names) != expected_array_names(spec):
-        raise CheckpointError(
-            f"{path}: array names {sorted(names)} do not match the encoder "
-            f"spec's expected set")
-
+    index = payload.get("arrays") if isinstance(payload, dict) else None
+    if not isinstance(index, list):
+        raise CheckpointError(f"{path}: malformed header (no array index)")
     arrays = {}
     offset = header_end
-    for name, shape in zip(names, shapes):
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
+    for entry in index:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and entry["name"] not in arrays
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise CheckpointError(f"{path}: bad array index entry {entry!r} "
+                                  f"(need a new name, non-negative int shape)")
+        name, shape = entry["name"], entry["shape"]
+        end = offset + 8 * math.prod(shape)
         if len(buf) < end:
             raise CheckpointError(f"{path}: truncated array {name}")
         arrays[name] = np.frombuffer(
@@ -95,10 +87,5 @@ def load_checkpoint(path) -> dict:
         offset = end
     if offset != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes")
-    return {
-        "version": version,
-        "encoder_spec": header["encoder_spec"],
-        "bn_initialized": header.get("bn_initialized", []),
-        "bn_eps": header.get("bn_eps", []),
-        "arrays": arrays,
-    }
+    payload["arrays"] = arrays
+    return payload

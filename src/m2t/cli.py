@@ -1,7 +1,8 @@
 """Command-line front end: pretrain, eval, gradcheck, ablate.
 
-Exit codes: 0 success, 2 invalid configuration or usage, 3 training
-aborted on a non-finite loss, 4 checkpoint version mismatch.
+Exit codes: 0 success, 2 invalid or unreadable configuration, input or
+usage, 3 training aborted on a non-finite value, 4 checkpoint version
+mismatch.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import ConfigError, TrainConfig
-from .data import load_idx, synth_clusters
-from .evaluate import extract_features, knn_eval, linear_probe
+from .evaluate import extract_features, holdout_split, knn_eval, linear_probe
 from .gradcheck import DEFAULT_TOL, run_all
-from .trainer import MetricsRecord, NanLossError, Trainer, ablation_grid
-from .seeding import substream_int
+from .trainer import (MetricsRecord, NanLossError, Trainer, ablation_grid,
+                      build_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +78,8 @@ def _finish_manifest(path: Path) -> None:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
+    # Built first: a config-time error must leave no manifest behind.
+    trainer = Trainer(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -86,7 +88,7 @@ def cmd_pretrain(args) -> int:
     manifest_path = _write_manifest(out_dir, cfg, {
         "metrics": str(metrics_path), "checkpoint": str(ckpt_path)})
     try:
-        result = Trainer(cfg).run()
+        result = trainer.run()
     except NanLossError as e:
         write_metrics_csv(e.metrics + [e.diagnostic], metrics_path)
         print(f"error: {e}", file=sys.stderr)
@@ -121,51 +123,24 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_dataset(path):
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    kind = doc.get("kind", "synthetic")
-    if kind == "idx":
-        return load_idx(doc["images_path"], doc.get("labels_path"))
-    return synth_clusters(doc.get("num_classes", 10), doc.get("dim", 32),
-                          doc.get("per_class", 500), doc.get("spread", 0.3),
-                          seed=substream_int(doc.get("seed", 0), "data"))
-
-
 def cmd_eval(args) -> int:
+    payload = load_checkpoint(args.checkpoint)
     try:
-        payload = load_checkpoint(args.checkpoint)
-    except CheckpointVersionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VERSION
-    except (CheckpointError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        dataset = _load_eval_dataset(args.dataset)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"error: dataset: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        with open(args.dataset, "r", encoding="utf-8") as f:
+            spec = json.load(f)
+        config_mod.check_type(spec, dict, "dataset")
+        seed = spec.pop("seed", 0)
+        config_mod.check_type(seed, int, "dataset.seed")
+        dataset = build_dataset(config_mod.data_from_dict(spec, "dataset"),
+                                seed)
         features = extract_features(payload, dataset.samples)
         if args.mode == "probe":
             acc = linear_probe(features, dataset.labels,
                                epochs=args.probe_epochs,
                                lr=args.probe_lr, seed=args.seed)
         else:
-            if args.k > len(dataset):
-                print(f"error: --k {args.k} exceeds dataset size "
-                      f"{len(dataset)}", file=sys.stderr)
-                return EXIT_CONFIG
-            rng = np.random.default_rng(args.seed)
-            perm = rng.permutation(len(dataset))
-            n_test = max(1, int(round(0.2 * len(dataset))))
-            test, train = perm[:n_test], perm[n_test:]
-            if args.k > len(train):
-                print(f"error: --k {args.k} exceeds train split size "
-                      f"{len(train)}", file=sys.stderr)
-                return EXIT_CONFIG
+            train, test = holdout_split(len(dataset),
+                                        np.random.default_rng(args.seed))
             acc = knn_eval(features[train], dataset.labels[train],
                            features[test], dataset.labels[test], k=args.k)
     except ValueError as e:
@@ -207,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint's frozen features")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True,
-                   help="JSON dataset spec (synthetic params or idx paths)")
+                   help="JSON dataset spec: a config's data object plus seed")
     p.add_argument("--mode", choices=("probe", "knn"), default="probe")
     p.add_argument("--k", type=int, default=5, help="neighbours for knn")
     p.add_argument("--seed", type=int, default=0)
@@ -235,7 +210,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except CheckpointVersionError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERSION
+    except (ConfigError, CheckpointError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .data import AugmentSpec
 from .model import STUDENT_BN_KINDS, TEACHER_BN_KINDS, MlpSpec
@@ -188,50 +188,61 @@ class TrainConfig:
 
 _REQUIRED = ("mode", "seed", "epochs")
 
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               bool: (bool, "a boolean"), str: (str, "a string")}
 
-def _check_unknown(d: dict, known: set, path: str) -> None:
-    for key in d:
-        if key not in known:
-            where = f"{path}.{key}" if path else key
+
+def check_type(value, hint, where: str) -> None:
+    """Raise ConfigError unless the JSON value fits the field type ``hint``
+    (a nested spec takes an object): a bool is no number, an int is a
+    float, null fits only ``Optional``."""
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return
+        hint = args[0]
+    want, name = _JSON_TYPES.get(hint, (dict, "an object"))
+    if not isinstance(value, want) or (type(value) is bool and hint is not bool):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+
+
+def _check_fields(d: dict, cls, path: str) -> None:
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
             raise ConfigError(f"{where}: unknown field")
+        check_type(value, hints[key], where)
 
 
-def from_dict(d: dict) -> TrainConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config: expected a JSON object")
-    known = {f.name for f in fields(TrainConfig)}
-    _check_unknown(d, known, "")
+def data_from_dict(d, path: str = "data") -> DataConfig:
+    """A validated DataConfig from its JSON object at ``path``."""
+    check_type(d, DataConfig, path)
+    _check_fields(d, DataConfig, path)
+    data = DataConfig(**d)
+    data.validate(path)
+    return data
+
+
+def from_dict(d) -> TrainConfig:
+    check_type(d, TrainConfig, "config")
+    _check_fields(d, TrainConfig, "")
     for name in _REQUIRED:
         if name not in d:
             raise ConfigError(f"{name}: missing required field")
     kwargs = dict(d)
-    if "data" in kwargs and kwargs["data"] is not None:
-        sub = kwargs["data"]
-        if not isinstance(sub, dict):
-            raise ConfigError("data: expected an object")
-        _check_unknown(sub, {f.name for f in fields(DataConfig)}, "data")
-        try:
-            kwargs["data"] = DataConfig(**sub)
-        except TypeError as e:
-            raise ConfigError(f"data: {e}") from None
-    if "augment" in kwargs and kwargs["augment"] is not None:
-        sub = kwargs["augment"]
-        if not isinstance(sub, dict):
-            raise ConfigError("augment: expected an object")
-        try:
-            kwargs["augment"] = AugmentSpec.from_dict(sub)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"augment: {e}") from None
-    for name in ("encoder", "projector", "predictor"):
-        if kwargs.get(name) is not None:
+    if "data" in d:
+        kwargs["data"] = data_from_dict(d["data"])
+    for name, parse in (("augment", AugmentSpec.from_dict),
+                        ("encoder", MlpSpec.from_dict),
+                        ("projector", MlpSpec.from_dict),
+                        ("predictor", MlpSpec.from_dict)):
+        if d.get(name) is not None:
             try:
-                kwargs[name] = MlpSpec.from_dict(kwargs[name])
-            except (TypeError, KeyError, ValueError) as e:
+                kwargs[name] = parse(d[name])
+            except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"{name}: {e}") from None
-    try:
-        cfg = TrainConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from None
+    cfg = TrainConfig(**kwargs)
     cfg.validate()
     return cfg
 
@@ -242,11 +253,6 @@ def loads(text: str) -> TrainConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON ({e})") from None
     return from_dict(doc)
-
-
-def load(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads(f.read())
 
 
 def dumps(cfg: TrainConfig) -> str:

@@ -31,6 +31,14 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
     return forward_mlp(encoder, engine.constant(x), history_norm).values
 
 
+def holdout_split(n: int, rng: np.random.Generator,
+                  test_fraction: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) indices, holding out ``test_fraction`` of n (>= 1)."""
+    perm = rng.permutation(n)
+    n_test = max(1, int(round(test_fraction * n)))
+    return perm[n_test:], perm[:n_test]
+
+
 # ---------------------------------------------------------------------------
 # linear probe
 
@@ -109,9 +117,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
 
     rng = np.random.default_rng(seed)
     if features_test is None:
-        perm = rng.permutation(len(features))
-        n_test = max(1, int(round(test_fraction * len(features))))
-        test_idx, train_idx = perm[:n_test], perm[n_test:]
+        train_idx, test_idx = holdout_split(len(features), rng, test_fraction)
         features_test = features[test_idx]
         labels_test = labels[test_idx]
         features, labels = features[train_idx], labels[train_idx]

@@ -16,7 +16,7 @@ per-sample inference statistics.
 Student, teacher and frozen inference run the same layer loop,
 :func:`forward_mlp`, and differ only in the BN callable they pass. The
 teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
-:func:`load_teacher` reads it back.
+:func:`load_teacher` checks it and reads it back.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ from .normalization import (
 STUDENT_BN_KINDS = ("plain", "synced")
 TEACHER_BN_KINDS = ("momentum", "plain", "synced", "shuffling")
 
-#: Version stamp embedded in teacher dumps; bumped on layout changes.
-TEACHER_DUMP_VERSION = 1
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     """Layer widths plus per-layer BN/ReLU flags (one flag per layer)."""
@@ -56,6 +52,9 @@ class MlpSpec:
     relu: tuple
 
     def __post_init__(self):
+        if not (all(type(w) is int for w in self.widths)
+                and all(type(f) is bool for f in self.bn + self.relu)):
+            raise ValueError(f"widths must be ints and flags bools: {self}")
         if len(self.widths) < 2:
             raise ValueError("an MLP needs at least one layer (two widths)")
         if any(w < 1 for w in self.widths):
@@ -84,8 +83,8 @@ class MlpSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "MlpSpec":
-        return MlpSpec(widths=tuple(d["widths"]), bn=tuple(bool(b) for b in d["bn"]),
-                       relu=tuple(bool(r) for r in d["relu"]))
+        return MlpSpec(widths=tuple(d["widths"]), bn=tuple(d["bn"]),
+                       relu=tuple(d["relu"]))
 
 
 def mlp_spec(widths: Sequence[int], final_plain: bool = True) -> MlpSpec:
@@ -369,7 +368,6 @@ def dump_teacher(encoder: Mlp) -> dict:
                 init_flags.append(False)
             bn_eps.append(layer.norm.eps)
     return {
-        "version": TEACHER_DUMP_VERSION,
         "encoder_spec": encoder.spec.to_dict(),
         "bn_initialized": init_flags,
         "bn_eps": bn_eps,
@@ -379,38 +377,51 @@ def dump_teacher(encoder: Mlp) -> dict:
 
 def load_teacher(payload: dict) -> Mlp:
     """The frozen teacher encoder of a :func:`dump_teacher` payload (its
-    inverse). Tensors share the payload's arrays; a payload without
-    ``bn_eps`` gets the default eps."""
-    spec = MlpSpec.from_dict(payload["encoder_spec"])
+    inverse; tensors share the payload's arrays). ``ValueError`` unless the
+    payload has a valid ``encoder_spec``, exactly its arrays and BN lists."""
+    try:
+        spec = MlpSpec.from_dict(payload["encoder_spec"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"teacher dump: bad encoder_spec ({e!r})") from None
     arrays = payload["arrays"]
-    missing = expected_array_names(spec) - set(arrays)
-    if missing:
-        raise ValueError(f"teacher dump is missing arrays: {sorted(missing)}")
-    init_flags = iter(payload.get("bn_initialized", []))
-    bn_eps = iter(payload.get("bn_eps", []))
+    found = {name: arr.shape for name, arr in arrays.items()}
+    want = expected_array_shapes(spec)
+    if found != want:
+        raise ValueError(
+            f"teacher dump arrays do not match its encoder_spec: missing or "
+            f"misshapen {sorted(want.items() - found.items())}, unexpected "
+            f"{sorted(found.items() - want.items())}")
+    init_flags, bn_eps = payload.get("bn_initialized"), payload.get("bn_eps")
+    if not (isinstance(init_flags, list) and isinstance(bn_eps, list)
+            and len(init_flags) == len(bn_eps) == sum(spec.bn)
+            and all(type(f) is bool for f in init_flags)
+            and all(type(e) in (int, float) for e in bn_eps)):
+        raise ValueError(f"teacher dump: need one bool bn_initialized and one "
+                         f"number bn_eps per BN layer, got {init_flags!r} and "
+                         f"{bn_eps!r}")
+    init_flags, bn_eps = iter(init_flags), iter(bn_eps)
     layers = []
     for i in range(spec.n_layers):
         norm = state = None
         if spec.bn[i]:
             norm = NormParams(gamma=Tensor(arrays[f"enc{i}.gamma"]),
                               beta=Tensor(arrays[f"enc{i}.beta"]),
-                              eps=next(bn_eps, 1e-5))
+                              eps=next(bn_eps))
             state = MomentumBNState(hist_mean=arrays[f"enc{i}.hist_mean"],
                                     hist_var=arrays[f"enc{i}.hist_var"],
-                                    initialized=bool(next(init_flags, True)))
+                                    initialized=next(init_flags))
         layers.append(Layer(weight=Tensor(arrays[f"enc{i}.weight"]),
                             bias=Tensor(arrays[f"enc{i}.bias"]),
                             norm=norm, relu=spec.relu[i], state=state))
     return Mlp("t_enc", spec, layers)
 
 
-def expected_array_names(encoder_spec: MlpSpec) -> set:
-    """The exact array-name set a valid teacher dump must contain."""
-    names = set()
-    for i in range(encoder_spec.n_layers):
-        names.add(f"enc{i}.weight")
-        names.add(f"enc{i}.bias")
-        if encoder_spec.bn[i]:
-            names.update({f"enc{i}.gamma", f"enc{i}.beta",
-                          f"enc{i}.hist_mean", f"enc{i}.hist_var"})
-    return names
+def expected_array_shapes(spec: MlpSpec) -> dict:
+    """Name -> shape of every array a valid teacher dump holds, no more."""
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(spec.widths, spec.widths[1:])):
+        shapes[f"enc{i}.weight"] = (fan_in, fan_out)
+        names = ("bias", "gamma", "beta", "hist_mean", "hist_var")
+        for name in names if spec.bn[i] else names[:1]:
+            shapes[f"enc{i}.{name}"] = (fan_out,)
+    return shapes

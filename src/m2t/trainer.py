@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .config import ConfigError, TrainConfig
+from .config import ConfigError, DataConfig, TrainConfig
 from .data import Dataset, IdxFormatError, make_views, synth_clusters, load_idx
 from .engine import HEALTH, Tensor, backward, record
 from .model import (
@@ -144,8 +144,8 @@ class MetricsRecord:
 
 
 class NanLossError(RuntimeError):
-    """Training hit a non-finite loss; carries the diagnostic record and any
-    metrics collected before the abort."""
+    """Training hit a non-finite loss, history drift or teacher array;
+    carries the record of the iteration that did and the metrics before."""
 
     def __init__(self, message: str, diagnostic: MetricsRecord,
                  metrics: Optional[list] = None):
@@ -163,13 +163,13 @@ class TrainResult:
     dataset: Dataset
 
 
-def build_dataset(cfg: TrainConfig) -> Dataset:
-    d = cfg.data
-    if d.kind == "synthetic":
-        return synth_clusters(d.num_classes, d.dim, d.per_class, d.spread,
-                              seed=substream_int(cfg.seed, "data"))
+def build_dataset(data: DataConfig, seed: int) -> Dataset:
+    """The dataset of a validated ``data`` spec; ``seed`` keys synthesis."""
+    if data.kind == "synthetic":
+        return synth_clusters(data.num_classes, data.dim, data.per_class,
+                              data.spread, seed=substream_int(seed, "data"))
     try:
-        return load_idx(d.images_path, d.labels_path)
+        return load_idx(data.images_path, data.labels_path)
     except (OSError, IdxFormatError) as e:
         raise ConfigError(f"data: {e}") from e
 
@@ -230,7 +230,8 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, dataset: Optional[Dataset] = None):
         cfg.validate()
         self.cfg = cfg
-        self.dataset = dataset if dataset is not None else build_dataset(cfg)
+        self.dataset = dataset if dataset is not None \
+            else build_dataset(cfg.data, cfg.seed)
         self.pair = build_model(cfg, self.dataset.dim)
         self.layout_workers = cfg.workers
 
@@ -327,28 +328,32 @@ class Trainer:
         if self._sec_model is None:
             self._sec_model = modeled_sec_per_iter(cfg, self.pair,
                                                    cfg.batch_size)
+
+        def metrics(drift: float) -> MetricsRecord:
+            return MetricsRecord(iteration=k, epoch=epoch, loss=loss_val,
+                                 l1=l1, l2=l2, lr=lr_k, m=m_k, alpha=alpha_k,
+                                 hist_drift=drift, sec_per_iter=self._sec_model,
+                                 wall_time=time.perf_counter() - t0)
+
         if not np.isfinite(loss_val):
             HEALTH.nonfinite_losses += 1
-            diag = MetricsRecord(iteration=k, epoch=epoch, loss=loss_val,
-                                 l1=l1, l2=l2, lr=lr_k, m=m_k, alpha=alpha_k,
-                                 hist_drift=float("nan"),
-                                 sec_per_iter=self._sec_model,
-                                 wall_time=time.perf_counter() - t0)
-            raise NanLossError(f"non-finite loss at iteration {k}", diag)
+            raise NanLossError(f"non-finite loss at iteration {k}",
+                               metrics(float("nan")))
 
         backward(loss_t)
         grads = [p.tensor.grad if p.tensor.grad is not None
                  else np.zeros_like(p.tensor.values) for p in self.params]
         self._step_fn()(self.params, grads, self.opt, lr_k)
         drift = commit_teacher_bn(self.pair, alpha_k)
+        # The drift sums every history's change, so one check covers them all.
+        if not np.isfinite(drift):
+            raise NanLossError(
+                f"non-finite teacher BN history drift at iteration {k}",
+                metrics(drift))
         ema_update(self.pair, m_k)
         if self.is_moco:
             queue_update(self.queue, k_pos.values)
-
-        return MetricsRecord(iteration=k, epoch=epoch, loss=loss_val, l1=l1,
-                             l2=l2, lr=lr_k, m=m_k, alpha=alpha_k,
-                             hist_drift=drift, sec_per_iter=self._sec_model,
-                             wall_time=time.perf_counter() - t0)
+        return metrics(drift)
 
     def epoch_order(self, epoch: int) -> np.ndarray:
         return substream(self.cfg.seed, "shuffle", epoch).permutation(
@@ -373,8 +378,13 @@ class Trainer:
                 if k % cfg.log_interval == 0:
                     metrics.append(rec)
                 k += 1
-        return TrainResult(payload=dump_teacher(self.pair.t_encoder),
-                           metrics=metrics, config=cfg,
+        payload = dump_teacher(self.pair.t_encoder)
+        bad = [n for n, a in payload["arrays"].items() if not np.isfinite(a).all()]
+        if bad:  # the last iteration made them; its record is the diagnostic
+            raise NanLossError(f"non-finite teacher array {bad[0]} after "
+                               f"iteration {k - 1}", rec,
+                               [m for m in metrics if m is not rec])
+        return TrainResult(payload=payload, metrics=metrics, config=cfg,
                            health=HEALTH.as_dict(), dataset=self.dataset)
 
 

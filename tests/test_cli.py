@@ -18,6 +18,7 @@ from m2t.cli import main, write_metrics_csv
 from m2t.config import DataConfig, TrainConfig
 from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec, write_idx_images
 from m2t.evaluate import extract_features
+from m2t.model import load_teacher
 from m2t.trainer import run_training
 
 
@@ -45,13 +46,30 @@ TINY_ARGS = [
 ]
 
 
+def tiny_dataset_spec(tmp_path):
+    """A dataset spec file matching the tiny runs' 8-wide encoder input."""
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"kind": "synthetic", "num_classes": 3,
+                                "dim": 8, "per_class": 16, "spread": 0.3,
+                                "seed": 0}))
+    return path
+
+
+def raw_checkpoint(header, body: bytes = b"") -> bytes:
+    header = json.dumps(header).encode("utf-8")
+    return (MAGIC + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", len(header)) + header + body)
+
+
 class TestCheckpointFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         result = tiny_run()
         path = tmp_path / "ck.m2t"
         save_checkpoint(result.payload, path)
         loaded = load_checkpoint(path)
-        assert loaded["version"] == FORMAT_VERSION
+        assert loaded.keys() == result.payload.keys()
+        for key, value in result.payload.items():
+            assert key == "arrays" or loaded[key] == value
         assert set(loaded["arrays"]) == set(result.payload["arrays"])
         for name, arr in result.payload["arrays"].items():
             assert loaded["arrays"][name].tobytes() == arr.tobytes()
@@ -94,14 +112,49 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(cut)
 
-    def test_array_name_set_must_match(self, tmp_path):
+    def test_array_name_set_must_match(self, tmp_path, capsys):
+        # The container stores any array set; the teacher-dump reader
+        # rejects one that does not match the encoder spec.
         result = tiny_run()
         payload = dict(result.payload)
         payload["arrays"] = dict(payload["arrays"])
         del payload["arrays"]["enc0.bias"]
         path = tmp_path / "ck.m2t"
         save_checkpoint(payload, path)
-        with pytest.raises(CheckpointError, match="match"):
+        with pytest.raises(ValueError, match="match"):
+            load_teacher(load_checkpoint(path))
+        code = main(["eval", "--checkpoint", str(path),
+                     "--dataset", str(tiny_dataset_spec(tmp_path))])
+        assert code == 2
+        assert "match" in capsys.readouterr().err
+
+    def test_payload_keys_roundtrip(self, tmp_path):
+        payload = {"step": 7, "note": ["any", {"json": None}],
+                   "arrays": {"b": np.arange(3.0), "a": np.ones((2, 0))}}
+        path = tmp_path / "state.m2t"
+        save_checkpoint(payload, path)
+        loaded = load_checkpoint(path)
+        assert list(loaded["arrays"]) == ["b", "a"]
+        assert loaded["arrays"]["a"].shape == (2, 0)
+        assert loaded["arrays"]["b"].tobytes() == payload["arrays"]["b"].tobytes()
+        assert {k: v for k, v in loaded.items() if k != "arrays"} \
+            == {"step": 7, "note": ["any", {"json": None}]}
+
+    @pytest.mark.parametrize("header", [
+        [],
+        {"arrays": {"enc0.bias": [2]}},
+        {"arrays": [{"name": 3, "shape": [2]}]},
+        {"arrays": [{"name": "a", "shape": [2.5]}]},
+        {"arrays": [{"name": "a", "shape": "ab"}]},
+        {"arrays": [{"name": "a", "shape": [-1]}]},
+        {"arrays": [{"name": "a", "shape": [True]}]},
+        {"arrays": [{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]},
+    ], ids=["not-object", "index-not-list", "name-not-string", "float-shape",
+            "string-shape", "negative-shape", "bool-shape", "repeated-name"])
+    def test_malformed_container_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.m2t"
+        path.write_bytes(raw_checkpoint(header, b"\x00" * 16))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
 
@@ -168,12 +221,15 @@ class TestPretrainCommand:
         images = tmp_path / "images.idx"
         if content is not None:
             images.write_bytes(content)
+        out = tmp_path / "run"
         code = main(["pretrain", *TINY_ARGS, "--set", "data.kind=idx",
                      "--set", f"data.images_path={images}",
-                     "--out", str(tmp_path / "run")])
+                     "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and message in err
+        # The Trainer is built before the manifest is written.
+        assert not (out / "manifest.json").exists()
 
     def test_missing_idx_labels_exit_2(self, tmp_path, capsys):
         images = tmp_path / "images.idx"
@@ -184,6 +240,30 @@ class TestPretrainCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: data: ")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--set", "lr_base=abc"], "lr_base: expected a number"),
+        (["--set", "data.per_class=x"], "data.per_class: expected an integer"),
+        (["--set", "epochs=\"1\""], "epochs: expected an integer"),
+        (["--set", "batch_size=null"], "batch_size: expected an integer"),
+        (["--set", "wd_exclude_bias_bn=1"], "expected a boolean"),
+    ])
+    def test_ill_typed_value_exits_2(self, tmp_path, capsys, args, message):
+        code = main(["pretrain", "--preset", "default-synth", *args,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json"],
+                             ids=["missing", "invalid-json"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code = main(["pretrain", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_table1_grid_preset_trains_one_run(self, tmp_path):
         out = tmp_path / "run"
@@ -214,6 +294,41 @@ class TestPretrainCommand:
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert len(lines) >= 2  # header + at least the diagnostic row
         assert "nan" in lines[-1]
+
+    def test_divergence_exits_3_without_checkpoint(self, tmp_path, capsys):
+        # The loss stays bounded while the teacher BN histories overflow.
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["pretrain", "--preset", "default-synth",
+                         "--set", "epochs=1", "--set", "lr_base=1e6",
+                         "--out", str(out)])
+        assert code == 3
+        assert "history drift" in capsys.readouterr().err
+        assert not (out / "checkpoint.m2t").exists()
+        last = (out / "metrics.csv").read_text().strip().split("\n")[-1]
+        assert last.split(",")[8] in ("inf", "nan")
+
+    def test_non_finite_teacher_array_exits_3(self, tmp_path, capsys,
+                                             monkeypatch):
+        from m2t import trainer as trainer_mod
+
+        real_dump = trainer_mod.dump_teacher
+
+        def poisoned_dump(encoder):
+            payload = real_dump(encoder)
+            payload["arrays"]["enc1.bias"][0] = np.inf
+            return payload
+
+        monkeypatch.setattr(trainer_mod, "dump_teacher", poisoned_dump)
+        out = tmp_path / "run"
+        code = main(["pretrain", *TINY_ARGS, "--set", "log_interval=1",
+                     "--out", str(out)])
+        assert code == 3
+        assert "enc1.bias" in capsys.readouterr().err
+        assert not (out / "checkpoint.m2t").exists()
+        lines = (out / "metrics.csv").read_text().strip().split("\n")
+        # header, iterations 0 and 1 logged, iteration 2 as the diagnostic
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
 class TestEvalCommand:
@@ -282,8 +397,47 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds)])
         assert code == 2
         assert "encoder_spec" in capsys.readouterr().err
-        with pytest.raises(CheckpointError, match="malformed header"):
-            load_checkpoint(bad)
+        with pytest.raises(ValueError, match="encoder_spec"):
+            load_teacher(load_checkpoint(bad))
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["encoder_spec"].update(widths=[8, 32, 32]),
+        lambda h: h["arrays"][0].update(shape=[2.5]),
+        lambda h: h["arrays"][0].update(shape="ab"),
+        lambda h: h.update(bn_eps=["x", "x"]),
+        lambda h: h.update(bn_initialized=3),
+    ], ids=["widths-disagree-with-shapes", "float-shape", "string-shape",
+            "string-eps", "int-initialized"])
+    def test_ill_formed_checkpoint_exits_2(self, run_dir, tmp_path, capsys,
+                                           edit):
+        out, ds = run_dir
+        raw = (out / "checkpoint.m2t").read_bytes()
+        header_end = 16 + struct.unpack_from("<I", raw, 12)[0]
+        header = json.loads(raw[16:header_end])
+        edit(header)
+        bad = tmp_path / "bad.m2t"
+        bad.write_bytes(raw_checkpoint(header, raw[header_end:]))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec, message", [
+        ([1], "dataset: expected an object"),
+        ({"kind": "foo"}, "dataset.kind"),
+        ({"num_clases": 3}, "dataset.num_clases: unknown field"),
+        ({"num_classes": "x"}, "dataset.num_classes: expected an integer"),
+        ({"seed": "a"}, "dataset.seed: expected an integer"),
+        ({"kind": "idx"}, "dataset.images_path"),
+    ])
+    def test_bad_dataset_spec_exits_2(self, run_dir, tmp_path, capsys, spec,
+                                      message):
+        out, _ = run_dir
+        ds = tmp_path / "bad.json"
+        ds.write_text(json.dumps(spec))
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                     "--dataset", str(ds), "--mode", "knn"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_single_class_probe_is_clean_error(self, run_dir, tmp_path,
                                                capsys):

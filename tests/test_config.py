@@ -49,6 +49,36 @@ class TestFromDict:
             mode="moco", teacher_bn="shuffling")).resolved_bn() \
             == ("plain", "shuffling")
 
+    @pytest.mark.parametrize("doc, message", [
+        (minimal_doc(epochs="1"), "epochs: expected an integer"),
+        (minimal_doc(epochs=True), "epochs: expected an integer"),
+        (minimal_doc(lr_base="abc"), "lr_base: expected a number"),
+        (minimal_doc(lr_base=False), "lr_base: expected a number"),
+        (minimal_doc(batch_size=None), "batch_size: expected an integer"),
+        (minimal_doc(auto_scale=1), "auto_scale: expected a boolean"),
+        (minimal_doc(mode=3), "mode: expected a string"),
+        (minimal_doc(data=None), "data: expected an object"),
+        (minimal_doc(data=[1]), "data: expected an object"),
+        (minimal_doc(data={"per_class": "x"}), "data.per_class: expected an"),
+        (minimal_doc(data={"images_path": 3}), "data.images_path: expected a"),
+        (minimal_doc(augment=None), "augment: expected an object"),
+        (minimal_doc(encoder=5), "encoder: expected an object"),
+        (minimal_doc(encoder={"widths": [32, 2.5], "bn": [True],
+                              "relu": [True]}), "encoder: widths"),
+        (minimal_doc(encoder={"widths": [32, 64], "bn": [1],
+                              "relu": [True]}), "encoder: widths"),
+        ([minimal_doc()], "config: expected an object"),
+    ])
+    def test_ill_typed_value_names_its_path(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            from_dict(doc)
+
+    def test_int_fits_float_and_null_fits_optional(self):
+        cfg = from_dict(minimal_doc(lr_base=1, encoder=None,
+                                    data={"spread": 0, "labels_path": None}))
+        assert cfg.lr_base == 1 and cfg.data.spread == 0
+        assert cfg.encoder is None and cfg.data.labels_path is None
+
     def test_idx_kind_requires_path(self):
         with pytest.raises(ConfigError, match="data.images_path"):
             from_dict(minimal_doc(data={"kind": "idx"}))

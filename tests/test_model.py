@@ -6,7 +6,6 @@ from m2t.engine import backward, record
 from m2t.model import (
     MlpSpec,
     StudentTeacherPair,
-    TEACHER_DUMP_VERSION,
     build_pair,
     commit_teacher_bn,
     default_encoder_spec,
@@ -14,7 +13,7 @@ from m2t.model import (
     default_projector_spec,
     dump_teacher,
     ema_update,
-    expected_array_names,
+    expected_array_shapes,
     forward_mlp,
     forward_student,
     forward_teacher,
@@ -270,12 +269,14 @@ class TestDumpTeacher:
         pair = tiny_pair(seed=26)
         payload = dump_teacher(pair.t_encoder)
         assert all(name.startswith("enc") for name in payload["arrays"])
-        assert payload["version"] == TEACHER_DUMP_VERSION
 
     def test_array_name_set_matches_spec(self):
         pair = tiny_pair(seed=27)
         payload = dump_teacher(pair.t_encoder)
-        assert set(payload["arrays"]) == expected_array_names(pair.t_encoder.spec)
+        shapes = expected_array_shapes(pair.t_encoder.spec)
+        assert set(payload["arrays"]) == set(shapes)
+        for name, arr in payload["arrays"].items():
+            assert arr.shape == shapes[name]
 
     def test_uninitialized_history_dumps_identity_stats(self):
         pair = tiny_pair(seed=28)
@@ -317,6 +318,29 @@ class TestLoadTeacher:
         payload = dump_teacher(tiny_pair(seed=31).t_encoder)
         del payload["arrays"]["enc1.hist_var"]
         with pytest.raises(ValueError, match="missing"):
+            load_teacher(payload)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("encoder_spec", None, "encoder_spec"),
+        ("encoder_spec", {"widths": [4, 6, 6], "bn": [1, 1],
+                          "relu": [True, True]}, "encoder_spec"),
+        ("encoder_spec", {"widths": [4, 6, 7], "bn": [True, True],
+                          "relu": [True, True]}, "misshapen"),
+        ("bn_eps", ["x", 1e-5], "bn_eps"),
+        ("bn_eps", [1e-5], "bn_eps"),
+        ("bn_initialized", 3, "bn_initialized"),
+        ("bn_initialized", [1, 0], "bn_initialized"),
+    ])
+    def test_ill_formed_payload_rejected(self, key, value, message):
+        payload = dump_teacher(tiny_pair(seed=31).t_encoder)
+        payload[key] = value
+        with pytest.raises(ValueError, match=message):
+            load_teacher(payload)
+
+    def test_extra_array_rejected(self):
+        payload = dump_teacher(tiny_pair(seed=31).t_encoder)
+        payload["arrays"]["proj0.weight"] = np.zeros((6, 6))
+        with pytest.raises(ValueError, match="unexpected"):
             load_teacher(payload)
 
     def test_alpha_zero_momentum_encoder_equals_frozen_features(self):
