@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .data import AugmentSpec
 from .model import STUDENT_BN_KINDS, TEACHER_BN_KINDS, MlpSpec
-from .normalization import ALPHA_SEMANTICS
 
-MODES = ("byol_m2t", "byol_plain", "byol_synced", "moco")
+MODES = ("byol_m2t", "moco")
 OPTIMIZERS = ("sgd", "lars")
-BN_AUTO = "auto"
 
 
 class ConfigError(ValueError):
@@ -81,11 +79,10 @@ class TrainConfig:
     m_schedule: str = "cosine_to_zero"
     alpha_base: float = 1.0
     alpha_schedule: str = "cosine_to_zero"
-    alpha_semantics: str = "weight_on_batch"
 
-    # normalization wiring ("auto" derives from mode)
-    student_bn: str = BN_AUTO
-    teacher_bn: str = BN_AUTO
+    # normalization wiring
+    student_bn: str = "plain"
+    teacher_bn: str = "momentum"
     eps: float = 1e-5
 
     # contrastive mode
@@ -104,8 +101,6 @@ class TrainConfig:
     # evaluation
     probe_epochs: int = 80
     probe_lr: float = 0.5
-    probe_batch: int = 256
-    probe_test_fraction: float = 0.2
 
     # bookkeeping
     log_interval: int = 10
@@ -132,9 +127,6 @@ class TrainConfig:
             raise ConfigError("alpha_base: must lie in [0, 1]")
         if self.m_base > 1:
             raise ConfigError("m_base: must lie in [0, 1]")
-        if self.alpha_semantics not in ALPHA_SEMANTICS:
-            raise ConfigError("alpha_semantics: must be 'weight_on_batch' or "
-                              "'weight_on_history'")
         for name in ("m_schedule", "alpha_schedule"):
             if getattr(self, name) not in ("cosine_to_zero", "constant"):
                 raise ConfigError(f"{name}: must be 'cosine_to_zero' or 'constant'")
@@ -142,33 +134,15 @@ class TrainConfig:
             raise ConfigError("temperature: must be > 0")
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity: must be >= 1")
-        if not 0 < self.probe_test_fraction < 1:
-            raise ConfigError("probe_test_fraction: must lie in (0, 1)")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs: must be >= 0")
         if self.log_interval < 1:
             raise ConfigError("log_interval: must be >= 1")
-        resolved = self.resolved_bn()
-        if resolved[0] not in STUDENT_BN_KINDS:
-            raise ConfigError(f"student_bn: invalid kind {resolved[0]!r}")
-        if resolved[1] not in TEACHER_BN_KINDS:
-            raise ConfigError(f"teacher_bn: invalid kind {resolved[1]!r}")
+        if self.student_bn not in STUDENT_BN_KINDS:
+            raise ConfigError(f"student_bn: invalid kind {self.student_bn!r}")
+        if self.teacher_bn not in TEACHER_BN_KINDS:
+            raise ConfigError(f"teacher_bn: invalid kind {self.teacher_bn!r}")
         self.data.validate()
-
-    def resolved_bn(self) -> tuple[str, str]:
-        """Concrete (student_bn, teacher_bn) after applying the mode preset."""
-        defaults = {
-            "byol_m2t": ("plain", "momentum"),
-            "byol_plain": ("plain", "plain"),
-            "byol_synced": ("synced", "synced"),
-            "moco": ("plain", "momentum"),
-        }
-        s, t = defaults.get(self.mode, ("plain", "momentum"))
-        if self.student_bn != BN_AUTO:
-            s = self.student_bn
-        if self.teacher_bn != BN_AUTO:
-            t = self.teacher_bn
-        return s, t
 
     def to_dict(self) -> dict:
         out = {}
@@ -194,13 +168,22 @@ _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
 
 def check_type(value, hint, where: str) -> None:
     """Raise ConfigError unless the JSON value fits the field type ``hint``
-    (a nested spec takes an object): a bool is no number, an int is a
-    float, null fits only ``Optional``."""
+    (a nested spec takes an object, a ``tuple[...]`` a list of that many
+    items): a bool is no number, an int is a float, null fits only
+    ``Optional``."""
     args = get_args(hint)
     if type(None) in args:
         if value is None:
             return
         hint = args[0]
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if not (isinstance(value, list) and len(value) == len(items)):
+            raise ConfigError(
+                f"{where}: expected a list of {len(items)} items, got {value!r}")
+        for i, (item, item_hint) in enumerate(zip(value, items)):
+            check_type(item, item_hint, f"{where}[{i}]")
+        return
     want, name = _JSON_TYPES.get(hint, (dict, "an object"))
     if not isinstance(value, want) or (type(value) is bool and hint is not bool):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
@@ -233,6 +216,8 @@ def from_dict(d) -> TrainConfig:
     kwargs = dict(d)
     if "data" in d:
         kwargs["data"] = data_from_dict(d["data"])
+    if "augment" in d:
+        _check_fields(d["augment"], AugmentSpec, "augment")
     for name, parse in (("augment", AugmentSpec.from_dict),
                         ("encoder", MlpSpec.from_dict),
                         ("projector", MlpSpec.from_dict),

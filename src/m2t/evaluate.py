@@ -20,7 +20,8 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
     """Teacher-encoder forward in inference mode (history statistics only).
 
     Purely per-sample affine + ReLU composition: batch composition cannot
-    influence any output row.
+    influence any output row. ``ValueError`` if any feature is non-finite,
+    so neither the probe nor kNN scores a broken encoder.
     """
     encoder = load_teacher(payload)
     x = np.asarray(samples, dtype=np.float64)
@@ -28,7 +29,10 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"samples of shape {x.shape} do not match encoder input width "
             f"{encoder.spec.in_dim}")
-    return forward_mlp(encoder, engine.constant(x), history_norm).values
+    features = forward_mlp(encoder, engine.constant(x), history_norm).values
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain non-finite values")
+    return features
 
 
 def holdout_split(n: int, rng: np.random.Generator,
@@ -108,8 +112,6 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features contain non-finite values")
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("probe needs at least two classes")

@@ -154,7 +154,7 @@ def _init_mlp(name: str, spec: MlpSpec, rng: np.random.Generator,
     return Mlp(name, spec, layers)
 
 
-def _copy_as_teacher(mlp: Mlp, alpha_semantics: str) -> Mlp:
+def _copy_as_teacher(mlp: Mlp) -> Mlp:
     layers = []
     for layer in mlp.layers:
         norm = None
@@ -165,7 +165,7 @@ def _copy_as_teacher(mlp: Mlp, alpha_semantics: str) -> Mlp:
                 beta=Tensor(layer.norm.beta.values.copy(), requires_grad=False),
                 eps=layer.norm.eps,
             )
-            state = MomentumBNState(alpha_semantics=alpha_semantics)
+            state = MomentumBNState()
         layers.append(Layer(
             weight=Tensor(layer.weight.values.copy(), requires_grad=False),
             bias=Tensor(layer.bias.values.copy(), requires_grad=False),
@@ -179,8 +179,7 @@ class StudentTeacherPair:
     (encoder, projector)."""
 
     def __init__(self, encoder: Mlp, projector: Mlp, predictor: Mlp,
-                 student_bn: str = "plain", teacher_bn: str = "momentum",
-                 alpha_semantics: str = "weight_on_batch"):
+                 student_bn: str = "plain", teacher_bn: str = "momentum"):
         if student_bn not in STUDENT_BN_KINDS:
             raise ValueError(f"student_bn must be one of {STUDENT_BN_KINDS}")
         if teacher_bn not in TEACHER_BN_KINDS:
@@ -190,9 +189,8 @@ class StudentTeacherPair:
         self.predictor = predictor
         self.student_bn = student_bn
         self.teacher_bn = teacher_bn
-        self.alpha_semantics = alpha_semantics
-        self.t_encoder = _copy_as_teacher(encoder, alpha_semantics)
-        self.t_projector = _copy_as_teacher(projector, alpha_semantics)
+        self.t_encoder = _copy_as_teacher(encoder)
+        self.t_projector = _copy_as_teacher(projector)
 
     def student_params(self, include_predictor: bool = True):
         mlps = [self.encoder, self.projector]
@@ -219,22 +217,20 @@ class StudentTeacherPair:
 def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
                predictor_spec: MlpSpec, rng: np.random.Generator,
                student_bn: str = "plain", teacher_bn: str = "momentum",
-               eps: float = 1e-5,
-               alpha_semantics: str = "weight_on_batch") -> StudentTeacherPair:
+               eps: float = 1e-5) -> StudentTeacherPair:
     if encoder_spec.out_dim != projector_spec.in_dim:
         raise DimensionError(
-            f"encoder out {encoder_spec.out_dim} != projector in "
-            f"{projector_spec.in_dim}")
+            f"projector: input width {projector_spec.in_dim} != encoder "
+            f"output width {encoder_spec.out_dim}")
     if projector_spec.out_dim != predictor_spec.in_dim:
         raise DimensionError(
-            f"projector out {projector_spec.out_dim} != predictor in "
-            f"{predictor_spec.in_dim}")
+            f"predictor: input width {predictor_spec.in_dim} != projector "
+            f"output width {projector_spec.out_dim}")
     encoder = _init_mlp("enc", encoder_spec, rng, eps=eps)
     projector = _init_mlp("proj", projector_spec, rng, eps=eps)
     predictor = _init_mlp("pred", predictor_spec, rng, eps=eps)
     return StudentTeacherPair(encoder, projector, predictor,
-                              student_bn=student_bn, teacher_bn=teacher_bn,
-                              alpha_semantics=alpha_semantics)
+                              student_bn=student_bn, teacher_bn=teacher_bn)
 
 
 # ---------------------------------------------------------------------------

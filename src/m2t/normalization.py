@@ -20,16 +20,13 @@ here, and each is one call to the fused :func:`m2t.engine.batch_norm` op
 :func:`bn_apply` on :func:`batch_stats` composes the same arithmetic from
 generic engine ops; it is the reference the fused op is tested against.
 
-The blend coefficient ``alpha`` supports two conventions because the update
-can be written with the weight on either operand. ``weight_on_batch`` (the
-default) puts ``alpha`` on the current batch:
+The blend coefficient ``alpha`` weights the current batch:
 
     mu_use = alpha * mu_batch + (1 - alpha) * mu_hist
 
-so that ``alpha = 1`` degenerates to plain BN. ``weight_on_history`` is the
-mirrored reading. The lazy commit uses the same convention for the blend of
-the two-view average with the history. Variances are blended directly (not
-standard deviations).
+so that ``alpha = 1`` degenerates to plain BN. The lazy commit blends the
+two-view average with the history the same way. Variances are blended
+directly (not standard deviations).
 
 Momentum statistics are always gradient constants: the teacher side never
 back-propagates, so no gradient correction of the history is needed.
@@ -44,8 +41,6 @@ import numpy as np
 
 from . import engine
 from .engine import DimensionError, Tensor
-
-ALPHA_SEMANTICS = ("weight_on_batch", "weight_on_history")
 
 
 @dataclass
@@ -132,19 +127,8 @@ class MomentumBNState:
     hist_mean: Optional[np.ndarray] = None
     hist_var: Optional[np.ndarray] = None
     initialized: bool = False
-    alpha_semantics: str = "weight_on_batch"
     pending: list[BatchStats] = field(default_factory=list)
     commits: int = 0
-
-    def __post_init__(self):
-        if self.alpha_semantics not in ALPHA_SEMANTICS:
-            raise ValueError(
-                f"alpha_semantics must be one of {ALPHA_SEMANTICS}, "
-                f"got {self.alpha_semantics!r}")
-
-    def history_weight(self, alpha: float) -> float:
-        """Weight the blend puts on the historical statistics."""
-        return 1.0 - alpha if self.alpha_semantics == "weight_on_batch" else alpha
 
 
 def _check_alpha(alpha: float) -> None:
@@ -259,7 +243,7 @@ def shuffling_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams,
 
 
 def _blend(state: MomentumBNState, s: BatchStats, alpha: float) -> BatchStats:
-    w_hist = state.history_weight(alpha)
+    w_hist = 1.0 - alpha
     if w_hist == 0.0 or not state.initialized:
         # Pure current-batch statistics; also the first-iteration fallback
         # when no history exists yet.
@@ -313,7 +297,7 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
         state.hist_var = avg_var.copy()
         state.initialized = True
     else:
-        w_hist = state.history_weight(alpha)
+        w_hist = 1.0 - alpha
         state.hist_mean = (1.0 - w_hist) * avg_mean + w_hist * state.hist_mean
         state.hist_var = (1.0 - w_hist) * avg_var + w_hist * state.hist_var
     state.pending.clear()

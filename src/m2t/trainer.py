@@ -26,7 +26,7 @@ import numpy as np
 from . import engine
 from .config import ConfigError, DataConfig, TrainConfig
 from .data import Dataset, IdxFormatError, make_views, synth_clusters, load_idx
-from .engine import HEALTH, Tensor, backward, record
+from .engine import HEALTH, DimensionError, Tensor, backward, record
 from .model import (
     StudentTeacherPair,
     build_pair,
@@ -175,14 +175,20 @@ def build_dataset(data: DataConfig, seed: int) -> Dataset:
 
 
 def build_model(cfg: TrainConfig, in_dim: int) -> StudentTeacherPair:
-    student_bn, teacher_bn = cfg.resolved_bn()
+    """The pair for ``cfg`` on ``in_dim``-wide data; ``ConfigError`` naming
+    the model spec whose input width does not chain."""
     enc = cfg.encoder or default_encoder_spec(in_dim)
+    if enc.in_dim != in_dim:
+        raise ConfigError(
+            f"encoder: input width {enc.in_dim} != data dim {in_dim}")
     proj = cfg.projector or default_projector_spec(enc.out_dim)
     pred = cfg.predictor or default_predictor_spec(proj.out_dim)
     rng = substream(cfg.seed, "init")
-    return build_pair(enc, proj, pred, rng, student_bn=student_bn,
-                      teacher_bn=teacher_bn, eps=cfg.eps,
-                      alpha_semantics=cfg.alpha_semantics)
+    try:
+        return build_pair(enc, proj, pred, rng, student_bn=cfg.student_bn,
+                          teacher_bn=cfg.teacher_bn, eps=cfg.eps)
+    except DimensionError as e:
+        raise ConfigError(str(e)) from None
 
 
 def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair,
@@ -233,7 +239,6 @@ class Trainer:
         self.dataset = dataset if dataset is not None \
             else build_dataset(cfg.data, cfg.seed)
         self.pair = build_model(cfg, self.dataset.dim)
-        self.layout_workers = cfg.workers
 
         n = len(self.dataset)
         if n < cfg.batch_size:
@@ -423,8 +428,6 @@ def ablation_grid(cfg: TrainConfig) -> list[dict]:
         feats = extract_features(result.payload, result.dataset.samples)
         acc = linear_probe(feats, result.dataset.labels,
                            epochs=cfg.probe_epochs, lr=cfg.probe_lr,
-                           batch_size=cfg.probe_batch,
-                           test_fraction=cfg.probe_test_fraction,
                            seed=substream_int(cfg.seed, "probe"))
         rows.append({
             "student": student_bn,

@@ -247,12 +247,51 @@ class TestPretrainCommand:
         (["--set", "epochs=\"1\""], "epochs: expected an integer"),
         (["--set", "batch_size=null"], "batch_size: expected an integer"),
         (["--set", "wd_exclude_bias_bn=1"], "expected a boolean"),
+        (["--set", "augment.noise_std=true"],
+         "augment.noise_std: expected a number"),
+        (["--set", "augment.crop_pad=1.5"],
+         "augment.crop_pad: expected an integer"),
+        (["--set", "augment.scale_range=[1]"],
+         "augment.scale_range: expected a list of 2 items"),
+        (["--set", "augment.flip=1"], "augment.flip: expected a boolean"),
     ])
     def test_ill_typed_value_exits_2(self, tmp_path, capsys, args, message):
         code = main(["pretrain", "--preset", "default-synth", *args,
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, field", [
+        ("mode=byol_plain", "mode"),
+        ("mode=byol_synced", "mode"),
+        ("student_bn=auto", "student_bn"),
+        ("teacher_bn=auto", "teacher_bn"),
+        ("alpha_semantics=weight_on_batch", "alpha_semantics"),
+        ("probe_batch=256", "probe_batch"),
+    ])
+    def test_removed_spelling_exits_2(self, tmp_path, capsys, setting, field):
+        code = main(["pretrain", *TINY_ARGS, "--set", setting,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("setting, field", [
+        ('encoder={"widths":[16,64,64],"bn":[true,true],"relu":[true,true]}',
+         "encoder"),
+        ('projector={"widths":[32,64,32],"bn":[true,false],'
+         '"relu":[true,false]}', "projector"),
+        ('predictor={"widths":[16,32],"bn":[false],"relu":[false]}',
+         "predictor"),
+    ])
+    def test_unchained_model_spec_exits_2(self, tmp_path, capsys, setting,
+                                          field):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--preset", "default-synth",
+                     "--set", "epochs=1", "--set", setting,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "{not json"],
                              ids=["missing", "invalid-json"])
@@ -438,6 +477,19 @@ class TestEvalCommand:
                      "--dataset", str(ds), "--mode", "knn"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["probe", "knn"])
+    def test_non_finite_features_exit_2(self, run_dir, tmp_path, capsys,
+                                        mode):
+        out, ds = run_dir
+        payload = load_checkpoint(out / "checkpoint.m2t")
+        payload["arrays"]["enc0.weight"][:] = np.nan
+        bad = tmp_path / "nan.m2t"
+        save_checkpoint(payload, bad)
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds),
+                     "--mode", mode])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_single_class_probe_is_clean_error(self, run_dir, tmp_path,
                                                capsys):

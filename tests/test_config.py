@@ -14,7 +14,7 @@ class TestFromDict:
     def test_minimal_document(self):
         cfg = from_dict(minimal_doc())
         assert cfg.mode == "byol_m2t"
-        assert cfg.resolved_bn() == ("plain", "momentum")
+        assert (cfg.student_bn, cfg.teacher_bn) == ("plain", "momentum")
 
     def test_missing_required_field_names_it(self):
         with pytest.raises(ConfigError, match="seed: missing"):
@@ -41,13 +41,13 @@ class TestFromDict:
             from_dict(minimal_doc(alpha_base=1.5))
 
     def test_mode_presets_resolve_bn(self):
-        assert from_dict(minimal_doc(mode="byol_plain")).resolved_bn() \
-            == ("plain", "plain")
-        assert from_dict(minimal_doc(mode="byol_synced")).resolved_bn() \
-            == ("synced", "synced")
-        assert from_dict(minimal_doc(
-            mode="moco", teacher_bn="shuffling")).resolved_bn() \
-            == ("plain", "shuffling")
+        for mode in ("byol_m2t", "moco"):
+            cfg = from_dict(minimal_doc(mode=mode))
+            assert (cfg.student_bn, cfg.teacher_bn) == ("plain", "momentum")
+        cfg = from_dict(minimal_doc(mode="moco", teacher_bn="shuffling"))
+        assert (cfg.student_bn, cfg.teacher_bn) == ("plain", "shuffling")
+        cfg = from_dict(minimal_doc(student_bn="synced", teacher_bn="plain"))
+        assert (cfg.student_bn, cfg.teacher_bn) == ("synced", "plain")
 
     @pytest.mark.parametrize("doc, message", [
         (minimal_doc(epochs="1"), "epochs: expected an integer"),
@@ -116,8 +116,8 @@ class TestOverrides:
         assert from_dict(doc).data.spread == 0.5
 
     def test_string_fallback(self):
-        doc = apply_overrides(minimal_doc(), ["mode=byol_plain"])
-        assert from_dict(doc).mode == "byol_plain"
+        doc = apply_overrides(minimal_doc(), ["mode=moco"])
+        assert from_dict(doc).mode == "moco"
 
     def test_original_not_mutated(self):
         doc = minimal_doc()

@@ -107,10 +107,12 @@ class TestLinearProbe:
                          np.zeros(10, dtype=int), epochs=1, lr=0.1)
 
     def test_non_finite_features_rejected(self):
-        bad = np.ones((10, 2))
-        bad[3, 1] = np.inf
+        # The probe's features come from extract_features, which rejects
+        # non-finite ones for the probe and kNN alike.
+        payload = identity_payload(2)
+        payload["arrays"]["enc0.bias"][1] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            linear_probe(bad, np.arange(10) % 2, epochs=1, lr=0.1)
+            extract_features(payload, np.ones((10, 2)))
 
     def test_backbone_payload_untouched(self):
         payload = bn_payload()

@@ -45,8 +45,7 @@ def setup(trace):
     spec_lin = MlpSpec(widths=(2, 2), bn=(False,), relu=(False,))
     pair = build_pair(spec_enc, spec_lin, spec_lin,
                       np.random.default_rng(0), student_bn="plain",
-                      teacher_bn="momentum", eps=cfg["eps"],
-                      alpha_semantics="weight_on_batch")
+                      teacher_bn="momentum", eps=cfg["eps"])
 
     student = cfg["student"]
     pair.encoder.layers[0].weight.values = np.array(student["enc0.weight"])

@@ -302,8 +302,8 @@ class TestShufflingBn:
 
 
 class TestMomentumBn:
-    def _state(self, mean=None, var=None, semantics="weight_on_batch"):
-        st_ = MomentumBNState(alpha_semantics=semantics)
+    def _state(self, mean=None, var=None):
+        st_ = MomentumBNState()
         if mean is not None:
             st_.hist_mean = np.asarray(mean, dtype=float)
             st_.hist_var = np.asarray(var, dtype=float)
@@ -334,16 +334,6 @@ class TestMomentumBn:
         # batch mean 1, batch var 1 -> blended mean 0.5, blended var 1
         np.testing.assert_allclose(y.values, [[-0.5], [1.5]], atol=1e-9)
         np.testing.assert_array_equal(s.mean.values, [1.0])
-
-    def test_weight_on_history_mirrors_blend(self):
-        x = constant([[0.0], [2.0]])
-        p = identity_norm_params(1, eps=1e-12)
-        state = self._state(mean=[0.0], var=[1.0], semantics="weight_on_history")
-        # Literal reading: history carries weight alpha.
-        y, _ = momentum_bn_forward(x, state, 0.5, p)
-        np.testing.assert_allclose(y.values, [[-0.5], [1.5]], atol=1e-9)
-        y2, _ = momentum_bn_forward(x, state, 1.0, p)
-        np.testing.assert_allclose(y2.values, [[0.0], [2.0]], atol=1e-9)
 
     def test_forward_does_not_touch_history(self):
         x = constant(np.random.default_rng(13).normal(size=(4, 2)))

@@ -190,8 +190,10 @@ class TestRunTraining:
                     augment=AugmentSpec(noise_std=0.2,
                                         solarize_prob_teacher=0.0),
                     log_interval=1, warmup_epochs=0)
-        synced = TrainConfig(mode="byol_synced", workers=4, **base)
-        plain = TrainConfig(mode="byol_plain", workers=1, **base)
+        synced = TrainConfig(mode="byol_m2t", workers=4, student_bn="synced",
+                             teacher_bn="synced", **base)
+        plain = TrainConfig(mode="byol_m2t", workers=1, teacher_bn="plain",
+                            **base)
         r_synced = run_training(synced)
         r_plain = run_training(plain)
         for a, b in zip(r_synced.metrics, r_plain.metrics):
@@ -246,7 +248,7 @@ class TestCostModel:
     def test_synced_costs_more_than_momentum(self):
         cfg_m = small_config()
         t_m = Trainer(cfg_m)
-        cfg_s = small_config(mode="byol_synced")
+        cfg_s = small_config(student_bn="synced", teacher_bn="synced")
         t_s = Trainer(cfg_s)
         cost_m = modeled_sec_per_iter(cfg_m, t_m.pair, cfg_m.batch_size)
         cost_s = modeled_sec_per_iter(cfg_s, t_s.pair, cfg_s.batch_size)
@@ -254,7 +256,7 @@ class TestCostModel:
 
     def test_momentum_matches_plain_compute(self):
         cfg_m = small_config()
-        cfg_p = small_config(mode="byol_plain")
+        cfg_p = small_config(teacher_bn="plain")
         cost_m = modeled_sec_per_iter(cfg_m, Trainer(cfg_m).pair, 16)
         cost_p = modeled_sec_per_iter(cfg_p, Trainer(cfg_p).pair, 16)
         assert cost_m == cost_p
