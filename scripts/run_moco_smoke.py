@@ -22,22 +22,27 @@ from m2t.config import from_dict, preset
 from m2t.trainer import run_training
 
 
+def smoke_run(teacher_bn: str) -> tuple[float, float]:
+    """(first logged loss, last-epoch mean loss) of the moco-smoke preset
+    with the given teacher BN."""
+    doc = preset("moco-smoke")
+    doc["teacher_bn"] = teacher_bn
+    doc["log_interval"] = 1
+    result = run_training(from_dict(doc))
+    per_epoch = {}
+    for m in result.metrics:
+        per_epoch.setdefault(m.epoch, []).append(m.loss)
+    return result.metrics[0].loss, float(np.mean(per_epoch[max(per_epoch)]))
+
+
 def main() -> int:
     target = math.log(1 + from_dict(preset("moco-smoke")).queue_capacity)
     print(f"uniform-softmax reference ln(1+K) = {target:.4f}\n")
     ok = True
     for teacher_bn in ("shuffling", "momentum"):
-        doc = preset("moco-smoke")
-        doc["teacher_bn"] = teacher_bn
-        doc["log_interval"] = 1
         t0 = time.perf_counter()
-        result = run_training(from_dict(doc))
+        initial, last = smoke_run(teacher_bn)
         wall = time.perf_counter() - t0
-        initial = result.metrics[0].loss
-        per_epoch = {}
-        for m in result.metrics:
-            per_epoch.setdefault(m.epoch, []).append(m.loss)
-        last = float(np.mean(per_epoch[max(per_epoch)]))
         dev = abs(initial - target) / target
         print(f"{teacher_bn:10s}: initial {initial:.4f} ({dev:+.2%} vs ref), "
               f"last-epoch mean {last:.4f} (x{last / initial:.3f}), "

@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from m2t.config import apply_overrides, from_dict, preset
-from m2t.trainer import ablation_grid
+from m2t.trainer import ablation_grid, grid_trainers
 
 
 def main() -> int:
@@ -45,7 +45,7 @@ def main() -> int:
             f"epochs={args.epochs}", f"seed={seed}",
             f"probe_epochs={args.probe_epochs}",
         ])
-        rows = ablation_grid(from_dict(doc))
+        rows = ablation_grid(grid_trainers(from_dict(doc)))
         ordered = sorted(rows, key=lambda r: -r["accuracy"])
         ranks.append(1 + [(r["student"], r["teacher"]) for r in ordered]
                      .index(("plain", "plain")))

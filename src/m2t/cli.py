@@ -26,7 +26,7 @@ from .config import ConfigError, TrainConfig
 from .evaluate import extract_features, holdout_split, knn_eval, linear_probe
 from .gradcheck import DEFAULT_TOL, run_all
 from .trainer import (MetricsRecord, NanLossError, Trainer, ablation_grid,
-                      build_dataset)
+                      build_dataset, grid_trainers)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,10 +105,12 @@ def cmd_pretrain(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
+    # Built first: a config-time error must leave no manifest behind.
+    trainers = grid_trainers(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = _write_manifest(out_dir, cfg, {"grid": str(out_dir / "grid.json")})
-    rows = ablation_grid(cfg)
+    rows = ablation_grid(trainers)
     summary = []
     for row in rows:
         name = f"metrics_{row['student']}_{row['teacher']}.csv"

@@ -10,6 +10,7 @@ document before validation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -136,6 +137,16 @@ class TrainConfig:
             raise ConfigError("queue_capacity: must be >= 1")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs: must be >= 0")
+        if not 0 < self.warmup_factor <= 1:
+            raise ConfigError("warmup_factor: must lie in (0, 1]")
+        if self.reference_batch < 1:
+            raise ConfigError("reference_batch: must be >= 1")
+        if self.eps <= 0:
+            raise ConfigError("eps: must be > 0")
+        if self.probe_epochs < 1:
+            raise ConfigError("probe_epochs: must be >= 1")
+        if self.probe_lr <= 0:
+            raise ConfigError("probe_lr: must be > 0")
         if self.log_interval < 1:
             raise ConfigError("log_interval: must be >= 1")
         if self.student_bn not in STUDENT_BN_KINDS:
@@ -169,8 +180,8 @@ _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
 def check_type(value, hint, where: str) -> None:
     """Raise ConfigError unless the JSON value fits the field type ``hint``
     (a nested spec takes an object, a ``tuple[...]`` a list of that many
-    items): a bool is no number, an int is a float, null fits only
-    ``Optional``."""
+    items): a bool is no number, an int is a float, a float is finite, null
+    fits only ``Optional``."""
     args = get_args(hint)
     if type(None) in args:
         if value is None:
@@ -187,6 +198,9 @@ def check_type(value, hint, where: str) -> None:
     want, name = _JSON_TYPES.get(hint, (dict, "an object"))
     if not isinstance(value, want) or (type(value) is bool and hint is not bool):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    # NaN, the infinities and ints beyond the float range fail the bound.
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _check_fields(d: dict, cls, path: str) -> None:
@@ -230,18 +244,6 @@ def from_dict(d) -> TrainConfig:
     cfg = TrainConfig(**kwargs)
     cfg.validate()
     return cfg
-
-
-def loads(text: str) -> TrainConfig:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config: invalid JSON ({e})") from None
-    return from_dict(doc)
-
-
-def dumps(cfg: TrainConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

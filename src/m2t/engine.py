@@ -35,21 +35,13 @@ class DimensionError(ValueError):
 class RunHealth:
     """Counters for numerically suspicious events observed during a run."""
 
-    div_by_zero: int = 0
     zero_norm_rows: int = 0
-    nonfinite_losses: int = 0
 
     def reset(self) -> None:
-        self.div_by_zero = 0
         self.zero_norm_rows = 0
-        self.nonfinite_losses = 0
 
     def as_dict(self) -> dict:
-        return {
-            "div_by_zero": self.div_by_zero,
-            "zero_norm_rows": self.zero_norm_rows,
-            "nonfinite_losses": self.nonfinite_losses,
-        }
+        return {"zero_norm_rows": self.zero_norm_rows}
 
 
 #: Process-wide health counters; trainer resets them at run start.
@@ -84,10 +76,6 @@ class Tensor:
         if self.values.size != 1:
             raise DimensionError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A constant copy that never joins the tape."""
-        return Tensor(self.values.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -264,8 +252,6 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
-    if np.any(b.values == 0.0):
-        HEALTH.div_by_zero += 1
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.values / b.values
 
@@ -330,29 +316,6 @@ def log(x) -> Tensor:
         return (g / x.values,)
 
     return _emit("log", (x,), out, bw)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "relu": relu,
-    "sqrt": sqrt,
-    "exp": exp,
-    "log": log,
-    "neg": neg,
-}
-
-
-def elementwise(op: str, *inputs) -> Tensor:
-    """Dispatch an elementwise op by name (add, sub, mul, div, relu, sqrt,
-    exp, log, neg)."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +401,6 @@ def var(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
         return (_expand(np.asarray(g), x.shape, axis, keepdims) * 2.0 * dev / m,)
 
     return _emit("var", (x,), np.asarray(out), bw)
-
-
-_REDUCE = {"mean": mean, "sum": sum, "var": var}
-
-
-def reduce(op: str, x, axis: Optional[int] = None,
-           keepdims: bool = False) -> Tensor:
-    """Dispatch a reduction by name (mean, sum, var)."""
-    try:
-        fn = _REDUCE[op]
-    except KeyError:
-        raise ValueError(f"unknown reduction {op!r}") from None
-    return fn(x, axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,10 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
     out. Optimization is momentum SGD (0.9) without weight decay under a
     cosine learning-rate decay.
     """
+    if epochs < 1:
+        raise ValueError(f"probe epochs must be >= 1, got {epochs}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"probe lr must be positive and finite, got {lr}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)

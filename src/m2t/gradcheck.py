@@ -26,7 +26,7 @@ def _case_binary(op):
     def build(rng):
         x = parameter(rng.uniform(-2, 2, size=(3, 4)))
         y = parameter(rng.uniform(0.2, 2.0, size=(3, 4)))
-        return lambda: engine.sum(engine.elementwise(op, x, y)), [("x", x), ("y", y)]
+        return lambda: engine.sum(op(x, y)), [("x", x), ("y", y)]
     return build
 
 
@@ -34,7 +34,7 @@ def _case_unary(op, positive=False):
     def build(rng):
         lo, hi = (0.2, 2.0) if positive else (-2.0, 2.0)
         x = parameter(rng.uniform(lo, hi, size=(3, 4)))
-        return lambda: engine.sum(engine.elementwise(op, x)), [("x", x)]
+        return lambda: engine.sum(op(x)), [("x", x)]
     return build
 
 
@@ -54,7 +54,7 @@ def _case_reduce(op):
         x = parameter(rng.uniform(-2, 2, size=(4, 3)))
 
         def f():
-            r = engine.reduce(op, x, axis=0)
+            r = op(x, axis=0)
             return engine.sum(engine.mul(r, r))
 
         return f, [("x", x)]
@@ -121,19 +121,19 @@ def _case_symmetrized(rng):
 
 
 SUITES = {
-    "add": _case_binary("add"),
-    "sub": _case_binary("sub"),
-    "mul": _case_binary("mul"),
-    "div": _case_binary("div"),
-    "relu": _case_unary("relu"),
-    "sqrt": _case_unary("sqrt", positive=True),
-    "exp": _case_unary("exp"),
-    "log": _case_unary("log", positive=True),
-    "neg": _case_unary("neg"),
+    "add": _case_binary(engine.add),
+    "sub": _case_binary(engine.sub),
+    "mul": _case_binary(engine.mul),
+    "div": _case_binary(engine.div),
+    "relu": _case_unary(engine.relu),
+    "sqrt": _case_unary(engine.sqrt, positive=True),
+    "exp": _case_unary(engine.exp),
+    "log": _case_unary(engine.log, positive=True),
+    "neg": _case_unary(engine.neg),
     "matmul": _case_matmul,
-    "mean": _case_reduce("mean"),
-    "sum": _case_reduce("sum"),
-    "var": _case_reduce("var"),
+    "mean": _case_reduce(engine.mean),
+    "sum": _case_reduce(engine.sum),
+    "var": _case_reduce(engine.var),
     "batch_norm": _case_batch_norm,
     "byol_mlp": _case_byol_mlp,
     "symmetrized_loss": _case_symmetrized,

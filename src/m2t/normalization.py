@@ -17,9 +17,6 @@ here, and each is one call to the fused :func:`m2t.engine.batch_norm` op
   is only committed once per iteration (lazily), after both views of a
   symmetrized step have been processed (given statistics).
 
-:func:`bn_apply` on :func:`batch_stats` composes the same arithmetic from
-generic engine ops; it is the reference the fused op is tested against.
-
 The blend coefficient ``alpha`` weights the current batch:
 
     mu_use = alpha * mu_batch + (1 - alpha) * mu_hist
@@ -45,10 +42,11 @@ from .engine import DimensionError, Tensor
 
 @dataclass
 class BatchStats:
-    """Per-channel mean and biased variance of one mini-batch."""
+    """Per-channel mean and biased variance of one mini-batch (gradient
+    constants: the teacher never back-propagates)."""
 
-    mean: Tensor
-    var: Tensor
+    mean: np.ndarray
+    var: np.ndarray
     count: int
 
     def __post_init__(self):
@@ -74,19 +72,6 @@ class NormParams:
             raise DimensionError(
                 f"gamma/beta shapes differ: {self.gamma.shape} vs {self.beta.shape}")
 
-    @property
-    def channels(self) -> int:
-        return self.gamma.values.shape[-1]
-
-
-def identity_norm_params(channels: int, eps: float = 1e-5,
-                         requires_grad: bool = False) -> NormParams:
-    return NormParams(
-        gamma=Tensor(np.ones(channels), requires_grad=requires_grad),
-        beta=Tensor(np.zeros(channels), requires_grad=requires_grad),
-        eps=eps,
-    )
-
 
 @dataclass
 class WorkerLayout:
@@ -108,11 +93,6 @@ class WorkerLayout:
     @property
     def per_worker(self) -> int:
         return self.batch_size // self.num_workers
-
-    @property
-    def ranges(self) -> list[tuple[int, int]]:
-        p = self.per_worker
-        return [(w * p, (w + 1) * p) for w in range(self.num_workers)]
 
 
 @dataclass
@@ -137,55 +117,17 @@ def _check_alpha(alpha: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# statistics and the core affine transform
-
-
-def batch_stats(x: Tensor) -> BatchStats:
-    """Per-channel mean and biased variance over the batch axis.
-
-    The returned statistics participate in the tape whenever ``x`` does, so
-    normalizing a student batch back-propagates through mean and variance.
-    """
-    if x.values.ndim != 2:
-        raise DimensionError(f"expected batch x channels, got shape {x.shape}")
-    m = x.shape[0]
-    if m < 1:
-        raise ValueError("batch statistics of an empty batch")
-    return BatchStats(
-        mean=engine.mean(x, axis=0),
-        var=engine.var(x, axis=0),
-        count=m,
-    )
+# statistics
 
 
 def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
-    """Gradient-constant statistics computed directly from an array."""
+    """Per-channel mean and biased variance over the batch axis."""
     m = x_values.shape[0]
     if m < 1:
         raise ValueError("batch statistics of an empty batch")
     mu = x_values.mean(axis=0)
     dev = x_values - mu
-    return BatchStats(
-        mean=engine.constant(mu),
-        var=engine.constant(np.mean(dev * dev, axis=0)),
-        count=m,
-    )
-
-
-def bn_apply(x: Tensor, stats: BatchStats, p: NormParams) -> Tensor:
-    """gamma * (x - mean) / sqrt(var + eps) + beta, from generic engine ops.
-
-    Differentiable in x, gamma and beta; whether gradient also flows through
-    the statistics depends on how they were computed (tape-linked for current
-    student batches, constants for history-derived teacher statistics).
-    """
-    channels = x.values.shape[-1]
-    if stats.mean.values.shape[-1] != channels or p.channels != channels:
-        raise DimensionError(
-            f"channel mismatch: x has {channels}, stats "
-            f"{stats.mean.values.shape[-1]}, params {p.channels}")
-    xhat = (x - stats.mean) / engine.sqrt(stats.var + p.eps)
-    return p.gamma * xhat + p.beta
+    return BatchStats(mean=mu, var=np.mean(dev * dev, axis=0), count=m)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +189,10 @@ def _blend(state: MomentumBNState, s: BatchStats, alpha: float) -> BatchStats:
     if w_hist == 0.0 or not state.initialized:
         # Pure current-batch statistics; also the first-iteration fallback
         # when no history exists yet.
-        return BatchStats(mean=s.mean.detach(), var=s.var.detach(),
-                          count=s.count)
-    mu = (1.0 - w_hist) * s.mean.values + w_hist * state.hist_mean
-    sig = (1.0 - w_hist) * s.var.values + w_hist * state.hist_var
-    return BatchStats(mean=engine.constant(mu), var=engine.constant(sig),
-                      count=s.count)
+        return s
+    mu = (1.0 - w_hist) * s.mean + w_hist * state.hist_mean
+    sig = (1.0 - w_hist) * s.var + w_hist * state.hist_var
+    return BatchStats(mean=mu, var=sig, count=s.count)
 
 
 def momentum_bn_forward(x: Tensor, state: MomentumBNState, alpha: float,
@@ -267,7 +207,7 @@ def momentum_bn_forward(x: Tensor, state: MomentumBNState, alpha: float,
     s = constant_batch_stats(x.values)
     use = _blend(state, s, alpha)
     y = engine.batch_norm(x, 1, p.gamma, p.beta, p.eps,
-                          stats=(use.mean.values, use.var.values))
+                          stats=(use.mean, use.var))
     state.pending.append(s)
     return y, s
 
@@ -290,8 +230,8 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
     if s_v.count != s_v2.count:
         raise ValueError(
             f"view statistics counts differ: {s_v.count} vs {s_v2.count}")
-    avg_mean = 0.5 * (s_v.mean.values + s_v2.mean.values)
-    avg_var = 0.5 * (s_v.var.values + s_v2.var.values)
+    avg_mean = 0.5 * (s_v.mean + s_v2.mean)
+    avg_var = 0.5 * (s_v.var + s_v2.var)
     if not state.initialized:
         state.hist_mean = avg_mean.copy()
         state.hist_var = avg_var.copy()

@@ -102,23 +102,13 @@ class NegQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.dim = dim
-        self._buf = np.zeros((capacity, dim))
         self._cursor = 0
-        self.size = 0
-        if rng is not None:
-            self.fill_random(rng)
-
-    def fill_random(self, rng: np.random.Generator) -> None:
-        """Fill to capacity with random unit vectors (fresh-queue init)."""
-        self._buf = _l2_normalize_array(rng.normal(size=(self.capacity, self.dim)))
-        self._cursor = 0
-        self.size = self.capacity
-
-    def keys(self) -> np.ndarray:
-        """Stored keys, oldest first."""
-        if self.size < self.capacity:
-            return self._buf[:self.size].copy()
-        return np.roll(self._buf, -self._cursor, axis=0)
+        if rng is None:
+            self._buf = np.zeros((capacity, dim))
+            self.size = 0
+        else:  # a fresh run starts full of random unit vectors
+            self._buf = _l2_normalize_array(rng.normal(size=(capacity, dim)))
+            self.size = capacity
 
     def as_matrix(self) -> np.ndarray:
         """Stored keys in arbitrary order (order is irrelevant to the loss)."""

@@ -341,7 +341,6 @@ class Trainer:
                                  wall_time=time.perf_counter() - t0)
 
         if not np.isfinite(loss_val):
-            HEALTH.nonfinite_losses += 1
             raise NanLossError(f"non-finite loss at iteration {k}",
                                metrics(float("nan")))
 
@@ -412,16 +411,24 @@ GRID_ROWS = (
 )
 
 
-def ablation_grid(cfg: TrainConfig) -> list[dict]:
-    """Train every student/teacher BN combination under identical seeds and
-    data order; report probe accuracy and the modeled cost per iteration."""
+def grid_trainers(cfg: TrainConfig) -> list[Trainer]:
+    """One Trainer per ``GRID_ROWS`` combination of ``cfg`` (mode byol_m2t),
+    sharing one dataset; building them all first raises any config-time
+    error before a row runs."""
+    dataset = build_dataset(cfg.data, cfg.seed)
+    return [Trainer(replace(cfg, mode="byol_m2t", student_bn=student_bn,
+                            teacher_bn=teacher_bn), dataset=dataset)
+            for student_bn, teacher_bn in GRID_ROWS]
+
+
+def ablation_grid(trainers: list[Trainer]) -> list[dict]:
+    """Run every trainer of :func:`grid_trainers` (identical seeds and data
+    order); report probe accuracy and the modeled cost per iteration."""
     from .evaluate import extract_features, linear_probe
 
     rows = []
-    for student_bn, teacher_bn in GRID_ROWS:
-        row_cfg = replace(cfg, mode="byol_m2t", student_bn=student_bn,
-                          teacher_bn=teacher_bn)
-        trainer = Trainer(row_cfg)
+    for trainer in trainers:
+        cfg = trainer.cfg
         t0 = time.perf_counter()
         result = trainer.run()
         wall = time.perf_counter() - t0
@@ -430,10 +437,10 @@ def ablation_grid(cfg: TrainConfig) -> list[dict]:
                            epochs=cfg.probe_epochs, lr=cfg.probe_lr,
                            seed=substream_int(cfg.seed, "probe"))
         rows.append({
-            "student": student_bn,
-            "teacher": teacher_bn,
+            "student": cfg.student_bn,
+            "teacher": cfg.teacher_bn,
             "accuracy": acc,
-            "sec_per_iter_model": modeled_sec_per_iter(row_cfg, trainer.pair,
+            "sec_per_iter_model": modeled_sec_per_iter(cfg, trainer.pair,
                                                        cfg.batch_size),
             "wall_seconds": wall,
             "metrics": result.metrics,

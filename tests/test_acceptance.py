@@ -4,10 +4,12 @@ Run with:  pytest tests/test_acceptance.py -v
 
 The two desk-scale experiments (criteria 8 and 9) dominate the runtime;
 the whole suite stays within the stated budgets on an ordinary laptop
-core.
+core. Their runs are defined once, by the scripts that print them
+(scripts/run_bn_experiment.py, scripts/run_moco_smoke.py).
 """
 
 import math
+import runpy
 import subprocess
 import sys
 import time
@@ -17,25 +19,26 @@ import numpy as np
 import pytest
 
 from m2t import engine
-from m2t.config import DataConfig, TrainConfig, from_dict, preset
-from m2t.data import AugmentSpec
-from m2t.evaluate import extract_features, linear_probe
+from m2t.config import from_dict, preset
 from m2t.gradcheck import run_all
 from m2t.model import MlpSpec, build_pair, ema_update, forward_teacher, mlp_spec
 from m2t.normalization import (
     MomentumBNState,
     WorkerLayout,
-    batch_stats,
-    bn_apply,
-    identity_norm_params,
     momentum_bn_forward,
-    momentum_bn_lazy_commit,
     plain_bn_forward,
     synced_bn_forward,
 )
 from m2t.schedules import apply_linear_scaling, cosine_value
-from m2t.seeding import substream_int
-from m2t.trainer import run_training
+
+from bn_reference import batch_stats, bn_apply, identity_norm_params
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_function(script: str, name: str):
+    """A function defined by an experiment script (main() not run)."""
+    return runpy.run_path(str(SCRIPTS / script), run_name="not_main")[name]
 
 
 def announce(num: int, ok: bool, description: str) -> None:
@@ -216,28 +219,13 @@ def test_criterion_7_golden_trace():
     assert ok, proc.stdout + proc.stderr
 
 
-def _desk_run(seed: int, teacher_bn: str) -> float:
-    cfg = TrainConfig(
-        mode="byol_m2t", seed=seed, epochs=30, batch_size=128, workers=4,
-        lr_base=0.4, warmup_epochs=1, log_interval=100,
-        student_bn="plain", teacher_bn=teacher_bn,
-        data=DataConfig(kind="synthetic", num_classes=10, dim=32,
-                        per_class=500, spread=0.3),
-        augment=AugmentSpec(noise_std=0.3, mask_prob=0.2,
-                            scale_range=(0.8, 1.25)),
-    )
-    result = run_training(cfg)
-    feats = extract_features(result.payload, result.dataset.samples)
-    return linear_probe(feats, result.dataset.labels, epochs=80, lr=0.5,
-                        seed=substream_int(seed, "probe"))
-
-
 def test_criterion_8_directional_experiment():
+    run_one = script_function("run_bn_experiment.py", "run_one")
     t0 = time.perf_counter()
     diffs = []
     for seed in range(5):
-        acc_momentum = _desk_run(seed, "momentum")
-        acc_plain = _desk_run(seed, "plain")
+        acc_momentum = run_one(seed, "momentum", epochs=30)
+        acc_plain = run_one(seed, "plain", epochs=30)
         diffs.append(acc_momentum - acc_plain)
     elapsed = time.perf_counter() - t0
     positives = sum(d > 0 for d in diffs)
@@ -250,26 +238,12 @@ def test_criterion_8_directional_experiment():
     assert elapsed < 600.0
 
 
-def _smoke_run(teacher_bn: str) -> tuple[float, float]:
-    doc = preset("moco-smoke")
-    doc["teacher_bn"] = teacher_bn
-    doc["log_interval"] = 1
-    result = run_training(from_dict(doc))
-    initial = result.metrics[0].loss
-    per_epoch = {}
-    for m in result.metrics:
-        per_epoch.setdefault(m.epoch, []).append(m.loss)
-    last = float(np.mean(per_epoch[max(per_epoch)]))
-    return initial, last
-
-
 def test_criterion_9_moco_smoke():
+    smoke_run = script_function("run_moco_smoke.py", "smoke_run")
     t0 = time.perf_counter()
     target = math.log(1 + from_dict(preset("moco-smoke")).queue_capacity)
-    results = {}
-    for teacher_bn in ("shuffling", "momentum"):
-        initial, last = _smoke_run(teacher_bn)
-        results[teacher_bn] = (initial, last)
+    results = {teacher_bn: smoke_run(teacher_bn)
+               for teacher_bn in ("shuffling", "momentum")}
     elapsed = time.perf_counter() - t0
     init_ok = all(abs(i - target) / target < 0.05
                   for i, _ in results.values())

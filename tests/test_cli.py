@@ -293,6 +293,30 @@ class TestPretrainCommand:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings, field", [
+        (["alpha_base=NaN"], "alpha_base"),
+        (["m_base=NaN"], "m_base"),
+        (["data.spread=NaN"], "data.spread"),
+        (["lr_base=Infinity"], "lr_base"),
+        (["augment.scale_range=[0.5, -Infinity]"], "augment.scale_range[1]"),
+        ([f"temperature={10 ** 400}"], "temperature"),
+        (["eps=0"], "eps"),
+        (["eps=-1"], "eps"),
+        (["warmup_factor=2"], "warmup_factor"),
+        (["warmup_factor=-5"], "warmup_factor"),
+        (["auto_scale=true", "reference_batch=0"], "reference_batch"),
+        (["probe_epochs=0"], "probe_epochs"),
+        (["probe_lr=0"], "probe_lr"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v)[:40])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, settings,
+                                        field):
+        out = tmp_path / "run"
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        code = main(["pretrain", *TINY_ARGS, *sets, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [None, "{not json"],
                              ids=["missing", "invalid-json"])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
@@ -406,6 +430,17 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
                      "--dataset", str(ds), "--mode", "knn", "--k", "99999"])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--probe-lr", "nan"], ["--probe-lr", "inf"], ["--probe-lr", "0"],
+        ["--probe-epochs", "-3"], ["--probe-epochs", "0"],
+    ], ids=" ".join)
+    def test_bad_probe_arguments_exit_2(self, run_dir, capsys, args):
+        out, ds = run_dir
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                     "--dataset", str(ds), "--mode", "probe", *args])
+        assert code == 2
+        assert "probe" in capsys.readouterr().err
 
     def test_version_mismatch_exits_4(self, run_dir, tmp_path):
         out, ds = run_dir
@@ -551,6 +586,16 @@ class TestAblateCommand:
         assert len(files) == 6
         grid = json.loads((out / "grid.json").read_text())
         assert len(grid) == 6
+
+    def test_config_time_error_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        code = main(["ablate", "--preset", "table1-grid",
+                     "--set", 'encoder={"widths":[16,64,64],"bn":[true,true],'
+                              '"relu":[true,true]}',
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: encoder: ")
+        assert not out.exists()
 
 
 def test_write_metrics_csv_format(tmp_path):

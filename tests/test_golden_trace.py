@@ -25,9 +25,11 @@ from m2t.model import (
     commit_teacher_bn,
     ema_update,
 )
-from m2t.normalization import WorkerLayout, batch_stats
+from m2t.normalization import WorkerLayout
 from m2t.objectives import symmetrized_loss
 from m2t.trainer import OptimizerState, Param, sgd_step
+
+from bn_reference import batch_stats, worker_slices
 
 TRACE_PATH = Path(__file__).parent / "data" / "golden_trace.json"
 TOL = 1e-10
@@ -94,8 +96,8 @@ def test_full_iteration_matches_reference(trace, setup):
                       (v2, "student_worker_stats_v2")):
         a = engine.constant(view) @ pair.encoder.layers[0].weight \
             + pair.encoder.layers[0].bias
-        for (lo, hi), expected in zip(layout.ranges, trace[key]):
-            s = batch_stats(engine.constant(a.values[lo:hi]))
+        for rows, expected in zip(worker_slices(layout), trace[key]):
+            s = batch_stats(engine.constant(a.values[rows]))
             np.testing.assert_allclose(s.mean.values, expected["mean"], atol=TOL)
             np.testing.assert_allclose(s.var.values, expected["var"], atol=TOL)
 
@@ -109,22 +111,22 @@ def test_full_iteration_matches_reference(trace, setup):
     assert out.loss.item() == pytest.approx(trace["loss_total"], abs=TOL)
 
     pend_v2, pend_v1 = state.pending  # teacher saw view 2 first
-    np.testing.assert_allclose(pend_v2.mean.values,
+    np.testing.assert_allclose(pend_v2.mean,
                                trace["teacher_batch_stats_v2"]["mean"], atol=TOL)
-    np.testing.assert_allclose(pend_v2.var.values,
+    np.testing.assert_allclose(pend_v2.var,
                                trace["teacher_batch_stats_v2"]["var"], atol=TOL)
-    np.testing.assert_allclose(pend_v1.mean.values,
+    np.testing.assert_allclose(pend_v1.mean,
                                trace["teacher_batch_stats_v1"]["mean"], atol=TOL)
-    np.testing.assert_allclose(pend_v1.var.values,
+    np.testing.assert_allclose(pend_v1.var,
                                trace["teacher_batch_stats_v1"]["var"], atol=TOL)
 
     # Blended statistics actually used by the teacher normalization.
     for pend, key in ((pend_v2, "teacher_blended_v2"),
                       (pend_v1, "teacher_blended_v1")):
         blended = norm._blend(state, pend, alpha)
-        np.testing.assert_allclose(blended.mean.values, trace[key]["mean"],
+        np.testing.assert_allclose(blended.mean, trace[key]["mean"],
                                    atol=TOL)
-        np.testing.assert_allclose(blended.var.values, trace[key]["var"],
+        np.testing.assert_allclose(blended.var, trace[key]["var"],
                                    atol=TOL)
 
     # Gradients and the optimizer step.

@@ -23,6 +23,8 @@ from m2t.model import (
 from m2t.evaluate import extract_features
 from m2t.normalization import WorkerLayout, momentum_bn_forward
 
+from bn_reference import worker_slices
+
 
 def tiny_pair(seed=0, in_dim=4, student_bn="plain", teacher_bn="momentum"):
     rng = np.random.default_rng(seed)
@@ -92,11 +94,11 @@ class TestForwardStudent:
                 x = x @ layer.weight.values + layer.bias.values
                 if layer.norm is not None:
                     out = np.empty_like(x)
-                    for a, b in layout.ranges:
-                        sl = x[a:b]
+                    for rows in worker_slices(layout):
+                        sl = x[rows]
                         mu = sl.mean(axis=0)
                         sig = sl.var(axis=0)
-                        out[a:b] = (layer.norm.gamma.values * (sl - mu)
+                        out[rows] = (layer.norm.gamma.values * (sl - mu)
                                     / np.sqrt(sig + layer.norm.eps)
                                     + layer.norm.beta.values)
                     x = out
@@ -148,7 +150,7 @@ class TestForwardTeacher:
         with record():
             _, p = forward_student(pair, v, layout)
             t = forward_teacher(pair, v, alpha=1.0, layout=layout)
-            d = p - t.detach()
+            d = p - t
             loss = engine.sum(d * d)
         backward(loss)
         for t_mlp in (pair.t_encoder, pair.t_projector):
@@ -292,8 +294,9 @@ def trained_teacher_pair(seed=29):
     pair = tiny_pair(seed=seed)
     rng = np.random.default_rng(seed + 1)
     for layer in pair.t_encoder.layers:
-        layer.norm.gamma.values = rng.uniform(0.5, 1.5, size=layer.norm.channels)
-        layer.norm.beta.values = rng.normal(size=layer.norm.channels)
+        width = layer.weight.shape[1]
+        layer.norm.gamma.values = rng.uniform(0.5, 1.5, size=width)
+        layer.norm.beta.values = rng.normal(size=width)
     for _ in range(2):
         forward_teacher(pair, rng.normal(size=(8, 4)), alpha=0.5)
         commit_teacher_bn(pair, alpha=0.5)

@@ -10,14 +10,20 @@ from m2t.normalization import (
     BatchStats,
     MomentumBNState,
     WorkerLayout,
-    batch_stats,
-    bn_apply,
-    identity_norm_params,
+    constant_batch_stats,
     momentum_bn_forward,
     momentum_bn_lazy_commit,
     plain_bn_forward,
     shuffling_bn_forward,
     synced_bn_forward,
+)
+
+from bn_reference import (
+    TapeStats,
+    batch_stats,
+    bn_apply,
+    identity_norm_params,
+    worker_slices,
 )
 
 
@@ -62,6 +68,14 @@ class TestBatchStats:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             batch_stats(constant(np.zeros((0, 3))))
+
+    def test_constant_stats_are_arrays_equal_to_tape_stats(self):
+        x = np.random.default_rng(0).normal(size=(32, 8))
+        s, ref = constant_batch_stats(x), batch_stats(constant(x))
+        assert type(s.mean) is np.ndarray and type(s.var) is np.ndarray
+        assert s.mean.tobytes() == ref.mean.values.tobytes()
+        assert s.var.tobytes() == ref.var.values.tobytes()
+        assert s.count == ref.count == 32
 
 
 class TestBnApply:
@@ -112,8 +126,8 @@ class TestBnApply:
 
     def test_history_stats_are_gradient_constants(self):
         x = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        stats = BatchStats(mean=constant([1.0, 1.0]),
-                           var=constant([2.0, 2.0]), count=8)
+        stats = TapeStats(mean=constant([1.0, 1.0]),
+                          var=constant([2.0, 2.0]), count=8)
         p = identity_norm_params(2)
         with record():
             loss = engine.sum(bn_apply(x, stats, p))
@@ -125,7 +139,9 @@ class TestBnApply:
 class TestWorkerLayout:
     def test_ranges_partition(self):
         layout = WorkerLayout(batch_size=8, num_workers=4)
-        assert layout.ranges == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert layout.per_worker == 2
+        assert worker_slices(layout) == [slice(0, 2), slice(2, 4),
+                                         slice(4, 6), slice(6, 8)]
 
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -152,10 +168,10 @@ class TestPlainBn:
         x = rng.normal(size=(32, 8))
         p = identity_norm_params(8)
         y = plain_bn_forward(constant(x), WorkerLayout(32, 4), p)
-        for a, b in WorkerLayout(32, 4).ranges:
-            piece = constant(x[a:b])
+        for rows in worker_slices(WorkerLayout(32, 4)):
+            piece = constant(x[rows])
             ref = bn_apply(piece, batch_stats(piece), p)
-            np.testing.assert_array_equal(y.values[a:b], ref.values)
+            np.testing.assert_array_equal(y.values[rows], ref.values)
 
     def test_backward_through_worker_slices(self):
         rng = np.random.default_rng(5)
@@ -288,8 +304,7 @@ class TestShufflingBn:
         position_of = np.argsort(perm)
         for i in range(16):
             group = position_of[i] // layout.per_worker
-            a, b = layout.ranges[group]
-            members = x[perm[a:b]]
+            members = x[perm[worker_slices(layout)[group]]]
             mu, sig = members.mean(axis=0), members.var(axis=0)
             expected = (x[i] - mu) / np.sqrt(sig + p.eps)
             np.testing.assert_allclose(y.values[i], expected, rtol=1e-10, atol=1e-12)
@@ -333,7 +348,7 @@ class TestMomentumBn:
         y, s = momentum_bn_forward(x, state, 0.5, p)
         # batch mean 1, batch var 1 -> blended mean 0.5, blended var 1
         np.testing.assert_allclose(y.values, [[-0.5], [1.5]], atol=1e-9)
-        np.testing.assert_array_equal(s.mean.values, [1.0])
+        np.testing.assert_array_equal(s.mean, [1.0])
 
     def test_forward_does_not_touch_history(self):
         x = constant(np.random.default_rng(13).normal(size=(4, 2)))
@@ -357,8 +372,8 @@ class TestMomentumBn:
 
 class TestLazyCommit:
     def _stats(self, mean, var, count=4):
-        return BatchStats(mean=engine.constant(mean), var=engine.constant(var),
-                          count=count)
+        return BatchStats(mean=np.asarray(mean, dtype=float),
+                          var=np.asarray(var, dtype=float), count=count)
 
     def test_fixed_point(self):
         state = MomentumBNState(hist_mean=np.array([2.0]), hist_var=np.array([3.0]),

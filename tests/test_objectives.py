@@ -9,6 +9,8 @@ from m2t import engine
 from m2t.engine import backward, constant, parameter, record
 from m2t.model import MlpSpec, build_pair, mlp_spec
 from m2t.normalization import WorkerLayout
+
+from bn_reference import worker_slices
 from m2t.objectives import (
     LossValue,
     NegQueue,
@@ -144,9 +146,9 @@ class TestSymmetrizedLoss:
                 x = x @ layer.weight.values + layer.bias.values
                 if layer.norm is not None:
                     out = np.empty_like(x)
-                    for a, b in layout.ranges:
-                        sl = x[a:b]
-                        out[a:b] = (layer.norm.gamma.values
+                    for rows in worker_slices(layout):
+                        sl = x[rows]
+                        out[rows] = (layer.norm.gamma.values
                                     * (sl - sl.mean(0)) / np.sqrt(sl.var(0) + eps)
                                     + layer.norm.beta.values)
                     x = out
@@ -181,12 +183,18 @@ class TestSymmetrizedLoss:
         assert got.loss.item() == pytest.approx(expected, abs=1e-10)
 
 
+def fifo(queue: NegQueue) -> np.ndarray:
+    """Stored keys, oldest first: the write cursor marks the oldest row of a
+    full queue and equals the size of a partial one."""
+    return np.roll(queue.as_matrix(), -queue._cursor, axis=0)
+
+
 class TestNegQueue:
     def test_fifo_eviction_keeps_newest_in_order(self):
         queue = NegQueue(capacity=4, dim=2)
         keys = np.array([[float(i + 1), 0.0] for i in range(6)])
         queue_update(queue, keys)
-        got = queue.keys()
+        got = fifo(queue)
         # Keys 3..6 survive; all rows were normalized to unit vectors.
         np.testing.assert_allclose(got, [[1.0, 0.0]] * 4)
         assert len(queue) == 4
@@ -195,7 +203,7 @@ class TestNegQueue:
         queue = NegQueue(capacity=3, dim=2)
         for i in range(5):
             queue_update(queue, np.array([[1.0, float(i)]]))
-        got = queue.keys()
+        got = fifo(queue)
         expected = np.array([[1.0, float(i)] for i in (2, 3, 4)])
         expected /= np.linalg.norm(expected, axis=1, keepdims=True)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -210,7 +218,7 @@ class TestNegQueue:
             queue_update(batched, keys)
             for row in keys:
                 queue_update(by_row, row[None, :])
-            assert batched.keys().tobytes() == by_row.keys().tobytes()
+            assert fifo(batched).tobytes() == fifo(by_row).tobytes()
             assert len(batched) == len(by_row)
 
     def test_empty_enqueue_is_noop(self):

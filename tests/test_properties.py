@@ -1,25 +1,23 @@
 """Property tests of the exit-code contract: whatever the input, a command
-either works or exits with its documented code (2 bad input, 4 checkpoint
-version), and parsing either succeeds or raises its documented error class.
-Derandomized and bounded, so every run checks the same examples."""
+either works or exits with its documented code (2 bad input, 3 non-finite
+training value, 4 checkpoint version), and parsing either succeeds or raises its documented error class.
+Bounded; the suite's hypothesis profile (tests/conftest.py) derandomizes
+them, so every run checks the same examples."""
 
 import json
+import math
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from m2t.checkpoint import MAGIC
 from m2t.cli import main
 from m2t.config import ConfigError, DataConfig, TrainConfig, from_dict
 from m2t.data import AugmentSpec
-
-
-def bounded(max_examples):
-    return settings(derandomize=True, database=None, deadline=None,
-                    max_examples=max_examples,
-                    suppress_health_check=[HealthCheck.too_slow])
+from m2t.trainer import NanLossError, Trainer
 
 
 WORDS = ("byol_m2t", "moco", "lars", "constant", "momentum", "shuffling",
@@ -70,7 +68,7 @@ def flip_bits(buf: bytes, bits) -> bytes:
     return bytes(out)
 
 
-@bounded(300)
+@settings(max_examples=300)
 @given(data=st.data(), mode=st.sampled_from(["probe", "knn"]))
 def test_any_checkpoint_bytes_exit_0_2_or_4(tiny_checkpoint, data, mode):
     root, valid, ds = tiny_checkpoint
@@ -88,7 +86,7 @@ def test_any_checkpoint_bytes_exit_0_2_or_4(tiny_checkpoint, data, mode):
     assert run_eval(path, ds, mode) in (0, 2, 4)
 
 
-@bounded(150)
+@settings(max_examples=150)
 @given(doc=JSON | st.fixed_dictionaries(
     {"mode": st.sampled_from(["byol_m2t", "moco"]), "seed": SMALL_INTS,
      "epochs": SMALL_INTS},
@@ -106,7 +104,7 @@ def test_any_config_json_parses_or_raises_config_error(doc):
         pass
 
 
-@bounded(150)
+@settings(max_examples=150)
 @given(spec=JSON | objects([f.name for f in fields(DataConfig)] + ["seed"],
                            SCALARS | st.just(8)),
        mode=st.sampled_from(["probe", "knn"]))
@@ -116,3 +114,55 @@ def test_any_dataset_spec_exits_0_or_2(tiny_checkpoint, spec, mode):
     ds = root / "fuzzed.json"
     ds.write_text(json.dumps(spec))
     assert run_eval(checkpoint, ds, mode) in (0, 2)
+
+
+def numeric_fields(cls, *prefix):
+    """Paths of the int and float fields of a config dataclass."""
+    hints = get_type_hints(cls)
+    return [(*prefix, f.name) for f in fields(cls)
+            if hints[f.name] in (int, float)]
+
+
+NUMERIC_FIELDS = (numeric_fields(TrainConfig) + numeric_fields(DataConfig, "data")
+                  + numeric_fields(AugmentSpec, "augment"))
+# Integer fields draw from a small range: a huge size field asks for that
+# much memory, which no config check bounds. Huge and non-finite values
+# still reach them as floats, which they must reject by type.
+NUMBERS = (st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -1e300,
+                            1e300])
+           | st.floats(-10.0, 10.0) | st.integers(-3, 64))
+
+
+def tiny_doc(mode: str) -> dict:
+    return {"mode": mode, "seed": 0, "epochs": 1, "batch_size": 16,
+            "workers": 2, "warmup_epochs": 0, "queue_capacity": 8,
+            "data": {"kind": "synthetic", "num_classes": 3, "dim": 8,
+                     "per_class": 8, "spread": 0.3},
+            "augment": {"noise_std": 0.2, "mask_prob": 0.1}}
+
+
+@settings(max_examples=300)
+@given(mode=st.sampled_from(["byol_m2t", "moco"]),
+       path=st.sampled_from(NUMERIC_FIELDS), value=NUMBERS)
+@example(mode="byol_m2t", path=("alpha_base",), value=math.nan)
+def test_any_numeric_value_is_rejected_or_trains(mode, path, value):
+    """One field of a tiny config set to any number: the config is
+    rejected with ConfigError (``m2t pretrain`` exits 2), or its first
+    iteration runs or stops with NanLossError (exit 3)."""
+    doc = tiny_doc(mode)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        trainer = Trainer(from_dict(doc))
+    except ConfigError:
+        return
+    if trainer.total_iters == 0:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            trainer.train_step(trainer.dataset.samples[:trainer.batch_sizes[0]],
+                               0)
+        except NanLossError:
+            pass

@@ -11,6 +11,7 @@ from m2t.trainer import (
     Param,
     Trainer,
     ablation_grid,
+    grid_trainers,
     lars_step,
     modeled_sec_per_iter,
     run_training,
@@ -216,7 +217,7 @@ class TestRunTraining:
         result = run_training(small_config(epochs=3))
         losses = [m.loss for m in result.metrics]
         assert all(np.isfinite(l) for l in losses)
-        assert result.health["nonfinite_losses"] == 0
+        assert result.health == {"zero_norm_rows": 0}
 
     def test_trailing_batch_kept_when_worker_divisible(self):
         # 4*20=80 samples, batch 32, workers 4 -> 2 full + 16 remainder.
@@ -265,7 +266,7 @@ class TestCostModel:
 class TestAblationGrid:
     def test_grid_shape_and_shared_seeds(self):
         cfg = small_config(epochs=1, probe_epochs=4)
-        rows = ablation_grid(cfg)
+        rows = ablation_grid(grid_trainers(cfg))
         assert len(rows) == 6
         combos = {(r["student"], r["teacher"]) for r in rows}
         assert combos == {("plain", "plain"), ("plain", "synced"),
