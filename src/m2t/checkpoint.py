@@ -63,7 +63,7 @@ def load_checkpoint(path) -> dict:
         raise CheckpointError(f"{path}: truncated header")
     try:
         payload = json.loads(buf[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8 or JSON, or an over-long integer
         raise CheckpointError(f"{path}: corrupt header ({e})") from None
 
     index = payload.get("arrays") if isinstance(payload, dict) else None

@@ -46,7 +46,10 @@ def _load_config(args) -> TrainConfig:
         doc = config_mod.preset(args.preset)
     elif args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except ValueError as e:  # includes integers beyond 4300 digits
+                raise ConfigError(f"config: {e}") from None
     else:
         raise ConfigError("config: either --config or --preset is required")
     if args.set:
@@ -215,7 +218,7 @@ def main(argv=None) -> int:
     except CheckpointVersionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERSION
-    except (ConfigError, CheckpointError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

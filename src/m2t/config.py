@@ -153,18 +153,18 @@ class TrainConfig:
             raise ConfigError(f"student_bn: invalid kind {self.student_bn!r}")
         if self.teacher_bn not in TEACHER_BN_KINDS:
             raise ConfigError(f"teacher_bn: invalid kind {self.teacher_bn!r}")
+        if self.mode == "moco" and self.predictor is not None:
+            raise ConfigError("predictor: moco has no predictor")
         self.data.validate()
 
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (DataConfig,)):
+            if isinstance(v, DataConfig):
                 out[f.name] = {df.name: getattr(v, df.name)
                                for df in fields(v)}
-            elif isinstance(v, AugmentSpec):
-                out[f.name] = v.to_dict()
-            elif isinstance(v, MlpSpec):
+            elif isinstance(v, (AugmentSpec, MlpSpec)):
                 out[f.name] = v.to_dict()
             else:
                 out[f.name] = v
@@ -198,9 +198,11 @@ def check_type(value, hint, where: str) -> None:
     want, name = _JSON_TYPES.get(hint, (dict, "an object"))
     if not isinstance(value, want) or (type(value) is bool and hint is not bool):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
-    # NaN, the infinities and ints beyond the float range fail the bound.
-    if hint is float and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    # NaN, the infinities and ints beyond the float range fail the number
+    # bound; an integer field takes signed 64-bit values only.
+    bound = {float: sys.float_info.max, int: 2**63 - 1}.get(hint)
+    if bound is not None and not abs(value) <= bound:
+        raise ConfigError(f"{where}: expected {name} of magnitude <= {bound}")
 
 
 def _check_fields(d: dict, cls, path: str) -> None:
@@ -259,7 +261,7 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer beyond 4300 digits
             value = raw
         node = out
         parts = key.split(".")

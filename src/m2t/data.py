@@ -169,6 +169,8 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     count = _read_be32(buf, 4)
     rows = _read_be32(buf, 8)
     cols = _read_be32(buf, 12)
+    if count * rows * cols == 0:
+        raise IdxFormatError(f"no pixels: {count} x {rows} x {cols}", 4)
     need = 16 + count * rows * cols
     if len(buf) < need:
         raise IdxFormatError(

@@ -3,8 +3,9 @@
 Features come from the dumped teacher encoder running in inference mode:
 every BN layer normalizes with its stored momentum history, which makes
 the feature of a sample independent of whatever batch it arrives in. The
-probe trains a BN + linear head on the frozen features; the backbone is
-never touched.
+probe trains a BN + linear head on the frozen features with the trainer's
+primitives (momentum-SGD step, cosine schedule, momentum-statistics
+history); the backbone is never touched.
 """
 
 from __future__ import annotations
@@ -14,6 +15,17 @@ import numpy as np
 from . import engine
 from .engine import Tensor, backward, record
 from .model import forward_mlp, history_norm, load_teacher
+from .normalization import (MomentumBNState, constant_batch_stats,
+                            momentum_bn_lazy_commit)
+from .objectives import l2_normalize_rows
+from .schedules import cosine_value
+from .trainer import OptimizerState, Param, sgd_step
+
+# Probe protocol constants.
+BATCH_SIZE = 256
+TEST_FRACTION = 0.2
+EPS = 1e-5
+HISTORY_MOMENTUM = 0.1  # weight of each training batch in the history
 
 
 def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
@@ -35,11 +47,11 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
     return features
 
 
-def holdout_split(n: int, rng: np.random.Generator,
-                  test_fraction: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
-    """(train, test) indices, holding out ``test_fraction`` of n (>= 1)."""
+def holdout_split(n: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) indices, holding out ``TEST_FRACTION`` of n (>= 1)."""
     perm = rng.permutation(n)
-    n_test = max(1, int(round(test_fraction * n)))
+    n_test = max(1, int(round(TEST_FRACTION * n)))
     return perm[n_test:], perm[:n_test]
 
 
@@ -59,56 +71,41 @@ def _cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
 
 
 class _ProbeHead:
-    """Whole-batch BN (with running inference statistics) plus one linear
-    layer."""
+    """Whole-batch BN plus one linear layer. Inference normalizes with a
+    momentum-statistics history of the training batches, committed once per
+    step (the first commit initializes it)."""
 
-    def __init__(self, dim: int, num_classes: int, eps: float = 1e-5,
-                 running_momentum: float = 0.1):
-        self.gamma = engine.parameter(np.ones(dim))
-        self.beta = engine.parameter(np.zeros(dim))
-        self.weight = engine.parameter(np.zeros((dim, num_classes)))
-        self.bias = engine.parameter(np.zeros(num_classes))
-        self.eps = eps
-        self.running_momentum = running_momentum
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self._seen = False
-
-    def params(self):
-        return [self.gamma, self.beta, self.weight, self.bias]
+    def __init__(self, dim: int, num_classes: int):
+        self.params = [Param(name, engine.parameter(values)) for name, values
+                       in (("gamma", np.ones(dim)), ("beta", np.zeros(dim)),
+                           ("weight", np.zeros((dim, num_classes))),
+                           ("bias", np.zeros(num_classes)))]
+        self.gamma, self.beta, self.weight, self.bias = (
+            p.tensor for p in self.params)
+        self.history = MomentumBNState()
 
     def train_logits(self, x: np.ndarray) -> Tensor:
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        mo = self.running_momentum
-        if not self._seen:
-            self.running_mean, self.running_var = mu.copy(), var.copy()
-            self._seen = True
-        else:
-            self.running_mean = (1 - mo) * self.running_mean + mo * mu
-            self.running_var = (1 - mo) * self.running_var + mo * var
-        h = engine.batch_norm(x, 1, self.gamma, self.beta, self.eps,
-                              stats=(mu, var))
+        s = constant_batch_stats(x)
+        self.history.pending.append(s)
+        momentum_bn_lazy_commit(self.history, HISTORY_MOMENTUM)
+        h = engine.batch_norm(x, 1, self.gamma, self.beta, EPS,
+                              stats=(s.mean, s.var))
         return engine.matmul(h, self.weight) + self.bias
 
     def infer_logits(self, x: np.ndarray) -> np.ndarray:
-        h = engine.batch_norm(x, 1, self.gamma.values, self.beta.values,
-                              self.eps,
-                              stats=(self.running_mean, self.running_var))
+        h = engine.batch_norm(x, 1, self.gamma.values, self.beta.values, EPS,
+                              stats=(self.history.hist_mean,
+                                     self.history.hist_var))
         return h.values @ self.weight.values + self.bias.values
 
 
 def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
-                 lr: float = 0.5, batch_size: int = 256,
-                 test_fraction: float = 0.2, seed: int = 0,
-                 features_test: np.ndarray = None,
-                 labels_test: np.ndarray = None) -> float:
-    """Train a BN + linear head on frozen features; top-1 on the held-out
-    split.
+                 lr: float = 0.5, seed: int = 0) -> float:
+    """Train a BN + linear head on frozen features; top-1 on a seeded
+    held-out ``TEST_FRACTION`` of them.
 
-    Without an explicit test set, a seeded fraction of the input is held
-    out. Optimization is momentum SGD (0.9) without weight decay under a
-    cosine learning-rate decay.
+    Training is the trainer's momentum-SGD step (0.9, no weight decay) over
+    batches of ``BATCH_SIZE`` under a cosine learning-rate decay.
     """
     if epochs < 1:
         raise ValueError(f"probe epochs must be >= 1, got {epochs}")
@@ -116,51 +113,34 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
         raise ValueError(f"probe lr must be positive and finite, got {lr}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
-    if classes.size < 2:
+    if np.unique(labels).size < 2:
         raise ValueError("probe needs at least two classes")
     num_classes = int(labels.max()) + 1
 
     rng = np.random.default_rng(seed)
-    if features_test is None:
-        train_idx, test_idx = holdout_split(len(features), rng, test_fraction)
-        features_test = features[test_idx]
-        labels_test = labels[test_idx]
-        features, labels = features[train_idx], labels[train_idx]
-    else:
-        features_test = np.asarray(features_test, dtype=np.float64)
-        labels_test = np.asarray(labels_test, dtype=np.int64)
-
+    train_idx, test_idx = holdout_split(len(features), rng)
+    x, onehot = features[train_idx], np.eye(num_classes)[labels[train_idx]]
     head = _ProbeHead(features.shape[1], num_classes)
-    onehot_all = np.eye(num_classes)[labels]
-    momentum = 0.9
-    buffers = [np.zeros_like(p.values) for p in head.params()]
-    n = len(features)
-    batches = max(1, n // batch_size)
-    total_steps = max(1, epochs * batches)
+    opt = OptimizerState(momentum=0.9, weight_decay=0.0)
+    n = len(x)
+    batches = max(1, n // BATCH_SIZE)
+    total_steps = epochs * batches
     step = 0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         for b in range(batches):
-            idx = order[b * batch_size:(b + 1) * batch_size]
-            if idx.size == 0:
-                continue
-            step_lr = lr * (np.cos(np.pi * step / total_steps) + 1.0) / 2.0
-            for p in head.params():
-                p.zero_grad()
+            idx = order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]
+            for p in head.params:
+                p.tensor.zero_grad()
             with record():
-                logits = head.train_logits(features[idx])
-                loss = _cross_entropy(logits, onehot_all[idx])
+                loss = _cross_entropy(head.train_logits(x[idx]), onehot[idx])
             backward(loss)
-            for p, buf in zip(head.params(), buffers):
-                g = p.grad if p.grad is not None else np.zeros_like(p.values)
-                buf *= momentum
-                buf += g
-                p.values = p.values - step_lr * buf
+            sgd_step(head.params, [p.tensor.grad for p in head.params], opt,
+                     cosine_value(lr, step, total_steps))
             step += 1
 
-    pred = head.infer_logits(features_test).argmax(axis=1)
-    return float((pred == labels_test).mean())
+    pred = head.infer_logits(features[test_idx]).argmax(axis=1)
+    return float((pred == labels[test_idx]).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +157,8 @@ def knn_eval(features_train: np.ndarray, labels_train: np.ndarray,
     if k > len(features_train):
         raise ValueError(
             f"k={k} exceeds the {len(features_train)} training points")
-    a = np.asarray(features_train, dtype=np.float64)
-    b = np.asarray(features_test, dtype=np.float64)
-    a = a / np.sqrt(np.sum(a * a, axis=1, keepdims=True) + 1e-24)
-    b = b / np.sqrt(np.sum(b * b, axis=1, keepdims=True) + 1e-24)
+    a = l2_normalize_rows(features_train).values
+    b = l2_normalize_rows(features_test).values
     sims = b @ a.T
     labels_train = np.asarray(labels_train, dtype=np.int64)
     num_classes = int(labels_train.max()) + 1

@@ -1,11 +1,12 @@
 """Encoder/projector/predictor MLPs and the student-teacher pair.
 
 The student is the back-propagated network: encoder -> projector ->
-predictor, with per-worker (or simulated synced) BN between layers. The
-teacher mirrors the encoder and projector only; its weights are an
-exponential moving average of the student's and its BN layers normalize
-with momentum statistics (or one of the baseline BN variants, for the
-ablation grid). Teacher parameters never participate in gradients.
+predictor (byol_m2t only; moco has no predictor), with per-worker (or
+simulated synced) BN between layers. The teacher mirrors the encoder and
+projector only; its weights are an exponential moving average of the
+student's and its BN layers normalize with momentum statistics (or one of
+the baseline BN variants, for the ablation grid). Teacher parameters never
+participate in gradients.
 
 Whatever BN variant the teacher runs, each teacher BN layer keeps a
 momentum history of its whole-batch statistics, committed once per
@@ -175,10 +176,10 @@ def _copy_as_teacher(mlp: Mlp) -> Mlp:
 
 
 class StudentTeacherPair:
-    """Student (encoder, projector, predictor) and its EMA teacher
-    (encoder, projector)."""
+    """Student (encoder, projector and, unless None, predictor) and its EMA
+    teacher (encoder, projector)."""
 
-    def __init__(self, encoder: Mlp, projector: Mlp, predictor: Mlp,
+    def __init__(self, encoder: Mlp, projector: Mlp, predictor: Optional[Mlp],
                  student_bn: str = "plain", teacher_bn: str = "momentum"):
         if student_bn not in STUDENT_BN_KINDS:
             raise ValueError(f"student_bn must be one of {STUDENT_BN_KINDS}")
@@ -192,14 +193,12 @@ class StudentTeacherPair:
         self.t_encoder = _copy_as_teacher(encoder)
         self.t_projector = _copy_as_teacher(projector)
 
-    def student_params(self, include_predictor: bool = True):
-        mlps = [self.encoder, self.projector]
-        if include_predictor:
-            mlps.append(self.predictor)
-        out = []
-        for m in mlps:
-            out.extend(m.params())
-        return out
+    def student_mlps(self) -> list[Mlp]:
+        return [m for m in (self.encoder, self.projector, self.predictor)
+                if m is not None]
+
+    def student_params(self):
+        return [p for m in self.student_mlps() for p in m.params()]
 
     def ema_pairs(self) -> list[tuple[Tensor, Tensor]]:
         """(teacher tensor, student tensor) for every mirrored weight."""
@@ -215,20 +214,23 @@ class StudentTeacherPair:
 
 
 def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
-               predictor_spec: MlpSpec, rng: np.random.Generator,
+               predictor_spec: Optional[MlpSpec], rng: np.random.Generator,
                student_bn: str = "plain", teacher_bn: str = "momentum",
                eps: float = 1e-5) -> StudentTeacherPair:
+    """The pair for the given specs; ``predictor_spec=None`` builds none."""
     if encoder_spec.out_dim != projector_spec.in_dim:
         raise DimensionError(
             f"projector: input width {projector_spec.in_dim} != encoder "
             f"output width {encoder_spec.out_dim}")
-    if projector_spec.out_dim != predictor_spec.in_dim:
+    if predictor_spec is not None \
+            and projector_spec.out_dim != predictor_spec.in_dim:
         raise DimensionError(
             f"predictor: input width {predictor_spec.in_dim} != projector "
             f"output width {projector_spec.out_dim}")
     encoder = _init_mlp("enc", encoder_spec, rng, eps=eps)
     projector = _init_mlp("proj", projector_spec, rng, eps=eps)
-    predictor = _init_mlp("pred", predictor_spec, rng, eps=eps)
+    predictor = None if predictor_spec is None \
+        else _init_mlp("pred", predictor_spec, rng, eps=eps)
     return StudentTeacherPair(encoder, projector, predictor,
                               student_bn=student_bn, teacher_bn=teacher_bn)
 
@@ -252,8 +254,9 @@ def forward_mlp(mlp: Mlp, x: Tensor,
 
 
 def forward_student(pair: StudentTeacherPair, v,
-                    layout: WorkerLayout) -> tuple[Tensor, Tensor]:
-    """Full student pass: returns (projection z, prediction p)."""
+                    layout: WorkerLayout) -> tuple[Tensor, Optional[Tensor]]:
+    """Full student pass: returns (projection z, prediction p); p is None
+    for a pair without predictor."""
     bn = plain_bn_forward if pair.student_bn == "plain" else synced_bn_forward
 
     def norm(x: Tensor, layer: Layer) -> Tensor:
@@ -261,8 +264,9 @@ def forward_student(pair: StudentTeacherPair, v,
 
     z = forward_mlp(pair.encoder, engine.as_tensor(v), norm)
     z = forward_mlp(pair.projector, z, norm)
-    p = forward_mlp(pair.predictor, z, norm)
-    return z, p
+    if pair.predictor is None:
+        return z, None
+    return z, forward_mlp(pair.predictor, z, norm)
 
 
 def forward_teacher(pair: StudentTeacherPair, v, alpha: float,

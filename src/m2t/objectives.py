@@ -28,26 +28,20 @@ from .normalization import WorkerLayout
 NORM_GUARD = 1e-12
 
 
-def l2_normalize_rows(x: Tensor, guard: float = NORM_GUARD) -> Tensor:
-    """Row-wise unit vectors; zero-norm rows are guarded and counted.
+def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
+    """Row-wise unit vectors of a tensor or array (arrays and constants give
+    constants); zero-norm rows are guarded and counted.
 
     The guard is added under the square root (as guard^2), so rows of
     ordinary magnitude are normalized exactly in double precision while
     zero rows map to zero vectors with finite gradients.
     """
+    x = engine.as_tensor(x)
     sq = engine.sum(x * x, axis=1, keepdims=True)
     zero_rows = int(np.count_nonzero(sq.values == 0.0))
     if zero_rows:
         HEALTH.zero_norm_rows += zero_rows
     return x / engine.sqrt(sq + guard * guard)
-
-
-def _l2_normalize_array(x: np.ndarray, guard: float = NORM_GUARD) -> np.ndarray:
-    sq = np.sum(x * x, axis=1, keepdims=True)
-    zero_rows = int(np.count_nonzero(sq == 0.0))
-    if zero_rows:
-        HEALTH.zero_norm_rows += zero_rows
-    return x / np.sqrt(sq + guard * guard)
 
 
 def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
@@ -57,7 +51,7 @@ def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
     p_hat = l2_normalize_rows(p)
-    z_hat = engine.constant(_l2_normalize_array(z_teacher.values))
+    z_hat = l2_normalize_rows(z_teacher.values)
     d = p_hat - z_hat
     return engine.mean(engine.sum(d * d, axis=1))
 
@@ -107,7 +101,8 @@ class NegQueue:
             self._buf = np.zeros((capacity, dim))
             self.size = 0
         else:  # a fresh run starts full of random unit vectors
-            self._buf = _l2_normalize_array(rng.normal(size=(capacity, dim)))
+            keys = rng.normal(size=(capacity, dim))
+            self._buf = l2_normalize_rows(keys).values
             self.size = capacity
 
     def as_matrix(self) -> np.ndarray:
@@ -119,14 +114,14 @@ class NegQueue:
 
 
 def queue_update(queue: NegQueue, new_keys: np.ndarray) -> None:
-    """Enqueue keys (normalized here), evicting the oldest beyond capacity."""
-    new_keys = np.asarray(new_keys, dtype=np.float64)
-    if new_keys.ndim != 2 or new_keys.shape[1] != queue.dim:
+    """Enqueue unit-norm keys as given, evicting the oldest beyond
+    capacity."""
+    keys = np.asarray(new_keys, dtype=np.float64)
+    if keys.ndim != 2 or keys.shape[1] != queue.dim:
         raise engine.DimensionError(
-            f"keys of shape {new_keys.shape} do not fit queue dim {queue.dim}")
-    if new_keys.shape[0] == 0:
+            f"keys of shape {keys.shape} do not fit queue dim {queue.dim}")
+    if keys.shape[0] == 0:
         return
-    keys = _l2_normalize_array(new_keys)
     if keys.shape[0] >= queue.capacity:
         queue._buf = keys[-queue.capacity:].copy()
         queue._cursor = 0
@@ -142,15 +137,16 @@ def infonce_loss(q: Tensor, k_pos: Tensor, queue: NegQueue,
                  temperature: float) -> Tensor:
     """Contrastive cross-entropy over one positive and the queued negatives.
 
-    All similarities are cosines (inputs are unit-normalized here), so the
-    logits are bounded by 1/temperature and the softmax needs no
-    max-shifting in double precision.
+    Queries are normalized here. The positive keys ``k_pos`` are unit rows
+    and gradient constants, normalized once by the caller so that the queue
+    can store the same rows. All similarities are cosines, so the logits are
+    bounded by 1/temperature and the softmax needs no max-shifting in double
+    precision.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     q_hat = l2_normalize_rows(q)
-    k_hat = engine.constant(_l2_normalize_array(k_pos.values))
-    l_pos = engine.sum(q_hat * k_hat, axis=1, keepdims=True)
+    l_pos = engine.sum(q_hat * k_pos, axis=1, keepdims=True)
     exp_pos = engine.exp(l_pos / temperature)
     if len(queue) > 0:
         negs = engine.constant(queue.as_matrix().T)

@@ -10,8 +10,7 @@ constant weight-EMA coefficient, and a negatives-queue update.
 
 ``sec_per_iter`` in the metrics is a deterministic cost model (local
 compute plus what the cross-worker BN traffic would cost at nominal
-latency/bandwidth), not a measurement; measured wall time rides along in
-the record but stays out of the CSV so that identical runs produce
+latency/bandwidth), not a measurement, so that identical runs produce
 byte-identical metrics.
 """
 
@@ -40,7 +39,8 @@ from .model import (
     forward_teacher,
 )
 from .normalization import WorkerLayout, comm_bytes
-from .objectives import NegQueue, infonce_loss, queue_update, symmetrized_loss
+from .objectives import (NegQueue, infonce_loss, l2_normalize_rows,
+                         queue_update, symmetrized_loss)
 from .schedules import ScheduleSpec, lr_at, schedule_value, apply_linear_scaling
 from .seeding import substream, substream_int
 
@@ -54,7 +54,7 @@ NOMINAL_COLLECTIVE_LATENCY = 1e-3
 class Param:
     name: str
     tensor: Tensor
-    exclude: bool  # bias or BN affine: out of LARS adaptation / wd filtering
+    exclude: bool = False  # bias or BN affine: out of LARS scaling and wd
 
 
 @dataclass
@@ -64,58 +64,38 @@ class OptimizerState:
     weight_decay: float = 1e-4
     trust_coeff: float = 0.001
     wd_exclude: bool = False
-    buffers: dict = field(default_factory=dict)
-
-    def buffer_for(self, p: Param) -> np.ndarray:
-        if p.name not in self.buffers:
-            self.buffers[p.name] = np.zeros_like(p.tensor.values)
-        return self.buffers[p.name]
+    buffers: dict = field(default_factory=dict)  # by parameter name
 
 
 def sgd_step(params: list[Param], grads: list[np.ndarray],
              state: OptimizerState, lr: float) -> None:
-    """Momentum SGD: buf <- momentum * buf + (g + wd * w); w <- w - lr * buf.
+    """Momentum SGD: buf <- momentum * buf + d; w <- w - lr * buf, with
+    d = g + wd * w.
 
-    Weight decay skips excluded parameters when the state says so.
+    Weight decay skips excluded parameters (biases, BN affines) when the
+    state says so, and always under LARS. LARS (``kind == "lars"``) is the
+    same step with the ``d`` of each non-excluded block scaled by
+    trust * ||w|| / (||d|| + 1e-9).
     """
+    lars = state.kind == "lars"
     for p, g in zip(params, grads):
-        if g.shape != p.tensor.values.shape:
+        w = p.tensor.values
+        if g.shape != w.shape:
             raise engine.DimensionError(
                 f"{p.name}: gradient shape {g.shape} != parameter shape "
-                f"{p.tensor.values.shape}")
-        wd = 0.0 if (p.exclude and state.wd_exclude) else state.weight_decay
-        d = g + wd * p.tensor.values
-        buf = state.buffer_for(p)
+                f"{w.shape}")
+        wd = 0.0 if p.exclude and (lars or state.wd_exclude) \
+            else state.weight_decay
+        d = g + wd * w
+        if lars and not p.exclude:
+            d = (state.trust_coeff * float(np.linalg.norm(w))
+                 / (float(np.linalg.norm(d)) + 1e-9)) * d
+        buf = state.buffers.get(p.name)
+        if buf is None:
+            buf = state.buffers[p.name] = np.zeros_like(w)
         buf *= state.momentum
         buf += d
-        p.tensor.values = p.tensor.values - lr * buf
-
-
-def lars_step(params: list[Param], grads: list[np.ndarray],
-              state: OptimizerState, lr: float) -> None:
-    """Layer-wise adaptive scaling with trust coefficient.
-
-    Non-excluded blocks scale their update direction by
-    trust * ||w|| / (||g + wd w|| + 1e-9); excluded blocks (biases, BN
-    affines) take the plain momentum update with no weight decay.
-    """
-    for p, g in zip(params, grads):
-        if g.shape != p.tensor.values.shape:
-            raise engine.DimensionError(
-                f"{p.name}: gradient shape {g.shape} != parameter shape "
-                f"{p.tensor.values.shape}")
-        buf = state.buffer_for(p)
-        if p.exclude:
-            d = g
-        else:
-            d = g + state.weight_decay * p.tensor.values
-            w_norm = float(np.linalg.norm(p.tensor.values))
-            d_norm = float(np.linalg.norm(d))
-            local = state.trust_coeff * w_norm / (d_norm + 1e-9)
-            d = local * d
-        buf *= state.momentum
-        buf += d
-        p.tensor.values = p.tensor.values - lr * buf
+        p.tensor.values = w - lr * buf
 
 
 @dataclass
@@ -130,7 +110,6 @@ class MetricsRecord:
     alpha: float
     hist_drift: float
     sec_per_iter: float
-    wall_time: float = 0.0
 
     CSV_FIELDS = ("iter", "epoch", "loss", "L1", "L2", "lr", "m", "alpha",
                   "hist_drift", "sec_per_iter")
@@ -166,8 +145,14 @@ class TrainResult:
 def build_dataset(data: DataConfig, seed: int) -> Dataset:
     """The dataset of a validated ``data`` spec; ``seed`` keys synthesis."""
     if data.kind == "synthetic":
-        return synth_clusters(data.num_classes, data.dim, data.per_class,
-                              data.spread, seed=substream_int(seed, "data"))
+        try:
+            return synth_clusters(data.num_classes, data.dim, data.per_class,
+                                  data.spread, seed=substream_int(seed, "data"))
+        except (ValueError, MemoryError) as e:
+            raise ConfigError(
+                f"data: cannot allocate num_classes x per_class = "
+                f"{data.num_classes} x {data.per_class} samples of dim "
+                f"{data.dim} ({e})") from None
     try:
         return load_idx(data.images_path, data.labels_path)
     except (OSError, IdxFormatError) as e:
@@ -175,14 +160,16 @@ def build_dataset(data: DataConfig, seed: int) -> Dataset:
 
 
 def build_model(cfg: TrainConfig, in_dim: int) -> StudentTeacherPair:
-    """The pair for ``cfg`` on ``in_dim``-wide data; ``ConfigError`` naming
-    the model spec whose input width does not chain."""
+    """The pair for ``cfg`` on ``in_dim``-wide data (moco builds no
+    predictor); ``ConfigError`` naming the model spec whose input width does
+    not chain."""
     enc = cfg.encoder or default_encoder_spec(in_dim)
     if enc.in_dim != in_dim:
         raise ConfigError(
             f"encoder: input width {enc.in_dim} != data dim {in_dim}")
     proj = cfg.projector or default_projector_spec(enc.out_dim)
-    pred = cfg.predictor or default_predictor_spec(proj.out_dim)
+    pred = None if cfg.mode == "moco" \
+        else cfg.predictor or default_predictor_spec(proj.out_dim)
     rng = substream(cfg.seed, "init")
     try:
         return build_pair(enc, proj, pred, rng, student_bn=cfg.student_bn,
@@ -196,8 +183,7 @@ def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair,
     """Deterministic per-iteration cost model (the Table-1 analogue)."""
     student_bn, teacher_bn = pair.student_bn, pair.teacher_bn
     layout = WorkerLayout(batch_size, cfg.workers)
-    student_passes = 1 if cfg.mode == "moco" else 2
-    teacher_passes = 1 if cfg.mode == "moco" else 2
+    passes = 1 if cfg.mode == "moco" else 2  # views per iteration
 
     def mlp_flops(mlp):
         return sum(2 * l.weight.shape[0] * l.weight.shape[1] * batch_size
@@ -214,18 +200,18 @@ def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair,
                                   + bytes_moved / NOMINAL_BANDWIDTH_BYTES)
         return cost
 
-    student_mlps = [pair.encoder, pair.projector, pair.predictor]
+    student_mlps = pair.student_mlps()
     teacher_mlps = [pair.t_encoder, pair.t_projector]
     fwd = sum(mlp_flops(m) for m in student_mlps)
     # forward + backward for the student (backward ~ 2x forward), forward
     # only for the teacher
-    flops = student_passes * fwd * 3
-    flops += teacher_passes * sum(mlp_flops(m) for m in teacher_mlps)
+    flops = passes * fwd * 3
+    flops += passes * sum(mlp_flops(m) for m in teacher_mlps)
     seconds = flops / NOMINAL_FLOPS_PER_SEC
     for m in student_mlps:
-        seconds += bn_cost(m, student_bn, student_passes)
+        seconds += bn_cost(m, student_bn, passes)
     for m in teacher_mlps:
-        seconds += bn_cost(m, teacher_bn, teacher_passes)
+        seconds += bn_cost(m, teacher_bn, passes)
     return seconds
 
 
@@ -276,30 +262,25 @@ class Trainer:
             self.lr_spec = self.m_spec = self.alpha_spec = None
 
         self.is_moco = cfg.mode == "moco"
-        self.params = [Param(name, t, excl) for name, t, excl
-                       in self.pair.student_params(
-                           include_predictor=not self.is_moco)]
+        self.params = [Param(*p) for p in self.pair.student_params()]
         self.opt = OptimizerState(
-            kind=cfg.optimizer,
-            momentum=cfg.sgd_momentum,
-            weight_decay=cfg.weight_decay,
-            trust_coeff=cfg.trust_coeff,
-            wd_exclude=(cfg.wd_exclude_bias_bn or cfg.optimizer == "lars"),
-        )
+            kind=cfg.optimizer, momentum=cfg.sgd_momentum,
+            weight_decay=cfg.weight_decay, trust_coeff=cfg.trust_coeff,
+            wd_exclude=cfg.wd_exclude_bias_bn)
         self.queue = None
         if self.is_moco:
-            self.queue = NegQueue(cfg.queue_capacity,
-                                  self.pair.t_projector.spec.out_dim,
-                                  rng=substream(cfg.seed, "queue"))
-        self._sec_model = None
-
-    def _step_fn(self):
-        return lars_step if self.opt.kind == "lars" else sgd_step
+            try:
+                self.queue = NegQueue(cfg.queue_capacity,
+                                      self.pair.t_projector.spec.out_dim,
+                                      rng=substream(cfg.seed, "queue"))
+            except (ValueError, MemoryError) as e:
+                raise ConfigError(f"queue_capacity: cannot allocate "
+                                  f"{cfg.queue_capacity} keys ({e})") from None
+        self._sec_model = modeled_sec_per_iter(cfg, self.pair, cfg.batch_size)
 
     def train_step(self, batch: np.ndarray, k: int) -> MetricsRecord:
         """One full iteration at global step k; returns its metrics."""
         cfg = self.cfg
-        t0 = time.perf_counter()
         alpha_k = schedule_value(self.alpha_spec, k)
         m_k = schedule_value(self.m_spec, k)
         lr_k = lr_at(self.lr_spec, k)
@@ -319,35 +300,31 @@ class Trainer:
                 z, _ = forward_student(self.pair, v, layout)
                 k_pos = forward_teacher(self.pair, v2, alpha_k, layout=layout,
                                         perm_seed=perm_seed)
-                loss_t = infonce_loss(z, k_pos, self.queue, cfg.temperature)
-                l1 = loss_t.item()
-                l2 = 0.0
+                # Unit keys, normalized once: the positive logit and the
+                # queue use the same rows.
+                k_hat = l2_normalize_rows(k_pos)
+                loss_t = infonce_loss(z, k_hat, self.queue, cfg.temperature)
+                l1, l2 = loss_t.item(), 0.0
             else:
                 lv = symmetrized_loss(self.pair, v, v2, layout, alpha_k,
                                       perm_seed=perm_seed)
                 loss_t = lv.loss
-                l1 = lv.term_student_v.item()
-                l2 = lv.term_student_v2.item()
+                l1, l2 = lv.term_student_v.item(), lv.term_student_v2.item()
 
         loss_val = loss_t.item()
-        if self._sec_model is None:
-            self._sec_model = modeled_sec_per_iter(cfg, self.pair,
-                                                   cfg.batch_size)
 
         def metrics(drift: float) -> MetricsRecord:
             return MetricsRecord(iteration=k, epoch=epoch, loss=loss_val,
                                  l1=l1, l2=l2, lr=lr_k, m=m_k, alpha=alpha_k,
-                                 hist_drift=drift, sec_per_iter=self._sec_model,
-                                 wall_time=time.perf_counter() - t0)
+                                 hist_drift=drift, sec_per_iter=self._sec_model)
 
         if not np.isfinite(loss_val):
             raise NanLossError(f"non-finite loss at iteration {k}",
                                metrics(float("nan")))
 
         backward(loss_t)
-        grads = [p.tensor.grad if p.tensor.grad is not None
-                 else np.zeros_like(p.tensor.values) for p in self.params]
-        self._step_fn()(self.params, grads, self.opt, lr_k)
+        sgd_step(self.params, [p.tensor.grad for p in self.params], self.opt,
+                 lr_k)
         drift = commit_teacher_bn(self.pair, alpha_k)
         # The drift sums every history's change, so one check covers them all.
         if not np.isfinite(drift):
@@ -356,7 +333,7 @@ class Trainer:
                 metrics(drift))
         ema_update(self.pair, m_k)
         if self.is_moco:
-            queue_update(self.queue, k_pos.values)
+            queue_update(self.queue, k_hat.values)
         return metrics(drift)
 
     def epoch_order(self, epoch: int) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_criterion_5_ema_contract():
         rng = np.random.default_rng([5, case])
         pair = build_pair(MlpSpec((3, 4, 4), (True, True), (True, True)),
                           mlp_spec((4, 4, 3)), mlp_spec((3, 3, 3)), rng)
-        for _, s, _ in pair.student_params(include_predictor=False):
+        for _, s in pair.ema_pairs():
             s.values = rng.normal(size=s.values.shape)
 
         snap_teacher = [t.values.copy() for t, _ in pair.ema_pairs()]

@@ -317,6 +317,40 @@ class TestPretrainCommand:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
 
+    # Each value is rejected by a check or by numpy before it allocates.
+    @pytest.mark.parametrize("preset, setting, field", [
+        ("default-synth", "epochs=1" + "0" * 400, "epochs"),
+        ("default-synth", "epochs=" + "1" * 5000, "epochs"),
+        ("file", "epochs=" + "1" * 5000, "config"),
+        ("default-synth", "data.per_class=1000000000000000000", "data"),
+        ("moco-smoke", "queue_capacity=1000000000000000000",
+         "queue_capacity"),
+    ], ids=["epochs-1e400", "epochs-5000-digits", "config-5000-digits",
+            "per-class-1e18", "queue-capacity-1e18"])
+    def test_huge_integer_exits_2(self, tmp_path, capsys, preset, setting,
+                                  field):
+        out = tmp_path / "run"
+        key, value = setting.split("=")
+        if preset == "file":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(f'{{"mode": "byol_m2t", "seed": 0, "{key}": {value}}}')
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--preset", preset, "--set", setting]
+        code = main(["pretrain", *args, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
+    def test_moco_predictor_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--preset", "moco-smoke", "--set", "epochs=0",
+                     "--set", 'predictor={"widths":[64,32],"bn":[false],'
+                     '"relu":[false]}', "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: predictor: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [None, "{not json"],
                              ids=["missing", "invalid-json"])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
@@ -602,7 +636,7 @@ def test_write_metrics_csv_format(tmp_path):
     from m2t.trainer import MetricsRecord
     rec = MetricsRecord(iteration=0, epoch=0, loss=1.5, l1=1.0, l2=0.5,
                         lr=0.1, m=0.03, alpha=1.0, hist_drift=0.2,
-                        sec_per_iter=0.001, wall_time=123.0)
+                        sec_per_iter=0.001)
     path = tmp_path / "m.csv"
     write_metrics_csv([rec], path)
     text = path.read_text()

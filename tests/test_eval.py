@@ -135,14 +135,6 @@ class TestLinearProbe:
         counts = np.bincount(ds.labels)
         assert acc >= counts.max() / counts.sum()
 
-    def test_explicit_test_split(self):
-        ds = synth_clusters(num_classes=3, dim=8, per_class=50, spread=0.1,
-                            seed=9)
-        acc = linear_probe(ds.samples, ds.labels, epochs=10, lr=0.5, seed=0,
-                           features_test=ds.samples[:30],
-                           labels_test=ds.labels[:30])
-        assert acc > 0.9
-
 
 class TestKnn:
     def test_exact_match_wins_at_k1(self):

@@ -188,7 +188,7 @@ class TestEmaUpdate:
     def test_zero_keeps_teacher(self):
         pair = tiny_pair(seed=16)
         before = [t.values.copy() for t, _ in pair.ema_pairs()]
-        for _, s, _ in pair.student_params(include_predictor=False):
+        for _, s in pair.ema_pairs():
             s.values = s.values + 1.0
         ema_update(pair, 0.0)
         for (t, _), b in zip(pair.ema_pairs(), before):
@@ -210,7 +210,7 @@ class TestEmaUpdate:
     def test_convex_combination_bounds(self):
         pair = tiny_pair(seed=18)
         rng = np.random.default_rng(19)
-        for _, s, _ in pair.student_params(include_predictor=False):
+        for _, s in pair.ema_pairs():
             s.values = rng.normal(size=s.values.shape)
         snapshots = [(t.values.copy(), s.values.copy()) for t, s in pair.ema_pairs()]
         ema_update(pair, 0.37)
@@ -223,7 +223,7 @@ class TestEmaUpdate:
         pair = tiny_pair(seed=20)
         rng = np.random.default_rng(21)
         for _ in range(3):
-            for _, s, _ in pair.student_params(include_predictor=False):
+            for _, s in pair.ema_pairs():
                 s.values = rng.normal(size=s.values.shape)
             ema_update(pair, 1.0)
         for t, s in pair.ema_pairs():

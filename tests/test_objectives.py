@@ -194,19 +194,16 @@ class TestNegQueue:
         queue = NegQueue(capacity=4, dim=2)
         keys = np.array([[float(i + 1), 0.0] for i in range(6)])
         queue_update(queue, keys)
-        got = fifo(queue)
-        # Keys 3..6 survive; all rows were normalized to unit vectors.
-        np.testing.assert_allclose(got, [[1.0, 0.0]] * 4)
+        # Keys 3..6 survive, oldest first, stored as given.
+        np.testing.assert_array_equal(fifo(queue), keys[2:])
         assert len(queue) == 4
 
     def test_order_tracked_through_wraparound(self):
         queue = NegQueue(capacity=3, dim=2)
         for i in range(5):
             queue_update(queue, np.array([[1.0, float(i)]]))
-        got = fifo(queue)
         expected = np.array([[1.0, float(i)] for i in (2, 3, 4)])
-        expected /= np.linalg.norm(expected, axis=1, keepdims=True)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_array_equal(fifo(queue), expected)
 
     def test_batch_enqueue_across_wrap_matches_row_by_row(self):
         rng = np.random.default_rng(10)
@@ -228,11 +225,19 @@ class TestNegQueue:
 
     @given(st.integers(1, 5), st.integers(1, 12))
     def test_stored_keys_unit_norm(self, dim, n):
+        # Keys normalized once are stored bit for bit, so they stay unit.
         rng = np.random.default_rng(dim * 100 + n)
         queue = NegQueue(capacity=8, dim=dim)
-        queue_update(queue, rng.normal(size=(n, dim)))
+        keys = l2_normalize_rows(rng.normal(size=(n, dim))).values
+        queue_update(queue, keys)
+        assert fifo(queue).tobytes() == keys[-8:].tobytes()
         norms = np.linalg.norm(queue.as_matrix(), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+    def test_fresh_queue_holds_unit_rows(self):
+        queue = NegQueue(capacity=16, dim=5, rng=np.random.default_rng(12))
+        norms = np.linalg.norm(queue.as_matrix(), axis=1)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestInfoNce:
@@ -288,7 +293,7 @@ class TestInfoNce:
         rng = np.random.default_rng(7)
         queue = NegQueue(capacity=8, dim=3, rng=rng)
         q = parameter(rng.normal(size=(4, 3)))
-        k = constant(rng.normal(size=(4, 3)))
+        k = l2_normalize_rows(rng.normal(size=(4, 3)))
         report = engine.finite_diff_check(
             lambda: infonce_loss(q, k, queue, temperature=0.2), [("q", q)])
         assert report.passed, report.per_block
@@ -297,7 +302,7 @@ class TestInfoNce:
         rng = np.random.default_rng(8)
         queue = NegQueue(capacity=256, dim=64, rng=rng)
         q = constant(rng.normal(size=(128, 64)))
-        k = constant(rng.normal(size=(128, 64)))
+        k = l2_normalize_rows(rng.normal(size=(128, 64)))
         loss = infonce_loss(q, k, queue, temperature=0.2).item()
         assert loss == pytest.approx(math.log(257), rel=0.05)
 

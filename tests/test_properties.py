@@ -6,6 +6,7 @@ them, so every run checks the same examples."""
 
 import json
 import math
+import struct
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from m2t.checkpoint import MAGIC
 from m2t.cli import main
 from m2t.config import ConfigError, DataConfig, TrainConfig, from_dict
-from m2t.data import AugmentSpec
-from m2t.trainer import NanLossError, Trainer
+from m2t.data import AugmentSpec, Dataset
+from m2t.trainer import NanLossError, Trainer, build_dataset
 
 
 WORDS = ("byol_m2t", "moco", "lars", "constant", "momentum", "shuffling",
@@ -166,3 +167,53 @@ def test_any_numeric_value_is_rejected_or_trains(mode, path, value):
                                0)
         except NanLossError:
             pass
+
+
+# A valid IDX pair of six 2x3 images in three classes, and zero-image
+# headers: one plain, one whose rows x cols exceed numpy's dimension limit.
+IDX_IMAGES = struct.pack(">IIII", 0x803, 6, 2, 3) + bytes(range(0, 216, 6))
+IDX_LABELS = struct.pack(">II", 0x801, 6) + bytes([0, 1, 2, 0, 1, 2])
+NO_IMAGES = struct.pack(">IIII", 0x803, 0, 2, 3)
+NO_IMAGES_HUGE = struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1)
+NO_LABELS = struct.pack(">II", 0x801, 0)
+
+
+def fuzzed(valid: bytes, header: int):
+    """The valid bytes, random bytes, truncations, and bit flips biased to
+    the header."""
+    bit = st.integers(0, 8 * header - 1) | st.integers(0, 8 * len(valid) - 1)
+    return st.one_of(
+        st.just(valid),
+        st.binary(max_size=40),
+        st.binary(max_size=40).map(lambda b: valid[:header] + b),
+        st.integers(0, len(valid)).map(lambda n: valid[:n]),
+        st.lists(bit, min_size=1, max_size=4).map(
+            lambda bits: flip_bits(valid, bits)))
+
+
+@settings(max_examples=300)
+@given(images=fuzzed(IDX_IMAGES, 16), labels=fuzzed(IDX_LABELS, 8))
+@example(images=NO_IMAGES, labels=NO_LABELS)
+@example(images=NO_IMAGES_HUGE, labels=NO_LABELS)
+def test_any_idx_bytes_load_or_raise_config_error(tmp_path_factory, images,
+                                                  labels):
+    root = tmp_path_factory.getbasetemp()
+    (root / "f-images.idx").write_bytes(images)
+    (root / "f-labels.idx").write_bytes(labels)
+    spec = DataConfig(kind="idx", images_path=str(root / "f-images.idx"),
+                      labels_path=str(root / "f-labels.idx"))
+    try:
+        assert isinstance(build_dataset(spec, 0), Dataset)
+    except ConfigError:
+        pass
+
+
+def test_empty_idx_pretrain_exits_0_or_2(tmp_path, capsys):
+    (tmp_path / "images.idx").write_bytes(NO_IMAGES)
+    (tmp_path / "labels.idx").write_bytes(NO_LABELS)
+    data = {"kind": "idx", "images_path": str(tmp_path / "images.idx"),
+            "labels_path": str(tmp_path / "labels.idx")}
+    out = tmp_path / "run"
+    code = main(["pretrain", "--preset", "default-synth",
+                 "--set", f"data={json.dumps(data)}", "--out", str(out)])
+    assert code in (0, 2)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from m2t.config import TrainConfig, DataConfig
+from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
-from m2t.engine import DimensionError, Tensor
+from m2t.engine import HEALTH, DimensionError, Tensor, record
+from m2t.model import forward_student
+from m2t.normalization import WorkerLayout
 from m2t.trainer import (
     MetricsRecord,
     NanLossError,
@@ -12,7 +14,6 @@ from m2t.trainer import (
     Trainer,
     ablation_grid,
     grid_trainers,
-    lars_step,
     modeled_sec_per_iter,
     run_training,
     sgd_step,
@@ -90,18 +91,18 @@ class TestLarsStep:
         g = np.array([0.3, 0.1, -0.2])
         a = param("bias", vals.copy(), exclude=True)
         b = param("bias", vals.copy(), exclude=True)
-        lars_state = OptimizerState(kind="lars", weight_decay=0.1,
-                                    wd_exclude=True)
+        # LARS keeps excluded blocks out of weight decay without the flag.
+        lars_state = OptimizerState(kind="lars", weight_decay=0.1)
         sgd_state = OptimizerState(kind="sgd", weight_decay=0.1,
                                    wd_exclude=True)
-        lars_step([a], [g.copy()], lars_state, lr=0.2)
+        sgd_step([a], [g.copy()], lars_state, lr=0.2)
         sgd_step([b], [g.copy()], sgd_state, lr=0.2)
         np.testing.assert_array_equal(a.tensor.values, b.tensor.values)
 
     def test_zero_norm_weight_is_not_moved(self):
         p = param("w", np.zeros(4))
         state = OptimizerState(kind="lars", weight_decay=0.0)
-        lars_step([p], [np.ones(4)], state, lr=0.5)
+        sgd_step([p], [np.ones(4)], state, lr=0.5)
         np.testing.assert_array_equal(p.tensor.values, np.zeros(4))
 
     def test_hand_computed_local_lr(self):
@@ -110,7 +111,7 @@ class TestLarsStep:
                                trust_coeff=0.001, momentum=0.9)
         g = np.array([0.0, 1.0])
         lr = 1.0
-        lars_step([p], [g], state, lr)
+        sgd_step([p], [g], state, lr)
         # local lr = 0.001 * 5 / (1 + 1e-9) = 0.005; update = -lr * 0.005 * g
         np.testing.assert_allclose(p.tensor.values, [3.0, 4.0 - 0.005],
                                    rtol=1e-6)
@@ -233,7 +234,7 @@ class TestRunTraining:
         result = trainer.run()
         assert len(trainer.queue) == 32
         assert all(np.isfinite(m.loss) for m in result.metrics)
-        # Predictor is excluded from the optimizer in contrastive mode.
+        # Contrastive mode builds no predictor, so none is optimized.
         assert not any(name.startswith("pred") for name in
                        (p.name for p in trainer.params))
 
@@ -243,6 +244,44 @@ class TestRunTraining:
                            alpha_schedule="constant", queue_capacity=32)
         result = run_training(cfg)
         assert all(np.isfinite(m.loss) for m in result.metrics)
+
+
+def moco_smoke_trainer(**overrides) -> Trainer:
+    return Trainer(from_dict(dict(preset("moco-smoke"), **overrides)))
+
+
+class TestMocoHasNoPredictor:
+    def test_student_tape_covers_encoder_and_projector_only(self):
+        trainer = moco_smoke_trainer()
+        with record() as tape:
+            _, p = forward_student(trainer.pair, trainer.dataset.samples[:128],
+                                   WorkerLayout(128, 4))
+        # Per layer: matmul, bias add, then batch_norm and relu where set;
+        # 2 encoder layers with both, 6 projector BN layers, 5 with ReLU.
+        assert len(tape) == 4 * 2 + 2 * 6 + 6 + 5 == 31
+        assert p is None and trainer.pair.predictor is None
+
+    def test_modeled_sec_per_iter_counts_no_predictor(self):
+        # The moco-shuffle-w4 benchmark recipe: shuffling teacher BN.
+        trainer = moco_smoke_trainer(teacher_bn="shuffling")
+        cost = modeled_sec_per_iter(trainer.cfg, trainer.pair, 128)
+        assert cost == pytest.approx(0.024777216, rel=1e-12)
+
+
+def test_moco_keys_normalized_once_per_iteration():
+    cfg = small_config(mode="moco", m_base=0.001, m_schedule="constant",
+                       alpha_base=0.064, alpha_schedule="constant",
+                       queue_capacity=32)
+    trainer = Trainer(cfg)
+    last = trainer.pair.t_projector.layers[-1]  # no BN: zero keys out
+    last.weight.values = np.zeros_like(last.weight.values)
+    last.bias.values = np.zeros_like(last.bias.values)
+    HEALTH.reset()
+    trainer.train_step(trainer.dataset.samples[:16], 0)
+    # Each zero key is counted once, and the queue holds the rows the
+    # positive logit used.
+    assert HEALTH.zero_norm_rows == 16
+    assert not trainer.queue.as_matrix()[:16].any()
 
 
 class TestCostModel:
