@@ -2,16 +2,19 @@
 
 The engine is deliberately small: 2-D (and 1-D / scalar) arrays, a recording
 tape, and exactly the operations needed for MLP encoders, batch
-normalization (one fused op, :func:`batch_norm`) and the training losses.
-Everything is double precision so that gradient checks and
-statistics-equivalence tests have numerical headroom.
+normalization and the training losses. An MLP layer is one fused op,
+:func:`dense` (matmul, bias, optional BN, optional ReLU); :func:`batch_norm`
+is BN alone. Both run the same BN arithmetic. Everything is double
+precision so that gradient checks and statistics-equivalence tests have
+numerical headroom.
 
 Gradients are recorded on an explicit :class:`Tape`. Operations record
 themselves only while a tape is active (see :func:`record`) and only when at
 least one input participates in gradients; everything else evaluates to a
 constant. Backward replays the tape in reverse recording order, accumulating
 gradients additively, so reusing a tensor twice yields the sum of per-use
-gradients.
+gradients. It then drops the tape's entries, so a finished iteration is
+freed by reference counting alone; a tape is swept once.
 
 Broadcasting follows numpy's right-aligned rule restricted to singleton
 expansion: shapes are aligned on their trailing axes and an axis may differ
@@ -22,7 +25,7 @@ pass sums gradients over the expanded axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -322,14 +325,18 @@ def log(x) -> Tensor:
 # matmul
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise DimensionError(
             f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul(a, b)
     out = a.values @ b.values
 
     def bw(g):
@@ -430,6 +437,47 @@ def gather_rows(x, index: np.ndarray) -> Tensor:
 # batch normalization
 
 
+def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
+        eps: float, stats: Optional[tuple]) -> tuple:
+    """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
+    array: ``(out, backward)``, with ``backward(g, need_dx)`` giving
+    ``(dx or None, dgamma, dbeta)``."""
+    b, c = x.shape
+    if groups < 1 or b == 0 or b % groups != 0:
+        raise DimensionError(
+            f"{b} rows do not split into {groups} equal groups")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"channel mismatch: x has {c}, gamma {gamma.shape}, "
+            f"beta {beta.shape}")
+    x3 = x.reshape(groups, b // groups, c)
+    if stats is None:
+        mu = x3.mean(axis=1, keepdims=True)
+        dev = x3 - mu
+        var = np.mean(dev * dev, axis=1, keepdims=True)
+    else:
+        mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
+        if mu.shape != (c,) or var.shape != (c,):
+            raise DimensionError(
+                f"channel mismatch: x has {c}, stats {mu.shape}/{var.shape}")
+        dev = x3 - mu
+    std = np.sqrt(var + eps)
+    xhat = dev / std
+    out = (gamma * xhat + beta).reshape(b, c)
+
+    def backward(g: np.ndarray, need_dx: bool) -> tuple:
+        dx = None
+        if need_dx:
+            g_hat = g.reshape(x3.shape) * gamma
+            if stats is None:
+                g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
+                         - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
+            dx = ((1.0 / std) * g_hat).reshape(b, c)
+        return dx, (g * xhat.reshape(b, c)).sum(axis=0), g.sum(axis=0)
+
+    return out, backward
+
+
 def batch_norm(x, groups: int, gamma, beta, eps: float,
                stats: Optional[tuple] = None) -> Tensor:
     """gamma * (x - mean) / sqrt(var + eps) + beta over equal row groups.
@@ -446,40 +494,90 @@ def batch_norm(x, groups: int, gamma, beta, eps: float,
     if x.values.ndim != 2:
         raise DimensionError(
             f"batch_norm expects batch x channels, got shape {x.shape}")
-    b, c = x.shape
-    if groups < 1 or b == 0 or b % groups != 0:
-        raise DimensionError(
-            f"{b} rows do not split into {groups} equal groups")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"channel mismatch: x has {c}, gamma {gamma.shape}, "
-            f"beta {beta.shape}")
-    x3 = x.values.reshape(groups, b // groups, c)
-    if stats is None:
-        mu = x3.mean(axis=1, keepdims=True)
-        dev = x3 - mu
-        var = np.mean(dev * dev, axis=1, keepdims=True)
-    else:
-        mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
-        if mu.shape != (c,) or var.shape != (c,):
+    out, bn_backward = _bn(x.values, groups, gamma.values, beta.values, eps,
+                           stats)
+    return _emit("batch_norm", (x, gamma, beta), out,
+                 lambda g: bn_backward(g, x.requires_grad))
+
+
+# ---------------------------------------------------------------------------
+# fused MLP layer
+
+
+@dataclass(frozen=True)
+class BNSpec:
+    """How :func:`dense` batch-normalizes its layer.
+
+    ``params`` holds the affine ``gamma``/``beta`` tensors and ``eps`` (a
+    :class:`m2t.normalization.NormParams`). The rows split into ``groups``
+    equal blocks normalized with their own statistics, as in
+    :func:`batch_norm`, unless ``stats`` gives per-channel ``(mean, var)``
+    constants. ``stats`` may also be a function of the pre-BN activations
+    (rows in their original order) that returns such a pair, or None for
+    batch statistics, and may record them on the way. ``perm`` reorders the
+    rows before BN (``x[perm]``, as :func:`gather_rows` does) and the
+    original order is restored after it.
+    """
+
+    params: Any
+    groups: int = 1
+    stats: Union[None, tuple, Callable[[np.ndarray], Optional[tuple]]] = None
+    perm: Optional[np.ndarray] = None
+
+
+def dense(x, weight: Tensor, bias: Tensor, relu: bool,
+          norm: Optional[BNSpec] = None) -> Tensor:
+    """One MLP layer, ``relu(bn(x @ weight + bias))``, as one tape entry.
+
+    BN runs when ``norm`` is given and ReLU when ``relu`` is set. Forward
+    and backward are the numpy expressions of :func:`matmul`, :func:`add`,
+    :func:`batch_norm` (with :func:`gather_rows` around it under ``perm``)
+    and :func:`relu`, in that order, so the output and every gradient equal
+    those of the composed ops bit for bit. The backward returns no gradient
+    for ``x`` when ``x`` does not require one (a first layer's input is
+    data).
+    """
+    x = as_tensor(x)
+    _check_matmul(x, weight)
+    h = x.values @ weight.values
+    h += bias.values
+    inputs = (x, weight, bias)
+    bn_backward = perm = None
+    if norm is not None:
+        p, perm = norm.params, norm.perm
+        if perm is not None and perm.shape != (h.shape[0],):
             raise DimensionError(
-                f"channel mismatch: x has {c}, stats {mu.shape}/{var.shape}")
-        dev = x3 - mu
-    std = np.sqrt(var + eps)
-    xhat = dev / std
-    out = (gamma.values * xhat + beta.values).reshape(b, c)
+                f"row permutation of shape {perm.shape} for {h.shape[0]} rows")
+        inputs += (p.gamma, p.beta)
+        stats = norm.stats(h) if callable(norm.stats) else norm.stats
+        y, bn_backward = _bn(h if perm is None else h[perm], norm.groups,
+                             p.gamma.values, p.beta.values, p.eps, stats)
+        if perm is None:
+            h = y
+        else:
+            h = np.empty_like(y)
+            h[perm] = y
+    if relu:
+        np.maximum(h, 0.0, out=h)
+    x_values, w_values = x.values, weight.values
 
     def bw(g):
-        dx = None
-        if x.requires_grad:
-            g_hat = g.reshape(x3.shape) * gamma.values
-            if stats is None:
-                g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
-                         - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
-            dx = ((1.0 / std) * g_hat).reshape(b, c)
-        return dx, (g * xhat.reshape(b, c)).sum(axis=0), g.sum(axis=0)
+        if relu:
+            g = g * _relu_grad_mask(h)
+        bn_grads = ()
+        if bn_backward is not None:
+            if perm is not None:
+                g = g[perm]
+            g, dgamma, dbeta = bn_backward(g, True)
+            if perm is not None:
+                unshuffled = np.empty_like(g)
+                unshuffled[perm] = g
+                g = unshuffled
+            bn_grads = (dgamma, dbeta)
+        dx = g @ w_values.T if x.requires_grad else None
+        return (dx, x_values.T @ g, g.sum(axis=0)) + bn_grads
 
-    return _emit("batch_norm", (x, gamma, beta), out, bw)
+    return _emit("dense", inputs, h, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +593,9 @@ def backward(loss: Tensor) -> None:
     tape = loss._tape
     if tape is None:
         raise ValueError("backward on a tensor that is not on any tape")
+    if not tape.entries:
+        raise ValueError("backward over a tape that an earlier backward "
+                         "already swept")
     loss.grad = np.ones_like(loss.values)
     for entry in reversed(tape.entries):
         g = entry.output.grad
@@ -507,6 +608,10 @@ def backward(loss: Tensor) -> None:
             if inp.grad is None:
                 inp.grad = np.zeros_like(inp.values)
             inp.grad += contrib
+    # Each output holds its tape and the entries hold the outputs, so the
+    # recorded iteration is a reference cycle until the entries go. Rebind
+    # instead of clearing: a caller may still read the list it took before.
+    tape.entries = []
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import constant, finite_diff_check, parameter
+from .engine import BNSpec, constant, finite_diff_check, parameter
 from .model import MlpSpec, build_pair, mlp_spec
-from .normalization import WorkerLayout
+from .normalization import NormParams, WorkerLayout
 from .objectives import byol_loss, symmetrized_loss
 
 DEFAULT_TRIALS = 100
@@ -79,6 +79,30 @@ def _case_batch_norm(rng):
     return f, [("x", x), ("gamma", gamma), ("beta", beta)]
 
 
+def _case_dense(rng):
+    # Every BN variant of the fused layer, each with and without ReLU, in
+    # one loss: none, batch statistics over 1 and 2 groups, given
+    # statistics, and a statistics function with a row permutation.
+    x = parameter(rng.uniform(-2, 2, size=(8, 3)))
+    weight = parameter(rng.uniform(-2, 2, size=(3, 4)))
+    bias = parameter(rng.uniform(-2, 2, size=4))
+    p = NormParams(gamma=parameter(rng.uniform(0.5, 2.0, size=4)),
+                   beta=parameter(rng.uniform(-2, 2, size=4)))
+    given = (rng.uniform(-1, 1, size=4), rng.uniform(0.5, 2.0, size=4))
+    norms = (None, BNSpec(p, 1), BNSpec(p, 2), BNSpec(p, stats=given),
+             BNSpec(p, 2, lambda h: None, rng.permutation(8)))
+    cases = [(norm, relu, constant(rng.uniform(-2, 2, size=(8, 4))))
+             for norm in norms for relu in (False, True)]
+
+    def f():
+        return sum(engine.sum(engine.mul(
+            engine.dense(x, weight, bias, relu, norm), w))
+            for norm, relu, w in cases)
+
+    return f, [("x", x), ("weight", weight), ("bias", bias),
+               ("gamma", p.gamma), ("beta", p.beta)]
+
+
 def _randomize_student(pair, rng):
     # Perturb every block (biases and BN affines included) away from the
     # symmetric init: keeps the check off measure-zero kinks such as
@@ -135,6 +159,7 @@ SUITES = {
     "sum": _case_reduce(engine.sum),
     "var": _case_reduce(engine.var),
     "batch_norm": _case_batch_norm,
+    "dense": _case_dense,
     "byol_mlp": _case_byol_mlp,
     "symmetrized_loss": _case_symmetrized,
 }

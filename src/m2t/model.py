@@ -15,7 +15,8 @@ the baseline modes it exists purely so that frozen-feature evaluation has
 per-sample inference statistics.
 
 Student, teacher and frozen inference run the same layer loop,
-:func:`forward_mlp`, and differ only in the BN callable they pass. The
+:func:`forward_mlp` (one fused :func:`m2t.engine.dense` op per layer), and
+differ only in the per-layer BN specs they pass. The
 teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
 :func:`load_teacher` checks it and reads it back.
 """
@@ -28,17 +29,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import engine
-from .engine import DimensionError, Tensor
+from .engine import BNSpec, DimensionError, Tensor
 from .normalization import (
     MomentumBNState,
     NormParams,
     WorkerLayout,
     constant_batch_stats,
-    momentum_bn_forward,
     momentum_bn_lazy_commit,
-    plain_bn_forward,
-    shuffling_bn_forward,
-    synced_bn_forward,
+    momentum_stats,
+    shuffle_permutation,
 )
 
 STUDENT_BN_KINDS = ("plain", "synced")
@@ -217,7 +216,9 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
                predictor_spec: Optional[MlpSpec], rng: np.random.Generator,
                student_bn: str = "plain", teacher_bn: str = "momentum",
                eps: float = 1e-5) -> StudentTeacherPair:
-    """The pair for the given specs; ``predictor_spec=None`` builds none."""
+    """The pair for the given specs; ``predictor_spec=None`` builds none.
+    ``ValueError`` naming the role whose specs do not chain (a
+    ``DimensionError``) or whose arrays numpy cannot allocate."""
     if encoder_spec.out_dim != projector_spec.in_dim:
         raise DimensionError(
             f"projector: input width {projector_spec.in_dim} != encoder "
@@ -227,12 +228,18 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
         raise DimensionError(
             f"predictor: input width {predictor_spec.in_dim} != projector "
             f"output width {projector_spec.out_dim}")
-    encoder = _init_mlp("enc", encoder_spec, rng, eps=eps)
-    projector = _init_mlp("proj", projector_spec, rng, eps=eps)
-    predictor = None if predictor_spec is None \
-        else _init_mlp("pred", predictor_spec, rng, eps=eps)
-    return StudentTeacherPair(encoder, projector, predictor,
-                              student_bn=student_bn, teacher_bn=teacher_bn)
+    mlps = []
+    for role, name, spec in (("encoder", "enc", encoder_spec),
+                             ("projector", "proj", projector_spec),
+                             ("predictor", "pred", predictor_spec)):
+        try:
+            mlps.append(None if spec is None
+                        else _init_mlp(name, spec, rng, eps=eps))
+        except (ValueError, MemoryError) as e:
+            raise ValueError(f"{role}: cannot allocate the arrays of widths "
+                             f"{list(spec.widths)} ({e})") from None
+    return StudentTeacherPair(*mlps, student_bn=student_bn,
+                              teacher_bn=teacher_bn)
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +247,67 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
 
 
 def forward_mlp(mlp: Mlp, x: Tensor,
-                norm: Callable[[Tensor, Layer], Tensor]) -> Tensor:
-    """The one MLP layer loop: affine, then ``norm(x, layer)`` on BN layers,
-    then ReLU. Each role (student, teacher, frozen inference) differs only in
-    the BN callable it passes."""
+                norm: Callable[[Layer], BNSpec]) -> Tensor:
+    """The one MLP layer loop: one fused :func:`engine.dense` per layer,
+    with ``norm(layer)`` the BN spec of each BN layer. Each role (student,
+    teacher, frozen inference) differs only in the specs it passes."""
     for layer in mlp.layers:
-        x = engine.matmul(x, layer.weight) + layer.bias
-        if layer.norm is not None:
-            x = norm(x, layer)
-        if layer.relu:
-            x = engine.relu(x)
+        x = engine.dense(x, layer.weight, layer.bias, layer.relu,
+                         None if layer.norm is None else norm(layer))
     return x
 
 
 def forward_student(pair: StudentTeacherPair, v,
                     layout: WorkerLayout) -> tuple[Tensor, Optional[Tensor]]:
     """Full student pass: returns (projection z, prediction p); p is None
-    for a pair without predictor."""
-    bn = plain_bn_forward if pair.student_bn == "plain" else synced_bn_forward
+    for a pair without predictor. Plain BN normalizes each worker's slice
+    (one group per worker), synced BN the whole batch (one group)."""
+    v = engine.as_tensor(v)
+    layout.validate(v)
+    groups = layout.num_workers if pair.student_bn == "plain" else 1
 
-    def norm(x: Tensor, layer: Layer) -> Tensor:
-        return bn(x, layout, layer.norm)
+    def norm(layer: Layer) -> BNSpec:
+        return BNSpec(layer.norm, groups)
 
-    z = forward_mlp(pair.encoder, engine.as_tensor(v), norm)
+    z = forward_mlp(pair.encoder, v, norm)
     z = forward_mlp(pair.projector, z, norm)
     if pair.predictor is None:
         return z, None
     return z, forward_mlp(pair.predictor, z, norm)
+
+
+def teacher_norm(kind: str, alpha: float,
+                 layout: Optional[WorkerLayout] = None,
+                 perm_seed: Optional[int] = None) -> Callable[[Layer], BNSpec]:
+    """BN specs of a teacher pass with BN ``kind``.
+
+    Every kind appends each layer's whole-batch statistics to its state's
+    pending list for the history commit. Momentum BN normalizes with their
+    blend with the history; the baseline kinds normalize with batch
+    statistics per worker (plain), over the whole batch (synced) or per
+    worker after a seeded permutation across workers (shuffling).
+    """
+    if kind == "momentum":
+        return lambda layer: BNSpec(layer.norm,
+                                    stats=momentum_stats(layer.state, alpha))
+    if layout is None:
+        raise ValueError(f"teacher BN kind {kind!r} needs a worker layout")
+    groups = 1 if kind == "synced" else layout.num_workers
+    perm = shuffle_permutation(layout, perm_seed) if kind == "shuffling" \
+        else None
+
+    def norm(layer: Layer) -> BNSpec:
+        pending = layer.state.pending
+
+        def record_stats(h: np.ndarray) -> None:
+            # Whole-batch statistics go to the history commit however the
+            # samples are grouped; returning None normalizes with batch
+            # statistics.
+            pending.append(constant_batch_stats(h))
+
+        return BNSpec(layer.norm, groups, record_stats, perm)
+
+    return norm
 
 
 def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
@@ -277,33 +318,19 @@ def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
     Each BN layer's per-view statistics land on its state's pending list;
     commit them once per iteration via :func:`commit_teacher_bn`.
     """
-    kind = pair.teacher_bn
-
-    def norm(x: Tensor, layer: Layer) -> Tensor:
-        if kind == "momentum":
-            return momentum_bn_forward(x, layer.state, alpha, layer.norm)[0]
-        if layout is None:
-            raise ValueError(f"teacher BN kind {kind!r} needs a worker layout")
-        # Whole-batch statistics are retained for the history commit
-        # regardless of how the normalization groups the samples.
-        layer.state.pending.append(constant_batch_stats(x.values))
-        if kind == "plain":
-            return plain_bn_forward(x, layout, layer.norm)
-        if kind == "synced":
-            return synced_bn_forward(x, layout, layer.norm)
-        return shuffling_bn_forward(x, layout, layer.norm, perm_seed=perm_seed)
-
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
+    if layout is not None:
+        layout.validate(x)
+    norm = teacher_norm(pair.teacher_bn, alpha, layout, perm_seed)
     x = forward_mlp(pair.t_encoder, x, norm)
     return forward_mlp(pair.t_projector, x, norm)
 
 
-def history_norm(x: Tensor, layer: Layer) -> Tensor:
+def history_norm(layer: Layer) -> BNSpec:
     """Inference BN: normalize with the layer's stored history alone, so a
     sample's output does not depend on the rest of its batch."""
-    return engine.batch_norm(x, 1, layer.norm.gamma, layer.norm.beta,
-                             layer.norm.eps,
-                             stats=(layer.state.hist_mean, layer.state.hist_var))
+    return BNSpec(layer.norm,
+                  stats=(layer.state.hist_mean, layer.state.hist_var))
 
 
 # ---------------------------------------------------------------------------

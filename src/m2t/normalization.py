@@ -1,8 +1,10 @@
 """Batch-normalization variants over 2-D activations (batch x channels).
 
 Four normalization flavours cover the student/teacher combinations studied
-here, and each is one call to the fused :func:`m2t.engine.batch_norm` op
-(normalize equal row groups with their own or with given statistics):
+here. Each normalizes equal row groups with their own or with given
+statistics: in the model's layers as the BN spec of the fused
+:func:`m2t.engine.dense` op (see :mod:`m2t.model`), and in the per-kind
+forwards below as one call to :func:`m2t.engine.batch_norm`:
 
 * plain: each simulated worker normalizes its own slice of the batch with
   that slice's statistics (one group per worker);
@@ -32,7 +34,7 @@ back-propagates, so no gradient correction of the history is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,6 +96,12 @@ class WorkerLayout:
     def per_worker(self) -> int:
         return self.batch_size // self.num_workers
 
+    def validate(self, x: Tensor) -> None:
+        if x.shape[0] != self.batch_size:
+            raise DimensionError(
+                f"layout covers {self.batch_size} samples but batch has "
+                f"{x.shape[0]}")
+
 
 @dataclass
 class MomentumBNState:
@@ -134,16 +142,9 @@ def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
 # worker-partitioned forwards
 
 
-def _validate_layout(x: Tensor, layout: WorkerLayout) -> None:
-    if x.shape[0] != layout.batch_size:
-        raise DimensionError(
-            f"layout covers {layout.batch_size} samples but batch has "
-            f"{x.shape[0]}")
-
-
 def plain_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams) -> Tensor:
     """Per-worker BN: each slice is normalized by its own statistics."""
-    _validate_layout(x, layout)
+    layout.validate(x)
     return engine.batch_norm(x, layout.num_workers, p.gamma, p.beta, p.eps)
 
 
@@ -153,7 +154,7 @@ def synced_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams) -> Tensor:
     One group over the concatenated batch is exactly single-worker BN, so
     the defining equivalence holds bit for bit.
     """
-    _validate_layout(x, layout)
+    layout.validate(x)
     return engine.batch_norm(x, 1, p.gamma, p.beta, p.eps)
 
 
@@ -165,11 +166,9 @@ def shuffling_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams,
     The permutation is drawn uniformly from ``perm_seed`` unless an explicit
     ``perm`` is supplied.
     """
-    _validate_layout(x, layout)
+    layout.validate(x)
     if perm is None:
-        if perm_seed is None:
-            raise ValueError("either perm_seed or perm must be given")
-        perm = np.random.default_rng(perm_seed).permutation(layout.batch_size)
+        perm = shuffle_permutation(layout, perm_seed)
     else:
         perm = np.asarray(perm, dtype=np.intp)
         if sorted(perm.tolist()) != list(range(layout.batch_size)):
@@ -178,6 +177,14 @@ def shuffling_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams,
     shuffled = engine.gather_rows(x, perm)
     normalized = plain_bn_forward(shuffled, layout, p)
     return engine.gather_rows(normalized, inverse)
+
+
+def shuffle_permutation(layout: WorkerLayout,
+                        perm_seed: Optional[int]) -> np.ndarray:
+    """The seeded permutation of the batch that shuffling BN applies."""
+    if perm_seed is None:
+        raise ValueError("shuffling BN needs a permutation seed")
+    return np.random.default_rng(perm_seed).permutation(layout.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +202,23 @@ def _blend(state: MomentumBNState, s: BatchStats, alpha: float) -> BatchStats:
     return BatchStats(mean=mu, var=sig, count=s.count)
 
 
+def momentum_stats(state: MomentumBNState,
+                   alpha: float) -> Callable[[np.ndarray], tuple]:
+    """The statistics function of a momentum BN layer (see
+    :class:`m2t.engine.BNSpec`): it appends the pre-BN activations' batch
+    statistics to ``state.pending`` for the lazy commit and returns their
+    blend with the history, which it leaves untouched."""
+    _check_alpha(alpha)
+
+    def stats(x_values: np.ndarray) -> tuple:
+        s = constant_batch_stats(x_values)
+        state.pending.append(s)
+        use = _blend(state, s, alpha)
+        return use.mean, use.var
+
+    return stats
+
+
 def momentum_bn_forward(x: Tensor, state: MomentumBNState, alpha: float,
                         p: NormParams) -> tuple[Tensor, BatchStats]:
     """Normalize with blended batch/history statistics; history untouched.
@@ -203,13 +227,9 @@ def momentum_bn_forward(x: Tensor, state: MomentumBNState, alpha: float,
     which are also retained on ``state.pending`` for the lazy commit at the
     end of the iteration. All statistics involved are gradient constants.
     """
-    _check_alpha(alpha)
-    s = constant_batch_stats(x.values)
-    use = _blend(state, s, alpha)
-    y = engine.batch_norm(x, 1, p.gamma, p.beta, p.eps,
-                          stats=(use.mean, use.var))
-    state.pending.append(s)
-    return y, s
+    use = momentum_stats(state, alpha)(x.values)
+    y = engine.batch_norm(x, 1, p.gamma, p.beta, p.eps, stats=use)
+    return y, state.pending[-1]
 
 
 def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .config import ConfigError, DataConfig, TrainConfig
 from .data import Dataset, IdxFormatError, make_views, synth_clusters, load_idx
-from .engine import HEALTH, DimensionError, Tensor, backward, record
+from .engine import HEALTH, Tensor, backward, record
 from .model import (
     StudentTeacherPair,
     build_pair,
@@ -162,7 +162,7 @@ def build_dataset(data: DataConfig, seed: int) -> Dataset:
 def build_model(cfg: TrainConfig, in_dim: int) -> StudentTeacherPair:
     """The pair for ``cfg`` on ``in_dim``-wide data (moco builds no
     predictor); ``ConfigError`` naming the model spec whose input width does
-    not chain."""
+    not chain or whose arrays numpy cannot allocate."""
     enc = cfg.encoder or default_encoder_spec(in_dim)
     if enc.in_dim != in_dim:
         raise ConfigError(
@@ -174,7 +174,7 @@ def build_model(cfg: TrainConfig, in_dim: int) -> StudentTeacherPair:
     try:
         return build_pair(enc, proj, pred, rng, student_bn=cfg.student_bn,
                           teacher_bn=cfg.teacher_bn, eps=cfg.eps)
-    except DimensionError as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from None
 
 

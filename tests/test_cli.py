@@ -325,8 +325,13 @@ class TestPretrainCommand:
         ("default-synth", "data.per_class=1000000000000000000", "data"),
         ("moco-smoke", "queue_capacity=1000000000000000000",
          "queue_capacity"),
+        ("default-synth", 'encoder={"widths":[32,1000000000000000000,64],'
+         '"bn":[true,true],"relu":[true,true]}', "encoder"),
+        ("default-synth", 'predictor={"widths":[32,1000000000000000000,32],'
+         '"bn":[true,false],"relu":[true,false]}', "predictor"),
     ], ids=["epochs-1e400", "epochs-5000-digits", "config-5000-digits",
-            "per-class-1e18", "queue-capacity-1e18"])
+            "per-class-1e18", "queue-capacity-1e18", "encoder-width-1e18",
+            "predictor-width-1e18"])
     def test_huge_integer_exits_2(self, tmp_path, capsys, preset, setting,
                                   field):
         out = tmp_path / "run"

@@ -13,6 +13,7 @@ from m2t.engine import (
     parameter,
     record,
 )
+from m2t.normalization import NormParams
 
 
 class TestMatmul:
@@ -137,6 +138,16 @@ class TestBackward:
         with pytest.raises(ValueError, match="tape"):
             backward(y)
 
+    def test_second_backward_over_swept_tape_rejected(self):
+        x = parameter([1.0, 2.0])
+        with record() as tape:
+            loss = engine.sum(engine.mul(x, x))
+        backward(loss)
+        assert len(tape) == 0
+        with pytest.raises(ValueError, match="swept"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_constant_never_accumulates(self):
         c = constant([1.0, 2.0])
         x = parameter([3.0, 4.0])
@@ -171,6 +182,105 @@ class TestRowOps:
             loss = engine.sum(engine.gather_rows(x, idx))
         backward(loss)
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+class TestDense:
+    """The fused layer equals matmul + add + batch_norm + relu bit for bit,
+    forward and backward."""
+
+    GIVEN = (np.array([0.3, -0.2, 0.1, 0.0, 0.5]),
+             np.array([1.5, 0.7, 2.0, 1.0, 0.9]))
+    PERM = np.array([5, 2, 7, 0, 3, 6, 1, 4])
+
+    # (groups, stats, perm) per BN variant; None for a layer without BN.
+    NORMS = {
+        "no-bn": None,
+        "groups-1": (1, None, None),
+        "groups-2": (2, None, None),
+        "groups-4": (4, None, None),
+        "given-stats": (1, GIVEN, None),
+        "stats-function": (1, "function", None),
+        "permutation": (4, "record", PERM),
+    }
+
+    def run(self, norm, relu, x_requires_grad=True, fused=True):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(8, 3)), requires_grad=x_requires_grad)
+        weight = parameter(rng.normal(size=(3, 5)))
+        bias = parameter(rng.normal(size=5))
+        gamma = parameter(rng.uniform(0.5, 2.0, size=5))
+        beta = parameter(rng.normal(size=5))
+        w = constant(rng.normal(size=(8, 5)))
+        seen = []
+        with record() as tape:
+            if norm is None:
+                spec = None
+            else:
+                groups, stats, perm = norm
+                if stats == "function":
+                    stats = lambda h: seen.append(h.copy()) or self.GIVEN
+                elif stats == "record":
+                    stats = lambda h: seen.append(h.copy())
+                spec = engine.BNSpec(NormParams(gamma, beta), groups, stats,
+                                     perm)
+            if fused:
+                y = engine.dense(x, weight, bias, relu, spec)
+            else:
+                y = engine.matmul(x, weight) + bias
+                if spec is not None:
+                    if callable(spec.stats):
+                        stats = spec.stats(y.values)
+                    else:
+                        stats = spec.stats
+                    if perm is not None:
+                        y = engine.gather_rows(y, perm)
+                    y = engine.batch_norm(y, groups, gamma, beta, 1e-5, stats)
+                    if perm is not None:
+                        y = engine.gather_rows(y, np.argsort(perm))
+                if relu:
+                    y = engine.relu(y)
+            loss = engine.sum(y * w)
+        entries = tape.entries
+        backward(loss)
+        grads = [t.grad for t in (x, weight, bias, gamma, beta)]
+        return y.values, grads, seen, entries
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("norm", list(NORMS), ids=list(NORMS))
+    def test_equals_composed_ops(self, norm, relu):
+        out, grads, seen, entries = self.run(self.NORMS[norm], relu)
+        want_out, want_grads, want_seen, _ = self.run(self.NORMS[norm], relu,
+                                                      fused=False)
+        assert [e.op for e in entries] == ["dense", "mul", "sum"]
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            if want is None:  # BN affines of a layer without BN
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+        # A statistics function sees the pre-BN rows in their own order.
+        assert len(seen) == len(want_seen)
+        for got, want in zip(seen, want_seen):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("norm", ["no-bn", "groups-4", "permutation"])
+    def test_no_input_gradient_for_constant_input(self, norm):
+        out, grads, _, entries = self.run(self.NORMS[norm], True,
+                                          x_requires_grad=False)
+        want_out, want_grads, _, _ = self.run(self.NORMS[norm], True,
+                                              x_requires_grad=False,
+                                              fused=False)
+        assert grads[0] is None
+        assert entries[0].backward(np.ones_like(out))[0] is None
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads[1:], want_grads[1:]):
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="inner dimensions"):
+            engine.dense(constant(np.zeros((2, 3))), parameter(np.zeros((2, 3))),
+                         parameter(np.zeros(3)), relu=False)
 
 
 class TestFiniteDiffCheck:

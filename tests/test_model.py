@@ -19,9 +19,10 @@ from m2t.model import (
     forward_teacher,
     load_teacher,
     mlp_spec,
+    teacher_norm,
 )
 from m2t.evaluate import extract_features
-from m2t.normalization import WorkerLayout, momentum_bn_forward
+from m2t.normalization import WorkerLayout
 
 from bn_reference import worker_slices
 
@@ -353,9 +354,7 @@ class TestLoadTeacher:
         x = np.random.default_rng(32).normal(size=(8, 4))
         payload = dump_teacher(pair.t_encoder)
 
-        def momentum(h, layer):
-            return momentum_bn_forward(h, layer.state, 0.0, layer.norm)[0]
-
-        train_side = forward_mlp(pair.t_encoder, engine.constant(x), momentum)
+        train_side = forward_mlp(pair.t_encoder, engine.constant(x),
+                                 teacher_norm("momentum", 0.0))
         assert train_side.values.tobytes() \
             == extract_features(payload, x).tobytes()

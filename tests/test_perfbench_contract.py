@@ -61,3 +61,18 @@ def test_comm_bytes_and_signatures():
         params = list(inspect.signature(
             getattr(module("normalization"), fname)).parameters)
         assert params[:2] == ["x", "layout"], fname
+
+
+def test_entries_taken_before_backward_survive_it():
+    # The tracer takes ``loss._tape.entries`` before ``engine.backward`` and
+    # counts that list (and the entries whose output got a gradient) after
+    # it, so backward may drop the tape's entries but must leave that list
+    # whole.
+    engine = module("engine")
+    x = engine.parameter([[1.0, 2.0]])
+    with engine.record():
+        loss = engine.sum(engine.mul(x, x))
+    entries = loss._tape.entries
+    engine.backward(loss)
+    assert [e.op for e in entries] == ["mul", "sum"]
+    assert all(e.output.grad is not None for e in entries)

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from m2t import trainer as trainer_module
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
-from m2t.engine import HEALTH, DimensionError, Tensor, record
+from m2t.engine import HEALTH, DimensionError, Tensor, backward, record
 from m2t.model import forward_student
 from m2t.normalization import WorkerLayout
 from m2t.trainer import (
@@ -256,9 +260,8 @@ class TestMocoHasNoPredictor:
         with record() as tape:
             _, p = forward_student(trainer.pair, trainer.dataset.samples[:128],
                                    WorkerLayout(128, 4))
-        # Per layer: matmul, bias add, then batch_norm and relu where set;
-        # 2 encoder layers with both, 6 projector BN layers, 5 with ReLU.
-        assert len(tape) == 4 * 2 + 2 * 6 + 6 + 5 == 31
+        # One fused dense entry per layer: 2 encoder and 6 projector layers.
+        assert [e.op for e in tape.entries] == ["dense"] * (2 + 6)
         assert p is None and trainer.pair.predictor is None
 
     def test_modeled_sec_per_iter_counts_no_predictor(self):
@@ -282,6 +285,44 @@ def test_moco_keys_normalized_once_per_iteration():
     # positive logit used.
     assert HEALTH.zero_norm_rows == 16
     assert not trainer.queue.as_matrix()[:16].any()
+
+
+class TestIterationTape:
+    @pytest.fixture
+    def backward_spy(self, monkeypatch):
+        """Each backward's tape, as (weakref, entry ops) taken before it."""
+        seen = []
+
+        def spy(loss):
+            tape = loss._tape
+            seen.append((weakref.ref(tape), [e.op for e in tape.entries]))
+            backward(loss)
+
+        monkeypatch.setattr(trainer_module, "backward", spy)
+        return seen
+
+    @pytest.mark.parametrize("name, dense, total", [
+        ("default-synth", 2 * (2 + 2 + 2), 31),
+        ("moco-smoke", 2 + 6, 26),
+    ])
+    def test_one_dense_entry_per_layer(self, backward_spy, name, dense, total):
+        trainer = Trainer(from_dict(preset(name)))
+        trainer.train_step(trainer.dataset.samples[:128], 0)
+        [(_, ops)] = backward_spy
+        assert ops.count("dense") == dense
+        assert len(ops) == total
+
+    @pytest.mark.parametrize("mode", ["byol_m2t", "moco"])
+    def test_tape_freed_without_the_cycle_collector(self, backward_spy, mode):
+        trainer = Trainer(small_config(mode=mode))
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_step(trainer.dataset.samples[:16], 0)
+            [(tape, _)] = backward_spy
+            assert tape() is None
+        finally:
+            gc.enable()
 
 
 class TestCostModel:
