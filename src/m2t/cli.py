@@ -157,6 +157,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol: must be finite and > 0, got {args.tol}")
     results = run_all(trials=args.trials, tol=args.tol)
     passed = results.pop("passed")
     for name in sorted(results):

@@ -16,6 +16,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 
 from .data import AugmentSpec
 from .model import STUDENT_BN_KINDS, TEACHER_BN_KINDS, MlpSpec
+from .schedules import SCHEDULE_KINDS
 
 MODES = ("byol_m2t", "moco")
 OPTIMIZERS = ("sgd", "lars")
@@ -129,8 +130,8 @@ class TrainConfig:
         if self.m_base > 1:
             raise ConfigError("m_base: must lie in [0, 1]")
         for name in ("m_schedule", "alpha_schedule"):
-            if getattr(self, name) not in ("cosine_to_zero", "constant"):
-                raise ConfigError(f"{name}: must be 'cosine_to_zero' or 'constant'")
+            if getattr(self, name) not in SCHEDULE_KINDS:
+                raise ConfigError(f"{name}: must be one of {SCHEDULE_KINDS}")
         if self.temperature <= 0:
             raise ConfigError("temperature: must be > 0")
         if self.queue_capacity < 1:

@@ -14,7 +14,7 @@ import numpy as np
 from . import engine
 from .engine import BNSpec, constant, finite_diff_check, parameter
 from .model import MlpSpec, build_pair, mlp_spec
-from .normalization import NormParams, WorkerLayout
+from .normalization import NormParams
 from .objectives import byol_loss, symmetrized_loss
 
 DEFAULT_TRIALS = 100
@@ -117,11 +117,10 @@ def _case_byol_mlp(rng):
     _randomize_student(pair, rng)
     batch = rng.uniform(-2, 2, size=(6, 3))
     target = rng.uniform(-2, 2, size=(6, 2))
-    layout = WorkerLayout(6, 2)
 
     def f():
         from .model import forward_student
-        _, p = forward_student(pair, batch, layout)
+        _, p = forward_student(pair, batch, 2)
         return byol_loss(p, constant(target))
 
     return f, [(name, t) for name, t, _ in pair.student_params()]
@@ -133,12 +132,11 @@ def _case_symmetrized(rng):
     _randomize_student(pair, rng)
     v1 = rng.uniform(-2, 2, size=(6, 3))
     v2 = rng.uniform(-2, 2, size=(6, 3))
-    layout = WorkerLayout(6, 2)
 
     def f():
         for state in pair.teacher_bn_states():
             state.pending.clear()
-        out = symmetrized_loss(pair, v1, v2, layout, alpha=1.0)
+        out = symmetrized_loss(pair, v1, v2, 2, alpha=1.0)
         return out.loss
 
     return f, [(name, t) for name, t, _ in pair.student_params()]

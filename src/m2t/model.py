@@ -33,7 +33,6 @@ from .engine import BNSpec, DimensionError, Tensor
 from .normalization import (
     MomentumBNState,
     NormParams,
-    WorkerLayout,
     constant_batch_stats,
     momentum_bn_lazy_commit,
     momentum_stats,
@@ -258,13 +257,12 @@ def forward_mlp(mlp: Mlp, x: Tensor,
 
 
 def forward_student(pair: StudentTeacherPair, v,
-                    layout: WorkerLayout) -> tuple[Tensor, Optional[Tensor]]:
+                    workers: int) -> tuple[Tensor, Optional[Tensor]]:
     """Full student pass: returns (projection z, prediction p); p is None
-    for a pair without predictor. Plain BN normalizes each worker's slice
-    (one group per worker), synced BN the whole batch (one group)."""
-    v = engine.as_tensor(v)
-    layout.validate(v)
-    groups = layout.num_workers if pair.student_bn == "plain" else 1
+    for a pair without predictor. Plain BN normalizes each of the
+    ``workers`` slices of the batch (one group per worker), synced BN the
+    whole batch (one group)."""
+    groups = workers if pair.student_bn == "plain" else 1
 
     def norm(layer: Layer) -> BNSpec:
         return BNSpec(layer.norm, groups)
@@ -276,10 +274,11 @@ def forward_student(pair: StudentTeacherPair, v,
     return z, forward_mlp(pair.predictor, z, norm)
 
 
-def teacher_norm(kind: str, alpha: float,
-                 layout: Optional[WorkerLayout] = None,
-                 perm_seed: Optional[int] = None) -> Callable[[Layer], BNSpec]:
-    """BN specs of a teacher pass with BN ``kind``.
+def teacher_norm(kind: str, alpha: float, workers: Optional[int] = None,
+                 perm_seed: Optional[int] = None,
+                 batch_size: Optional[int] = None) -> Callable[[Layer], BNSpec]:
+    """BN specs of a teacher pass with BN ``kind`` over ``workers`` slices
+    of a ``batch_size``-row batch (the size only matters for shuffling).
 
     Every kind appends each layer's whole-batch statistics to its state's
     pending list for the history commit. Momentum BN normalizes with their
@@ -290,11 +289,11 @@ def teacher_norm(kind: str, alpha: float,
     if kind == "momentum":
         return lambda layer: BNSpec(layer.norm,
                                     stats=momentum_stats(layer.state, alpha))
-    if layout is None:
-        raise ValueError(f"teacher BN kind {kind!r} needs a worker layout")
-    groups = 1 if kind == "synced" else layout.num_workers
-    perm = shuffle_permutation(layout, perm_seed) if kind == "shuffling" \
-        else None
+    if workers is None:
+        raise ValueError(f"teacher BN kind {kind!r} needs a worker count")
+    groups = 1 if kind == "synced" else workers
+    perm = shuffle_permutation(batch_size, perm_seed) \
+        if kind == "shuffling" else None
 
     def norm(layer: Layer) -> BNSpec:
         pending = layer.state.pending
@@ -311,7 +310,7 @@ def teacher_norm(kind: str, alpha: float,
 
 
 def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
-                    layout: Optional[WorkerLayout] = None,
+                    workers: Optional[int] = None,
                     perm_seed: Optional[int] = None) -> Tensor:
     """Teacher pass: projection z' with no gradient participation.
 
@@ -319,9 +318,8 @@ def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
     commit them once per iteration via :func:`commit_teacher_bn`.
     """
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
-    if layout is not None:
-        layout.validate(x)
-    norm = teacher_norm(pair.teacher_bn, alpha, layout, perm_seed)
+    norm = teacher_norm(pair.teacher_bn, alpha, workers, perm_seed,
+                        x.shape[0])
     x = forward_mlp(pair.t_encoder, x, norm)
     return forward_mlp(pair.t_projector, x, norm)
 

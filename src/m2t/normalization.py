@@ -1,23 +1,25 @@
-"""Batch-normalization variants over 2-D activations (batch x channels).
+"""Batch-normalization state and statistics over 2-D activations (batch x
+channels).
 
-Four normalization flavours cover the student/teacher combinations studied
-here. Each normalizes equal row groups with their own or with given
-statistics: in the model's layers as the BN spec of the fused
-:func:`m2t.engine.dense` op (see :mod:`m2t.model`), and in the per-kind
-forwards below as one call to :func:`m2t.engine.batch_norm`:
+Every BN layer is normalized by one fused :func:`m2t.engine.dense` op, and
+how it normalizes is its :class:`m2t.engine.BNSpec`, built in
+:mod:`m2t.model`: equal row groups normalized with their own statistics,
+or with given ones, optionally after a row permutation. Four flavours
+cover the student/teacher combinations studied here:
 
 * plain: each simulated worker normalizes its own slice of the batch with
   that slice's statistics (one group per worker);
 * synced: statistics are taken over the union of all workers' samples (one
   group), so the result matches single-worker BN on the whole batch bit for
   bit;
-* shuffling: samples are permuted across workers before per-worker BN and
-  the permutation is undone afterwards, so a worker's statistics never come
-  from its own samples in original order;
+* shuffling: samples are permuted across workers (:func:`shuffle_permutation`)
+  before per-worker BN and the permutation is undone afterwards, so a
+  worker's statistics never come from its own samples in original order;
 * momentum: normalization uses a convex blend of the current batch
-  statistics with an exponentially averaged history, and the history itself
-  is only committed once per iteration (lazily), after both views of a
-  symmetrized step have been processed (given statistics).
+  statistics with an exponentially averaged history
+  (:func:`momentum_stats`), and the history itself is only committed once
+  per iteration (lazily, :func:`momentum_bn_lazy_commit`), after both views
+  of a symmetrized step have been processed.
 
 The blend coefficient ``alpha`` weights the current batch:
 
@@ -38,7 +40,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import engine
 from .engine import DimensionError, Tensor
 
 
@@ -73,34 +74,6 @@ class NormParams:
         if self.gamma.shape != self.beta.shape:
             raise DimensionError(
                 f"gamma/beta shapes differ: {self.gamma.shape} vs {self.beta.shape}")
-
-
-@dataclass
-class WorkerLayout:
-    """Contiguous equal partition of a batch across simulated workers."""
-
-    batch_size: int
-    num_workers: int = 1
-
-    def __post_init__(self):
-        if self.num_workers < 1:
-            raise ValueError(f"need >= 1 worker, got {self.num_workers}")
-        if self.batch_size < 1:
-            raise ValueError(f"need >= 1 sample, got {self.batch_size}")
-        if self.batch_size % self.num_workers != 0:
-            raise ValueError(
-                f"batch size {self.batch_size} not divisible by "
-                f"{self.num_workers} workers")
-
-    @property
-    def per_worker(self) -> int:
-        return self.batch_size // self.num_workers
-
-    def validate(self, x: Tensor) -> None:
-        if x.shape[0] != self.batch_size:
-            raise DimensionError(
-                f"layout covers {self.batch_size} samples but batch has "
-                f"{x.shape[0]}")
 
 
 @dataclass
@@ -139,52 +112,15 @@ def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
 
 
 # ---------------------------------------------------------------------------
-# worker-partitioned forwards
+# shuffling BN
 
 
-def plain_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams) -> Tensor:
-    """Per-worker BN: each slice is normalized by its own statistics."""
-    layout.validate(x)
-    return engine.batch_norm(x, layout.num_workers, p.gamma, p.beta, p.eps)
-
-
-def synced_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams) -> Tensor:
-    """Simulated cross-worker BN: statistics over the union of all slices.
-
-    One group over the concatenated batch is exactly single-worker BN, so
-    the defining equivalence holds bit for bit.
-    """
-    layout.validate(x)
-    return engine.batch_norm(x, 1, p.gamma, p.beta, p.eps)
-
-
-def shuffling_bn_forward(x: Tensor, layout: WorkerLayout, p: NormParams,
-                         perm_seed: Optional[int] = None,
-                         perm: Optional[np.ndarray] = None) -> Tensor:
-    """Permute samples across workers, apply per-worker BN, permute back.
-
-    The permutation is drawn uniformly from ``perm_seed`` unless an explicit
-    ``perm`` is supplied.
-    """
-    layout.validate(x)
-    if perm is None:
-        perm = shuffle_permutation(layout, perm_seed)
-    else:
-        perm = np.asarray(perm, dtype=np.intp)
-        if sorted(perm.tolist()) != list(range(layout.batch_size)):
-            raise ValueError("perm is not a permutation of the batch")
-    inverse = np.argsort(perm, kind="stable")
-    shuffled = engine.gather_rows(x, perm)
-    normalized = plain_bn_forward(shuffled, layout, p)
-    return engine.gather_rows(normalized, inverse)
-
-
-def shuffle_permutation(layout: WorkerLayout,
+def shuffle_permutation(batch_size: int,
                         perm_seed: Optional[int]) -> np.ndarray:
     """The seeded permutation of the batch that shuffling BN applies."""
     if perm_seed is None:
         raise ValueError("shuffling BN needs a permutation seed")
-    return np.random.default_rng(perm_seed).permutation(layout.batch_size)
+    return np.random.default_rng(perm_seed).permutation(batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +153,6 @@ def momentum_stats(state: MomentumBNState,
         return use.mean, use.var
 
     return stats
-
-
-def momentum_bn_forward(x: Tensor, state: MomentumBNState, alpha: float,
-                        p: NormParams) -> tuple[Tensor, BatchStats]:
-    """Normalize with blended batch/history statistics; history untouched.
-
-    Returns the normalized tensor together with the current-view statistics,
-    which are also retained on ``state.pending`` for the lazy commit at the
-    end of the iteration. All statistics involved are gradient constants.
-    """
-    use = momentum_stats(state, alpha)(x.values)
-    y = engine.batch_norm(x, 1, p.gamma, p.beta, p.eps, stats=use)
-    return y, state.pending[-1]
 
 
 def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
@@ -270,15 +193,15 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
 # Deterministic stand-in for the wall-clock cost of cross-worker traffic:
 # synced BN all-reduces one (mean, var) pair per channel per worker, while
 # shuffling BN exchanges whole activation rows twice (scatter and gather).
-def comm_bytes(kind: str, layout: WorkerLayout, channels: int) -> int:
+def comm_bytes(kind: str, workers: int, batch_size: int, channels: int) -> int:
     """Modeled bytes a single forward of this BN kind would move between
     workers (zero for purely local kinds)."""
-    if layout.num_workers <= 1:
+    if workers <= 1:
         return 0
     if kind == "synced":
-        return 2 * channels * 8 * layout.num_workers
+        return 2 * channels * 8 * workers
     if kind == "shuffling":
-        return 2 * layout.batch_size * channels * 8
+        return 2 * batch_size * channels * 8
     if kind in ("plain", "momentum"):
         return 0
     raise ValueError(f"unknown BN kind {kind!r}")

@@ -23,7 +23,6 @@ import numpy as np
 from . import engine
 from .engine import HEALTH, Tensor
 from .model import StudentTeacherPair, forward_student, forward_teacher
-from .normalization import WorkerLayout
 
 NORM_GUARD = 1e-12
 
@@ -65,7 +64,7 @@ class LossValue:
     term_student_v2: Tensor
 
 
-def symmetrized_loss(pair: StudentTeacherPair, v, v2, layout: WorkerLayout,
+def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
                      alpha: float,
                      perm_seed: Optional[int] = None) -> LossValue:
     """Two-view symmetrized prediction loss.
@@ -75,12 +74,12 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, layout: WorkerLayout,
     statistics they leave behind must be committed by the caller exactly
     once afterwards.
     """
-    _, p_v = forward_student(pair, v, layout)
-    t_v2 = forward_teacher(pair, v2, alpha, layout=layout, perm_seed=perm_seed)
+    _, p_v = forward_student(pair, v, workers)
+    t_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
     term1 = byol_loss(p_v, t_v2)
 
-    _, p_v2 = forward_student(pair, v2, layout)
-    t_v = forward_teacher(pair, v, alpha, layout=layout, perm_seed=perm_seed)
+    _, p_v2 = forward_student(pair, v2, workers)
+    t_v = forward_teacher(pair, v, alpha, workers, perm_seed)
     term2 = byol_loss(p_v2, t_v)
 
     return LossValue(loss=term1 + term2, term_student_v=term1,

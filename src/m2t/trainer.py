@@ -38,7 +38,7 @@ from .model import (
     forward_student,
     forward_teacher,
 )
-from .normalization import WorkerLayout, comm_bytes
+from .normalization import comm_bytes
 from .objectives import (NegQueue, infonce_loss, l2_normalize_rows,
                          queue_update, symmetrized_loss)
 from .schedules import ScheduleSpec, lr_at, schedule_value, apply_linear_scaling
@@ -178,11 +178,11 @@ def build_model(cfg: TrainConfig, in_dim: int) -> StudentTeacherPair:
         raise ConfigError(str(e)) from None
 
 
-def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair,
-                         batch_size: int) -> float:
-    """Deterministic per-iteration cost model (the Table-1 analogue)."""
+def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair) -> float:
+    """Deterministic per-iteration cost model (the Table-1 analogue) at
+    ``cfg.batch_size`` over ``cfg.workers``."""
     student_bn, teacher_bn = pair.student_bn, pair.teacher_bn
-    layout = WorkerLayout(batch_size, cfg.workers)
+    batch_size = cfg.batch_size
     passes = 1 if cfg.mode == "moco" else 2  # views per iteration
 
     def mlp_flops(mlp):
@@ -194,7 +194,8 @@ def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair,
         for layer in mlp.layers:
             if layer.norm is None:
                 continue
-            bytes_moved = comm_bytes(kind, layout, layer.weight.shape[1])
+            bytes_moved = comm_bytes(kind, cfg.workers, batch_size,
+                                     layer.weight.shape[1])
             if bytes_moved:
                 cost += passes * (NOMINAL_COLLECTIVE_LATENCY
                                   + bytes_moved / NOMINAL_BANDWIDTH_BYTES)
@@ -276,7 +277,7 @@ class Trainer:
             except (ValueError, MemoryError) as e:
                 raise ConfigError(f"queue_capacity: cannot allocate "
                                   f"{cfg.queue_capacity} keys ({e})") from None
-        self._sec_model = modeled_sec_per_iter(cfg, self.pair, cfg.batch_size)
+        self._sec_model = modeled_sec_per_iter(cfg, self.pair)
 
     def train_step(self, batch: np.ndarray, k: int) -> MetricsRecord:
         """One full iteration at global step k; returns its metrics."""
@@ -289,7 +290,6 @@ class Trainer:
         v, v2 = make_views(batch, cfg.augment,
                            seed=substream_int(cfg.seed, "augment", k),
                            image_hw=self.dataset.image_hw)
-        layout = WorkerLayout(batch.shape[0], cfg.workers)
         perm_seed = substream_int(cfg.seed, "bnperm", k)
 
         for p in self.params:
@@ -297,16 +297,16 @@ class Trainer:
 
         with record():
             if self.is_moco:
-                z, _ = forward_student(self.pair, v, layout)
-                k_pos = forward_teacher(self.pair, v2, alpha_k, layout=layout,
-                                        perm_seed=perm_seed)
+                z, _ = forward_student(self.pair, v, cfg.workers)
+                k_pos = forward_teacher(self.pair, v2, alpha_k, cfg.workers,
+                                        perm_seed)
                 # Unit keys, normalized once: the positive logit and the
                 # queue use the same rows.
                 k_hat = l2_normalize_rows(k_pos)
                 loss_t = infonce_loss(z, k_hat, self.queue, cfg.temperature)
                 l1, l2 = loss_t.item(), 0.0
             else:
-                lv = symmetrized_loss(self.pair, v, v2, layout, alpha_k,
+                lv = symmetrized_loss(self.pair, v, v2, cfg.workers, alpha_k,
                                       perm_seed=perm_seed)
                 loss_t = lv.loss
                 l1, l2 = lv.term_student_v.item(), lv.term_student_v2.item()
@@ -417,8 +417,7 @@ def ablation_grid(trainers: list[Trainer]) -> list[dict]:
             "student": cfg.student_bn,
             "teacher": cfg.teacher_bn,
             "accuracy": acc,
-            "sec_per_iter_model": modeled_sec_per_iter(cfg, trainer.pair,
-                                                       cfg.batch_size),
+            "sec_per_iter_model": trainer._sec_model,
             "wall_seconds": wall,
             "metrics": result.metrics,
             "payload": result.payload,

@@ -1,19 +1,28 @@
-"""Composed batch-norm reference for the fused :func:`m2t.engine.batch_norm`.
+"""Composed batch-norm reference for the fused BN of :mod:`m2t.engine`, and
+drivers that run the model's own BN specs on a bare batch.
 
 :func:`bn_apply` on :func:`batch_stats` spells BN out of generic engine ops
 (mean, var, sub, div, sqrt, mul, add), so its forward and its autodiff
 backward are independent of the fused op's closed form. The statistics are
 tape-linked whenever ``x`` is, so a student batch back-propagates through
 its mean and variance.
+
+:func:`student_bn` and :func:`layer_bn` normalize a batch the way a
+training run does: through :func:`m2t.model.forward_student`, or through
+:func:`m2t.engine.dense` with a spec of :func:`m2t.model.teacher_norm`. Each
+layer has an identity weight and a zero bias, so ``x @ I + 0`` is ``x``
+exactly in float64 and the output is that BN of ``x`` alone.
 """
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from m2t import engine
-from m2t.engine import DimensionError, Tensor
-from m2t.normalization import NormParams
+from m2t.engine import BNSpec, DimensionError, Tensor
+from m2t.model import Layer, MlpSpec, build_pair, forward_student
+from m2t.normalization import MomentumBNState, NormParams
 
 
 @dataclass
@@ -57,7 +66,34 @@ def identity_norm_params(channels: int, eps: float = 1e-5,
     )
 
 
-def worker_slices(layout) -> list[slice]:
+def worker_slices(batch_size: int, workers: int) -> list[slice]:
     """Each simulated worker's contiguous rows of the batch."""
-    p = layout.per_worker
-    return [slice(w * p, (w + 1) * p) for w in range(layout.num_workers)]
+    per = batch_size // workers
+    return [slice(w * per, (w + 1) * per) for w in range(workers)]
+
+
+def student_bn(x, kind: str, workers: int, p: NormParams) -> Tensor:
+    """``x`` normalized by the student BN ``kind`` at ``workers`` workers,
+    as :func:`forward_student` builds it: its pair is one BN layer with
+    params ``p`` (encoder) and one plain layer (projector)."""
+    c = p.gamma.shape[0]
+    pair = build_pair(MlpSpec((c, c), (True,), (False,)),
+                      MlpSpec((c, c), (False,), (False,)), None,
+                      np.random.default_rng(0), student_bn=kind)
+    for mlp in (pair.encoder, pair.projector):
+        mlp.layers[0].weight.values = np.eye(c)
+    pair.encoder.layers[0].norm = p
+    z, _ = forward_student(pair, x, workers)
+    return z
+
+
+def layer_bn(x, norm: Callable[[Layer], BNSpec], p: NormParams,
+             state: Optional[MomentumBNState] = None) -> Tensor:
+    """``x`` normalized by the spec that ``norm`` (such as a
+    :func:`m2t.model.teacher_norm`) gives a layer with params ``p`` and
+    momentum state ``state`` (a fresh one if None)."""
+    c = p.gamma.shape[0]
+    layer = Layer(weight=Tensor(np.eye(c)), bias=Tensor(np.zeros(c)), norm=p,
+                  relu=False,
+                  state=MomentumBNState() if state is None else state)
+    return engine.dense(x, layer.weight, layer.bias, layer.relu, norm(layer))

@@ -21,17 +21,13 @@ import pytest
 from m2t import engine
 from m2t.config import from_dict, preset
 from m2t.gradcheck import run_all
-from m2t.model import MlpSpec, build_pair, ema_update, forward_teacher, mlp_spec
-from m2t.normalization import (
-    MomentumBNState,
-    WorkerLayout,
-    momentum_bn_forward,
-    plain_bn_forward,
-    synced_bn_forward,
-)
+from m2t.model import (MlpSpec, build_pair, ema_update, forward_teacher,
+                       mlp_spec, teacher_norm)
+from m2t.normalization import MomentumBNState
 from m2t.schedules import apply_linear_scaling, cosine_value
 
-from bn_reference import batch_stats, bn_apply, identity_norm_params
+from bn_reference import (batch_stats, bn_apply, identity_norm_params,
+                          layer_bn, student_bn)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -72,12 +68,19 @@ def test_criterion_2_synced_bn_equivalence():
         x = engine.constant(rng.normal(rng.normal(), np.abs(rng.normal()) + 0.1,
                                        size=(n, c)))
         p = identity_norm_params(c)
-        multi = synced_bn_forward(x, WorkerLayout(n, w), p)
-        single = plain_bn_forward(x, WorkerLayout(n, 1), p)
-        if multi.values.tobytes() != single.values.tobytes():
+        # The specs a run builds: the student's groups in forward_student,
+        # the teacher's in teacher_norm.
+        student_multi = student_bn(x, "synced", w, p)
+        student_single = student_bn(x, "plain", 1, p)
+        teacher_multi = layer_bn(x, teacher_norm("synced", 1.0, w), p)
+        teacher_single = layer_bn(x, teacher_norm("plain", 1.0, 1), p)
+        if (student_multi.values.tobytes() != student_single.values.tobytes()
+                or teacher_multi.values.tobytes()
+                != teacher_single.values.tobytes()):
             failures += 1
     announce(2, failures == 0,
-             f"synced BN bit-identical to single-worker BN, {50 - failures}/50")
+             f"synced BN bit-identical to single-worker BN (student and "
+             f"teacher specs), {50 - failures}/50")
     assert failures == 0
 
 
@@ -92,7 +95,7 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        y, _ = momentum_bn_forward(x, state, 1.0, p)
+        y = layer_bn(x, teacher_norm("momentum", 1.0), p, state)
         ref = bn_apply(x, batch_stats(x), p)
         if y.values.tobytes() != ref.values.tobytes():
             alpha1_failures += 1
@@ -106,14 +109,16 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        base, _ = momentum_bn_forward(engine.constant(x), state, 0.0, p)
+        base = layer_bn(engine.constant(x), teacher_norm("momentum", 0.0), p,
+                        state)
         state.pending.clear()
         row = int(rng.integers(0, n))
         perturbed = x.copy()
         mask = np.ones(n, dtype=bool)
         mask[row] = False
         perturbed[mask] += rng.normal(13.0, 40.0, size=(n - 1, c))
-        out, _ = momentum_bn_forward(engine.constant(perturbed), state, 0.0, p)
+        out = layer_bn(engine.constant(perturbed),
+                       teacher_norm("momentum", 0.0), p, state)
         if base.values[row].tobytes() != out.values[row].tobytes():
             alpha0_failures += 1
 

@@ -600,6 +600,18 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("args", [
+        ["--trials", "0"], ["--trials", "-3"], ["--tol", "inf"],
+        ["--tol", "nan"], ["--tol", "-1"],
+    ], ids=" ".join)
+    def test_bad_arguments_exit_2(self, capsys, args):
+        # No draw checked, or a tolerance nothing can fail, is no gate.
+        code = main(["gradcheck", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert args[0] in captured.err
+        assert "PASS" not in captured.out
+
     def test_report_includes_per_op_error(self, capsys):
         main(["gradcheck", "--trials", "1"])
         out = capsys.readouterr().out

@@ -38,6 +38,11 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="workers"):
             from_dict(minimal_doc(batch_size=10, workers=4))
 
+    @pytest.mark.parametrize("name", ["m_schedule", "alpha_schedule"])
+    def test_unknown_schedule_kind_names_its_field(self, name):
+        with pytest.raises(ConfigError, match=f"{name}: must be one of"):
+            from_dict(minimal_doc(**{name: "linear"}))
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha_base"):
             from_dict(minimal_doc(alpha_base=1.5))

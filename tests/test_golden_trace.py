@@ -25,7 +25,6 @@ from m2t.model import (
     commit_teacher_bn,
     ema_update,
 )
-from m2t.normalization import WorkerLayout
 from m2t.objectives import symmetrized_loss
 from m2t.trainer import OptimizerState, Param, sgd_step
 
@@ -88,7 +87,6 @@ def test_committed_trace_matches_generator_script():
 
 def test_full_iteration_matches_reference(trace, setup):
     pair, state, v1, v2, cfg = setup
-    layout = WorkerLayout(4, 2)
     alpha = cfg["alpha"]
 
     # Per-worker student statistics of the affine pre-activations.
@@ -96,14 +94,14 @@ def test_full_iteration_matches_reference(trace, setup):
                       (v2, "student_worker_stats_v2")):
         a = engine.constant(view) @ pair.encoder.layers[0].weight \
             + pair.encoder.layers[0].bias
-        for rows, expected in zip(worker_slices(layout), trace[key]):
+        for rows, expected in zip(worker_slices(4, 2), trace[key]):
             s = batch_stats(engine.constant(a.values[rows]))
             np.testing.assert_allclose(s.mean.values, expected["mean"], atol=TOL)
             np.testing.assert_allclose(s.var.values, expected["var"], atol=TOL)
 
     # The symmetrized pass: losses and pending teacher statistics.
     with engine.record():
-        out = symmetrized_loss(pair, v1, v2, layout, alpha)
+        out = symmetrized_loss(pair, v1, v2, 2, alpha)
     assert out.term_student_v.item() == pytest.approx(trace["loss_term_1"],
                                                       abs=TOL)
     assert out.term_student_v2.item() == pytest.approx(trace["loss_term_2"],
@@ -193,10 +191,9 @@ def test_student_predictions_match_reference(trace, setup):
     pair, state, v1, v2, cfg = setup
     from m2t.model import forward_student
 
-    layout = WorkerLayout(4, 2)
-    _, p1 = forward_student(pair, v1, layout)
+    _, p1 = forward_student(pair, v1, 2)
     np.testing.assert_allclose(p1.values, trace["student_prediction_v1"],
                                atol=TOL)
-    _, p2 = forward_student(pair, v2, layout)
+    _, p2 = forward_student(pair, v2, 2)
     np.testing.assert_allclose(p2.values, trace["student_prediction_v2"],
                                atol=TOL)

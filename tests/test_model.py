@@ -22,7 +22,6 @@ from m2t.model import (
     teacher_norm,
 )
 from m2t.evaluate import extract_features
-from m2t.normalization import WorkerLayout
 
 from bn_reference import worker_slices
 
@@ -71,7 +70,7 @@ class TestForwardStudent:
         for _, t, _ in pair.student_params():
             t.values = np.zeros_like(t.values)
         v = np.random.default_rng(1).normal(size=(8, 4))
-        _, p = forward_student(pair, v, WorkerLayout(8, 2))
+        _, p = forward_student(pair, v, 2)
         np.testing.assert_array_equal(p.values, 0.0)
 
     def test_identity_network_passes_input_through(self):
@@ -80,22 +79,21 @@ class TestForwardStudent:
             mlp.layers[0].weight.values = np.eye(3)
             mlp.layers[0].bias.values = np.zeros(3)
         v = np.random.default_rng(2).normal(size=(6, 3))
-        z, _ = forward_student(pair, v, WorkerLayout(6, 1))
+        z, _ = forward_student(pair, v, 1)
         np.testing.assert_array_equal(z.values, v)
 
     def test_matches_scripted_reference_forward(self):
         pair = tiny_pair(seed=3)
         rng = np.random.default_rng(0)
         v = rng.normal(size=(8, 4))
-        layout = WorkerLayout(8, 2)
-        z, p = forward_student(pair, v, layout)
+        z, p = forward_student(pair, v, 2)
 
         def ref_mlp(mlp, x):
             for layer in mlp.layers:
                 x = x @ layer.weight.values + layer.bias.values
                 if layer.norm is not None:
                     out = np.empty_like(x)
-                    for rows in worker_slices(layout):
+                    for rows in worker_slices(8, 2):
                         sl = x[rows]
                         mu = sl.mean(axis=0)
                         sig = sl.var(axis=0)
@@ -117,9 +115,8 @@ class TestForwardTeacher:
     def test_fresh_copy_alpha_one_matches_student_projection(self):
         pair = tiny_pair(seed=4)
         v = np.random.default_rng(5).normal(size=(8, 4))
-        layout = WorkerLayout(8, 1)
-        z, _ = forward_student(pair, v, layout)
-        z_t = forward_teacher(pair, v, alpha=1.0, layout=layout)
+        z, _ = forward_student(pair, v, 1)
+        z_t = forward_teacher(pair, v, alpha=1.0, workers=1)
         np.testing.assert_array_equal(z_t.values, z.values)
 
     def test_alpha_zero_is_per_sample_affine(self):
@@ -147,10 +144,9 @@ class TestForwardTeacher:
     def test_no_gradients_anywhere_on_teacher(self):
         pair = tiny_pair(seed=8)
         v = np.random.default_rng(9).normal(size=(8, 4))
-        layout = WorkerLayout(8, 2)
         with record():
-            _, p = forward_student(pair, v, layout)
-            t = forward_teacher(pair, v, alpha=1.0, layout=layout)
+            _, p = forward_student(pair, v, 2)
+            t = forward_teacher(pair, v, alpha=1.0, workers=2)
             d = p - t
             loss = engine.sum(d * d)
         backward(loss)
@@ -162,7 +158,7 @@ class TestForwardTeacher:
     def test_no_bn_teacher_copy_equals_student_truncation(self):
         pair = plain_pair_no_bn(seed=10, dim=5)
         v = np.random.default_rng(11).normal(size=(4, 5))
-        z, _ = forward_student(pair, v, WorkerLayout(4, 1))
+        z, _ = forward_student(pair, v, 1)
         z_t = forward_teacher(pair, v, alpha=1.0)
         np.testing.assert_array_equal(z_t.values, z.values)
 
@@ -170,8 +166,7 @@ class TestForwardTeacher:
         for kind in ("plain", "synced", "shuffling"):
             pair = tiny_pair(seed=12, teacher_bn=kind)
             v = np.random.default_rng(13).normal(size=(8, 4))
-            forward_teacher(pair, v, alpha=1.0, layout=WorkerLayout(8, 2),
-                            perm_seed=0)
+            forward_teacher(pair, v, alpha=1.0, workers=2, perm_seed=0)
             for state in pair.teacher_bn_states():
                 assert len(state.pending) == 1
 

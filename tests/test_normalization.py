@@ -1,3 +1,13 @@
+"""BN statistics, the momentum history and the BN kinds the model runs.
+
+Each kind is tested through the spec a training run builds: the student's
+through :func:`m2t.model.forward_student` (``student_bn``), the teacher's
+through :func:`m2t.model.teacher_norm` on :func:`m2t.engine.dense`
+(``layer_bn``).
+"""
+
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +16,12 @@ from hypothesis import strategies as st
 from m2t import engine
 from m2t import normalization as norm
 from m2t.engine import DimensionError, backward, constant, parameter, record
+from m2t.model import teacher_norm
 from m2t.normalization import (
     BatchStats,
     MomentumBNState,
-    WorkerLayout,
     constant_batch_stats,
-    momentum_bn_forward,
     momentum_bn_lazy_commit,
-    plain_bn_forward,
-    shuffling_bn_forward,
-    synced_bn_forward,
 )
 
 from bn_reference import (
@@ -23,6 +29,8 @@ from bn_reference import (
     batch_stats,
     bn_apply,
     identity_norm_params,
+    layer_bn,
+    student_bn,
     worker_slices,
 )
 
@@ -137,15 +145,18 @@ class TestBnApply:
 
 
 class TestWorkerLayout:
+    """The batch splits into equal contiguous slices, one per worker."""
+
     def test_ranges_partition(self):
-        layout = WorkerLayout(batch_size=8, num_workers=4)
-        assert layout.per_worker == 2
-        assert worker_slices(layout) == [slice(0, 2), slice(2, 4),
-                                         slice(4, 6), slice(6, 8)]
+        assert worker_slices(8, 4) == [slice(0, 2), slice(2, 4),
+                                       slice(4, 6), slice(6, 8)]
 
     def test_indivisible_batch_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            WorkerLayout(batch_size=10, num_workers=4)
+        x = constant(np.zeros((10, 2)))
+        with pytest.raises(DimensionError, match="equal groups"):
+            student_bn(x, "plain", 4, identity_norm_params(2))
+        with pytest.raises(DimensionError, match="equal groups"):
+            layer_bn(x, teacher_norm("plain", 1.0, 4), identity_norm_params(2))
 
 
 class TestPlainBn:
@@ -153,25 +164,29 @@ class TestPlainBn:
         rng = np.random.default_rng(3)
         x = constant(rng.normal(size=(16, 4)))
         p = identity_norm_params(4)
-        got = plain_bn_forward(x, WorkerLayout(16, 1), p)
-        want = bn_apply(x, batch_stats(x), p)
-        assert got.values.tobytes() == want.values.tobytes()
+        want = bn_apply(x, batch_stats(x), p).values.tobytes()
+        assert student_bn(x, "plain", 1, p).values.tobytes() == want
+        assert layer_bn(x, teacher_norm("plain", 1.0, 1), p).values.tobytes() \
+            == want
 
     def test_constant_slices_normalize_to_beta(self):
         x = constant([[1.0], [1.0], [3.0], [3.0]])
         p = norm.NormParams(gamma=constant([1.0]), beta=constant([0.5]))
-        y = plain_bn_forward(x, WorkerLayout(4, 2), p)
-        np.testing.assert_allclose(y.values, 0.5)
+        np.testing.assert_allclose(student_bn(x, "plain", 2, p).values, 0.5)
+        np.testing.assert_allclose(
+            layer_bn(x, teacher_norm("plain", 1.0, 2), p).values, 0.5)
 
     def test_matches_slice_wise_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(32, 8))
         p = identity_norm_params(8)
-        y = plain_bn_forward(constant(x), WorkerLayout(32, 4), p)
-        for rows in worker_slices(WorkerLayout(32, 4)):
+        student = student_bn(constant(x), "plain", 4, p)
+        teacher = layer_bn(constant(x), teacher_norm("plain", 1.0, 4), p)
+        for rows in worker_slices(32, 4):
             piece = constant(x[rows])
             ref = bn_apply(piece, batch_stats(piece), p)
-            np.testing.assert_array_equal(y.values[rows], ref.values)
+            np.testing.assert_array_equal(student.values[rows], ref.values)
+            np.testing.assert_array_equal(teacher.values[rows], ref.values)
 
     def test_backward_through_worker_slices(self):
         rng = np.random.default_rng(5)
@@ -180,18 +195,21 @@ class TestPlainBn:
         target = rng.normal(size=(8, 3))
 
         def f():
-            y = plain_bn_forward(x, WorkerLayout(8, 2), p)
+            y = student_bn(x, "plain", 2, p)
             d = y - target
             return engine.sum(d * d)
 
         assert engine.finite_diff_check(f, [("x", x)]).passed
 
     def test_student_forward_is_one_tape_entry(self):
+        # BN records nothing of its own: the BN layer and the plain layer
+        # are one fused entry each.
         x = parameter(np.random.default_rng(6).normal(size=(32, 8)))
         p = identity_norm_params(8, requires_grad=True)
         with record() as tape:
-            plain_bn_forward(x, WorkerLayout(32, 4), p)
-        assert [e.op for e in tape.entries] == ["batch_norm"]
+            student_bn(x, "plain", 4, p)
+        assert [e.op for e in tape.entries] == ["dense", "dense"]
+        assert p.gamma in tape.entries[0].inputs
 
 
 class TestBatchNormKernel:
@@ -253,24 +271,31 @@ class TestSyncedBn:
         rng = np.random.default_rng(7)
         x = constant(rng.normal(size=(24, 5)))
         p = identity_norm_params(5)
+        student = student_bn(x, "plain", 1, p).values.tobytes()
+        teacher = layer_bn(x, teacher_norm("plain", 1.0, 1), p).values.tobytes()
         for w in (2, 3, 4):
-            got = synced_bn_forward(x, WorkerLayout(24, w), p)
-            want = plain_bn_forward(x, WorkerLayout(24, 1), p)
-            assert got.values.tobytes() == want.values.tobytes()
+            assert student_bn(x, "synced", w, p).values.tobytes() == student
+            assert layer_bn(x, teacher_norm("synced", 1.0, w),
+                            p).values.tobytes() == teacher
 
     def test_hand_stats_over_union(self):
         x = constant([[0.0], [2.0], [4.0], [6.0]])
         p = identity_norm_params(1, eps=1e-12)
-        y = synced_bn_forward(x, WorkerLayout(4, 2), p)
         # union mean 3, union biased variance 5
         expected = (x.values - 3.0) / np.sqrt(5.0 + 1e-12)
-        np.testing.assert_allclose(y.values, expected, rtol=1e-12)
+        for y in (student_bn(x, "synced", 2, p),
+                  layer_bn(x, teacher_norm("synced", 1.0, 2), p)):
+            np.testing.assert_allclose(y.values, expected, rtol=1e-12)
 
     def test_global_zero_mean(self):
         rng = np.random.default_rng(8)
         x = constant(rng.normal(2.0, 3.0, size=(20, 6)))
-        y = synced_bn_forward(x, WorkerLayout(20, 4), identity_norm_params(6))
+        y = student_bn(x, "synced", 4, identity_norm_params(6))
         np.testing.assert_allclose(y.values.mean(axis=0), 0.0, atol=1e-12)
+
+
+def shuffling(workers: int, perm_seed: int, batch_size: int):
+    return teacher_norm("shuffling", 1.0, workers, perm_seed, batch_size)
 
 
 class TestShufflingBn:
@@ -278,42 +303,40 @@ class TestShufflingBn:
         rng = np.random.default_rng(9)
         x = constant(rng.normal(size=(12, 3)))
         p = identity_norm_params(3)
-        layout = WorkerLayout(12, 3)
-        got = shuffling_bn_forward(x, layout, p, perm=np.arange(12))
-        want = plain_bn_forward(x, layout, p)
+        spec = shuffling(3, 0, 12)
+        got = layer_bn(x, lambda layer: replace(spec(layer),
+                                                perm=np.arange(12)), p)
+        want = layer_bn(x, teacher_norm("plain", 1.0, 3), p)
         assert got.values.tobytes() == want.values.tobytes()
 
     def test_single_worker_any_permutation_equals_plain(self):
         rng = np.random.default_rng(10)
         x = constant(rng.normal(size=(8, 2)))
         p = identity_norm_params(2)
-        got = shuffling_bn_forward(x, WorkerLayout(8, 1), p, perm_seed=123)
-        want = plain_bn_forward(x, WorkerLayout(8, 1), p)
+        got = layer_bn(x, shuffling(1, 123, 8), p)
+        want = layer_bn(x, teacher_norm("plain", 1.0, 1), p)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
     def test_rows_normalized_by_shuffled_group_stats(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(16, 4))
         p = identity_norm_params(4)
-        layout = WorkerLayout(16, 4)
         seed = 77
-        y = shuffling_bn_forward(constant(x), layout, p, perm_seed=seed)
+        y = layer_bn(constant(x), shuffling(4, seed, 16), p)
 
         # Oracle: follow the permutation and recompute each group's stats.
         perm = np.random.default_rng(seed).permutation(16)
         position_of = np.argsort(perm)
         for i in range(16):
-            group = position_of[i] // layout.per_worker
-            members = x[perm[worker_slices(layout)[group]]]
+            group = position_of[i] // 4
+            members = x[perm[worker_slices(16, 4)[group]]]
             mu, sig = members.mean(axis=0), members.var(axis=0)
             expected = (x[i] - mu) / np.sqrt(sig + p.eps)
             np.testing.assert_allclose(y.values[i], expected, rtol=1e-10, atol=1e-12)
 
-    def test_rejects_non_permutation(self):
-        x = constant(np.zeros((4, 1)))
-        with pytest.raises(ValueError, match="permutation"):
-            shuffling_bn_forward(x, WorkerLayout(4, 2),
-                                 identity_norm_params(1), perm=np.array([0, 0, 1, 2]))
+
+def momentum_bn(x, state, alpha, p):
+    return layer_bn(x, teacher_norm("momentum", alpha), p, state)
 
 
 class TestMomentumBn:
@@ -330,7 +353,7 @@ class TestMomentumBn:
         x = constant(rng.normal(size=(16, 4)))
         p = identity_norm_params(4)
         state = self._state(mean=np.zeros(4), var=np.ones(4))
-        y, _ = momentum_bn_forward(x, state, 1.0, p)
+        y = momentum_bn(x, state, 1.0, p)
         want = bn_apply(x, batch_stats(x), p)
         assert y.values.tobytes() == want.values.tobytes()
 
@@ -338,22 +361,22 @@ class TestMomentumBn:
         x = constant([[3.0]])
         p = identity_norm_params(1, eps=1e-12)
         state = self._state(mean=[1.0], var=[4.0])
-        y, _ = momentum_bn_forward(x, state, 0.0, p)
+        y = momentum_bn(x, state, 0.0, p)
         assert y.values[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_half_blend_hand_example(self):
         x = constant([[0.0], [2.0]])
         p = identity_norm_params(1, eps=1e-12)
         state = self._state(mean=[0.0], var=[1.0])
-        y, s = momentum_bn_forward(x, state, 0.5, p)
+        y = momentum_bn(x, state, 0.5, p)
         # batch mean 1, batch var 1 -> blended mean 0.5, blended var 1
         np.testing.assert_allclose(y.values, [[-0.5], [1.5]], atol=1e-9)
-        np.testing.assert_array_equal(s.mean, [1.0])
+        np.testing.assert_array_equal(state.pending[-1].mean, [1.0])
 
     def test_forward_does_not_touch_history(self):
         x = constant(np.random.default_rng(13).normal(size=(4, 2)))
         state = self._state(mean=[1.0, 1.0], var=[2.0, 2.0])
-        momentum_bn_forward(x, state, 0.3, identity_norm_params(2))
+        momentum_bn(x, state, 0.3, identity_norm_params(2))
         np.testing.assert_array_equal(state.hist_mean, [1.0, 1.0])
         np.testing.assert_array_equal(state.hist_var, [2.0, 2.0])
         assert len(state.pending) == 1
@@ -361,13 +384,13 @@ class TestMomentumBn:
     def test_uninitialized_history_falls_back_to_batch(self):
         x = constant([[0.0], [2.0]])
         state = MomentumBNState()
-        y, _ = momentum_bn_forward(x, state, 0.25, identity_norm_params(1, eps=1e-12))
+        y = momentum_bn(x, state, 0.25, identity_norm_params(1, eps=1e-12))
         np.testing.assert_allclose(y.values, [[-1.0], [1.0]], atol=1e-9)
 
     def test_alpha_out_of_range(self):
         x = constant([[1.0]])
         with pytest.raises(ValueError, match="alpha"):
-            momentum_bn_forward(x, MomentumBNState(), 1.5, identity_norm_params(1))
+            momentum_bn(x, MomentumBNState(), 1.5, identity_norm_params(1))
 
 
 class TestLazyCommit:
@@ -461,8 +484,8 @@ class TestLeakageFreedom:
         def teacher_pass(other_view):
             state = MomentumBNState(hist_mean=np.zeros(3), hist_var=np.ones(3),
                                     initialized=True)
-            y_other, s_other = momentum_bn_forward(constant(other_view), state, 0.5, p)
-            y_v, s_v = momentum_bn_forward(constant(v), state, 0.5, p)
+            momentum_bn(constant(other_view), state, 0.5, p)
+            y_v = momentum_bn(constant(v), state, 0.5, p)
             momentum_bn_lazy_commit(state, 0.5)
             return y_v.values.tobytes()
 
@@ -472,9 +495,8 @@ class TestLeakageFreedom:
 
 
 def test_comm_bytes_model():
-    layout = WorkerLayout(32, 4)
-    assert norm.comm_bytes("plain", layout, 8) == 0
-    assert norm.comm_bytes("momentum", layout, 8) == 0
-    assert norm.comm_bytes("synced", layout, 8) == 2 * 8 * 8 * 4
-    assert norm.comm_bytes("shuffling", layout, 8) == 2 * 32 * 8 * 8
-    assert norm.comm_bytes("synced", WorkerLayout(32, 1), 8) == 0
+    assert norm.comm_bytes("plain", 4, 32, 8) == 0
+    assert norm.comm_bytes("momentum", 4, 32, 8) == 0
+    assert norm.comm_bytes("synced", 4, 32, 8) == 2 * 8 * 8 * 4
+    assert norm.comm_bytes("shuffling", 4, 32, 8) == 2 * 32 * 8 * 8
+    assert norm.comm_bytes("synced", 1, 32, 8) == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from m2t import engine
 from m2t.engine import backward, constant, parameter, record
 from m2t.model import MlpSpec, build_pair, mlp_spec
-from m2t.normalization import WorkerLayout
 
 from bn_reference import worker_slices
 from m2t.objectives import (
@@ -92,7 +91,7 @@ class TestSymmetrizedLoss:
     def test_perfect_prediction_gives_zero(self):
         pair = identity_pair()
         v = np.random.default_rng(2).normal(size=(4, 3))
-        out = symmetrized_loss(pair, v, v, WorkerLayout(4, 1), alpha=1.0)
+        out = symmetrized_loss(pair, v, v, 1, alpha=1.0)
         assert out.loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_view_swap_swaps_terms_keeps_sum(self):
@@ -101,11 +100,10 @@ class TestSymmetrizedLoss:
                           mlp_spec((6, 6, 4)), mlp_spec((4, 4, 4)), rng)
         v1 = rng.normal(size=(8, 4))
         v2 = rng.normal(size=(8, 4))
-        layout = WorkerLayout(8, 2)
-        a = symmetrized_loss(pair, v1, v2, layout, alpha=1.0)
+        a = symmetrized_loss(pair, v1, v2, 2, alpha=1.0)
         for state in pair.teacher_bn_states():
             state.pending.clear()
-        b = symmetrized_loss(pair, v2, v1, layout, alpha=1.0)
+        b = symmetrized_loss(pair, v2, v1, 2, alpha=1.0)
         assert a.term_student_v.item() == pytest.approx(b.term_student_v2.item(), rel=1e-12)
         assert a.term_student_v2.item() == pytest.approx(b.term_student_v.item(), rel=1e-12)
         assert a.loss.item() == pytest.approx(b.loss.item(), rel=1e-12)
@@ -115,7 +113,7 @@ class TestSymmetrizedLoss:
         pair = build_pair(MlpSpec((4, 6, 6), (True, True), (True, True)),
                           mlp_spec((6, 6, 4)), mlp_spec((4, 4, 4)), rng)
         out = symmetrized_loss(pair, rng.normal(size=(8, 4)),
-                               rng.normal(size=(8, 4)), WorkerLayout(8, 2), 0.7)
+                               rng.normal(size=(8, 4)), 2, 0.7)
         assert out.loss.item() == pytest.approx(
             out.term_student_v.item() + out.term_student_v2.item(), rel=1e-14)
 
@@ -135,9 +133,8 @@ class TestSymmetrizedLoss:
                     layer.state.initialized = True
         v1 = rng.normal(size=(8, 3))
         v2 = rng.normal(size=(8, 3))
-        layout = WorkerLayout(8, 2)
         alpha = 0.25
-        got = symmetrized_loss(pair, v1, v2, layout, alpha)
+        got = symmetrized_loss(pair, v1, v2, 2, alpha)
 
         eps = 1e-5
 
@@ -146,7 +143,7 @@ class TestSymmetrizedLoss:
                 x = x @ layer.weight.values + layer.bias.values
                 if layer.norm is not None:
                     out = np.empty_like(x)
-                    for rows in worker_slices(layout):
+                    for rows in worker_slices(8, 2):
                         sl = x[rows]
                         out[rows] = (layer.norm.gamma.values
                                     * (sl - sl.mean(0)) / np.sqrt(sl.var(0) + eps)

@@ -9,7 +9,6 @@ from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
 from m2t.engine import HEALTH, DimensionError, Tensor, backward, record
 from m2t.model import forward_student
-from m2t.normalization import WorkerLayout
 from m2t.trainer import (
     MetricsRecord,
     NanLossError,
@@ -259,7 +258,7 @@ class TestMocoHasNoPredictor:
         trainer = moco_smoke_trainer()
         with record() as tape:
             _, p = forward_student(trainer.pair, trainer.dataset.samples[:128],
-                                   WorkerLayout(128, 4))
+                                   4)
         # One fused dense entry per layer: 2 encoder and 6 projector layers.
         assert [e.op for e in tape.entries] == ["dense"] * (2 + 6)
         assert p is None and trainer.pair.predictor is None
@@ -267,7 +266,7 @@ class TestMocoHasNoPredictor:
     def test_modeled_sec_per_iter_counts_no_predictor(self):
         # The moco-shuffle-w4 benchmark recipe: shuffling teacher BN.
         trainer = moco_smoke_trainer(teacher_bn="shuffling")
-        cost = modeled_sec_per_iter(trainer.cfg, trainer.pair, 128)
+        cost = modeled_sec_per_iter(trainer.cfg, trainer.pair)
         assert cost == pytest.approx(0.024777216, rel=1e-12)
 
 
@@ -331,15 +330,15 @@ class TestCostModel:
         t_m = Trainer(cfg_m)
         cfg_s = small_config(student_bn="synced", teacher_bn="synced")
         t_s = Trainer(cfg_s)
-        cost_m = modeled_sec_per_iter(cfg_m, t_m.pair, cfg_m.batch_size)
-        cost_s = modeled_sec_per_iter(cfg_s, t_s.pair, cfg_s.batch_size)
+        cost_m = modeled_sec_per_iter(cfg_m, t_m.pair)
+        cost_s = modeled_sec_per_iter(cfg_s, t_s.pair)
         assert cost_s > cost_m
 
     def test_momentum_matches_plain_compute(self):
         cfg_m = small_config()
         cfg_p = small_config(teacher_bn="plain")
-        cost_m = modeled_sec_per_iter(cfg_m, Trainer(cfg_m).pair, 16)
-        cost_p = modeled_sec_per_iter(cfg_p, Trainer(cfg_p).pair, 16)
+        cost_m = modeled_sec_per_iter(cfg_m, Trainer(cfg_m).pair)
+        cost_p = modeled_sec_per_iter(cfg_p, Trainer(cfg_p).pair)
         assert cost_m == cost_p
 
 
