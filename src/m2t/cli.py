@@ -1,8 +1,8 @@
 """Command-line front end: pretrain, eval, gradcheck, ablate.
 
 Exit codes: 0 success, 2 invalid or unreadable configuration, input or
-usage, 3 training aborted on a non-finite value, 4 checkpoint version
-mismatch.
+usage, 3 training or the linear probe aborted on a non-finite value, 4
+checkpoint version mismatch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import ConfigError, TrainConfig
-from .evaluate import extract_features, holdout_split, knn_eval, linear_probe
+from .evaluate import (ProbeDivergedError, extract_features, holdout_split,
+                       knn_eval, linear_probe)
 from .gradcheck import DEFAULT_TOL, run_all
 from .trainer import (MetricsRecord, NanLossError, Trainer, ablation_grid,
                       build_dataset, grid_trainers)
@@ -113,7 +114,11 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = _write_manifest(out_dir, cfg, {"grid": str(out_dir / "grid.json")})
-    rows = ablation_grid(trainers)
+    try:
+        rows = ablation_grid(trainers)
+    except (NanLossError, ProbeDivergedError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NAN
     summary = []
     for row in rows:
         name = f"metrics_{row['student']}_{row['teacher']}.csv"
@@ -151,6 +156,9 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except ProbeDivergedError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NAN
     print(json.dumps({"mode": args.mode, "accuracy": acc,
                       "checkpoint": str(args.checkpoint)}))
     return EXIT_OK

@@ -4,9 +4,11 @@ The engine is deliberately small: 2-D (and 1-D / scalar) arrays, a recording
 tape, and exactly the operations needed for MLP encoders, batch
 normalization and the training losses. An MLP layer is one fused op,
 :func:`dense` (matmul, bias, optional BN, optional ReLU); :func:`batch_norm`
-is BN alone. Both run the same BN arithmetic. Everything is double
-precision so that gradient checks and statistics-equivalence tests have
-numerical headroom.
+is BN alone. Both run the same BN arithmetic. Each loss is one fused op too:
+:func:`normalized_mse`, :func:`info_nce` and :func:`cross_entropy`, whose
+values and gradients equal those of the generic ops they stand for bit for
+bit. Everything is double precision so that gradient checks and
+statistics-equivalence tests have numerical headroom.
 
 Gradients are recorded on an explicit :class:`Tape`. Operations record
 themselves only while a tape is active (see :func:`record`) and only when at
@@ -450,11 +452,14 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         raise DimensionError(
             f"channel mismatch: x has {c}, gamma {gamma.shape}, "
             f"beta {beta.shape}")
-    x3 = x.reshape(groups, b // groups, c)
+    n = b // groups
+    x3 = x.reshape(groups, n, c)
+    # np.add.reduce(a, axis) / n is the arithmetic of a.mean(axis), without
+    # the wrapper's Python overhead.
     if stats is None:
-        mu = x3.mean(axis=1, keepdims=True)
+        mu = np.add.reduce(x3, axis=1, keepdims=True) / n
         dev = x3 - mu
-        var = np.mean(dev * dev, axis=1, keepdims=True)
+        var = np.add.reduce(dev * dev, axis=1, keepdims=True) / n
     else:
         mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
         if mu.shape != (c,) or var.shape != (c,):
@@ -470,8 +475,10 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         if need_dx:
             g_hat = g.reshape(x3.shape) * gamma
             if stats is None:
-                g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
-                         - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
+                g_hat = (g_hat
+                         - np.add.reduce(g_hat, axis=1, keepdims=True) / n
+                         - xhat * (np.add.reduce(g_hat * xhat, axis=1,
+                                                 keepdims=True) / n))
             dx = ((1.0 / std) * g_hat).reshape(b, c)
         return dx, (g * xhat.reshape(b, c)).sum(axis=0), g.sum(axis=0)
 
@@ -578,6 +585,125 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
         return (dx, x_values.T @ g, g.sum(axis=0)) + bn_grads
 
     return _emit("dense", inputs, h, bw)
+
+
+# ---------------------------------------------------------------------------
+# fused losses
+#
+# Each loss is one tape entry whose forward runs the numpy expressions of
+# the composed ops it stands for, in their order, and whose backward replays
+# their backward expressions in reverse tape order, so the value and the
+# input's gradient equal the composed ops' bit for bit when the loss is its
+# input's only consumer (as in every loss here). The composed backward adds
+# each intermediate's first gradient to fresh zeros, which can only turn a
+# -0 into +0. That step is left out: no expression divides by a gradient,
+# so the sign of a zero cannot reach a nonzero value, and :func:`backward`
+# adds the input's gradient to fresh zeros itself.
+
+#: Row norms are sqrt(|x|^2 + NORM_GUARD^2): rows of ordinary magnitude
+#: normalize exactly in double precision, zero rows map to zero vectors
+#: with finite gradients.
+NORM_GUARD = 1e-12
+_GUARD_SQ = NORM_GUARD * NORM_GUARD
+
+
+def unit_rows(x: np.ndarray) -> tuple:
+    """``(x / r, r)`` for a 2-D array and its guarded row norms ``r`` (a
+    column); zero rows are counted in ``HEALTH.zero_norm_rows``."""
+    sq = (x * x).sum(axis=1, keepdims=True)
+    zero_rows = int(np.count_nonzero(sq == 0.0))
+    if zero_rows:
+        HEALTH.zero_norm_rows += zero_rows
+    r = np.sqrt(sq + _GUARD_SQ)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x / r, r
+
+
+def _unit_rows_grad(g_hat: np.ndarray, x: np.ndarray,
+                    r: np.ndarray) -> np.ndarray:
+    """Gradient for ``x`` of :func:`unit_rows`, given the unit rows'
+    accumulated gradient: the backward of ``x / sqrt(sum(x * x) + guard)``
+    (div, sqrt, add, sum, then mul)."""
+    g_r = _unbroadcast(-g_hat * x / (r * r), r.shape)
+    t = g_r / (2.0 * r) * x
+    return (g_hat / r + t) + t
+
+
+def normalized_mse(p, z: np.ndarray) -> Tensor:
+    """BYOL's loss: the batch mean of ``|p_hat - z_hat|^2 = 2 - 2 cos(p, z)``
+    over unit rows (:func:`unit_rows`) of the prediction ``p`` and the
+    target ``z``, which is a gradient constant. One tape entry; equals
+    ``mean(sum(d * d, axis=1))`` with ``d`` built from mul, sum, add, sqrt,
+    div and sub."""
+    p = as_tensor(p)
+    p_hat, r = unit_rows(p.values)
+    d = p_hat - unit_rows(z)[0]
+    rows = (d * d).sum(axis=1)
+    n = rows.size
+
+    def bw(g):
+        t = g / n * d                                   # mean; sum
+        return (_unit_rows_grad(t + t, p.values, r),)   # mul; sub
+
+    return _emit("normalized_mse", (p,), np.asarray(rows.mean()), bw)
+
+
+def info_nce(q, k_hat: np.ndarray, negs: np.ndarray,
+             temperature: float) -> Tensor:
+    """InfoNCE: the batch mean of ``log(exp(l_pos / t) + sum(exp(l_neg / t)))
+    - l_pos / t`` with cosine logits ``l_pos = <q_hat, k_hat>`` against the
+    unit positive keys ``k_hat`` and ``l_neg = q_hat @ negs.T`` against the
+    unit negative rows ``negs`` (none when it has no rows). Only ``q`` gets
+    a gradient. The logits are bounded by 1/t, so the softmax needs no
+    max-shift in double precision. One tape entry."""
+    q = as_tensor(q)
+    q_hat, r = unit_rows(q.values)
+    l_pos = (q_hat * k_hat).sum(axis=1, keepdims=True)
+    a_pos = l_pos / temperature
+    exp_pos = np.exp(a_pos)
+    denom = exp_pos
+    if len(negs):
+        e_neg = np.exp(q_hat @ negs.T / temperature)
+        denom = exp_pos + e_neg.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_denom = np.log(denom)
+    diff = log_denom - a_pos
+    n = diff.size
+
+    def bw(g):
+        g_diff = g / n                                  # mean
+        g_lpos = -g_diff / temperature                  # sub; div
+        g_denom = g_diff / denom                        # log
+        g_lpos = g_lpos + g_denom * exp_pos / temperature  # exp; div
+        g_q_hat = g_lpos * k_hat                        # sum; mul
+        if len(negs):                                   # sum; exp; div; matmul
+            g_q_hat = g_denom * e_neg / temperature @ negs + g_q_hat
+        return (_unit_rows_grad(g_q_hat, q.values, r),)
+
+    return _emit("info_nce", (q,), np.asarray(diff.mean()), bw)
+
+
+def cross_entropy(logits, onehot: np.ndarray) -> Tensor:
+    """Softmax cross-entropy, the batch mean of ``logsumexp(logits) -
+    <logits, onehot>``, shifted by the detached row max (the softmax is
+    invariant to it). One tape entry; equals the composed sub, exp, sum,
+    log, mul, sum, sub and mean."""
+    logits = as_tensor(logits)
+    onehot = np.asarray(onehot, dtype=np.float64)
+    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sum_e = e.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sum_e = np.log(sum_e)
+    diff = log_sum_e - (shifted * onehot).sum(axis=1, keepdims=True)
+    n = diff.size
+
+    def bw(g):
+        g_diff = g / n                                  # mean
+        g_true = -g_diff * onehot                       # sub; sum; mul
+        return (g_true + g_diff / sum_e * e,)           # log; sum; exp
+
+    return _emit("cross_entropy", (logits,), np.asarray(diff.mean()), bw)
 
 
 # ---------------------------------------------------------------------------

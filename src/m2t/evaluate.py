@@ -60,14 +60,12 @@ def holdout_split(n: int,
 
 
 def _cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    # Shift by the detached row max; the softmax is invariant to it.
-    shift = engine.constant(logits.values.max(axis=1, keepdims=True))
-    shifted = logits - shift
-    logsumexp = engine.log(engine.sum(engine.exp(shifted), axis=1,
-                                      keepdims=True))
-    true_logit = engine.sum(shifted * engine.constant(onehot), axis=1,
-                            keepdims=True)
-    return engine.mean(logsumexp - true_logit)
+    return engine.cross_entropy(logits, onehot)
+
+
+class ProbeDivergedError(RuntimeError):
+    """The linear probe's head left the finite range (for instance at a
+    learning rate far too large), so it has no accuracy to report."""
 
 
 class _ProbeHead:
@@ -90,7 +88,7 @@ class _ProbeHead:
         momentum_bn_lazy_commit(self.history, HISTORY_MOMENTUM)
         h = engine.batch_norm(x, 1, self.gamma, self.beta, EPS,
                               stats=(s.mean, s.var))
-        return engine.matmul(h, self.weight) + self.bias
+        return engine.dense(h, self.weight, self.bias, relu=False)
 
     def infer_logits(self, x: np.ndarray) -> np.ndarray:
         h = engine.batch_norm(x, 1, self.gamma.values, self.beta.values, EPS,
@@ -106,6 +104,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
 
     Training is the trainer's momentum-SGD step (0.9, no weight decay) over
     batches of ``BATCH_SIZE`` under a cosine learning-rate decay.
+    :class:`ProbeDivergedError` if a head array ends non-finite.
     """
     if epochs < 1:
         raise ValueError(f"probe epochs must be >= 1, got {epochs}")
@@ -138,6 +137,11 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
             sgd_step(head.params, [p.tensor.grad for p in head.params], opt,
                      cosine_value(lr, step, total_steps))
             step += 1
+    for p in head.params:
+        if not np.isfinite(p.tensor.values).all():
+            raise ProbeDivergedError(
+                f"linear probe diverged: non-finite head {p.name} after "
+                f"{step} steps at lr {lr}")
 
     pred = head.infer_logits(features[test_idx]).argmax(axis=1)
     return float((pred == labels[test_idx]).mean())

@@ -2,9 +2,10 @@
 
 Each suite draws random inputs in [-2, 2] (shifted positive where the op's
 domain demands it) and compares every parameter gradient against central
-differences at h=1e-5, relative tolerance 1e-4. The composite suite runs
-the full two-view prediction loss of a small BN MLP, which exercises the
-whole backward path the trainer uses.
+differences at h=1e-5, relative tolerance 1e-4. Every op that records a
+tape entry has a suite (a test holds that). The composite suites run a
+small BN MLP under the prediction loss and the full two-view loss, which
+exercises the whole backward path the trainer uses.
 """
 
 from __future__ import annotations
@@ -103,6 +104,40 @@ def _case_dense(rng):
                ("gamma", p.gamma), ("beta", p.beta)]
 
 
+def _case_gather_rows(rng):
+    # Repeated and skipped rows: the backward scatter-adds.
+    x = parameter(rng.uniform(-2, 2, size=(4, 3)))
+    index = rng.integers(0, 4, size=6)
+    w = constant(rng.uniform(-2, 2, size=(6, 3)))
+    return (lambda: engine.sum(engine.mul(engine.gather_rows(x, index), w)),
+            [("x", x)])
+
+
+def _case_normalized_mse(rng):
+    p = parameter(rng.uniform(-2, 2, size=(5, 3)))
+    z = rng.uniform(-2, 2, size=(5, 3))
+    return lambda: engine.normalized_mse(p, z), [("p", p)]
+
+
+def _case_info_nce(rng):
+    # With negatives and with none (an empty queue), in one loss.
+    q = parameter(rng.uniform(-2, 2, size=(5, 3)))
+    k_hat = engine.unit_rows(rng.uniform(-2, 2, size=(5, 3)))[0]
+    negs = engine.unit_rows(rng.uniform(-2, 2, size=(7, 3)))[0]
+
+    def f():
+        return engine.add(engine.info_nce(q, k_hat, negs, 0.5),
+                          engine.info_nce(q, k_hat, negs[:0], 0.5))
+
+    return f, [("q", q)]
+
+
+def _case_cross_entropy(rng):
+    logits = parameter(rng.uniform(-2, 2, size=(6, 4)))
+    onehot = np.eye(4)[rng.integers(0, 4, size=6)]
+    return lambda: engine.cross_entropy(logits, onehot), [("logits", logits)]
+
+
 def _randomize_student(pair, rng):
     # Perturb every block (biases and BN affines included) away from the
     # symmetric init: keeps the check off measure-zero kinks such as
@@ -158,6 +193,10 @@ SUITES = {
     "var": _case_reduce(engine.var),
     "batch_norm": _case_batch_norm,
     "dense": _case_dense,
+    "gather_rows": _case_gather_rows,
+    "normalized_mse": _case_normalized_mse,
+    "info_nce": _case_info_nce,
+    "cross_entropy": _case_cross_entropy,
     "byol_mlp": _case_byol_mlp,
     "symmetrized_loss": _case_symmetrized,
 }

@@ -106,9 +106,12 @@ def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
     m = x_values.shape[0]
     if m < 1:
         raise ValueError("batch statistics of an empty batch")
-    mu = x_values.mean(axis=0)
+    # np.add.reduce(a, axis) / m is the arithmetic of a.mean(axis), without
+    # the wrapper's Python overhead.
+    mu = np.add.reduce(x_values, axis=0) / m
     dev = x_values - mu
-    return BatchStats(mean=mu, var=np.mean(dev * dev, axis=0), count=m)
+    return BatchStats(mean=mu, var=np.add.reduce(dev * dev, axis=0) / m,
+                      count=m)
 
 
 # ---------------------------------------------------------------------------

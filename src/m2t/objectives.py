@@ -4,7 +4,9 @@ InfoNCE with a negatives queue.
 The prediction loss is the normalized mean squared error between the
 student's prediction and the teacher's projection, mean over the batch of
 ``||p_hat - z_hat||^2 = 2 - 2 cos(p, z)`` per row. Teacher outputs are
-always treated as gradient constants.
+always treated as gradient constants. Each loss term is one fused engine op
+(:func:`m2t.engine.normalized_mse`, :func:`m2t.engine.info_nce`); the
+functions here check their arguments and name the terms.
 
 The symmetrized form feeds each view through both networks with swapped
 roles and sums the two terms. Both teacher passes normalize against the
@@ -21,38 +23,30 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .engine import HEALTH, Tensor
+from .engine import Tensor
 from .model import StudentTeacherPair, forward_student, forward_teacher
 
-NORM_GUARD = 1e-12
 
-
-def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
-    """Row-wise unit vectors of a tensor or array (arrays and constants give
-    constants); zero-norm rows are guarded and counted.
-
-    The guard is added under the square root (as guard^2), so rows of
-    ordinary magnitude are normalized exactly in double precision while
-    zero rows map to zero vectors with finite gradients.
-    """
+def l2_normalize_rows(x) -> Tensor:
+    """Row-wise unit vectors of an array or constant tensor, as a constant
+    (:func:`m2t.engine.unit_rows`: zero-norm rows are guarded and counted).
+    A loss that back-propagates through a normalization does it inside its
+    fused op."""
     x = engine.as_tensor(x)
-    sq = engine.sum(x * x, axis=1, keepdims=True)
-    zero_rows = int(np.count_nonzero(sq.values == 0.0))
-    if zero_rows:
-        HEALTH.zero_norm_rows += zero_rows
-    return x / engine.sqrt(sq + guard * guard)
+    if x.requires_grad:
+        raise ValueError("l2_normalize_rows gives gradient constants; "
+                         "got a tensor that requires grad")
+    return engine.constant(engine.unit_rows(x.values)[0])
 
 
 def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
     """Mean over the batch of the squared distance between unit-normalized
-    prediction and target rows; the target is detached."""
+    prediction and target rows (:func:`m2t.engine.normalized_mse`); the
+    target is detached."""
     if p.shape != z_teacher.shape:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
-    p_hat = l2_normalize_rows(p)
-    z_hat = l2_normalize_rows(z_teacher.values)
-    d = p_hat - z_hat
-    return engine.mean(engine.sum(d * d, axis=1))
+    return engine.normalized_mse(p, z_teacher.values)
 
 
 @dataclass
@@ -136,7 +130,8 @@ def infonce_loss(q: Tensor, k_pos: Tensor, queue: NegQueue,
                  temperature: float) -> Tensor:
     """Contrastive cross-entropy over one positive and the queued negatives.
 
-    Queries are normalized here. The positive keys ``k_pos`` are unit rows
+    Queries are normalized inside :func:`m2t.engine.info_nce`, the one tape
+    entry of the loss. The positive keys ``k_pos`` are unit rows
     and gradient constants, normalized once by the caller so that the queue
     can store the same rows. All similarities are cosines, so the logits are
     bounded by 1/temperature and the softmax needs no max-shifting in double
@@ -144,14 +139,4 @@ def infonce_loss(q: Tensor, k_pos: Tensor, queue: NegQueue,
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    q_hat = l2_normalize_rows(q)
-    l_pos = engine.sum(q_hat * k_pos, axis=1, keepdims=True)
-    exp_pos = engine.exp(l_pos / temperature)
-    if len(queue) > 0:
-        negs = engine.constant(queue.as_matrix().T)
-        l_neg = engine.matmul(q_hat, negs)
-        denom = exp_pos + engine.sum(engine.exp(l_neg / temperature),
-                                     axis=1, keepdims=True)
-    else:
-        denom = exp_pos
-    return engine.mean(engine.log(denom) - l_pos / temperature)
+    return engine.info_nce(q, k_pos.values, queue.as_matrix(), temperature)

@@ -481,6 +481,19 @@ class TestEvalCommand:
         assert code == 2
         assert "probe" in capsys.readouterr().err
 
+    def test_diverged_probe_exits_3(self, run_dir, capsys):
+        # A learning rate this large overflows the probe head; that is a
+        # non-finite abort, not an accuracy.
+        out, ds = run_dir
+        with np.errstate(all="ignore"):
+            code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                         "--dataset", str(ds), "--mode", "probe",
+                         "--probe-lr", "1e300", "--probe-epochs", "5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "linear probe diverged" in captured.err
+        assert captured.out == ""
+
     def test_version_mismatch_exits_4(self, run_dir, tmp_path):
         out, ds = run_dir
         raw = bytearray((out / "checkpoint.m2t").read_bytes())
@@ -637,6 +650,23 @@ class TestAblateCommand:
         assert len(files) == 6
         grid = json.loads((out / "grid.json").read_text())
         assert len(grid) == 6
+
+    @pytest.mark.parametrize("settings, message", [
+        (["probe_epochs=5", "probe_lr=1e300"], "linear probe diverged"),
+        (["epochs=2", "lr_base=1e12"], "history drift"),
+    ], ids=["probe", "training"])
+    def test_divergence_exits_3(self, tmp_path, capsys, settings, message):
+        out = tmp_path / "grid"
+        sets = ["epochs=1", "batch_size=16", "workers=2", "data.per_class=16",
+                "data.num_classes=3", "data.dim=8", "probe_epochs=2",
+                "warmup_epochs=0", *settings]
+        with np.errstate(all="ignore"):
+            code = main(["ablate", "--preset", "table1-grid",
+                         *(a for s in sets for a in ("--set", s)),
+                         "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "grid.json").exists()
 
     def test_config_time_error_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "grid"

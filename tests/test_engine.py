@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2t import engine
+from m2t import engine, gradcheck
 from m2t.engine import (
     DimensionError,
     Tensor,
@@ -304,6 +307,48 @@ class TestFiniteDiffCheck:
         report = finite_diff_check(f, [("w", w)])
         assert report.per_block["w"] == 0.0
         assert report.passed
+
+
+def emitted_op_names() -> set:
+    """Every op name a module of ``src/m2t`` passes to ``engine._emit``."""
+    names = set()
+    for path in Path(engine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and node.args and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "_emit":
+                op = node.args[0]
+                assert isinstance(op, ast.Constant), f"{path.name}: op name"
+                names.add(op.value)
+    return names
+
+
+def test_every_op_has_a_gradcheck_suite():
+    # Every op that records a tape entry joins the gradient oracle.
+    ops = emitted_op_names()
+    assert {"dense", "normalized_mse", "info_nce", "cross_entropy"} <= ops
+    assert sorted(ops - set(gradcheck.SUITES)) == []
+
+
+def test_bn_reductions_equal_numpy_mean():
+    # _bn spells a.mean(axis) as np.add.reduce(a, axis) / n; the statistics,
+    # the output and dx must be the mean-based expressions' bit for bit.
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(12, 5))
+    gamma, beta = rng.uniform(0.5, 2.0, size=5), rng.normal(size=5)
+    g = rng.normal(size=(12, 5))
+    for groups in (1, 3):
+        out, bn_backward = engine._bn(x, groups, gamma, beta, 1e-5, None)
+        dx, _, _ = bn_backward(g, True)
+        x3 = x.reshape(groups, -1, 5)
+        mu = x3.mean(axis=1, keepdims=True)
+        dev = x3 - mu
+        std = np.sqrt(np.mean(dev * dev, axis=1, keepdims=True) + 1e-5)
+        xhat = dev / std
+        g_hat = g.reshape(x3.shape) * gamma
+        g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
+                 - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
+        np.testing.assert_array_equal(out, (gamma * xhat + beta).reshape(12, 5))
+        np.testing.assert_array_equal(dx, ((1.0 / std) * g_hat).reshape(12, 5))
 
 
 @pytest.mark.parametrize("seed", range(5))

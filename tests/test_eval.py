@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from m2t import engine, evaluate
 from m2t.data import synth_clusters
-from m2t.evaluate import extract_features, knn_eval, linear_probe
+from m2t.evaluate import (ProbeDivergedError, extract_features, knn_eval,
+                          linear_probe)
 from m2t.model import MlpSpec
 
 
@@ -127,6 +129,27 @@ class TestLinearProbe:
             b"".join(payload["arrays"][k].tobytes()
                      for k in sorted(payload["arrays"]))).hexdigest()
         assert digest_before == digest_after
+
+    def test_step_is_three_tape_entries(self, monkeypatch):
+        # Head BN, the dense linear layer and the fused cross-entropy.
+        seen = []
+
+        def spy(loss):
+            seen.append([e.op for e in loss._tape.entries])
+            engine.backward(loss)
+
+        monkeypatch.setattr(evaluate, "backward", spy)
+        ds = synth_clusters(num_classes=3, dim=8, per_class=200, spread=0.4,
+                            seed=8)
+        linear_probe(ds.samples, ds.labels, epochs=2, lr=0.5, seed=1)
+        assert seen == [["batch_norm", "dense", "cross_entropy"]] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_head_raises(self):
+        ds = synth_clusters(num_classes=3, dim=8, per_class=60, spread=0.4,
+                            seed=8)
+        with pytest.raises(ProbeDivergedError, match="non-finite head"):
+            linear_probe(ds.samples, ds.labels, epochs=5, lr=1e300, seed=0)
 
     def test_beats_constant_predictor_on_train_features(self):
         ds = synth_clusters(num_classes=3, dim=8, per_class=60, spread=0.4,

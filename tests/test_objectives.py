@@ -310,3 +310,9 @@ def test_l2_normalize_rows_unit_norm():
     out = l2_normalize_rows(x)
     np.testing.assert_allclose(np.linalg.norm(out.values, axis=1), 1.0,
                                atol=1e-12)
+
+
+def test_l2_normalize_rows_rejects_tensors_that_need_grad():
+    # Its rows are gradient constants; a loss normalizes inside its op.
+    with pytest.raises(ValueError, match="requires grad"):
+        l2_normalize_rows(parameter(np.ones((2, 3))))

@@ -300,9 +300,14 @@ class TestIterationTape:
         monkeypatch.setattr(trainer_module, "backward", spy)
         return seen
 
+    # Besides the dense layers: byol's two normalized-MSE terms and their
+    # sum, moco's one InfoNCE.
+    LOSS_OPS = {"default-synth": ["normalized_mse", "normalized_mse", "add"],
+                "moco-smoke": ["info_nce"]}
+
     @pytest.mark.parametrize("name, dense, total", [
-        ("default-synth", 2 * (2 + 2 + 2), 31),
-        ("moco-smoke", 2 + 6, 26),
+        ("default-synth", 2 * (2 + 2 + 2), 15),
+        ("moco-smoke", 2 + 6, 9),
     ])
     def test_one_dense_entry_per_layer(self, backward_spy, name, dense, total):
         trainer = Trainer(from_dict(preset(name)))
@@ -310,6 +315,7 @@ class TestIterationTape:
         [(_, ops)] = backward_spy
         assert ops.count("dense") == dense
         assert len(ops) == total
+        assert [op for op in ops if op != "dense"] == self.LOSS_OPS[name]
 
     @pytest.mark.parametrize("mode", ["byol_m2t", "moco"])
     def test_tape_freed_without_the_cycle_collector(self, backward_spy, mode):
