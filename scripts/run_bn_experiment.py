@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from m2t.cli import keep_freed_memory
 from m2t.config import DataConfig, TrainConfig
 from m2t.data import AugmentSpec
 from m2t.evaluate import extract_features, linear_probe
@@ -42,6 +43,7 @@ def run_one(seed: int, teacher_bn: str, epochs: int) -> float:
 
 
 def main() -> int:
+    keep_freed_memory()
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--epochs", type=int, default=30)

@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from m2t.cli import keep_freed_memory
 from m2t.config import from_dict, preset
 from m2t.trainer import run_training
 
@@ -36,6 +37,7 @@ def smoke_run(teacher_bn: str) -> tuple[float, float]:
 
 
 def main() -> int:
+    keep_freed_memory()
     target = math.log(1 + from_dict(preset("moco-smoke")).queue_capacity)
     print(f"uniform-softmax reference ln(1+K) = {target:.4f}\n")
     ok = True

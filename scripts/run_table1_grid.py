@@ -22,11 +22,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from m2t.cli import keep_freed_memory
 from m2t.config import apply_overrides, from_dict, preset
 from m2t.trainer import ablation_grid, grid_trainers
 
 
 def main() -> int:
+    keep_freed_memory()
     parser = argparse.ArgumentParser()
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0,

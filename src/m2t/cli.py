@@ -3,12 +3,17 @@
 Exit codes: 0 success, 2 invalid or unreadable configuration, input or
 usage, 3 training or the linear probe aborted on a non-finite value, 4
 checkpoint version mismatch.
+
+Every command first sets the process's heap policy
+(:func:`keep_freed_memory`).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,6 +38,46 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NAN = 3
 EXIT_VERSION = 4
+
+# glibc's mallopt parameter numbers (malloc.h) and the values set for them.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_POLICY = {"trim_threshold": 256 << 20, "mmap_threshold": 32 << 20}
+
+_heap_record = None  # what the process's first keep_freed_memory() did
+
+
+def keep_freed_memory() -> dict:
+    """Make glibc's malloc keep freed memory for reuse: trim the top of the
+    heap only past 256 MiB of free space, and take blocks under 32 MiB from
+    the heap instead of fresh mappings.
+
+    Every training step frees and reallocates the same activations. Under
+    glibc's dynamic thresholds those pages go back to the kernel and fault
+    in again on the next step, unless some data-sized block happened to
+    raise the thresholds first. Fixed thresholds make that independent of
+    what the process allocated before. Set once per process, on glibc only;
+    elsewhere this does nothing and never raises. Returns the record for
+    ``manifest.json``: whether the policy is in effect, and its values.
+    """
+    global _heap_record
+    if _heap_record is None:
+        _heap_record = {"applied": _set_heap_policy(), **HEAP_POLICY}
+    return _heap_record
+
+
+def _set_heap_policy() -> bool:
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):  # not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    results = [mallopt(M_TRIM_THRESHOLD, HEAP_POLICY["trim_threshold"]),
+               mallopt(M_MMAP_THRESHOLD, HEAP_POLICY["mmap_threshold"])]
+    return results == [1, 1]
 
 
 def write_metrics_csv(records: list, path) -> None:
@@ -66,6 +111,7 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, outputs: dict) -> Path:
         "start_timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "end_timestamp": None,
         "outputs": outputs,
+        "heap_policy": keep_freed_memory(),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
@@ -224,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

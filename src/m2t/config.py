@@ -10,6 +10,7 @@ document before validation.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_origin, get_type_hints
@@ -20,6 +21,13 @@ from .schedules import SCHEDULE_KINDS
 
 MODES = ("byol_m2t", "moco")
 OPTIMIZERS = ("sgd", "lars")
+
+# InfoNCE sums exp(cosine / temperature) over the positive and
+# queue_capacity negatives without a max-shift, so moco needs
+# 1/temperature + ln(1 + queue_capacity) below this. It is ln(DBL_MAX / 2):
+# at ln(DBL_MAX) itself, cosines a few ulps above 1 and the rounding of the
+# sum still overflow; one binade of headroom absorbs them.
+INFONCE_LOG_LIMIT = math.log(sys.float_info.max / 2)
 
 
 class ConfigError(ValueError):
@@ -136,6 +144,13 @@ class TrainConfig:
             raise ConfigError("temperature: must be > 0")
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity: must be >= 1")
+        if self.mode == "moco" and (1.0 / self.temperature
+                                    + math.log1p(self.queue_capacity)
+                                    >= INFONCE_LOG_LIMIT):
+            raise ConfigError(
+                f"temperature: {self.temperature} overflows InfoNCE over "
+                f"1 + {self.queue_capacity} logits; need 1/temperature + "
+                f"ln(1 + queue_capacity) < {INFONCE_LOG_LIMIT:.2f}")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs: must be >= 0")
         if not 0 < self.warmup_factor <= 1:

@@ -52,7 +52,7 @@ class Dataset:
         if self.labels.shape != (self.samples.shape[0],):
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {self.samples.shape[0]} samples")
-        if np.any(~np.isfinite(self.samples)):
+        if not np.isfinite(self.samples).all():
             raise ValueError("dataset contains non-finite values")
         if self.num_classes == 0:
             self.num_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
@@ -177,7 +177,8 @@ def load_idx(images_path, labels_path=None) -> Dataset:
             f"file ends before {count} x {rows} x {cols} pixels", len(buf))
     pixels = np.frombuffer(buf, dtype=np.uint8, count=count * rows * cols,
                            offset=16)
-    samples = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    samples = pixels.reshape(count, rows * cols).astype(np.float64)
+    samples /= 255.0  # in place: one image-sized float64 array, not two
 
     if labels_path is None:
         labels = np.zeros(count, dtype=np.int64)

@@ -732,8 +732,12 @@ def backward(loss: Tensor) -> None:
             if contrib is None or not inp.requires_grad:
                 continue
             if inp.grad is None:
-                inp.grad = np.zeros_like(inp.values)
-            inp.grad += contrib
+                # 0.0 + c in one pass: what zeros + c gave, -0 included,
+                # broadcast into the input's shape.
+                inp.grad = np.add(contrib, 0.0,
+                                  out=np.empty_like(inp.values))
+            else:
+                inp.grad += contrib
     # Each output holds its tape and the entries hold the outputs, so the
     # recorded iteration is a reference cycle until the entries go. Rebind
     # instead of clearing: a caller may still read the list it took before.

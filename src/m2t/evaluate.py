@@ -118,21 +118,23 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
 
     rng = np.random.default_rng(seed)
     train_idx, test_idx = holdout_split(len(features), rng)
-    x, onehot = features[train_idx], np.eye(num_classes)[labels[train_idx]]
+    onehot = np.eye(num_classes)
     head = _ProbeHead(features.shape[1], num_classes)
     opt = OptimizerState(momentum=0.9, weight_decay=0.0)
-    n = len(x)
+    n = len(train_idx)
     batches = max(1, n // BATCH_SIZE)
     total_steps = epochs * batches
     step = 0
     for _ in range(epochs):
         order = rng.permutation(n)
         for b in range(batches):
-            idx = order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]
+            # Rows gathered per step, so no copy of the training split.
+            rows = train_idx[order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]]
             for p in head.params:
                 p.tensor.zero_grad()
             with record():
-                loss = _cross_entropy(head.train_logits(x[idx]), onehot[idx])
+                loss = _cross_entropy(head.train_logits(features[rows]),
+                                      onehot[labels[rows]])
             backward(loss)
             sgd_step(head.params, [p.tensor.grad for p in head.params], opt,
                      cosine_value(lr, step, total_steps))

@@ -290,7 +290,10 @@ class Trainer:
         v, v2 = make_views(batch, cfg.augment,
                            seed=substream_int(cfg.seed, "augment", k),
                            image_hw=self.dataset.image_hw)
-        perm_seed = substream_int(cfg.seed, "bnperm", k)
+        # Only shuffling BN reads the permutation; its substream is
+        # independent of every other, so skipping the draw moves no output.
+        perm_seed = substream_int(cfg.seed, "bnperm", k) \
+            if self.pair.teacher_bn == "shuffling" else None
 
         for p in self.params:
             p.tensor.zero_grad()
@@ -345,12 +348,14 @@ class Trainer:
         HEALTH.reset()
         cfg = self.cfg
         metrics: list[MetricsRecord] = []
+        samples = self.dataset.samples
         k = 0
         for epoch in range(cfg.epochs):
             order = self.epoch_order(epoch)
-            shuffled = self.dataset.samples[order]
             for start, size in zip(self.batch_starts, self.batch_sizes):
-                batch = shuffled[start:start + size]
+                # Gathered per batch: a shuffled copy of the whole dataset
+                # would double the run's largest array.
+                batch = samples[order[start:start + size]]
                 try:
                     rec = self.train_step(batch, k)
                 except NanLossError as e:

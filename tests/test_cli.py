@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from m2t import engine
+from m2t import cli, engine
 from m2t.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -14,7 +14,7 @@ from m2t.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from m2t.cli import main, write_metrics_csv
+from m2t.cli import keep_freed_memory, main, write_metrics_csv
 from m2t.config import DataConfig, TrainConfig
 from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec, write_idx_images
 from m2t.evaluate import extract_features
@@ -169,6 +169,15 @@ class TestPretrainCommand:
         assert manifest["seed"] == 0
         assert manifest["end_timestamp"] is not None
         assert manifest["config"]["epochs"] == 1
+        assert manifest["heap_policy"] == keep_freed_memory()
+
+    def test_overflowing_infonce_temperature_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--preset", "moco-smoke", "--set", "epochs=1",
+                     "--set", "temperature=1e-3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: temperature: ")
+        assert not out.exists()
 
     def test_metrics_row_count(self, tmp_path):
         out = tmp_path / "run"
@@ -677,6 +686,32 @@ class TestAblateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: encoder: ")
         assert not out.exists()
+
+
+class TestHeapPolicy:
+    def test_record_names_both_thresholds(self):
+        record = keep_freed_memory()
+        assert record == {"applied": record["applied"],
+                          "trim_threshold": 256 << 20,
+                          "mmap_threshold": 32 << 20}
+        assert keep_freed_memory() is record  # set once per process
+
+    @pytest.mark.parametrize("confstr", ["none", "unknown-name"])
+    def test_without_glibc_it_is_a_silent_no_op(self, monkeypatch, capsys,
+                                                confstr):
+        def no_glibc(name):
+            if confstr == "none":
+                return None
+            raise ValueError("unrecognized configuration name")
+
+        def no_lookup(*args):
+            raise AssertionError("mallopt looked up without glibc")
+
+        monkeypatch.setattr(cli, "_heap_record", None)
+        monkeypatch.setattr(cli.os, "confstr", no_glibc)
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_lookup)
+        assert keep_freed_memory() == {"applied": False, **cli.HEAP_POLICY}
+        assert capsys.readouterr() == ("", "")
 
 
 def test_write_metrics_csv_format(tmp_path):

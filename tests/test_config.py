@@ -43,6 +43,12 @@ class TestFromDict:
         with pytest.raises(ConfigError, match=f"{name}: must be one of"):
             from_dict(minimal_doc(**{name: "linear"}))
 
+    def test_moco_temperature_that_overflows_infonce_names_it(self):
+        with pytest.raises(ConfigError, match="^temperature: "):
+            from_dict(minimal_doc(mode="moco", temperature=1e-3))
+        from_dict(minimal_doc(mode="moco", temperature=0.002))
+        from_dict(minimal_doc(mode="byol_m2t", temperature=1e-3))  # no InfoNCE
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha_base"):
             from_dict(minimal_doc(alpha_base=1.5))

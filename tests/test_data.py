@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(samples=bad, labels=np.zeros(3, dtype=int))
 
+    def test_finite_check_needs_one_mask(self):
+        # 2 MB of samples: one boolean mask is an eighth of them.
+        samples = np.ones((8192, 32))
+        tracemalloc.start()
+        try:
+            Dataset(samples=samples, labels=np.zeros(8192, dtype=int))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * samples.nbytes
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset(samples=np.ones((3, 2)), labels=np.zeros(2, dtype=int))
@@ -86,6 +99,19 @@ class TestIdx:
         original_bytes = np.clip(np.round(samples * 255), 0, 255).astype(np.uint8)
         recovered = np.round(ds.samples * 255).astype(np.uint8)
         np.testing.assert_array_equal(recovered, original_bytes)
+
+    def test_load_holds_one_float64_copy(self, tmp_path):
+        # 1000 16x16 images: the file's bytes, the 2 MB of float64 samples
+        # and the finite check's mask are 1.25 times the samples; a second
+        # float64 temporary would make it 2.125.
+        img, lbl, _, _ = self._fixture(tmp_path, n=1000, hw=(16, 16))
+        tracemalloc.start()
+        try:
+            ds = load_idx(img, lbl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.samples.nbytes
 
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "junk.idx"

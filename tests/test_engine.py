@@ -151,6 +151,21 @@ class TestBackward:
             backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
+    def test_first_gradient_of_negative_zero_is_positive_zero(self):
+        x = parameter([1.0, 2.0])
+        with record():
+            loss = engine.sum(engine.mul(x, constant([-0.0, 3.0])))
+        backward(loss)
+        assert x.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
+
+    def test_first_gradient_broadcasts_into_the_input_shape(self):
+        x = parameter(np.ones((2, 3)))
+        with record():
+            loss = engine._emit("total", (x,), np.asarray(6.0),
+                                lambda g: (g,))
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
     def test_constant_never_accumulates(self):
         c = constant([1.0, 2.0])
         x = parameter([3.0, 4.0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2t import engine
+from m2t.config import INFONCE_LOG_LIMIT, ConfigError, TrainConfig
 from m2t.engine import backward, constant, parameter, record
 from m2t.model import MlpSpec, build_pair, mlp_spec
 
@@ -263,6 +264,38 @@ class TestInfoNce:
         assert loss.item() == pytest.approx(math.log(1 + 2 * math.exp(-1.0)),
                                             rel=1e-12)
         assert loss.item() == pytest.approx(0.5514, abs=5e-5)
+
+    @pytest.mark.parametrize("capacity", [1, 256, 65536])
+    def test_smallest_accepted_temperature_stays_finite(self, capacity):
+        def accepted(t):
+            try:
+                TrainConfig(seed=0, epochs=1, mode="moco",
+                            temperature=float(t),
+                            queue_capacity=capacity).validate()
+            except ConfigError:
+                return False
+            return True
+
+        # The smallest accepted temperature lies within a few ulps of this.
+        ts = [1.0 / (INFONCE_LOG_LIMIT - math.log1p(capacity))]
+        for _ in range(8):
+            ts = [np.nextafter(ts[0], 0.0), *ts, np.nextafter(ts[-1], np.inf)]
+        assert not accepted(ts[0]) and accepted(ts[-1])
+        t = min(t for t in ts if accepted(t))
+        # A full queue of keys equal to the query: every logit is 1/t, up to
+        # the rounding of the cosines.
+        rng = np.random.default_rng(capacity)
+        for _ in range(50):
+            x = rng.normal(size=(1, 8)) * 10.0 ** rng.uniform(-3, 3)
+            k_hat = l2_normalize_rows(x)
+            queue = NegQueue(capacity=capacity, dim=8)
+            queue_update(queue, np.tile(k_hat.values, (capacity, 1)))
+            q = parameter(x)
+            with record():
+                loss = infonce_loss(q, k_hat, queue, float(t))
+            backward(loss)
+            assert np.isfinite(loss.item())
+            assert np.isfinite(q.grad).all()
 
     def test_nonpositive_temperature_rejected(self):
         queue = NegQueue(capacity=2, dim=2)

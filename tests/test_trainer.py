@@ -1,14 +1,18 @@
 import gc
+import os
+import resource
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from m2t import trainer as trainer_module
+from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
 from m2t.engine import HEALTH, DimensionError, Tensor, backward, record
-from m2t.model import forward_student
+from m2t.model import forward_student, mlp_spec
 from m2t.trainer import (
     MetricsRecord,
     NanLossError,
@@ -21,6 +25,13 @@ from m2t.trainer import (
     run_training,
     sgd_step,
 )
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
 
 
 def small_config(**overrides):
@@ -228,6 +239,81 @@ class TestRunTraining:
         cfg = small_config(batch_size=32, workers=4)
         trainer = Trainer(cfg)
         assert trainer.batch_sizes == [32, 32, 16]
+
+    def test_batches_are_the_shuffled_rows_in_order(self):
+        # 80 samples in batches of 32: the trailing 16-row batch included.
+        trainer = Trainer(small_config(batch_size=32, workers=4, epochs=2))
+        seen = []
+        trainer.train_step = lambda batch, k: seen.append((k, batch.copy()))
+        trainer.run()
+        samples = trainer.dataset.samples
+        expected = [samples[trainer.epoch_order(epoch)][start:start + size]
+                    for epoch in range(2)
+                    for start, size in zip(trainer.batch_starts,
+                                           trainer.batch_sizes)]
+        assert [k for k, _ in seen] == list(range(6))
+        assert [b.shape[0] for _, b in seen] == [32, 32, 16] * 2
+        for (_, got), want in zip(seen, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_run_holds_no_copy_of_the_dataset(self):
+        # 4 MB of samples and a narrow model: a shuffled copy of the samples
+        # alone is twice the bound; one iteration's views and activations
+        # peak at about 1.2 MB.
+        cfg = small_config(batch_size=128, epochs=2, log_interval=100,
+                           data=DataConfig(kind="synthetic", num_classes=4,
+                                           dim=128, per_class=1024,
+                                           spread=0.3),
+                           encoder=mlp_spec((128, 16, 16), final_plain=False),
+                           projector=mlp_spec((16, 16, 8)),
+                           predictor=mlp_spec((8, 8, 8)))
+        trainer = Trainer(cfg)
+        nbytes = trainer.dataset.samples.nbytes
+        assert nbytes >= 2 << 20
+        tracemalloc.start()
+        try:
+            trainer.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 2
+
+    @pytest.mark.parametrize("teacher_bn, draws", [("momentum", 0),
+                                                   ("shuffling", 1)])
+    def test_bn_permutation_drawn_only_for_shuffling(self, monkeypatch,
+                                                     teacher_bn, draws):
+        trainer = Trainer(small_config(teacher_bn=teacher_bn))
+        paths = []
+
+        def spy(seed, *path):
+            paths.append(path[0])
+            return substream_int(seed, *path)
+
+        substream_int = trainer_module.substream_int
+        monkeypatch.setattr(trainer_module, "substream_int", spy)
+        trainer.train_step(trainer.dataset.samples[:16], 0)
+        assert paths.count("bnperm") == draws
+
+    @pytest.mark.skipif(not on_glibc(), reason="the heap policy is glibc's")
+    def test_steady_state_steps_fault_in_no_pages(self):
+        # Under glibc's dynamic thresholds a default-synth step could hand
+        # about 430 pages back to the kernel and fault them in again on the
+        # next step.
+        assert keep_freed_memory()["applied"]
+        trainer = Trainer(from_dict(preset("default-synth")))
+        samples, order = trainer.dataset.samples, trainer.epoch_order(0)
+        size = trainer.cfg.batch_size
+
+        def step(k):
+            trainer.train_step(samples[order[k * size:(k + 1) * size]], k)
+
+        for k in range(10):
+            step(k)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for k in range(10, 30):
+            step(k)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 20 < 5
 
     def test_moco_mode_runs_and_fills_queue(self):
         cfg = small_config(mode="moco", m_base=0.001, m_schedule="constant",
