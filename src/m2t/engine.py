@@ -1,14 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: 2-D (and 1-D / scalar) arrays, a recording
-tape, and exactly the operations needed for MLP encoders, batch
-normalization and the training losses. An MLP layer is one fused op,
+tape, and only the six ops a run records. An MLP layer is one fused op,
 :func:`dense` (matmul, bias, optional BN, optional ReLU); :func:`batch_norm`
-is BN alone. Both run the same BN arithmetic. Each loss is one fused op too:
-:func:`normalized_mse`, :func:`info_nce` and :func:`cross_entropy`, whose
-values and gradients equal those of the generic ops they stand for bit for
-bit. Everything is double precision so that gradient checks and
-statistics-equivalence tests have numerical headroom.
+is BN alone (the linear probe's). Both run the same BN arithmetic. Each loss
+is one fused op too: :func:`normalized_mse`, :func:`info_nce` and
+:func:`cross_entropy`. :func:`add` sums the two views' losses. The generic
+ops the fused ones stand for (matmul, mean, var, sqrt, exp, log and the
+rest) are not part of the program; they live in the tests as the oracle
+that the fused ops equal bit for bit. Everything is double precision so
+that gradient checks and statistics-equivalence tests have numerical
+headroom.
 
 Gradients are recorded on an explicit :class:`Tape`. Operations record
 themselves only while a tape is active (see :func:`record`) and only when at
@@ -18,10 +20,10 @@ gradients additively, so reusing a tensor twice yields the sum of per-use
 gradients. It then drops the tape's entries, so a finished iteration is
 freed by reference counting alone; a tape is swept once.
 
-Broadcasting follows numpy's right-aligned rule restricted to singleton
-expansion: shapes are aligned on their trailing axes and an axis may differ
-between operands only when one side is 1 (or absent). The matching backward
-pass sums gradients over the expanded axes.
+:func:`add` broadcasts by numpy's right-aligned rule restricted to
+singleton expansion: shapes are aligned on their trailing axes and an axis
+may differ between operands only when one side is 1 (or absent). The
+matching backward pass sums gradients over the expanded axes.
 """
 
 from __future__ import annotations
@@ -89,37 +91,10 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Arithmetic operators dispatch to the module-level ops so that python
-    # scalars and numpy arrays are auto-wrapped as constants.
+    # ``a + b`` is :func:`add`; python scalars and numpy arrays are wrapped
+    # as constants.
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def constant(values) -> Tensor:
@@ -217,7 +192,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise ops
+# add, and the checks and masks the fused ops share
 
 
 def add(a, b) -> Tensor:
@@ -231,100 +206,9 @@ def add(a, b) -> Tensor:
     return _emit("add", (a, b), out, bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-    out = a.values - b.values
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _emit("sub", (a, b), out, bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-    out = a.values * b.values
-
-    def bw(g):
-        return (_unbroadcast(g * b.values, a.shape),
-                _unbroadcast(g * a.values, b.shape))
-
-    return _emit("mul", (a, b), out, bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.values / b.values
-
-        def bw(g):
-            da = g / b.values
-            db = -g * a.values / (b.values * b.values)
-            return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
-
-    return _emit("div", (a, b), out, bw)
-
-
-# ---------------------------------------------------------------------------
-# unary ops
-
-
-def neg(x) -> Tensor:
-    x = as_tensor(x)
-    return _emit("neg", (x,), -x.values, lambda g: (-g,))
-
-
 def _relu_grad_mask(values: np.ndarray) -> np.ndarray:
     # Subgradient convention: exactly-zero inputs pass no gradient.
     return (values > 0.0).astype(np.float64)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.values, 0.0)
-
-    def bw(g):
-        return (g * _relu_grad_mask(x.values),)
-
-    return _emit("relu", (x,), out, bw)
-
-
-def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.sqrt(x.values)
-
-    def bw(g):
-        return (g / (2.0 * out),)
-
-    return _emit("sqrt", (x,), out, bw)
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(x.values)
-
-    def bw(g):
-        return (g * out,)
-
-    return _emit("exp", (x,), out, bw)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.values)
-
-    def bw(g):
-        return (g / x.values,)
-
-    return _emit("log", (x,), out, bw)
-
-
-# ---------------------------------------------------------------------------
-# matmul
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -334,105 +218,6 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_matmul(a, b)
-    out = a.values @ b.values
-
-    def bw(g):
-        return g @ b.values.T, a.values.T @ g
-
-    return _emit("matmul", (a, b), out, bw)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _check_axis(x: Tensor, axis: Optional[int]) -> None:
-    if x.values.size == 0:
-        raise ValueError("empty reduction")
-    if axis is not None:
-        if not -x.values.ndim <= axis < x.values.ndim:
-            raise DimensionError(f"axis {axis} invalid for shape {x.shape}")
-        if x.values.shape[axis] == 0:
-            raise ValueError("empty reduction")
-
-
-def _expand(g: np.ndarray, x_shape: tuple, axis: Optional[int],
-            keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(x_shape)), x_shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, x_shape)
-
-
-def mean(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    _check_axis(x, axis)
-    m = x.values.size if axis is None else x.values.shape[axis]
-    out = x.values.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        return (_expand(np.asarray(g), x.shape, axis, keepdims) / m,)
-
-    return _emit("mean", (x,), np.asarray(out), bw)
-
-
-def sum(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    x = as_tensor(x)
-    _check_axis(x, axis)
-    out = x.values.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        return (_expand(np.asarray(g), x.shape, axis, keepdims).copy(),)
-
-    return _emit("sum", (x,), np.asarray(out), bw)
-
-
-def var(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    """Biased variance: mean of squared deviations, divisor m (not m-1).
-
-    Backward uses d var / d x_i = 2 (x_i - mu) / m; the indirect term through
-    mu cancels because the deviations sum to zero.
-    """
-    x = as_tensor(x)
-    _check_axis(x, axis)
-    m = x.values.size if axis is None else x.values.shape[axis]
-    mu = x.values.mean(axis=axis, keepdims=True)
-    dev = x.values - mu
-    out = np.mean(dev * dev, axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        return (_expand(np.asarray(g), x.shape, axis, keepdims) * 2.0 * dev / m,)
-
-    return _emit("var", (x,), np.asarray(out), bw)
-
-
-# ---------------------------------------------------------------------------
-# row-structured ops (permutations)
-
-
-def gather_rows(x, index: np.ndarray) -> Tensor:
-    """Select rows by integer index; backward scatter-adds."""
-    x = as_tensor(x)
-    index = np.asarray(index, dtype=np.intp)
-    if index.ndim != 1:
-        raise DimensionError("gather index must be 1-D")
-    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-        raise DimensionError(
-            f"gather index out of range for {x.shape[0]} rows")
-    out = x.values[index].copy()
-
-    def bw(g):
-        full = np.zeros_like(x.values)
-        np.add.at(full, index, g)
-        return (full,)
-
-    return _emit("gather_rows", (x,), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +276,9 @@ def batch_norm(x, groups: int, gamma, beta, eps: float,
 
     The (B, C) batch splits into ``groups`` contiguous blocks, each
     normalized with its own mean and biased variance (the numpy operations
-    of :func:`mean` and :func:`var`, so results match the composed ops bit
-    for bit) or with the given per-channel constants ``stats = (mean, var)``.
+    of the composed ``mean`` and ``var``, so results match the composed ops
+    bit for bit) or with the given per-channel constants
+    ``stats = (mean, var)``.
     One tape entry with the closed-form backward: with inv = 1/sqrt(var +
     eps) and g_hat = g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat *
     mean(g_hat * xhat)) per group, or inv * g_hat for given stats.
@@ -522,7 +308,7 @@ class BNSpec:
     constants. ``stats`` may also be a function of the pre-BN activations
     (rows in their original order) that returns such a pair, or None for
     batch statistics, and may record them on the way. ``perm`` reorders the
-    rows before BN (``x[perm]``, as :func:`gather_rows` does) and the
+    rows before BN (``x[perm]``, a row gather) and the
     original order is restored after it.
     """
 
@@ -537,12 +323,12 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
     """One MLP layer, ``relu(bn(x @ weight + bias))``, as one tape entry.
 
     BN runs when ``norm`` is given and ReLU when ``relu`` is set. Forward
-    and backward are the numpy expressions of :func:`matmul`, :func:`add`,
-    :func:`batch_norm` (with :func:`gather_rows` around it under ``perm``)
-    and :func:`relu`, in that order, so the output and every gradient equal
-    those of the composed ops bit for bit. The backward returns no gradient
-    for ``x`` when ``x`` does not require one (a first layer's input is
-    data).
+    and backward are the numpy expressions of the composed ``matmul``,
+    :func:`add`, :func:`batch_norm` (with row gathers around it under
+    ``perm``) and ``relu``, in that order, so the output and every gradient
+    equal those of the composed ops bit for bit. The backward returns no
+    gradient for ``x`` when ``x`` does not require one (a first layer's
+    input is data).
     """
     x = as_tensor(x)
     _check_matmul(x, weight)
@@ -710,19 +496,29 @@ def cross_entropy(logits, onehot: np.ndarray) -> Tensor:
 # backward
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, seed: Optional[np.ndarray] = None) -> None:
     """Fill ``grad`` on every gradient-participating tensor reachable from
-    ``loss``. The loss must be a scalar recorded on a tape."""
-    if loss.values.size != 1:
+    ``loss``, a tensor recorded on a tape. ``seed`` is the upstream
+    gradient of ``loss``, in its shape; it defaults to ones for a scalar
+    and is required for any other output."""
+    if seed is None:
+        if loss.values.size != 1:
+            raise DimensionError(
+                f"backward on non-scalar tensor of shape {loss.shape} "
+                "needs a seed")
+        seed = 1.0
+    elif np.shape(seed) != loss.shape:
         raise DimensionError(
-            f"backward on non-scalar tensor of shape {loss.shape}")
+            f"seed of shape {np.shape(seed)} for an output of shape "
+            f"{loss.shape}")
     tape = loss._tape
     if tape is None:
         raise ValueError("backward on a tensor that is not on any tape")
     if not tape.entries:
         raise ValueError("backward over a tape that an earlier backward "
                          "already swept")
-    loss.grad = np.ones_like(loss.values)
+    # The seed is the output's first gradient and is written like any other.
+    loss.grad = np.add(seed, 0.0, out=np.empty_like(loss.values))
     for entry in reversed(tape.entries):
         g = entry.output.grad
         if g is None:
@@ -775,9 +571,14 @@ def finite_diff_check(f: Callable[[], Tensor],
                       params: Sequence[tuple[str, Tensor]],
                       h: float = 1e-5,
                       tol: float = 1e-4) -> GradCheckReport:
-    """Compare autodiff gradients of the scalar ``f()`` against central
-    finite differences, elementwise, for every named parameter block.
+    """Compare the autodiff vector-Jacobian product of ``f()`` against
+    central finite differences, elementwise, for every named parameter
+    block.
 
+    ``f`` returns a tensor of any shape. The check weighs it with one fixed
+    upstream gradient ``w`` of that shape, drawn from a fixed-seed
+    generator (for a scalar too), so the autodiff side is ``backward(out,
+    seed=w)`` and the numeric side differences ``sum(f() * w)`` in numpy.
     ``f`` must be deterministic and must rebuild its computation from the
     parameter tensors on each call. Relative error uses the denominator
     ``max(|analytic|, |numeric|, 1e-4)``: the floor makes exactly-zero
@@ -790,22 +591,27 @@ def finite_diff_check(f: Callable[[], Tensor],
     for _, p in params:
         p.zero_grad()
     with record():
-        loss = f()
-    if loss._tape is not None:
-        backward(loss)
+        out = f()
+    w = np.random.default_rng(0).uniform(-2.0, 2.0, size=out.shape)
+    if out._tape is not None:
+        backward(out, seed=w)
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
         for name, p in params
     }
+
+    def weighted() -> float:
+        return float(np.sum(f().values * w))
+
     for name, p in params:
         flat = p.values.reshape(-1)
         num = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = f().item()
+            up = weighted()
             flat[i] = orig - h
-            down = f().item()
+            down = weighted()
             flat[i] = orig
             num[i] = (up - down) / (2.0 * h)
         a = analytic[name].reshape(-1)

@@ -1,8 +1,9 @@
 """Composed batch-norm reference for the fused BN of :mod:`m2t.engine`, and
 drivers that run the model's own BN specs on a bare batch.
 
-:func:`bn_apply` on :func:`batch_stats` spells BN out of generic engine ops
-(mean, var, sub, div, sqrt, mul, add), so its forward and its autodiff
+:func:`bn_apply` on :func:`batch_stats` spells BN out of the composed
+ops of ``engine_reference`` (mean, var, sub, div, sqrt, mul) and
+:func:`m2t.engine.add`, so its forward and its autodiff
 backward are independent of the fused op's closed form. The statistics are
 tape-linked whenever ``x`` is, so a student batch back-propagates through
 its mean and variance.
@@ -24,6 +25,8 @@ from m2t.engine import BNSpec, DimensionError, Tensor
 from m2t.model import Layer, MlpSpec, build_pair, forward_student
 from m2t.normalization import MomentumBNState, NormParams
 
+import engine_reference as ref
+
 
 @dataclass
 class TapeStats:
@@ -41,7 +44,7 @@ def batch_stats(x: Tensor) -> TapeStats:
         raise DimensionError(f"expected batch x channels, got shape {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("batch statistics of an empty batch")
-    return TapeStats(mean=engine.mean(x, axis=0), var=engine.var(x, axis=0),
+    return TapeStats(mean=ref.mean(x, axis=0), var=ref.var(x, axis=0),
                      count=x.shape[0])
 
 
@@ -53,8 +56,9 @@ def bn_apply(x: Tensor, stats: TapeStats, p: NormParams) -> Tensor:
         raise DimensionError(
             f"channel mismatch: x has {channels}, stats "
             f"{stats.mean.values.shape[-1]}, params {p.gamma.values.shape[-1]}")
-    xhat = (x - stats.mean) / engine.sqrt(stats.var + p.eps)
-    return p.gamma * xhat + p.beta
+    xhat = ref.div(ref.sub(x, stats.mean),
+                   ref.sqrt(engine.add(stats.var, p.eps)))
+    return engine.add(ref.mul(p.gamma, xhat), p.beta)
 
 
 def identity_norm_params(channels: int, eps: float = 1e-5,

@@ -2,16 +2,19 @@
 
 :func:`byol_loss`, :func:`infonce_loss` and :func:`cross_entropy` spell
 the normalized MSE, InfoNCE and the probe's softmax cross-entropy out of
-generic engine ops (mul, sum, add, sqrt, div, sub, exp, log, matmul,
-mean), one tape entry each. Their forward and autodiff backward are what
-:func:`m2t.engine.normalized_mse`, :func:`m2t.engine.info_nce` and
-:func:`m2t.engine.cross_entropy` must reproduce bit for bit.
+the composed ops of ``engine_reference`` (mul, sum, sqrt, div, sub, exp,
+log, matmul, mean) and :func:`m2t.engine.add`, one tape entry each. Their
+forward and autodiff backward are what :func:`m2t.engine.normalized_mse`,
+:func:`m2t.engine.info_nce` and :func:`m2t.engine.cross_entropy` must
+reproduce bit for bit.
 """
 
 import numpy as np
 
 from m2t import engine
 from m2t.engine import HEALTH, Tensor
+
+import engine_reference as ref
 
 NORM_GUARD = 1e-12
 
@@ -25,11 +28,11 @@ def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
     zero rows map to zero vectors with finite gradients.
     """
     x = engine.as_tensor(x)
-    sq = engine.sum(x * x, axis=1, keepdims=True)
+    sq = ref.sum(ref.mul(x, x), axis=1, keepdims=True)
     zero_rows = int(np.count_nonzero(sq.values == 0.0))
     if zero_rows:
         HEALTH.zero_norm_rows += zero_rows
-    return x / engine.sqrt(sq + guard * guard)
+    return ref.div(x, ref.sqrt(engine.add(sq, guard * guard)))
 
 
 def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
@@ -40,8 +43,8 @@ def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
     p_hat = l2_normalize_rows(p)
     z_hat = l2_normalize_rows(z_teacher.values)
-    d = p_hat - z_hat
-    return engine.mean(engine.sum(d * d, axis=1))
+    d = ref.sub(p_hat, z_hat)
+    return ref.mean(ref.sum(ref.mul(d, d), axis=1))
 
 
 def infonce_loss(q: Tensor, k_pos: Tensor, queue,
@@ -57,24 +60,23 @@ def infonce_loss(q: Tensor, k_pos: Tensor, queue,
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     q_hat = l2_normalize_rows(q)
-    l_pos = engine.sum(q_hat * k_pos, axis=1, keepdims=True)
-    exp_pos = engine.exp(l_pos / temperature)
+    l_pos = ref.sum(ref.mul(q_hat, k_pos), axis=1, keepdims=True)
+    exp_pos = ref.exp(ref.div(l_pos, temperature))
     if len(queue) > 0:
         negs = engine.constant(queue.as_matrix().T)
-        l_neg = engine.matmul(q_hat, negs)
-        denom = exp_pos + engine.sum(engine.exp(l_neg / temperature),
-                                     axis=1, keepdims=True)
+        l_neg = ref.matmul(q_hat, negs)
+        e_neg = ref.exp(ref.div(l_neg, temperature))
+        denom = engine.add(exp_pos, ref.sum(e_neg, axis=1, keepdims=True))
     else:
         denom = exp_pos
-    return engine.mean(engine.log(denom) - l_pos / temperature)
+    return ref.mean(ref.sub(ref.log(denom), ref.div(l_pos, temperature)))
 
 
 def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
     # Shift by the detached row max; the softmax is invariant to it.
     shift = engine.constant(logits.values.max(axis=1, keepdims=True))
-    shifted = logits - shift
-    logsumexp = engine.log(engine.sum(engine.exp(shifted), axis=1,
-                                      keepdims=True))
-    true_logit = engine.sum(shifted * engine.constant(onehot), axis=1,
-                            keepdims=True)
-    return engine.mean(logsumexp - true_logit)
+    shifted = ref.sub(logits, shift)
+    logsumexp = ref.log(ref.sum(ref.exp(shifted), axis=1, keepdims=True))
+    true_logit = ref.sum(ref.mul(shifted, engine.constant(onehot)), axis=1,
+                         keepdims=True)
+    return ref.mean(ref.sub(logsumexp, true_logit))

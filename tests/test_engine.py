@@ -18,37 +18,43 @@ from m2t.engine import (
 )
 from m2t.normalization import NormParams
 
+import engine_reference as ref
+
 
 class TestMatmul:
     def test_identity(self):
         a = constant([[1.0, 0.0], [0.0, 1.0]])
         b = constant([[3.0, 4.0], [5.0, 6.0]])
-        out = engine.matmul(a, b)
+        out = ref.matmul(a, b)
         np.testing.assert_array_equal(out.values, [[3.0, 4.0], [5.0, 6.0]])
 
     def test_row_times_column(self):
-        out = engine.matmul(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
+        out = ref.matmul(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.values, [[11.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            engine.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
+            ref.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         a = parameter([[1.0, 2.0]])
         b = constant([[3.0], [4.0]])
 
         def f():
-            return engine.sum(engine.matmul(a, b))
+            return ref.matmul(a, b)
 
         report = finite_diff_check(f, [("a", a)], h=1e-6)
         assert report.passed
+        a.zero_grad()
+        with record():
+            out = f()
+        backward(out)  # a 1x1 output: the seed defaults to ones
         np.testing.assert_allclose(a.grad, [[3.0, 4.0]], rtol=1e-12)
 
 
 class TestElementwise:
     def test_relu(self):
-        out = engine.relu(constant([-1.0, 0.0, 2.0]))
+        out = ref.relu(constant([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
     def test_add(self):
@@ -58,7 +64,7 @@ class TestElementwise:
     def test_relu_gradient_tie_at_zero(self):
         x = parameter([-1.0, 0.0, 2.0])
         with record():
-            loss = engine.sum(engine.relu(x))
+            loss = ref.sum(ref.relu(x))
         backward(loss)
         # The tie at zero passes no gradient by convention; asserted exactly.
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
@@ -77,74 +83,87 @@ class TestElementwise:
         b = parameter([1.0, 2.0, 3.0])
         x = constant(np.ones((4, 3)))
         with record():
-            loss = engine.sum(engine.mul(x, b))
+            loss = ref.sum(ref.mul(x, b))
         backward(loss)
         np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
 
 
 class TestReduce:
     def test_mean(self):
-        assert engine.mean(constant([1.0, 2.0, 3.0])).item() == 2.0
+        assert ref.mean(constant([1.0, 2.0, 3.0])).item() == 2.0
 
     def test_var_is_biased(self):
         # 1/m sum of squared deviations: ((1)^2 + 0 + 1^2) / 3.
-        assert engine.var(constant([1.0, 2.0, 3.0])).item() == pytest.approx(2.0 / 3.0)
+        assert ref.var(constant([1.0, 2.0, 3.0])).item() == pytest.approx(2.0 / 3.0)
 
     def test_var_constant_input(self):
-        assert engine.var(constant([7.0, 7.0, 7.0])).item() == 0.0
+        assert ref.var(constant([7.0, 7.0, 7.0])).item() == 0.0
 
     def test_empty_reduction(self):
         with pytest.raises(ValueError, match="empty reduction"):
-            engine.mean(constant(np.zeros((0, 3))), axis=0)
+            ref.mean(constant(np.zeros((0, 3))), axis=0)
 
     def test_axis_and_keepdims(self):
         x = constant([[1.0, 2.0], [3.0, 4.0]])
-        out = engine.mean(x, axis=0)
+        out = ref.mean(x, axis=0)
         np.testing.assert_array_equal(out.values, [2.0, 3.0])
-        out = engine.sum(x, axis=1, keepdims=True)
+        out = ref.sum(x, axis=1, keepdims=True)
         np.testing.assert_array_equal(out.values, [[3.0], [7.0]])
 
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=16))
     def test_var_matches_two_pass_reference(self, xs):
         x = np.asarray(xs)
         mu = x.sum() / x.size
-        ref = ((x - mu) ** 2).sum() / x.size
-        got = engine.var(constant(x)).item()
-        assert got == pytest.approx(ref, abs=1e-12)
+        want = ((x - mu) ** 2).sum() / x.size
+        got = ref.var(constant(x)).item()
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = parameter([5.0, 6.0, 7.0])
         with record():
-            loss = engine.sum(x)
+            loss = ref.sum(x)
         backward(loss)
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_square_gradient(self):
         x = parameter([1.0, 2.0])
         with record():
-            loss = engine.sum(engine.mul(x, x))
+            loss = ref.sum(ref.mul(x, x))
         backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
         x = parameter([1.0, 2.0])
         with record():
-            y = engine.mul(x, x)
-        with pytest.raises(DimensionError):
+            y = ref.mul(x, x)
+        with pytest.raises(DimensionError, match="seed"):
             backward(y)
+
+    def test_seed_of_another_shape_rejected(self):
+        x = parameter([1.0, 2.0])
+        for seed in (np.ones(3), np.ones((2, 1)), np.float64(1.0)):
+            with record():
+                y = ref.mul(x, x)
+            with pytest.raises(DimensionError, match="seed"):
+                backward(y, seed=seed)
+        with record():
+            loss = ref.sum(ref.mul(x, x))
+        with pytest.raises(DimensionError, match="seed"):
+            backward(loss, seed=np.ones(1))
+        assert x.grad is None
 
     def test_off_tape_loss_rejected(self):
         x = parameter([[1.0]])
-        y = engine.sum(x)  # no tape active
+        y = ref.sum(x)  # no tape active
         with pytest.raises(ValueError, match="tape"):
             backward(y)
 
     def test_second_backward_over_swept_tape_rejected(self):
         x = parameter([1.0, 2.0])
         with record() as tape:
-            loss = engine.sum(engine.mul(x, x))
+            loss = ref.sum(ref.mul(x, x))
         backward(loss)
         assert len(tape) == 0
         with pytest.raises(ValueError, match="swept"):
@@ -154,7 +173,7 @@ class TestBackward:
     def test_first_gradient_of_negative_zero_is_positive_zero(self):
         x = parameter([1.0, 2.0])
         with record():
-            loss = engine.sum(engine.mul(x, constant([-0.0, 3.0])))
+            loss = ref.sum(ref.mul(x, constant([-0.0, 3.0])))
         backward(loss)
         assert x.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
 
@@ -170,7 +189,7 @@ class TestBackward:
         c = constant([1.0, 2.0])
         x = parameter([3.0, 4.0])
         with record():
-            loss = engine.sum(engine.mul(x, c))
+            loss = ref.sum(ref.mul(x, c))
         backward(loss)
         assert c.grad is None
 
@@ -181,13 +200,13 @@ class TestBackward:
         # One tensor used twice...
         x = parameter(vals.copy())
         with record():
-            loss = engine.sum(engine.matmul(x, x))
+            loss = ref.sum(ref.matmul(x, x))
         backward(loss)
 
         # ...must equal the sum of gradients of two distinct copies.
         x1, x2 = parameter(vals.copy()), parameter(vals.copy())
         with record():
-            loss2 = engine.sum(engine.matmul(x1, x2))
+            loss2 = ref.sum(ref.matmul(x1, x2))
         backward(loss2)
         np.testing.assert_allclose(x.grad, x1.grad + x2.grad, rtol=1e-12)
 
@@ -197,14 +216,14 @@ class TestRowOps:
         x = parameter(np.arange(6.0).reshape(3, 2))
         idx = np.array([2, 0, 2])
         with record():
-            loss = engine.sum(engine.gather_rows(x, idx))
+            loss = ref.sum(ref.gather_rows(x, idx))
         backward(loss)
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
 class TestDense:
-    """The fused layer equals matmul + add + batch_norm + relu bit for bit,
-    forward and backward."""
+    """The fused layer equals the composed matmul + add + batch_norm + relu
+    bit for bit, forward and backward."""
 
     GIVEN = (np.array([0.3, -0.2, 0.1, 0.0, 0.5]),
              np.array([1.5, 0.7, 2.0, 1.0, 0.9]))
@@ -221,7 +240,11 @@ class TestDense:
         "permutation": (4, "record", PERM),
     }
 
-    def run(self, norm, relu, x_requires_grad=True, fused=True):
+    def run(self, norm, relu, x_requires_grad=True, fused=True,
+            seeded=False):
+        """(output, gradients, rows a statistics function saw, tape
+        entries); backward runs from ``sum(mul(y, w))``, or from ``y``
+        seeded with ``w`` when ``seeded``."""
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(8, 3)), requires_grad=x_requires_grad)
         weight = parameter(rng.normal(size=(3, 5)))
@@ -244,22 +267,26 @@ class TestDense:
             if fused:
                 y = engine.dense(x, weight, bias, relu, spec)
             else:
-                y = engine.matmul(x, weight) + bias
+                y = engine.add(ref.matmul(x, weight), bias)
                 if spec is not None:
                     if callable(spec.stats):
                         stats = spec.stats(y.values)
                     else:
                         stats = spec.stats
                     if perm is not None:
-                        y = engine.gather_rows(y, perm)
+                        y = ref.gather_rows(y, perm)
                     y = engine.batch_norm(y, groups, gamma, beta, 1e-5, stats)
                     if perm is not None:
-                        y = engine.gather_rows(y, np.argsort(perm))
+                        y = ref.gather_rows(y, np.argsort(perm))
                 if relu:
-                    y = engine.relu(y)
-            loss = engine.sum(y * w)
+                    y = ref.relu(y)
+            if not seeded:
+                loss = ref.sum(ref.mul(y, w))
         entries = tape.entries
-        backward(loss)
+        if seeded:
+            backward(y, seed=w.values)
+        else:
+            backward(loss)
         grads = [t.grad for t in (x, weight, bias, gamma, beta)]
         return y.values, grads, seen, entries
 
@@ -280,6 +307,20 @@ class TestDense:
         assert len(seen) == len(want_seen)
         for got, want in zip(seen, want_seen):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("norm", list(NORMS), ids=list(NORMS))
+    def test_seeded_backward_equals_weighted_sum(self, norm, relu):
+        # backward(y, seed=w) is the backward of sum(mul(y, w)), bit for bit.
+        out, grads, _, entries = self.run(self.NORMS[norm], relu, seeded=True)
+        want_out, want_grads, _, _ = self.run(self.NORMS[norm], relu)
+        assert [e.op for e in entries] == ["dense"]
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("norm", ["no-bn", "groups-4", "permutation"])
     def test_no_input_gradient_for_constant_input(self, norm):
@@ -308,7 +349,7 @@ class TestFiniteDiffCheck:
         a = constant(rng.uniform(-1, 1, size=(4, 4)))
 
         def f():
-            return engine.sum(engine.mul(engine.matmul(w, a), engine.matmul(w, a)))
+            return ref.sum(ref.mul(ref.matmul(w, a), ref.matmul(w, a)))
 
         report = finite_diff_check(f, [("w", w)])
         assert report.max_rel_error < 1e-6
@@ -317,17 +358,17 @@ class TestFiniteDiffCheck:
         w = parameter([1.0, 2.0])
 
         def f():
-            return engine.sum(engine.mul(constant([3.0]), constant([4.0])))
+            return ref.sum(ref.mul(constant([3.0]), constant([4.0])))
 
         report = finite_diff_check(f, [("w", w)])
         assert report.per_block["w"] == 0.0
         assert report.passed
 
 
-def emitted_op_names() -> set:
-    """Every op name a module of ``src/m2t`` passes to ``engine._emit``."""
+def emitted_op_names(paths) -> set:
+    """Every op name the modules at ``paths`` pass to ``_emit``."""
     names = set()
-    for path in Path(engine.__file__).parent.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and node.args and getattr(
                     node.func, "id", getattr(node.func, "attr", None)) == "_emit":
@@ -338,10 +379,28 @@ def emitted_op_names() -> set:
 
 
 def test_every_op_has_a_gradcheck_suite():
-    # Every op that records a tape entry joins the gradient oracle.
-    ops = emitted_op_names()
-    assert {"dense", "normalized_mse", "info_nce", "cross_entropy"} <= ops
+    # The program emits exactly the ops a run records, and each has a suite
+    # in m2t.gradcheck; each composed op of the reference has one beside it.
+    ops = emitted_op_names(Path(engine.__file__).parent.glob("*.py"))
+    assert ops == {"add", "batch_norm", "dense", "normalized_mse",
+                   "info_nce", "cross_entropy"}
     assert sorted(ops - set(gradcheck.SUITES)) == []
+    reference_ops = emitted_op_names([Path(ref.__file__)])
+    assert reference_ops == set(ref.SUITES)
+
+
+@pytest.mark.parametrize("name", list(ref.SUITES))
+def test_reference_suite_passes(name):
+    worst = gradcheck.run_suite(ref.SUITES[name], trials=100, h=1e-5,
+                                tol=1e-4)
+    assert worst <= 1e-4
+
+
+def test_reference_suite_fails_on_a_wrong_backward(monkeypatch):
+    # Negative control: the reference relu with a corrupted gradient mask.
+    monkeypatch.setattr(ref, "_relu_grad_mask",
+                        lambda values: (values > 0.0) * 2.0)
+    assert not gradcheck.run_suite(ref.SUITES["relu"], trials=2) <= 1e-4
 
 
 def test_bn_reductions_equal_numpy_mean():
@@ -366,47 +425,15 @@ def test_bn_reductions_equal_numpy_mean():
         np.testing.assert_array_equal(dx, ((1.0 / std) * g_hat).reshape(12, 5))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_all_ops_gradcheck(seed):
-    """Autodiff vs central differences for every differentiable op."""
-    rng = np.random.default_rng(seed)
-    x = parameter(rng.uniform(-2.0, 2.0, size=(3, 4)))
-    y = parameter(rng.uniform(0.2, 2.0, size=(3, 4)))  # positive: sqrt/log/div
-    w = parameter(rng.uniform(-2.0, 2.0, size=(4, 2)))
-    gamma = parameter(rng.uniform(0.5, 2.0, size=4))
-    beta = parameter(rng.uniform(-1.0, 1.0, size=4))
-
-    cases = {
-        "add": lambda: engine.sum(engine.add(x, y)),
-        "sub": lambda: engine.sum(engine.mul(engine.sub(x, y), engine.sub(x, y))),
-        "mul": lambda: engine.sum(engine.mul(x, y)),
-        "div": lambda: engine.sum(engine.div(x, y)),
-        "relu": lambda: engine.sum(engine.relu(x)),
-        "sqrt": lambda: engine.sum(engine.sqrt(y)),
-        "exp": lambda: engine.sum(engine.exp(x)),
-        "log": lambda: engine.sum(engine.log(y)),
-        "neg": lambda: engine.sum(engine.mul(engine.neg(x), x)),
-        "matmul": lambda: engine.sum(engine.mul(engine.matmul(x, w), engine.matmul(x, w))),
-        "mean": lambda: engine.mean(engine.mul(x, x)),
-        "var": lambda: engine.sum(engine.var(x, axis=0)),
-        "batch_norm": lambda: engine.sum(engine.mul(engine.batch_norm(x, 1, gamma, beta, 1e-5), y)),
-        "gather": lambda: engine.sum(engine.mul(engine.gather_rows(x, np.array([0, 2, 2])), 2.0)),
-    }
-    for name, f in cases.items():
-        report = finite_diff_check(f, [("x", x), ("y", y), ("w", w),
-                                       ("gamma", gamma), ("beta", beta)])
-        assert report.passed, f"{name}: {report.per_block}"
-
-
 def test_forward_determinism_bit_identical():
     rng = np.random.default_rng(3)
     a = rng.uniform(-2, 2, size=(8, 8))
     b = rng.uniform(-2, 2, size=(8, 8))
 
     def run():
-        out = engine.matmul(constant(a), constant(b))
-        out = engine.relu(out)
-        out = engine.mean(out, axis=0)
+        out = ref.matmul(constant(a), constant(b))
+        out = ref.relu(out)
+        out = ref.mean(out, axis=0)
         return out.values.tobytes()
 
     assert run() == run()
@@ -418,5 +445,7 @@ def test_broadcast_matches_numpy_on_valid_shapes(n, c):
     rng = np.random.default_rng(n * 7 + c)
     x = rng.normal(size=(n, c))
     v = rng.normal(size=(c,))
-    out = engine.add(constant(x), constant(v))
-    np.testing.assert_array_equal(out.values, x + v)
+    for op, np_op in ((engine.add, np.add), (ref.sub, np.subtract),
+                      (ref.mul, np.multiply), (ref.div, np.divide)):
+        out = op(constant(x), constant(v))
+        np.testing.assert_array_equal(out.values, np_op(x, v))

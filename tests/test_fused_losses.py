@@ -19,6 +19,7 @@ from m2t.evaluate import linear_probe
 from m2t.objectives import NegQueue, byol_loss, infonce_loss, queue_update
 from m2t.trainer import Trainer
 
+import engine_reference as composed
 import loss_reference as ref
 from test_trainer import small_config
 
@@ -32,17 +33,17 @@ def assert_bits_equal(got, want):
 
 def run(loss_fn, inputs, upstream=1.0):
     """(value, input gradients, the loss's tape ops, zero-norm rows
-    counted); backward starts from ``upstream`` times the loss."""
+    counted); backward is seeded with ``upstream`` as the loss's
+    gradient."""
     for t in inputs:
         t.zero_grad()
     HEALTH.reset()
     with record() as tape:
         loss = loss_fn()
         ops = [e.op for e in tape.entries]
-        scaled = engine.mul(loss, upstream)
     counted = HEALTH.zero_norm_rows
     if ops:
-        backward(scaled)
+        backward(loss, seed=np.full(loss.shape, upstream))
     return loss.values, [t.grad for t in inputs], ops, counted
 
 
@@ -265,7 +266,7 @@ def test_probe_steps_equal_composed_ops(monkeypatch):
                                          evaluate.HISTORY_MOMENTUM)
         h = engine.batch_norm(x, 1, head.gamma, head.beta, evaluate.EPS,
                               stats=(s.mean, s.var))
-        return engine.matmul(h, head.weight) + head.bias
+        return engine.add(composed.matmul(h, head.weight), head.bias)
 
     monkeypatch.setattr(evaluate._ProbeHead, "train_logits", composed_logits)
     monkeypatch.setattr(evaluate, "_cross_entropy", ref.cross_entropy)

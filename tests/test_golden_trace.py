@@ -92,10 +92,10 @@ def test_full_iteration_matches_reference(trace, setup):
     # Per-worker student statistics of the affine pre-activations.
     for view, key in ((v1, "student_worker_stats_v1"),
                       (v2, "student_worker_stats_v2")):
-        a = engine.constant(view) @ pair.encoder.layers[0].weight \
-            + pair.encoder.layers[0].bias
+        layer = pair.encoder.layers[0]
+        a = view @ layer.weight.values + layer.bias.values
         for rows, expected in zip(worker_slices(4, 2), trace[key]):
-            s = batch_stats(engine.constant(a.values[rows]))
+            s = batch_stats(engine.constant(a[rows]))
             np.testing.assert_allclose(s.mean.values, expected["mean"], atol=TOL)
             np.testing.assert_allclose(s.var.values, expected["var"], atol=TOL)
 

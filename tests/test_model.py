@@ -23,6 +23,7 @@ from m2t.model import (
 )
 from m2t.evaluate import extract_features
 
+import engine_reference as composed
 from bn_reference import worker_slices
 
 
@@ -147,8 +148,8 @@ class TestForwardTeacher:
         with record():
             _, p = forward_student(pair, v, 2)
             t = forward_teacher(pair, v, alpha=1.0, workers=2)
-            d = p - t
-            loss = engine.sum(d * d)
+            d = composed.sub(p, t)
+            loss = composed.sum(composed.mul(d, d))
         backward(loss)
         for t_mlp in (pair.t_encoder, pair.t_projector):
             for _, tensor, _ in t_mlp.params():
