@@ -80,6 +80,24 @@ def _set_heap_policy() -> bool:
     return results == [1, 1]
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """The interpreter, numpy and BLAS versions and the BLAS thread
+    variables (None when unset), for ``manifest.json``: a timing is read
+    against them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):  # older numpy layouts
+        blas = {"name": None, "version": None}
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "blas": blas,
+            "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES}}
+
+
 def write_metrics_csv(records: list, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(MetricsRecord.CSV_FIELDS) + "\n")
@@ -112,6 +130,7 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, outputs: dict) -> Path:
         "end_timestamp": None,
         "outputs": outputs,
         "heap_policy": keep_freed_memory(),
+        "environment": environment(),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True),

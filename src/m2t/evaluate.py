@@ -14,12 +14,12 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor, backward, record
-from .model import forward_mlp, history_norm, load_teacher
+from .model import Arena, Param, forward_mlp, history_norm, load_teacher
 from .normalization import (MomentumBNState, constant_batch_stats,
                             momentum_bn_lazy_commit)
 from .objectives import l2_normalize_rows
 from .schedules import cosine_value
-from .trainer import OptimizerState, Param, sgd_step
+from .trainer import OptimizerState, sgd_step
 
 # Probe protocol constants.
 BATCH_SIZE = 256
@@ -74,12 +74,13 @@ class _ProbeHead:
     step (the first commit initializes it)."""
 
     def __init__(self, dim: int, num_classes: int):
-        self.params = [Param(name, engine.parameter(values)) for name, values
-                       in (("gamma", np.ones(dim)), ("beta", np.zeros(dim)),
-                           ("weight", np.zeros((dim, num_classes))),
-                           ("bias", np.zeros(num_classes)))]
+        self.arena = Arena([
+            Param(name, engine.parameter(values)) for name, values
+            in (("gamma", np.ones(dim)), ("beta", np.zeros(dim)),
+                ("weight", np.zeros((dim, num_classes))),
+                ("bias", np.zeros(num_classes)))])
         self.gamma, self.beta, self.weight, self.bias = (
-            p.tensor for p in self.params)
+            p.tensor for p in self.arena.params)
         self.history = MomentumBNState()
 
     def train_logits(self, x: np.ndarray) -> Tensor:
@@ -130,20 +131,19 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
         for b in range(batches):
             # Rows gathered per step, so no copy of the training split.
             rows = train_idx[order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]]
-            for p in head.params:
-                p.tensor.zero_grad()
+            head.arena.zero_grads()
             with record():
                 loss = _cross_entropy(head.train_logits(features[rows]),
                                       onehot[labels[rows]])
             backward(loss)
-            sgd_step(head.params, [p.tensor.grad for p in head.params], opt,
-                     cosine_value(lr, step, total_steps))
+            sgd_step(head.arena, opt, cosine_value(lr, step, total_steps))
             step += 1
-    for p in head.params:
-        if not np.isfinite(p.tensor.values).all():
-            raise ProbeDivergedError(
-                f"linear probe diverged: non-finite head {p.name} after "
-                f"{step} steps at lr {lr}")
+    if not np.isfinite(head.arena.gather()).all():
+        bad = next(p.name for p in head.arena.params
+                   if not np.isfinite(p.tensor.values).all())
+        raise ProbeDivergedError(
+            f"linear probe diverged: non-finite head {bad} after {step} "
+            f"steps at lr {lr}")
 
     pred = head.infer_logits(features[test_idx]).argmax(axis=1)
     return float((pred == labels[test_idx]).mean())

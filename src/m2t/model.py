@@ -19,18 +19,26 @@ Student, teacher and frozen inference run the same layer loop,
 differ only in the per-layer BN specs they pass. The
 teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
 :func:`load_teacher` checks it and reads it back.
+
+The student's parameters and the teacher's mirrored weights each live in
+one flat :class:`Arena`, and the teacher's BN layers commit their histories
+together over concatenated channels, so the per-iteration updates
+(:func:`ema_update`, :func:`commit_teacher_bn` and the trainer's SGD step)
+are a few whole-vector operations instead of one set per block or layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import engine
 from .engine import BNSpec, DimensionError, Tensor
 from .normalization import (
+    BatchStats,
     MomentumBNState,
     NormParams,
     constant_batch_stats,
@@ -106,6 +114,78 @@ def default_predictor_spec(dim: int = 32) -> MlpSpec:
     return mlp_spec((dim, 32, 32))
 
 
+class Param(NamedTuple):
+    """A named parameter tensor. ``exclude`` marks biases and BN affines,
+    which LARS scaling and weight-decay filtering leave out."""
+
+    name: str
+    tensor: Tensor
+    exclude: bool = False
+
+
+class Arena:
+    """Parameter tensors whose values are consecutive views of one float64
+    vector, in the given order, with their gradients views of a second
+    vector of the same layout; an update over all of them is then a few
+    whole-vector numpy operations.
+
+    A tensor whose ``values`` or ``grad`` was rebound to another array is
+    copied back into its block and rebound to the view by :meth:`gather`
+    and :meth:`gather_grads`, so it still takes part in the next update.
+    """
+
+    def __init__(self, params: Sequence[Param]):
+        self.params = tuple(params)
+        ends = list(accumulate((p.tensor.size for p in self.params),
+                               initial=0))
+        #: (start, stop) of each parameter's block in the vectors.
+        self.bounds = list(zip(ends, ends[1:]))
+        self.values = np.empty(ends[-1])
+        self.grads = np.zeros(ends[-1])
+        self._views = self._blocks(self.values)
+        self._grad_views = self._blocks(self.grads)
+        for p, view in zip(self.params, self._views):
+            view[...] = p.tensor.values
+            p.tensor.values = view
+
+    def _blocks(self, vector: np.ndarray) -> list:
+        return [vector[a:b].reshape(p.tensor.shape)
+                for p, (a, b) in zip(self.params, self.bounds)]
+
+    def gather(self) -> np.ndarray:
+        """The value vector, with every rebound tensor copied back in."""
+        for p, view in zip(self.params, self._views):
+            if p.tensor.values is not view:
+                p.tensor.values = _rehome(p, "values", p.tensor.values, view)
+        return self.values
+
+    def zero_grads(self) -> None:
+        """Zero the gradient vector and bind each tensor's ``grad`` to its
+        view, so :func:`m2t.engine.backward` accumulates into it."""
+        self.grads.fill(0.0)
+        for p, view in zip(self.params, self._grad_views):
+            p.tensor.grad = view
+
+    def gather_grads(self) -> np.ndarray:
+        """The gradient vector, with every rebound ``grad`` copied back in;
+        ``ValueError`` for a tensor with no gradient."""
+        for p, view in zip(self.params, self._grad_views):
+            if p.tensor.grad is not view:
+                if p.tensor.grad is None:
+                    raise ValueError(f"{p.name}: no gradient")
+                p.tensor.grad = _rehome(p, "gradient", p.tensor.grad, view)
+        return self.grads
+
+
+def _rehome(p: Param, what: str, array: np.ndarray,
+            view: np.ndarray) -> np.ndarray:
+    if np.shape(array) != view.shape:
+        raise DimensionError(f"{p.name}: {what} shape {np.shape(array)} != "
+                             f"parameter shape {view.shape}")
+    view[...] = array
+    return view
+
+
 @dataclass
 class Layer:
     weight: Tensor
@@ -121,16 +201,18 @@ class Mlp:
         self.spec = spec
         self.layers = layers
 
-    def params(self) -> list[tuple[str, Tensor, bool]]:
-        """(name, tensor, excluded) triples; biases and BN affines carry the
-        exclusion flag used by LARS and weight-decay filtering."""
+    def params(self) -> list[Param]:
+        """Every weight, bias and BN affine in layer order; biases and BN
+        affines carry ``exclude``."""
         out = []
         for i, layer in enumerate(self.layers):
-            out.append((f"{self.name}{i}.weight", layer.weight, False))
-            out.append((f"{self.name}{i}.bias", layer.bias, True))
+            out.append(Param(f"{self.name}{i}.weight", layer.weight, False))
+            out.append(Param(f"{self.name}{i}.bias", layer.bias, True))
             if layer.norm is not None:
-                out.append((f"{self.name}{i}.gamma", layer.norm.gamma, True))
-                out.append((f"{self.name}{i}.beta", layer.norm.beta, True))
+                out.append(Param(f"{self.name}{i}.gamma", layer.norm.gamma,
+                                 True))
+                out.append(Param(f"{self.name}{i}.beta", layer.norm.beta,
+                                 True))
         return out
 
     def bn_states(self) -> list[MomentumBNState]:
@@ -175,7 +257,12 @@ def _copy_as_teacher(mlp: Mlp) -> Mlp:
 
 class StudentTeacherPair:
     """Student (encoder, projector and, unless None, predictor) and its EMA
-    teacher (encoder, projector)."""
+    teacher (encoder, projector).
+
+    ``student`` is the arena of :meth:`student_params`. ``teacher`` is the
+    arena of the teacher's mirrored weights, laid out as the student
+    arena's encoder-plus-projector prefix.
+    """
 
     def __init__(self, encoder: Mlp, projector: Mlp, predictor: Optional[Mlp],
                  student_bn: str = "plain", teacher_bn: str = "momentum"):
@@ -190,6 +277,9 @@ class StudentTeacherPair:
         self.teacher_bn = teacher_bn
         self.t_encoder = _copy_as_teacher(encoder)
         self.t_projector = _copy_as_teacher(projector)
+        self.student = Arena(self.student_params())
+        self.teacher = Arena(self.t_encoder.params()
+                             + self.t_projector.params())
 
     def student_mlps(self) -> list[Mlp]:
         return [m for m in (self.encoder, self.projector, self.predictor)
@@ -200,12 +290,8 @@ class StudentTeacherPair:
 
     def ema_pairs(self) -> list[tuple[Tensor, Tensor]]:
         """(teacher tensor, student tensor) for every mirrored weight."""
-        pairs = []
-        for t_mlp, s_mlp in ((self.t_encoder, self.encoder),
-                             (self.t_projector, self.projector)):
-            for (_, t, _), (_, s, _) in zip(t_mlp.params(), s_mlp.params()):
-                pairs.append((t, s))
-        return pairs
+        return [(t.tensor, s.tensor)
+                for t, s in zip(self.teacher.params, self.student.params)]
 
     def teacher_bn_states(self) -> list[MomentumBNState]:
         return self.t_encoder.bn_states() + self.t_projector.bn_states()
@@ -337,29 +423,65 @@ def history_norm(layer: Layer) -> BNSpec:
 
 def ema_update(pair: StudentTeacherPair, m: float) -> None:
     """teacher <- (1 - m) * teacher + m * student for every mirrored weight,
-    including BN gamma/beta. Momentum BN histories are never touched here."""
+    including BN gamma/beta, as whole-vector operations on the teacher
+    arena and the student arena's prefix. Momentum BN histories are never
+    touched here."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"EMA coefficient must lie in [0, 1], got {m}")
-    for t, s in pair.ema_pairs():
-        t.values = (1.0 - m) * t.values + m * s.values
+    t = pair.teacher.gather()
+    t *= 1.0 - m
+    t += m * pair.student.gather()[:t.size]
 
 
 def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
-    """Lazily commit every teacher BN layer's pending view statistics.
+    """Lazily commit every teacher BN layer's pending view statistics, as
+    one :func:`momentum_bn_lazy_commit` over their concatenated channels;
+    each layer's ``hist_mean``/``hist_var`` is then a view of the joint
+    history.
 
     Returns the total L2 drift of the histories, the per-iteration
-    history-movement metric.
+    history-movement metric, summed layer by layer. The layers commit
+    together: ``ValueError`` unless all or none have pending views, and
+    all agree on their view counts and on whether their history is
+    initialized.
     """
+    states = pair.teacher_bn_states()
+    if not any(s.pending for s in states):
+        return 0.0
+    if len({(s.initialized, *[v.count for v in s.pending])
+            for s in states}) != 1:
+        raise ValueError("teacher BN layers disagree on their pending views "
+                         "or history initialization")
+    joint = MomentumBNState(initialized=states[0].initialized, pending=[
+        BatchStats(mean=np.concatenate([s.pending[i].mean for s in states]),
+                   var=np.concatenate([s.pending[i].var for s in states]),
+                   count=view.count)
+        for i, view in enumerate(states[0].pending)])
+    ends = list(accumulate((s.pending[0].mean.size for s in states),
+                           initial=0))
+    # The commit rebinds the history, so the concatenated arrays stay the
+    # "before"; the first commit measures drift from zero (x - 0.0 == x).
+    before_mean = before_var = 0.0
+    if joint.initialized:
+        before_mean = joint.hist_mean = np.concatenate(
+            [s.hist_mean for s in states])
+        before_var = joint.hist_var = np.concatenate(
+            [s.hist_var for s in states])
+    momentum_bn_lazy_commit(joint, alpha)
+    d_mean = joint.hist_mean - before_mean
+    d_mean *= d_mean
+    d_var = joint.hist_var - before_var
+    d_var *= d_var
     drift_sq = 0.0
-    for state in pair.teacher_bn_states():
-        if not state.pending:
-            continue
-        # The first commit measures drift from zero (x - 0.0 == x exactly).
-        before_mean = 0.0 if state.hist_mean is None else state.hist_mean.copy()
-        before_var = 0.0 if state.hist_var is None else state.hist_var.copy()
-        momentum_bn_lazy_commit(state, alpha)
-        drift_sq += float(np.sum((state.hist_mean - before_mean) ** 2))
-        drift_sq += float(np.sum((state.hist_var - before_var) ** 2))
+    for state, a, b in zip(states, ends, ends[1:]):
+        # np.add.reduce is np.sum's arithmetic without its wrapper.
+        drift_sq += float(np.add.reduce(d_mean[a:b]))
+        drift_sq += float(np.add.reduce(d_var[a:b]))
+        state.hist_mean = joint.hist_mean[a:b]
+        state.hist_var = joint.hist_var[a:b]
+        state.initialized = True
+        state.pending.clear()
+        state.commits += 1
     return float(np.sqrt(drift_sq))
 
 

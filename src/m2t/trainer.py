@@ -8,6 +8,10 @@ blend coefficient, and finally the teacher weight EMA. The contrastive
 mode swaps in a single-view InfoNCE loss, a fixed blend coefficient, a
 constant weight-EMA coefficient, and a negatives-queue update.
 
+The step, the commit and the EMA are whole-vector operations on the
+pair's arenas (:class:`m2t.model.Arena`). One finiteness check covers
+every gradient before the step and one every parameter after it.
+
 ``sec_per_iter`` in the metrics is a deterministic cost model (local
 compute plus what the cross-worker BN traffic would cost at nominal
 latency/bandwidth), not a measurement, so that identical runs produce
@@ -18,15 +22,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from . import engine
 from .config import ConfigError, DataConfig, TrainConfig
 from .data import Dataset, IdxFormatError, make_views, synth_clusters, load_idx
-from .engine import HEALTH, Tensor, backward, record
+from .engine import HEALTH, backward, record
 from .model import (
+    Arena,
     StudentTeacherPair,
     build_pair,
     commit_teacher_bn,
@@ -51,51 +55,59 @@ NOMINAL_COLLECTIVE_LATENCY = 1e-3
 
 
 @dataclass
-class Param:
-    name: str
-    tensor: Tensor
-    exclude: bool = False  # bias or BN affine: out of LARS scaling and wd
-
-
-@dataclass
 class OptimizerState:
+    """Momentum-SGD (or LARS) settings, and what the first :func:`sgd_step`
+    binds the state to: its arena, the momentum buffer in the arena's
+    layout and the weight decay of each element (a vector in that layout,
+    or one number when all are equal)."""
+
     kind: str = "sgd"
     momentum: float = 0.9
     weight_decay: float = 1e-4
     trust_coeff: float = 0.001
     wd_exclude: bool = False
-    buffers: dict = field(default_factory=dict)  # by parameter name
+    arena: Optional[Arena] = field(default=None, init=False, repr=False)
+    buffer: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    wd: Union[None, float, np.ndarray] = field(default=None, init=False,
+                                               repr=False)
 
 
-def sgd_step(params: list[Param], grads: list[np.ndarray],
-             state: OptimizerState, lr: float) -> None:
-    """Momentum SGD: buf <- momentum * buf + d; w <- w - lr * buf, with
-    d = g + wd * w.
+def sgd_step(params: Arena, state: OptimizerState, lr: float) -> None:
+    """Momentum SGD over the whole arena: buf <- momentum * buf + d;
+    w <- w - lr * buf, with d = g + wd * w.
 
     Weight decay skips excluded parameters (biases, BN affines) when the
     state says so, and always under LARS. LARS (``kind == "lars"``) is the
     same step with the ``d`` of each non-excluded block scaled by
-    trust * ||w|| / (||d|| + 1e-9).
+    trust * ||w|| / (||d|| + 1e-9). Each element sees the arithmetic of a
+    per-block step, so the result is the same to the bit.
     """
+    w, g = params.gather(), params.gather_grads()
     lars = state.kind == "lars"
-    for p, g in zip(params, grads):
-        w = p.tensor.values
-        if g.shape != w.shape:
-            raise engine.DimensionError(
-                f"{p.name}: gradient shape {g.shape} != parameter shape "
-                f"{w.shape}")
-        wd = 0.0 if p.exclude and (lars or state.wd_exclude) \
-            else state.weight_decay
-        d = g + wd * w
-        if lars and not p.exclude:
-            d = (state.trust_coeff * float(np.linalg.norm(w))
-                 / (float(np.linalg.norm(d)) + 1e-9)) * d
-        buf = state.buffers.get(p.name)
-        if buf is None:
-            buf = state.buffers[p.name] = np.zeros_like(w)
-        buf *= state.momentum
-        buf += d
-        p.tensor.values = w - lr * buf
+    if state.arena is not params:
+        if state.arena is not None:
+            raise ValueError("optimizer state is bound to another arena")
+        state.arena = params
+        state.buffer = np.zeros_like(w)
+        wd = [0.0 if p.exclude and (lars or state.wd_exclude)
+              else state.weight_decay for p in params.params]
+        # One number when every block decays alike; its product with w is
+        # the per-element vector's.
+        state.wd = wd[0] if len(set(wd)) == 1 else np.repeat(
+            wd, [b - a for a, b in params.bounds])
+    d = state.wd * w
+    np.add(g, d, out=d)
+    if lars:
+        for p, (a, b) in zip(params.params, params.bounds):
+            if not p.exclude:
+                block = d[a:b]
+                block *= (state.trust_coeff * float(np.linalg.norm(w[a:b]))
+                          / (float(np.linalg.norm(block)) + 1e-9))
+    buf = state.buffer
+    buf *= state.momentum
+    buf += d
+    np.multiply(lr, buf, out=d)
+    w -= d
 
 
 @dataclass
@@ -123,8 +135,9 @@ class MetricsRecord:
 
 
 class NanLossError(RuntimeError):
-    """Training hit a non-finite loss, history drift or teacher array;
-    carries the record of the iteration that did and the metrics before."""
+    """Training hit a non-finite loss, gradient, parameter, history drift or
+    teacher array; carries the record of the iteration that did and the
+    metrics before."""
 
     def __init__(self, message: str, diagnostic: MetricsRecord,
                  metrics: Optional[list] = None):
@@ -263,7 +276,6 @@ class Trainer:
             self.lr_spec = self.m_spec = self.alpha_spec = None
 
         self.is_moco = cfg.mode == "moco"
-        self.params = [Param(*p) for p in self.pair.student_params()]
         self.opt = OptimizerState(
             kind=cfg.optimizer, momentum=cfg.sgd_momentum,
             weight_decay=cfg.weight_decay, trust_coeff=cfg.trust_coeff,
@@ -295,8 +307,8 @@ class Trainer:
         perm_seed = substream_int(cfg.seed, "bnperm", k) \
             if self.pair.teacher_bn == "shuffling" else None
 
-        for p in self.params:
-            p.tensor.zero_grad()
+        student = self.pair.student
+        student.zero_grads()
 
         with record():
             if self.is_moco:
@@ -326,8 +338,16 @@ class Trainer:
                                metrics(float("nan")))
 
         backward(loss_t)
-        sgd_step(self.params, [p.tensor.grad for p in self.params], self.opt,
-                 lr_k)
+        # One check over every gradient before the step and one over every
+        # parameter after it.
+        if not np.isfinite(student.gather_grads()).all():
+            raise NanLossError(f"non-finite gradient at iteration {k}",
+                               metrics(float("nan")))
+        sgd_step(student, self.opt, lr_k)
+        if not np.isfinite(student.gather()).all():
+            raise NanLossError(
+                f"non-finite parameter after the step at iteration {k}",
+                metrics(float("nan")))
         drift = commit_teacher_bn(self.pair, alpha_k)
         # The drift sums every history's change, so one check covers them all.
         if not np.isfinite(drift):

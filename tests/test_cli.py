@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import struct
 
 import numpy as np
@@ -170,6 +171,28 @@ class TestPretrainCommand:
         assert manifest["end_timestamp"] is not None
         assert manifest["config"]["epochs"] == 1
         assert manifest["heap_policy"] == keep_freed_memory()
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["pretrain", *TINY_ARGS, "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["threads"]["OMP_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        # Without the record, the run writes the same metrics.
+        monkeypatch.setattr(cli, "environment", lambda: {})
+        bare = tmp_path / "bare"
+        assert main(["pretrain", *TINY_ARGS, "--out", str(bare)]) == 0
+        assert json.loads(
+            (bare / "manifest.json").read_text())["environment"] == {}
+        assert ((out / "metrics.csv").read_bytes()
+                == (bare / "metrics.csv").read_bytes())
 
     def test_overflowing_infonce_temperature_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"

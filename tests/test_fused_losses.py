@@ -249,9 +249,9 @@ def test_probe_steps_equal_composed_ops(monkeypatch):
     def probe():
         seen = []
 
-        def spy(params, grads, opt, lr):
-            seen.append([g.copy() for g in grads])
-            real_step(params, grads, opt, lr)
+        def spy(arena, opt, lr):
+            seen.append([p.tensor.grad.copy() for p in arena.params])
+            real_step(arena, opt, lr)
 
         monkeypatch.setattr(evaluate, "sgd_step", spy)
         acc = linear_probe(features, labels, epochs=3, lr=0.5, seed=1)

@@ -26,7 +26,7 @@ from m2t.model import (
     ema_update,
 )
 from m2t.objectives import symmetrized_loss
-from m2t.trainer import OptimizerState, Param, sgd_step
+from m2t.trainer import OptimizerState, sgd_step
 
 from bn_reference import batch_stats, worker_slices
 
@@ -129,7 +129,7 @@ def test_full_iteration_matches_reference(trace, setup):
 
     # Gradients and the optimizer step.
     backward(out.loss)
-    params = [Param(name, t, excl) for name, t, excl in pair.student_params()]
+    params = pair.student.params
     name_map = {
         "enc0.weight": "enc0.weight", "enc0.bias": "enc0.bias",
         "enc0.gamma": "enc0.gamma", "enc0.beta": "enc0.beta",
@@ -144,8 +144,7 @@ def test_full_iteration_matches_reference(trace, setup):
     before = {p.name: p.tensor.values.copy() for p in params}
     opt = OptimizerState(momentum=0.9, weight_decay=cfg["weight_decay"],
                          wd_exclude=False)
-    grads = [p.tensor.grad for p in params]
-    sgd_step(params, grads, opt, lr=cfg["lr"])
+    sgd_step(pair.student, opt, lr=cfg["lr"])
     for p in params:
         delta = p.tensor.values - before[p.name]
         np.testing.assert_allclose(

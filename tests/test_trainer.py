@@ -12,12 +12,11 @@ from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
 from m2t.engine import HEALTH, DimensionError, Tensor, backward, record
-from m2t.model import forward_student, mlp_spec
+from m2t.model import Arena, Param, forward_student, mlp_spec
 from m2t.trainer import (
     MetricsRecord,
     NanLossError,
     OptimizerState,
-    Param,
     Trainer,
     ablation_grid,
     grid_trainers,
@@ -59,44 +58,51 @@ def param(name, values, exclude=False):
                  exclude=exclude)
 
 
+def step(arena, grads, state, lr):
+    """One sgd_step over ``arena`` with the given per-block gradients."""
+    for p, g in zip(arena.params, grads):
+        p.tensor.grad = g
+    sgd_step(arena, state, lr)
+
+
 class TestSgdStep:
     def test_zero_grads_zero_buffers_leave_params(self):
         p = param("w", [1.0, 2.0])
         state = OptimizerState(weight_decay=0.0)
-        sgd_step([p], [np.zeros(2)], state, lr=0.1)
+        step(Arena([p]), [np.zeros(2)], state, lr=0.1)
         np.testing.assert_array_equal(p.tensor.values, [1.0, 2.0])
 
     def test_single_step(self):
         p = param("w", [1.0, 2.0])
         state = OptimizerState(weight_decay=0.0)
         g = np.array([0.5, -0.5])
-        sgd_step([p], [g], state, lr=0.1)
+        step(Arena([p]), [g], state, lr=0.1)
         np.testing.assert_allclose(p.tensor.values, [0.95, 2.05])
 
     def test_two_steps_with_constant_gradient(self):
         p = param("w", [0.0])
+        arena = Arena([p])
         state = OptimizerState(weight_decay=0.0, momentum=0.9)
         g = np.array([1.0])
         lr = 0.1
-        sgd_step([p], [g], state, lr)
-        sgd_step([p], [g], state, lr)
+        step(arena, [g], state, lr)
+        step(arena, [g], state, lr)
         # First step moves lr*g, second lr*(0.9 g + g).
         expected = -(lr * 1.0 + lr * 1.9)
         np.testing.assert_allclose(p.tensor.values, [expected])
 
     def test_weight_decay_excluded_when_configured(self):
         p = param("bias", [2.0], exclude=True)
-        state = OptimizerState(weight_decay=0.5, wd_exclude=True)
-        sgd_step([p], [np.zeros(1)], state, lr=0.1)
-        np.testing.assert_array_equal(p.tensor.values, [2.0])
         q = param("weight", [2.0], exclude=False)
-        sgd_step([q], [np.zeros(1)], state, lr=0.1)
+        state = OptimizerState(weight_decay=0.5, wd_exclude=True)
+        step(Arena([p, q]), [np.zeros(1), np.zeros(1)], state, lr=0.1)
+        np.testing.assert_array_equal(p.tensor.values, [2.0])
         assert q.tensor.values[0] < 2.0
 
     def test_shape_mismatch(self):
         p = param("w", [1.0, 2.0])
         with pytest.raises(DimensionError, match="shape"):
-            sgd_step([p], [np.zeros(3)], OptimizerState(), lr=0.1)
+            step(Arena([p]), [np.zeros(3)], OptimizerState(), lr=0.1)
 
 
 class TestLarsStep:
@@ -109,14 +115,14 @@ class TestLarsStep:
         lars_state = OptimizerState(kind="lars", weight_decay=0.1)
         sgd_state = OptimizerState(kind="sgd", weight_decay=0.1,
                                    wd_exclude=True)
-        sgd_step([a], [g.copy()], lars_state, lr=0.2)
-        sgd_step([b], [g.copy()], sgd_state, lr=0.2)
+        step(Arena([a]), [g.copy()], lars_state, lr=0.2)
+        step(Arena([b]), [g.copy()], sgd_state, lr=0.2)
         np.testing.assert_array_equal(a.tensor.values, b.tensor.values)
 
     def test_zero_norm_weight_is_not_moved(self):
         p = param("w", np.zeros(4))
         state = OptimizerState(kind="lars", weight_decay=0.0)
-        sgd_step([p], [np.ones(4)], state, lr=0.5)
+        step(Arena([p]), [np.ones(4)], state, lr=0.5)
         np.testing.assert_array_equal(p.tensor.values, np.zeros(4))
 
     def test_hand_computed_local_lr(self):
@@ -125,7 +131,7 @@ class TestLarsStep:
                                trust_coeff=0.001, momentum=0.9)
         g = np.array([0.0, 1.0])
         lr = 1.0
-        sgd_step([p], [g], state, lr)
+        step(Arena([p]), [g], state, lr)
         # local lr = 0.001 * 5 / (1 + 1e-9) = 0.005; update = -lr * 0.005 * g
         np.testing.assert_allclose(p.tensor.values, [3.0, 4.0 - 0.005],
                                    rtol=1e-6)
@@ -325,7 +331,7 @@ class TestRunTraining:
         assert all(np.isfinite(m.loss) for m in result.metrics)
         # Contrastive mode builds no predictor, so none is optimized.
         assert not any(name.startswith("pred") for name in
-                       (p.name for p in trainer.params))
+                       (p.name for p in trainer.pair.student.params))
 
     def test_moco_shuffling_teacher_runs(self):
         cfg = small_config(mode="moco", teacher_bn="shuffling", m_base=0.001,
