@@ -199,6 +199,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # A config integer's bound: more epochs overflow the probe's schedule.
+    config_mod.check_type(args.probe_epochs, int, "--probe-epochs")
     payload = load_checkpoint(args.checkpoint)
     try:
         with open(args.dataset, "r", encoding="utf-8") as f:

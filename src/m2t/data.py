@@ -36,6 +36,10 @@ class IdxFormatError(ValueError):
         self.offset = offset
 
 
+class NonFiniteDataError(ValueError):
+    """A dataset's samples are not all finite."""
+
+
 @dataclass
 class Dataset:
     samples: np.ndarray  # N x d, float64
@@ -53,7 +57,7 @@ class Dataset:
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {self.samples.shape[0]} samples")
         if not np.isfinite(self.samples).all():
-            raise ValueError("dataset contains non-finite values")
+            raise NonFiniteDataError("dataset contains non-finite values")
         if self.num_classes == 0:
             self.num_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
         if len(self.labels) and (self.labels.min() < 0
@@ -122,6 +126,8 @@ class AugmentSpec:
 # synthetic data
 
 
+# A spread that overflows float64 is left to Dataset's finiteness check.
+@np.errstate(over="ignore")
 def synth_clusters(num_classes: int, dim: int, per_class: int, spread: float,
                    seed: int) -> Dataset:
     """Gaussian class clusters: each class mean is a seeded random direction

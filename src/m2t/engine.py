@@ -258,7 +258,7 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
     def backward(g: np.ndarray, need_dx: bool) -> tuple:
         dx = None
         if need_dx:
-            g_hat = g.reshape(x3.shape) * gamma
+            g_hat = g.reshape(groups, n, c) * gamma
             if stats is None:
                 g_hat = (g_hat
                          - np.add.reduce(g_hat, axis=1, keepdims=True) / n

@@ -41,7 +41,8 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"samples of shape {x.shape} do not match encoder input width "
             f"{encoder.spec.in_dim}")
-    features = forward_mlp(encoder, engine.constant(x), history_norm).values
+    features = forward_mlp(encoder, engine.constant(x),
+                           history_norm(encoder.history)).values
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     return features
@@ -81,7 +82,7 @@ class _ProbeHead:
                 ("bias", np.zeros(num_classes)))])
         self.gamma, self.beta, self.weight, self.bias = (
             p.tensor for p in self.arena.params)
-        self.history = MomentumBNState()
+        self.history = MomentumBNState(np.zeros(dim), np.ones(dim))
 
     def train_logits(self, x: np.ndarray) -> Tensor:
         s = constant_batch_stats(x)

@@ -8,11 +8,13 @@ student's and its BN layers normalize with momentum statistics (or one of
 the baseline BN variants, for the ablation grid). Teacher parameters never
 participate in gradients.
 
-Whatever BN variant the teacher runs, each teacher BN layer keeps a
-momentum history of its whole-batch statistics, committed once per
-iteration. In momentum mode that history also drives the forward blend; in
-the baseline modes it exists purely so that frozen-feature evaluation has
-per-sample inference statistics.
+Whatever BN variant the teacher runs, it keeps one momentum history of
+its BN layers' whole-batch statistics over every channel (the pair's
+``history``), which each layer reaches through its channel range. A pass
+records its statistics once and :func:`commit_teacher_bn` commits them
+once per iteration. In momentum mode the history also drives the forward
+blend; in the baseline modes it exists purely so that frozen-feature
+evaluation has per-sample inference statistics.
 
 Student, teacher and frozen inference run the same layer loop,
 :func:`forward_mlp` (one fused :func:`m2t.engine.dense` op per layer), and
@@ -21,8 +23,7 @@ teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
 :func:`load_teacher` checks it and reads it back.
 
 The student's parameters and the teacher's mirrored weights each live in
-one flat :class:`Arena`, and the teacher's BN layers commit their histories
-together over concatenated channels, so the per-iteration updates
+one flat :class:`Arena`, so with the one history the per-iteration updates
 (:func:`ema_update`, :func:`commit_teacher_bn` and the trainer's SGD step)
 are a few whole-vector operations instead of one set per block or layer.
 """
@@ -192,7 +193,7 @@ class Layer:
     bias: Tensor
     norm: Optional[NormParams]
     relu: bool
-    state: Optional[MomentumBNState] = None
+    channels: Optional[slice] = None  # a teacher BN layer's history range
 
 
 class Mlp:
@@ -200,6 +201,8 @@ class Mlp:
         self.name = name
         self.spec = spec
         self.layers = layers
+        # The BN history a teacher's or frozen encoder's layers index.
+        self.history: Optional[MomentumBNState] = None
 
     def params(self) -> list[Param]:
         """Every weight, bias and BN affine in layer order; biases and BN
@@ -214,9 +217,6 @@ class Mlp:
                 out.append(Param(f"{self.name}{i}.beta", layer.norm.beta,
                                  True))
         return out
-
-    def bn_states(self) -> list[MomentumBNState]:
-        return [l.state for l in self.layers if l.state is not None]
 
 
 def _init_mlp(name: str, spec: MlpSpec, rng: np.random.Generator,
@@ -239,20 +239,30 @@ def _copy_as_teacher(mlp: Mlp) -> Mlp:
     layers = []
     for layer in mlp.layers:
         norm = None
-        state = None
         if layer.norm is not None:
             norm = NormParams(
                 gamma=Tensor(layer.norm.gamma.values.copy(), requires_grad=False),
                 beta=Tensor(layer.norm.beta.values.copy(), requires_grad=False),
                 eps=layer.norm.eps,
             )
-            state = MomentumBNState()
         layers.append(Layer(
             weight=Tensor(layer.weight.values.copy(), requires_grad=False),
             bias=Tensor(layer.bias.values.copy(), requires_grad=False),
-            norm=norm, relu=layer.relu, state=state,
+            norm=norm, relu=layer.relu,
         ))
     return Mlp("t_" + mlp.name, mlp.spec, layers)
+
+
+def _share_history(mlps: Sequence[Mlp]) -> MomentumBNState:
+    """Give the BN layers of ``mlps`` consecutive ranges, in layer order, of
+    one new history (identity statistics), which every MLP refers to."""
+    end = 0
+    for layer in (l for m in mlps for l in m.layers if l.norm is not None):
+        layer.channels = slice(end, end := end + layer.norm.gamma.size)
+    history = MomentumBNState(np.zeros(end), np.ones(end))
+    for m in mlps:
+        m.history = history
+    return history
 
 
 class StudentTeacherPair:
@@ -261,7 +271,9 @@ class StudentTeacherPair:
 
     ``student`` is the arena of :meth:`student_params`. ``teacher`` is the
     arena of the teacher's mirrored weights, laid out as the student
-    arena's encoder-plus-projector prefix.
+    arena's encoder-plus-projector prefix. ``history`` is the teacher's one
+    BN history: every teacher BN channel, encoder first, then projector, in
+    layer order.
     """
 
     def __init__(self, encoder: Mlp, projector: Mlp, predictor: Optional[Mlp],
@@ -277,6 +289,7 @@ class StudentTeacherPair:
         self.teacher_bn = teacher_bn
         self.t_encoder = _copy_as_teacher(encoder)
         self.t_projector = _copy_as_teacher(projector)
+        self.history = _share_history((self.t_encoder, self.t_projector))
         self.student = Arena(self.student_params())
         self.teacher = Arena(self.t_encoder.params()
                              + self.t_projector.params())
@@ -293,8 +306,10 @@ class StudentTeacherPair:
         return [(t.tensor, s.tensor)
                 for t, s in zip(self.teacher.params, self.student.params)]
 
-    def teacher_bn_states(self) -> list[MomentumBNState]:
-        return self.t_encoder.bn_states() + self.t_projector.bn_states()
+    def teacher_bn_layers(self) -> list[Layer]:
+        """The teacher's BN layers, in the order of their history ranges."""
+        return [l for m in (self.t_encoder, self.t_projector)
+                for l in m.layers if l.norm is not None]
 
 
 def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
@@ -360,37 +375,43 @@ def forward_student(pair: StudentTeacherPair, v,
     return z, forward_mlp(pair.predictor, z, norm)
 
 
-def teacher_norm(kind: str, alpha: float, workers: Optional[int] = None,
-                 perm_seed: Optional[int] = None,
-                 batch_size: Optional[int] = None) -> Callable[[Layer], BNSpec]:
-    """BN specs of a teacher pass with BN ``kind`` over ``workers`` slices
-    of a ``batch_size``-row batch (the size only matters for shuffling).
+def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
+                 batch_size: int, workers: Optional[int] = None,
+                 perm_seed: Optional[int] = None) -> Callable[[Layer], BNSpec]:
+    """BN specs of one teacher pass with BN ``kind`` over ``workers`` slices
+    of a ``batch_size``-row batch, for layers whose ``channels`` index
+    ``history``.
 
-    Every kind appends each layer's whole-batch statistics to its state's
-    pending list for the history commit. Momentum BN normalizes with their
-    blend with the history; the baseline kinds normalize with batch
-    statistics per worker (plain), over the whole batch (synced) or per
-    worker after a seeded permutation across workers (shuffling).
+    The pass appends one :class:`BatchStats` to ``history.pending``, and
+    every layer, whatever the kind, writes its whole-batch statistics into
+    its channel range of it for the history commit. Momentum BN normalizes
+    with their blend with the history; the baseline kinds normalize with
+    batch statistics per worker (plain), over the whole batch (synced) or
+    per worker after a seeded permutation across workers (shuffling).
     """
-    if kind == "momentum":
-        return lambda layer: BNSpec(layer.norm,
-                                    stats=momentum_stats(layer.state, alpha))
-    if workers is None:
+    momentum = kind == "momentum"
+    if not momentum and workers is None:
         raise ValueError(f"teacher BN kind {kind!r} needs a worker count")
-    groups = 1 if kind == "synced" else workers
+    seen = BatchStats(mean=np.empty_like(history.hist_mean),
+                      var=np.empty_like(history.hist_var), count=batch_size)
+    history.pending.append(seen)
+    groups = 1 if kind in ("momentum", "synced") else workers
     perm = shuffle_permutation(batch_size, perm_seed) \
         if kind == "shuffling" else None
 
     def norm(layer: Layer) -> BNSpec:
-        pending = layer.state.pending
+        channels = layer.channels
 
-        def record_stats(h: np.ndarray) -> None:
-            # Whole-batch statistics go to the history commit however the
-            # samples are grouped; returning None normalizes with batch
-            # statistics.
-            pending.append(constant_batch_stats(h))
+        def stats(h: np.ndarray) -> Optional[tuple]:
+            # Whole-batch statistics go to the commit however the samples
+            # are grouped; None normalizes with batch statistics.
+            s = constant_batch_stats(h)
+            seen.mean[channels] = s.mean
+            seen.var[channels] = s.var
+            return momentum_stats(history, channels, s, alpha) if momentum \
+                else None
 
-        return BNSpec(layer.norm, groups, record_stats, perm)
+        return BNSpec(layer.norm, groups, stats, perm)
 
     return norm
 
@@ -400,21 +421,22 @@ def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
                     perm_seed: Optional[int] = None) -> Tensor:
     """Teacher pass: projection z' with no gradient participation.
 
-    Each BN layer's per-view statistics land on its state's pending list;
-    commit them once per iteration via :func:`commit_teacher_bn`.
+    The pass's statistics land on ``pair.history.pending``; commit them
+    once per iteration via :func:`commit_teacher_bn`.
     """
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
-    norm = teacher_norm(pair.teacher_bn, alpha, workers, perm_seed,
-                        x.shape[0])
+    norm = teacher_norm(pair.history, pair.teacher_bn, alpha, x.shape[0],
+                        workers, perm_seed)
     x = forward_mlp(pair.t_encoder, x, norm)
     return forward_mlp(pair.t_projector, x, norm)
 
 
-def history_norm(layer: Layer) -> BNSpec:
-    """Inference BN: normalize with the layer's stored history alone, so a
-    sample's output does not depend on the rest of its batch."""
-    return BNSpec(layer.norm,
-                  stats=(layer.state.hist_mean, layer.state.hist_var))
+def history_norm(history: MomentumBNState) -> Callable[[Layer], BNSpec]:
+    """Inference BN: each layer normalizes with its range of ``history``
+    alone, so a sample's output does not depend on the rest of its batch."""
+    return lambda layer: BNSpec(layer.norm,
+                                stats=(history.hist_mean[layer.channels],
+                                       history.hist_var[layer.channels]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,54 +456,27 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
 
 
 def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
-    """Lazily commit every teacher BN layer's pending view statistics, as
-    one :func:`momentum_bn_lazy_commit` over their concatenated channels;
-    each layer's ``hist_mean``/``hist_var`` is then a view of the joint
-    history.
-
-    Returns the total L2 drift of the histories, the per-iteration
-    history-movement metric, summed layer by layer. The layers commit
-    together: ``ValueError`` unless all or none have pending views, and
-    all agree on their view counts and on whether their history is
-    initialized.
-    """
-    states = pair.teacher_bn_states()
-    if not any(s.pending for s in states):
+    """Lazily commit the teacher's pending view statistics into its history
+    (one :func:`momentum_bn_lazy_commit`). Returns the history's total L2
+    drift, the per-iteration history-movement metric, summed layer by
+    layer (0.0 with nothing pending)."""
+    history = pair.history
+    if not history.pending:
         return 0.0
-    if len({(s.initialized, *[v.count for v in s.pending])
-            for s in states}) != 1:
-        raise ValueError("teacher BN layers disagree on their pending views "
-                         "or history initialization")
-    joint = MomentumBNState(initialized=states[0].initialized, pending=[
-        BatchStats(mean=np.concatenate([s.pending[i].mean for s in states]),
-                   var=np.concatenate([s.pending[i].var for s in states]),
-                   count=view.count)
-        for i, view in enumerate(states[0].pending)])
-    ends = list(accumulate((s.pending[0].mean.size for s in states),
-                           initial=0))
-    # The commit rebinds the history, so the concatenated arrays stay the
+    # The commit writes the history in place, so keep a copy as the
     # "before"; the first commit measures drift from zero (x - 0.0 == x).
     before_mean = before_var = 0.0
-    if joint.initialized:
-        before_mean = joint.hist_mean = np.concatenate(
-            [s.hist_mean for s in states])
-        before_var = joint.hist_var = np.concatenate(
-            [s.hist_var for s in states])
-    momentum_bn_lazy_commit(joint, alpha)
-    d_mean = joint.hist_mean - before_mean
-    d_mean *= d_mean
-    d_var = joint.hist_var - before_var
-    d_var *= d_var
+    if history.initialized:
+        before_mean = history.hist_mean.copy()
+        before_var = history.hist_var.copy()
+    momentum_bn_lazy_commit(history, alpha)
+    d_mean = np.square(history.hist_mean - before_mean)
+    d_var = np.square(history.hist_var - before_var)
     drift_sq = 0.0
-    for state, a, b in zip(states, ends, ends[1:]):
+    for layer in pair.teacher_bn_layers():
         # np.add.reduce is np.sum's arithmetic without its wrapper.
-        drift_sq += float(np.add.reduce(d_mean[a:b]))
-        drift_sq += float(np.add.reduce(d_var[a:b]))
-        state.hist_mean = joint.hist_mean[a:b]
-        state.hist_var = joint.hist_var[a:b]
-        state.initialized = True
-        state.pending.clear()
-        state.commits += 1
+        drift_sq += float(np.add.reduce(d_mean[layer.channels]))
+        drift_sq += float(np.add.reduce(d_var[layer.channels]))
     return float(np.sqrt(drift_sq))
 
 
@@ -491,11 +486,12 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
 
 def dump_teacher(encoder: Mlp) -> dict:
     """Serializable payload of a teacher encoder (``pair.t_encoder``):
-    weights, BN affines and final momentum histories. This is the frozen
+    weights, BN affines and each BN layer's range of the momentum history
+    (identity statistics before the first commit). This is the frozen
     feature extractor; the projector and the student's predictor are
     deliberately excluded."""
     arrays: dict[str, np.ndarray] = {}
-    init_flags = []
+    history = encoder.history
     bn_eps = []
     for i, layer in enumerate(encoder.layers):
         arrays[f"enc{i}.weight"] = layer.weight.values.copy()
@@ -503,20 +499,13 @@ def dump_teacher(encoder: Mlp) -> dict:
         if layer.norm is not None:
             arrays[f"enc{i}.gamma"] = layer.norm.gamma.values.copy()
             arrays[f"enc{i}.beta"] = layer.norm.beta.values.copy()
-            state = layer.state
-            width = layer.weight.shape[1]
-            if state is not None and state.initialized:
-                arrays[f"enc{i}.hist_mean"] = state.hist_mean.copy()
-                arrays[f"enc{i}.hist_var"] = state.hist_var.copy()
-                init_flags.append(True)
-            else:
-                arrays[f"enc{i}.hist_mean"] = np.zeros(width)
-                arrays[f"enc{i}.hist_var"] = np.ones(width)
-                init_flags.append(False)
+            ch = layer.channels
+            arrays[f"enc{i}.hist_mean"] = history.hist_mean[ch].copy()
+            arrays[f"enc{i}.hist_var"] = history.hist_var[ch].copy()
             bn_eps.append(layer.norm.eps)
     return {
         "encoder_spec": encoder.spec.to_dict(),
-        "bn_initialized": init_flags,
+        "bn_initialized": [history.initialized] * len(bn_eps),
         "bn_eps": bn_eps,
         "arrays": arrays,
     }
@@ -524,8 +513,10 @@ def dump_teacher(encoder: Mlp) -> dict:
 
 def load_teacher(payload: dict) -> Mlp:
     """The frozen teacher encoder of a :func:`dump_teacher` payload (its
-    inverse; tensors share the payload's arrays). ``ValueError`` unless the
-    payload has a valid ``encoder_spec``, exactly its arrays and BN lists."""
+    inverse; tensors share the payload's arrays, and the BN histories are
+    copied into one history). ``ValueError`` unless the payload has a valid
+    ``encoder_spec``, exactly its arrays and BN lists, and BN layers that
+    agree on whether their history is initialized."""
     try:
         spec = MlpSpec.from_dict(payload["encoder_spec"])
     except (KeyError, TypeError, ValueError) as e:
@@ -546,21 +537,28 @@ def load_teacher(payload: dict) -> Mlp:
         raise ValueError(f"teacher dump: need one bool bn_initialized and one "
                          f"number bn_eps per BN layer, got {init_flags!r} and "
                          f"{bn_eps!r}")
-    init_flags, bn_eps = iter(init_flags), iter(bn_eps)
+    if len(set(init_flags)) > 1:
+        raise ValueError(f"teacher dump: BN layers share one history, so "
+                         f"their bn_initialized must agree, got {init_flags!r}")
+    bn_eps = iter(bn_eps)
     layers = []
     for i in range(spec.n_layers):
-        norm = state = None
+        norm = None
         if spec.bn[i]:
             norm = NormParams(gamma=Tensor(arrays[f"enc{i}.gamma"]),
                               beta=Tensor(arrays[f"enc{i}.beta"]),
                               eps=next(bn_eps))
-            state = MomentumBNState(hist_mean=arrays[f"enc{i}.hist_mean"],
-                                    hist_var=arrays[f"enc{i}.hist_var"],
-                                    initialized=next(init_flags))
         layers.append(Layer(weight=Tensor(arrays[f"enc{i}.weight"]),
                             bias=Tensor(arrays[f"enc{i}.bias"]),
-                            norm=norm, relu=spec.relu[i], state=state))
-    return Mlp("t_enc", spec, layers)
+                            norm=norm, relu=spec.relu[i]))
+    encoder = Mlp("t_enc", spec, layers)
+    history = _share_history([encoder])
+    history.initialized = all(init_flags)
+    for i, layer in enumerate(layers):
+        if layer.norm is not None:
+            history.hist_mean[layer.channels] = arrays[f"enc{i}.hist_mean"]
+            history.hist_var[layer.channels] = arrays[f"enc{i}.hist_var"]
+    return encoder
 
 
 def expected_array_shapes(spec: MlpSpec) -> dict:

@@ -21,6 +21,9 @@ cover the student/teacher combinations studied here:
   per iteration (lazily, :func:`momentum_bn_lazy_commit`), after both views
   of a symmetrized step have been processed.
 
+A :class:`MomentumBNState` is one such history: a teacher's covers all its
+BN layers, each using only its own channel range; the probe head has one.
+
 The blend coefficient ``alpha`` weights the current batch:
 
     mu_use = alpha * mu_batch + (1 - alpha) * mu_hist
@@ -36,7 +39,7 @@ back-propagates, so no gradient correction of the history is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -78,18 +81,16 @@ class NormParams:
 
 @dataclass
 class MomentumBNState:
-    """History statistics and pending per-view stats of one momentum BN layer.
+    """Momentum history of a set of BN channels, allocated once (identity
+    statistics until its first commit), and the per-view statistics pending
+    for its next commit: one :class:`BatchStats` over every channel per
+    view pass of the current iteration, empty outside one. The commit
+    writes the history in place, so views of it stay bound."""
 
-    ``pending`` holds the per-view batch statistics collected by forwards in
-    the current iteration; it is filled by the (up to two) view passes and
-    cleared by the commit. Outside an iteration it is empty.
-    """
-
-    hist_mean: Optional[np.ndarray] = None
-    hist_var: Optional[np.ndarray] = None
+    hist_mean: np.ndarray
+    hist_var: np.ndarray
     initialized: bool = False
     pending: list[BatchStats] = field(default_factory=list)
-    commits: int = 0
 
 
 def _check_alpha(alpha: float) -> None:
@@ -130,32 +131,19 @@ def shuffle_permutation(batch_size: int,
 # momentum BN
 
 
-def _blend(state: MomentumBNState, s: BatchStats, alpha: float) -> BatchStats:
-    w_hist = 1.0 - alpha
-    if w_hist == 0.0 or not state.initialized:
-        # Pure current-batch statistics; also the first-iteration fallback
-        # when no history exists yet.
-        return s
-    mu = (1.0 - w_hist) * s.mean + w_hist * state.hist_mean
-    sig = (1.0 - w_hist) * s.var + w_hist * state.hist_var
-    return BatchStats(mean=mu, var=sig, count=s.count)
-
-
-def momentum_stats(state: MomentumBNState,
-                   alpha: float) -> Callable[[np.ndarray], tuple]:
-    """The statistics function of a momentum BN layer (see
-    :class:`m2t.engine.BNSpec`): it appends the pre-BN activations' batch
-    statistics to ``state.pending`` for the lazy commit and returns their
-    blend with the history, which it leaves untouched."""
+def momentum_stats(history: MomentumBNState, channels: slice, s: BatchStats,
+                   alpha: float) -> tuple:
+    """The ``(mean, var)`` a momentum BN layer normalizes with: the blend of
+    its batch statistics ``s`` with its ``channels`` of the history, which
+    it leaves untouched."""
     _check_alpha(alpha)
-
-    def stats(x_values: np.ndarray) -> tuple:
-        s = constant_batch_stats(x_values)
-        state.pending.append(s)
-        use = _blend(state, s, alpha)
-        return use.mean, use.var
-
-    return stats
+    w_hist = 1.0 - alpha
+    if w_hist == 0.0 or not history.initialized:
+        # Pure current-batch statistics; also the fallback before the
+        # history's first commit.
+        return s.mean, s.var
+    return ((1.0 - w_hist) * s.mean + w_hist * history.hist_mean[channels],
+            (1.0 - w_hist) * s.var + w_hist * history.hist_var[channels])
 
 
 def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
@@ -178,16 +166,14 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
             f"view statistics counts differ: {s_v.count} vs {s_v2.count}")
     avg_mean = 0.5 * (s_v.mean + s_v2.mean)
     avg_var = 0.5 * (s_v.var + s_v2.var)
-    if not state.initialized:
-        state.hist_mean = avg_mean.copy()
-        state.hist_var = avg_var.copy()
-        state.initialized = True
-    else:
+    if state.initialized:
         w_hist = 1.0 - alpha
-        state.hist_mean = (1.0 - w_hist) * avg_mean + w_hist * state.hist_mean
-        state.hist_var = (1.0 - w_hist) * avg_var + w_hist * state.hist_var
+        avg_mean = (1.0 - w_hist) * avg_mean + w_hist * state.hist_mean
+        avg_var = (1.0 - w_hist) * avg_var + w_hist * state.hist_var
+    state.hist_mean[...] = avg_mean
+    state.hist_var[...] = avg_var
+    state.initialized = True
     state.pending.clear()
-    state.commits += 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import ConfigError, DataConfig, TrainConfig
-from .data import Dataset, IdxFormatError, make_views, synth_clusters, load_idx
+from .data import (Dataset, IdxFormatError, NonFiniteDataError, load_idx,
+                   make_views, synth_clusters)
 from .engine import HEALTH, backward, record
 from .model import (
     Arena,
@@ -161,6 +162,9 @@ def build_dataset(data: DataConfig, seed: int) -> Dataset:
         try:
             return synth_clusters(data.num_classes, data.dim, data.per_class,
                                   data.spread, seed=substream_int(seed, "data"))
+        except NonFiniteDataError as e:
+            raise ConfigError(f"data: spread {data.spread!r} overflows the "
+                              f"samples ({e})") from None
         except (ValueError, MemoryError) as e:
             raise ConfigError(
                 f"data: cannot allocate num_classes x per_class = "

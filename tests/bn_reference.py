@@ -12,17 +12,18 @@ its mean and variance.
 training run does: through :func:`m2t.model.forward_student`, or through
 :func:`m2t.engine.dense` with a spec of :func:`m2t.model.teacher_norm`. Each
 layer has an identity weight and a zero bias, so ``x @ I + 0`` is ``x``
-exactly in float64 and the output is that BN of ``x`` alone.
+exactly in float64 and the output is that BN of ``x`` alone. A teacher
+layer's channel range is the whole of its history.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from m2t import engine
-from m2t.engine import BNSpec, DimensionError, Tensor
-from m2t.model import Layer, MlpSpec, build_pair, forward_student
+from m2t.engine import DimensionError, Tensor
+from m2t.model import Layer, MlpSpec, build_pair, forward_student, teacher_norm
 from m2t.normalization import MomentumBNState, NormParams
 
 import engine_reference as ref
@@ -91,13 +92,29 @@ def student_bn(x, kind: str, workers: int, p: NormParams) -> Tensor:
     return z
 
 
-def layer_bn(x, norm: Callable[[Layer], BNSpec], p: NormParams,
-             state: Optional[MomentumBNState] = None) -> Tensor:
-    """``x`` normalized by the spec that ``norm`` (such as a
-    :func:`m2t.model.teacher_norm`) gives a layer with params ``p`` and
-    momentum state ``state`` (a fresh one if None)."""
+def new_history(channels: int) -> MomentumBNState:
+    """An uninitialized history, as a pair allocates it."""
+    return MomentumBNState(hist_mean=np.zeros(channels),
+                           hist_var=np.ones(channels))
+
+
+def teacher_layer(p: NormParams) -> Layer:
+    """An identity layer with BN params ``p`` over channels 0..c of its
+    history."""
     c = p.gamma.shape[0]
-    layer = Layer(weight=Tensor(np.eye(c)), bias=Tensor(np.zeros(c)), norm=p,
-                  relu=False,
-                  state=MomentumBNState() if state is None else state)
+    return Layer(weight=Tensor(np.eye(c)), bias=Tensor(np.zeros(c)), norm=p,
+                 relu=False, channels=slice(0, c))
+
+
+def layer_bn(x, kind: str, alpha: float, p: NormParams,
+             workers: Optional[int] = None, perm_seed: Optional[int] = None,
+             history: Optional[MomentumBNState] = None) -> Tensor:
+    """``x`` normalized by the spec of a teacher pass with BN ``kind``
+    (:func:`m2t.model.teacher_norm`) over ``workers``, on a layer with
+    params ``p`` and momentum history ``history`` (a fresh one if None)."""
+    x = engine.as_tensor(x)
+    if history is None:
+        history = new_history(p.gamma.shape[0])
+    layer = teacher_layer(p)
+    norm = teacher_norm(history, kind, alpha, x.shape[0], workers, perm_seed)
     return engine.dense(x, layer.weight, layer.bias, layer.relu, norm(layer))

@@ -22,7 +22,7 @@ from m2t import engine
 from m2t.config import from_dict, preset
 from m2t.gradcheck import run_all
 from m2t.model import (MlpSpec, build_pair, ema_update, forward_teacher,
-                       mlp_spec, teacher_norm)
+                       mlp_spec)
 from m2t.normalization import MomentumBNState
 from m2t.schedules import apply_linear_scaling, cosine_value
 
@@ -72,8 +72,8 @@ def test_criterion_2_synced_bn_equivalence():
         # the teacher's in teacher_norm.
         student_multi = student_bn(x, "synced", w, p)
         student_single = student_bn(x, "plain", 1, p)
-        teacher_multi = layer_bn(x, teacher_norm("synced", 1.0, w), p)
-        teacher_single = layer_bn(x, teacher_norm("plain", 1.0, 1), p)
+        teacher_multi = layer_bn(x, "synced", 1.0, p, w)
+        teacher_single = layer_bn(x, "plain", 1.0, p, 1)
         if (student_multi.values.tobytes() != student_single.values.tobytes()
                 or teacher_multi.values.tobytes()
                 != teacher_single.values.tobytes()):
@@ -95,7 +95,7 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        y = layer_bn(x, teacher_norm("momentum", 1.0), p, state)
+        y = layer_bn(x, "momentum", 1.0, p, history=state)
         ref = bn_apply(x, batch_stats(x), p)
         if y.values.tobytes() != ref.values.tobytes():
             alpha1_failures += 1
@@ -109,16 +109,15 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        base = layer_bn(engine.constant(x), teacher_norm("momentum", 0.0), p,
-                        state)
+        base = layer_bn(engine.constant(x), "momentum", 0.0, p, history=state)
         state.pending.clear()
         row = int(rng.integers(0, n))
         perturbed = x.copy()
         mask = np.ones(n, dtype=bool)
         mask[row] = False
         perturbed[mask] += rng.normal(13.0, 40.0, size=(n - 1, c))
-        out = layer_bn(engine.constant(perturbed),
-                       teacher_norm("momentum", 0.0), p, state)
+        out = layer_bn(engine.constant(perturbed), "momentum", 0.0, p,
+                       history=state)
         if base.values[row].tobytes() != out.values[row].tobytes():
             alpha0_failures += 1
 
@@ -141,13 +140,9 @@ def test_criterion_4_leakage_freedom():
                 MlpSpec((4, 6, 6), (True, True), (True, True)),
                 mlp_spec((6, 6, 4)), mlp_spec((4, 4, 4)), rng_pair,
                 teacher_bn="momentum")
-            for mlp in (pair.t_encoder, pair.t_projector):
-                for layer in mlp.layers:
-                    if layer.state is not None:
-                        width = layer.weight.shape[1]
-                        layer.state.hist_mean = np.zeros(width)
-                        layer.state.hist_var = np.ones(width)
-                        layer.state.initialized = True
+            pair.history.hist_mean[:] = 0.0
+            pair.history.hist_var[:] = 1.0
+            pair.history.initialized = True
             alpha = 0.5
             t_other = forward_teacher(pair, v_other, alpha)
             t_v = forward_teacher(pair, v, alpha)

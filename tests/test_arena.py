@@ -143,6 +143,7 @@ CONFIGS = {
     "byol_wd_exclude": dict(wd_exclude_bias_bn=True, weight_decay=0.01),
     "byol_lars": dict(optimizer="lars", weight_decay=0.01),
     "byol_plain_teacher": dict(teacher_bn="plain", workers=2),
+    "byol_synced_teacher": dict(teacher_bn="synced", workers=2),
     "moco": MOCO,
 }
 
@@ -171,10 +172,9 @@ def snapshot(trainer) -> dict:
     pair = trainer.pair
     out = {p.name: p.tensor.values for p in pair.student.params}
     out.update({p.name: p.tensor.values for p in pair.teacher.params})
-    for i, state in enumerate(pair.teacher_bn_states()):
-        out[f"hist_mean{i}"] = state.hist_mean
-        out[f"hist_var{i}"] = state.hist_var
-        out[f"commits{i}"] = float(state.commits)
+    out["hist_mean"] = pair.history.hist_mean
+    out["hist_var"] = pair.history.hist_var
+    out["hist_initialized"] = float(pair.history.initialized)
     if trainer.queue is not None:
         out["queue"] = trainer.queue.as_matrix()
     return out
@@ -245,14 +245,15 @@ def test_probe_steps_equal_per_block_oracle(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# EMA and commit on a pair, with rebound blocks and histories
+# EMA and commit on a pair, with rebound blocks and rewritten histories
 
 
-def tiny_pair(seed):
+def tiny_pair(seed, teacher_bn="momentum"):
     return build_pair(MlpSpec(widths=(4, 6, 6), bn=(True, True),
                               relu=(True, True)),
                       mlp_spec((6, 6, 4), final_plain=False),
-                      mlp_spec((4, 4, 4)), np.random.default_rng(seed))
+                      mlp_spec((4, 4, 4)), np.random.default_rng(seed),
+                      teacher_bn=teacher_bn)
 
 
 def twin_pairs(seed=4):
@@ -284,39 +285,67 @@ def test_ema_with_rebound_blocks_equals_oracle():
             assert p.tensor.values.base is arena.values
 
 
-def test_commit_with_rebound_history_equals_oracle():
-    got, want = twin_pairs()
+def commits_equal_oracle(got, want, views: int) -> list:
+    """Run STEPS teacher iterations of ``views`` passes on twin pairs,
+    committing ``got`` with :func:`commit_teacher_bn` and ``want`` with the
+    per-layer oracle; the histories and drifts must agree to the bit. The
+    first commit initializes the history, and steps 3 and 11 write one
+    layer's range of it in place first. Returns the drifts."""
     rng = np.random.default_rng(6)
+    hist = got.history
+    mean0, var0 = hist.hist_mean, hist.hist_var
+    assert not hist.initialized
+    drifts = []
     for k in range(STEPS):
-        v1, v2 = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
+        batches = [rng.normal(size=(8, 4)) for _ in range(views)]
         alpha = float(rng.uniform())
-        if k in (3, 11):
+        if k in (3, 11) and got.teacher_bn_layers():
             for pair in (got, want):
-                state = pair.teacher_bn_states()[1]
-                state.hist_mean = state.hist_mean + 1.0
-                state.hist_var = np.abs(state.hist_var - 0.5)
+                ch = pair.teacher_bn_layers()[1].channels
+                pair.history.hist_mean[ch] += 1.0
+                pair.history.hist_var[ch] = np.abs(
+                    pair.history.hist_var[ch] - 0.5)
         for pair in (got, want):
-            forward_teacher(pair, v1, alpha)
-            forward_teacher(pair, v2, alpha)
+            for v in batches:
+                forward_teacher(pair, v, alpha, workers=2, perm_seed=k)
         drift = commit_teacher_bn(got, alpha)
-        drift_want = ref.commit_teacher_bn(want, alpha)
-        assert_bits_equal(drift, drift_want, f"drift at step {k}")
-        for s, t in zip(got.teacher_bn_states(), want.teacher_bn_states()):
-            assert_bits_equal(s.hist_mean, t.hist_mean)
-            assert_bits_equal(s.hist_var, t.hist_var)
-            assert s.commits == t.commits == k + 1
-        # Every layer's history is a view of one joint history.
-        bases = {id(h.base) for s in got.teacher_bn_states()
-                 for h in (s.hist_mean, s.hist_var)}
-        assert len(bases) == 2
+        assert_bits_equal(drift, ref.commit_teacher_bn(want, alpha),
+                          f"drift at step {k}")
+        assert_bits_equal(hist.hist_mean, want.history.hist_mean)
+        assert_bits_equal(hist.hist_var, want.history.hist_var)
+        assert hist.initialized and hist.pending == []
+        # Each history vector keeps its one array across commits, so every
+        # layer's range of it stays a view of the committed history.
+        assert hist.hist_mean is mean0 and hist.hist_var is var0
+        drifts.append(drift)
+    return drifts
 
 
-def test_commit_of_some_layers_only_rejected():
-    pair = tiny_pair(7)
-    forward_teacher(pair, np.random.default_rng(8).normal(size=(8, 4)), 0.5)
-    pair.teacher_bn_states()[0].pending.clear()
-    with pytest.raises(ValueError, match="disagree"):
-        commit_teacher_bn(pair, 0.5)
+def test_commit_with_rebound_history_equals_oracle():
+    commits_equal_oracle(*twin_pairs(), views=2)
+
+
+@pytest.mark.parametrize("kind, views", [
+    ("momentum", 1), *[(kind, views) for kind in ("plain", "synced",
+                                                  "shuffling")
+                       for views in (1, 2)]])
+def test_commit_of_every_teacher_kind_equals_oracle(kind, views):
+    # Momentum BN with two views is the test above.
+    drifts = commits_equal_oracle(tiny_pair(4, kind), tiny_pair(4, kind),
+                                  views)
+    assert all(d > 0.0 for d in drifts)
+
+
+def test_commit_of_teacher_without_bn_has_zero_drift():
+    def pair():
+        return build_pair(MlpSpec((4, 6, 6), (False, False), (True, True)),
+                          MlpSpec((6, 4), (False,), (False,)), None,
+                          np.random.default_rng(9))
+
+    for views in (1, 2):
+        got, want = pair(), pair()
+        assert got.history.hist_mean.size == 0
+        assert commits_equal_oracle(got, want, views) == [0.0] * STEPS
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import platform
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ class TestPretrainCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: temperature: ")
         assert not out.exists()
+
+    def test_overflowing_spread_exits_2_naming_it(self, tmp_path, capsys):
+        # The samples overflow float64; that is reported as what it is,
+        # without numpy's overflow warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pretrain", *TINY_ARGS, "--set", "data.spread=1e308",
+                         "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: data: spread 1e+308 overflows")
+        assert "non-finite" in err and "allocate" not in err
+        assert caught == []
+        assert not (tmp_path / "run").exists()
 
     def test_metrics_row_count(self, tmp_path):
         out = tmp_path / "run"
@@ -512,6 +527,34 @@ class TestEvalCommand:
                      "--dataset", str(ds), "--mode", "probe", *args])
         assert code == 2
         assert "probe" in capsys.readouterr().err
+
+    def test_huge_probe_epochs_exit_2(self, run_dir, capsys):
+        # Beyond a config integer's bound the probe's float schedule would
+        # overflow.
+        out, ds = run_dir
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                     "--dataset", str(ds), "--probe-epochs", "9" * 400])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --probe-epochs: expected an integer of magnitude <= "
+            f"{2**63 - 1}")
+
+    def test_overflowing_spread_exits_2_naming_it(self, run_dir, tmp_path,
+                                                   capsys):
+        out, _ = run_dir
+        ds = tmp_path / "wide.json"
+        ds.write_text(json.dumps({"kind": "synthetic", "num_classes": 3,
+                                  "dim": 8, "per_class": 16, "spread": 1e308,
+                                  "seed": 0}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                         "--dataset", str(ds)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: data: spread 1e+308 overflows")
+        assert "non-finite" in err and "allocate" not in err
+        assert caught == []
 
     def test_diverged_probe_exits_3(self, run_dir, capsys):
         # A learning rate this large overflows the probe head; that is a

@@ -1,4 +1,6 @@
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +425,22 @@ def test_bn_reductions_equal_numpy_mean():
                  - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
         np.testing.assert_array_equal(out, (gamma * xhat + beta).reshape(12, 5))
         np.testing.assert_array_equal(dx, ((1.0 / std) * g_hat).reshape(12, 5))
+
+
+def test_bn_backward_does_not_keep_its_input_alive():
+    # The backward needs the pre-BN activation's shape, not the array: once
+    # the caller drops it, it is freed while the backward still lives.
+    rng = np.random.default_rng(12)
+    gamma, beta = np.ones(3), np.zeros(3)
+    for stats in (None, (np.zeros(3), np.ones(3))):
+        x = rng.normal(size=(8, 3))
+        alive = weakref.ref(x)
+        out, bn_backward = engine._bn(x, 2, gamma, beta, 1e-5, stats)
+        del x
+        gc.collect()
+        assert alive() is None
+        dx, dgamma, dbeta = bn_backward(np.ones_like(out), True)
+        assert dx.shape == (8, 3) and dgamma.shape == dbeta.shape == (3,)
 
 
 def test_forward_determinism_bit_identical():

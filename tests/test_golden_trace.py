@@ -66,9 +66,11 @@ def setup(trace):
     pair.t_projector.layers[0].weight.values = np.array(teacher["proj0.weight"])
     pair.t_projector.layers[0].bias.values = np.array(teacher["proj0.bias"])
 
-    state = pair.t_encoder.layers[0].state
-    state.hist_mean = np.array(cfg["hist_mean"])
-    state.hist_var = np.array(cfg["hist_var"])
+    # enc0 is the teacher's only BN layer, so its range is the whole history.
+    state = pair.history
+    assert pair.t_encoder.layers[0].channels == slice(0, state.hist_mean.size)
+    state.hist_mean[:] = cfg["hist_mean"]
+    state.hist_var[:] = cfg["hist_var"]
     state.initialized = True
 
     v1 = np.array(cfg["v1"])
@@ -121,11 +123,9 @@ def test_full_iteration_matches_reference(trace, setup):
     # Blended statistics actually used by the teacher normalization.
     for pend, key in ((pend_v2, "teacher_blended_v2"),
                       (pend_v1, "teacher_blended_v1")):
-        blended = norm._blend(state, pend, alpha)
-        np.testing.assert_allclose(blended.mean, trace[key]["mean"],
-                                   atol=TOL)
-        np.testing.assert_allclose(blended.var, trace[key]["var"],
-                                   atol=TOL)
+        mean, var = norm.momentum_stats(state, slice(None), pend, alpha)
+        np.testing.assert_allclose(mean, trace[key]["mean"], atol=TOL)
+        np.testing.assert_allclose(var, trace[key]["var"], atol=TOL)
 
     # Gradients and the optimizer step.
     backward(out.loss)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m2t import engine
+from m2t import engine, model
 from m2t.engine import backward, record
 from m2t.model import (
     MlpSpec,
@@ -22,6 +22,7 @@ from m2t.model import (
     teacher_norm,
 )
 from m2t.evaluate import extract_features
+from m2t.normalization import constant_batch_stats
 
 import engine_reference as composed
 from bn_reference import worker_slices
@@ -123,18 +124,16 @@ class TestForwardTeacher:
     def test_alpha_zero_is_per_sample_affine(self):
         pair = tiny_pair(seed=6)
         # Give every teacher BN layer a fixed history.
-        for mlp in (pair.t_encoder, pair.t_projector):
-            for layer in mlp.layers:
-                if layer.state is not None:
-                    width = layer.weight.shape[1]
-                    layer.state.hist_mean = np.linspace(-1, 1, width)
-                    layer.state.hist_var = np.linspace(0.5, 2.0, width)
-                    layer.state.initialized = True
+        for layer in pair.teacher_bn_layers():
+            width = layer.weight.shape[1]
+            pair.history.hist_mean[layer.channels] = np.linspace(-1, 1, width)
+            pair.history.hist_var[layer.channels] = np.linspace(0.5, 2.0,
+                                                                width)
+        pair.history.initialized = True
         rng = np.random.default_rng(7)
         v = rng.normal(size=(8, 4))
         base = forward_teacher(pair, v, alpha=0.0).values.copy()
-        for state in pair.teacher_bn_states():
-            state.pending.clear()
+        pair.history.pending.clear()
 
         # Perturb every other sample; row 0 must be bit-identical.
         v2 = v.copy()
@@ -163,13 +162,26 @@ class TestForwardTeacher:
         z_t = forward_teacher(pair, v, alpha=1.0)
         np.testing.assert_array_equal(z_t.values, z.values)
 
-    def test_baseline_teacher_modes_also_record_pending(self):
+    def test_baseline_teacher_modes_also_record_pending(self, monkeypatch):
+        # One pending entry per pass, holding each layer's whole-batch
+        # statistics in its channel range.
         for kind in ("plain", "synced", "shuffling"):
+            layer_stats = []
+
+            def spy(h):
+                layer_stats.append(constant_batch_stats(h))
+                return layer_stats[-1]
+
+            monkeypatch.setattr(model, "constant_batch_stats", spy)
             pair = tiny_pair(seed=12, teacher_bn=kind)
             v = np.random.default_rng(13).normal(size=(8, 4))
             forward_teacher(pair, v, alpha=1.0, workers=2, perm_seed=0)
-            for state in pair.teacher_bn_states():
-                assert len(state.pending) == 1
+            [seen] = pair.history.pending
+            assert seen.count == 8
+            assert len(layer_stats) == len(pair.teacher_bn_layers()) == 3
+            for layer, s in zip(pair.teacher_bn_layers(), layer_stats):
+                assert seen.mean[layer.channels].tobytes() == s.mean.tobytes()
+                assert seen.var[layer.channels].tobytes() == s.var.tobytes()
 
 
 class TestEmaUpdate:
@@ -228,22 +240,12 @@ class TestEmaUpdate:
 
     def test_histories_untouched(self):
         pair = tiny_pair(seed=22)
-        for state in pair.teacher_bn_states():
-            state.hist_mean = np.full(state_width(pair, state), 3.0)
-            state.hist_var = np.full(state_width(pair, state), 2.0)
-            state.initialized = True
+        pair.history.hist_mean[:] = 3.0
+        pair.history.hist_var[:] = 2.0
+        pair.history.initialized = True
         ema_update(pair, 0.5)
-        for state in pair.teacher_bn_states():
-            assert np.all(state.hist_mean == 3.0)
-            assert np.all(state.hist_var == 2.0)
-
-
-def state_width(pair, state):
-    for mlp in (pair.t_encoder, pair.t_projector):
-        for layer in mlp.layers:
-            if layer.state is state:
-                return layer.weight.shape[1]
-    raise AssertionError("state not found")
+        assert np.all(pair.history.hist_mean == 3.0)
+        assert np.all(pair.history.hist_var == 2.0)
 
 
 class TestCommit:
@@ -254,9 +256,8 @@ class TestCommit:
         forward_teacher(pair, v + 1.0, alpha=0.5)
         drift = commit_teacher_bn(pair, alpha=0.5)
         assert drift > 0.0
-        for state in pair.teacher_bn_states():
-            assert state.pending == []
-            assert state.commits == 1
+        assert pair.history.pending == []
+        assert pair.history.initialized
 
     def test_commit_with_no_pending_is_noop(self):
         pair = tiny_pair(seed=25)
@@ -351,6 +352,7 @@ class TestLoadTeacher:
         payload = dump_teacher(pair.t_encoder)
 
         train_side = forward_mlp(pair.t_encoder, engine.constant(x),
-                                 teacher_norm("momentum", 0.0))
+                                 teacher_norm(pair.history, "momentum", 0.0,
+                                              len(x)))
         assert train_side.values.tobytes() \
             == extract_features(payload, x).tobytes()

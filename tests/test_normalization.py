@@ -31,7 +31,9 @@ from bn_reference import (
     bn_apply,
     identity_norm_params,
     layer_bn,
+    new_history,
     student_bn,
+    teacher_layer,
     worker_slices,
 )
 
@@ -152,7 +154,7 @@ class TestWorkerLayout:
         with pytest.raises(DimensionError, match="equal groups"):
             student_bn(x, "plain", 4, identity_norm_params(2))
         with pytest.raises(DimensionError, match="equal groups"):
-            layer_bn(x, teacher_norm("plain", 1.0, 4), identity_norm_params(2))
+            layer_bn(x, "plain", 1.0, identity_norm_params(2), 4)
 
 
 class TestPlainBn:
@@ -162,7 +164,7 @@ class TestPlainBn:
         p = identity_norm_params(4)
         want = bn_apply(x, batch_stats(x), p).values.tobytes()
         assert student_bn(x, "plain", 1, p).values.tobytes() == want
-        assert layer_bn(x, teacher_norm("plain", 1.0, 1), p).values.tobytes() \
+        assert layer_bn(x, "plain", 1.0, p, 1).values.tobytes() \
             == want
 
     def test_constant_slices_normalize_to_beta(self):
@@ -170,14 +172,14 @@ class TestPlainBn:
         p = norm.NormParams(gamma=constant([1.0]), beta=constant([0.5]))
         np.testing.assert_allclose(student_bn(x, "plain", 2, p).values, 0.5)
         np.testing.assert_allclose(
-            layer_bn(x, teacher_norm("plain", 1.0, 2), p).values, 0.5)
+            layer_bn(x, "plain", 1.0, p, 2).values, 0.5)
 
     def test_matches_slice_wise_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(32, 8))
         p = identity_norm_params(8)
         student = student_bn(constant(x), "plain", 4, p)
-        teacher = layer_bn(constant(x), teacher_norm("plain", 1.0, 4), p)
+        teacher = layer_bn(constant(x), "plain", 1.0, p, 4)
         for rows in worker_slices(32, 4):
             piece = constant(x[rows])
             ref = bn_apply(piece, batch_stats(piece), p)
@@ -263,11 +265,10 @@ class TestSyncedBn:
         x = constant(rng.normal(size=(24, 5)))
         p = identity_norm_params(5)
         student = student_bn(x, "plain", 1, p).values.tobytes()
-        teacher = layer_bn(x, teacher_norm("plain", 1.0, 1), p).values.tobytes()
+        teacher = layer_bn(x, "plain", 1.0, p, 1).values.tobytes()
         for w in (2, 3, 4):
             assert student_bn(x, "synced", w, p).values.tobytes() == student
-            assert layer_bn(x, teacher_norm("synced", 1.0, w),
-                            p).values.tobytes() == teacher
+            assert layer_bn(x, "synced", 1.0, p, w).values.tobytes() == teacher
 
     def test_hand_stats_over_union(self):
         x = constant([[0.0], [2.0], [4.0], [6.0]])
@@ -275,7 +276,7 @@ class TestSyncedBn:
         # union mean 3, union biased variance 5
         expected = (x.values - 3.0) / np.sqrt(5.0 + 1e-12)
         for y in (student_bn(x, "synced", 2, p),
-                  layer_bn(x, teacher_norm("synced", 1.0, 2), p)):
+                  layer_bn(x, "synced", 1.0, p, 2)):
             np.testing.assert_allclose(y.values, expected, rtol=1e-12)
 
     def test_global_zero_mean(self):
@@ -285,27 +286,24 @@ class TestSyncedBn:
         np.testing.assert_allclose(y.values.mean(axis=0), 0.0, atol=1e-12)
 
 
-def shuffling(workers: int, perm_seed: int, batch_size: int):
-    return teacher_norm("shuffling", 1.0, workers, perm_seed, batch_size)
-
-
 class TestShufflingBn:
     def test_identity_permutation_equals_plain(self):
         rng = np.random.default_rng(9)
         x = constant(rng.normal(size=(12, 3)))
         p = identity_norm_params(3)
-        spec = shuffling(3, 0, 12)
-        got = layer_bn(x, lambda layer: replace(spec(layer),
-                                                perm=np.arange(12)), p)
-        want = layer_bn(x, teacher_norm("plain", 1.0, 3), p)
+        layer = teacher_layer(p)
+        spec = teacher_norm(new_history(3), "shuffling", 1.0, 12, 3, 0)(layer)
+        got = engine.dense(x, layer.weight, layer.bias, False,
+                           replace(spec, perm=np.arange(12)))
+        want = layer_bn(x, "plain", 1.0, p, 3)
         assert got.values.tobytes() == want.values.tobytes()
 
     def test_single_worker_any_permutation_equals_plain(self):
         rng = np.random.default_rng(10)
         x = constant(rng.normal(size=(8, 2)))
         p = identity_norm_params(2)
-        got = layer_bn(x, shuffling(1, 123, 8), p)
-        want = layer_bn(x, teacher_norm("plain", 1.0, 1), p)
+        got = layer_bn(x, "shuffling", 1.0, p, 1, 123)
+        want = layer_bn(x, "plain", 1.0, p, 1)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
     def test_rows_normalized_by_shuffled_group_stats(self):
@@ -313,7 +311,7 @@ class TestShufflingBn:
         x = rng.normal(size=(16, 4))
         p = identity_norm_params(4)
         seed = 77
-        y = layer_bn(constant(x), shuffling(4, seed, 16), p)
+        y = layer_bn(constant(x), "shuffling", 1.0, p, 4, seed)
 
         # Oracle: follow the permutation and recompute each group's stats.
         perm = np.random.default_rng(seed).permutation(16)
@@ -327,17 +325,14 @@ class TestShufflingBn:
 
 
 def momentum_bn(x, state, alpha, p):
-    return layer_bn(x, teacher_norm("momentum", alpha), p, state)
+    return layer_bn(x, "momentum", alpha, p, history=state)
 
 
 class TestMomentumBn:
-    def _state(self, mean=None, var=None):
-        st_ = MomentumBNState()
-        if mean is not None:
-            st_.hist_mean = np.asarray(mean, dtype=float)
-            st_.hist_var = np.asarray(var, dtype=float)
-            st_.initialized = True
-        return st_
+    def _state(self, mean, var):
+        return MomentumBNState(hist_mean=np.asarray(mean, dtype=float),
+                               hist_var=np.asarray(var, dtype=float),
+                               initialized=True)
 
     def test_alpha_one_is_bitwise_plain_bn(self):
         rng = np.random.default_rng(12)
@@ -374,14 +369,13 @@ class TestMomentumBn:
 
     def test_uninitialized_history_falls_back_to_batch(self):
         x = constant([[0.0], [2.0]])
-        state = MomentumBNState()
-        y = momentum_bn(x, state, 0.25, identity_norm_params(1, eps=1e-12))
+        y = momentum_bn(x, None, 0.25, identity_norm_params(1, eps=1e-12))
         np.testing.assert_allclose(y.values, [[-1.0], [1.0]], atol=1e-9)
 
     def test_alpha_out_of_range(self):
         x = constant([[1.0]])
         with pytest.raises(ValueError, match="alpha"):
-            momentum_bn(x, MomentumBNState(), 1.5, identity_norm_params(1))
+            momentum_bn(x, None, 1.5, identity_norm_params(1))
 
 
 class TestLazyCommit:
@@ -417,25 +411,25 @@ class TestLazyCommit:
         np.testing.assert_allclose(state.hist_mean, [1.0])
 
     def test_commit_without_pending_rejected(self):
-        state = MomentumBNState()
+        state = new_history(1)
         with pytest.raises(ValueError, match="pending"):
             momentum_bn_lazy_commit(state, 0.5)
 
     def test_single_pending_view_commits_its_stats(self):
-        state = MomentumBNState()
+        state = new_history(1)
         state.pending.append(self._stats([1.5], [2.5]))
         momentum_bn_lazy_commit(state, 0.3)
         np.testing.assert_array_equal(state.hist_mean, [1.5])
         np.testing.assert_array_equal(state.hist_var, [2.5])
 
     def test_more_than_two_pending_rejected(self):
-        state = MomentumBNState()
+        state = new_history(1)
         state.pending.extend([self._stats([1.0], [1.0])] * 3)
         with pytest.raises(ValueError, match="expected 1 or 2"):
             momentum_bn_lazy_commit(state, 0.5)
 
     def test_count_mismatch_rejected(self):
-        state = MomentumBNState()
+        state = new_history(1)
         s1 = self._stats([1.0], [1.0], count=4)
         s2 = self._stats([1.0], [1.0], count=8)
         state.pending.extend([s1, s2])
@@ -443,7 +437,7 @@ class TestLazyCommit:
             momentum_bn_lazy_commit(state, 0.5)
 
     def test_first_commit_seeds_history_with_view_average(self):
-        state = MomentumBNState()
+        state = new_history(1)
         s1, s2 = self._stats([1.0], [2.0]), self._stats([3.0], [6.0])
         state.pending.extend([s1, s2])
         momentum_bn_lazy_commit(state, 0.1)
@@ -455,7 +449,7 @@ class TestLazyCommit:
     @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10),
                               st.floats(0, 1)), min_size=1, max_size=20))
     def test_history_variance_stays_nonnegative(self, steps):
-        state = MomentumBNState()
+        state = new_history(1)
         for v1, v2, alpha in steps:
             s1 = self._stats([0.0], [v1])
             s2 = self._stats([0.0], [v2])

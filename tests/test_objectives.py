@@ -102,8 +102,7 @@ class TestSymmetrizedLoss:
         v1 = rng.normal(size=(8, 4))
         v2 = rng.normal(size=(8, 4))
         a = symmetrized_loss(pair, v1, v2, 2, alpha=1.0)
-        for state in pair.teacher_bn_states():
-            state.pending.clear()
+        pair.history.pending.clear()
         b = symmetrized_loss(pair, v2, v1, 2, alpha=1.0)
         assert a.term_student_v.item() == pytest.approx(b.term_student_v2.item(), rel=1e-12)
         assert a.term_student_v2.item() == pytest.approx(b.term_student_v.item(), rel=1e-12)
@@ -125,13 +124,12 @@ class TestSymmetrizedLoss:
                           mlp_spec((6, 6, 4)), mlp_spec((4, 4, 4)), rng,
                           teacher_bn="momentum")
         # Pre-seed teacher histories so the blend is non-trivial.
-        for mlp in (pair.t_encoder, pair.t_projector):
-            for layer in mlp.layers:
-                if layer.state is not None:
-                    width = layer.weight.shape[1]
-                    layer.state.hist_mean = np.linspace(-0.5, 0.5, width)
-                    layer.state.hist_var = np.linspace(0.8, 1.2, width)
-                    layer.state.initialized = True
+        hist = pair.history
+        for layer in pair.teacher_bn_layers():
+            width = layer.weight.shape[1]
+            hist.hist_mean[layer.channels] = np.linspace(-0.5, 0.5, width)
+            hist.hist_var[layer.channels] = np.linspace(0.8, 1.2, width)
+        hist.initialized = True
         v1 = rng.normal(size=(8, 3))
         v2 = rng.normal(size=(8, 3))
         alpha = 0.25
@@ -158,8 +156,9 @@ class TestSymmetrizedLoss:
             for layer in mlp.layers:
                 x = x @ layer.weight.values + layer.bias.values
                 if layer.norm is not None:
-                    mu = alpha * x.mean(0) + (1 - alpha) * layer.state.hist_mean
-                    sig = alpha * x.var(0) + (1 - alpha) * layer.state.hist_var
+                    ch = layer.channels
+                    mu = alpha * x.mean(0) + (1 - alpha) * hist.hist_mean[ch]
+                    sig = alpha * x.var(0) + (1 - alpha) * hist.hist_var[ch]
                     x = (layer.norm.gamma.values * (x - mu) / np.sqrt(sig + eps)
                          + layer.norm.beta.values)
                 if layer.relu:

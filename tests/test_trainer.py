@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from m2t import model
 from m2t import trainer as trainer_module
 from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
@@ -152,16 +153,24 @@ class TestTrainStep:
         for before, (t, _) in zip(teacher_before, trainer.pair.ema_pairs()):
             np.testing.assert_array_equal(t.values, before)
         assert rec.hist_drift > 0.0
-        assert all(s.initialized for s in trainer.pair.teacher_bn_states())
+        assert trainer.pair.history.initialized
 
-    def test_commit_count_equals_iterations(self):
+    def test_commit_count_equals_iterations(self, monkeypatch):
+        commits = []
+        real_commit = model.momentum_bn_lazy_commit
+
+        def spy(state, alpha):
+            commits.append(state)
+            real_commit(state, alpha)
+
+        monkeypatch.setattr(model, "momentum_bn_lazy_commit", spy)
         cfg = small_config()
         trainer = Trainer(cfg)
-        result = trainer.run()
+        trainer.run()
         total = cfg.epochs * trainer.iters_per_epoch
-        for state in trainer.pair.teacher_bn_states():
-            assert state.commits == total
-            assert state.pending == []
+        assert len(commits) == total
+        assert all(state is trainer.pair.history for state in commits)
+        assert trainer.pair.history.pending == []
 
     def test_teacher_never_accumulates_gradients(self):
         cfg = small_config()

@@ -2,10 +2,11 @@
 updates of :mod:`m2t.trainer` and :mod:`m2t.model`.
 
 ``sgd_step``, ``ema_update`` and ``commit_teacher_bn`` are the loops over
-parameter blocks and BN layers that the whole-vector updates replace, kept
-as they were. Each block or layer gets its own numpy calls, and each
-result is a new array bound to its tensor or state. The arena updates must
-reproduce them to the bit, signed zeros included.
+parameter blocks and BN layers that the whole-vector updates replace. Each
+block or layer gets its own numpy calls, and each result is a new array
+bound to its tensor, or (for a BN layer, which commits a state of its
+own) copied into its channel range of the teacher's history. The arena
+updates must reproduce them to the bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from m2t import engine
 from m2t.model import Param, StudentTeacherPair
-from m2t.normalization import momentum_bn_lazy_commit
+from m2t.normalization import (BatchStats, MomentumBNState,
+                               momentum_bn_lazy_commit)
 
 
 @dataclass
@@ -70,19 +72,33 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
 
 
 def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
-    """Lazily commit every teacher BN layer's pending view statistics.
+    """Lazily commit every teacher BN layer's pending view statistics, one
+    layer at a time: each layer commits a state of its own, made of fresh
+    copies of its channel range of the history and of the pending views.
 
     Returns the total L2 drift of the histories, the per-iteration
     history-movement metric.
     """
+    history = pair.history
+    if not history.pending:
+        return 0.0
     drift_sq = 0.0
-    for state in pair.teacher_bn_states():
-        if not state.pending:
-            continue
+    for layer in pair.teacher_bn_layers():
+        ch = layer.channels
+        state = MomentumBNState(
+            hist_mean=history.hist_mean[ch].copy(),
+            hist_var=history.hist_var[ch].copy(),
+            initialized=history.initialized,
+            pending=[BatchStats(mean=s.mean[ch].copy(), var=s.var[ch].copy(),
+                                count=s.count) for s in history.pending])
         # The first commit measures drift from zero (x - 0.0 == x exactly).
-        before_mean = 0.0 if state.hist_mean is None else state.hist_mean.copy()
-        before_var = 0.0 if state.hist_var is None else state.hist_var.copy()
+        before_mean = state.hist_mean.copy() if state.initialized else 0.0
+        before_var = state.hist_var.copy() if state.initialized else 0.0
         momentum_bn_lazy_commit(state, alpha)
         drift_sq += float(np.sum((state.hist_mean - before_mean) ** 2))
         drift_sq += float(np.sum((state.hist_var - before_var) ** 2))
+        history.hist_mean[ch] = state.hist_mean
+        history.hist_var[ch] = state.hist_var
+    history.initialized = True
+    history.pending.clear()
     return float(np.sqrt(drift_sq))
