@@ -5,7 +5,10 @@ usage, 3 training or the linear probe aborted on a non-finite value, 4
 checkpoint version mismatch.
 
 Every command first sets the process's heap policy
-(:func:`keep_freed_memory`).
+(:func:`keep_freed_memory`), then runs with numpy's floating-point warnings
+off: every value a command reports is checked for finiteness, so a
+diverging run reports it in its one ``error:`` line, without numpy's
+warnings before it.
 """
 
 from __future__ import annotations
@@ -201,6 +204,10 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     # A config integer's bound: more epochs overflow the probe's schedule.
     config_mod.check_type(args.probe_epochs, int, "--probe-epochs")
+    config_mod.check_type(args.seed, int, "--seed")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: expected a non-negative integer, got "
+                          f"{args.seed}")
     payload = load_checkpoint(args.checkpoint)
     try:
         with open(args.dataset, "r", encoding="utf-8") as f:
@@ -294,7 +301,10 @@ def main(argv=None) -> int:
     keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # A diverging run reports its non-finite value as one error line, so
+        # numpy's floating-point warnings on the way there are noise.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except CheckpointVersionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERSION

@@ -122,7 +122,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
     train_idx, test_idx = holdout_split(len(features), rng)
     onehot = np.eye(num_classes)
     head = _ProbeHead(features.shape[1], num_classes)
-    opt = OptimizerState(momentum=0.9, weight_decay=0.0)
+    opt = OptimizerState(head.arena, momentum=0.9, weight_decay=0.0)
     n = len(train_idx)
     batches = max(1, n // BATCH_SIZE)
     total_steps = epochs * batches
@@ -137,9 +137,9 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
                 loss = _cross_entropy(head.train_logits(features[rows]),
                                       onehot[labels[rows]])
             backward(loss)
-            sgd_step(head.arena, opt, cosine_value(lr, step, total_steps))
+            sgd_step(opt, cosine_value(lr, step, total_steps))
             step += 1
-    if not np.isfinite(head.arena.gather()).all():
+    if not np.isfinite(head.arena.values).all():
         bad = next(p.name for p in head.arena.params
                    if not np.isfinite(p.tensor.values).all())
         raise ProbeDivergedError(

@@ -104,7 +104,7 @@ def _randomize_student(pair, rng):
     # symmetric init: keeps the check off measure-zero kinks such as
     # all-zero prediction rows, and exercises every gradient path.
     for _, t, _ in pair.student_params():
-        t.values = t.values + 0.3 * rng.standard_normal(t.values.shape)
+        t.values += 0.3 * rng.standard_normal(t.values.shape)
 
 
 def _case_byol_mlp(rng):

@@ -130,9 +130,9 @@ class Arena:
     vector of the same layout; an update over all of them is then a few
     whole-vector numpy operations.
 
-    A tensor whose ``values`` or ``grad`` was rebound to another array is
-    copied back into its block and rebound to the view by :meth:`gather`
-    and :meth:`gather_grads`, so it still takes part in the next update.
+    The two vectors are the only home of the blocks' values and gradients:
+    write parameter blocks in place (``t.values[...] = x``), never rebind
+    them. :meth:`zero_grads` rejects a block whose ``values`` was rebound.
     """
 
     def __init__(self, params: Sequence[Param]):
@@ -153,38 +153,17 @@ class Arena:
         return [vector[a:b].reshape(p.tensor.shape)
                 for p, (a, b) in zip(self.params, self.bounds)]
 
-    def gather(self) -> np.ndarray:
-        """The value vector, with every rebound tensor copied back in."""
-        for p, view in zip(self.params, self._views):
-            if p.tensor.values is not view:
-                p.tensor.values = _rehome(p, "values", p.tensor.values, view)
-        return self.values
-
     def zero_grads(self) -> None:
         """Zero the gradient vector and bind each tensor's ``grad`` to its
-        view, so :func:`m2t.engine.backward` accumulates into it."""
+        view, so :func:`m2t.engine.backward` accumulates into it.
+        ``ValueError`` naming a block whose ``values`` is no longer its view
+        of the value vector."""
         self.grads.fill(0.0)
-        for p, view in zip(self.params, self._grad_views):
-            p.tensor.grad = view
-
-    def gather_grads(self) -> np.ndarray:
-        """The gradient vector, with every rebound ``grad`` copied back in;
-        ``ValueError`` for a tensor with no gradient."""
-        for p, view in zip(self.params, self._grad_views):
-            if p.tensor.grad is not view:
-                if p.tensor.grad is None:
-                    raise ValueError(f"{p.name}: no gradient")
-                p.tensor.grad = _rehome(p, "gradient", p.tensor.grad, view)
-        return self.grads
-
-
-def _rehome(p: Param, what: str, array: np.ndarray,
-            view: np.ndarray) -> np.ndarray:
-    if np.shape(array) != view.shape:
-        raise DimensionError(f"{p.name}: {what} shape {np.shape(array)} != "
-                             f"parameter shape {view.shape}")
-    view[...] = array
-    return view
+        for p, view, grad in zip(self.params, self._views, self._grad_views):
+            if p.tensor.values is not view:
+                raise ValueError(f"{p.name}: values rebound away from the "
+                                 f"arena; write parameter blocks in place")
+            p.tensor.grad = grad
 
 
 @dataclass
@@ -450,9 +429,9 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
     touched here."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"EMA coefficient must lie in [0, 1], got {m}")
-    t = pair.teacher.gather()
+    t = pair.teacher.values
     t *= 1.0 - m
-    t += m * pair.student.gather()[:t.size]
+    t += m * pair.student.values[:t.size]
 
 
 def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:

@@ -81,7 +81,11 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
 
 
 class NegQueue:
-    """Fixed-capacity FIFO of unit-norm key vectors (the negatives bank)."""
+    """Fixed-capacity FIFO of unit-norm key vectors (the negatives bank).
+
+    Its buffer of ``capacity`` rows is allocated at construction and
+    :func:`queue_update` writes it in place, so the queue's state is that
+    one array, the write cursor and the number of stored keys."""
 
     def __init__(self, capacity: int, dim: int,
                  rng: Optional[np.random.Generator] = None):
@@ -108,7 +112,8 @@ class NegQueue:
 
 def queue_update(queue: NegQueue, new_keys: np.ndarray) -> None:
     """Enqueue unit-norm keys as given, evicting the oldest beyond
-    capacity."""
+    capacity; a batch of ``capacity`` keys or more overwrites the buffer
+    with its newest ``capacity``."""
     keys = np.asarray(new_keys, dtype=np.float64)
     if keys.ndim != 2 or keys.shape[1] != queue.dim:
         raise engine.DimensionError(
@@ -116,7 +121,7 @@ def queue_update(queue: NegQueue, new_keys: np.ndarray) -> None:
     if keys.shape[0] == 0:
         return
     if keys.shape[0] >= queue.capacity:
-        queue._buf = keys[-queue.capacity:].copy()
+        queue._buf[...] = keys[-queue.capacity:]
         queue._cursor = 0
         queue.size = queue.capacity
         return

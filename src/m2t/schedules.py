@@ -50,16 +50,10 @@ def cosine_value(base: float, k: int, total: int) -> float:
     return base * (math.cos(math.pi * k / total) + 1.0) / 2.0
 
 
-def schedule_value(spec: ScheduleSpec, k: int) -> float:
-    """Value of a warmup-free schedule (used for the EMA and blend
-    coefficients)."""
-    if spec.kind == "constant":
-        return spec.base
-    return cosine_value(spec.base, k, spec.total_steps)
-
-
-def lr_at(spec: ScheduleSpec, k: int) -> float:
-    """Learning rate at iteration k: linear warmup ramp, then the decay.
+def schedule_at(spec: ScheduleSpec, k: int) -> float:
+    """Value at iteration k: linear warmup ramp, then the decay (a
+    warmup-free spec, such as the EMA and blend coefficients', is the decay
+    alone).
 
     The ramp runs from base * warmup_factor at k=0 to exactly base at
     k=warmup_steps, which is also the k=0 point of the cosine over the

@@ -46,7 +46,7 @@ from .model import (
 from .normalization import comm_bytes
 from .objectives import (NegQueue, infonce_loss, l2_normalize_rows,
                          queue_update, symmetrized_loss)
-from .schedules import ScheduleSpec, lr_at, schedule_value, apply_linear_scaling
+from .schedules import ScheduleSpec, apply_linear_scaling, schedule_at
 from .seeding import substream, substream_int
 
 # Nominal hardware model for the deterministic cost column.
@@ -57,24 +57,34 @@ NOMINAL_COLLECTIVE_LATENCY = 1e-3
 
 @dataclass
 class OptimizerState:
-    """Momentum-SGD (or LARS) settings, and what the first :func:`sgd_step`
-    binds the state to: its arena, the momentum buffer in the arena's
+    """Momentum-SGD (or LARS) settings for one arena, with the state they
+    allocate for it at construction: the momentum buffer in the arena's
     layout and the weight decay of each element (a vector in that layout,
-    or one number when all are equal)."""
+    or one number when all are equal). :func:`sgd_step` updates the
+    arena's value vector and the buffer in place."""
 
+    arena: Arena = field(repr=False)
     kind: str = "sgd"
     momentum: float = 0.9
     weight_decay: float = 1e-4
     trust_coeff: float = 0.001
     wd_exclude: bool = False
-    arena: Optional[Arena] = field(default=None, init=False, repr=False)
-    buffer: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    wd: Union[None, float, np.ndarray] = field(default=None, init=False,
-                                               repr=False)
+    buffer: np.ndarray = field(init=False, repr=False)
+    wd: Union[float, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.buffer = np.zeros_like(self.arena.values)
+        lars = self.kind == "lars"
+        wd = [0.0 if p.exclude and (lars or self.wd_exclude)
+              else self.weight_decay for p in self.arena.params]
+        # One number when every block decays alike; its product with w is
+        # the per-element vector's.
+        self.wd = wd[0] if len(set(wd)) == 1 else np.repeat(
+            wd, [b - a for a, b in self.arena.bounds])
 
 
-def sgd_step(params: Arena, state: OptimizerState, lr: float) -> None:
-    """Momentum SGD over the whole arena: buf <- momentum * buf + d;
+def sgd_step(state: OptimizerState, lr: float) -> None:
+    """Momentum SGD over the state's whole arena: buf <- momentum * buf + d;
     w <- w - lr * buf, with d = g + wd * w.
 
     Weight decay skips excluded parameters (biases, BN affines) when the
@@ -83,23 +93,12 @@ def sgd_step(params: Arena, state: OptimizerState, lr: float) -> None:
     trust * ||w|| / (||d|| + 1e-9). Each element sees the arithmetic of a
     per-block step, so the result is the same to the bit.
     """
-    w, g = params.gather(), params.gather_grads()
-    lars = state.kind == "lars"
-    if state.arena is not params:
-        if state.arena is not None:
-            raise ValueError("optimizer state is bound to another arena")
-        state.arena = params
-        state.buffer = np.zeros_like(w)
-        wd = [0.0 if p.exclude and (lars or state.wd_exclude)
-              else state.weight_decay for p in params.params]
-        # One number when every block decays alike; its product with w is
-        # the per-element vector's.
-        state.wd = wd[0] if len(set(wd)) == 1 else np.repeat(
-            wd, [b - a for a, b in params.bounds])
+    arena = state.arena
+    w = arena.values
     d = state.wd * w
-    np.add(g, d, out=d)
-    if lars:
-        for p, (a, b) in zip(params.params, params.bounds):
+    np.add(arena.grads, d, out=d)
+    if state.kind == "lars":
+        for p, (a, b) in zip(arena.params, arena.bounds):
             if not p.exclude:
                 block = d[a:b]
                 block *= (state.trust_coeff * float(np.linalg.norm(w[a:b]))
@@ -281,7 +280,7 @@ class Trainer:
 
         self.is_moco = cfg.mode == "moco"
         self.opt = OptimizerState(
-            kind=cfg.optimizer, momentum=cfg.sgd_momentum,
+            self.pair.student, kind=cfg.optimizer, momentum=cfg.sgd_momentum,
             weight_decay=cfg.weight_decay, trust_coeff=cfg.trust_coeff,
             wd_exclude=cfg.wd_exclude_bias_bn)
         self.queue = None
@@ -298,9 +297,9 @@ class Trainer:
     def train_step(self, batch: np.ndarray, k: int) -> MetricsRecord:
         """One full iteration at global step k; returns its metrics."""
         cfg = self.cfg
-        alpha_k = schedule_value(self.alpha_spec, k)
-        m_k = schedule_value(self.m_spec, k)
-        lr_k = lr_at(self.lr_spec, k)
+        alpha_k = schedule_at(self.alpha_spec, k)
+        m_k = schedule_at(self.m_spec, k)
+        lr_k = schedule_at(self.lr_spec, k)
         epoch = k // self.iters_per_epoch
 
         v, v2 = make_views(batch, cfg.augment,
@@ -344,11 +343,11 @@ class Trainer:
         backward(loss_t)
         # One check over every gradient before the step and one over every
         # parameter after it.
-        if not np.isfinite(student.gather_grads()).all():
+        if not np.isfinite(student.grads).all():
             raise NanLossError(f"non-finite gradient at iteration {k}",
                                metrics(float("nan")))
-        sgd_step(student, self.opt, lr_k)
-        if not np.isfinite(student.gather()).all():
+        sgd_step(self.opt, lr_k)
+        if not np.isfinite(student.values).all():
             raise NanLossError(
                 f"non-finite parameter after the step at iteration {k}",
                 metrics(float("nan")))

@@ -86,7 +86,7 @@ def student_bn(x, kind: str, workers: int, p: NormParams) -> Tensor:
                       MlpSpec((c, c), (False,), (False,)), None,
                       np.random.default_rng(0), student_bn=kind)
     for mlp in (pair.encoder, pair.projector):
-        mlp.layers[0].weight.values = np.eye(c)
+        mlp.layers[0].weight.values[...] = np.eye(c)
     pair.encoder.layers[0].norm = p
     z, _ = forward_student(pair, x, workers)
     return z

@@ -166,7 +166,7 @@ def test_criterion_5_ema_contract():
         pair = build_pair(MlpSpec((3, 4, 4), (True, True), (True, True)),
                           mlp_spec((4, 4, 3)), mlp_spec((3, 3, 3)), rng)
         for _, s in pair.ema_pairs():
-            s.values = rng.normal(size=s.values.shape)
+            s.values[...] = rng.normal(size=s.values.shape)
 
         snap_teacher = [t.values.copy() for t, _ in pair.ema_pairs()]
         ema_update(pair, 0.0)

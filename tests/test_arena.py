@@ -3,7 +3,9 @@
 The student's SGD step, the teacher's weight EMA and the teacher's BN
 history commit run as whole-vector operations over flat arenas. Over 25
 steps each must give the per-block updates' bits exactly, compared as
-int64 so that +0 and -0 differ, including after a test rebinds a block.
+int64 so that +0 and -0 differ, including after a test writes a block in
+place. The arrays a step updates are allocated before the first step and
+keep their identity across steps.
 """
 
 import numpy as np
@@ -62,7 +64,7 @@ def test_sgd_step_equals_per_block_oracle(name):
     want = [Param(n, parameter(v.copy()), ex)
             for (n, _, ex), v in zip(BLOCKS, init)]
     arena = Arena(got)
-    state = OptimizerState(momentum=0.9, **OPTIMIZERS[name])
+    state = OptimizerState(arena, momentum=0.9, **OPTIMIZERS[name])
     ref_state = ref.OptimizerState(momentum=0.9, **OPTIMIZERS[name])
     for k in range(STEPS):
         grads = [signed_zeros(rng, shape) for _, shape, _ in BLOCKS]
@@ -72,7 +74,7 @@ def test_sgd_step_equals_per_block_oracle(name):
         arena.zero_grads()
         for p, g in zip(got, grads):
             p.tensor.grad += g
-        sgd_step(arena, state, lr)
+        sgd_step(state, lr)
         ref.sgd_step(want, [np.add(g, 0.0) for g in grads], ref_state, lr)
         for p, q, (a, b) in zip(got, want, arena.bounds):
             assert_bits_equal(p.tensor.values, q.tensor.values, p.name)
@@ -83,51 +85,13 @@ def test_sgd_step_equals_per_block_oracle(name):
         assert p.tensor.values.base is arena.values
 
 
-def test_rebound_values_and_grad_take_part_in_the_step():
-    rng = np.random.default_rng(1)
-    init = [rng.normal(size=shape) for _, shape, _ in BLOCKS]
-    got = [Param(n, parameter(v.copy()), ex)
-           for (n, _, ex), v in zip(BLOCKS, init)]
-    want = [Param(n, parameter(v.copy()), ex)
-            for (n, _, ex), v in zip(BLOCKS, init)]
-    arena = Arena(got)
-    state = OptimizerState(weight_decay=0.01)
-    ref_state = ref.OptimizerState(weight_decay=0.01)
-    for k in range(3):
-        grads = [rng.normal(size=shape) for _, shape, _ in BLOCKS]
+def test_zero_grads_rejects_a_rebound_block():
+    arena = Arena([Param(n, parameter(np.ones(shape)), ex)
+                   for n, shape, ex in BLOCKS])
+    arena.zero_grads()
+    arena.params[3].tensor.values = np.zeros(BLOCKS[3][1])
+    with pytest.raises(ValueError, match="w1: values rebound"):
         arena.zero_grads()
-        for p, g in zip(got, grads):
-            p.tensor.grad += g
-        if k == 1:
-            new = rng.normal(size=got[3].tensor.shape)
-            got[3].tensor.values = new.copy()
-            want[3].tensor.values = new.copy()
-            got[0].tensor.grad = grads[0] * 2.0  # a fresh array
-            grads[0] = grads[0] * 2.0
-        sgd_step(arena, state, 0.1)
-        ref.sgd_step(want, [np.add(g, 0.0) for g in grads], ref_state, 0.1)
-        for p, q in zip(got, want):
-            assert_bits_equal(p.tensor.values, q.tensor.values, p.name)
-    assert got[3].tensor.values.base is arena.values
-    assert got[0].tensor.grad.base is arena.grads
-
-
-def test_state_is_bound_to_one_arena():
-    state = OptimizerState()
-    a = Arena([Param("w", parameter(np.ones(2)))])
-    a.zero_grads()
-    sgd_step(a, state, 0.1)
-    b = Arena([Param("w", parameter(np.ones(2)))])
-    b.zero_grads()
-    with pytest.raises(ValueError, match="another arena"):
-        sgd_step(b, state, 0.1)
-
-
-def test_missing_gradient_rejected():
-    arena = Arena([Param("w", parameter(np.ones(2)))])
-    arena.params[0].tensor.grad = None
-    with pytest.raises(ValueError, match="w: no gradient"):
-        sgd_step(arena, OptimizerState(), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +120,10 @@ def per_block_zero_grads(self):
 def reference_step(monkeypatch, trainer, ref_state, batch, k):
     """``trainer.train_step`` with the per-block oracle for every update,
     and gradients written fresh by backward as before the arena."""
-    def step(arena, state, lr):
-        ref.sgd_step(list(arena.params), [p.tensor.grad for p in arena.params],
-                     ref_state, lr)
+    def step(state, lr):
+        params = state.arena.params
+        ref.sgd_step(list(params), [p.tensor.grad for p in params], ref_state,
+                     lr)
 
     with monkeypatch.context() as m:
         m.setattr(trainer_module, "sgd_step", step)
@@ -218,14 +183,14 @@ def test_probe_steps_equal_per_block_oracle(monkeypatch):
         real_step = evaluate.sgd_step
         ref_state = ref.OptimizerState(momentum=0.9, weight_decay=0.0)
 
-        def step(arena, opt, lr):
+        def step(opt, lr):
+            params = opt.arena.params
             if oracle:
-                ref.sgd_step(list(arena.params),
-                             [p.tensor.grad for p in arena.params],
+                ref.sgd_step(list(params), [p.tensor.grad for p in params],
                              ref_state, lr)
             else:
-                real_step(arena, opt, lr)
-            seen.append([p.tensor.values.copy() for p in arena.params])
+                real_step(opt, lr)
+            seen.append([p.tensor.values.copy() for p in params])
 
         with monkeypatch.context() as m:
             m.setattr(evaluate, "sgd_step", step)
@@ -245,7 +210,92 @@ def test_probe_steps_equal_per_block_oracle(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# EMA and commit on a pair, with rebound blocks and rewritten histories
+# training state: every array a step updates exists before the first step
+# and is written in place
+
+
+STATE_CONFIGS = {
+    "byol_lars_wd_exclude": dict(optimizer="lars", wd_exclude_bias_bn=True,
+                                 weight_decay=0.01),
+    "moco_queue_below_batch": dict(MOCO, queue_capacity=8),
+}
+
+
+def state_arrays(trainer) -> dict:
+    """The arrays of a trainer's state that a training step updates."""
+    pair, opt = trainer.pair, trainer.opt
+    arrays = {"student values": pair.student.values,
+              "student grads": pair.student.grads,
+              "optimizer buffer": opt.buffer,
+              "teacher values": pair.teacher.values,
+              "hist_mean": pair.history.hist_mean,
+              "hist_var": pair.history.hist_var}
+    if isinstance(opt.wd, np.ndarray):
+        arrays["weight decay"] = opt.wd
+    if trainer.queue is not None:
+        arrays["queue"] = trainer.queue.as_matrix().base
+    return arrays
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CONFIGS))
+def test_training_state_keeps_its_arrays(name):
+    cfg = small_config(**STATE_CONFIGS[name])
+    trainer = Trainer(cfg)
+    before = state_arrays(trainer)
+    assert all(isinstance(a, np.ndarray) for a in before.values())
+    assert ("weight decay" in before) == (cfg.optimizer == "lars")
+    assert ("queue" in before) == (trainer.queue is not None)
+    assert cfg.mode != "moco" or cfg.queue_capacity < cfg.batch_size
+    size = cfg.batch_size
+    for k in range(5):
+        trainer.train_step(trainer.dataset.samples[k * size:(k + 1) * size],
+                           k)
+    after = state_arrays(trainer)
+    assert after.keys() == before.keys()
+    for key in before:
+        assert after[key] is before[key], key
+    pair = trainer.pair
+    for arena in (pair.student, pair.teacher):
+        for p in arena.params:
+            assert p.tensor.values.base is arena.values, p.name
+    for p in pair.student.params:
+        assert p.tensor.grad.base is pair.student.grads, p.name
+
+
+def test_probe_state_keeps_its_arrays(monkeypatch):
+    steps, commits = [], []
+    real_step = evaluate.sgd_step
+    real_commit = evaluate.momentum_bn_lazy_commit
+
+    def step(opt, lr):
+        arena = opt.arena
+        steps.append((arena.values, arena.grads, opt.buffer,
+                      *(p.tensor.values.base for p in arena.params),
+                      *(p.tensor.grad.base for p in arena.params)))
+        real_step(opt, lr)
+
+    def commit(history, momentum):
+        commits.append((history.hist_mean, history.hist_var))
+        real_commit(history, momentum)
+
+    monkeypatch.setattr(evaluate, "sgd_step", step)
+    monkeypatch.setattr(evaluate, "momentum_bn_lazy_commit", commit)
+    rng = np.random.default_rng(8)
+    evaluate.linear_probe(rng.normal(size=(300, 6)),
+                          rng.integers(0, 3, size=300), epochs=5, seed=2)
+    assert len(steps) == len(commits) == 5
+    values, grads, _, *blocks = steps[0]
+    n = len(blocks) // 2
+    assert all(b is values for b in blocks[:n])
+    assert all(b is grads for b in blocks[n:])
+    for seen in steps + commits:
+        assert all(isinstance(a, np.ndarray) for a in seen)
+    assert all(a is b for seen in steps for a, b in zip(seen, steps[0]))
+    assert all(a is b for seen in commits for a, b in zip(seen, commits[0]))
+
+
+# ---------------------------------------------------------------------------
+# EMA and commit on a pair, with blocks and histories rewritten in place
 
 
 def tiny_pair(seed, teacher_bn="momentum"):
@@ -260,21 +310,21 @@ def twin_pairs(seed=4):
     return tiny_pair(seed), tiny_pair(seed)
 
 
-def test_ema_with_rebound_blocks_equals_oracle():
+def test_ema_with_rewritten_blocks_equals_oracle():
     got, want = twin_pairs()
     rng = np.random.default_rng(5)
     for k in range(STEPS):
-        if k % 5 == 2:  # rebind one student and one teacher block
+        if k % 5 == 2:  # write one student and one teacher block
             for pair in (got, want):
                 r = np.random.default_rng(k)
                 s = pair.projector.layers[0].bias
-                s.values = r.normal(size=s.shape)
+                s.values[...] = r.normal(size=s.shape)
                 t = pair.t_encoder.layers[1].weight
-                t.values = r.normal(size=t.shape)
-        else:  # move the student in place
+                t.values[...] = r.normal(size=t.shape)
+        else:  # move the whole student
             delta = signed_zeros(rng, got.student.values.shape)
             for pair in (got, want):
-                pair.student.gather()[:] += delta
+                pair.student.values += delta
         m = float(rng.uniform())
         ema_update(got, m)
         ref.ema_update(want, m)
@@ -386,9 +436,9 @@ def test_non_finite_gradient_exits_3_at_its_iteration(tmp_path, monkeypatch,
 def test_non_finite_parameter_after_the_step_raises(monkeypatch):
     real_step = trainer_module.sgd_step
 
-    def step(arena, state, lr):
-        real_step(arena, state, lr)
-        arena.values[-1] = np.inf
+    def step(state, lr):
+        real_step(state, lr)
+        state.arena.values[-1] = np.inf
 
     monkeypatch.setattr(trainer_module, "sgd_step", step)
     trainer = Trainer(small_config())

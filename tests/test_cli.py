@@ -57,6 +57,18 @@ def tiny_dataset_spec(tmp_path):
     return path
 
 
+def exits_3_quietly(capsys, argv) -> str:
+    """Run ``argv`` with every warning an error: it must exit 3 with one
+    ``error:`` line as its whole stderr, which is returned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
 def raw_checkpoint(header, body: bytes = b"") -> bytes:
     header = json.dumps(header).encode("utf-8")
     return (MAGIC + struct.pack("<I", FORMAT_VERSION)
@@ -202,6 +214,14 @@ class TestPretrainCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: temperature: ")
         assert not out.exists()
+
+    def test_overflowing_training_exits_3_quietly(self, tmp_path, capsys):
+        # Finite samples whose statistics overflow in training.
+        line = exits_3_quietly(capsys, [
+            "pretrain", "--preset", "default-synth",
+            "--set", "data.spread=1e200", "--set", "epochs=1",
+            "--out", str(tmp_path / "run")])
+        assert "non-finite" in line
 
     def test_overflowing_spread_exits_2_naming_it(self, tmp_path, capsys):
         # The samples overflow float64; that is reported as what it is,
@@ -435,9 +455,8 @@ class TestPretrainCommand:
 
     def test_nan_abort_exits_3_with_partial_metrics(self, tmp_path, capsys):
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            code = main(["pretrain", *TINY_ARGS, "--set", "lr_base=1e200",
-                         "--set", "log_interval=1", "--out", str(out)])
+        code = main(["pretrain", *TINY_ARGS, "--set", "lr_base=1e200",
+                     "--set", "log_interval=1", "--out", str(out)])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
         lines = (out / "metrics.csv").read_text().strip().split("\n")
@@ -447,10 +466,9 @@ class TestPretrainCommand:
     def test_divergence_exits_3_without_checkpoint(self, tmp_path, capsys):
         # The loss stays bounded while the teacher BN histories overflow.
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            code = main(["pretrain", "--preset", "default-synth",
-                         "--set", "epochs=1", "--set", "lr_base=1e6",
-                         "--out", str(out)])
+        code = main(["pretrain", "--preset", "default-synth",
+                     "--set", "epochs=1", "--set", "lr_base=1e6",
+                     "--out", str(out)])
         assert code == 3
         assert "history drift" in capsys.readouterr().err
         assert not (out / "checkpoint.m2t").exists()
@@ -556,14 +574,30 @@ class TestEvalCommand:
         assert "non-finite" in err and "allocate" not in err
         assert caught == []
 
+    def test_diverged_probe_exits_3_quietly(self, run_dir, capsys):
+        out, ds = run_dir
+        line = exits_3_quietly(capsys, [
+            "eval", "--checkpoint", str(out / "checkpoint.m2t"),
+            "--dataset", str(ds), "--probe-lr", "1e300",
+            "--probe-epochs", "3"])
+        assert "linear probe diverged" in line
+
+    @pytest.mark.parametrize("mode", ["probe", "knn"])
+    def test_negative_seed_exits_2_naming_it(self, run_dir, capsys, mode):
+        out, ds = run_dir
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                     "--dataset", str(ds), "--mode", mode, "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --seed: expected a non-negative integer, got -1\n")
+
     def test_diverged_probe_exits_3(self, run_dir, capsys):
         # A learning rate this large overflows the probe head; that is a
         # non-finite abort, not an accuracy.
         out, ds = run_dir
-        with np.errstate(all="ignore"):
-            code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
-                         "--dataset", str(ds), "--mode", "probe",
-                         "--probe-lr", "1e300", "--probe-epochs", "5"])
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.m2t"),
+                     "--dataset", str(ds), "--mode", "probe",
+                     "--probe-lr", "1e300", "--probe-epochs", "5"])
         captured = capsys.readouterr()
         assert code == 3
         assert "linear probe diverged" in captured.err
@@ -735,13 +769,19 @@ class TestAblateCommand:
         sets = ["epochs=1", "batch_size=16", "workers=2", "data.per_class=16",
                 "data.num_classes=3", "data.dim=8", "probe_epochs=2",
                 "warmup_epochs=0", *settings]
-        with np.errstate(all="ignore"):
-            code = main(["ablate", "--preset", "table1-grid",
-                         *(a for s in sets for a in ("--set", s)),
-                         "--out", str(out)])
+        code = main(["ablate", "--preset", "table1-grid",
+                     *(a for s in sets for a in ("--set", s)),
+                     "--out", str(out)])
         assert code == 3
         assert message in capsys.readouterr().err
         assert not (out / "grid.json").exists()
+
+    def test_diverging_grid_exits_3_quietly(self, tmp_path, capsys):
+        line = exits_3_quietly(capsys, [
+            "ablate", "--preset", "table1-grid", "--set", "epochs=1",
+            "--set", "data.per_class=8", "--set", "batch_size=8",
+            "--set", "lr_base=1e12", "--out", str(tmp_path / "grid")])
+        assert "history drift" in line
 
     def test_config_time_error_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "grid"

@@ -249,9 +249,9 @@ def test_probe_steps_equal_composed_ops(monkeypatch):
     def probe():
         seen = []
 
-        def spy(arena, opt, lr):
-            seen.append([p.tensor.grad.copy() for p in arena.params])
-            real_step(arena, opt, lr)
+        def spy(opt, lr):
+            seen.append([p.tensor.grad.copy() for p in opt.arena.params])
+            real_step(opt, lr)
 
         monkeypatch.setattr(evaluate, "sgd_step", spy)
         acc = linear_probe(features, labels, epochs=3, lr=0.5, seed=1)

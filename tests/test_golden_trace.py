@@ -48,23 +48,13 @@ def setup(trace):
                       np.random.default_rng(0), student_bn="plain",
                       teacher_bn="momentum", eps=cfg["eps"])
 
-    student = cfg["student"]
-    pair.encoder.layers[0].weight.values = np.array(student["enc0.weight"])
-    pair.encoder.layers[0].bias.values = np.array(student["enc0.bias"])
-    pair.encoder.layers[0].norm.gamma.values = np.array(student["enc0.gamma"])
-    pair.encoder.layers[0].norm.beta.values = np.array(student["enc0.beta"])
-    pair.projector.layers[0].weight.values = np.array(student["proj0.weight"])
-    pair.projector.layers[0].bias.values = np.array(student["proj0.bias"])
-    pair.predictor.layers[0].weight.values = np.array(student["pred0.weight"])
-    pair.predictor.layers[0].bias.values = np.array(student["pred0.bias"])
-
-    teacher = cfg["teacher"]
-    pair.t_encoder.layers[0].weight.values = np.array(teacher["enc0.weight"])
-    pair.t_encoder.layers[0].bias.values = np.array(teacher["enc0.bias"])
-    pair.t_encoder.layers[0].norm.gamma.values = np.array(teacher["enc0.gamma"])
-    pair.t_encoder.layers[0].norm.beta.values = np.array(teacher["enc0.beta"])
-    pair.t_projector.layers[0].weight.values = np.array(teacher["proj0.weight"])
-    pair.t_projector.layers[0].bias.values = np.array(teacher["proj0.bias"])
+    # Each block is a view of its arena, so the trace's values are written
+    # in place; the trace names every block of both arenas.
+    for arena, values, prefix in ((pair.student, cfg["student"], ""),
+                                  (pair.teacher, cfg["teacher"], "t_")):
+        assert {p.name for p in arena.params} == {prefix + n for n in values}
+        for p in arena.params:
+            p.tensor.values[...] = np.array(values[p.name[len(prefix):]])
 
     # enc0 is the teacher's only BN layer, so its range is the whole history.
     state = pair.history
@@ -127,7 +117,8 @@ def test_full_iteration_matches_reference(trace, setup):
         np.testing.assert_allclose(mean, trace[key]["mean"], atol=TOL)
         np.testing.assert_allclose(var, trace[key]["var"], atol=TOL)
 
-    # Gradients and the optimizer step.
+    # Gradients, accumulated into the student arena, and the optimizer step.
+    pair.student.zero_grads()
     backward(out.loss)
     params = pair.student.params
     name_map = {
@@ -142,9 +133,9 @@ def test_full_iteration_matches_reference(trace, setup):
                                    atol=TOL, err_msg=p.name)
 
     before = {p.name: p.tensor.values.copy() for p in params}
-    opt = OptimizerState(momentum=0.9, weight_decay=cfg["weight_decay"],
-                         wd_exclude=False)
-    sgd_step(pair.student, opt, lr=cfg["lr"])
+    opt = OptimizerState(pair.student, momentum=0.9,
+                         weight_decay=cfg["weight_decay"], wd_exclude=False)
+    sgd_step(opt, lr=cfg["lr"])
     for p in params:
         delta = p.tensor.values - before[p.name]
         np.testing.assert_allclose(

@@ -70,7 +70,7 @@ class TestForwardStudent:
     def test_zero_weights_give_zero_prediction(self):
         pair = tiny_pair()
         for _, t, _ in pair.student_params():
-            t.values = np.zeros_like(t.values)
+            t.values[...] = 0.0
         v = np.random.default_rng(1).normal(size=(8, 4))
         _, p = forward_student(pair, v, 2)
         np.testing.assert_array_equal(p.values, 0.0)
@@ -78,8 +78,8 @@ class TestForwardStudent:
     def test_identity_network_passes_input_through(self):
         pair = plain_pair_no_bn(dim=3)
         for mlp in (pair.encoder, pair.projector):
-            mlp.layers[0].weight.values = np.eye(3)
-            mlp.layers[0].bias.values = np.zeros(3)
+            mlp.layers[0].weight.values[...] = np.eye(3)
+            mlp.layers[0].bias.values[...] = 0.0
         v = np.random.default_rng(2).normal(size=(6, 3))
         z, _ = forward_student(pair, v, 1)
         np.testing.assert_array_equal(z.values, v)
@@ -189,7 +189,7 @@ class TestEmaUpdate:
         pair = tiny_pair(seed=14)
         rng = np.random.default_rng(15)
         for _, t, _ in pair.encoder.params():
-            t.values = rng.normal(size=t.values.shape)
+            t.values[...] = rng.normal(size=t.values.shape)
         ema_update(pair, 1.0)
         for t, s in pair.ema_pairs():
             np.testing.assert_array_equal(t.values, s.values)
@@ -198,15 +198,15 @@ class TestEmaUpdate:
         pair = tiny_pair(seed=16)
         before = [t.values.copy() for t, _ in pair.ema_pairs()]
         for _, s in pair.ema_pairs():
-            s.values = s.values + 1.0
+            s.values += 1.0
         ema_update(pair, 0.0)
         for (t, _), b in zip(pair.ema_pairs(), before):
             np.testing.assert_array_equal(t.values, b)
 
     def test_midpoint(self):
         pair = plain_pair_no_bn(seed=17, dim=2)
-        pair.t_encoder.layers[0].weight.values = np.zeros((2, 2))
-        pair.encoder.layers[0].weight.values = np.full((2, 2), 2.0)
+        pair.t_encoder.layers[0].weight.values[...] = 0.0
+        pair.encoder.layers[0].weight.values[...] = 2.0
         ema_update(pair, 0.5)
         np.testing.assert_array_equal(pair.t_encoder.layers[0].weight.values,
                                       np.ones((2, 2)))
@@ -220,7 +220,7 @@ class TestEmaUpdate:
         pair = tiny_pair(seed=18)
         rng = np.random.default_rng(19)
         for _, s in pair.ema_pairs():
-            s.values = rng.normal(size=s.values.shape)
+            s.values[...] = rng.normal(size=s.values.shape)
         snapshots = [(t.values.copy(), s.values.copy()) for t, s in pair.ema_pairs()]
         ema_update(pair, 0.37)
         for (t, _), (t0, s0) in zip(pair.ema_pairs(), snapshots):
@@ -233,7 +233,7 @@ class TestEmaUpdate:
         rng = np.random.default_rng(21)
         for _ in range(3):
             for _, s in pair.ema_pairs():
-                s.values = rng.normal(size=s.values.shape)
+                s.values[...] = rng.normal(size=s.values.shape)
             ema_update(pair, 1.0)
         for t, s in pair.ema_pairs():
             np.testing.assert_array_equal(t.values, s.values)
@@ -293,8 +293,8 @@ def trained_teacher_pair(seed=29):
     rng = np.random.default_rng(seed + 1)
     for layer in pair.t_encoder.layers:
         width = layer.weight.shape[1]
-        layer.norm.gamma.values = rng.uniform(0.5, 1.5, size=width)
-        layer.norm.beta.values = rng.normal(size=width)
+        layer.norm.gamma.values[...] = rng.uniform(0.5, 1.5, size=width)
+        layer.norm.beta.values[...] = rng.normal(size=width)
     for _ in range(2):
         forward_teacher(pair, rng.normal(size=(8, 4)), alpha=0.5)
         commit_teacher_bn(pair, alpha=0.5)

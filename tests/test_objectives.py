@@ -83,8 +83,8 @@ def identity_pair(dim=3):
     pair = build_pair(spec, spec, spec, rng)
     for mlp in (pair.encoder, pair.projector, pair.predictor,
                 pair.t_encoder, pair.t_projector):
-        mlp.layers[0].weight.values = np.eye(dim)
-        mlp.layers[0].bias.values = np.zeros(dim)
+        mlp.layers[0].weight.values[...] = np.eye(dim)
+        mlp.layers[0].bias.values[...] = 0.0
     return pair
 
 

@@ -56,10 +56,9 @@ def tiny_checkpoint(tmp_path_factory):
 
 
 def run_eval(checkpoint, dataset, mode: str) -> int:
-    with np.errstate(all="ignore"):
-        return main(["eval", "--checkpoint", str(checkpoint),
-                     "--dataset", str(dataset), "--mode", mode, "--k", "3",
-                     "--probe-epochs", "1"])
+    return main(["eval", "--checkpoint", str(checkpoint),
+                 "--dataset", str(dataset), "--mode", mode, "--k", "3",
+                 "--probe-epochs", "1"])
 
 
 def flip_bits(buf: bytes, bits) -> bytes:

@@ -8,8 +8,7 @@ from m2t.schedules import (
     ScheduleSpec,
     apply_linear_scaling,
     cosine_value,
-    lr_at,
-    schedule_value,
+    schedule_at,
 )
 
 
@@ -37,39 +36,47 @@ class TestCosineValue:
 
 
 class TestLrAt:
+    """schedule_at on learning-rate specs: warmup ramp, then the decay."""
+
     def test_warmup_start(self):
         spec = ScheduleSpec(base=0.1, total_steps=1000, warmup_steps=100,
                             warmup_factor=0.001)
-        assert lr_at(spec, 0) == pytest.approx(1e-4)
+        assert schedule_at(spec, 0) == pytest.approx(1e-4)
 
     def test_warmup_end_is_base_exactly(self):
         spec = ScheduleSpec(base=0.1, total_steps=1000, warmup_steps=100,
                             warmup_factor=0.001)
-        assert lr_at(spec, 100) == 0.1
+        assert schedule_at(spec, 100) == 0.1
 
     def test_final_step_is_zero(self):
         spec = ScheduleSpec(base=0.1, total_steps=1000, warmup_steps=100,
                             warmup_factor=0.001)
-        assert lr_at(spec, 1000) == pytest.approx(0.0, abs=1e-17)
+        assert schedule_at(spec, 1000) == pytest.approx(0.0, abs=1e-17)
 
     def test_continuous_at_junction(self):
         spec = ScheduleSpec(base=0.4, total_steps=200, warmup_steps=20,
                             warmup_factor=0.01)
-        just_before = lr_at(spec, 19)
-        at = lr_at(spec, 20)
+        just_before = schedule_at(spec, 19)
+        at = schedule_at(spec, 20)
         assert at == 0.4
         assert just_before < at
         assert at - just_before < 0.4 / 20 + 1e-12
 
     def test_constant_kind_holds_base(self):
         spec = ScheduleSpec(base=0.25, total_steps=100, kind="constant")
-        assert lr_at(spec, 0) == 0.25
-        assert lr_at(spec, 99) == 0.25
-        assert schedule_value(spec, 50) == 0.25
+        assert schedule_at(spec, 0) == 0.25
+        assert schedule_at(spec, 99) == 0.25
+        assert schedule_at(spec, 50) == 0.25
 
     def test_no_warmup_starts_at_base(self):
         spec = ScheduleSpec(base=0.3, total_steps=50)
-        assert lr_at(spec, 0) == 0.3
+        assert schedule_at(spec, 0) == 0.3
+
+    def test_warmup_free_spec_is_the_cosine_exactly(self):
+        # The EMA and blend coefficients: the decay alone, to the bit.
+        spec = ScheduleSpec(base=0.996, total_steps=50)
+        assert all(schedule_at(spec, k) == cosine_value(0.996, k, 50)
+                   for k in range(51))
 
 
 class TestLinearScaling:

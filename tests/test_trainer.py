@@ -12,7 +12,7 @@ from m2t import trainer as trainer_module
 from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
-from m2t.engine import HEALTH, DimensionError, Tensor, backward, record
+from m2t.engine import HEALTH, Tensor, backward, record
 from m2t.model import Arena, Param, forward_student, mlp_spec
 from m2t.trainer import (
     MetricsRecord,
@@ -59,35 +59,36 @@ def param(name, values, exclude=False):
                  exclude=exclude)
 
 
-def step(arena, grads, state, lr):
-    """One sgd_step over ``arena`` with the given per-block gradients."""
-    for p, g in zip(arena.params, grads):
-        p.tensor.grad = g
-    sgd_step(arena, state, lr)
+def step(state, grads, lr):
+    """One sgd_step of ``state`` with the given per-block gradients, written
+    into its arena's gradient vector."""
+    state.arena.zero_grads()
+    for p, g in zip(state.arena.params, grads):
+        p.tensor.grad[...] = g
+    sgd_step(state, lr)
 
 
 class TestSgdStep:
     def test_zero_grads_zero_buffers_leave_params(self):
         p = param("w", [1.0, 2.0])
-        state = OptimizerState(weight_decay=0.0)
-        step(Arena([p]), [np.zeros(2)], state, lr=0.1)
+        state = OptimizerState(Arena([p]), weight_decay=0.0)
+        step(state, [np.zeros(2)], lr=0.1)
         np.testing.assert_array_equal(p.tensor.values, [1.0, 2.0])
 
     def test_single_step(self):
         p = param("w", [1.0, 2.0])
-        state = OptimizerState(weight_decay=0.0)
+        state = OptimizerState(Arena([p]), weight_decay=0.0)
         g = np.array([0.5, -0.5])
-        step(Arena([p]), [g], state, lr=0.1)
+        step(state, [g], lr=0.1)
         np.testing.assert_allclose(p.tensor.values, [0.95, 2.05])
 
     def test_two_steps_with_constant_gradient(self):
         p = param("w", [0.0])
-        arena = Arena([p])
-        state = OptimizerState(weight_decay=0.0, momentum=0.9)
+        state = OptimizerState(Arena([p]), weight_decay=0.0, momentum=0.9)
         g = np.array([1.0])
         lr = 0.1
-        step(arena, [g], state, lr)
-        step(arena, [g], state, lr)
+        step(state, [g], lr)
+        step(state, [g], lr)
         # First step moves lr*g, second lr*(0.9 g + g).
         expected = -(lr * 1.0 + lr * 1.9)
         np.testing.assert_allclose(p.tensor.values, [expected])
@@ -95,15 +96,20 @@ class TestSgdStep:
     def test_weight_decay_excluded_when_configured(self):
         p = param("bias", [2.0], exclude=True)
         q = param("weight", [2.0], exclude=False)
-        state = OptimizerState(weight_decay=0.5, wd_exclude=True)
-        step(Arena([p, q]), [np.zeros(1), np.zeros(1)], state, lr=0.1)
+        state = OptimizerState(Arena([p, q]), weight_decay=0.5,
+                               wd_exclude=True)
+        step(state, [np.zeros(1), np.zeros(1)], lr=0.1)
         np.testing.assert_array_equal(p.tensor.values, [2.0])
         assert q.tensor.values[0] < 2.0
 
     def test_shape_mismatch(self):
+        # A block lives in its arena, so values rebound to an array of
+        # another shape are rejected before the step.
         p = param("w", [1.0, 2.0])
-        with pytest.raises(DimensionError, match="shape"):
-            step(Arena([p]), [np.zeros(3)], OptimizerState(), lr=0.1)
+        state = OptimizerState(Arena([p]))
+        p.tensor.values = np.zeros(3)
+        with pytest.raises(ValueError, match="w: values rebound"):
+            step(state, [np.zeros(2)], lr=0.1)
 
 
 class TestLarsStep:
@@ -113,26 +119,26 @@ class TestLarsStep:
         a = param("bias", vals.copy(), exclude=True)
         b = param("bias", vals.copy(), exclude=True)
         # LARS keeps excluded blocks out of weight decay without the flag.
-        lars_state = OptimizerState(kind="lars", weight_decay=0.1)
-        sgd_state = OptimizerState(kind="sgd", weight_decay=0.1,
+        lars_state = OptimizerState(Arena([a]), kind="lars", weight_decay=0.1)
+        sgd_state = OptimizerState(Arena([b]), kind="sgd", weight_decay=0.1,
                                    wd_exclude=True)
-        step(Arena([a]), [g.copy()], lars_state, lr=0.2)
-        step(Arena([b]), [g.copy()], sgd_state, lr=0.2)
+        step(lars_state, [g.copy()], lr=0.2)
+        step(sgd_state, [g.copy()], lr=0.2)
         np.testing.assert_array_equal(a.tensor.values, b.tensor.values)
 
     def test_zero_norm_weight_is_not_moved(self):
         p = param("w", np.zeros(4))
-        state = OptimizerState(kind="lars", weight_decay=0.0)
-        step(Arena([p]), [np.ones(4)], state, lr=0.5)
+        state = OptimizerState(Arena([p]), kind="lars", weight_decay=0.0)
+        step(state, [np.ones(4)], lr=0.5)
         np.testing.assert_array_equal(p.tensor.values, np.zeros(4))
 
     def test_hand_computed_local_lr(self):
         p = param("w", [3.0, 4.0])
-        state = OptimizerState(kind="lars", weight_decay=0.0,
+        state = OptimizerState(Arena([p]), kind="lars", weight_decay=0.0,
                                trust_coeff=0.001, momentum=0.9)
         g = np.array([0.0, 1.0])
         lr = 1.0
-        step(Arena([p]), [g], state, lr)
+        step(state, [g], lr)
         # local lr = 0.001 * 5 / (1 + 1e-9) = 0.005; update = -lr * 0.005 * g
         np.testing.assert_allclose(p.tensor.values, [3.0, 4.0 - 0.005],
                                    rtol=1e-6)
@@ -377,8 +383,8 @@ def test_moco_keys_normalized_once_per_iteration():
                        queue_capacity=32)
     trainer = Trainer(cfg)
     last = trainer.pair.t_projector.layers[-1]  # no BN: zero keys out
-    last.weight.values = np.zeros_like(last.weight.values)
-    last.bias.values = np.zeros_like(last.bias.values)
+    last.weight.values[...] = 0.0
+    last.bias.values[...] = 0.0
     HEALTH.reset()
     trainer.train_step(trainer.dataset.samples[:16], 0)
     # Each zero key is counted once, and the queue holds the rows the
