@@ -207,8 +207,9 @@ def add(a, b) -> Tensor:
 
 
 def _relu_grad_mask(values: np.ndarray) -> np.ndarray:
-    # Subgradient convention: exactly-zero inputs pass no gradient.
-    return (values > 0.0).astype(np.float64)
+    # Subgradient convention: exactly-zero inputs pass no gradient. A bool
+    # mask multiplies as 1.0/0.0 without a float copy of it.
+    return values > 0.0
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -225,10 +226,18 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 
 
 def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
-        eps: float, stats: Optional[tuple]) -> tuple:
+        eps: float, stats: Optional[tuple], owned: bool = False) -> tuple:
     """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
-    array: ``(out, backward)``, with ``backward(g, need_dx)`` giving
-    ``(dx or None, dgamma, dbeta)``."""
+    array: ``(out, backward)``, with ``backward(g, need_dx, owned=False)``
+    giving ``(dx or None, dgamma, dbeta)``.
+
+    Each elementwise pass keeps the composed ops' expression and operand
+    order, so it rounds the same, but writes into a buffer the op owns. The centred rows are normalized in place into ``xhat``, which
+    the backward keeps, and the output reuses the squared deviations. ``x``
+    is centred in place only when ``owned`` (:func:`dense`'s own pre-BN
+    buffer); otherwise it is never written. Likewise the backward scales
+    ``g`` in place and writes ``dx`` over it only when ``owned``; otherwise
+    ``dx`` goes into a scaled copy."""
     b, c = x.shape
     if groups < 1 or b == 0 or b % groups != 0:
         raise DimensionError(
@@ -239,35 +248,46 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
             f"beta {beta.shape}")
     n = b // groups
     x3 = x.reshape(groups, n, c)
+    dev = x3 if owned else None
+    out = None
     # np.add.reduce(a, axis) / n is the arithmetic of a.mean(axis), without
     # the wrapper's Python overhead.
     if stats is None:
         mu = np.add.reduce(x3, axis=1, keepdims=True) / n
-        dev = x3 - mu
-        var = np.add.reduce(dev * dev, axis=1, keepdims=True) / n
+        dev = np.subtract(x3, mu, out=dev)
+        out = np.multiply(dev, dev)
+        var = np.add.reduce(out, axis=1, keepdims=True) / n
     else:
         mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
         if mu.shape != (c,) or var.shape != (c,):
             raise DimensionError(
                 f"channel mismatch: x has {c}, stats {mu.shape}/{var.shape}")
-        dev = x3 - mu
+        dev = np.subtract(x3, mu, out=dev)
     std = np.sqrt(var + eps)
-    xhat = dev / std
-    out = (gamma * xhat + beta).reshape(b, c)
+    xhat = np.divide(dev, std, out=dev)
+    out = np.multiply(gamma, xhat, out=out)
+    out += beta
 
-    def backward(g: np.ndarray, need_dx: bool) -> tuple:
-        dx = None
-        if need_dx:
-            g_hat = g.reshape(groups, n, c) * gamma
-            if stats is None:
-                g_hat = (g_hat
-                         - np.add.reduce(g_hat, axis=1, keepdims=True) / n
-                         - xhat * (np.add.reduce(g_hat * xhat, axis=1,
-                                                 keepdims=True) / n))
-            dx = ((1.0 / std) * g_hat).reshape(b, c)
-        return dx, (g * xhat.reshape(b, c)).sum(axis=0), g.sum(axis=0)
+    def backward(g: np.ndarray, need_dx: bool, owned: bool = False) -> tuple:
+        g3 = g.reshape(groups, n, c)
+        # One scratch array holds g * xhat, then g_hat * xhat, then
+        # xhat * mean(g_hat * xhat).
+        prod = np.multiply(g3, xhat)
+        dgamma = prod.reshape(b, c).sum(axis=0)
+        dbeta = g.sum(axis=0)
+        if not need_dx:
+            return None, dgamma, dbeta
+        g_hat = np.multiply(g3, gamma, out=g3 if owned else None)
+        if stats is None:
+            mean_g = np.add.reduce(g_hat, axis=1, keepdims=True) / n
+            mean_gx = np.add.reduce(np.multiply(g_hat, xhat, out=prod),
+                                    axis=1, keepdims=True) / n
+            g_hat -= mean_g
+            g_hat -= np.multiply(xhat, mean_gx, out=prod)
+        dx = np.multiply(1.0 / std, g_hat, out=g_hat)
+        return dx.reshape(b, c), dgamma, dbeta
 
-    return out, backward
+    return out.reshape(b, c), backward
 
 
 def batch_norm(x, groups: int, gamma, beta, eps: float,
@@ -281,7 +301,8 @@ def batch_norm(x, groups: int, gamma, beta, eps: float,
     ``stats = (mean, var)``.
     One tape entry with the closed-form backward: with inv = 1/sqrt(var +
     eps) and g_hat = g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat *
-    mean(g_hat * xhat)) per group, or inv * g_hat for given stats.
+    mean(g_hat * xhat)) per group, or inv * g_hat for given stats. Neither
+    ``x`` nor the upstream gradient is written.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.values.ndim != 2:
@@ -307,9 +328,10 @@ class BNSpec:
     :func:`batch_norm`, unless ``stats`` gives per-channel ``(mean, var)``
     constants. ``stats`` may also be a function of the pre-BN activations
     (rows in their original order) that returns such a pair, or None for
-    batch statistics, and may record them on the way. ``perm`` reorders the
-    rows before BN (``x[perm]``, a row gather) and the
-    original order is restored after it.
+    batch statistics, and may record them on the way. It must not keep the
+    array it is passed without copying it: :func:`dense` normalizes in that
+    buffer next. ``perm`` reorders the rows before BN (``x[perm]``, a row
+    gather) and the original order is restored after it.
     """
 
     params: Any
@@ -328,7 +350,9 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
     ``perm``) and ``relu``, in that order, so the output and every gradient
     equal those of the composed ops bit for bit. The backward returns no
     gradient for ``x`` when ``x`` does not require one (a first layer's
-    input is data).
+    input is data). BN normalizes in the layer's own pre-BN buffer, and
+    the backward scales only gradients it copied itself, so no input, no
+    upstream gradient and no given statistic is written.
     """
     x = as_tensor(x)
     _check_matmul(x, weight)
@@ -343,29 +367,32 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
                 f"row permutation of shape {perm.shape} for {h.shape[0]} rows")
         inputs += (p.gamma, p.beta)
         stats = norm.stats(h) if callable(norm.stats) else norm.stats
-        y, bn_backward = _bn(h if perm is None else h[perm], norm.groups,
-                             p.gamma.values, p.beta.values, p.eps, stats)
-        if perm is None:
-            h = y
-        else:
-            h = np.empty_like(y)
-            h[perm] = y
+        if perm is not None:
+            h = h.take(perm, axis=0)
+        # h is this op's own buffer (the matmul's or the gather's), so BN
+        # may normalize in it.
+        h, bn_backward = _bn(h, norm.groups, p.gamma.values, p.beta.values,
+                             p.eps, stats, owned=True)
+        if perm is not None:
+            inv = np.argsort(perm)
+            h = h.take(inv, axis=0)
     if relu:
         np.maximum(h, 0.0, out=h)
     x_values, w_values = x.values, weight.values
 
     def bw(g):
+        # g is the tape's until the mask or the gather gives a fresh copy,
+        # which the BN backward may then scale in place.
+        owned = relu or perm is not None
         if relu:
             g = g * _relu_grad_mask(h)
         bn_grads = ()
         if bn_backward is not None:
             if perm is not None:
-                g = g[perm]
-            g, dgamma, dbeta = bn_backward(g, True)
+                g = g.take(perm, axis=0)
+            g, dgamma, dbeta = bn_backward(g, True, owned)
             if perm is not None:
-                unshuffled = np.empty_like(g)
-                unshuffled[perm] = g
-                g = unshuffled
+                g = g.take(inv, axis=0)
             bn_grads = (dgamma, dbeta)
         dx = g @ w_values.T if x.requires_grad else None
         return (dx, x_values.T @ g, g.sum(axis=0)) + bn_grads

@@ -132,7 +132,8 @@ class Arena:
 
     The two vectors are the only home of the blocks' values and gradients:
     write parameter blocks in place (``t.values[...] = x``), never rebind
-    them. :meth:`zero_grads` rejects a block whose ``values`` was rebound.
+    them. :meth:`check_views` rejects a block whose ``values`` was rebound;
+    :meth:`zero_grads` and :func:`ema_update` run it.
     """
 
     def __init__(self, params: Sequence[Param]):
@@ -153,16 +154,21 @@ class Arena:
         return [vector[a:b].reshape(p.tensor.shape)
                 for p, (a, b) in zip(self.params, self.bounds)]
 
-    def zero_grads(self) -> None:
-        """Zero the gradient vector and bind each tensor's ``grad`` to its
-        view, so :func:`m2t.engine.backward` accumulates into it.
-        ``ValueError`` naming a block whose ``values`` is no longer its view
-        of the value vector."""
-        self.grads.fill(0.0)
-        for p, view, grad in zip(self.params, self._views, self._grad_views):
+    def check_views(self) -> None:
+        """``ValueError`` naming a block whose ``values`` is no longer its
+        view of the value vector."""
+        for p, view in zip(self.params, self._views):
             if p.tensor.values is not view:
                 raise ValueError(f"{p.name}: values rebound away from the "
                                  f"arena; write parameter blocks in place")
+
+    def zero_grads(self) -> None:
+        """Zero the gradient vector and bind each tensor's ``grad`` to its
+        view, so :func:`m2t.engine.backward` accumulates into it, after
+        :meth:`check_views`."""
+        self.check_views()
+        self.grads.fill(0.0)
+        for p, grad in zip(self.params, self._grad_views):
             p.tensor.grad = grad
 
 
@@ -426,9 +432,12 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
     """teacher <- (1 - m) * teacher + m * student for every mirrored weight,
     including BN gamma/beta, as whole-vector operations on the teacher
     arena and the student arena's prefix. Momentum BN histories are never
-    touched here."""
+    touched here. ``ValueError`` naming a teacher block whose ``values`` was
+    rebound away from the arena (:meth:`Arena.check_views`), before any
+    write."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"EMA coefficient must lie in [0, 1], got {m}")
+    pair.teacher.check_views()
     t = pair.teacher.values
     t *= 1.0 - m
     t += m * pair.student.values[:t.size]

@@ -219,6 +219,7 @@ def test_criterion_7_golden_trace():
     assert ok, proc.stdout + proc.stderr
 
 
+@pytest.mark.slow
 def test_criterion_8_directional_experiment():
     run_one = script_function("run_bn_experiment.py", "run_one")
     t0 = time.perf_counter()
@@ -238,6 +239,7 @@ def test_criterion_8_directional_experiment():
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_9_moco_smoke():
     smoke_run = script_function("run_moco_smoke.py", "smoke_run")
     t0 = time.perf_counter()

@@ -230,6 +230,11 @@ class TestDense:
     GIVEN = (np.array([0.3, -0.2, 0.1, 0.0, 0.5]),
              np.array([1.5, 0.7, 2.0, 1.0, 0.9]))
     PERM = np.array([5, 2, 7, 0, 3, 6, 1, 4])
+    # An op that reorders rows is tested at small batches too: under
+    # OpenBLAS a product's last bits can depend on row position at 6 and at
+    # 10 rows.
+    PERM_6 = np.array([4, 0, 5, 2, 1, 3])
+    PERM_10 = np.array([7, 2, 9, 0, 5, 3, 8, 1, 6, 4])
 
     # (groups, stats, perm) per BN variant; None for a layer without BN.
     NORMS = {
@@ -240,37 +245,57 @@ class TestDense:
         "given-stats": (1, GIVEN, None),
         "stats-function": (1, "function", None),
         "permutation": (4, "record", PERM),
+        "permutation-6-rows": (2, "record", PERM_6),
+        "permutation-10-rows": (5, "record", PERM_10),
     }
 
-    def run(self, norm, relu, x_requires_grad=True, fused=True,
-            seeded=False):
-        """(output, gradients, rows a statistics function saw, tape
-        entries); backward runs from ``sum(mul(y, w))``, or from ``y``
-        seeded with ``w`` when ``seeded``."""
+    @staticmethod
+    def rows(norm) -> int:
+        """A permutation's length, else 8."""
+        return 8 if norm is None or norm[2] is None else len(norm[2])
+
+    @staticmethod
+    def inputs(rows, x_requires_grad=True) -> tuple:
+        """``(x, weight, bias, gamma, beta, w)`` for a (rows, 3) input to a
+        5-wide layer; ``w`` is the upstream weight of the output."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(8, 3)), requires_grad=x_requires_grad)
+        x = Tensor(rng.normal(size=(rows, 3)), requires_grad=x_requires_grad)
         weight = parameter(rng.normal(size=(3, 5)))
         bias = parameter(rng.normal(size=5))
         gamma = parameter(rng.uniform(0.5, 2.0, size=5))
         beta = parameter(rng.normal(size=5))
-        w = constant(rng.normal(size=(8, 5)))
+        w = constant(rng.normal(size=(rows, 5)))
+        return x, weight, bias, gamma, beta, w
+
+    def spec(self, norm, gamma, beta, seen):
+        """The layer's BNSpec; statistics functions append the rows they
+        see to ``seen``."""
+        if norm is None:
+            return None
+        groups, stats, perm = norm
+        if stats == "function":
+            stats = lambda h: seen.append(h.copy()) or self.GIVEN
+        elif stats == "record":
+            stats = lambda h: seen.append(h.copy())
+        return engine.BNSpec(NormParams(gamma, beta), groups, stats, perm)
+
+    def run(self, norm, relu, x_requires_grad=True, fused=True,
+            seeded=False):
+        """(output, gradients, rows a statistics function saw, tape
+        entries) for a batch of :meth:`rows` rows; backward runs from
+        ``sum(mul(y, w))``, or from ``y`` seeded with ``w`` when
+        ``seeded``."""
+        x, weight, bias, gamma, beta, w = self.inputs(self.rows(norm),
+                                                      x_requires_grad)
         seen = []
         with record() as tape:
-            if norm is None:
-                spec = None
-            else:
-                groups, stats, perm = norm
-                if stats == "function":
-                    stats = lambda h: seen.append(h.copy()) or self.GIVEN
-                elif stats == "record":
-                    stats = lambda h: seen.append(h.copy())
-                spec = engine.BNSpec(NormParams(gamma, beta), groups, stats,
-                                     perm)
+            spec = self.spec(norm, gamma, beta, seen)
             if fused:
                 y = engine.dense(x, weight, bias, relu, spec)
             else:
                 y = engine.add(ref.matmul(x, weight), bias)
                 if spec is not None:
+                    groups, perm = spec.groups, spec.perm
                     if callable(spec.stats):
                         stats = spec.stats(y.values)
                     else:
@@ -337,6 +362,34 @@ class TestDense:
         for got, want in zip(grads[1:], want_grads[1:]):
             if want is not None:
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["loss", "seeded"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("norm", list(NORMS), ids=list(NORMS))
+    def test_writes_only_buffers_it_owns(self, norm, relu, seeded):
+        # The layer normalizes in its own buffers and may scale a gradient
+        # in place only where it made the copy: no input, given statistic,
+        # upstream gradient or forward output changes under it.
+        norm = self.NORMS[norm]
+        x, weight, bias, gamma, beta, w = self.inputs(self.rows(norm))
+        with record():
+            spec = self.spec(norm, gamma, beta, [])
+            held = [t.values for t in (x, weight, bias, gamma, beta, w)]
+            if spec is not None and isinstance(spec.stats, tuple):
+                held += spec.stats
+            before = [a.tobytes() for a in held]
+            y = engine.dense(x, weight, bias, relu, spec)
+            if not seeded:
+                loss = ref.sum(ref.mul(y, w))
+        out = y.values.tobytes()
+        if seeded:
+            backward(y, seed=w.values)
+        else:
+            backward(loss)
+        assert [a.tobytes() for a in held] == before
+        assert y.values.tobytes() == out
+        # The layer's upstream gradient is w either way, and stays w.
+        assert y.grad.tobytes() == w.values.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="inner dimensions"):
@@ -425,6 +478,32 @@ def test_bn_reductions_equal_numpy_mean():
                  - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
         np.testing.assert_array_equal(out, (gamma * xhat + beta).reshape(12, 5))
         np.testing.assert_array_equal(dx, ((1.0 / std) * g_hat).reshape(12, 5))
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["data", "param"])
+@pytest.mark.parametrize("given", [True, False], ids=["given", "batch"])
+def test_batch_norm_writes_no_input(given, x_grad):
+    # With given statistics and data features, as the linear probe calls it
+    # (a training step through backward, then an inference pass without a
+    # tape), and with batch statistics and an input gradient as well.
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=x_grad)
+    gamma = parameter(rng.uniform(0.5, 2.0, size=4))
+    beta = parameter(rng.normal(size=4))
+    stats = (rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
+    g = rng.normal(size=(6, 4))
+    held = [x.values, gamma.values, beta.values, *stats, g]
+    before = [a.tobytes() for a in held]
+    stats = stats if given else None
+    with record():
+        y = engine.batch_norm(x, 2, gamma, beta, 1e-5, stats=stats)
+    out = y.values.tobytes()
+    backward(y, seed=g)
+    inferred = engine.batch_norm(x.values, 2, gamma.values, beta.values,
+                                 1e-5, stats=stats)
+    assert [a.tobytes() for a in held] == before
+    assert y.values.tobytes() == out == inferred.values.tobytes()
+    assert y.grad.tobytes() == g.tobytes()
 
 
 def test_bn_backward_does_not_keep_its_input_alive():

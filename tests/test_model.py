@@ -216,6 +216,16 @@ class TestEmaUpdate:
         with pytest.raises(ValueError, match="EMA"):
             ema_update(pair, 1.5)
 
+    def test_rebound_teacher_block_rejected(self):
+        # A rebound block would keep its own array while the EMA moved the
+        # arena, so every later teacher forward would read stale weights.
+        pair = tiny_pair(seed=23)
+        before = pair.teacher.values.copy()
+        pair.t_encoder.layers[0].weight.values = np.zeros((4, 6))
+        with pytest.raises(ValueError, match="t_enc0.weight: values rebound"):
+            ema_update(pair, 1.0)
+        assert pair.teacher.values.tobytes() == before.tobytes()
+
     def test_convex_combination_bounds(self):
         pair = tiny_pair(seed=18)
         rng = np.random.default_rng(19)
