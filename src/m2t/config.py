@@ -137,6 +137,12 @@ class TrainConfig:
             raise ConfigError("alpha_base: must lie in [0, 1]")
         if self.m_base > 1:
             raise ConfigError("m_base: must lie in [0, 1]")
+        if not 0 <= self.sgd_momentum < 1:
+            raise ConfigError("sgd_momentum: must lie in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay: must be >= 0")
+        if not self.trust_coeff > 0:
+            raise ConfigError("trust_coeff: must be > 0")
         for name in ("m_schedule", "alpha_schedule"):
             if getattr(self, name) not in SCHEDULE_KINDS:
                 raise ConfigError(f"{name}: must be one of {SCHEDULE_KINDS}")

@@ -1,16 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: 2-D (and 1-D / scalar) arrays, a recording
-tape, and only the six ops a run records. An MLP layer is one fused op,
+tape, and six ops: the five fused ones a run records and :func:`add`, which
+the gradient checks sum their variants with. An MLP layer is one fused op,
 :func:`dense` (matmul, bias, optional BN, optional ReLU); :func:`batch_norm`
 is BN alone (the linear probe's). Both run the same BN arithmetic. Each loss
 is one fused op too: :func:`normalized_mse`, :func:`info_nce` and
-:func:`cross_entropy`. :func:`add` sums the two views' losses. The generic
-ops the fused ones stand for (matmul, mean, var, sqrt, exp, log and the
-rest) are not part of the program; they live in the tests as the oracle
-that the fused ops equal bit for bit. Everything is double precision so
-that gradient checks and statistics-equivalence tests have numerical
-headroom.
+:func:`cross_entropy`. :func:`dense` and :func:`normalized_mse` also run
+over several stacked views at once, equal to one call per view bit for
+bit. The generic ops the fused ones stand for (matmul, mean, var, sqrt,
+exp, log and the rest) are not part of the program; they live in the
+tests as the oracle that the fused ops equal bit for bit. Everything is
+double precision so that gradient checks and statistics-equivalence
+tests have numerical headroom.
 
 Gradients are recorded on an explicit :class:`Tape`. Operations record
 themselves only while a tape is active (see :func:`record`) and only when at
@@ -90,11 +92,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # ``a + b`` is :func:`add`; python scalars and numpy arrays are wrapped
-    # as constants.
-    def __add__(self, other):
-        return add(self, other)
 
 
 def constant(values) -> Tensor:
@@ -225,19 +222,74 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 # batch normalization
 
 
+def _view_blocks(rows: int, views: int) -> list:
+    """The row slices of ``views`` equal, contiguous views of ``rows`` rows;
+    ``DimensionError`` unless they split evenly."""
+    if views < 1 or rows % views != 0:
+        raise DimensionError(
+            f"{rows} rows do not split into {views} equal views")
+    n = rows // views
+    return [slice(i * n, (i + 1) * n) for i in range(views)]
+
+
+# Over stacked views, every product runs per view block (BLAS picks its
+# kernel by row count, so one product over the stacked rows can round
+# differently), and every gradient that sums over rows is summed per view,
+# then across views last view first: the order in which the tape added the
+# gradients of one call per view (the last call's reached the zeroed input
+# first).
+
+
+def _matmul_views(a: np.ndarray, b: np.ndarray, views: int) -> np.ndarray:
+    """``a @ b``, one product per view block of ``a``'s rows."""
+    if views == 1:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for rows in _view_blocks(a.shape[0], views):
+        np.matmul(a[rows], b, out=out[rows])
+    return out
+
+
+def _gram_views(a: np.ndarray, g: np.ndarray, views: int) -> np.ndarray:
+    """``a.T @ g`` summed over the view blocks of the rows."""
+    if views == 1:
+        return a.T @ g
+    blocks = _view_blocks(a.shape[0], views)
+    total = a[blocks[-1]].T @ g[blocks[-1]]
+    for rows in blocks[-2::-1]:
+        total += a[rows].T @ g[rows]
+    return total
+
+
+def _colsum_views(a: np.ndarray, views: int) -> np.ndarray:
+    """``a.sum(axis=0)`` summed over the view blocks of the rows (as
+    ``np.add.reduce``, the sum without its wrapper)."""
+    if views == 1:
+        return np.add.reduce(a, axis=0)
+    blocks = _view_blocks(a.shape[0], views)
+    total = np.add.reduce(a[blocks[-1]], axis=0)
+    for rows in blocks[-2::-1]:
+        total += np.add.reduce(a[rows], axis=0)
+    return total
+
+
 def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
-        eps: float, stats: Optional[tuple], owned: bool = False) -> tuple:
+        eps: float, stats: Optional[tuple], owned: bool = False,
+        views: int = 1) -> tuple:
     """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
     array: ``(out, backward)``, with ``backward(g, need_dx, owned=False)``
     giving ``(dx or None, dgamma, dbeta)``.
 
     Each elementwise pass keeps the composed ops' expression and operand
-    order, so it rounds the same, but writes into a buffer the op owns. The centred rows are normalized in place into ``xhat``, which
-    the backward keeps, and the output reuses the squared deviations. ``x``
-    is centred in place only when ``owned`` (:func:`dense`'s own pre-BN
-    buffer); otherwise it is never written. Likewise the backward scales
-    ``g`` in place and writes ``dx`` over it only when ``owned``; otherwise
-    ``dx`` goes into a scaled copy."""
+    order, so it rounds the same, but writes into a buffer the op owns. The
+    centred rows are normalized in place into ``xhat``, which the backward
+    keeps, and the output reuses the squared deviations. ``x`` is centred
+    in place only when ``owned`` (:func:`dense`'s own pre-BN buffer);
+    otherwise it is never written. Likewise the backward scales ``g`` in
+    place and writes ``dx`` over it only when ``owned``; otherwise ``dx``
+    goes into a scaled copy. The rows are ``views`` stacked views, each
+    a whole number of groups, and dgamma and dbeta are summed per view and
+    then across views (:func:`_colsum_views`)."""
     b, c = x.shape
     if groups < 1 or b == 0 or b % groups != 0:
         raise DimensionError(
@@ -246,6 +298,9 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         raise DimensionError(
             f"channel mismatch: x has {c}, gamma {gamma.shape}, "
             f"beta {beta.shape}")
+    if groups % views != 0:
+        raise DimensionError(
+            f"{groups} groups do not split into {views} equal views")
     n = b // groups
     x3 = x.reshape(groups, n, c)
     dev = x3 if owned else None
@@ -259,9 +314,12 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         var = np.add.reduce(out, axis=1, keepdims=True) / n
     else:
         mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
-        if mu.shape != (c,) or var.shape != (c,):
+        if mu.shape != var.shape or mu.shape not in ((c,), (groups, c)):
             raise DimensionError(
-                f"channel mismatch: x has {c}, stats {mu.shape}/{var.shape}")
+                f"stats of shapes {mu.shape}/{var.shape} for {groups} groups "
+                f"of {c} channels")
+        if mu.ndim == 2:  # one row per group
+            mu, var = mu[:, None], var[:, None]
         dev = np.subtract(x3, mu, out=dev)
     std = np.sqrt(var + eps)
     xhat = np.divide(dev, std, out=dev)
@@ -273,8 +331,8 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         # One scratch array holds g * xhat, then g_hat * xhat, then
         # xhat * mean(g_hat * xhat).
         prod = np.multiply(g3, xhat)
-        dgamma = prod.reshape(b, c).sum(axis=0)
-        dbeta = g.sum(axis=0)
+        dgamma = _colsum_views(prod.reshape(b, c), views)
+        dbeta = _colsum_views(g, views)
         if not need_dx:
             return None, dgamma, dbeta
         g_hat = np.multiply(g3, gamma, out=g3 if owned else None)
@@ -297,8 +355,8 @@ def batch_norm(x, groups: int, gamma, beta, eps: float,
     The (B, C) batch splits into ``groups`` contiguous blocks, each
     normalized with its own mean and biased variance (the numpy operations
     of the composed ``mean`` and ``var``, so results match the composed ops
-    bit for bit) or with the given per-channel constants
-    ``stats = (mean, var)``.
+    bit for bit) or with the given constants ``stats = (mean, var)``: one
+    per channel, shape (C,), or one row per group, shape (groups, C).
     One tape entry with the closed-form backward: with inv = 1/sqrt(var +
     eps) and g_hat = g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat *
     mean(g_hat * xhat)) per group, or inv * g_hat for given stats. Neither
@@ -325,13 +383,15 @@ class BNSpec:
     ``params`` holds the affine ``gamma``/``beta`` tensors and ``eps`` (a
     :class:`m2t.normalization.NormParams`). The rows split into ``groups``
     equal blocks normalized with their own statistics, as in
-    :func:`batch_norm`, unless ``stats`` gives per-channel ``(mean, var)``
-    constants. ``stats`` may also be a function of the pre-BN activations
-    (rows in their original order) that returns such a pair, or None for
-    batch statistics, and may record them on the way. It must not keep the
-    array it is passed without copying it: :func:`dense` normalizes in that
-    buffer next. ``perm`` reorders the rows before BN (``x[perm]``, a row
-    gather) and the original order is restored after it.
+    :func:`batch_norm`, unless ``stats`` gives ``(mean, var)`` constants,
+    per channel or one row per group. Groups count across the stacked
+    views of a multi-view :func:`dense`: each view is a whole number of
+    them. ``stats`` may also be a function of the pre-BN activations (rows
+    in their original order, every view) that returns such a pair, or None
+    for batch statistics, and may record them on the way. It must not keep
+    the array it is passed without copying it: :func:`dense` normalizes in
+    that buffer next. ``perm`` reorders the rows before BN (``x[perm]``, a
+    row gather) and the original order is restored after it.
     """
 
     params: Any
@@ -341,7 +401,7 @@ class BNSpec:
 
 
 def dense(x, weight: Tensor, bias: Tensor, relu: bool,
-          norm: Optional[BNSpec] = None) -> Tensor:
+          norm: Optional[BNSpec] = None, views: int = 1) -> Tensor:
     """One MLP layer, ``relu(bn(x @ weight + bias))``, as one tape entry.
 
     BN runs when ``norm`` is given and ReLU when ``relu`` is set. Forward
@@ -353,10 +413,17 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
     input is data). BN normalizes in the layer's own pre-BN buffer, and
     the backward scales only gradients it copied itself, so no input, no
     upstream gradient and no given statistic is written.
+
+    The rows of ``x`` are ``views`` stacked views of equal size, and the
+    layer equals one call per view bit for bit: products run per view
+    block and the parameter gradients are per-view sums, added as the tape
+    adds those of separate calls. Bias, BN and ReLU run once over all
+    rows; the BN groups of ``norm`` count across the views.
     """
     x = as_tensor(x)
     _check_matmul(x, weight)
-    h = x.values @ weight.values
+    x_values, w_values = x.values, weight.values
+    h = _matmul_views(x_values, w_values, views)
     h += bias.values
     inputs = (x, weight, bias)
     bn_backward = perm = None
@@ -372,13 +439,12 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
         # h is this op's own buffer (the matmul's or the gather's), so BN
         # may normalize in it.
         h, bn_backward = _bn(h, norm.groups, p.gamma.values, p.beta.values,
-                             p.eps, stats, owned=True)
+                             p.eps, stats, owned=True, views=views)
         if perm is not None:
             inv = np.argsort(perm)
             h = h.take(inv, axis=0)
     if relu:
         np.maximum(h, 0.0, out=h)
-    x_values, w_values = x.values, weight.values
 
     def bw(g):
         # g is the tape's until the mask or the gather gives a fresh copy,
@@ -394,8 +460,9 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
             if perm is not None:
                 g = g.take(inv, axis=0)
             bn_grads = (dgamma, dbeta)
-        dx = g @ w_values.T if x.requires_grad else None
-        return (dx, x_values.T @ g, g.sum(axis=0)) + bn_grads
+        dx = _matmul_views(g, w_values.T, views) if x.requires_grad else None
+        return (dx, _gram_views(x_values, g, views),
+                _colsum_views(g, views)) + bn_grads
 
     return _emit("dense", inputs, h, bw)
 
@@ -442,23 +509,39 @@ def _unit_rows_grad(g_hat: np.ndarray, x: np.ndarray,
     return (g_hat / r + t) + t
 
 
-def normalized_mse(p, z: np.ndarray) -> Tensor:
+def normalized_mse(p, z: np.ndarray, views: int = 1):
     """BYOL's loss: the batch mean of ``|p_hat - z_hat|^2 = 2 - 2 cos(p, z)``
     over unit rows (:func:`unit_rows`) of the prediction ``p`` and the
     target ``z``, which is a gradient constant. One tape entry; equals
     ``mean(sum(d * d, axis=1))`` with ``d`` built from mul, sum, add, sqrt,
-    div and sub."""
+    div and sub.
+
+    With ``views > 1`` the rows are that many stacked views of equal size,
+    each row of ``p`` paired with the same row of ``z``. The loss is then
+    the sum of the per-view means, still one tape entry, and the call
+    returns ``(loss, terms)`` with ``terms`` the per-view means: the
+    values and the gradient of one call per view summed with :func:`add`,
+    bit for bit."""
     p = as_tensor(p)
+    blocks = _view_blocks(p.shape[0], views)
     p_hat, r = unit_rows(p.values)
     d = p_hat - unit_rows(z)[0]
     rows = (d * d).sum(axis=1)
-    n = rows.size
+    terms = tuple(np.asarray(rows[b].mean()) for b in blocks)
+    n = rows.size // views
 
     def bw(g):
+        if views > 1:
+            g = g + 0.0  # add's backward, then the tape's 0.0 + g per term
         t = g / n * d                                   # mean; sum
         return (_unit_rows_grad(t + t, p.values, r),)   # mul; sub
 
-    return _emit("normalized_mse", (p,), np.asarray(rows.mean()), bw)
+    if views == 1:
+        return _emit("normalized_mse", (p,), terms[0], bw)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term                            # add
+    return _emit("normalized_mse", (p,), np.asarray(total), bw), terms
 
 
 def info_nce(q, k_hat: np.ndarray, negs: np.ndarray,

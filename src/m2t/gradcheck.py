@@ -5,8 +5,10 @@ domain demands it) and returns the op's output, of any shape;
 :func:`m2t.engine.finite_diff_check` weighs it with a fixed upstream
 gradient and compares every parameter gradient against central
 differences at h=1e-5, relative tolerance 1e-4. Every op that a run
-records has a suite here (a test holds that); variants of one op are
-summed with :func:`m2t.engine.add`. The composite suites run a small BN
+records has a suite here (a test holds that), and so do the stacked-views
+forms of :func:`m2t.engine.dense` and :func:`m2t.engine.normalized_mse`
+and BN's per-group statistics; variants of one op are summed with
+:func:`m2t.engine.add`. The composite suites run a small BN
 MLP under the prediction loss and the full two-view loss, which exercises
 the whole backward path the trainer uses. The composed ops that the tests
 use as an oracle have their own suites beside them, in
@@ -52,6 +54,23 @@ def _case_batch_norm(rng):
     return f, [("x", x), ("gamma", gamma), ("beta", beta)]
 
 
+def _case_batch_norm_group_stats(rng):
+    # Given statistics with one row per group, at 2 and 4 groups, summed.
+    x = parameter(rng.uniform(-2, 2, size=(8, 3)))
+    gamma = parameter(rng.uniform(0.5, 2.0, size=3))
+    beta = parameter(rng.uniform(-2, 2, size=3))
+    given = {groups: (rng.uniform(-1, 1, size=(groups, 3)),
+                      rng.uniform(0.5, 2.0, size=(groups, 3)))
+             for groups in (2, 4)}
+
+    def f():
+        return reduce(engine.add, (
+            engine.batch_norm(x, groups, gamma, beta, 1e-5, stats)
+            for groups, stats in given.items()))
+
+    return f, [("x", x), ("gamma", gamma), ("beta", beta)]
+
+
 def _case_dense(rng):
     # Every BN variant of the fused layer, each with and without ReLU,
     # summed: none, batch statistics over 1 and 2 groups, given statistics,
@@ -74,10 +93,41 @@ def _case_dense(rng):
                ("gamma", p.gamma), ("beta", p.beta)]
 
 
+def _case_dense_views(rng):
+    # The fused layer over two stacked 8-row views, each BN variant with
+    # and without ReLU, summed: none, batch statistics per view and per
+    # 4-row group, given statistics per group, and a statistics function
+    # with the same row permutation in each view.
+    x = parameter(rng.uniform(-2, 2, size=(16, 3)))
+    weight = parameter(rng.uniform(-2, 2, size=(3, 4)))
+    bias = parameter(rng.uniform(-2, 2, size=4))
+    p = NormParams(gamma=parameter(rng.uniform(0.5, 2.0, size=4)),
+                   beta=parameter(rng.uniform(-2, 2, size=4)))
+    given = (rng.uniform(-1, 1, size=(2, 4)), rng.uniform(0.5, 2.0, size=(2, 4)))
+    perm = rng.permutation(8)
+    norms = (None, BNSpec(p, 2), BNSpec(p, 4), BNSpec(p, 2, given),
+             BNSpec(p, 4, lambda h: None, np.concatenate((perm, perm + 8))))
+    cases = [(norm, relu) for norm in norms for relu in (False, True)]
+
+    def f():
+        return reduce(engine.add, (
+            engine.dense(x, weight, bias, relu, norm, views=2)
+            for norm, relu in cases))
+
+    return f, [("x", x), ("weight", weight), ("bias", bias),
+               ("gamma", p.gamma), ("beta", p.beta)]
+
+
 def _case_normalized_mse(rng):
-    p = parameter(rng.uniform(-2, 2, size=(5, 3)))
-    z = rng.uniform(-2, 2, size=(5, 3))
-    return lambda: engine.normalized_mse(p, z), [("p", p)]
+    # One view, and two stacked views in one loss, summed.
+    p = parameter(rng.uniform(-2, 2, size=(6, 3)))
+    z = rng.uniform(-2, 2, size=(6, 3))
+
+    def f():
+        return engine.add(engine.normalized_mse(p, z),
+                          engine.normalized_mse(p, z, views=2)[0])
+
+    return f, [("p", p)]
 
 
 def _case_info_nce(rng):
@@ -138,7 +188,9 @@ def _case_symmetrized(rng):
 SUITES = {
     "add": _case_add,
     "batch_norm": _case_batch_norm,
+    "batch_norm_group_stats": _case_batch_norm_group_stats,
     "dense": _case_dense,
+    "dense_views": _case_dense_views,
     "normalized_mse": _case_normalized_mse,
     "info_nce": _case_info_nce,
     "cross_entropy": _case_cross_entropy,

@@ -331,68 +331,78 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
 # forwards
 
 
-def forward_mlp(mlp: Mlp, x: Tensor,
-                norm: Callable[[Layer], BNSpec]) -> Tensor:
-    """The one MLP layer loop: one fused :func:`engine.dense` per layer,
-    with ``norm(layer)`` the BN spec of each BN layer. Each role (student,
-    teacher, frozen inference) differs only in the specs it passes."""
+def forward_mlp(mlp: Mlp, x: Tensor, norm: Callable[[Layer], BNSpec],
+                views: int = 1) -> Tensor:
+    """The one MLP layer loop: one fused :func:`engine.dense` per layer over
+    ``views`` stacked views, with ``norm(layer)`` the BN spec of each BN
+    layer. Each role (student, teacher, frozen inference) differs only in
+    the specs it passes."""
     for layer in mlp.layers:
         x = engine.dense(x, layer.weight, layer.bias, layer.relu,
-                         None if layer.norm is None else norm(layer))
+                         None if layer.norm is None else norm(layer), views)
     return x
 
 
-def forward_student(pair: StudentTeacherPair, v,
-                    workers: int) -> tuple[Tensor, Optional[Tensor]]:
-    """Full student pass: returns (projection z, prediction p); p is None
-    for a pair without predictor. Plain BN normalizes each of the
-    ``workers`` slices of the batch (one group per worker), synced BN the
-    whole batch (one group)."""
-    groups = workers if pair.student_bn == "plain" else 1
+def forward_student(pair: StudentTeacherPair, v, workers: int,
+                    views: int = 1) -> tuple[Tensor, Optional[Tensor]]:
+    """Full student pass over ``views`` stacked views of equal size:
+    returns (projection z, prediction p), each with the rows of ``v``; p is
+    None for a pair without predictor. Plain BN normalizes each of the
+    ``workers`` slices of each view (one group per worker and view), synced
+    BN each whole view (one group per view)."""
+    groups = views * (workers if pair.student_bn == "plain" else 1)
 
     def norm(layer: Layer) -> BNSpec:
         return BNSpec(layer.norm, groups)
 
-    z = forward_mlp(pair.encoder, v, norm)
-    z = forward_mlp(pair.projector, z, norm)
+    z = forward_mlp(pair.encoder, v, norm, views)
+    z = forward_mlp(pair.projector, z, norm, views)
     if pair.predictor is None:
         return z, None
-    return z, forward_mlp(pair.predictor, z, norm)
+    return z, forward_mlp(pair.predictor, z, norm, views)
 
 
 def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
                  batch_size: int, workers: Optional[int] = None,
-                 perm_seed: Optional[int] = None) -> Callable[[Layer], BNSpec]:
-    """BN specs of one teacher pass with BN ``kind`` over ``workers`` slices
-    of a ``batch_size``-row batch, for layers whose ``channels`` index
-    ``history``.
+                 perm_seed: Optional[int] = None,
+                 views: int = 1) -> Callable[[Layer], BNSpec]:
+    """BN specs of one teacher pass with BN ``kind`` over ``views`` stacked
+    views of ``batch_size`` rows each, every view split into ``workers``
+    slices, for layers whose ``channels`` index ``history``.
 
-    The pass appends one :class:`BatchStats` to ``history.pending``, and
-    every layer, whatever the kind, writes its whole-batch statistics into
-    its channel range of it for the history commit. Momentum BN normalizes
-    with their blend with the history; the baseline kinds normalize with
-    batch statistics per worker (plain), over the whole batch (synced) or
-    per worker after a seeded permutation across workers (shuffling).
+    The pass appends one :class:`BatchStats` per view to
+    ``history.pending``, in row order, and every layer, whatever the kind,
+    writes each view's statistics into its channel range of them for the
+    history commit. Momentum BN normalizes each view with the blend of its
+    statistics with the history; the baseline kinds normalize with batch
+    statistics per worker (plain), over the whole view (synced) or per
+    worker after a seeded permutation across the view's workers
+    (shuffling, the same permutation in every view).
     """
     momentum = kind == "momentum"
     if not momentum and workers is None:
         raise ValueError(f"teacher BN kind {kind!r} needs a worker count")
-    seen = BatchStats(mean=np.empty_like(history.hist_mean),
-                      var=np.empty_like(history.hist_var), count=batch_size)
-    history.pending.append(seen)
-    groups = 1 if kind in ("momentum", "synced") else workers
-    perm = shuffle_permutation(batch_size, perm_seed) \
-        if kind == "shuffling" else None
+    channels_total = history.hist_mean.size
+    seen_mean = np.empty((views, channels_total))
+    seen_var = np.empty((views, channels_total))
+    history.pending.extend(
+        BatchStats(mean=mean, var=var, count=batch_size)
+        for mean, var in zip(seen_mean, seen_var))
+    groups = views if kind in ("momentum", "synced") else views * workers
+    perm = None
+    if kind == "shuffling":
+        one = shuffle_permutation(batch_size, perm_seed)
+        perm = np.concatenate([one + i * batch_size for i in range(views)])
 
     def norm(layer: Layer) -> BNSpec:
         channels = layer.channels
 
         def stats(h: np.ndarray) -> Optional[tuple]:
-            # Whole-batch statistics go to the commit however the samples
-            # are grouped; None normalizes with batch statistics.
-            s = constant_batch_stats(h)
-            seen.mean[channels] = s.mean
-            seen.var[channels] = s.var
+            # Per-view statistics go to the commit however the samples are
+            # grouped; None normalizes with batch statistics.
+            s = constant_batch_stats(h.reshape(views, batch_size, -1))
+            seen_mean[:, channels] = s.mean
+            seen_var[:, channels] = s.var
             return momentum_stats(history, channels, s, alpha) if momentum \
                 else None
 
@@ -403,17 +413,22 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
 
 def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
                     workers: Optional[int] = None,
-                    perm_seed: Optional[int] = None) -> Tensor:
-    """Teacher pass: projection z' with no gradient participation.
+                    perm_seed: Optional[int] = None,
+                    views: int = 1) -> Tensor:
+    """Teacher pass over ``views`` stacked views of equal size: projection
+    z' with no gradient participation.
 
-    The pass's statistics land on ``pair.history.pending``; commit them
-    once per iteration via :func:`commit_teacher_bn`.
+    The pass's per-view statistics land on ``pair.history.pending``;
+    commit them once per iteration via :func:`commit_teacher_bn`.
     """
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
-    norm = teacher_norm(pair.history, pair.teacher_bn, alpha, x.shape[0],
-                        workers, perm_seed)
-    x = forward_mlp(pair.t_encoder, x, norm)
-    return forward_mlp(pair.t_projector, x, norm)
+    if views < 1 or x.shape[0] % views != 0:
+        raise DimensionError(
+            f"{x.shape[0]} rows do not split into {views} equal views")
+    norm = teacher_norm(pair.history, pair.teacher_bn, alpha,
+                        x.shape[0] // views, workers, perm_seed, views)
+    x = forward_mlp(pair.t_encoder, x, norm, views)
+    return forward_mlp(pair.t_projector, x, norm, views)
 
 
 def history_norm(history: MomentumBNState) -> Callable[[Layer], BNSpec]:

@@ -84,8 +84,9 @@ class MomentumBNState:
     """Momentum history of a set of BN channels, allocated once (identity
     statistics until its first commit), and the per-view statistics pending
     for its next commit: one :class:`BatchStats` over every channel per
-    view pass of the current iteration, empty outside one. The commit
-    writes the history in place, so views of it stay bound."""
+    view of the current iteration, in the order the teacher saw the views
+    (a pass over stacked views appends one per view), empty outside one.
+    The commit writes the history in place, so views of it stay bound."""
 
     hist_mean: np.ndarray
     hist_var: np.ndarray
@@ -103,15 +104,17 @@ def _check_alpha(alpha: float) -> None:
 
 
 def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
-    """Per-channel mean and biased variance over the batch axis."""
-    m = x_values.shape[0]
+    """Per-channel mean and biased variance over the batch axis, the
+    second-to-last: a (B, C) batch gives (C,) statistics, a (V, B, C)
+    stack of views one (V, C) row per view."""
+    m = x_values.shape[-2]
     if m < 1:
         raise ValueError("batch statistics of an empty batch")
     # np.add.reduce(a, axis) / m is the arithmetic of a.mean(axis), without
     # the wrapper's Python overhead.
-    mu = np.add.reduce(x_values, axis=0) / m
-    dev = x_values - mu
-    return BatchStats(mean=mu, var=np.add.reduce(dev * dev, axis=0) / m,
+    mu = np.add.reduce(x_values, axis=-2) / m
+    dev = x_values - mu[..., None, :]
+    return BatchStats(mean=mu, var=np.add.reduce(dev * dev, axis=-2) / m,
                       count=m)
 
 
@@ -134,8 +137,8 @@ def shuffle_permutation(batch_size: int,
 def momentum_stats(history: MomentumBNState, channels: slice, s: BatchStats,
                    alpha: float) -> tuple:
     """The ``(mean, var)`` a momentum BN layer normalizes with: the blend of
-    its batch statistics ``s`` with its ``channels`` of the history, which
-    it leaves untouched."""
+    its batch statistics ``s`` (per channel, or one row per view) with its
+    ``channels`` of the history, which it leaves untouched."""
     _check_alpha(alpha)
     w_hist = 1.0 - alpha
     if w_hist == 0.0 or not history.initialized:

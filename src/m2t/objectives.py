@@ -8,11 +8,14 @@ always treated as gradient constants. Each loss term is one fused engine op
 (:func:`m2t.engine.normalized_mse`, :func:`m2t.engine.info_nce`); the
 functions here check their arguments and name the terms.
 
-The symmetrized form feeds each view through both networks with swapped
-roles and sums the two terms. Both teacher passes normalize against the
-previous iteration's history; committing that history is left to the
-caller (one commit per iteration, after both passes), which is what keeps
-one view's statistics out of the other view's normalization.
+The symmetrized form pairs each view's prediction with the other view's
+teacher projection and sums the two terms. It runs one student pass over
+both views stacked, one teacher pass over them stacked in swapped order
+and one two-view loss; each equals its per-view calls bit for bit. The
+teacher normalizes each view against the previous iteration's history;
+committing that history is left to the caller (one commit per iteration,
+after the pass), which is what keeps one view's statistics out of the
+other view's normalization.
 """
 
 from __future__ import annotations
@@ -39,14 +42,15 @@ def l2_normalize_rows(x) -> Tensor:
     return engine.constant(engine.unit_rows(x.values)[0])
 
 
-def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
+def byol_loss(p: Tensor, z_teacher: Tensor, views: int = 1):
     """Mean over the batch of the squared distance between unit-normalized
     prediction and target rows (:func:`m2t.engine.normalized_mse`); the
-    target is detached."""
+    target is detached. Over ``views > 1`` stacked views it returns
+    ``(loss, terms)``: the sum of the per-view means and the means."""
     if p.shape != z_teacher.shape:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
-    return engine.normalized_mse(p, z_teacher.values)
+    return engine.normalized_mse(p, z_teacher.values, views)
 
 
 @dataclass
@@ -61,23 +65,26 @@ class LossValue:
 def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
                      alpha: float,
                      perm_seed: Optional[int] = None) -> LossValue:
-    """Two-view symmetrized prediction loss.
+    """Two-view symmetrized prediction loss: the student's prediction of
+    ``v`` against the teacher's projection of ``v2``, plus the student's
+    prediction of ``v2`` against the teacher's projection of ``v``.
 
-    Both teacher passes blend the current view's statistics with the
-    history as it stood before this iteration; the pending per-view
-    statistics they leave behind must be committed by the caller exactly
-    once afterwards.
+    One student pass over ``[v; v2]``, one teacher pass over ``[v2; v]``
+    and one two-view loss, each equal to its per-view calls bit for bit.
+    The teacher blends each view's statistics with the history as it stood
+    before this iteration and leaves them pending, view ``v2`` first; the
+    caller must commit them exactly once afterwards.
     """
-    _, p_v = forward_student(pair, v, workers)
-    t_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
-    term1 = byol_loss(p_v, t_v2)
-
-    _, p_v2 = forward_student(pair, v2, workers)
-    t_v = forward_teacher(pair, v, alpha, workers, perm_seed)
-    term2 = byol_loss(p_v2, t_v)
-
-    return LossValue(loss=term1 + term2, term_student_v=term1,
-                     term_student_v2=term2)
+    v, v2 = np.asarray(v, dtype=np.float64), np.asarray(v2, dtype=np.float64)
+    if v.shape != v2.shape:
+        raise engine.DimensionError(
+            f"view shapes differ: {v.shape} vs {v2.shape}")
+    _, p = forward_student(pair, np.concatenate((v, v2)), workers, views=2)
+    z = forward_teacher(pair, np.concatenate((v2, v)), alpha, workers,
+                        perm_seed, views=2)
+    loss, (term1, term2) = byol_loss(p, z, views=2)
+    return LossValue(loss=loss, term_student_v=engine.constant(term1),
+                     term_student_v2=engine.constant(term2))
 
 
 class NegQueue:

@@ -35,12 +35,23 @@ def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
     return ref.div(x, ref.sqrt(engine.add(sq, guard * guard)))
 
 
-def byol_loss(p: Tensor, z_teacher: Tensor) -> Tensor:
+def byol_loss(p: Tensor, z_teacher: Tensor, views: int = 1):
     """Mean over the batch of the squared distance between unit-normalized
-    prediction and target rows; the target is detached."""
+    prediction and target rows; the target is detached. Over ``views > 1``
+    stacked views: ``(loss, terms)``, one loss per view (its rows gathered)
+    and their sum with :func:`m2t.engine.add`."""
     if p.shape != z_teacher.shape:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
+    if views > 1:
+        n = p.shape[0] // views
+        terms = [byol_loss(ref.gather_rows(p, np.arange(i * n, (i + 1) * n)),
+                           engine.constant(z_teacher.values[i * n:(i + 1) * n]))
+                 for i in range(views)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = engine.add(loss, term)
+        return loss, tuple(term.values for term in terms)
     p_hat = l2_normalize_rows(p)
     z_hat = l2_normalize_rows(z_teacher.values)
     d = ref.sub(p_hat, z_hat)

@@ -1,11 +1,12 @@
 """The arena updates against the per-block oracle of ``update_reference``.
 
 The student's SGD step, the teacher's weight EMA and the teacher's BN
-history commit run as whole-vector operations over flat arenas. Over 25
-steps each must give the per-block updates' bits exactly, compared as
-int64 so that +0 and -0 differ, including after a test writes a block in
-place. The arrays a step updates are allocated before the first step and
-keep their identity across steps.
+history commit run as whole-vector operations over flat arenas, and the
+two-view loss as one student and one teacher pass over stacked views.
+Over 25 steps each must give the per-block updates' and per-view passes'
+bits exactly, compared as int64 so that +0 and -0 differ, including
+after a test writes a block in place. The arrays a step updates are
+allocated before the first step and keep their identity across steps.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from m2t import cli, evaluate
 from m2t import trainer as trainer_module
+from m2t.config import DataConfig
 from m2t.engine import parameter
 from m2t.model import (Arena, MlpSpec, Param, build_pair, commit_teacher_bn,
                        ema_update, forward_teacher, mlp_spec)
@@ -102,12 +104,23 @@ MOCO = dict(mode="moco", m_base=0.001, m_schedule="constant",
             alpha_base=0.064, alpha_schedule="constant", queue_capacity=32,
             teacher_bn="shuffling")
 
+# Projector and predictor 10 wide at 6- and 10-row views: the shapes at
+# which a product over both views stacked rounds differently from one per
+# view.
+NARROW = dict(projector=mlp_spec((64, 64, 10)), predictor=mlp_spec((10, 32, 10)))
+
 CONFIGS = {
     "byol_sgd": {},
     "byol_wd_exclude": dict(wd_exclude_bias_bn=True, weight_decay=0.01),
     "byol_lars": dict(optimizer="lars", weight_decay=0.01),
     "byol_plain_teacher": dict(teacher_bn="plain", workers=2),
     "byol_synced_teacher": dict(teacher_bn="synced", workers=2),
+    "byol_shuffling_teacher": dict(teacher_bn="shuffling", workers=2),
+    "byol_6_rows": dict(NARROW, batch_size=6, workers=2, epochs=2),
+    "byol_10_rows": dict(NARROW, batch_size=10, workers=2, epochs=3),
+    # 84 samples: five 16-row batches and a trailing 4-row one per epoch.
+    "byol_partial_batch": dict(data=DataConfig(
+        kind="synthetic", num_classes=4, dim=8, per_class=21, spread=0.3)),
     "moco": MOCO,
 }
 
@@ -119,7 +132,8 @@ def per_block_zero_grads(self):
 
 def reference_step(monkeypatch, trainer, ref_state, batch, k):
     """``trainer.train_step`` with the per-block oracle for every update,
-    and gradients written fresh by backward as before the arena."""
+    gradients written fresh by backward as before the arena, and one
+    student and one teacher pass per view."""
     def step(state, lr):
         params = state.arena.params
         ref.sgd_step(list(params), [p.tensor.grad for p in params], ref_state,
@@ -129,6 +143,7 @@ def reference_step(monkeypatch, trainer, ref_state, batch, k):
         m.setattr(trainer_module, "sgd_step", step)
         m.setattr(trainer_module, "ema_update", ref.ema_update)
         m.setattr(trainer_module, "commit_teacher_bn", ref.commit_teacher_bn)
+        m.setattr(trainer_module, "symmetrized_loss", ref.symmetrized_loss)
         m.setattr(Arena, "zero_grads", per_block_zero_grads)
         return trainer.train_step(batch, k)
 
@@ -147,17 +162,20 @@ def snapshot(trainer) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_training_steps_equal_per_block_oracle(monkeypatch, name):
-    cfg = small_config(epochs=5, **CONFIGS[name])
+    cfg = small_config(**{"epochs": 5, **CONFIGS[name]})
     got, want = Trainer(cfg), Trainer(cfg)
     ref_state = ref.OptimizerState(
         kind=cfg.optimizer, momentum=cfg.sgd_momentum,
         weight_decay=cfg.weight_decay, trust_coeff=cfg.trust_coeff,
         wd_exclude=cfg.wd_exclude_bias_bn)
-    samples, size = got.dataset.samples, cfg.batch_size
+    samples = got.dataset.samples
     assert got.total_iters == want.total_iters >= 20
+    # The partial-batch config ends each epoch with a 4-row batch.
+    assert (got.batch_sizes[-1] == 4) == (name == "byol_partial_batch")
     for k in range(got.total_iters):
         order = got.epoch_order(k // got.iters_per_epoch)
-        start = got.batch_starts[k % got.iters_per_epoch]
+        i = k % got.iters_per_epoch
+        start, size = got.batch_starts[i], got.batch_sizes[i]
         batch = samples[order[start:start + size]]
         rec = got.train_step(batch, k)
         rec_want = reference_step(monkeypatch, want, ref_state, batch, k)

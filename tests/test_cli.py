@@ -374,6 +374,10 @@ class TestPretrainCommand:
         (["auto_scale=true", "reference_batch=0"], "reference_batch"),
         (["probe_epochs=0"], "probe_epochs"),
         (["probe_lr=0"], "probe_lr"),
+        (["sgd_momentum=2"], "sgd_momentum"),
+        (["sgd_momentum=-3"], "sgd_momentum"),
+        (["weight_decay=-1"], "weight_decay"),
+        (["trust_coeff=-1"], "trust_coeff"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v)[:40])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, settings,
                                         field):

@@ -391,6 +391,91 @@ class TestDense:
         # The layer's upstream gradient is w either way, and stays w.
         assert y.grad.tobytes() == w.values.tobytes()
 
+    # Beside NORMS, given statistics with one row per group: two groups
+    # per view, each view its own rows.
+    VIEW_NORMS = dict(NORMS, **{"given-stats-per-group": (2, "per-group",
+                                                          None)})
+
+    def view_spec(self, norm, view, gamma, beta, seen):
+        """The BNSpec of ``norm`` for view 0 or 1 alone (``view``), or for
+        both views stacked (``view`` None): groups and per-group statistics
+        count across the views, and the permutation repeats in each."""
+        if norm is None:
+            return None
+        groups, stats, perm = norm
+        views = [0, 1] if view is None else [view]
+        if stats == "per-group":
+            rng = np.random.default_rng(5)
+            mean, var = rng.normal(size=(4, 5)), rng.uniform(0.5, 2.0, (4, 5))
+            rows = [2 * v + i for v in views for i in (0, 1)]
+            stats = (mean[rows], var[rows])
+        elif stats in ("function", "record"):
+            given = self.GIVEN if stats == "function" else None
+            stats = lambda h: seen.append(h.copy()) or given
+        if perm is not None and view is None:
+            perm = np.concatenate((perm, perm + len(perm)))
+        return engine.BNSpec(NormParams(gamma, beta), groups * len(views),
+                             stats, perm)
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("norm", list(VIEW_NORMS), ids=list(VIEW_NORMS))
+    def test_two_views_equal_one_call_per_view(self, norm, relu):
+        # One call over both views stacked against one call per view, each
+        # view its own input tensor: the output and dx are the per-view
+        # ones stacked, and every parameter gradient is the per-view sum
+        # the tape accumulates, bit for bit.
+        norm = self.VIEW_NORMS[norm]
+        n = self.rows(norm)
+        x, weight, bias, gamma, beta, w = self.inputs(2 * n)
+        halves = [slice(0, n), slice(n, 2 * n)]
+        params = (weight, bias, gamma, beta)
+
+        def run(stacked: bool) -> tuple:
+            seen = []
+            inputs = [x] if stacked else [
+                Tensor(x.values[rows].copy(), requires_grad=True)
+                for rows in halves]
+            for t in params:
+                t.zero_grad()
+            with record():
+                if stacked:
+                    ys = [engine.dense(x, weight, bias, relu,
+                                       self.view_spec(norm, None, gamma, beta,
+                                                      seen), views=2)]
+                    loss = ref.sum(ref.mul(ys[0], w))
+                else:
+                    ys = [engine.dense(t, weight, bias, relu,
+                                       self.view_spec(norm, view, gamma, beta,
+                                                      seen))
+                          for view, t in enumerate(inputs)]
+                    loss = engine.add(*(
+                        ref.sum(ref.mul(y, constant(w.values[rows])))
+                        for y, rows in zip(ys, halves)))
+            backward(loss)
+            out = np.concatenate([y.values for y in ys])
+            dx = np.concatenate([t.grad for t in inputs])
+            grads = [None if t.grad is None else t.grad.copy()
+                     for t in params]
+            seen = np.concatenate(seen) if seen else None
+            return out, dx, grads, seen
+
+        want = run(stacked=False)
+        got = run(stacked=True)
+        for a, b in zip(got[:2], want[:2]):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(got[2], want[2]):
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes()
+        # A statistics function sees every view's pre-BN rows at once.
+        assert (got[3] is None) == (want[3] is None)
+        assert got[3] is None or got[3].tobytes() == want[3].tobytes()
+
+    def test_rows_that_do_not_split_into_views_rejected(self):
+        with pytest.raises(DimensionError, match="2 equal views"):
+            engine.dense(constant(np.zeros((5, 3))),
+                         parameter(np.zeros((3, 2))), parameter(np.zeros(2)),
+                         relu=False, views=2)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="inner dimensions"):
             engine.dense(constant(np.zeros((2, 3))), parameter(np.zeros((2, 3))),
@@ -434,8 +519,9 @@ def emitted_op_names(paths) -> set:
 
 
 def test_every_op_has_a_gradcheck_suite():
-    # The program emits exactly the ops a run records, and each has a suite
-    # in m2t.gradcheck; each composed op of the reference has one beside it.
+    # The program emits exactly the ops a run records and add, and each has
+    # a suite in m2t.gradcheck; each composed op of the reference has one
+    # beside it.
     ops = emitted_op_names(Path(engine.__file__).parent.glob("*.py"))
     assert ops == {"add", "batch_norm", "dense", "normalized_mse",
                    "info_nce", "cross_entropy"}

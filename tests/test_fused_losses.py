@@ -120,6 +120,40 @@ class TestNormalizedMse:
                                  lambda: ref.byol_loss(p, z), [p],
                                  "normalized_mse")
 
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_two_views_equal_two_terms_plus_add(self, n):
+        # One two-view call over the stacked rows against one call per view
+        # on its own tensor, summed with add; zero rows of both signs in
+        # each view.
+        rng = np.random.default_rng(n)
+        p_values = rows(rng, 2 * n, 4, zero=(1,), negative_zero=(n + 2,))
+        z = rows(rng, 2 * n, 4, zero=(n,), negative_zero=(3,))
+        for upstream in UPSTREAM:
+            p = parameter(p_values.copy())
+            views = [parameter(p_values[:n].copy()),
+                     parameter(p_values[n:].copy())]
+            HEALTH.reset()
+            with record() as tape:
+                loss, terms = engine.normalized_mse(p, z, views=2)
+                ops = [e.op for e in tape.entries]
+            counted = HEALTH.zero_norm_rows
+            HEALTH.reset()
+            with record() as tape:
+                want_terms = [engine.normalized_mse(v, z[rows])
+                              for v, rows in zip(views, (slice(0, n),
+                                                         slice(n, None)))]
+                want = engine.add(*want_terms)
+                want_ops = [e.op for e in tape.entries]
+            assert ops == ["normalized_mse"]
+            assert want_ops == ["normalized_mse", "normalized_mse", "add"]
+            assert counted == HEALTH.zero_norm_rows == 4
+            assert_bits_equal(loss.values, want.values)
+            for term, want_term in zip(terms, want_terms):
+                assert_bits_equal(term, want_term.values)
+            backward(loss, seed=np.full((), upstream))
+            backward(want, seed=np.full((), upstream))
+            assert_bits_equal(p.grad, np.concatenate([v.grad for v in views]))
+
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(3)
         p = constant(rows(rng, 5, 3, zero=(0,)))

@@ -19,9 +19,10 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Listed by the tracer but deliberately gone from the program; the tracer
 # skips and reports them. Every BN layer is normalized by its spec inside
 # ``engine.dense``, so the per-kind BN forwards are gone. The engine holds
-# only the ops a run records (``add``, ``batch_norm``, ``dense`` and the
-# fused losses); the composed ops no run reaches live in
-# ``tests/engine_reference.py``, and ``neg`` is deleted.
+# only the ops a run records (``batch_norm``, ``dense`` and the fused
+# losses) and ``add``, which the gradient checks use; the composed ops no
+# run reaches live in ``tests/engine_reference.py``, and ``neg`` is
+# deleted.
 KNOWN_ABSENT = {"engine.slice_rows", "engine.concat_rows", "trainer.lars_step",
                 "normalization.plain_bn_forward",
                 "normalization.synced_bn_forward",

@@ -407,13 +407,13 @@ class TestIterationTape:
         monkeypatch.setattr(trainer_module, "backward", spy)
         return seen
 
-    # Besides the dense layers: byol's two normalized-MSE terms and their
-    # sum, moco's one InfoNCE.
-    LOSS_OPS = {"default-synth": ["normalized_mse", "normalized_mse", "add"],
+    # Besides the dense layers: byol's one two-view normalized MSE (one
+    # student pass over both views stacked), moco's one InfoNCE.
+    LOSS_OPS = {"default-synth": ["normalized_mse"],
                 "moco-smoke": ["info_nce"]}
 
     @pytest.mark.parametrize("name, dense, total", [
-        ("default-synth", 2 * (2 + 2 + 2), 15),
+        ("default-synth", 2 + 2 + 2, 7),
         ("moco-smoke", 2 + 6, 9),
     ])
     def test_one_dense_entry_per_layer(self, backward_spy, name, dense, total):

@@ -1,12 +1,15 @@
-"""Per-block parameter and statistics updates: the oracle for the arena
-updates of :mod:`m2t.trainer` and :mod:`m2t.model`.
+"""Per-block parameter and statistics updates and the per-view loss: the
+oracle for the arena updates of :mod:`m2t.trainer` and :mod:`m2t.model`
+and for the stacked passes of :mod:`m2t.objectives`.
 
 ``sgd_step``, ``ema_update`` and ``commit_teacher_bn`` are the loops over
 parameter blocks and BN layers that the whole-vector updates replace. Each
 block or layer gets its own numpy calls, and each result is a new array
 bound to its tensor, or (for a BN layer, which commits a state of its
-own) copied into its channel range of the teacher's history. The arena
-updates must reproduce them to the bit, signed zeros included.
+own) copied into its channel range of the teacher's history.
+``symmetrized_loss`` runs one student and one teacher pass per view and
+sums the two losses with :func:`m2t.engine.add`. The arena updates and
+the stacked passes must reproduce them to the bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from m2t import engine
-from m2t.model import Param, StudentTeacherPair
+from m2t.model import (Param, StudentTeacherPair, forward_student,
+                       forward_teacher)
 from m2t.normalization import (BatchStats, MomentumBNState,
                                momentum_bn_lazy_commit)
+from m2t.objectives import LossValue, byol_loss
 
 
 @dataclass
@@ -102,3 +107,21 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
     history.initialized = True
     history.pending.clear()
     return float(np.sqrt(drift_sq))
+
+
+def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
+                     alpha: float, perm_seed=None) -> LossValue:
+    """Two-view symmetrized prediction loss, one pass per view: the student
+    on ``v`` against the teacher on ``v2``, then the student on ``v2``
+    against the teacher on ``v``, summed. The teacher passes leave view
+    ``v2``'s statistics pending first."""
+    _, p_v = forward_student(pair, v, workers)
+    t_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
+    term1 = byol_loss(p_v, t_v2)
+
+    _, p_v2 = forward_student(pair, v2, workers)
+    t_v = forward_teacher(pair, v, alpha, workers, perm_seed)
+    term2 = byol_loss(p_v2, t_v)
+
+    return LossValue(loss=engine.add(term1, term2), term_student_v=term1,
+                     term_student_v2=term2)
