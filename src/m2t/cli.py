@@ -215,6 +215,7 @@ def cmd_eval(args) -> int:
         config_mod.check_type(spec, dict, "dataset")
         seed = spec.pop("seed", 0)
         config_mod.check_type(seed, int, "dataset.seed")
+        config_mod.check_seed(seed, "dataset.seed")
         dataset = build_dataset(config_mod.data_from_dict(spec, "dataset"),
                                 seed)
         features = extract_features(payload, dataset.samples)

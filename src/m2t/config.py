@@ -118,6 +118,7 @@ class TrainConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        check_seed(self.seed, "seed")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer: must be one of {OPTIMIZERS}")
         if self.epochs < 0:
@@ -197,6 +198,13 @@ _REQUIRED = ("mode", "seed", "epochs")
 
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                bool: (bool, "a boolean"), str: (str, "a string")}
+
+
+def check_seed(seed: int, where: str) -> None:
+    """Raise ConfigError unless ``seed`` lies in [0, 2**32), the seeds whose
+    random streams (keyed by a seed's low 32 bits) all differ."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"{where}: must lie in [0, 2**32), got {seed}")
 
 
 def check_type(value, hint, where: str) -> None:

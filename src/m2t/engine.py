@@ -22,6 +22,9 @@ gradients additively, so reusing a tensor twice yields the sum of per-use
 gradients. It then drops the tape's entries, so a finished iteration is
 freed by reference counting alone; a tape is swept once.
 
+The tape also counts the zero-norm rows :func:`unit_rows` meets, for the
+run that owns it: the engine keeps no counter, so runs share none.
+
 :func:`add` broadcasts by numpy's right-aligned rule restricted to
 singleton expansion: shapes are aligned on their trailing axes and an axis
 may differ between operands only when one side is 1 (or absent). The
@@ -38,23 +41,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Shapes are incompatible for the requested operation."""
-
-
-@dataclass
-class RunHealth:
-    """Counters for numerically suspicious events observed during a run."""
-
-    zero_norm_rows: int = 0
-
-    def reset(self) -> None:
-        self.zero_norm_rows = 0
-
-    def as_dict(self) -> dict:
-        return {"zero_norm_rows": self.zero_norm_rows}
-
-
-#: Process-wide health counters; trainer resets them at run start.
-HEALTH = RunHealth()
 
 
 class Tensor:
@@ -115,10 +101,12 @@ class _Entry:
 
 
 class Tape:
-    """Ordered record of operations for one reverse-mode sweep."""
+    """Ordered record of operations for one reverse-mode sweep, and the
+    zero-norm rows :func:`unit_rows` met while it was active."""
 
     def __init__(self):
         self.entries: list[_Entry] = []
+        self.zero_norm_rows = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -489,11 +477,11 @@ _GUARD_SQ = NORM_GUARD * NORM_GUARD
 
 def unit_rows(x: np.ndarray) -> tuple:
     """``(x / r, r)`` for a 2-D array and its guarded row norms ``r`` (a
-    column); zero rows are counted in ``HEALTH.zero_norm_rows``."""
+    column); zero rows are counted on the active tape, if there is one."""
     sq = (x * x).sum(axis=1, keepdims=True)
-    zero_rows = int(np.count_nonzero(sq == 0.0))
-    if zero_rows:
-        HEALTH.zero_norm_rows += zero_rows
+    tape = active_tape()
+    if tape is not None:
+        tape.zero_norm_rows += int(np.count_nonzero(sq == 0.0))
     r = np.sqrt(sq + _GUARD_SQ)
     with np.errstate(divide="ignore", invalid="ignore"):
         return x / r, r

@@ -71,8 +71,8 @@ class ProbeDivergedError(RuntimeError):
 
 class _ProbeHead:
     """Whole-batch BN plus one linear layer. Inference normalizes with a
-    momentum-statistics history of the training batches, committed once per
-    step (the first commit initializes it)."""
+    momentum-statistics history of the training batches: each step records
+    its batch in the history's first pending row and commits it at once."""
 
     def __init__(self, dim: int, num_classes: int):
         self.arena = Arena([
@@ -85,11 +85,13 @@ class _ProbeHead:
         self.history = MomentumBNState(np.zeros(dim), np.ones(dim))
 
     def train_logits(self, x: np.ndarray) -> Tensor:
-        s = constant_batch_stats(x)
-        self.history.pending.append(s)
+        mean, var = constant_batch_stats(x)
+        row = self.history.record_rows(1)
+        self.history.pending_mean[row] = mean
+        self.history.pending_var[row] = var
         momentum_bn_lazy_commit(self.history, HISTORY_MOMENTUM)
         h = engine.batch_norm(x, 1, self.gamma, self.beta, EPS,
-                              stats=(s.mean, s.var))
+                              stats=(mean, var))
         return engine.dense(h, self.weight, self.bias, relu=False)
 
     def infer_logits(self, x: np.ndarray) -> np.ndarray:

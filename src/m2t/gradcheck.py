@@ -180,6 +180,7 @@ def _case_symmetrized(rng):
     v2 = rng.uniform(-2, 2, size=(6, 3))
 
     def f():
+        pair.history.pending_count = 0  # each call redoes one iteration
         return symmetrized_loss(pair, v1, v2, 2, alpha=1.0).loss
 
     return f, [(name, t) for name, t, _ in pair.student_params()]

@@ -39,7 +39,6 @@ import numpy as np
 from . import engine
 from .engine import BNSpec, DimensionError, Tensor
 from .normalization import (
-    BatchStats,
     MomentumBNState,
     NormParams,
     constant_batch_stats,
@@ -112,7 +111,7 @@ def default_projector_spec(in_dim: int = 64) -> MlpSpec:
 
 
 def default_predictor_spec(dim: int = 32) -> MlpSpec:
-    return mlp_spec((dim, 32, 32))
+    return mlp_spec((dim, 32, dim))
 
 
 class Param(NamedTuple):
@@ -302,7 +301,7 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
                student_bn: str = "plain", teacher_bn: str = "momentum",
                eps: float = 1e-5) -> StudentTeacherPair:
     """The pair for the given specs; ``predictor_spec=None`` builds none.
-    ``ValueError`` naming the role whose specs do not chain (a
+    ``ValueError`` naming the role whose widths do not chain or match (a
     ``DimensionError``) or whose arrays numpy cannot allocate."""
     if encoder_spec.out_dim != projector_spec.in_dim:
         raise DimensionError(
@@ -312,6 +311,11 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
             and projector_spec.out_dim != predictor_spec.in_dim:
         raise DimensionError(
             f"predictor: input width {predictor_spec.in_dim} != projector "
+            f"output width {projector_spec.out_dim}")
+    if predictor_spec is not None \
+            and predictor_spec.out_dim != projector_spec.out_dim:
+        raise DimensionError(
+            f"predictor: output width {predictor_spec.out_dim} != projector "
             f"output width {projector_spec.out_dim}")
     mlps = []
     for role, name, spec in (("encoder", "enc", encoder_spec),
@@ -370,24 +374,18 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
     views of ``batch_size`` rows each, every view split into ``workers``
     slices, for layers whose ``channels`` index ``history``.
 
-    The pass appends one :class:`BatchStats` per view to
-    ``history.pending``, in row order, and every layer, whatever the kind,
-    writes each view's statistics into its channel range of them for the
-    history commit. Momentum BN normalizes each view with the blend of its
-    statistics with the history; the baseline kinds normalize with batch
-    statistics per worker (plain), over the whole view (synced) or per
-    worker after a seeded permutation across the view's workers
-    (shuffling, the same permutation in every view).
+    The pass records the next ``views`` pending rows of ``history``, one
+    per view in row order, and every layer, whatever the kind, writes each
+    view's statistics into its channel range of them. Momentum BN normalizes
+    each view with the blend of its statistics with the history; the
+    baseline kinds normalize with batch statistics per worker (plain), over
+    the whole view (synced) or per worker after a seeded permutation across
+    the view's workers (shuffling, the same permutation in every view).
     """
     momentum = kind == "momentum"
     if not momentum and workers is None:
         raise ValueError(f"teacher BN kind {kind!r} needs a worker count")
-    channels_total = history.hist_mean.size
-    seen_mean = np.empty((views, channels_total))
-    seen_var = np.empty((views, channels_total))
-    history.pending.extend(
-        BatchStats(mean=mean, var=var, count=batch_size)
-        for mean, var in zip(seen_mean, seen_var))
+    rows = history.record_rows(views)
     groups = views if kind in ("momentum", "synced") else views * workers
     perm = None
     if kind == "shuffling":
@@ -400,11 +398,11 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
         def stats(h: np.ndarray) -> Optional[tuple]:
             # Per-view statistics go to the commit however the samples are
             # grouped; None normalizes with batch statistics.
-            s = constant_batch_stats(h.reshape(views, batch_size, -1))
-            seen_mean[:, channels] = s.mean
-            seen_var[:, channels] = s.var
-            return momentum_stats(history, channels, s, alpha) if momentum \
-                else None
+            mean, var = constant_batch_stats(h.reshape(views, batch_size, -1))
+            history.pending_mean[rows, channels] = mean
+            history.pending_var[rows, channels] = var
+            return momentum_stats(history, channels, mean, var, alpha) \
+                if momentum else None
 
         return BNSpec(layer.norm, groups, stats, perm)
 
@@ -418,8 +416,8 @@ def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
     """Teacher pass over ``views`` stacked views of equal size: projection
     z' with no gradient participation.
 
-    The pass's per-view statistics land on ``pair.history.pending``;
-    commit them once per iteration via :func:`commit_teacher_bn`.
+    The pass records its per-view statistics in ``pair.history``'s pending
+    rows; commit them once per iteration via :func:`commit_teacher_bn`.
     """
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
     if views < 1 or x.shape[0] % views != 0:
@@ -460,11 +458,11 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
 
 def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
     """Lazily commit the teacher's pending view statistics into its history
-    (one :func:`momentum_bn_lazy_commit`). Returns the history's total L2
-    drift, the per-iteration history-movement metric, summed layer by
-    layer (0.0 with nothing pending)."""
+    (one :func:`momentum_bn_lazy_commit`, which clears them). Returns the
+    history's total L2 drift, the per-iteration history-movement metric,
+    summed layer by layer (0.0 with no pending row)."""
     history = pair.history
-    if not history.pending:
+    if not history.pending_count:
         return 0.0
     # The commit writes the history in place, so keep a copy as the
     # "before"; the first commit measures drift from zero (x - 0.0 == x).

@@ -23,6 +23,7 @@ cover the student/teacher combinations studied here:
 
 A :class:`MomentumBNState` is one such history: a teacher's covers all its
 BN layers, each using only its own channel range; the probe head has one.
+It owns the statistics rows pending for its next commit, too.
 
 The blend coefficient ``alpha`` weights the current batch:
 
@@ -38,29 +39,12 @@ back-propagates, so no gradient correction of the history is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .engine import DimensionError, Tensor
-
-
-@dataclass
-class BatchStats:
-    """Per-channel mean and biased variance of one mini-batch (gradient
-    constants: the teacher never back-propagates)."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"batch stats need count >= 1, got {self.count}")
-        if self.mean.shape != self.var.shape:
-            raise DimensionError(
-                f"mean/var shapes differ: {self.mean.shape} vs {self.var.shape}")
 
 
 @dataclass
@@ -83,15 +67,29 @@ class NormParams:
 class MomentumBNState:
     """Momentum history of a set of BN channels, allocated once (identity
     statistics until its first commit), and the per-view statistics pending
-    for its next commit: one :class:`BatchStats` over every channel per
-    view of the current iteration, in the order the teacher saw the views
-    (a pass over stacked views appends one per view), empty outside one.
-    The commit writes the history in place, so views of it stay bound."""
+    for its next commit: one row of ``pending_mean``/``pending_var`` over
+    every channel per view of the current iteration, in the order the
+    teacher saw the views, ``pending_count`` of them (0 between
+    iterations). Every buffer is allocated here and written in place."""
 
     hist_mean: np.ndarray
     hist_var: np.ndarray
     initialized: bool = False
-    pending: list[BatchStats] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.pending_count = 0
+        self.pending_mean = np.empty((2, self.hist_mean.size))
+        self.pending_var = np.empty((2, self.hist_mean.size))
+
+    def record_rows(self, views: int) -> slice:
+        """The next ``views`` pending rows, now recorded (``ValueError``
+        past the two a commit takes)."""
+        rows = slice(self.pending_count, self.pending_count + views)
+        if rows.stop > 2:
+            raise ValueError(f"{rows.stop} pending view statistics; "
+                             f"expected 1 or 2")
+        self.pending_count = rows.stop
+        return rows
 
 
 def _check_alpha(alpha: float) -> None:
@@ -103,8 +101,8 @@ def _check_alpha(alpha: float) -> None:
 # statistics
 
 
-def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
-    """Per-channel mean and biased variance over the batch axis, the
+def constant_batch_stats(x_values: np.ndarray) -> tuple:
+    """``(mean, var)``, per channel and biased, over the batch axis, the
     second-to-last: a (B, C) batch gives (C,) statistics, a (V, B, C)
     stack of views one (V, C) row per view."""
     m = x_values.shape[-2]
@@ -114,8 +112,7 @@ def constant_batch_stats(x_values: np.ndarray) -> BatchStats:
     # the wrapper's Python overhead.
     mu = np.add.reduce(x_values, axis=-2) / m
     dev = x_values - mu[..., None, :]
-    return BatchStats(mean=mu, var=np.add.reduce(dev * dev, axis=-2) / m,
-                      count=m)
+    return mu, np.add.reduce(dev * dev, axis=-2) / m
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +131,24 @@ def shuffle_permutation(batch_size: int,
 # momentum BN
 
 
-def momentum_stats(history: MomentumBNState, channels: slice, s: BatchStats,
-                   alpha: float) -> tuple:
+def momentum_stats(history: MomentumBNState, channels: slice,
+                   mean: np.ndarray, var: np.ndarray, alpha: float) -> tuple:
     """The ``(mean, var)`` a momentum BN layer normalizes with: the blend of
-    its batch statistics ``s`` (per channel, or one row per view) with its
+    its batch ``mean``/``var`` (per channel, or one row per view) with its
     ``channels`` of the history, which it leaves untouched."""
     _check_alpha(alpha)
     w_hist = 1.0 - alpha
     if w_hist == 0.0 or not history.initialized:
         # Pure current-batch statistics; also the fallback before the
         # history's first commit.
-        return s.mean, s.var
-    return ((1.0 - w_hist) * s.mean + w_hist * history.hist_mean[channels],
-            (1.0 - w_hist) * s.var + w_hist * history.hist_var[channels])
+        return mean, var
+    return ((1.0 - w_hist) * mean + w_hist * history.hist_mean[channels],
+            (1.0 - w_hist) * var + w_hist * history.hist_var[channels])
 
 
 def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
-    """Fold the average of the pending views' statistics into the history.
+    """Fold the average of the first and the last pending view's statistics
+    into the history, then clear the pending rows.
 
     Called exactly once per iteration, after both view forwards, so neither
     view's statistics can leak into the other view's normalization within
@@ -158,17 +156,11 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
     the average of itself with itself, which is that view's statistics.
     """
     _check_alpha(alpha)
-    if not state.pending:
+    last = state.pending_count - 1
+    if last < 0:
         raise ValueError("lazy commit with no pending view statistics")
-    if len(state.pending) > 2:
-        raise ValueError(
-            f"{len(state.pending)} pending view statistics; expected 1 or 2")
-    s_v, s_v2 = state.pending[0], state.pending[-1]
-    if s_v.count != s_v2.count:
-        raise ValueError(
-            f"view statistics counts differ: {s_v.count} vs {s_v2.count}")
-    avg_mean = 0.5 * (s_v.mean + s_v2.mean)
-    avg_var = 0.5 * (s_v.var + s_v2.var)
+    avg_mean = 0.5 * (state.pending_mean[0] + state.pending_mean[last])
+    avg_var = 0.5 * (state.pending_var[0] + state.pending_var[last])
     if state.initialized:
         w_hist = 1.0 - alpha
         avg_mean = (1.0 - w_hist) * avg_mean + w_hist * state.hist_mean
@@ -176,7 +168,7 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
     state.hist_mean[...] = avg_mean
     state.hist_var[...] = avg_var
     state.initialized = True
-    state.pending.clear()
+    state.pending_count = 0
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
     One student pass over ``[v; v2]``, one teacher pass over ``[v2; v]``
     and one two-view loss, each equal to its per-view calls bit for bit.
     The teacher blends each view's statistics with the history as it stood
-    before this iteration and leaves them pending, view ``v2`` first; the
-    caller must commit them exactly once afterwards.
+    before this iteration and records them in its pending rows, view
+    ``v2`` first; the caller must commit them exactly once afterwards.
     """
     v, v2 = np.asarray(v, dtype=np.float64), np.asarray(v2, dtype=np.float64)
     if v.shape != v2.shape:

@@ -29,7 +29,7 @@ import numpy as np
 from .config import ConfigError, DataConfig, TrainConfig
 from .data import (Dataset, IdxFormatError, NonFiniteDataError, load_idx,
                    make_views, synth_clusters)
-from .engine import HEALTH, backward, record
+from .engine import backward, record
 from .model import (
     Arena,
     StudentTeacherPair,
@@ -233,8 +233,8 @@ def modeled_sec_per_iter(cfg: TrainConfig, pair: StudentTeacherPair) -> float:
 
 
 class Trainer:
-    """Owns the pair, optimizer, schedules and (in contrastive mode) the
-    negatives queue for one training run."""
+    """Owns the pair, optimizer, schedules, (in contrastive mode) the
+    negatives queue and the health count ``zero_norm_rows`` of one run."""
 
     def __init__(self, cfg: TrainConfig, dataset: Optional[Dataset] = None):
         cfg.validate()
@@ -293,6 +293,7 @@ class Trainer:
                 raise ConfigError(f"queue_capacity: cannot allocate "
                                   f"{cfg.queue_capacity} keys ({e})") from None
         self._sec_model = modeled_sec_per_iter(cfg, self.pair)
+        self.zero_norm_rows = 0
 
     def train_step(self, batch: np.ndarray, k: int) -> MetricsRecord:
         """One full iteration at global step k; returns its metrics."""
@@ -313,7 +314,7 @@ class Trainer:
         student = self.pair.student
         student.zero_grads()
 
-        with record():
+        with record() as tape:
             if self.is_moco:
                 z, _ = forward_student(self.pair, v, cfg.workers)
                 k_pos = forward_teacher(self.pair, v2, alpha_k, cfg.workers,
@@ -328,6 +329,7 @@ class Trainer:
                                       perm_seed=perm_seed)
                 loss_t = lv.loss
                 l1, l2 = lv.term_student_v.item(), lv.term_student_v2.item()
+        self.zero_norm_rows += tape.zero_norm_rows
 
         loss_val = loss_t.item()
 
@@ -368,7 +370,7 @@ class Trainer:
 
     def run(self) -> TrainResult:
         """Loop train_step over all epochs and dump the teacher."""
-        HEALTH.reset()
+        self.zero_norm_rows = 0
         cfg = self.cfg
         metrics: list[MetricsRecord] = []
         samples = self.dataset.samples
@@ -394,7 +396,8 @@ class Trainer:
                                f"iteration {k - 1}", rec,
                                [m for m in metrics if m is not rec])
         return TrainResult(payload=payload, metrics=metrics, config=cfg,
-                           health=HEALTH.as_dict(), dataset=self.dataset)
+                           health={"zero_norm_rows": self.zero_norm_rows},
+                           dataset=self.dataset)
 
 
 def run_training(cfg: TrainConfig,

@@ -12,7 +12,7 @@ reproduce bit for bit.
 import numpy as np
 
 from m2t import engine
-from m2t.engine import HEALTH, Tensor
+from m2t.engine import Tensor
 
 import engine_reference as ref
 
@@ -21,7 +21,7 @@ NORM_GUARD = 1e-12
 
 def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
     """Row-wise unit vectors of a tensor or array (arrays and constants give
-    constants); zero-norm rows are guarded and counted.
+    constants); zero-norm rows are guarded and counted on the active tape.
 
     The guard is added under the square root (as guard^2), so rows of
     ordinary magnitude are normalized exactly in double precision while
@@ -29,9 +29,9 @@ def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
     """
     x = engine.as_tensor(x)
     sq = ref.sum(ref.mul(x, x), axis=1, keepdims=True)
-    zero_rows = int(np.count_nonzero(sq.values == 0.0))
-    if zero_rows:
-        HEALTH.zero_norm_rows += zero_rows
+    tape = engine.active_tape()
+    if tape is not None:
+        tape.zero_norm_rows += int(np.count_nonzero(sq.values == 0.0))
     return ref.div(x, ref.sqrt(engine.add(sq, guard * guard)))
 
 

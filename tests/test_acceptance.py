@@ -110,7 +110,7 @@ def test_criterion_3_momentum_bn_degeneracy():
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
         base = layer_bn(engine.constant(x), "momentum", 0.0, p, history=state)
-        state.pending.clear()
+        state.pending_count = 0
         row = int(rng.integers(0, n))
         perturbed = x.copy()
         mask = np.ones(n, dtype=bool)

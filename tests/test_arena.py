@@ -247,7 +247,9 @@ def state_arrays(trainer) -> dict:
               "optimizer buffer": opt.buffer,
               "teacher values": pair.teacher.values,
               "hist_mean": pair.history.hist_mean,
-              "hist_var": pair.history.hist_var}
+              "hist_var": pair.history.hist_var,
+              "pending_mean": pair.history.pending_mean,
+              "pending_var": pair.history.pending_var}
     if isinstance(opt.wd, np.ndarray):
         arrays["weight decay"] = opt.wd
     if trainer.queue is not None:
@@ -293,7 +295,8 @@ def test_probe_state_keeps_its_arrays(monkeypatch):
         real_step(opt, lr)
 
     def commit(history, momentum):
-        commits.append((history.hist_mean, history.hist_var))
+        commits.append((history.hist_mean, history.hist_var,
+                        history.pending_mean, history.pending_var))
         real_commit(history, momentum)
 
     monkeypatch.setattr(evaluate, "sgd_step", step)
@@ -381,7 +384,7 @@ def commits_equal_oracle(got, want, views: int) -> list:
                           f"drift at step {k}")
         assert_bits_equal(hist.hist_mean, want.history.hist_mean)
         assert_bits_equal(hist.hist_var, want.history.hist_var)
-        assert hist.initialized and hist.pending == []
+        assert hist.initialized and hist.pending_count == 0
         # Each history vector keeps its one array across commits, so every
         # layer's range of it stays a view of the committed history.
         assert hist.hist_mean is mean0 and hist.hist_var is var0

@@ -378,6 +378,9 @@ class TestPretrainCommand:
         (["sgd_momentum=-3"], "sgd_momentum"),
         (["weight_decay=-1"], "weight_decay"),
         (["trust_coeff=-1"], "trust_coeff"),
+        (["seed=-1"], "seed"),
+        ([f"seed={2 ** 32}"], "seed"),
+        ([f"seed={-2 ** 32}"], "seed"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v)[:40])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, settings,
                                         field):
@@ -416,6 +419,28 @@ class TestPretrainCommand:
         code = main(["pretrain", *args, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
+    def test_narrow_projector_gets_a_predictor_of_its_width(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "run"
+        code = main(["pretrain", *TINY_ARGS, "--set",
+                     'projector={"widths":[64,4],"bn":[false],"relu":[false]}',
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["logged_records"] > 0
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_predictor_narrower_than_projection_exits_2(self, tmp_path,
+                                                        capsys, command):
+        out = tmp_path / "run"
+        preset = "default-synth" if command == "pretrain" else "table1-grid"
+        code = main([command, "--preset", preset, "--set", "epochs=1",
+                     "--set", 'predictor={"widths":[32,32,4],"bn":[true,false],'
+                     '"relu":[true,false]}', "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: predictor: output width 4 != projector output width 32\n")
         assert not out.exists()
 
     def test_moco_predictor_exits_2(self, tmp_path, capsys):
@@ -667,6 +692,8 @@ class TestEvalCommand:
         ({"num_classes": "x"}, "dataset.num_classes: expected an integer"),
         ({"seed": "a"}, "dataset.seed: expected an integer"),
         ({"kind": "idx"}, "dataset.images_path"),
+        ({"seed": -1}, "dataset.seed: must lie in [0, 2**32)"),
+        ({"seed": 2 ** 32}, "dataset.seed: must lie in [0, 2**32)"),
     ])
     def test_bad_dataset_spec_exits_2(self, run_dir, tmp_path, capsys, spec,
                                       message):

@@ -49,6 +49,14 @@ class TestFromDict:
         from_dict(minimal_doc(mode="moco", temperature=0.002))
         from_dict(minimal_doc(mode="byol_m2t", temperature=1e-3))  # no InfoNCE
 
+    def test_seed_outside_32_bits_names_it(self):
+        # The random streams key on a seed's low 32 bits: seeds 2**32 apart
+        # would give one run.
+        for seed in (-1, 2 ** 32, -2 ** 32):
+            with pytest.raises(ConfigError, match=r"^seed: must lie in"):
+                from_dict(minimal_doc(seed=seed))
+        assert from_dict(minimal_doc(seed=2 ** 32 - 1)).seed == 2 ** 32 - 1
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha_base"):
             from_dict(minimal_doc(alpha_base=1.5))

@@ -255,16 +255,18 @@ class TestDense:
         return 8 if norm is None or norm[2] is None else len(norm[2])
 
     @staticmethod
-    def inputs(rows, x_requires_grad=True) -> tuple:
-        """``(x, weight, bias, gamma, beta, w)`` for a (rows, 3) input to a
-        5-wide layer; ``w`` is the upstream weight of the output."""
+    def inputs(rows, x_requires_grad=True, fan_in=3, fan_out=5) -> tuple:
+        """``(x, weight, bias, gamma, beta, w)`` for a (rows, fan_in) input
+        to a fan_out-wide layer; ``w`` is the upstream weight of the
+        output."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(rows, 3)), requires_grad=x_requires_grad)
-        weight = parameter(rng.normal(size=(3, 5)))
-        bias = parameter(rng.normal(size=5))
-        gamma = parameter(rng.uniform(0.5, 2.0, size=5))
-        beta = parameter(rng.normal(size=5))
-        w = constant(rng.normal(size=(rows, 5)))
+        x = Tensor(rng.normal(size=(rows, fan_in)),
+                   requires_grad=x_requires_grad)
+        weight = parameter(rng.normal(size=(fan_in, fan_out)))
+        bias = parameter(rng.normal(size=fan_out))
+        gamma = parameter(rng.uniform(0.5, 2.0, size=fan_out))
+        beta = parameter(rng.normal(size=fan_out))
+        w = constant(rng.normal(size=(rows, fan_out)))
         return x, weight, bias, gamma, beta, w
 
     def spec(self, norm, gamma, beta, seen):
@@ -417,16 +419,29 @@ class TestDense:
         return engine.BNSpec(NormParams(gamma, beta), groups * len(views),
                              stats, perm)
 
-    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
-    @pytest.mark.parametrize("norm", list(VIEW_NORMS), ids=list(VIEW_NORMS))
-    def test_two_views_equal_one_call_per_view(self, norm, relu):
+    # (rows per view, fan_in, fan_out) where, under OpenBLAS, one product
+    # over the stacked rows rounds differently from one per view: the
+    # forward at 64 -> 10, and dx at 64 -> 64. Each runs without BN and
+    # with one BN group per view.
+    BLAS_SHAPES = ((3, 64, 10), (6, 64, 10), (10, 64, 10), (10, 64, 64),
+                   (16, 64, 64))
+    VIEW_CASES = [(norm, relu, None) for norm in VIEW_NORMS
+                  for relu in (False, True)] + [
+        (norm, relu, shape) for shape in BLAS_SHAPES
+        for norm in ("no-bn", "groups-1") for relu in (False, True)]
+
+    @pytest.mark.parametrize("norm, relu, shape", VIEW_CASES, ids=[
+        f"{norm}-{'relu' if relu else 'linear'}"
+        + ("" if shape is None else "-{}-rows-{}x{}".format(*shape))
+        for norm, relu, shape in VIEW_CASES])
+    def test_two_views_equal_one_call_per_view(self, norm, relu, shape):
         # One call over both views stacked against one call per view, each
         # view its own input tensor: the output and dx are the per-view
         # ones stacked, and every parameter gradient is the per-view sum
         # the tape accumulates, bit for bit.
         norm = self.VIEW_NORMS[norm]
-        n = self.rows(norm)
-        x, weight, bias, gamma, beta, w = self.inputs(2 * n)
+        n, *widths = shape or (self.rows(norm),)
+        x, weight, bias, gamma, beta, w = self.inputs(2 * n, True, *widths)
         halves = [slice(0, n), slice(n, 2 * n)]
         params = (weight, bias, gamma, beta)
 

@@ -4,7 +4,7 @@ Each fused loss (:func:`m2t.engine.normalized_mse`, :func:`~m2t.engine.info_nce`
 :func:`~m2t.engine.cross_entropy`) is compared with the composed ops of
 ``tests/loss_reference.py``: the value and every gradient must be equal
 arrays with equal sign bits (so a -0 where the reference has +0 fails),
-and ``HEALTH.zero_norm_rows`` must count the same rows. Whole training
+and the tape's ``zero_norm_rows`` must count the same rows. Whole training
 steps and probe runs are compared the same way, with the program's losses
 swapped for the references.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from m2t import engine, evaluate, objectives
 from m2t import trainer as trainer_module
-from m2t.engine import HEALTH, backward, constant, parameter, record
+from m2t.engine import backward, constant, parameter, record
 from m2t.evaluate import linear_probe
 from m2t.objectives import NegQueue, byol_loss, infonce_loss, queue_update
 from m2t.trainer import Trainer
@@ -37,11 +37,10 @@ def run(loss_fn, inputs, upstream=1.0):
     gradient."""
     for t in inputs:
         t.zero_grad()
-    HEALTH.reset()
     with record() as tape:
         loss = loss_fn()
         ops = [e.op for e in tape.entries]
-    counted = HEALTH.zero_norm_rows
+    counted = tape.zero_norm_rows
     if ops:
         backward(loss, seed=np.full(loss.shape, upstream))
     return loss.values, [t.grad for t in inputs], ops, counted
@@ -75,13 +74,12 @@ def rows(rng, n, d, zero=(), negative_zero=()):
 def test_l2_normalize_rows_equals_composed_on_constants():
     rng = np.random.default_rng(0)
     x = rows(rng, 6, 3, zero=(2,), negative_zero=(4,))
-    HEALTH.reset()
-    got = objectives.l2_normalize_rows(x).values
-    counted = HEALTH.zero_norm_rows
-    HEALTH.reset()
-    want = ref.l2_normalize_rows(x).values
+    with record() as tape:
+        got = objectives.l2_normalize_rows(x).values
+    with record() as want_tape:
+        want = ref.l2_normalize_rows(x).values
     assert_bits_equal(got, want)
-    assert counted == HEALTH.zero_norm_rows == 2
+    assert tape.zero_norm_rows == want_tape.zero_norm_rows == 2
 
 
 class TestNormalizedMse:
@@ -132,21 +130,18 @@ class TestNormalizedMse:
             p = parameter(p_values.copy())
             views = [parameter(p_values[:n].copy()),
                      parameter(p_values[n:].copy())]
-            HEALTH.reset()
             with record() as tape:
                 loss, terms = engine.normalized_mse(p, z, views=2)
                 ops = [e.op for e in tape.entries]
-            counted = HEALTH.zero_norm_rows
-            HEALTH.reset()
-            with record() as tape:
+            with record() as want_tape:
                 want_terms = [engine.normalized_mse(v, z[rows])
                               for v, rows in zip(views, (slice(0, n),
                                                          slice(n, None)))]
                 want = engine.add(*want_terms)
-                want_ops = [e.op for e in tape.entries]
+                want_ops = [e.op for e in want_tape.entries]
             assert ops == ["normalized_mse"]
             assert want_ops == ["normalized_mse", "normalized_mse", "add"]
-            assert counted == HEALTH.zero_norm_rows == 4
+            assert tape.zero_norm_rows == want_tape.zero_norm_rows == 4
             assert_bits_equal(loss.values, want.values)
             for term, want_term in zip(terms, want_terms):
                 assert_bits_equal(term, want_term.values)
@@ -294,12 +289,14 @@ def test_probe_steps_equal_composed_ops(monkeypatch):
     got_acc, got = probe()
 
     def composed_logits(head, x):
-        s = evaluate.constant_batch_stats(x)
-        head.history.pending.append(s)
+        mean, var = evaluate.constant_batch_stats(x)
+        row = head.history.record_rows(1)
+        head.history.pending_mean[row] = mean
+        head.history.pending_var[row] = var
         evaluate.momentum_bn_lazy_commit(head.history,
                                          evaluate.HISTORY_MOMENTUM)
         h = engine.batch_norm(x, 1, head.gamma, head.beta, evaluate.EPS,
-                              stats=(s.mean, s.var))
+                              stats=(mean, var))
         return engine.add(composed.matmul(h, head.weight), head.bias)
 
     monkeypatch.setattr(evaluate._ProbeHead, "train_logits", composed_logits)

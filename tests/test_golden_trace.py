@@ -100,20 +100,22 @@ def test_full_iteration_matches_reference(trace, setup):
                                                        abs=TOL)
     assert out.loss.item() == pytest.approx(trace["loss_total"], abs=TOL)
 
-    pend_v2, pend_v1 = state.pending  # teacher saw view 2 first
-    np.testing.assert_allclose(pend_v2.mean,
+    assert state.pending_count == 2
+    # The teacher saw view 2 first: (mean, var) rows of views 2 and 1.
+    pend_v2, pend_v1 = zip(state.pending_mean, state.pending_var)
+    np.testing.assert_allclose(pend_v2[0],
                                trace["teacher_batch_stats_v2"]["mean"], atol=TOL)
-    np.testing.assert_allclose(pend_v2.var,
+    np.testing.assert_allclose(pend_v2[1],
                                trace["teacher_batch_stats_v2"]["var"], atol=TOL)
-    np.testing.assert_allclose(pend_v1.mean,
+    np.testing.assert_allclose(pend_v1[0],
                                trace["teacher_batch_stats_v1"]["mean"], atol=TOL)
-    np.testing.assert_allclose(pend_v1.var,
+    np.testing.assert_allclose(pend_v1[1],
                                trace["teacher_batch_stats_v1"]["var"], atol=TOL)
 
     # Blended statistics actually used by the teacher normalization.
     for pend, key in ((pend_v2, "teacher_blended_v2"),
                       (pend_v1, "teacher_blended_v1")):
-        mean, var = norm.momentum_stats(state, slice(None), pend, alpha)
+        mean, var = norm.momentum_stats(state, slice(None), *pend, alpha)
         np.testing.assert_allclose(mean, trace[key]["mean"], atol=TOL)
         np.testing.assert_allclose(var, trace[key]["var"], atol=TOL)
 

@@ -133,7 +133,7 @@ class TestForwardTeacher:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(8, 4))
         base = forward_teacher(pair, v, alpha=0.0).values.copy()
-        pair.history.pending.clear()
+        pair.history.pending_count = 0
 
         # Perturb every other sample; row 0 must be bit-identical.
         v2 = v.copy()
@@ -176,12 +176,14 @@ class TestForwardTeacher:
             pair = tiny_pair(seed=12, teacher_bn=kind)
             v = np.random.default_rng(13).normal(size=(8, 4))
             forward_teacher(pair, v, alpha=1.0, workers=2, perm_seed=0)
-            [seen] = pair.history.pending
-            assert seen.count == 8
+            assert pair.history.pending_count == 1
+            seen_mean = pair.history.pending_mean[:1]
+            seen_var = pair.history.pending_var[:1]
             assert len(layer_stats) == len(pair.teacher_bn_layers()) == 3
-            for layer, s in zip(pair.teacher_bn_layers(), layer_stats):
-                assert seen.mean[layer.channels].tobytes() == s.mean.tobytes()
-                assert seen.var[layer.channels].tobytes() == s.var.tobytes()
+            for layer, (mean, var) in zip(pair.teacher_bn_layers(),
+                                          layer_stats):
+                assert seen_mean[:, layer.channels].tobytes() == mean.tobytes()
+                assert seen_var[:, layer.channels].tobytes() == var.tobytes()
 
 
 class TestEmaUpdate:
@@ -266,7 +268,7 @@ class TestCommit:
         forward_teacher(pair, v + 1.0, alpha=0.5)
         drift = commit_teacher_bn(pair, alpha=0.5)
         assert drift > 0.0
-        assert pair.history.pending == []
+        assert pair.history.pending_count == 0
         assert pair.history.initialized
 
     def test_commit_with_no_pending_is_noop(self):

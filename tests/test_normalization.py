@@ -18,7 +18,6 @@ from m2t import normalization as norm
 from m2t.engine import DimensionError, backward, constant, parameter, record
 from m2t.model import teacher_norm
 from m2t.normalization import (
-    BatchStats,
     MomentumBNState,
     constant_batch_stats,
     momentum_bn_lazy_commit,
@@ -82,11 +81,11 @@ class TestBatchStats:
 
     def test_constant_stats_are_arrays_equal_to_tape_stats(self):
         x = np.random.default_rng(0).normal(size=(32, 8))
-        s, ref = constant_batch_stats(x), batch_stats(constant(x))
-        assert type(s.mean) is np.ndarray and type(s.var) is np.ndarray
-        assert s.mean.tobytes() == ref.mean.values.tobytes()
-        assert s.var.tobytes() == ref.var.values.tobytes()
-        assert s.count == ref.count == 32
+        (mean, var), ref = constant_batch_stats(x), batch_stats(constant(x))
+        assert type(mean) is np.ndarray and type(var) is np.ndarray
+        assert mean.tobytes() == ref.mean.values.tobytes()
+        assert var.tobytes() == ref.var.values.tobytes()
+        assert len(x) == ref.count == 32
 
 
 class TestBnApply:
@@ -357,7 +356,8 @@ class TestMomentumBn:
         y = momentum_bn(x, state, 0.5, p)
         # batch mean 1, batch var 1 -> blended mean 0.5, blended var 1
         np.testing.assert_allclose(y.values, [[-0.5], [1.5]], atol=1e-9)
-        np.testing.assert_array_equal(state.pending[-1].mean, [1.0])
+        np.testing.assert_array_equal(
+            state.pending_mean[state.pending_count - 1], [1.0])
 
     def test_forward_does_not_touch_history(self):
         x = constant(np.random.default_rng(13).normal(size=(4, 2)))
@@ -365,7 +365,7 @@ class TestMomentumBn:
         momentum_bn(x, state, 0.3, identity_norm_params(2))
         np.testing.assert_array_equal(state.hist_mean, [1.0, 1.0])
         np.testing.assert_array_equal(state.hist_var, [2.0, 2.0])
-        assert len(state.pending) == 1
+        assert state.pending_count == 1
 
     def test_uninitialized_history_falls_back_to_batch(self):
         x = constant([[0.0], [2.0]])
@@ -379,25 +379,28 @@ class TestMomentumBn:
 
 
 class TestLazyCommit:
-    def _stats(self, mean, var, count=4):
-        return BatchStats(mean=np.asarray(mean, dtype=float),
-                          var=np.asarray(var, dtype=float), count=count)
+    @staticmethod
+    def _record(state, *views):
+        """Record each ``(mean, var)`` view in the next pending row."""
+        for mean, var in views:
+            row = state.record_rows(1)
+            state.pending_mean[row] = mean
+            state.pending_var[row] = var
 
     def test_fixed_point(self):
         state = MomentumBNState(hist_mean=np.array([2.0]), hist_var=np.array([3.0]),
                                 initialized=True)
-        s = self._stats([2.0], [3.0])
-        state.pending.extend([s, s])
+        s = ([2.0], [3.0])
+        self._record(state, s, s)
         momentum_bn_lazy_commit(state, 0.7)
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [3.0])
-        assert state.pending == []
+        assert state.pending_count == 0
 
     def test_alpha_one_takes_view_average(self):
         state = MomentumBNState(hist_mean=np.array([9.0]), hist_var=np.array([9.0]),
                                 initialized=True)
-        s1, s2 = self._stats([1.0], [2.0]), self._stats([3.0], [4.0])
-        state.pending.extend([s1, s2])
+        self._record(state, ([1.0], [2.0]), ([3.0], [4.0]))
         momentum_bn_lazy_commit(state, 1.0)
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [3.0])
@@ -405,8 +408,8 @@ class TestLazyCommit:
     def test_quarter_blend(self):
         state = MomentumBNState(hist_mean=np.array([0.0]), hist_var=np.array([1.0]),
                                 initialized=True)
-        s = self._stats([4.0], [1.0])
-        state.pending.extend([s, s])
+        s = ([4.0], [1.0])
+        self._record(state, s, s)
         momentum_bn_lazy_commit(state, 0.25)
         np.testing.assert_allclose(state.hist_mean, [1.0])
 
@@ -417,33 +420,36 @@ class TestLazyCommit:
 
     def test_single_pending_view_commits_its_stats(self):
         state = new_history(1)
-        state.pending.append(self._stats([1.5], [2.5]))
+        self._record(state, ([1.5], [2.5]))
         momentum_bn_lazy_commit(state, 0.3)
         np.testing.assert_array_equal(state.hist_mean, [1.5])
         np.testing.assert_array_equal(state.hist_var, [2.5])
 
     def test_more_than_two_pending_rejected(self):
         state = new_history(1)
-        state.pending.extend([self._stats([1.0], [1.0])] * 3)
+        self._record(state, ([1.0], [1.0]), ([1.0], [1.0]))
         with pytest.raises(ValueError, match="expected 1 or 2"):
-            momentum_bn_lazy_commit(state, 0.5)
-
-    def test_count_mismatch_rejected(self):
-        state = new_history(1)
-        s1 = self._stats([1.0], [1.0], count=4)
-        s2 = self._stats([1.0], [1.0], count=8)
-        state.pending.extend([s1, s2])
-        with pytest.raises(ValueError, match="count"):
-            momentum_bn_lazy_commit(state, 0.5)
+            self._record(state, ([1.0], [1.0]))
+        assert state.pending_count == 2
 
     def test_first_commit_seeds_history_with_view_average(self):
         state = new_history(1)
-        s1, s2 = self._stats([1.0], [2.0]), self._stats([3.0], [6.0])
-        state.pending.extend([s1, s2])
+        self._record(state, ([1.0], [2.0]), ([3.0], [6.0]))
         momentum_bn_lazy_commit(state, 0.1)
         assert state.initialized
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [4.0])
+
+    def test_pending_buffers_exist_before_the_first_pass(self):
+        state = new_history(3)
+        buffers = state.pending_mean, state.pending_var
+        assert state.pending_count == 0
+        assert all(b.shape == (2, 3) for b in buffers)
+        for _ in range(3):
+            self._record(state, ([1.0] * 3, [2.0] * 3), ([3.0] * 3, [4.0] * 3))
+            momentum_bn_lazy_commit(state, 0.5)
+        assert state.pending_mean is buffers[0]
+        assert state.pending_var is buffers[1]
 
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10),
@@ -451,9 +457,7 @@ class TestLazyCommit:
     def test_history_variance_stays_nonnegative(self, steps):
         state = new_history(1)
         for v1, v2, alpha in steps:
-            s1 = self._stats([0.0], [v1])
-            s2 = self._stats([0.0], [v2])
-            state.pending.extend([s1, s2])
+            self._record(state, ([0.0], [v1]), ([0.0], [v2]))
             momentum_bn_lazy_commit(state, alpha)
             assert state.hist_var[0] >= 0.0
 

@@ -39,12 +39,12 @@ class TestByolLoss:
         assert byol_loss(p, z).item() == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_norm_row_guarded_and_counted(self):
-        engine.HEALTH.reset()
         p = constant([[0.0, 0.0], [1.0, 0.0]])
         z = constant([[1.0, 0.0], [1.0, 0.0]])
-        loss = byol_loss(p, z)
+        with record() as tape:
+            loss = byol_loss(p, z)
         assert np.isfinite(loss.item())
-        assert engine.HEALTH.zero_norm_rows == 1
+        assert tape.zero_norm_rows == 1
 
     @settings(max_examples=60)
     @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4),
@@ -102,7 +102,7 @@ class TestSymmetrizedLoss:
         v1 = rng.normal(size=(8, 4))
         v2 = rng.normal(size=(8, 4))
         a = symmetrized_loss(pair, v1, v2, 2, alpha=1.0)
-        pair.history.pending.clear()
+        pair.history.pending_count = 0
         b = symmetrized_loss(pair, v2, v1, 2, alpha=1.0)
         assert a.term_student_v.item() == pytest.approx(b.term_student_v2.item(), rel=1e-12)
         assert a.term_student_v2.item() == pytest.approx(b.term_student_v.item(), rel=1e-12)

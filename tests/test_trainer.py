@@ -1,5 +1,8 @@
 import gc
+import importlib
+import itertools
 import os
+import pkgutil
 import resource
 import tracemalloc
 import weakref
@@ -7,12 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
+import m2t
 from m2t import model
 from m2t import trainer as trainer_module
 from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
-from m2t.engine import HEALTH, Tensor, backward, record
+from m2t.engine import Tensor, backward, record
 from m2t.model import Arena, Param, forward_student, mlp_spec
 from m2t.trainer import (
     MetricsRecord,
@@ -176,7 +180,7 @@ class TestTrainStep:
         total = cfg.epochs * trainer.iters_per_epoch
         assert len(commits) == total
         assert all(state is trainer.pair.history for state in commits)
-        assert trainer.pair.history.pending == []
+        assert trainer.pair.history.pending_count == 0
 
     def test_teacher_never_accumulates_gradients(self):
         cfg = small_config()
@@ -385,12 +389,63 @@ def test_moco_keys_normalized_once_per_iteration():
     last = trainer.pair.t_projector.layers[-1]  # no BN: zero keys out
     last.weight.values[...] = 0.0
     last.bias.values[...] = 0.0
-    HEALTH.reset()
     trainer.train_step(trainer.dataset.samples[:16], 0)
     # Each zero key is counted once, and the queue holds the rows the
     # positive logit used.
-    assert HEALTH.zero_norm_rows == 16
+    assert trainer.zero_norm_rows == 16
     assert not trainer.queue.as_matrix()[:16].any()
+
+
+# ---------------------------------------------------------------------------
+# run state belongs to its run
+
+
+def test_no_module_holds_an_m2t_object():
+    """Every object of a class defined in ``m2t`` belongs to a run: no
+    module holds one, so runs in one process share no state through it."""
+    held = []
+    for info in pkgutil.iter_modules(m2t.__path__, "m2t."):
+        module = importlib.import_module(info.name)
+        held += [f"{info.name}.{name}" for name, value in vars(module).items()
+                 if type(value).__module__.split(".")[0] == "m2t"]
+    assert held == []
+
+
+def zero_key_trainer(**overrides) -> Trainer:
+    """A moco trainer whose every key is a zero row: the teacher's last
+    projector layer (no BN) is zero, and the EMA at m = 0 keeps it so."""
+    trainer = Trainer(small_config(
+        mode="moco", m_base=0.0, m_schedule="constant", alpha_base=0.064,
+        alpha_schedule="constant", queue_capacity=32, **overrides))
+    last = trainer.pair.t_projector.layers[-1]
+    last.weight.values[...] = 0.0
+    last.bias.values[...] = 0.0
+    return trainer
+
+
+def test_trainers_stepped_alternately_report_their_own_health():
+    """Two runs stepped in turn in one process give the metrics and health
+    each gives alone."""
+    configs = [dict(batch_size=16, epochs=1), dict(batch_size=8, epochs=2)]
+    alone = [zero_key_trainer(**cfg).run() for cfg in configs]
+    assert [r.health for r in alone] == [{"zero_norm_rows": 80},
+                                         {"zero_norm_rows": 160}]
+
+    def batches(trainer):
+        for epoch in range(trainer.cfg.epochs):
+            order = trainer.epoch_order(epoch)
+            for start, size in zip(trainer.batch_starts, trainer.batch_sizes):
+                yield trainer.dataset.samples[order[start:start + size]]
+
+    trainers = [zero_key_trainer(**cfg) for cfg in configs]
+    records = [[], []]
+    for k, step in enumerate(itertools.zip_longest(*map(batches, trainers))):
+        for trainer, batch, seen in zip(trainers, step, records):
+            if batch is not None:
+                seen.append(trainer.train_step(batch, k).csv_row())
+    for trainer, seen, result in zip(trainers, records, alone):
+        assert seen == [m.csv_row() for m in result.metrics]
+        assert {"zero_norm_rows": trainer.zero_norm_rows} == result.health
 
 
 class TestIterationTape:

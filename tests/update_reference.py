@@ -21,8 +21,7 @@ import numpy as np
 from m2t import engine
 from m2t.model import (Param, StudentTeacherPair, forward_student,
                        forward_teacher)
-from m2t.normalization import (BatchStats, MomentumBNState,
-                               momentum_bn_lazy_commit)
+from m2t.normalization import MomentumBNState, momentum_bn_lazy_commit
 from m2t.objectives import LossValue, byol_loss
 
 
@@ -85,7 +84,8 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
     history-movement metric.
     """
     history = pair.history
-    if not history.pending:
+    views = history.pending_count
+    if not views:
         return 0.0
     drift_sq = 0.0
     for layer in pair.teacher_bn_layers():
@@ -93,9 +93,10 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
         state = MomentumBNState(
             hist_mean=history.hist_mean[ch].copy(),
             hist_var=history.hist_var[ch].copy(),
-            initialized=history.initialized,
-            pending=[BatchStats(mean=s.mean[ch].copy(), var=s.var[ch].copy(),
-                                count=s.count) for s in history.pending])
+            initialized=history.initialized)
+        rows = state.record_rows(views)
+        state.pending_mean[rows] = history.pending_mean[:views, ch]
+        state.pending_var[rows] = history.pending_var[:views, ch]
         # The first commit measures drift from zero (x - 0.0 == x exactly).
         before_mean = state.hist_mean.copy() if state.initialized else 0.0
         before_var = state.hist_var.copy() if state.initialized else 0.0
@@ -105,7 +106,7 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
         history.hist_mean[ch] = state.hist_mean
         history.hist_var[ch] = state.hist_var
     history.initialized = True
-    history.pending.clear()
+    history.pending_count = 0
     return float(np.sqrt(drift_sq))
 
 
