@@ -5,10 +5,10 @@ domain demands it) and returns the op's output, of any shape;
 :func:`m2t.engine.finite_diff_check` weighs it with a fixed upstream
 gradient and compares every parameter gradient against central
 differences at h=1e-5, relative tolerance 1e-4. Every op that a run
-records has a suite here (a test holds that), and so do the stacked-views
-forms of :func:`m2t.engine.dense` and :func:`m2t.engine.normalized_mse`
-and BN's per-group statistics; variants of one op are summed with
-:func:`m2t.engine.add`. The composite suites run a small BN
+records has a suite here (a test holds that), and so do the forms of
+:func:`m2t.engine.dense` and :func:`m2t.engine.normalized_mse` over a
+(V, B, C) stack of views and BN's per-group statistics; variants of one op
+are summed with :func:`m2t.engine.add`. The composite suites run a small BN
 MLP under the prediction loss and the full two-view loss, which exercises
 the whole backward path the trainer uses. The composed ops that the tests
 use as an oracle have their own suites beside them, in
@@ -94,40 +94,40 @@ def _case_dense(rng):
 
 
 def _case_dense_views(rng):
-    # The fused layer over two stacked 8-row views, each BN variant with
+    # The fused layer over a stack of two 8-row views, each BN variant with
     # and without ReLU, summed: none, batch statistics per view and per
-    # 4-row group, given statistics per group, and a statistics function
-    # with the same row permutation in each view.
-    x = parameter(rng.uniform(-2, 2, size=(16, 3)))
+    # 4-row group, given statistics per view, and a statistics function
+    # with a row permutation of each view.
+    x = parameter(rng.uniform(-2, 2, size=(2, 8, 3)))
     weight = parameter(rng.uniform(-2, 2, size=(3, 4)))
     bias = parameter(rng.uniform(-2, 2, size=4))
     p = NormParams(gamma=parameter(rng.uniform(0.5, 2.0, size=4)),
                    beta=parameter(rng.uniform(-2, 2, size=4)))
     given = (rng.uniform(-1, 1, size=(2, 4)), rng.uniform(0.5, 2.0, size=(2, 4)))
-    perm = rng.permutation(8)
-    norms = (None, BNSpec(p, 2), BNSpec(p, 4), BNSpec(p, 2, given),
-             BNSpec(p, 4, lambda h: None, np.concatenate((perm, perm + 8))))
+    norms = (None, BNSpec(p, 1), BNSpec(p, 2), BNSpec(p, 1, given),
+             BNSpec(p, 2, lambda h: None, rng.permutation(8)))
     cases = [(norm, relu) for norm in norms for relu in (False, True)]
 
     def f():
-        return reduce(engine.add, (
-            engine.dense(x, weight, bias, relu, norm, views=2)
-            for norm, relu in cases))
+        return reduce(engine.add, (engine.dense(x, weight, bias, relu, norm)
+                                   for norm, relu in cases))
 
     return f, [("x", x), ("weight", weight), ("bias", bias),
                ("gamma", p.gamma), ("beta", p.beta)]
 
 
 def _case_normalized_mse(rng):
-    # One view, and two stacked views in one loss, summed.
+    # One view, and a stack of two views in one loss, summed.
     p = parameter(rng.uniform(-2, 2, size=(6, 3)))
     z = rng.uniform(-2, 2, size=(6, 3))
+    p_views = parameter(rng.uniform(-2, 2, size=(2, 3, 3)))
+    z_views = rng.uniform(-2, 2, size=(2, 3, 3))
 
     def f():
-        return engine.add(engine.normalized_mse(p, z),
-                          engine.normalized_mse(p, z, views=2)[0])
+        return engine.add(engine.normalized_mse(p, z)[0],
+                          engine.normalized_mse(p_views, z_views)[0])
 
-    return f, [("p", p)]
+    return f, [("p", p), ("p_views", p_views)]
 
 
 def _case_info_nce(rng):
@@ -167,7 +167,7 @@ def _case_byol_mlp(rng):
     def f():
         from .model import forward_student
         _, p = forward_student(pair, batch, 2)
-        return byol_loss(p, constant(target))
+        return byol_loss(p, constant(target))[0]
 
     return f, [(name, t) for name, t, _ in pair.student_params()]
 

@@ -335,62 +335,58 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
 # forwards
 
 
-def forward_mlp(mlp: Mlp, x: Tensor, norm: Callable[[Layer], BNSpec],
-                views: int = 1) -> Tensor:
+def forward_mlp(mlp: Mlp, x: Tensor,
+                norm: Callable[[Layer], BNSpec]) -> Tensor:
     """The one MLP layer loop: one fused :func:`engine.dense` per layer over
-    ``views`` stacked views, with ``norm(layer)`` the BN spec of each BN
-    layer. Each role (student, teacher, frozen inference) differs only in
-    the specs it passes."""
+    ``x``, (B, C) rows of one view or a (V, B, C) stack of views, with
+    ``norm(layer)`` the BN spec of each BN layer. Each role (student,
+    teacher, frozen inference) differs only in the specs it passes."""
     for layer in mlp.layers:
         x = engine.dense(x, layer.weight, layer.bias, layer.relu,
-                         None if layer.norm is None else norm(layer), views)
+                         None if layer.norm is None else norm(layer))
     return x
 
 
-def forward_student(pair: StudentTeacherPair, v, workers: int,
-                    views: int = 1) -> tuple[Tensor, Optional[Tensor]]:
-    """Full student pass over ``views`` stacked views of equal size:
-    returns (projection z, prediction p), each with the rows of ``v``; p is
-    None for a pair without predictor. Plain BN normalizes each of the
-    ``workers`` slices of each view (one group per worker and view), synced
-    BN each whole view (one group per view)."""
-    groups = views * (workers if pair.student_bn == "plain" else 1)
+def forward_student(pair: StudentTeacherPair, v,
+                    workers: int) -> tuple[Tensor, Optional[Tensor]]:
+    """Full student pass over ``v``, (B, C) rows of one view or a (V, B, C)
+    stack of views: returns (projection z, prediction p), each shaped as
+    ``v`` but for the width; p is None for a pair without predictor. Plain
+    BN normalizes each of the ``workers`` slices of each view, synced BN
+    each whole view."""
+    groups = workers if pair.student_bn == "plain" else 1
 
     def norm(layer: Layer) -> BNSpec:
         return BNSpec(layer.norm, groups)
 
-    z = forward_mlp(pair.encoder, v, norm, views)
-    z = forward_mlp(pair.projector, z, norm, views)
+    z = forward_mlp(pair.encoder, v, norm)
+    z = forward_mlp(pair.projector, z, norm)
     if pair.predictor is None:
         return z, None
-    return z, forward_mlp(pair.predictor, z, norm, views)
+    return z, forward_mlp(pair.predictor, z, norm)
 
 
 def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
-                 batch_size: int, workers: Optional[int] = None,
-                 perm_seed: Optional[int] = None,
-                 views: int = 1) -> Callable[[Layer], BNSpec]:
-    """BN specs of one teacher pass with BN ``kind`` over ``views`` stacked
-    views of ``batch_size`` rows each, every view split into ``workers``
-    slices, for layers whose ``channels`` index ``history``.
+                 rows: slice, workers: Optional[int] = None,
+                 perm: Optional[np.ndarray] = None
+                 ) -> Callable[[Layer], BNSpec]:
+    """BN specs of one teacher pass with BN ``kind`` over one view or a
+    stack of views, each view split into ``workers`` slices, for layers
+    whose ``channels`` index ``history``.
 
-    The pass records the next ``views`` pending rows of ``history``, one
-    per view in row order, and every layer, whatever the kind, writes each
-    view's statistics into its channel range of them. Momentum BN normalizes
-    each view with the blend of its statistics with the history; the
-    baseline kinds normalize with batch statistics per worker (plain), over
-    the whole view (synced) or per worker after a seeded permutation across
-    the view's workers (shuffling, the same permutation in every view).
+    The pass owns the pending ``rows`` of ``history``
+    (:meth:`MomentumBNState.record_rows`), one per view in stack order, and
+    every layer, whatever the kind, writes each view's statistics into its
+    channel range of them. Momentum BN normalizes each view with the blend
+    of its statistics with the history; the baseline kinds normalize with
+    batch statistics per worker (plain), over the whole view (synced) or
+    per worker after the permutation ``perm`` of each view's rows
+    (shuffling).
     """
     momentum = kind == "momentum"
     if not momentum and workers is None:
         raise ValueError(f"teacher BN kind {kind!r} needs a worker count")
-    rows = history.record_rows(views)
-    groups = views if kind in ("momentum", "synced") else views * workers
-    perm = None
-    if kind == "shuffling":
-        one = shuffle_permutation(batch_size, perm_seed)
-        perm = np.concatenate([one + i * batch_size for i in range(views)])
+    groups = 1 if kind in ("momentum", "synced") else workers
 
     def norm(layer: Layer) -> BNSpec:
         channels = layer.channels
@@ -398,7 +394,7 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
         def stats(h: np.ndarray) -> Optional[tuple]:
             # Per-view statistics go to the commit however the samples are
             # grouped; None normalizes with batch statistics.
-            mean, var = constant_batch_stats(h.reshape(views, batch_size, -1))
+            mean, var = constant_batch_stats(h)
             history.pending_mean[rows, channels] = mean
             history.pending_var[rows, channels] = var
             return momentum_stats(history, channels, mean, var, alpha) \
@@ -411,22 +407,23 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
 
 def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
                     workers: Optional[int] = None,
-                    perm_seed: Optional[int] = None,
-                    views: int = 1) -> Tensor:
-    """Teacher pass over ``views`` stacked views of equal size: projection
-    z' with no gradient participation.
+                    perm_seed: Optional[int] = None) -> Tensor:
+    """Teacher pass over ``v``, (B, C) rows of one view or a (V, B, C)
+    stack of views: projection z' with no gradient participation.
 
-    The pass records its per-view statistics in ``pair.history``'s pending
-    rows; commit them once per iteration via :func:`commit_teacher_bn`.
+    The pass records one pending row of ``pair.history`` per view, in
+    stack order, and writes the view's statistics there; commit them once
+    per iteration via :func:`commit_teacher_bn`. Shuffling BN permutes the
+    rows of every view by the same seeded permutation.
     """
     x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
-    if views < 1 or x.shape[0] % views != 0:
-        raise DimensionError(
-            f"{x.shape[0]} rows do not split into {views} equal views")
-    norm = teacher_norm(pair.history, pair.teacher_bn, alpha,
-                        x.shape[0] // views, workers, perm_seed, views)
-    x = forward_mlp(pair.t_encoder, x, norm, views)
-    return forward_mlp(pair.t_projector, x, norm, views)
+    history, kind = pair.history, pair.teacher_bn
+    perm = shuffle_permutation(x.shape[-2], perm_seed) \
+        if kind == "shuffling" else None
+    rows = history.record_rows(x.shape[0] if x.values.ndim == 3 else 1)
+    norm = teacher_norm(history, kind, alpha, rows, workers, perm)
+    x = forward_mlp(pair.t_encoder, x, norm)
+    return forward_mlp(pair.t_projector, x, norm)
 
 
 def history_norm(history: MomentumBNState) -> Callable[[Layer], BNSpec]:

@@ -81,10 +81,10 @@ class MomentumBNState:
         self.pending_mean = np.empty((2, self.hist_mean.size))
         self.pending_var = np.empty((2, self.hist_mean.size))
 
-    def record_rows(self, views: int) -> slice:
-        """The next ``views`` pending rows, now recorded (``ValueError``
-        past the two a commit takes)."""
-        rows = slice(self.pending_count, self.pending_count + views)
+    def record_rows(self, count: int) -> slice:
+        """The next ``count`` pending rows, one per view of a pass, now
+        recorded (``ValueError`` past the two a commit takes)."""
+        rows = slice(self.pending_count, self.pending_count + count)
         if rows.stop > 2:
             raise ValueError(f"{rows.stop} pending view statistics; "
                              f"expected 1 or 2")

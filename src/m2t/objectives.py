@@ -9,13 +9,14 @@ always treated as gradient constants. Each loss term is one fused engine op
 functions here check their arguments and name the terms.
 
 The symmetrized form pairs each view's prediction with the other view's
-teacher projection and sums the two terms. It runs one student pass over
-both views stacked, one teacher pass over them stacked in swapped order
-and one two-view loss; each equals its per-view calls bit for bit. The
-teacher normalizes each view against the previous iteration's history;
-committing that history is left to the caller (one commit per iteration,
-after the pass), which is what keeps one view's statistics out of the
-other view's normalization.
+teacher projection and sums the two terms. The two views are the leading
+axis of one (2, B, C) array: one student pass runs over it, one teacher
+pass over it reversed and one two-view loss over both; each equals its
+per-view calls bit for bit. The prediction loss always returns the loss
+and its per-view terms. The teacher normalizes each view against the
+previous iteration's history; committing that history is left to the
+caller (one commit per iteration, after the pass), which is what keeps one
+view's statistics out of the other view's normalization.
 """
 
 from __future__ import annotations
@@ -42,15 +43,16 @@ def l2_normalize_rows(x) -> Tensor:
     return engine.constant(engine.unit_rows(x.values)[0])
 
 
-def byol_loss(p: Tensor, z_teacher: Tensor, views: int = 1):
+def byol_loss(p: Tensor, z_teacher: Tensor) -> tuple:
     """Mean over the batch of the squared distance between unit-normalized
     prediction and target rows (:func:`m2t.engine.normalized_mse`); the
-    target is detached. Over ``views > 1`` stacked views it returns
-    ``(loss, terms)``: the sum of the per-view means and the means."""
+    target is detached. ``p`` is one view or a (V, B, C) stack of views;
+    returns ``(loss, terms)``: the sum of the per-view means and the
+    means."""
     if p.shape != z_teacher.shape:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
-    return engine.normalized_mse(p, z_teacher.values, views)
+    return engine.normalized_mse(p, z_teacher.values)
 
 
 @dataclass
@@ -69,20 +71,21 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
     ``v`` against the teacher's projection of ``v2``, plus the student's
     prediction of ``v2`` against the teacher's projection of ``v``.
 
-    One student pass over ``[v; v2]``, one teacher pass over ``[v2; v]``
-    and one two-view loss, each equal to its per-view calls bit for bit.
-    The teacher blends each view's statistics with the history as it stood
-    before this iteration and records them in its pending rows, view
-    ``v2`` first; the caller must commit them exactly once afterwards.
+    One student pass over the stack ``[v, v2]``, one teacher pass over
+    ``[v2, v]`` (the same stack reversed) and one two-view loss, each
+    equal to its per-view calls bit for bit. The teacher blends each
+    view's statistics with the history as it stood before this iteration
+    and records them in its pending rows, view ``v2`` first; the caller
+    must commit them exactly once afterwards.
     """
     v, v2 = np.asarray(v, dtype=np.float64), np.asarray(v2, dtype=np.float64)
     if v.shape != v2.shape:
         raise engine.DimensionError(
             f"view shapes differ: {v.shape} vs {v2.shape}")
-    _, p = forward_student(pair, np.concatenate((v, v2)), workers, views=2)
-    z = forward_teacher(pair, np.concatenate((v2, v)), alpha, workers,
-                        perm_seed, views=2)
-    loss, (term1, term2) = byol_loss(p, z, views=2)
+    x = np.stack((v, v2))
+    _, p = forward_student(pair, x, workers)
+    z = forward_teacher(pair, x[::-1], alpha, workers, perm_seed)
+    loss, (term1, term2) = byol_loss(p, z)
     return LossValue(loss=loss, term_student_v=engine.constant(term1),
                      term_student_v2=engine.constant(term2))
 

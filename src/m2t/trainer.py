@@ -338,21 +338,23 @@ class Trainer:
                                  l1=l1, l2=l2, lr=lr_k, m=m_k, alpha=alpha_k,
                                  hist_drift=drift, sec_per_iter=self._sec_model)
 
-        if not np.isfinite(loss_val):
-            raise NanLossError(f"non-finite loss at iteration {k}",
-                               metrics(float("nan")))
+        def failed(what: str) -> NanLossError:
+            # No commit follows: drop the teacher pass's pending statistics,
+            # so that a later step records its own.
+            self.pair.history.pending_count = 0
+            return NanLossError(f"non-finite {what} at iteration {k}",
+                                metrics(float("nan")))
 
+        if not np.isfinite(loss_val):
+            raise failed("loss")
         backward(loss_t)
         # One check over every gradient before the step and one over every
         # parameter after it.
         if not np.isfinite(student.grads).all():
-            raise NanLossError(f"non-finite gradient at iteration {k}",
-                               metrics(float("nan")))
+            raise failed("gradient")
         sgd_step(self.opt, lr_k)
         if not np.isfinite(student.values).all():
-            raise NanLossError(
-                f"non-finite parameter after the step at iteration {k}",
-                metrics(float("nan")))
+            raise failed("parameter after the step")
         drift = commit_teacher_bn(self.pair, alpha_k)
         # The drift sums every history's change, so one check covers them all.
         if not np.isfinite(drift):

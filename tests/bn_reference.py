@@ -24,7 +24,7 @@ import numpy as np
 from m2t import engine
 from m2t.engine import DimensionError, Tensor
 from m2t.model import Layer, MlpSpec, build_pair, forward_student, teacher_norm
-from m2t.normalization import MomentumBNState, NormParams
+from m2t.normalization import MomentumBNState, NormParams, shuffle_permutation
 
 import engine_reference as ref
 
@@ -116,5 +116,8 @@ def layer_bn(x, kind: str, alpha: float, p: NormParams,
     if history is None:
         history = new_history(p.gamma.shape[0])
     layer = teacher_layer(p)
-    norm = teacher_norm(history, kind, alpha, x.shape[0], workers, perm_seed)
+    perm = shuffle_permutation(x.shape[0], perm_seed) \
+        if kind == "shuffling" else None
+    norm = teacher_norm(history, kind, alpha, history.record_rows(1), workers,
+                        perm)
     return engine.dense(x, layer.weight, layer.bias, layer.relu, norm(layer))

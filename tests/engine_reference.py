@@ -120,6 +120,8 @@ def log(x) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b)
+    if a.values.ndim != 2:  # the backward's a.T is a 2-D transpose
+        raise DimensionError(f"matmul expects 2-D operands, got {a.shape}")
     out = a.values @ b.values
 
     def bw(g):

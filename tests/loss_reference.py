@@ -28,34 +28,37 @@ def l2_normalize_rows(x, guard: float = NORM_GUARD) -> Tensor:
     zero rows map to zero vectors with finite gradients.
     """
     x = engine.as_tensor(x)
-    sq = ref.sum(ref.mul(x, x), axis=1, keepdims=True)
+    sq = ref.sum(ref.mul(x, x), axis=-1, keepdims=True)
     tape = engine.active_tape()
     if tape is not None:
         tape.zero_norm_rows += int(np.count_nonzero(sq.values == 0.0))
     return ref.div(x, ref.sqrt(engine.add(sq, guard * guard)))
 
 
-def byol_loss(p: Tensor, z_teacher: Tensor, views: int = 1):
+def _view_loss(p: Tensor, z_values: np.ndarray) -> Tensor:
+    p_hat = l2_normalize_rows(p)
+    z_hat = l2_normalize_rows(z_values)
+    d = ref.sub(p_hat, z_hat)
+    return ref.mean(ref.sum(ref.mul(d, d), axis=-1))
+
+
+def byol_loss(p: Tensor, z_teacher: Tensor):
     """Mean over the batch of the squared distance between unit-normalized
-    prediction and target rows; the target is detached. Over ``views > 1``
-    stacked views: ``(loss, terms)``, one loss per view (its rows gathered)
-    and their sum with :func:`m2t.engine.add`."""
+    prediction and target rows; the target is detached. Returns ``(loss,
+    terms)``: over a (V, B, C) stack of views one loss per view (its view
+    gathered) and their sum with :func:`m2t.engine.add`."""
     if p.shape != z_teacher.shape:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
-    if views > 1:
-        n = p.shape[0] // views
-        terms = [byol_loss(ref.gather_rows(p, np.arange(i * n, (i + 1) * n)),
-                           engine.constant(z_teacher.values[i * n:(i + 1) * n]))
-                 for i in range(views)]
-        loss = terms[0]
-        for term in terms[1:]:
-            loss = engine.add(loss, term)
-        return loss, tuple(term.values for term in terms)
-    p_hat = l2_normalize_rows(p)
-    z_hat = l2_normalize_rows(z_teacher.values)
-    d = ref.sub(p_hat, z_hat)
-    return ref.mean(ref.sum(ref.mul(d, d), axis=1))
+    if p.values.ndim == 2:
+        loss = _view_loss(p, z_teacher.values)
+        return loss, (loss.values,)
+    terms = [_view_loss(ref.gather_rows(p, [i]), z_teacher.values[i:i + 1])
+             for i in range(p.shape[0])]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = engine.add(loss, term)
+    return loss, tuple(term.values for term in terms)
 
 
 def infonce_loss(q: Tensor, k_pos: Tensor, queue,

@@ -400,8 +400,9 @@ class TestDense:
 
     def view_spec(self, norm, view, gamma, beta, seen):
         """The BNSpec of ``norm`` for view 0 or 1 alone (``view``), or for
-        both views stacked (``view`` None): groups and per-group statistics
-        count across the views, and the permutation repeats in each."""
+        the stack of both views (``view`` None): groups count per view,
+        per-group statistics have a row per group of every view, and the
+        permutation applies to each view."""
         if norm is None:
             return None
         groups, stats, perm = norm
@@ -414,10 +415,7 @@ class TestDense:
         elif stats in ("function", "record"):
             given = self.GIVEN if stats == "function" else None
             stats = lambda h: seen.append(h.copy()) or given
-        if perm is not None and view is None:
-            perm = np.concatenate((perm, perm + len(perm)))
-        return engine.BNSpec(NormParams(gamma, beta), groups * len(views),
-                             stats, perm)
+        return engine.BNSpec(NormParams(gamma, beta), groups, stats, perm)
 
     # (rows per view, fan_in, fan_out) where, under OpenBLAS, one product
     # over the stacked rows rounds differently from one per view: the
@@ -435,10 +433,10 @@ class TestDense:
         + ("" if shape is None else "-{}-rows-{}x{}".format(*shape))
         for norm, relu, shape in VIEW_CASES])
     def test_two_views_equal_one_call_per_view(self, norm, relu, shape):
-        # One call over both views stacked against one call per view, each
-        # view its own input tensor: the output and dx are the per-view
-        # ones stacked, and every parameter gradient is the per-view sum
-        # the tape accumulates, bit for bit.
+        # One call over the (2, n, C) stack of both views against one call
+        # per view, each view its own input tensor: the output and dx are
+        # the per-view ones stacked, and every parameter gradient is the
+        # per-view sum the tape accumulates, bit for bit.
         norm = self.VIEW_NORMS[norm]
         n, *widths = shape or (self.rows(norm),)
         x, weight, bias, gamma, beta, w = self.inputs(2 * n, True, *widths)
@@ -447,17 +445,18 @@ class TestDense:
 
         def run(stacked: bool) -> tuple:
             seen = []
-            inputs = [x] if stacked else [
-                Tensor(x.values[rows].copy(), requires_grad=True)
-                for rows in halves]
+            inputs = [Tensor(x.values.reshape(2, n, -1), requires_grad=True)] \
+                if stacked else [
+                    Tensor(x.values[rows].copy(), requires_grad=True)
+                    for rows in halves]
             for t in params:
                 t.zero_grad()
             with record():
                 if stacked:
-                    ys = [engine.dense(x, weight, bias, relu,
+                    ys = [engine.dense(inputs[0], weight, bias, relu,
                                        self.view_spec(norm, None, gamma, beta,
-                                                      seen), views=2)]
-                    loss = ref.sum(ref.mul(ys[0], w))
+                                                      seen))]
+                    loss = ref.sum(ref.mul(ys[0], w.values.reshape(2, n, -1)))
                 else:
                     ys = [engine.dense(t, weight, bias, relu,
                                        self.view_spec(norm, view, gamma, beta,
@@ -467,6 +466,7 @@ class TestDense:
                         ref.sum(ref.mul(y, constant(w.values[rows])))
                         for y, rows in zip(ys, halves)))
             backward(loss)
+            # Bytes compare a (2, n, C) stack with the (2n, C) per-view rows.
             out = np.concatenate([y.values for y in ys])
             dx = np.concatenate([t.grad for t in inputs])
             grads = [None if t.grad is None else t.grad.copy()
@@ -485,11 +485,34 @@ class TestDense:
         assert (got[3] is None) == (want[3] is None)
         assert got[3] is None or got[3].tobytes() == want[3].tobytes()
 
-    def test_rows_that_do_not_split_into_views_rejected(self):
-        with pytest.raises(DimensionError, match="2 equal views"):
-            engine.dense(constant(np.zeros((5, 3))),
-                         parameter(np.zeros((3, 2))), parameter(np.zeros(2)),
-                         relu=False, views=2)
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((3,), (3, 2)), ((1, 2, 5, 3), (3, 2)), ((5, 3), (3,)),
+        ((2, 5, 3), (1, 3, 2))])
+    def test_input_neither_rows_nor_a_stack_rejected(self, x_shape, w_shape):
+        with pytest.raises(DimensionError, match="2-D or stacked 3-D"):
+            engine.dense(constant(np.zeros(x_shape)),
+                         parameter(np.zeros(w_shape)), parameter(np.zeros(2)),
+                         relu=False)
+
+    @pytest.mark.parametrize("rows", [1, 2, 6])
+    def test_given_stats_of_neither_c_nor_a_row_per_group_rejected(self,
+                                                                  rows):
+        # Two views of two groups take 4 rows of statistics, or one per
+        # channel; one row per view is not one per group.
+        x, weight, bias, gamma, beta, _ = self.inputs(8)
+        stats = (np.zeros((rows, 5)), np.ones((rows, 5)))
+        spec = engine.BNSpec(NormParams(gamma, beta), 2, stats)
+        with pytest.raises(DimensionError, match="stats of shapes"):
+            engine.dense(x.values.reshape(2, 4, 3), weight, bias, False, spec)
+
+    @pytest.mark.parametrize("length", [3, 8])
+    def test_permutation_not_of_the_rows_per_view_rejected(self, length):
+        # A stack of two 4-row views takes a permutation of 4 rows.
+        x, weight, bias, gamma, beta, _ = self.inputs(8)
+        spec = engine.BNSpec(NormParams(gamma, beta), 1,
+                             perm=np.arange(length)[::-1])
+        with pytest.raises(DimensionError, match="4 rows per view"):
+            engine.dense(x.values.reshape(2, 4, 3), weight, bias, False, spec)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="inner dimensions"):

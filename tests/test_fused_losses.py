@@ -88,8 +88,8 @@ class TestNormalizedMse:
         rng = np.random.default_rng(seed)
         p = parameter(rng.normal(size=(8, 5)))
         z = constant(rng.normal(size=(8, 5)))
-        assert_same_as_reference(lambda: byol_loss(p, z),
-                                 lambda: ref.byol_loss(p, z), [p],
+        assert_same_as_reference(lambda: byol_loss(p, z)[0],
+                                 lambda: ref.byol_loss(p, z)[0], [p],
                                  "normalized_mse")
 
     @pytest.mark.parametrize("side", ["student", "teacher", "both"])
@@ -101,10 +101,10 @@ class TestNormalizedMse:
                            if side == "both" else ()))
         z = constant(rows(rng, 6, 4, zero=z_zero, negative_zero=(5,)
                           if side == "both" else ()))
-        assert_same_as_reference(lambda: byol_loss(p, z),
-                                 lambda: ref.byol_loss(p, z), [p],
+        assert_same_as_reference(lambda: byol_loss(p, z)[0],
+                                 lambda: ref.byol_loss(p, z)[0], [p],
                                  "normalized_mse")
-        _, _, _, counted = run(lambda: byol_loss(p, z), [p])
+        _, _, _, counted = run(lambda: byol_loss(p, z)[0], [p])
         assert counted == len(p_zero) + len(z_zero) + 2 * (side == "both")
 
     def test_equal_rows_give_signed_zero_gradients(self):
@@ -114,27 +114,27 @@ class TestNormalizedMse:
         values = rng.normal(size=(4, 3))
         p = parameter(values.copy())
         z = constant(values.copy())
-        assert_same_as_reference(lambda: byol_loss(p, z),
-                                 lambda: ref.byol_loss(p, z), [p],
+        assert_same_as_reference(lambda: byol_loss(p, z)[0],
+                                 lambda: ref.byol_loss(p, z)[0], [p],
                                  "normalized_mse")
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_two_views_equal_two_terms_plus_add(self, n):
-        # One two-view call over the stacked rows against one call per view
-        # on its own tensor, summed with add; zero rows of both signs in
-        # each view.
+        # One call over the (2, n, 4) stack of both views against one call
+        # per view on its own tensor, summed with add; zero rows of both
+        # signs in each view.
         rng = np.random.default_rng(n)
         p_values = rows(rng, 2 * n, 4, zero=(1,), negative_zero=(n + 2,))
         z = rows(rng, 2 * n, 4, zero=(n,), negative_zero=(3,))
         for upstream in UPSTREAM:
-            p = parameter(p_values.copy())
+            p = parameter(p_values.reshape(2, n, 4).copy())
             views = [parameter(p_values[:n].copy()),
                      parameter(p_values[n:].copy())]
             with record() as tape:
-                loss, terms = engine.normalized_mse(p, z, views=2)
+                loss, terms = engine.normalized_mse(p, z.reshape(2, n, 4))
                 ops = [e.op for e in tape.entries]
             with record() as want_tape:
-                want_terms = [engine.normalized_mse(v, z[rows])
+                want_terms = [engine.normalized_mse(v, z[rows])[0]
                               for v, rows in zip(views, (slice(0, n),
                                                          slice(n, None)))]
                 want = engine.add(*want_terms)
@@ -147,14 +147,15 @@ class TestNormalizedMse:
                 assert_bits_equal(term, want_term.values)
             backward(loss, seed=np.full((), upstream))
             backward(want, seed=np.full((), upstream))
-            assert_bits_equal(p.grad, np.concatenate([v.grad for v in views]))
+            assert_bits_equal(p.grad, np.stack([v.grad for v in views]))
 
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(3)
         p = constant(rows(rng, 5, 3, zero=(0,)))
         z = constant(rng.normal(size=(5, 3)))
-        value, _, ops, counted = run(lambda: byol_loss(p, z), [])
-        want, _, want_ops, want_counted = run(lambda: ref.byol_loss(p, z), [])
+        value, _, ops, counted = run(lambda: byol_loss(p, z)[0], [])
+        want, _, want_ops, want_counted = run(
+            lambda: ref.byol_loss(p, z)[0], [])
         assert ops == want_ops == []
         assert_bits_equal(value, want)
         assert counted == want_counted == 1

@@ -365,6 +365,6 @@ class TestLoadTeacher:
 
         train_side = forward_mlp(pair.t_encoder, engine.constant(x),
                                  teacher_norm(pair.history, "momentum", 0.0,
-                                              len(x)))
+                                              pair.history.record_rows(1)))
         assert train_side.values.tobytes() \
             == extract_features(payload, x).tobytes()

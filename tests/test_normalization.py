@@ -6,8 +6,6 @@ through :func:`m2t.model.teacher_norm` on :func:`m2t.engine.dense`
 (``layer_bn``).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,9 +289,10 @@ class TestShufflingBn:
         x = constant(rng.normal(size=(12, 3)))
         p = identity_norm_params(3)
         layer = teacher_layer(p)
-        spec = teacher_norm(new_history(3), "shuffling", 1.0, 12, 3, 0)(layer)
-        got = engine.dense(x, layer.weight, layer.bias, False,
-                           replace(spec, perm=np.arange(12)))
+        history = new_history(3)
+        spec = teacher_norm(history, "shuffling", 1.0, history.record_rows(1),
+                            3, np.arange(12))(layer)
+        got = engine.dense(x, layer.weight, layer.bias, False, spec)
         want = layer_bn(x, "plain", 1.0, p, 3)
         assert got.values.tobytes() == want.values.tobytes()
 

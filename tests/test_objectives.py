@@ -26,23 +26,23 @@ class TestByolLoss:
     def test_aligned_vectors_give_zero(self):
         p = constant([[1.0, 2.0], [0.5, 0.5]])
         z = constant([[2.0, 4.0], [1.0, 1.0]])
-        assert byol_loss(p, z).item() == pytest.approx(0.0, abs=1e-12)
+        assert byol_loss(p, z)[0].item() == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_vectors_give_four(self):
         p = constant([[1.0, 0.0]])
         z = constant([[-3.0, 0.0]])
-        assert byol_loss(p, z).item() == pytest.approx(4.0, abs=1e-12)
+        assert byol_loss(p, z)[0].item() == pytest.approx(4.0, abs=1e-12)
 
     def test_orthogonal_vectors_give_two(self):
         p = constant([[1.0, 0.0]])
         z = constant([[0.0, 5.0]])
-        assert byol_loss(p, z).item() == pytest.approx(2.0, abs=1e-12)
+        assert byol_loss(p, z)[0].item() == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_norm_row_guarded_and_counted(self):
         p = constant([[0.0, 0.0], [1.0, 0.0]])
         z = constant([[1.0, 0.0], [1.0, 0.0]])
         with record() as tape:
-            loss = byol_loss(p, z)
+            loss, _ = byol_loss(p, z)
         assert np.isfinite(loss.item())
         assert tape.zero_norm_rows == 1
 
@@ -52,11 +52,11 @@ class TestByolLoss:
     def test_range_and_positive_rescaling_invariance(self, vec, c):
         p_vals = np.array(vec).reshape(2, 2) + 0.1  # keep away from zero rows
         z_vals = np.array([[1.0, -0.5], [0.3, 2.0]])
-        base = byol_loss(constant(p_vals), constant(z_vals)).item()
+        base = byol_loss(constant(p_vals), constant(z_vals))[0].item()
         assert -1e-12 <= base <= 4.0 + 1e-12
-        scaled = byol_loss(constant(c * p_vals), constant(z_vals)).item()
+        scaled = byol_loss(constant(c * p_vals), constant(z_vals))[0].item()
         assert scaled == pytest.approx(base, abs=1e-9)
-        scaled_z = byol_loss(constant(p_vals), constant(c * z_vals)).item()
+        scaled_z = byol_loss(constant(p_vals), constant(c * z_vals))[0].item()
         assert scaled_z == pytest.approx(base, abs=1e-9)
 
     def test_gradient_only_into_student_branch(self):
@@ -64,7 +64,7 @@ class TestByolLoss:
         p = parameter(rng.normal(size=(4, 3)))
         z = parameter(rng.normal(size=(4, 3)))  # stands in for teacher output
         with record():
-            loss = byol_loss(p, z)
+            loss, _ = byol_loss(p, z)
         backward(loss)
         assert p.grad is not None
         assert z.grad is None  # detached inside the loss
@@ -73,7 +73,8 @@ class TestByolLoss:
         rng = np.random.default_rng(1)
         p = parameter(rng.normal(size=(5, 4)))
         z = constant(rng.normal(size=(5, 4)))
-        report = engine.finite_diff_check(lambda: byol_loss(p, z), [("p", p)])
+        report = engine.finite_diff_check(lambda: byol_loss(p, z)[0],
+                                          [("p", p)])
         assert report.passed, report.per_block
 
 

@@ -96,7 +96,8 @@ def test_entries_taken_before_backward_survive_it():
     engine = module("engine")
     x = engine.parameter([[1.0, 2.0]])
     with engine.record():
-        loss = engine.normalized_mse(engine.add(x, x), np.array([[2.0, 1.0]]))
+        loss, _ = engine.normalized_mse(engine.add(x, x),
+                                        np.array([[2.0, 1.0]]))
     entries = loss._tape.entries
     engine.backward(loss)
     assert [e.op for e in entries] == ["add", "normalized_mse"]

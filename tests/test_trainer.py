@@ -1,5 +1,6 @@
 import gc
 import importlib
+import inspect
 import itertools
 import os
 import pkgutil
@@ -196,6 +197,22 @@ class TestTrainStep:
         with pytest.raises(NanLossError) as exc:
             trainer.train_step(trainer.dataset.samples[:16], k=0)
         assert np.isnan(exc.value.diagnostic.loss)
+
+    @pytest.mark.parametrize("mode", ["byol_m2t", "moco"])
+    def test_step_after_a_failed_step_equals_a_fresh_step(self, mode):
+        # The failed step's teacher pass recorded pending statistics that no
+        # commit took; the next step, on another batch, must not find them.
+        cfg = small_config(mode=mode, queue_capacity=32)
+        trainer = Trainer(cfg)
+        batch, failing = np.split(trainer.dataset.samples[:32], 2)
+        weight = trainer.pair.encoder.layers[0].weight.values
+        kept = weight[0, 0]
+        weight[0, 0] = np.nan
+        with pytest.raises(NanLossError):
+            trainer.train_step(failing, k=0)
+        weight[0, 0] = kept
+        assert trainer.train_step(batch, k=0) \
+            == Trainer(cfg).train_step(batch, k=0)
 
 
 class TestRunTraining:
@@ -409,6 +426,28 @@ def test_no_module_holds_an_m2t_object():
         held += [f"{info.name}.{name}" for name, value in vars(module).items()
                  if type(value).__module__.split(".")[0] == "m2t"]
     assert held == []
+
+
+def test_no_public_function_takes_views():
+    """A pass over stacked views reads the view count from its input's
+    shape, so no public function or method of the modules that run one
+    takes it as a parameter."""
+    takers = []
+    for name in ("engine", "model", "objectives", "normalization"):
+        module = importlib.import_module(f"m2t.{name}")
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) \
+                    != module.__name__:
+                continue
+            if inspect.isclass(value):
+                members = [(f"{attr}.{m}", f) for m, f in inspect.getmembers(
+                    value, inspect.isfunction)
+                    if not m.startswith("_") or m == "__init__"]
+            else:
+                members = [(attr, value)] if inspect.isfunction(value) else []
+            takers += [f"m2t.{name}.{qual}" for qual, f in members
+                       if "views" in inspect.signature(f).parameters]
+    assert takers == []
 
 
 def zero_key_trainer(**overrides) -> Trainer:

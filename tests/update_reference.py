@@ -118,11 +118,11 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
     ``v2``'s statistics pending first."""
     _, p_v = forward_student(pair, v, workers)
     t_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
-    term1 = byol_loss(p_v, t_v2)
+    term1 = byol_loss(p_v, t_v2)[0]
 
     _, p_v2 = forward_student(pair, v2, workers)
     t_v = forward_teacher(pair, v, alpha, workers, perm_seed)
-    term2 = byol_loss(p_v2, t_v)
+    term2 = byol_loss(p_v2, t_v)[0]
 
     return LossValue(loss=engine.add(term1, term2), term_student_v=term1,
                      term_student_v2=term2)
