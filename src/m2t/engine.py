@@ -1,35 +1,31 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Fused float64 ops, each returning its output and its backward.
 
-The engine is deliberately small: 2-D (and 1-D / scalar) arrays, or a
-``(V, B, C)`` stack of views, a recording tape, and six ops: the five fused
-ones a run records and :func:`add`, which the gradient checks sum their
-variants with. An MLP layer is one fused op, :func:`dense` (matmul, bias,
-optional BN, optional ReLU); :func:`batch_norm` is BN alone (the linear
-probe's). Both run the same BN arithmetic. Each loss is one fused op too:
-:func:`normalized_mse`, :func:`info_nce` and :func:`cross_entropy`.
-:func:`dense` and :func:`normalized_mse` also take a stack of views, the
-views on the leading axis, and equal one call per view bit for bit. The
-generic ops the fused ones stand for (matmul, mean, var, sqrt, exp, log and
-the rest) are not part of the program; they live in the tests as the
-oracle that the fused ops equal bit for bit. Everything is double precision
-so that gradient checks and statistics-equivalence tests have numerical
-headroom.
+The engine is deliberately small: 2-D arrays of rows, or a ``(V, B, C)``
+stack of views, and the five fused ops a run executes. An MLP layer is one
+op, :func:`dense` (matmul, bias, optional BN, optional ReLU);
+:func:`batch_norm` is BN alone (the linear probe's). Both run the same BN
+arithmetic. Each loss is one op too: :func:`normalized_mse`,
+:func:`info_nce` and :func:`cross_entropy`. :func:`dense` and
+:func:`normalized_mse` also take a stack of views, the views on the leading
+axis, and equal one call per view bit for bit. The generic ops the fused
+ones stand for (matmul, add, mean, var, sqrt, exp, log and the rest), and
+the reverse-mode tape that composes them, are not part of the program;
+they live in the tests as the oracle that the fused ops equal bit for bit.
+Everything is double precision so that gradient checks and
+statistics-equivalence tests have numerical headroom.
 
-Gradients are recorded on an explicit :class:`Tape`. Operations record
-themselves only while a tape is active (see :func:`record`) and only when at
-least one input participates in gradients; everything else evaluates to a
-constant. Backward replays the tape in reverse recording order, accumulating
-gradients additively, so reusing a tensor twice yields the sum of per-use
-gradients. It then drops the tape's entries, so a finished iteration is
-freed by reference counting alone; a tape is swept once.
+Each op takes arrays and returns ``(out, backward)``: ``backward`` is a
+closure over what the forward kept, mapping the output's gradient to the
+gradients of the op's inputs. Only the student back-propagates, and its
+pass is a fixed chain in which each activation is consumed once, so the
+caller runs the closures in reverse (:func:`m2t.model.forward_mlp`) and
+hands each input gradient straight to the op below. A forward-only caller
+(the teacher, inference) drops them. Nothing is recorded anywhere: a
+pass's activations live exactly as long as its closures.
 
-The tape also counts the zero-norm rows :func:`unit_rows` meets, for the
-run that owns it: the engine keeps no counter, so runs share none.
-
-:func:`add` broadcasts by numpy's right-aligned rule restricted to
-singleton expansion: shapes are aligned on their trailing axes and an axis
-may differ between operands only when one side is 1 (or absent). The
-matching backward pass sums gradients over the expanded axes.
+The losses also return the zero-norm rows :func:`unit_rows` met, for the
+run that owns them to count: the engine keeps no counter, so runs share
+none.
 """
 
 from __future__ import annotations
@@ -46,20 +42,16 @@ class DimensionError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array with optional gradient participation.
+    """One parameter block: its float64 ``values`` and ``grad``, the array
+    a backward adds the block's gradient into (None until
+    :meth:`m2t.model.Arena.zero_grads` binds it to a view of its arena's
+    gradient vector)."""
 
-    ``grad`` is filled by :func:`backward` and is only ever allocated for
-    tensors with ``requires_grad=True``. Tensors that do not participate in
-    gradients are treated as immutable constants.
-    """
+    __slots__ = ("values", "grad")
 
-    __slots__ = ("values", "requires_grad", "grad", "_tape")
-
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._tape: Optional["Tape"] = None
 
     @property
     def shape(self) -> tuple:
@@ -68,104 +60,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise DimensionError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
-
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
-
-
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-@dataclass
-class _Entry:
-    op: str
-    inputs: tuple
-    output: Tensor
-    backward: Callable[[np.ndarray], tuple]
-
-
-class Tape:
-    """Ordered record of operations for one reverse-mode sweep, and the
-    zero-norm rows :func:`unit_rows` met while it was active."""
-
-    def __init__(self):
-        self.entries: list[_Entry] = []
-        self.zero_norm_rows = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-_TAPE_STACK: list[Tape] = []
-
-
-class record:
-    """Context manager that activates a fresh (or given) tape.
-
-    All gradient-participating operations performed inside the ``with`` block
-    are recorded. Nesting pushes/pops a stack; only the innermost tape
-    records.
-    """
-
-    def __init__(self, tape: Optional[Tape] = None):
-        self.tape = tape if tape is not None else Tape()
-
-    def __enter__(self) -> Tape:
-        _TAPE_STACK.append(self.tape)
-        return self.tape
-
-    def __exit__(self, *exc) -> None:
-        _TAPE_STACK.pop()
-
-
-def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
-def _emit(op: str, inputs: Sequence[Tensor], out_values: np.ndarray,
-          backward: Callable[[np.ndarray], tuple]) -> Tensor:
-    tape = active_tape()
-    track = tape is not None and any(i.requires_grad for i in inputs)
-    out = Tensor(out_values, requires_grad=track)
-    if track:
-        out._tape = tape
-        tape.entries.append(_Entry(op, tuple(inputs), out, backward))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# broadcasting
-
-
-def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
-    """Right-aligned broadcast shape; only singleton axes may expand."""
-    out = []
-    for i in range(1, max(len(sa), len(sb)) + 1):
-        a = sa[-i] if i <= len(sa) else 1
-        b = sb[-i] if i <= len(sb) else 1
-        if a == b or a == 1 or b == 1:
-            out.append(max(a, b))
-        else:
-            raise DimensionError(f"cannot broadcast shapes {sa} and {sb}")
-    return tuple(reversed(out))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -178,29 +72,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# ---------------------------------------------------------------------------
-# add, and the checks and masks the fused ops share
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-    out = a.values + b.values
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _emit("add", (a, b), out, bw)
-
-
 def _relu_grad_mask(values: np.ndarray) -> np.ndarray:
     # Subgradient convention: exactly-zero inputs pass no gradient. A bool
     # mask multiplies as 1.0/0.0 without a float copy of it.
     return values > 0.0
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.values.ndim not in (2, 3) or b.values.ndim != 2:
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim not in (2, 3) or b.ndim != 2:
         raise DimensionError(
             f"matmul expects a 2-D or stacked 3-D input and a 2-D weight, "
             f"got {a.shape} and {b.shape}")
@@ -212,9 +91,9 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 def _sum_views(per_view: np.ndarray, stacked: bool) -> np.ndarray:
     """A parameter gradient of a pass over stacked views, given per view on
     the leading axis, summed across the views last view first: the order in
-    which the tape adds the gradients of one call per view (the last call's
-    reached the zeroed input first). One unstacked view's is returned as
-    is."""
+    which one call per view, run backward in reverse, adds its gradient
+    into the parameter's (the last call's comes first). One unstacked
+    view's is returned as is."""
     return reduce(np.add, per_view[::-1]) if stacked else per_view
 
 
@@ -226,8 +105,8 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         eps: float, stats: Optional[tuple], owned: bool = False) -> tuple:
     """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
     array or a (V, B, C) stack of views: ``(out, backward)``, with
-    ``backward(g, need_dx, owned=False)`` giving ``(dx or None, dgamma,
-    dbeta)``.
+    ``backward(g, need_dx=True, owned=False)`` giving ``(dx or None,
+    dgamma, dbeta)``.
 
     Each view splits into ``groups`` equal row groups, so a stack has V x
     ``groups`` of them and no group straddles two views. Each elementwise
@@ -274,7 +153,8 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
     out = np.multiply(gamma, xhat, out=out)
     out += beta
 
-    def backward(g: np.ndarray, need_dx: bool, owned: bool = False) -> tuple:
+    def backward(g: np.ndarray, need_dx: bool = True,
+                 owned: bool = False) -> tuple:
         g3 = g.reshape(xhat.shape)
         # One scratch array holds g * xhat, then g_hat * xhat, then
         # xhat * mean(g_hat * xhat).
@@ -297,8 +177,9 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
     return out.reshape(shape), backward
 
 
-def batch_norm(x, groups: int, gamma, beta, eps: float,
-               stats: Optional[tuple] = None) -> Tensor:
+def batch_norm(x: np.ndarray, groups: int, gamma: np.ndarray,
+               beta: np.ndarray, eps: float,
+               stats: Optional[tuple] = None) -> tuple:
     """gamma * (x - mean) / sqrt(var + eps) + beta over equal row groups.
 
     The (B, C) batch splits into ``groups`` contiguous blocks, each
@@ -306,19 +187,16 @@ def batch_norm(x, groups: int, gamma, beta, eps: float,
     of the composed ``mean`` and ``var``, so results match the composed ops
     bit for bit) or with the given constants ``stats = (mean, var)``: one
     per channel, shape (C,), or one row per group, shape (groups, C).
-    One tape entry with the closed-form backward: with inv = 1/sqrt(var +
+    Returns ``(out, backward)``; ``backward(g, need_dx=True)`` gives
+    ``(dx or None, dgamma, dbeta)`` in closed form: with inv = 1/sqrt(var +
     eps) and g_hat = g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat *
     mean(g_hat * xhat)) per group, or inv * g_hat for given stats. Neither
     ``x`` nor the upstream gradient is written.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.values.ndim != 2:
+    if x.ndim != 2:
         raise DimensionError(
             f"batch_norm expects batch x channels, got shape {x.shape}")
-    out, bn_backward = _bn(x.values, groups, gamma.values, beta.values, eps,
-                           stats)
-    return _emit("batch_norm", (x, gamma, beta), out,
-                 lambda g: bn_backward(g, x.requires_grad))
+    return _bn(x, groups, gamma, beta, eps, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +207,11 @@ def batch_norm(x, groups: int, gamma, beta, eps: float,
 class BNSpec:
     """How :func:`dense` batch-normalizes its layer.
 
-    ``params`` holds the affine ``gamma``/``beta`` tensors and ``eps`` (a
-    :class:`m2t.normalization.NormParams`). The rows of each view split
-    into ``groups`` equal blocks normalized with their own statistics, as
-    in :func:`batch_norm`, unless ``stats`` gives ``(mean, var)``
-    constants, per channel or one row per group of every view (V x
+    ``params`` holds the affine ``gamma``/``beta`` parameter tensors and
+    ``eps`` (a :class:`m2t.normalization.NormParams`). The rows of each
+    view split into ``groups`` equal blocks normalized with their own
+    statistics, as in :func:`batch_norm`, unless ``stats`` gives ``(mean,
+    var)`` constants, per channel or one row per group of every view (V x
     ``groups`` rows, view by view). ``stats`` may also be a function of the
     pre-BN activations (rows in their original order, every view) that
     returns such a pair, or None for batch statistics, and may record them
@@ -349,34 +227,33 @@ class BNSpec:
     perm: Optional[np.ndarray] = None
 
 
-def dense(x, weight: Tensor, bias: Tensor, relu: bool,
-          norm: Optional[BNSpec] = None) -> Tensor:
-    """One MLP layer, ``relu(bn(x @ weight + bias))``, as one tape entry.
+def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool,
+          norm: Optional[BNSpec] = None) -> tuple:
+    """One MLP layer, ``relu(bn(x @ weight + bias))``: ``(out, backward)``.
 
     BN runs when ``norm`` is given and ReLU when ``relu`` is set. Forward
     and backward are the numpy expressions of the composed ``matmul``,
-    :func:`add`, :func:`batch_norm` (with row gathers around it under
-    ``perm``) and ``relu``, in that order, so the output and every gradient
-    equal those of the composed ops bit for bit. The backward returns no
-    gradient for ``x`` when ``x`` does not require one (a first layer's
-    input is data). BN normalizes in the layer's own pre-BN buffer, and
-    the backward scales only gradients it copied itself, so no input, no
+    ``add``, :func:`batch_norm` (with row gathers around it under ``perm``)
+    and ``relu``, in that order, so the output and every gradient equal
+    those of the composed ops bit for bit. ``backward(g, need_dx=True)``
+    gives ``(dx or None, dweight, dbias)``, followed by ``(dgamma, dbeta)``
+    under BN; a first layer's input is data, and its caller asks for no
+    ``dx``. BN normalizes in the layer's own pre-BN buffer, and the
+    backward scales only gradients it copied itself, so no input, no
     upstream gradient and no given statistic is written.
 
     ``x`` is (B, C) rows of one view or a (V, B, C) stack of views, and a
     stack equals one call per view bit for bit: ``np.matmul`` runs one
     product per view (one product over the stacked rows can round
     differently), and the parameter gradients are per-view sums, added as
-    the tape adds those of separate calls (:func:`_sum_views`). Bias, BN
-    and ReLU run once over every view; BN normalizes each view apart.
+    the backwards of separate calls would add them (:func:`_sum_views`).
+    Bias, BN and ReLU run once over every view; BN normalizes each view
+    apart.
     """
-    x = as_tensor(x)
     _check_matmul(x, weight)
-    x_values, w_values = x.values, weight.values
-    stacked = x_values.ndim == 3
-    h = np.matmul(x_values, w_values)
-    h += bias.values
-    inputs = (x, weight, bias)
+    stacked = x.ndim == 3
+    h = np.matmul(x, weight)
+    h += bias
     bn_backward = perm = None
     if norm is not None:
         p, perm = norm.params, norm.perm
@@ -384,7 +261,6 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
             raise DimensionError(
                 f"row permutation of shape {perm.shape} for {h.shape[-2]} "
                 f"rows per view")
-        inputs += (p.gamma, p.beta)
         stats = norm.stats(h) if callable(norm.stats) else norm.stats
         if perm is not None:
             h = h.take(perm, axis=-2)
@@ -398,8 +274,8 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
     if relu:
         np.maximum(h, 0.0, out=h)
 
-    def bw(g):
-        # g is the tape's until the mask or the gather gives a fresh copy,
+    def backward(g: np.ndarray, need_dx: bool = True) -> tuple:
+        # g is the caller's until the mask or the gather gives a fresh copy,
         # which the BN backward may then scale in place.
         owned = relu or perm is not None
         if relu:
@@ -412,26 +288,28 @@ def dense(x, weight: Tensor, bias: Tensor, relu: bool,
             if perm is not None:
                 g = g.take(inv, axis=-2)
             bn_grads = (dgamma, dbeta)
-        dx = np.matmul(g, w_values.T) if x.requires_grad else None
-        dw = np.matmul(x_values.swapaxes(-1, -2), g)
+        dx = np.matmul(g, weight.T) if need_dx else None
+        dw = np.matmul(x.swapaxes(-1, -2), g)
         return (dx, _sum_views(dw, stacked),
                 _sum_views(np.add.reduce(g, axis=-2), stacked)) + bn_grads
 
-    return _emit("dense", inputs, h, bw)
+    return h, backward
 
 
 # ---------------------------------------------------------------------------
 # fused losses
 #
-# Each loss is one tape entry whose forward runs the numpy expressions of
-# the composed ops it stands for, in their order, and whose backward replays
-# their backward expressions in reverse tape order, so the value and the
+# Each loss returns its value and a backward that maps the loss's gradient
+# to its one differentiable input's. The forward runs the numpy expressions
+# of the composed ops it stands for, in their order, and the backward
+# replays their backward expressions in reverse order, so the value and the
 # input's gradient equal the composed ops' bit for bit when the loss is its
 # input's only consumer (as in every loss here). The composed backward adds
 # each intermediate's first gradient to fresh zeros, which can only turn a
-# -0 into +0. That step is left out: no expression divides by a gradient,
-# so the sign of a zero cannot reach a nonzero value, and :func:`backward`
-# adds the input's gradient to fresh zeros itself.
+# -0 into +0. That step is left out, here and along the chain the gradient
+# then takes: no expression divides by a gradient, so the sign of a zero
+# cannot reach a nonzero value, and each parameter gradient is added into
+# a zeroed arena view at the end.
 
 #: Row norms are sqrt(|x|^2 + NORM_GUARD^2): rows of ordinary magnitude
 #: normalize exactly in double precision, zero rows map to zero vectors
@@ -441,16 +319,13 @@ _GUARD_SQ = NORM_GUARD * NORM_GUARD
 
 
 def unit_rows(x: np.ndarray) -> tuple:
-    """``(x / r, r)`` for a 2-D array or a stack of them and its guarded
-    row norms ``r`` (a column, the last axis kept); zero rows are counted
-    on the active tape, if there is one."""
+    """``(x / r, r, zero_rows)`` for a 2-D array or a stack of them: its
+    guarded row norms ``r`` (a column, the last axis kept) and the count of
+    its zero rows."""
     sq = (x * x).sum(axis=-1, keepdims=True)
-    tape = active_tape()
-    if tape is not None:
-        tape.zero_norm_rows += int(np.count_nonzero(sq == 0.0))
     r = np.sqrt(sq + _GUARD_SQ)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return x / r, r
+        return x / r, r, int(np.count_nonzero(sq == 0.0))
 
 
 def _unit_rows_grad(g_hat: np.ndarray, x: np.ndarray,
@@ -463,47 +338,49 @@ def _unit_rows_grad(g_hat: np.ndarray, x: np.ndarray,
     return (g_hat / r + t) + t
 
 
-def normalized_mse(p, z: np.ndarray) -> tuple:
+def normalized_mse(p: np.ndarray, z: np.ndarray) -> tuple:
     """BYOL's loss: the batch mean of ``|p_hat - z_hat|^2 = 2 - 2 cos(p, z)``
     over unit rows (:func:`unit_rows`) of the prediction ``p`` and the
-    target ``z``, which is a gradient constant. One tape entry; equals
-    ``mean(sum(d * d, axis=1))`` with ``d`` built from mul, sum, add, sqrt,
-    div and sub.
+    target ``z``, which is a gradient constant. Equals ``mean(sum(d * d,
+    axis=1))`` with ``d`` built from mul, sum, add, sqrt, div and sub.
 
     ``p`` and ``z`` are (B, C) rows of one view or a (V, B, C) stack of
     views, each row of ``p`` paired with the same row of ``z``. Returns
-    ``(loss, terms)``: ``terms`` holds each view's mean, and ``loss`` is
-    their sum, equal in value and gradient to one call per view summed
-    with :func:`add`, bit for bit."""
-    p = as_tensor(p)
-    p_hat, r = unit_rows(p.values)
-    d = p_hat - unit_rows(z)[0]
+    ``(loss, backward, terms, zero_rows)``: ``terms`` holds each view's
+    mean and ``loss`` is their sum, equal in value and gradient to one call
+    per view summed with the composed ``add``, bit for bit;
+    ``backward(g)`` gives the gradient for ``p``; ``zero_rows`` counts the
+    zero rows of ``p`` and ``z``."""
+    p_hat, r, zero_p = unit_rows(p)
+    z_hat, _, zero_z = unit_rows(z)
+    d = p_hat - z_hat
     rows = (d * d).sum(axis=-1)
     n = rows.shape[-1]
     terms = tuple(np.asarray(m) for m in rows.reshape(-1, n).mean(axis=1))
 
-    def bw(g):
+    def backward(g):
         if len(terms) > 1:
-            g = g + 0.0  # add's backward, then the tape's 0.0 + g per term
+            g = g + 0.0  # add's backward, then 0.0 + g into each term
         t = g / n * d                                   # mean; sum
-        return (_unit_rows_grad(t + t, p.values, r),)   # mul; sub
+        return _unit_rows_grad(t + t, p, r)             # mul; sub
 
     total = terms[0]
     for term in terms[1:]:
         total = total + term                            # add
-    return _emit("normalized_mse", (p,), np.asarray(total), bw), terms
+    return np.asarray(total), backward, terms, zero_p + zero_z
 
 
-def info_nce(q, k_hat: np.ndarray, negs: np.ndarray,
-             temperature: float) -> Tensor:
+def info_nce(q: np.ndarray, k_hat: np.ndarray, negs: np.ndarray,
+             temperature: float) -> tuple:
     """InfoNCE: the batch mean of ``log(exp(l_pos / t) + sum(exp(l_neg / t)))
     - l_pos / t`` with cosine logits ``l_pos = <q_hat, k_hat>`` against the
     unit positive keys ``k_hat`` and ``l_neg = q_hat @ negs.T`` against the
-    unit negative rows ``negs`` (none when it has no rows). Only ``q`` gets
-    a gradient. The logits are bounded by 1/t, so the softmax needs no
-    max-shift in double precision. One tape entry."""
-    q = as_tensor(q)
-    q_hat, r = unit_rows(q.values)
+    unit negative rows ``negs`` (none when it has no rows). The logits are
+    bounded by 1/t, so the softmax needs no max-shift in double precision.
+    Returns ``(loss, backward, zero_rows)``: ``backward(g)`` gives the
+    gradient for ``q``, the only input that gets one, and ``zero_rows``
+    counts the zero rows of ``q``."""
+    q_hat, r, zero_rows = unit_rows(q)
     l_pos = (q_hat * k_hat).sum(axis=1, keepdims=True)
     a_pos = l_pos / temperature
     exp_pos = np.exp(a_pos)
@@ -516,7 +393,7 @@ def info_nce(q, k_hat: np.ndarray, negs: np.ndarray,
     diff = log_denom - a_pos
     n = diff.size
 
-    def bw(g):
+    def backward(g):
         g_diff = g / n                                  # mean
         g_lpos = -g_diff / temperature                  # sub; div
         g_denom = g_diff / denom                        # log
@@ -524,19 +401,19 @@ def info_nce(q, k_hat: np.ndarray, negs: np.ndarray,
         g_q_hat = g_lpos * k_hat                        # sum; mul
         if len(negs):                                   # sum; exp; div; matmul
             g_q_hat = g_denom * e_neg / temperature @ negs + g_q_hat
-        return (_unit_rows_grad(g_q_hat, q.values, r),)
+        return _unit_rows_grad(g_q_hat, q, r)
 
-    return _emit("info_nce", (q,), np.asarray(diff.mean()), bw)
+    return np.asarray(diff.mean()), backward, zero_rows
 
 
-def cross_entropy(logits, onehot: np.ndarray) -> Tensor:
+def cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> tuple:
     """Softmax cross-entropy, the batch mean of ``logsumexp(logits) -
-    <logits, onehot>``, shifted by the detached row max (the softmax is
-    invariant to it). One tape entry; equals the composed sub, exp, sum,
-    log, mul, sum, sub and mean."""
-    logits = as_tensor(logits)
+    <logits, onehot>``, shifted by the row max (the softmax is invariant to
+    it). Equals the composed sub, exp, sum, log, mul, sum, sub and mean.
+    Returns ``(loss, backward)``; ``backward(g)`` gives the gradient for
+    ``logits``."""
     onehot = np.asarray(onehot, dtype=np.float64)
-    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     sum_e = e.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -544,60 +421,12 @@ def cross_entropy(logits, onehot: np.ndarray) -> Tensor:
     diff = log_sum_e - (shifted * onehot).sum(axis=1, keepdims=True)
     n = diff.size
 
-    def bw(g):
+    def backward(g):
         g_diff = g / n                                  # mean
         g_true = -g_diff * onehot                       # sub; sum; mul
-        return (g_true + g_diff / sum_e * e,)           # log; sum; exp
+        return g_true + g_diff / sum_e * e              # log; sum; exp
 
-    return _emit("cross_entropy", (logits,), np.asarray(diff.mean()), bw)
-
-
-# ---------------------------------------------------------------------------
-# backward
-
-
-def backward(loss: Tensor, seed: Optional[np.ndarray] = None) -> None:
-    """Fill ``grad`` on every gradient-participating tensor reachable from
-    ``loss``, a tensor recorded on a tape. ``seed`` is the upstream
-    gradient of ``loss``, in its shape; it defaults to ones for a scalar
-    and is required for any other output."""
-    if seed is None:
-        if loss.values.size != 1:
-            raise DimensionError(
-                f"backward on non-scalar tensor of shape {loss.shape} "
-                "needs a seed")
-        seed = 1.0
-    elif np.shape(seed) != loss.shape:
-        raise DimensionError(
-            f"seed of shape {np.shape(seed)} for an output of shape "
-            f"{loss.shape}")
-    tape = loss._tape
-    if tape is None:
-        raise ValueError("backward on a tensor that is not on any tape")
-    if not tape.entries:
-        raise ValueError("backward over a tape that an earlier backward "
-                         "already swept")
-    # The seed is the output's first gradient and is written like any other.
-    loss.grad = np.add(seed, 0.0, out=np.empty_like(loss.values))
-    for entry in reversed(tape.entries):
-        g = entry.output.grad
-        if g is None:
-            continue
-        contributions = entry.backward(g)
-        for inp, contrib in zip(entry.inputs, contributions):
-            if contrib is None or not inp.requires_grad:
-                continue
-            if inp.grad is None:
-                # 0.0 + c in one pass: what zeros + c gave, -0 included,
-                # broadcast into the input's shape.
-                inp.grad = np.add(contrib, 0.0,
-                                  out=np.empty_like(inp.values))
-            else:
-                inp.grad += contrib
-    # Each output holds its tape and the entries hold the outputs, so the
-    # recorded iteration is a reference cycle until the entries go. Rebind
-    # instead of clearing: a caller may still read the list it took before.
-    tape.entries = []
+    return np.asarray(diff.mean()), backward
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +435,8 @@ def backward(loss: Tensor, seed: Optional[np.ndarray] = None) -> None:
 
 @dataclass
 class GradCheckReport:
-    """Per-block maximum relative error of autodiff vs central differences."""
+    """Per-block maximum relative error of a backward vs central
+    differences."""
 
     per_block: dict = field(default_factory=dict)
     h: float = 1e-5
@@ -627,44 +457,42 @@ class GradCheckReport:
         return np.isfinite(e) and e <= self.tol
 
 
-def finite_diff_check(f: Callable[[], Tensor],
-                      params: Sequence[tuple[str, Tensor]],
+def finite_diff_check(f: Callable[[], tuple],
+                      params: Sequence[tuple[str, np.ndarray]],
                       h: float = 1e-5,
                       tol: float = 1e-4) -> GradCheckReport:
-    """Compare the autodiff vector-Jacobian product of ``f()`` against
-    central finite differences, elementwise, for every named parameter
-    block.
+    """Compare the vector-Jacobian product of a backward against central
+    finite differences, elementwise, for every named parameter block.
 
-    ``f`` returns a tensor of any shape. The check weighs it with one fixed
-    upstream gradient ``w`` of that shape, drawn from a fixed-seed
-    generator (for a scalar too), so the autodiff side is ``backward(out,
-    seed=w)`` and the numeric side differences ``sum(f() * w)`` in numpy.
-    ``f`` must be deterministic and must rebuild its computation from the
-    parameter tensors on each call. Relative error uses the denominator
-    ``max(|analytic|, |numeric|, 1e-4)``: the floor makes exactly-zero
-    gradients (e.g. biases canceled by a following normalization) compare
-    absolutely at tol * 1e-4, comfortably above the central-difference
-    roundoff of eps * |f| / h. Non-finite entries are reported per block,
-    never raised.
+    ``f()`` returns ``(out, backward)`` for an output of any shape, and
+    ``backward(w)`` the gradient of ``sum(out * w)`` for each array of
+    ``params``, in order (None for no gradient, which compares as zeros;
+    ``ValueError`` if it gives another number of gradients).
+    The check weighs the output with one fixed upstream gradient ``w`` of
+    its shape, drawn from a fixed-seed generator (for a scalar too), and
+    differences ``sum(f()[0] * w)`` in numpy. ``f`` must be deterministic
+    and recompute from the arrays of ``params``, which the check perturbs
+    in place. Relative error uses the denominator ``max(|analytic|,
+    |numeric|, 1e-4)``: the floor makes exactly-zero gradients (e.g. biases
+    canceled by a following normalization) compare absolutely at tol *
+    1e-4, comfortably above the central-difference roundoff of eps * |f| /
+    h. Non-finite entries are reported per block, never raised.
     """
     report = GradCheckReport(h=h, tol=tol)
-    for _, p in params:
-        p.zero_grad()
-    with record():
-        out = f()
-    w = np.random.default_rng(0).uniform(-2.0, 2.0, size=out.shape)
-    if out._tape is not None:
-        backward(out, seed=w)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
-        for name, p in params
-    }
+    out, backward = f()
+    w = np.random.default_rng(0).uniform(-2.0, 2.0, size=np.shape(out))
+    grads = tuple(backward(w))
+    if len(grads) != len(params):
+        raise ValueError(f"backward gave {len(grads)} gradients for "
+                         f"{len(params)} parameter blocks")
+    analytic = [np.zeros_like(p) if g is None else np.array(g, dtype=np.float64)
+                for (_, p), g in zip(params, grads)]
 
     def weighted() -> float:
-        return float(np.sum(f().values * w))
+        return float(np.sum(f()[0] * w))
 
-    for name, p in params:
-        flat = p.values.reshape(-1)
+    for (name, p), a in zip(params, analytic):
+        flat = p.reshape(-1)
         num = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
@@ -674,7 +502,7 @@ def finite_diff_check(f: Callable[[], Tensor],
             down = weighted()
             flat[i] = orig
             num[i] = (up - down) / (2.0 * h)
-        a = analytic[name].reshape(-1)
+        a = a.reshape(-1)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(num)), 1e-4)
         err = np.abs(a - num) / denom
         report.per_block[name] = float(np.max(err)) if err.size else 0.0

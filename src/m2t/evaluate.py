@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import Tensor, backward, record
+from .engine import Tensor
 from .model import Arena, Param, forward_mlp, history_norm, load_teacher
 from .normalization import (MomentumBNState, constant_batch_stats,
                             momentum_bn_lazy_commit)
@@ -41,8 +41,7 @@ def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"samples of shape {x.shape} do not match encoder input width "
             f"{encoder.spec.in_dim}")
-    features = forward_mlp(encoder, engine.constant(x),
-                           history_norm(encoder.history)).values
+    features, _ = forward_mlp(encoder, x, history_norm(encoder.history))
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     return features
@@ -60,7 +59,7 @@ def holdout_split(n: int,
 # linear probe
 
 
-def _cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+def _cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> tuple:
     return engine.cross_entropy(logits, onehot)
 
 
@@ -76,7 +75,7 @@ class _ProbeHead:
 
     def __init__(self, dim: int, num_classes: int):
         self.arena = Arena([
-            Param(name, engine.parameter(values)) for name, values
+            Param(name, Tensor(values)) for name, values
             in (("gamma", np.ones(dim)), ("beta", np.zeros(dim)),
                 ("weight", np.zeros((dim, num_classes))),
                 ("bias", np.zeros(num_classes)))])
@@ -84,21 +83,35 @@ class _ProbeHead:
             p.tensor for p in self.arena.params)
         self.history = MomentumBNState(np.zeros(dim), np.ones(dim))
 
-    def train_logits(self, x: np.ndarray) -> Tensor:
+    def train_logits(self, x: np.ndarray) -> tuple:
+        """``(logits, backward)`` of a training batch; ``backward(g)`` adds
+        the head's gradients into its zeroed arena."""
         mean, var = constant_batch_stats(x)
         row = self.history.record_rows(1)
         self.history.pending_mean[row] = mean
         self.history.pending_var[row] = var
         momentum_bn_lazy_commit(self.history, HISTORY_MOMENTUM)
-        h = engine.batch_norm(x, 1, self.gamma, self.beta, EPS,
-                              stats=(mean, var))
-        return engine.dense(h, self.weight, self.bias, relu=False)
+        h, bn_backward = engine.batch_norm(x, 1, self.gamma.values,
+                                           self.beta.values, EPS,
+                                           stats=(mean, var))
+        logits, dense_backward = engine.dense(h, self.weight.values,
+                                              self.bias.values, relu=False)
+
+        def backward(g: np.ndarray) -> None:
+            dh, dweight, dbias = dense_backward(g)
+            self.weight.grad += dweight
+            self.bias.grad += dbias
+            _, dgamma, dbeta = bn_backward(dh, need_dx=False)
+            self.gamma.grad += dgamma
+            self.beta.grad += dbeta
+
+        return logits, backward
 
     def infer_logits(self, x: np.ndarray) -> np.ndarray:
-        h = engine.batch_norm(x, 1, self.gamma.values, self.beta.values, EPS,
-                              stats=(self.history.hist_mean,
-                                     self.history.hist_var))
-        return h.values @ self.weight.values + self.bias.values
+        h, _ = engine.batch_norm(x, 1, self.gamma.values, self.beta.values,
+                                 EPS, stats=(self.history.hist_mean,
+                                             self.history.hist_var))
+        return h @ self.weight.values + self.bias.values
 
 
 def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
@@ -135,10 +148,9 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
             # Rows gathered per step, so no copy of the training split.
             rows = train_idx[order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]]
             head.arena.zero_grads()
-            with record():
-                loss = _cross_entropy(head.train_logits(features[rows]),
-                                      onehot[labels[rows]])
-            backward(loss)
+            logits, head_backward = head.train_logits(features[rows])
+            _, loss_backward = _cross_entropy(logits, onehot[labels[rows]])
+            head_backward(loss_backward(1.0))
             sgd_step(opt, cosine_value(lr, step, total_steps))
             step += 1
     if not np.isfinite(head.arena.values).all():
@@ -166,8 +178,8 @@ def knn_eval(features_train: np.ndarray, labels_train: np.ndarray,
     if k > len(features_train):
         raise ValueError(
             f"k={k} exceeds the {len(features_train)} training points")
-    a = l2_normalize_rows(features_train).values
-    b = l2_normalize_rows(features_test).values
+    a = l2_normalize_rows(features_train)[0]
+    b = l2_normalize_rows(features_test)[0]
     sims = b @ a.T
     labels_train = np.asarray(labels_train, dtype=np.int64)
     num_classes = int(labels_train.max()) + 1

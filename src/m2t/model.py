@@ -18,7 +18,9 @@ evaluation has per-sample inference statistics.
 
 Student, teacher and frozen inference run the same layer loop,
 :func:`forward_mlp` (one fused :func:`m2t.engine.dense` op per layer), and
-differ only in the per-layer BN specs they pass. The
+differ only in the per-layer BN specs they pass. The loop returns its
+backward, the layers' closures chained in reverse; only the student runs
+it, and the teacher and inference drop it. The
 teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
 :func:`load_teacher` checks it and reads it back.
 
@@ -163,7 +165,7 @@ class Arena:
 
     def zero_grads(self) -> None:
         """Zero the gradient vector and bind each tensor's ``grad`` to its
-        view, so :func:`m2t.engine.backward` accumulates into it, after
+        view, which a backward adds the block's gradient into, after
         :meth:`check_views`."""
         self.check_views()
         self.grads.fill(0.0)
@@ -209,12 +211,12 @@ def _init_mlp(name: str, spec: MlpSpec, rng: np.random.Generator,
     for i in range(spec.n_layers):
         fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        w = engine.parameter(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-        b = engine.parameter(np.zeros(fan_out))
+        w = Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
+        b = Tensor(np.zeros(fan_out))
         norm = None
         if spec.bn[i]:
-            norm = NormParams(gamma=engine.parameter(np.ones(fan_out)),
-                              beta=engine.parameter(np.zeros(fan_out)), eps=eps)
+            norm = NormParams(gamma=Tensor(np.ones(fan_out)),
+                              beta=Tensor(np.zeros(fan_out)), eps=eps)
         layers.append(Layer(weight=w, bias=b, norm=norm, relu=spec.relu[i]))
     return Mlp(name, spec, layers)
 
@@ -224,16 +226,12 @@ def _copy_as_teacher(mlp: Mlp) -> Mlp:
     for layer in mlp.layers:
         norm = None
         if layer.norm is not None:
-            norm = NormParams(
-                gamma=Tensor(layer.norm.gamma.values.copy(), requires_grad=False),
-                beta=Tensor(layer.norm.beta.values.copy(), requires_grad=False),
-                eps=layer.norm.eps,
-            )
-        layers.append(Layer(
-            weight=Tensor(layer.weight.values.copy(), requires_grad=False),
-            bias=Tensor(layer.bias.values.copy(), requires_grad=False),
-            norm=norm, relu=layer.relu,
-        ))
+            norm = NormParams(gamma=Tensor(layer.norm.gamma.values.copy()),
+                              beta=Tensor(layer.norm.beta.values.copy()),
+                              eps=layer.norm.eps)
+        layers.append(Layer(weight=Tensor(layer.weight.values.copy()),
+                            bias=Tensor(layer.bias.values.copy()),
+                            norm=norm, relu=layer.relu))
     return Mlp("t_" + mlp.name, mlp.spec, layers)
 
 
@@ -285,11 +283,6 @@ class StudentTeacherPair:
     def student_params(self):
         return [p for m in self.student_mlps() for p in m.params()]
 
-    def ema_pairs(self) -> list[tuple[Tensor, Tensor]]:
-        """(teacher tensor, student tensor) for every mirrored weight."""
-        return [(t.tensor, s.tensor)
-                for t, s in zip(self.teacher.params, self.student.params)]
-
     def teacher_bn_layers(self) -> list[Layer]:
         """The teacher's BN layers, in the order of their history ranges."""
         return [l for m in (self.t_encoder, self.t_projector)
@@ -335,35 +328,70 @@ def build_pair(encoder_spec: MlpSpec, projector_spec: MlpSpec,
 # forwards
 
 
-def forward_mlp(mlp: Mlp, x: Tensor,
-                norm: Callable[[Layer], BNSpec]) -> Tensor:
+def _layer_params(layer: Layer) -> tuple:
+    """The layer's parameters in the order :func:`engine.dense` gives
+    their gradients."""
+    if layer.norm is None:
+        return layer.weight, layer.bias
+    return layer.weight, layer.bias, layer.norm.gamma, layer.norm.beta
+
+
+def forward_mlp(mlp: Mlp, x: np.ndarray,
+                norm: Callable[[Layer], BNSpec]) -> tuple:
     """The one MLP layer loop: one fused :func:`engine.dense` per layer over
     ``x``, (B, C) rows of one view or a (V, B, C) stack of views, with
     ``norm(layer)`` the BN spec of each BN layer. Each role (student,
-    teacher, frozen inference) differs only in the specs it passes."""
+    teacher, frozen inference) differs only in the specs it passes.
+
+    Returns ``(out, backward)``. ``backward(g, need_dx=True)`` runs the
+    layers' backwards in reverse, handing each input gradient straight to
+    the layer below, adds each parameter gradient into its tensor's
+    ``grad`` (the zeroed arena view) and returns the gradient of ``x``, or
+    None unless ``need_dx``. A forward-only caller drops it."""
+    backwards = []
     for layer in mlp.layers:
-        x = engine.dense(x, layer.weight, layer.bias, layer.relu,
-                         None if layer.norm is None else norm(layer))
-    return x
+        x, layer_backward = engine.dense(
+            x, layer.weight.values, layer.bias.values, layer.relu,
+            None if layer.norm is None else norm(layer))
+        backwards.append(layer_backward)
+
+    def backward(g: np.ndarray, need_dx: bool = True) -> Optional[np.ndarray]:
+        for i in reversed(range(len(backwards))):
+            g, *grads = backwards[i](g, need_dx or i > 0)
+            for t, grad in zip(_layer_params(mlp.layers[i]), grads):
+                t.grad += grad
+        return g
+
+    return x, backward
 
 
-def forward_student(pair: StudentTeacherPair, v,
-                    workers: int) -> tuple[Tensor, Optional[Tensor]]:
+def forward_student(pair: StudentTeacherPair, v: np.ndarray,
+                    workers: int) -> tuple:
     """Full student pass over ``v``, (B, C) rows of one view or a (V, B, C)
-    stack of views: returns (projection z, prediction p), each shaped as
-    ``v`` but for the width; p is None for a pair without predictor. Plain
-    BN normalizes each of the ``workers`` slices of each view, synced BN
-    each whole view."""
+    stack of views: returns (projection z, prediction p, backward), z and p
+    shaped as ``v`` but for the width; p is None for a pair without
+    predictor. ``backward(g)`` takes the gradient of the pass's last output
+    (p, or z without a predictor) and adds every student parameter's
+    gradient into its zeroed arena view; ``v`` is data and gets none.
+    Plain BN normalizes each of the ``workers`` slices of each view, synced
+    BN each whole view."""
     groups = workers if pair.student_bn == "plain" else 1
 
     def norm(layer: Layer) -> BNSpec:
         return BNSpec(layer.norm, groups)
 
-    z = forward_mlp(pair.encoder, v, norm)
-    z = forward_mlp(pair.projector, z, norm)
-    if pair.predictor is None:
-        return z, None
-    return z, forward_mlp(pair.predictor, z, norm)
+    h, encoder_backward = forward_mlp(pair.encoder, v, norm)
+    z, projector_backward = forward_mlp(pair.projector, h, norm)
+    p = predictor_backward = None
+    if pair.predictor is not None:
+        p, predictor_backward = forward_mlp(pair.predictor, z, norm)
+
+    def backward(g: np.ndarray) -> None:
+        if predictor_backward is not None:
+            g = predictor_backward(g)
+        encoder_backward(projector_backward(g), need_dx=False)
+
+    return z, p, backward
 
 
 def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
@@ -405,25 +433,26 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
     return norm
 
 
-def forward_teacher(pair: StudentTeacherPair, v, alpha: float,
+def forward_teacher(pair: StudentTeacherPair, v: np.ndarray, alpha: float,
                     workers: Optional[int] = None,
-                    perm_seed: Optional[int] = None) -> Tensor:
+                    perm_seed: Optional[int] = None) -> np.ndarray:
     """Teacher pass over ``v``, (B, C) rows of one view or a (V, B, C)
-    stack of views: projection z' with no gradient participation.
+    stack of views: projection z', a gradient constant (the pass's backward
+    is dropped).
 
     The pass records one pending row of ``pair.history`` per view, in
     stack order, and writes the view's statistics there; commit them once
     per iteration via :func:`commit_teacher_bn`. Shuffling BN permutes the
     rows of every view by the same seeded permutation.
     """
-    x = engine.constant(np.asarray(v.values if isinstance(v, Tensor) else v))
     history, kind = pair.history, pair.teacher_bn
-    perm = shuffle_permutation(x.shape[-2], perm_seed) \
+    perm = shuffle_permutation(v.shape[-2], perm_seed) \
         if kind == "shuffling" else None
-    rows = history.record_rows(x.shape[0] if x.values.ndim == 3 else 1)
+    rows = history.record_rows(v.shape[0] if v.ndim == 3 else 1)
     norm = teacher_norm(history, kind, alpha, rows, workers, perm)
-    x = forward_mlp(pair.t_encoder, x, norm)
-    return forward_mlp(pair.t_projector, x, norm)
+    h, _ = forward_mlp(pair.t_encoder, v, norm)
+    z, _ = forward_mlp(pair.t_projector, h, norm)
+    return z
 
 
 def history_norm(history: MomentumBNState) -> Callable[[Layer], BNSpec]:

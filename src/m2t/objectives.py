@@ -5,15 +5,16 @@ The prediction loss is the normalized mean squared error between the
 student's prediction and the teacher's projection, mean over the batch of
 ``||p_hat - z_hat||^2 = 2 - 2 cos(p, z)`` per row. Teacher outputs are
 always treated as gradient constants. Each loss term is one fused engine op
-(:func:`m2t.engine.normalized_mse`, :func:`m2t.engine.info_nce`); the
-functions here check their arguments and name the terms.
+(:func:`m2t.engine.normalized_mse`, :func:`m2t.engine.info_nce`), which
+returns its backward with its value; the functions here check their
+arguments and name the terms.
 
 The symmetrized form pairs each view's prediction with the other view's
 teacher projection and sums the two terms. The two views are the leading
 axis of one (2, B, C) array: one student pass runs over it, one teacher
 pass over it reversed and one two-view loss over both; each equals its
-per-view calls bit for bit. The prediction loss always returns the loss
-and its per-view terms. The teacher normalizes each view against the
+per-view calls bit for bit. The loss's backward is the loss op's closure
+followed by the student pass's. The teacher normalizes each view against the
 previous iteration's history; committing that history is left to the
 caller (one commit per iteration, after the pass), which is what keeps one
 view's statistics out of the other view's normalization.
@@ -22,46 +23,48 @@ view's statistics out of the other view's normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import engine
-from .engine import Tensor
 from .model import StudentTeacherPair, forward_student, forward_teacher
 
 
-def l2_normalize_rows(x) -> Tensor:
-    """Row-wise unit vectors of an array or constant tensor, as a constant
-    (:func:`m2t.engine.unit_rows`: zero-norm rows are guarded and counted).
-    A loss that back-propagates through a normalization does it inside its
-    fused op."""
-    x = engine.as_tensor(x)
-    if x.requires_grad:
-        raise ValueError("l2_normalize_rows gives gradient constants; "
-                         "got a tensor that requires grad")
-    return engine.constant(engine.unit_rows(x.values)[0])
+def l2_normalize_rows(x) -> tuple:
+    """Row-wise unit vectors of an array, as gradient constants, and the
+    count of its zero rows (:func:`m2t.engine.unit_rows`: zero-norm rows
+    are guarded). A loss that back-propagates through a normalization does
+    it inside its fused op."""
+    rows, _, zero_rows = engine.unit_rows(np.asarray(x, dtype=np.float64))
+    return rows, zero_rows
 
 
-def byol_loss(p: Tensor, z_teacher: Tensor) -> tuple:
+def byol_loss(p: np.ndarray, z_teacher: np.ndarray) -> tuple:
     """Mean over the batch of the squared distance between unit-normalized
     prediction and target rows (:func:`m2t.engine.normalized_mse`); the
-    target is detached. ``p`` is one view or a (V, B, C) stack of views;
-    returns ``(loss, terms)``: the sum of the per-view means and the
-    means."""
+    target is a gradient constant. ``p`` is one view or a (V, B, C) stack
+    of views; returns ``(loss, backward, terms, zero_rows)``: the sum of the
+    per-view means, the gradient for ``p`` of a gradient of the loss, the
+    means and the zero rows met."""
     if p.shape != z_teacher.shape:
         raise engine.DimensionError(
             f"prediction/target shapes differ: {p.shape} vs {z_teacher.shape}")
-    return engine.normalized_mse(p, z_teacher.values)
+    return engine.normalized_mse(p, z_teacher)
 
 
 @dataclass
 class LossValue:
-    """Total symmetrized loss plus its two directional terms."""
+    """A step's loss: the total, its two directional terms (the second
+    0.0 for a one-view loss), the zero-norm rows it met, and ``backward(g)``,
+    which adds the student's gradients of ``g`` times the loss into the
+    student arena."""
 
-    loss: Tensor
-    term_student_v: Tensor
-    term_student_v2: Tensor
+    loss: np.ndarray
+    term_student_v: np.ndarray
+    term_student_v2: np.ndarray
+    zero_norm_rows: int
+    backward: Callable[[float], None]
 
 
 def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
@@ -83,11 +86,11 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
         raise engine.DimensionError(
             f"view shapes differ: {v.shape} vs {v2.shape}")
     x = np.stack((v, v2))
-    _, p = forward_student(pair, x, workers)
+    _, p, student_backward = forward_student(pair, x, workers)
     z = forward_teacher(pair, x[::-1], alpha, workers, perm_seed)
-    loss, (term1, term2) = byol_loss(p, z)
-    return LossValue(loss=loss, term_student_v=engine.constant(term1),
-                     term_student_v2=engine.constant(term2))
+    loss, loss_backward, (term1, term2), zero_rows = byol_loss(p, z)
+    return LossValue(loss, term1, term2, zero_rows,
+                     lambda g: student_backward(loss_backward(g)))
 
 
 class NegQueue:
@@ -97,20 +100,15 @@ class NegQueue:
     :func:`queue_update` writes it in place, so the queue's state is that
     one array, the write cursor and the number of stored keys."""
 
-    def __init__(self, capacity: int, dim: int,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, capacity: int, dim: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.dim = dim
         self._cursor = 0
-        if rng is None:
-            self._buf = np.zeros((capacity, dim))
-            self.size = 0
-        else:  # a fresh run starts full of random unit vectors
-            keys = rng.normal(size=(capacity, dim))
-            self._buf = l2_normalize_rows(keys).values
-            self.size = capacity
+        # A run starts with the queue full of random unit vectors.
+        self._buf = l2_normalize_rows(rng.normal(size=(capacity, dim)))[0]
+        self.size = capacity
 
     def as_matrix(self) -> np.ndarray:
         """Stored keys in arbitrary order (order is irrelevant to the loss)."""
@@ -141,17 +139,18 @@ def queue_update(queue: NegQueue, new_keys: np.ndarray) -> None:
     queue.size = min(queue.size + n, queue.capacity)
 
 
-def infonce_loss(q: Tensor, k_pos: Tensor, queue: NegQueue,
-                 temperature: float) -> Tensor:
-    """Contrastive cross-entropy over one positive and the queued negatives.
+def infonce_loss(q: np.ndarray, k_pos: np.ndarray, queue: NegQueue,
+                 temperature: float) -> tuple:
+    """Contrastive cross-entropy over one positive and the queued negatives:
+    ``(loss, backward, zero_rows)`` of :func:`m2t.engine.info_nce`, the one
+    op of the loss.
 
-    Queries are normalized inside :func:`m2t.engine.info_nce`, the one tape
-    entry of the loss. The positive keys ``k_pos`` are unit rows
-    and gradient constants, normalized once by the caller so that the queue
-    can store the same rows. All similarities are cosines, so the logits are
-    bounded by 1/temperature and the softmax needs no max-shifting in double
-    precision.
+    Queries are normalized inside the op. The positive keys ``k_pos`` are
+    unit rows and gradient constants, normalized once by the caller so that
+    the queue can store the same rows. All similarities are cosines, so the
+    logits are bounded by 1/temperature and the softmax needs no
+    max-shifting in double precision.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return engine.info_nce(q, k_pos.values, queue.as_matrix(), temperature)
+    return engine.info_nce(q, k_pos, queue.as_matrix(), temperature)

@@ -2,7 +2,8 @@
 
 One iteration of the symmetrized recipe runs, in order: view augmentation,
 worker partitioning, the two-view loss with lazily updated teacher BN, one
-backward pass over the summed loss, the optimizer step at the scheduled
+backward pass over the summed loss (the loss's closure, then the student
+pass's layer closures in reverse), the optimizer step at the scheduled
 learning rate, the single per-iteration history commit at the scheduled
 blend coefficient, and finally the teacher weight EMA. The contrastive
 mode swaps in a single-view InfoNCE loss, a fixed blend coefficient, a
@@ -29,7 +30,6 @@ import numpy as np
 from .config import ConfigError, DataConfig, TrainConfig
 from .data import (Dataset, IdxFormatError, NonFiniteDataError, load_idx,
                    make_views, synth_clusters)
-from .engine import backward, record
 from .model import (
     Arena,
     StudentTeacherPair,
@@ -44,8 +44,8 @@ from .model import (
     forward_teacher,
 )
 from .normalization import comm_bytes
-from .objectives import (NegQueue, infonce_loss, l2_normalize_rows,
-                         queue_update, symmetrized_loss)
+from .objectives import (LossValue, NegQueue, infonce_loss,
+                         l2_normalize_rows, queue_update, symmetrized_loss)
 from .schedules import ScheduleSpec, apply_linear_scaling, schedule_at
 from .seeding import substream, substream_int
 
@@ -314,24 +314,23 @@ class Trainer:
         student = self.pair.student
         student.zero_grads()
 
-        with record() as tape:
-            if self.is_moco:
-                z, _ = forward_student(self.pair, v, cfg.workers)
-                k_pos = forward_teacher(self.pair, v2, alpha_k, cfg.workers,
-                                        perm_seed)
-                # Unit keys, normalized once: the positive logit and the
-                # queue use the same rows.
-                k_hat = l2_normalize_rows(k_pos)
-                loss_t = infonce_loss(z, k_hat, self.queue, cfg.temperature)
-                l1, l2 = loss_t.item(), 0.0
-            else:
-                lv = symmetrized_loss(self.pair, v, v2, cfg.workers, alpha_k,
-                                      perm_seed=perm_seed)
-                loss_t = lv.loss
-                l1, l2 = lv.term_student_v.item(), lv.term_student_v2.item()
-        self.zero_norm_rows += tape.zero_norm_rows
-
-        loss_val = loss_t.item()
+        if self.is_moco:
+            z, _, student_backward = forward_student(self.pair, v, cfg.workers)
+            k_pos = forward_teacher(self.pair, v2, alpha_k, cfg.workers,
+                                    perm_seed)
+            # Unit keys, normalized once: the positive logit and the queue
+            # use the same rows.
+            k_hat, zero_keys = l2_normalize_rows(k_pos)
+            loss, loss_backward, zero_rows = infonce_loss(
+                z, k_hat, self.queue, cfg.temperature)
+            lv = LossValue(loss, loss, 0.0, zero_keys + zero_rows,
+                           lambda g: student_backward(loss_backward(g)))
+        else:
+            lv = symmetrized_loss(self.pair, v, v2, cfg.workers, alpha_k,
+                                  perm_seed=perm_seed)
+        self.zero_norm_rows += lv.zero_norm_rows
+        loss_val = float(lv.loss)
+        l1, l2 = float(lv.term_student_v), float(lv.term_student_v2)
 
         def metrics(drift: float) -> MetricsRecord:
             return MetricsRecord(iteration=k, epoch=epoch, loss=loss_val,
@@ -347,7 +346,7 @@ class Trainer:
 
         if not np.isfinite(loss_val):
             raise failed("loss")
-        backward(loss_t)
+        lv.backward(1.0)
         # One check over every gradient before the step and one over every
         # parameter after it.
         if not np.isfinite(student.grads).all():
@@ -363,7 +362,7 @@ class Trainer:
                 metrics(drift))
         ema_update(self.pair, m_k)
         if self.is_moco:
-            queue_update(self.queue, k_hat.values)
+            queue_update(self.queue, k_hat)
         return metrics(drift)
 
     def epoch_order(self, epoch: int) -> np.ndarray:

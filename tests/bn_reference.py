@@ -2,18 +2,19 @@
 drivers that run the model's own BN specs on a bare batch.
 
 :func:`bn_apply` on :func:`batch_stats` spells BN out of the composed
-ops of ``engine_reference`` (mean, var, sub, div, sqrt, mul) and
-:func:`m2t.engine.add`, so its forward and its autodiff
-backward are independent of the fused op's closed form. The statistics are
-tape-linked whenever ``x`` is, so a student batch back-propagates through
-its mean and variance.
+ops of ``engine_reference`` (mean, var, sub, div, sqrt, mul, add) on its
+tape, so its forward and its autodiff backward are independent of the
+fused op's closed form. The statistics are tape-linked whenever ``x`` is,
+so a student batch back-propagates through its mean and variance.
 
 :func:`student_bn` and :func:`layer_bn` normalize a batch the way a
 training run does: through :func:`m2t.model.forward_student`, or through
 :func:`m2t.engine.dense` with a spec of :func:`m2t.model.teacher_norm`. Each
 layer has an identity weight and a zero bias, so ``x @ I + 0`` is ``x``
 exactly in float64 and the output is that BN of ``x`` alone. A teacher
-layer's channel range is the whole of its history.
+layer's channel range is the whole of its history. Both take an array or a
+tape tensor (its values) and return the output as a tape constant, which
+compares with :func:`bn_apply`'s.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,12 @@ from typing import Optional
 import numpy as np
 
 from m2t import engine
-from m2t.engine import DimensionError, Tensor
+from m2t.engine import DimensionError
 from m2t.model import Layer, MlpSpec, build_pair, forward_student, teacher_norm
 from m2t.normalization import MomentumBNState, NormParams, shuffle_permutation
 
 import engine_reference as ref
+from engine_reference import Tensor
 
 
 @dataclass
@@ -58,8 +60,8 @@ def bn_apply(x: Tensor, stats: TapeStats, p: NormParams) -> Tensor:
             f"channel mismatch: x has {channels}, stats "
             f"{stats.mean.values.shape[-1]}, params {p.gamma.values.shape[-1]}")
     xhat = ref.div(ref.sub(x, stats.mean),
-                   ref.sqrt(engine.add(stats.var, p.eps)))
-    return engine.add(ref.mul(p.gamma, xhat), p.beta)
+                   ref.sqrt(ref.add(stats.var, p.eps)))
+    return ref.add(ref.mul(p.gamma, xhat), p.beta)
 
 
 def identity_norm_params(channels: int, eps: float = 1e-5,
@@ -88,8 +90,8 @@ def student_bn(x, kind: str, workers: int, p: NormParams) -> Tensor:
     for mlp in (pair.encoder, pair.projector):
         mlp.layers[0].weight.values[...] = np.eye(c)
     pair.encoder.layers[0].norm = p
-    z, _ = forward_student(pair, x, workers)
-    return z
+    z, _, _ = forward_student(pair, _values(x), workers)
+    return ref.constant(z)
 
 
 def new_history(channels: int) -> MomentumBNState:
@@ -102,8 +104,9 @@ def teacher_layer(p: NormParams) -> Layer:
     """An identity layer with BN params ``p`` over channels 0..c of its
     history."""
     c = p.gamma.shape[0]
-    return Layer(weight=Tensor(np.eye(c)), bias=Tensor(np.zeros(c)), norm=p,
-                 relu=False, channels=slice(0, c))
+    return Layer(weight=engine.Tensor(np.eye(c)),
+                 bias=engine.Tensor(np.zeros(c)), norm=p, relu=False,
+                 channels=slice(0, c))
 
 
 def layer_bn(x, kind: str, alpha: float, p: NormParams,
@@ -112,7 +115,7 @@ def layer_bn(x, kind: str, alpha: float, p: NormParams,
     """``x`` normalized by the spec of a teacher pass with BN ``kind``
     (:func:`m2t.model.teacher_norm`) over ``workers``, on a layer with
     params ``p`` and momentum history ``history`` (a fresh one if None)."""
-    x = engine.as_tensor(x)
+    x = _values(x)
     if history is None:
         history = new_history(p.gamma.shape[0])
     layer = teacher_layer(p)
@@ -120,4 +123,12 @@ def layer_bn(x, kind: str, alpha: float, p: NormParams,
         if kind == "shuffling" else None
     norm = teacher_norm(history, kind, alpha, history.record_rows(1), workers,
                         perm)
-    return engine.dense(x, layer.weight, layer.bias, layer.relu, norm(layer))
+    out, _ = engine.dense(x, layer.weight.values, layer.bias.values,
+                          layer.relu, norm(layer))
+    return ref.constant(out)
+
+
+def _values(x) -> np.ndarray:
+    """The float64 array of an array or a tape tensor."""
+    return np.asarray(x.values if isinstance(x, Tensor) else x,
+                      dtype=np.float64)

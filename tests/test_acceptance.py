@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from m2t import engine
 from m2t.config import from_dict, preset
 from m2t.gradcheck import run_all
 from m2t.model import (MlpSpec, build_pair, ema_update, forward_teacher,
@@ -28,6 +27,8 @@ from m2t.schedules import apply_linear_scaling, cosine_value
 
 from bn_reference import (batch_stats, bn_apply, identity_norm_params,
                           layer_bn, student_bn)
+from engine_reference import constant
+from update_reference import ema_pairs
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -65,7 +66,7 @@ def test_criterion_2_synced_bn_equivalence():
         per = int(rng.integers(1, 9))
         n = w * per
         c = int(rng.integers(1, 17))
-        x = engine.constant(rng.normal(rng.normal(), np.abs(rng.normal()) + 0.1,
+        x = constant(rng.normal(rng.normal(), np.abs(rng.normal()) + 0.1,
                                        size=(n, c)))
         p = identity_norm_params(c)
         # The specs a run builds: the student's groups in forward_student,
@@ -90,7 +91,7 @@ def test_criterion_3_momentum_bn_degeneracy():
     for _ in range(50):
         n = int(rng.integers(2, 33))
         c = int(rng.integers(1, 9))
-        x = engine.constant(rng.normal(size=(n, c)))
+        x = constant(rng.normal(size=(n, c)))
         p = identity_norm_params(c)
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
@@ -109,14 +110,14 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        base = layer_bn(engine.constant(x), "momentum", 0.0, p, history=state)
+        base = layer_bn(constant(x), "momentum", 0.0, p, history=state)
         state.pending_count = 0
         row = int(rng.integers(0, n))
         perturbed = x.copy()
         mask = np.ones(n, dtype=bool)
         mask[row] = False
         perturbed[mask] += rng.normal(13.0, 40.0, size=(n - 1, c))
-        out = layer_bn(engine.constant(perturbed), "momentum", 0.0, p,
+        out = layer_bn(constant(perturbed), "momentum", 0.0, p,
                        history=state)
         if base.values[row].tobytes() != out.values[row].tobytes():
             alpha0_failures += 1
@@ -148,7 +149,7 @@ def test_criterion_4_leakage_freedom():
             t_v = forward_teacher(pair, v, alpha)
             from m2t.model import commit_teacher_bn
             commit_teacher_bn(pair, alpha)
-            return t_v.values.tobytes()
+            return t_v.tobytes()
 
         base = teacher_of_v(rng.normal(size=(8, 4)))
         wild = rng.normal(100.0, 500.0, size=(8, 4))
@@ -165,25 +166,25 @@ def test_criterion_5_ema_contract():
         rng = np.random.default_rng([5, case])
         pair = build_pair(MlpSpec((3, 4, 4), (True, True), (True, True)),
                           mlp_spec((4, 4, 3)), mlp_spec((3, 3, 3)), rng)
-        for _, s in pair.ema_pairs():
+        for _, s in ema_pairs(pair):
             s.values[...] = rng.normal(size=s.values.shape)
 
-        snap_teacher = [t.values.copy() for t, _ in pair.ema_pairs()]
+        snap_teacher = [t.values.copy() for t, _ in ema_pairs(pair)]
         ema_update(pair, 0.0)
         ok = all(np.array_equal(t.values, b)
-                 for (t, _), b in zip(pair.ema_pairs(), snap_teacher))
+                 for (t, _), b in zip(ema_pairs(pair), snap_teacher))
 
         m = float(rng.uniform(0.05, 0.95))
-        snap = [(t.values.copy(), s.values.copy()) for t, s in pair.ema_pairs()]
+        snap = [(t.values.copy(), s.values.copy()) for t, s in ema_pairs(pair)]
         ema_update(pair, m)
-        for (t, _), (t0, s0) in zip(pair.ema_pairs(), snap):
+        for (t, _), (t0, s0) in zip(ema_pairs(pair), snap):
             lo, hi = np.minimum(t0, s0), np.maximum(t0, s0)
             ok = ok and np.all(t.values >= lo - 1e-15) \
                 and np.all(t.values <= hi + 1e-15)
 
         ema_update(pair, 1.0)
         ok = ok and all(np.array_equal(t.values, s.values)
-                        for t, s in pair.ema_pairs())
+                        for t, s in ema_pairs(pair))
         if not ok:
             failures += 1
     announce(5, failures == 0, f"EMA contract, {50 - failures}/50 cases")

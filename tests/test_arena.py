@@ -15,7 +15,7 @@ import pytest
 from m2t import cli, evaluate
 from m2t import trainer as trainer_module
 from m2t.config import DataConfig
-from m2t.engine import parameter
+from m2t.engine import Tensor
 from m2t.model import (Arena, MlpSpec, Param, build_pair, commit_teacher_bn,
                        ema_update, forward_teacher, mlp_spec)
 from m2t.trainer import NanLossError, OptimizerState, Trainer, sgd_step
@@ -61,9 +61,9 @@ OPTIMIZERS = {
 def test_sgd_step_equals_per_block_oracle(name):
     rng = np.random.default_rng(0)
     init = [signed_zeros(rng, shape) for _, shape, _ in BLOCKS]
-    got = [Param(n, parameter(v.copy()), ex)
+    got = [Param(n, Tensor(v.copy()), ex)
            for (n, _, ex), v in zip(BLOCKS, init)]
-    want = [Param(n, parameter(v.copy()), ex)
+    want = [Param(n, Tensor(v.copy()), ex)
             for (n, _, ex), v in zip(BLOCKS, init)]
     arena = Arena(got)
     state = OptimizerState(arena, momentum=0.9, **OPTIMIZERS[name])
@@ -71,8 +71,8 @@ def test_sgd_step_equals_per_block_oracle(name):
     for k in range(STEPS):
         grads = [signed_zeros(rng, shape) for _, shape, _ in BLOCKS]
         lr = 0.5 / (k + 1)
-        # backward adds the first gradient to the zeroed arena; the oracle
-        # got it as 0.0 + g.
+        # A backward adds the first gradient into the zeroed arena; the
+        # oracle gets it as 0.0 + g.
         arena.zero_grads()
         for p, g in zip(got, grads):
             p.tensor.grad += g
@@ -88,7 +88,7 @@ def test_sgd_step_equals_per_block_oracle(name):
 
 
 def test_zero_grads_rejects_a_rebound_block():
-    arena = Arena([Param(n, parameter(np.ones(shape)), ex)
+    arena = Arena([Param(n, Tensor(np.ones(shape)), ex)
                    for n, shape, ex in BLOCKS])
     arena.zero_grads()
     arena.params[3].tensor.values = np.zeros(BLOCKS[3][1])
@@ -127,13 +127,13 @@ CONFIGS = {
 
 def per_block_zero_grads(self):
     for p in self.params:
-        p.tensor.zero_grad()
+        p.tensor.grad = np.zeros(p.tensor.shape)
 
 
 def reference_step(monkeypatch, trainer, ref_state, batch, k):
     """``trainer.train_step`` with the per-block oracle for every update,
-    gradients written fresh by backward as before the arena, and one
-    student and one teacher pass per view."""
+    each block's gradient added into zeros of its own instead of its arena
+    view, and one student and one teacher pass per view."""
     def step(state, lr):
         params = state.arena.params
         ref.sgd_step(list(params), [p.tensor.grad for p in params], ref_state,
@@ -349,7 +349,7 @@ def test_ema_with_rewritten_blocks_equals_oracle():
         m = float(rng.uniform())
         ema_update(got, m)
         ref.ema_update(want, m)
-        for (t, _), (u, _) in zip(got.ema_pairs(), want.ema_pairs()):
+        for (t, _), (u, _) in zip(ref.ema_pairs(got), ref.ema_pairs(want)):
             assert_bits_equal(t.values, u.values)
     for arena in (got.teacher, got.student):
         for p in arena.params:
@@ -426,21 +426,27 @@ def test_commit_of_teacher_without_bn_has_zero_drift():
 def test_non_finite_gradient_exits_3_at_its_iteration(tmp_path, monkeypatch,
                                                       capsys):
     arenas = []
-    real_zero, real_backward = Arena.zero_grads, trainer_module.backward
+    real_zero, real_loss = Arena.zero_grads, trainer_module.symmetrized_loss
     calls = []
 
     def zero_grads(self):
         arenas.append(self)
         real_zero(self)
 
-    def backward(loss):
-        real_backward(loss)
-        calls.append(loss.item())
-        if len(calls) == 3:  # iteration 2: the loss itself is finite
-            arenas[-1].grads[7] = np.nan
+    def symmetrized_loss(*args, **kwargs):
+        lv = real_loss(*args, **kwargs)
+
+        def backward(g):
+            lv_backward(g)
+            calls.append(float(lv.loss))
+            if len(calls) == 3:  # iteration 2: the loss itself is finite
+                arenas[-1].grads[7] = np.nan
+
+        lv_backward, lv.backward = lv.backward, backward
+        return lv
 
     monkeypatch.setattr(Arena, "zero_grads", zero_grads)
-    monkeypatch.setattr(trainer_module, "backward", backward)
+    monkeypatch.setattr(trainer_module, "symmetrized_loss", symmetrized_loss)
     out = tmp_path / "run"
     code = cli.main(["pretrain", "--preset", "default-synth",
                      "--set", "epochs=1", "--set", "log_interval=1",

@@ -18,10 +18,12 @@ from m2t.checkpoint import (
 )
 from m2t.cli import keep_freed_memory, main, write_metrics_csv
 from m2t.config import DataConfig, TrainConfig
-from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec, write_idx_images
+from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec
 from m2t.evaluate import extract_features
 from m2t.model import load_teacher
 from m2t.trainer import run_training
+
+from idx_files import write_idx_images
 
 
 def tiny_run(seed=0, epochs=1):
@@ -722,7 +724,6 @@ class TestEvalCommand:
                                                capsys):
         # An IDX dataset without labels has a single class; the probe cannot
         # run and the CLI must fail cleanly rather than traceback.
-        from m2t.data import write_idx_images
         import numpy as np
 
         out, _ = run_dir

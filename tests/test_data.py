@@ -10,9 +10,9 @@ from m2t.data import (
     load_idx,
     make_views,
     synth_clusters,
-    write_idx_images,
-    write_idx_labels,
 )
+
+from idx_files import write_idx_images, write_idx_labels
 
 
 class TestSynthClusters:

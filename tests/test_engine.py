@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import weakref
 from pathlib import Path
 
@@ -9,18 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2t import engine, gradcheck
-from m2t.engine import (
-    DimensionError,
-    Tensor,
-    backward,
-    constant,
-    finite_diff_check,
-    parameter,
-    record,
-)
+from m2t.engine import DimensionError, finite_diff_check
 from m2t.normalization import NormParams
 
 import engine_reference as ref
+from engine_reference import Tensor, backward, constant, parameter, record
 
 
 class TestMatmul:
@@ -45,7 +39,7 @@ class TestMatmul:
         def f():
             return ref.matmul(a, b)
 
-        report = finite_diff_check(f, [("a", a)], h=1e-6)
+        report = finite_diff_check(*ref.check_case(f, [("a", a)]), h=1e-6)
         assert report.passed
         a.zero_grad()
         with record():
@@ -60,7 +54,7 @@ class TestElementwise:
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
     def test_add(self):
-        out = engine.add(constant([1.0, 2.0]), constant([3.0, 4.0]))
+        out = ref.add(constant([1.0, 2.0]), constant([3.0, 4.0]))
         np.testing.assert_array_equal(out.values, [4.0, 6.0])
 
     def test_relu_gradient_tie_at_zero(self):
@@ -73,12 +67,12 @@ class TestElementwise:
 
     def test_incompatible_broadcast_raises(self):
         with pytest.raises(DimensionError, match="broadcast"):
-            engine.add(constant(np.zeros(3)), constant(np.zeros(4)))
+            ref.add(constant(np.zeros(3)), constant(np.zeros(4)))
 
     def test_row_vector_broadcast(self):
         x = constant(np.arange(6.0).reshape(2, 3))
         b = constant([10.0, 20.0, 30.0])
-        out = engine.add(x, b)
+        out = ref.add(x, b)
         np.testing.assert_array_equal(out.values, x.values + b.values)
 
     def test_broadcast_gradient_sums_over_expanded_axis(self):
@@ -182,8 +176,7 @@ class TestBackward:
     def test_first_gradient_broadcasts_into_the_input_shape(self):
         x = parameter(np.ones((2, 3)))
         with record():
-            loss = engine._emit("total", (x,), np.asarray(6.0),
-                                lambda g: (g,))
+            loss = ref._emit("total", (x,), np.asarray(6.0), lambda g: (g,))
         backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
@@ -293,9 +286,9 @@ class TestDense:
         with record() as tape:
             spec = self.spec(norm, gamma, beta, seen)
             if fused:
-                y = engine.dense(x, weight, bias, relu, spec)
+                y = ref.dense(x, weight, bias, relu, spec)
             else:
-                y = engine.add(ref.matmul(x, weight), bias)
+                y = ref.add(ref.matmul(x, weight), bias)
                 if spec is not None:
                     groups, perm = spec.groups, spec.perm
                     if callable(spec.stats):
@@ -304,7 +297,7 @@ class TestDense:
                         stats = spec.stats
                     if perm is not None:
                         y = ref.gather_rows(y, perm)
-                    y = engine.batch_norm(y, groups, gamma, beta, 1e-5, stats)
+                    y = ref.batch_norm(y, groups, gamma, beta, 1e-5, stats)
                     if perm is not None:
                         y = ref.gather_rows(y, np.argsort(perm))
                 if relu:
@@ -380,7 +373,7 @@ class TestDense:
             if spec is not None and isinstance(spec.stats, tuple):
                 held += spec.stats
             before = [a.tobytes() for a in held]
-            y = engine.dense(x, weight, bias, relu, spec)
+            y = ref.dense(x, weight, bias, relu, spec)
             if not seeded:
                 loss = ref.sum(ref.mul(y, w))
         out = y.values.tobytes()
@@ -453,16 +446,16 @@ class TestDense:
                 t.zero_grad()
             with record():
                 if stacked:
-                    ys = [engine.dense(inputs[0], weight, bias, relu,
+                    ys = [ref.dense(inputs[0], weight, bias, relu,
                                        self.view_spec(norm, None, gamma, beta,
                                                       seen))]
                     loss = ref.sum(ref.mul(ys[0], w.values.reshape(2, n, -1)))
                 else:
-                    ys = [engine.dense(t, weight, bias, relu,
+                    ys = [ref.dense(t, weight, bias, relu,
                                        self.view_spec(norm, view, gamma, beta,
                                                       seen))
                           for view, t in enumerate(inputs)]
-                    loss = engine.add(*(
+                    loss = ref.add(*(
                         ref.sum(ref.mul(y, constant(w.values[rows])))
                         for y, rows in zip(ys, halves)))
             backward(loss)
@@ -490,8 +483,7 @@ class TestDense:
         ((2, 5, 3), (1, 3, 2))])
     def test_input_neither_rows_nor_a_stack_rejected(self, x_shape, w_shape):
         with pytest.raises(DimensionError, match="2-D or stacked 3-D"):
-            engine.dense(constant(np.zeros(x_shape)),
-                         parameter(np.zeros(w_shape)), parameter(np.zeros(2)),
+            engine.dense(np.zeros(x_shape), np.zeros(w_shape), np.zeros(2),
                          relu=False)
 
     @pytest.mark.parametrize("rows", [1, 2, 6])
@@ -503,7 +495,8 @@ class TestDense:
         stats = (np.zeros((rows, 5)), np.ones((rows, 5)))
         spec = engine.BNSpec(NormParams(gamma, beta), 2, stats)
         with pytest.raises(DimensionError, match="stats of shapes"):
-            engine.dense(x.values.reshape(2, 4, 3), weight, bias, False, spec)
+            engine.dense(x.values.reshape(2, 4, 3), weight.values,
+                         bias.values, False, spec)
 
     @pytest.mark.parametrize("length", [3, 8])
     def test_permutation_not_of_the_rows_per_view_rejected(self, length):
@@ -512,12 +505,13 @@ class TestDense:
         spec = engine.BNSpec(NormParams(gamma, beta), 1,
                              perm=np.arange(length)[::-1])
         with pytest.raises(DimensionError, match="4 rows per view"):
-            engine.dense(x.values.reshape(2, 4, 3), weight, bias, False, spec)
+            engine.dense(x.values.reshape(2, 4, 3), weight.values,
+                         bias.values, False, spec)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="inner dimensions"):
-            engine.dense(constant(np.zeros((2, 3))), parameter(np.zeros((2, 3))),
-                         parameter(np.zeros(3)), relu=False)
+            engine.dense(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3),
+                         relu=False)
 
 
 class TestFiniteDiffCheck:
@@ -529,7 +523,7 @@ class TestFiniteDiffCheck:
         def f():
             return ref.sum(ref.mul(ref.matmul(w, a), ref.matmul(w, a)))
 
-        report = finite_diff_check(f, [("w", w)])
+        report = finite_diff_check(*ref.check_case(f, [("w", w)]))
         assert report.max_rel_error < 1e-6
 
     def test_constant_function_has_exactly_zero_grads(self):
@@ -538,34 +532,37 @@ class TestFiniteDiffCheck:
         def f():
             return ref.sum(ref.mul(constant([3.0]), constant([4.0])))
 
-        report = finite_diff_check(f, [("w", w)])
+        report = finite_diff_check(*ref.check_case(f, [("w", w)]))
         assert report.per_block["w"] == 0.0
         assert report.passed
 
 
-def emitted_op_names(paths) -> set:
-    """Every op name the modules at ``paths`` pass to ``_emit``."""
+def emitted_op_names(path) -> set:
+    """Every op name the module at ``path`` records with ``_emit`` or
+    ``recorded`` under a literal name."""
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and node.args and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) == "_emit":
-                op = node.args[0]
-                assert isinstance(op, ast.Constant), f"{path.name}: op name"
-                names.add(op.value)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and node.args and getattr(
+                node.func, "id", None) in ("_emit", "recorded") \
+                and isinstance(node.args[0], ast.Constant):
+            names.add(node.args[0].value)
     return names
 
 
 def test_every_op_has_a_gradcheck_suite():
-    # The program emits exactly the ops a run records and add, and each has
-    # a suite in m2t.gradcheck; each composed op of the reference has one
-    # beside it.
-    ops = emitted_op_names(Path(engine.__file__).parent.glob("*.py"))
-    assert ops == {"add", "batch_norm", "dense", "normalized_mse",
-                   "info_nce", "cross_entropy"}
+    # The engine's public functions are exactly the ops a run executes, its
+    # gradient check and unit_rows, and each op has a suite in
+    # m2t.gradcheck; the reference records exactly those ops too, and each
+    # composed op of it has a suite beside it.
+    public = {name for name, value in vars(engine).items()
+              if inspect.isfunction(value) and not name.startswith("_")
+              and value.__module__ == engine.__name__}
+    ops = public - {"finite_diff_check", "unit_rows"}
+    assert ops == {"batch_norm", "dense", "normalized_mse", "info_nce",
+                   "cross_entropy"}
     assert sorted(ops - set(gradcheck.SUITES)) == []
-    reference_ops = emitted_op_names([Path(ref.__file__)])
-    assert reference_ops == set(ref.SUITES)
+    recorded = emitted_op_names(Path(ref.__file__))
+    assert recorded == ops | set(ref.SUITES)
 
 
 @pytest.mark.parametrize("name", list(ref.SUITES))
@@ -620,13 +617,13 @@ def test_batch_norm_writes_no_input(given, x_grad):
     before = [a.tobytes() for a in held]
     stats = stats if given else None
     with record():
-        y = engine.batch_norm(x, 2, gamma, beta, 1e-5, stats=stats)
+        y = ref.batch_norm(x, 2, gamma, beta, 1e-5, stats=stats)
     out = y.values.tobytes()
     backward(y, seed=g)
-    inferred = engine.batch_norm(x.values, 2, gamma.values, beta.values,
-                                 1e-5, stats=stats)
+    inferred, _ = engine.batch_norm(x.values, 2, gamma.values, beta.values,
+                                    1e-5, stats=stats)
     assert [a.tobytes() for a in held] == before
-    assert y.values.tobytes() == out == inferred.values.tobytes()
+    assert y.values.tobytes() == out == inferred.tobytes()
     assert y.grad.tobytes() == g.tobytes()
 
 
@@ -666,7 +663,7 @@ def test_broadcast_matches_numpy_on_valid_shapes(n, c):
     rng = np.random.default_rng(n * 7 + c)
     x = rng.normal(size=(n, c))
     v = rng.normal(size=(c,))
-    for op, np_op in ((engine.add, np.add), (ref.sub, np.subtract),
+    for op, np_op in ((ref.add, np.add), (ref.sub, np.subtract),
                       (ref.mul, np.multiply), (ref.div, np.divide)):
         out = op(constant(x), constant(v))
         np.testing.assert_array_equal(out.values, np_op(x, v))

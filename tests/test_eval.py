@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from m2t import engine, evaluate
 from m2t.data import synth_clusters
 from m2t.evaluate import (ProbeDivergedError, extract_features, knn_eval,
                           linear_probe)
 from m2t.model import MlpSpec
+
+from engine_reference import spy_backwards
 
 
 def identity_payload(dim=4):
@@ -131,18 +132,14 @@ class TestLinearProbe:
         assert digest_before == digest_after
 
     def test_step_is_three_tape_entries(self, monkeypatch):
-        # Head BN, the dense linear layer and the fused cross-entropy.
-        seen = []
-
-        def spy(loss):
-            seen.append([e.op for e in loss._tape.entries])
-            engine.backward(loss)
-
-        monkeypatch.setattr(evaluate, "backward", spy)
+        # A step's backward is three op backwards, in reverse: the fused
+        # cross-entropy, the dense linear layer and the head BN.
+        ran, _ = spy_backwards(monkeypatch, "batch_norm", "dense",
+                               "cross_entropy")
         ds = synth_clusters(num_classes=3, dim=8, per_class=200, spread=0.4,
                             seed=8)
         linear_probe(ds.samples, ds.labels, epochs=2, lr=0.5, seed=1)
-        assert seen == [["batch_norm", "dense", "cross_entropy"]] * 2
+        assert ran == ["cross_entropy", "dense", "batch_norm"] * 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_head_raises(self):

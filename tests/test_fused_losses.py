@@ -1,26 +1,28 @@
 """The fused losses equal their composed references bit for bit.
 
 Each fused loss (:func:`m2t.engine.normalized_mse`, :func:`~m2t.engine.info_nce`,
-:func:`~m2t.engine.cross_entropy`) is compared with the composed ops of
-``tests/loss_reference.py``: the value and every gradient must be equal
-arrays with equal sign bits (so a -0 where the reference has +0 fails),
-and the tape's ``zero_norm_rows`` must count the same rows. Whole training
-steps and probe runs are compared the same way, with the program's losses
-swapped for the references.
+:func:`~m2t.engine.cross_entropy`), recorded as one entry of the reference
+tape, is compared with the composed ops of ``tests/loss_reference.py``: the
+value and every gradient must be equal arrays with equal sign bits (so a -0
+where the reference has +0 fails), and the zero-norm rows the loss returns
+must be the rows the reference counts. Whole training steps and probe runs
+are compared the same way, with the program's losses swapped for the
+references.
 """
 
 import numpy as np
 import pytest
 
-from m2t import engine, evaluate, objectives
+from m2t import evaluate, objectives
 from m2t import trainer as trainer_module
-from m2t.engine import backward, constant, parameter, record
 from m2t.evaluate import linear_probe
-from m2t.objectives import NegQueue, byol_loss, infonce_loss, queue_update
+from m2t.objectives import NegQueue, queue_update
 from m2t.trainer import Trainer
 
 import engine_reference as composed
 import loss_reference as ref
+from engine_reference import backward, constant, parameter, record
+from loss_reference import empty_queue
 from test_trainer import small_config
 
 
@@ -74,12 +76,11 @@ def rows(rng, n, d, zero=(), negative_zero=()):
 def test_l2_normalize_rows_equals_composed_on_constants():
     rng = np.random.default_rng(0)
     x = rows(rng, 6, 3, zero=(2,), negative_zero=(4,))
-    with record() as tape:
-        got = objectives.l2_normalize_rows(x).values
+    got, counted = objectives.l2_normalize_rows(x)
     with record() as want_tape:
         want = ref.l2_normalize_rows(x).values
     assert_bits_equal(got, want)
-    assert tape.zero_norm_rows == want_tape.zero_norm_rows == 2
+    assert counted == want_tape.zero_norm_rows == 2
 
 
 class TestNormalizedMse:
@@ -87,9 +88,9 @@ class TestNormalizedMse:
     def test_equals_composed(self, seed):
         rng = np.random.default_rng(seed)
         p = parameter(rng.normal(size=(8, 5)))
-        z = constant(rng.normal(size=(8, 5)))
-        assert_same_as_reference(lambda: byol_loss(p, z)[0],
-                                 lambda: ref.byol_loss(p, z)[0], [p],
+        z = rng.normal(size=(8, 5))
+        assert_same_as_reference(lambda: composed.normalized_mse(p, z)[0],
+                                 lambda: ref.byol_terms(p, z)[0], [p],
                                  "normalized_mse")
 
     @pytest.mark.parametrize("side", ["student", "teacher", "both"])
@@ -99,12 +100,12 @@ class TestNormalizedMse:
         z_zero = (2,) if side != "student" else ()
         p = parameter(rows(rng, 6, 4, zero=p_zero, negative_zero=(4,)
                            if side == "both" else ()))
-        z = constant(rows(rng, 6, 4, zero=z_zero, negative_zero=(5,)
-                          if side == "both" else ()))
-        assert_same_as_reference(lambda: byol_loss(p, z)[0],
-                                 lambda: ref.byol_loss(p, z)[0], [p],
+        z = rows(rng, 6, 4, zero=z_zero, negative_zero=(5,)
+                 if side == "both" else ())
+        assert_same_as_reference(lambda: composed.normalized_mse(p, z)[0],
+                                 lambda: ref.byol_terms(p, z)[0], [p],
                                  "normalized_mse")
-        _, _, _, counted = run(lambda: byol_loss(p, z)[0], [p])
+        _, _, _, counted = run(lambda: composed.normalized_mse(p, z)[0], [p])
         assert counted == len(p_zero) + len(z_zero) + 2 * (side == "both")
 
     def test_equal_rows_give_signed_zero_gradients(self):
@@ -113,9 +114,9 @@ class TestNormalizedMse:
         rng = np.random.default_rng(2)
         values = rng.normal(size=(4, 3))
         p = parameter(values.copy())
-        z = constant(values.copy())
-        assert_same_as_reference(lambda: byol_loss(p, z)[0],
-                                 lambda: ref.byol_loss(p, z)[0], [p],
+        z = values.copy()
+        assert_same_as_reference(lambda: composed.normalized_mse(p, z)[0],
+                                 lambda: ref.byol_terms(p, z)[0], [p],
                                  "normalized_mse")
 
     @pytest.mark.parametrize("n", [4, 6, 10])
@@ -131,13 +132,13 @@ class TestNormalizedMse:
             views = [parameter(p_values[:n].copy()),
                      parameter(p_values[n:].copy())]
             with record() as tape:
-                loss, terms = engine.normalized_mse(p, z.reshape(2, n, 4))
+                loss, terms = composed.normalized_mse(p, z.reshape(2, n, 4))
                 ops = [e.op for e in tape.entries]
             with record() as want_tape:
-                want_terms = [engine.normalized_mse(v, z[rows])[0]
+                want_terms = [composed.normalized_mse(v, z[rows])[0]
                               for v, rows in zip(views, (slice(0, n),
                                                          slice(n, None)))]
-                want = engine.add(*want_terms)
+                want = composed.add(*want_terms)
                 want_ops = [e.op for e in want_tape.entries]
             assert ops == ["normalized_mse"]
             assert want_ops == ["normalized_mse", "normalized_mse", "add"]
@@ -152,10 +153,10 @@ class TestNormalizedMse:
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(3)
         p = constant(rows(rng, 5, 3, zero=(0,)))
-        z = constant(rng.normal(size=(5, 3)))
-        value, _, ops, counted = run(lambda: byol_loss(p, z)[0], [])
+        z = rng.normal(size=(5, 3))
+        value, _, ops, counted = run(lambda: composed.normalized_mse(p, z)[0], [])
         want, _, want_ops, want_counted = run(
-            lambda: ref.byol_loss(p, z)[0], [])
+            lambda: ref.byol_terms(p, z)[0], [])
         assert ops == want_ops == []
         assert_bits_equal(value, want)
         assert counted == want_counted == 1
@@ -164,11 +165,16 @@ class TestNormalizedMse:
 def queue_of(rng, state, capacity=6, dim=4):
     if state == "full":
         return NegQueue(capacity, dim, rng=rng)
-    queue = NegQueue(capacity, dim)
+    queue = empty_queue(capacity, dim)
     if state == "partial":
         queue_update(queue, objectives.l2_normalize_rows(
-            rng.normal(size=(capacity // 2, dim))).values)
+            rng.normal(size=(capacity // 2, dim)))[0])
     return queue
+
+
+def info_nce(q, k, queue, temperature):
+    """The fused InfoNCE over ``queue``'s keys, recorded on the tape."""
+    return composed.info_nce(q, k, queue.as_matrix(), temperature)
 
 
 class TestInfoNce:
@@ -178,10 +184,10 @@ class TestInfoNce:
         rng = np.random.default_rng(4)
         queue = queue_of(rng, state)
         q = parameter(rng.normal(size=(5, 4)))
-        k = objectives.l2_normalize_rows(rng.normal(size=(5, 4)))
+        k = objectives.l2_normalize_rows(rng.normal(size=(5, 4)))[0]
         assert_same_as_reference(
-            lambda: infonce_loss(q, k, queue, temperature),
-            lambda: ref.infonce_loss(q, k, queue, temperature), [q],
+            lambda: info_nce(q, k, queue, temperature),
+            lambda: ref.infonce(q, k, queue, temperature), [q],
             "info_nce")
 
     @pytest.mark.parametrize("state", ["empty", "full"])
@@ -189,21 +195,21 @@ class TestInfoNce:
         rng = np.random.default_rng(5)
         queue = queue_of(rng, state)
         q = parameter(rows(rng, 5, 4, zero=(0,), negative_zero=(3,)))
-        k = constant(rows(rng, 5, 4, zero=(1,)))  # a zero key: no positive
+        k = rows(rng, 5, 4, zero=(1,))  # a zero key: no positive
         assert_same_as_reference(
-            lambda: infonce_loss(q, k, queue, 0.2),
-            lambda: ref.infonce_loss(q, k, queue, 0.2), [q], "info_nce")
-        _, _, _, counted = run(lambda: infonce_loss(q, k, queue, 0.2), [q])
+            lambda: info_nce(q, k, queue, 0.2),
+            lambda: ref.infonce(q, k, queue, 0.2), [q], "info_nce")
+        _, _, _, counted = run(lambda: info_nce(q, k, queue, 0.2), [q])
         assert counted == 2
 
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(6)
         queue = queue_of(rng, "full")
         q = constant(rng.normal(size=(5, 4)))
-        k = objectives.l2_normalize_rows(rng.normal(size=(5, 4)))
-        value, _, ops, _ = run(lambda: infonce_loss(q, k, queue, 0.2), [])
+        k = objectives.l2_normalize_rows(rng.normal(size=(5, 4)))[0]
+        value, _, ops, _ = run(lambda: info_nce(q, k, queue, 0.2), [])
         want, _, want_ops, _ = run(
-            lambda: ref.infonce_loss(q, k, queue, 0.2), [])
+            lambda: ref.infonce(q, k, queue, 0.2), [])
         assert ops == want_ops == []
         assert_bits_equal(value, want)
 
@@ -215,8 +221,8 @@ class TestCrossEntropy:
         logits = parameter(3.0 * rng.normal(size=(9, 4)))
         onehot = np.eye(4)[rng.integers(0, 4, size=9)]
         assert_same_as_reference(
-            lambda: evaluate._cross_entropy(logits, onehot),
-            lambda: ref.cross_entropy(logits, onehot), [logits],
+            lambda: composed.cross_entropy(logits, onehot),
+            lambda: ref.softmax_cross_entropy(logits, onehot), [logits],
             "cross_entropy")
 
     def test_tied_and_zero_logits(self):
@@ -225,16 +231,16 @@ class TestCrossEntropy:
                             [2.0, -0.0, 2.0]])
         onehot = np.eye(3)[[0, 1, 2]]
         assert_same_as_reference(
-            lambda: evaluate._cross_entropy(logits, onehot),
-            lambda: ref.cross_entropy(logits, onehot), [logits],
+            lambda: composed.cross_entropy(logits, onehot),
+            lambda: ref.softmax_cross_entropy(logits, onehot), [logits],
             "cross_entropy")
 
     def test_constant_inputs_record_nothing(self):
         logits = constant([[1.0, 2.0], [0.5, -1.0]])
         onehot = np.eye(2)
-        value, _, ops, _ = run(lambda: engine.cross_entropy(logits, onehot),
+        value, _, ops, _ = run(lambda: composed.cross_entropy(logits, onehot),
                                [])
-        want, _, want_ops, _ = run(lambda: ref.cross_entropy(logits, onehot),
+        want, _, want_ops, _ = run(lambda: ref.softmax_cross_entropy(logits, onehot),
                                    [])
         assert ops == want_ops == []
         assert_bits_equal(value, want)
@@ -296,9 +302,20 @@ def test_probe_steps_equal_composed_ops(monkeypatch):
         head.history.pending_var[row] = var
         evaluate.momentum_bn_lazy_commit(head.history,
                                          evaluate.HISTORY_MOMENTUM)
-        h = engine.batch_norm(x, 1, head.gamma, head.beta, evaluate.EPS,
-                              stats=(mean, var))
-        return engine.add(composed.matmul(h, head.weight), head.bias)
+        blocks = (head.gamma, head.beta, head.weight, head.bias)
+        gamma, beta, weight, bias = params = [parameter(t.values)
+                                              for t in blocks]
+        with record():
+            h = composed.batch_norm(x, 1, gamma, beta, evaluate.EPS,
+                                    stats=(mean, var))
+            logits = composed.add(composed.matmul(h, weight), bias)
+
+        def head_backward(g):
+            backward(logits, seed=g)
+            for t, p in zip(blocks, params):
+                t.grad += p.grad
+
+        return logits.values, head_backward
 
     monkeypatch.setattr(evaluate._ProbeHead, "train_logits", composed_logits)
     monkeypatch.setattr(evaluate, "_cross_entropy", ref.cross_entropy)

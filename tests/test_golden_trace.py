@@ -15,9 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from m2t import engine
 from m2t import normalization as norm
-from m2t.engine import backward
 from m2t.model import (
     MlpSpec,
     StudentTeacherPair,
@@ -29,6 +27,7 @@ from m2t.objectives import symmetrized_loss
 from m2t.trainer import OptimizerState, sgd_step
 
 from bn_reference import batch_stats, worker_slices
+from engine_reference import constant
 
 TRACE_PATH = Path(__file__).parent / "data" / "golden_trace.json"
 TOL = 1e-10
@@ -87,13 +86,12 @@ def test_full_iteration_matches_reference(trace, setup):
         layer = pair.encoder.layers[0]
         a = view @ layer.weight.values + layer.bias.values
         for rows, expected in zip(worker_slices(4, 2), trace[key]):
-            s = batch_stats(engine.constant(a[rows]))
+            s = batch_stats(constant(a[rows]))
             np.testing.assert_allclose(s.mean.values, expected["mean"], atol=TOL)
             np.testing.assert_allclose(s.var.values, expected["var"], atol=TOL)
 
     # The symmetrized pass: losses and pending teacher statistics.
-    with engine.record():
-        out = symmetrized_loss(pair, v1, v2, 2, alpha)
+    out = symmetrized_loss(pair, v1, v2, 2, alpha)
     assert out.term_student_v.item() == pytest.approx(trace["loss_term_1"],
                                                       abs=TOL)
     assert out.term_student_v2.item() == pytest.approx(trace["loss_term_2"],
@@ -121,7 +119,7 @@ def test_full_iteration_matches_reference(trace, setup):
 
     # Gradients, accumulated into the student arena, and the optimizer step.
     pair.student.zero_grads()
-    backward(out.loss)
+    out.backward(1.0)
     params = pair.student.params
     name_map = {
         "enc0.weight": "enc0.weight", "enc0.bias": "enc0.bias",
@@ -172,10 +170,10 @@ def test_teacher_projections_match_reference(trace, setup):
     from m2t.model import forward_teacher
 
     z2 = forward_teacher(pair, v2, cfg["alpha"])
-    np.testing.assert_allclose(z2.values, trace["teacher_projection_v2"],
+    np.testing.assert_allclose(z2, trace["teacher_projection_v2"],
                                atol=TOL)
     z1 = forward_teacher(pair, v1, cfg["alpha"])
-    np.testing.assert_allclose(z1.values, trace["teacher_projection_v1"],
+    np.testing.assert_allclose(z1, trace["teacher_projection_v1"],
                                atol=TOL)
 
 
@@ -183,9 +181,9 @@ def test_student_predictions_match_reference(trace, setup):
     pair, state, v1, v2, cfg = setup
     from m2t.model import forward_student
 
-    _, p1 = forward_student(pair, v1, 2)
-    np.testing.assert_allclose(p1.values, trace["student_prediction_v1"],
+    _, p1, _ = forward_student(pair, v1, 2)
+    np.testing.assert_allclose(p1, trace["student_prediction_v1"],
                                atol=TOL)
-    _, p2 = forward_student(pair, v2, 2)
-    np.testing.assert_allclose(p2.values, trace["student_prediction_v2"],
+    _, p2, _ = forward_student(pair, v2, 2)
+    np.testing.assert_allclose(p2, trace["student_prediction_v2"],
                                atol=TOL)

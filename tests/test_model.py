@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from m2t import engine, model
-from m2t.engine import backward, record
 from m2t.model import (
     MlpSpec,
     StudentTeacherPair,
@@ -24,8 +23,9 @@ from m2t.model import (
 from m2t.evaluate import extract_features
 from m2t.normalization import constant_batch_stats
 
-import engine_reference as composed
 from bn_reference import worker_slices
+from engine_reference import spy_backwards
+from update_reference import ema_pairs
 
 
 def tiny_pair(seed=0, in_dim=4, student_bn="plain", teacher_bn="momentum"):
@@ -72,8 +72,8 @@ class TestForwardStudent:
         for _, t, _ in pair.student_params():
             t.values[...] = 0.0
         v = np.random.default_rng(1).normal(size=(8, 4))
-        _, p = forward_student(pair, v, 2)
-        np.testing.assert_array_equal(p.values, 0.0)
+        _, p, _ = forward_student(pair, v, 2)
+        np.testing.assert_array_equal(p, 0.0)
 
     def test_identity_network_passes_input_through(self):
         pair = plain_pair_no_bn(dim=3)
@@ -81,14 +81,14 @@ class TestForwardStudent:
             mlp.layers[0].weight.values[...] = np.eye(3)
             mlp.layers[0].bias.values[...] = 0.0
         v = np.random.default_rng(2).normal(size=(6, 3))
-        z, _ = forward_student(pair, v, 1)
-        np.testing.assert_array_equal(z.values, v)
+        z, _, _ = forward_student(pair, v, 1)
+        np.testing.assert_array_equal(z, v)
 
     def test_matches_scripted_reference_forward(self):
         pair = tiny_pair(seed=3)
         rng = np.random.default_rng(0)
         v = rng.normal(size=(8, 4))
-        z, p = forward_student(pair, v, 2)
+        z, p, _ = forward_student(pair, v, 2)
 
         def ref_mlp(mlp, x):
             for layer in mlp.layers:
@@ -109,17 +109,17 @@ class TestForwardStudent:
 
         ref_z = ref_mlp(pair.projector, ref_mlp(pair.encoder, v))
         ref_p = ref_mlp(pair.predictor, ref_z)
-        np.testing.assert_allclose(z.values, ref_z, atol=1e-12)
-        np.testing.assert_allclose(p.values, ref_p, atol=1e-12)
+        np.testing.assert_allclose(z, ref_z, atol=1e-12)
+        np.testing.assert_allclose(p, ref_p, atol=1e-12)
 
 
 class TestForwardTeacher:
     def test_fresh_copy_alpha_one_matches_student_projection(self):
         pair = tiny_pair(seed=4)
         v = np.random.default_rng(5).normal(size=(8, 4))
-        z, _ = forward_student(pair, v, 1)
+        z, _, _ = forward_student(pair, v, 1)
         z_t = forward_teacher(pair, v, alpha=1.0, workers=1)
-        np.testing.assert_array_equal(z_t.values, z.values)
+        np.testing.assert_array_equal(z_t, z)
 
     def test_alpha_zero_is_per_sample_affine(self):
         pair = tiny_pair(seed=6)
@@ -132,35 +132,38 @@ class TestForwardTeacher:
         pair.history.initialized = True
         rng = np.random.default_rng(7)
         v = rng.normal(size=(8, 4))
-        base = forward_teacher(pair, v, alpha=0.0).values.copy()
+        base = forward_teacher(pair, v, alpha=0.0).copy()
         pair.history.pending_count = 0
 
         # Perturb every other sample; row 0 must be bit-identical.
         v2 = v.copy()
         v2[1:] = rng.normal(50.0, 10.0, size=(7, 4))
-        out = forward_teacher(pair, v2, alpha=0.0).values
+        out = forward_teacher(pair, v2, alpha=0.0)
         assert out[0].tobytes() == base[0].tobytes()
 
-    def test_no_gradients_anywhere_on_teacher(self):
+    def test_no_gradients_anywhere_on_teacher(self, monkeypatch):
+        # The teacher pass drops the backwards of its layers: a step's
+        # backward runs the student's alone, and no teacher block gets a
+        # gradient.
+        ran, _ = spy_backwards(monkeypatch, "dense")
         pair = tiny_pair(seed=8)
         v = np.random.default_rng(9).normal(size=(8, 4))
-        with record():
-            _, p = forward_student(pair, v, 2)
-            t = forward_teacher(pair, v, alpha=1.0, workers=2)
-            d = composed.sub(p, t)
-            loss = composed.sum(composed.mul(d, d))
-        backward(loss)
+        _, p, backward = forward_student(pair, v, 2)
+        t = forward_teacher(pair, v, alpha=1.0, workers=2)
+        pair.student.zero_grads()
+        backward(2.0 * (p - t))
+        assert ran == ["dense"] * 6
+        assert pair.student.grads.any()
         for t_mlp in (pair.t_encoder, pair.t_projector):
             for _, tensor, _ in t_mlp.params():
                 assert tensor.grad is None
-                assert not tensor.requires_grad
 
     def test_no_bn_teacher_copy_equals_student_truncation(self):
         pair = plain_pair_no_bn(seed=10, dim=5)
         v = np.random.default_rng(11).normal(size=(4, 5))
-        z, _ = forward_student(pair, v, 1)
+        z, _, _ = forward_student(pair, v, 1)
         z_t = forward_teacher(pair, v, alpha=1.0)
-        np.testing.assert_array_equal(z_t.values, z.values)
+        np.testing.assert_array_equal(z_t, z)
 
     def test_baseline_teacher_modes_also_record_pending(self, monkeypatch):
         # One pending entry per pass, holding each layer's whole-batch
@@ -193,16 +196,16 @@ class TestEmaUpdate:
         for _, t, _ in pair.encoder.params():
             t.values[...] = rng.normal(size=t.values.shape)
         ema_update(pair, 1.0)
-        for t, s in pair.ema_pairs():
+        for t, s in ema_pairs(pair):
             np.testing.assert_array_equal(t.values, s.values)
 
     def test_zero_keeps_teacher(self):
         pair = tiny_pair(seed=16)
-        before = [t.values.copy() for t, _ in pair.ema_pairs()]
-        for _, s in pair.ema_pairs():
+        before = [t.values.copy() for t, _ in ema_pairs(pair)]
+        for _, s in ema_pairs(pair):
             s.values += 1.0
         ema_update(pair, 0.0)
-        for (t, _), b in zip(pair.ema_pairs(), before):
+        for (t, _), b in zip(ema_pairs(pair), before):
             np.testing.assert_array_equal(t.values, b)
 
     def test_midpoint(self):
@@ -231,11 +234,11 @@ class TestEmaUpdate:
     def test_convex_combination_bounds(self):
         pair = tiny_pair(seed=18)
         rng = np.random.default_rng(19)
-        for _, s in pair.ema_pairs():
+        for _, s in ema_pairs(pair):
             s.values[...] = rng.normal(size=s.values.shape)
-        snapshots = [(t.values.copy(), s.values.copy()) for t, s in pair.ema_pairs()]
+        snapshots = [(t.values.copy(), s.values.copy()) for t, s in ema_pairs(pair)]
         ema_update(pair, 0.37)
-        for (t, _), (t0, s0) in zip(pair.ema_pairs(), snapshots):
+        for (t, _), (t0, s0) in zip(ema_pairs(pair), snapshots):
             lo, hi = np.minimum(t0, s0), np.maximum(t0, s0)
             assert np.all(t.values >= lo - 1e-15)
             assert np.all(t.values <= hi + 1e-15)
@@ -244,10 +247,10 @@ class TestEmaUpdate:
         pair = tiny_pair(seed=20)
         rng = np.random.default_rng(21)
         for _ in range(3):
-            for _, s in pair.ema_pairs():
+            for _, s in ema_pairs(pair):
                 s.values[...] = rng.normal(size=s.values.shape)
             ema_update(pair, 1.0)
-        for t, s in pair.ema_pairs():
+        for t, s in ema_pairs(pair):
             np.testing.assert_array_equal(t.values, s.values)
 
     def test_histories_untouched(self):
@@ -363,8 +366,7 @@ class TestLoadTeacher:
         x = np.random.default_rng(32).normal(size=(8, 4))
         payload = dump_teacher(pair.t_encoder)
 
-        train_side = forward_mlp(pair.t_encoder, engine.constant(x),
-                                 teacher_norm(pair.history, "momentum", 0.0,
-                                              pair.history.record_rows(1)))
-        assert train_side.values.tobytes() \
-            == extract_features(payload, x).tobytes()
+        train_side, _ = forward_mlp(pair.t_encoder, x,
+                                    teacher_norm(pair.history, "momentum", 0.0,
+                                                 pair.history.record_rows(1)))
+        assert train_side.tobytes() == extract_features(payload, x).tobytes()

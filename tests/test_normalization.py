@@ -3,7 +3,8 @@
 Each kind is tested through the spec a training run builds: the student's
 through :func:`m2t.model.forward_student` (``student_bn``), the teacher's
 through :func:`m2t.model.teacher_norm` on :func:`m2t.engine.dense`
-(``layer_bn``).
+(``layer_bn``). The composed BN of ``bn_reference`` and the reference tape
+are the oracle.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from m2t import engine
 from m2t import normalization as norm
-from m2t.engine import DimensionError, backward, constant, parameter, record
+from m2t.engine import BNSpec, DimensionError
 from m2t.model import teacher_norm
 from m2t.normalization import (
     MomentumBNState,
@@ -22,6 +23,7 @@ from m2t.normalization import (
 )
 
 import engine_reference as composed
+from engine_reference import backward, constant, parameter, record
 from bn_reference import (
     TapeStats,
     batch_stats,
@@ -122,9 +124,9 @@ class TestBnApply:
         beta = parameter(np.full(3, -0.2))
         p = norm.NormParams(gamma=gamma, beta=beta, eps=1e-5)
 
-        report = engine.finite_diff_check(
+        report = engine.finite_diff_check(*composed.check_case(
             lambda: bn_apply(x, batch_stats(x), p),
-            [("x", x), ("gamma", gamma), ("beta", beta)])
+            [("x", x), ("gamma", gamma), ("beta", beta)]))
         assert report.passed, report.per_block
 
     def test_history_stats_are_gradient_constants(self):
@@ -184,21 +186,32 @@ class TestPlainBn:
             np.testing.assert_array_equal(teacher.values[rows], ref.values)
 
     def test_backward_through_worker_slices(self):
+        # The student's layer at 2 workers: one BN group per worker.
         rng = np.random.default_rng(5)
-        x = parameter(rng.normal(size=(8, 3)))
+        x = rng.normal(size=(8, 3))
+        weight, bias = np.eye(3), np.zeros(3)
         p = identity_norm_params(3)
         assert engine.finite_diff_check(
-            lambda: student_bn(x, "plain", 2, p), [("x", x)]).passed
+            lambda: engine.dense(x, weight, bias, False, BNSpec(p, 2)),
+            [("x", x), ("weight", weight), ("bias", bias),
+             ("gamma", p.gamma.values), ("beta", p.beta.values)]).passed
 
-    def test_student_forward_is_one_tape_entry(self):
-        # BN records nothing of its own: the BN layer and the plain layer
-        # are one fused entry each.
-        x = parameter(np.random.default_rng(6).normal(size=(32, 8)))
+    def test_student_forward_is_one_tape_entry(self, monkeypatch):
+        # BN runs inside the fused layer: the BN layer and the plain layer
+        # are one dense op each, and the first normalizes with p.
+        norms = []
+        real_dense = engine.dense
+
+        def dense(x, weight, bias, relu, norm=None):
+            norms.append(norm)
+            return real_dense(x, weight, bias, relu, norm)
+
+        monkeypatch.setattr(engine, "dense", dense)
+        x = np.random.default_rng(6).normal(size=(32, 8))
         p = identity_norm_params(8, requires_grad=True)
-        with record() as tape:
-            student_bn(x, "plain", 4, p)
-        assert [e.op for e in tape.entries] == ["dense", "dense"]
-        assert p.gamma in tape.entries[0].inputs
+        student_bn(x, "plain", 4, p)
+        assert len(norms) == 2 and norms[1] is None
+        assert norms[0].params is p and norms[0].groups == 4
 
 
 class TestBatchNormKernel:
@@ -214,7 +227,7 @@ class TestBatchNormKernel:
         per = 16 // groups
 
         def fused(x, p):
-            y = engine.batch_norm(x, groups, p.gamma, p.beta, p.eps)
+            y = composed.batch_norm(x, groups, p.gamma, p.beta, p.eps)
             return composed.sum(composed.mul(y, weights))
 
         def sliced(x, p):
@@ -222,7 +235,7 @@ class TestBatchNormKernel:
             for a in range(0, 16, per):
                 piece = composed.gather_rows(x, np.arange(a, a + per))
                 y = bn_apply(piece, batch_stats(piece), p)
-                loss = engine.add(
+                loss = composed.add(
                     loss, composed.sum(composed.mul(y, weights[a:a + per])))
             return loss
 
@@ -242,7 +255,7 @@ class TestBatchNormKernel:
         x = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
         gamma, beta = parameter([2.0, 0.5]), parameter([0.0, 0.0])
         with record():
-            loss = composed.sum(engine.batch_norm(
+            loss = composed.sum(composed.batch_norm(
                 x, 1, gamma, beta, 1e-5,
                 stats=(np.array([1.0, 1.0]), np.array([3.0, 3.0]))))
         backward(loss)
@@ -252,8 +265,8 @@ class TestBatchNormKernel:
 
     def test_uneven_groups_rejected(self):
         with pytest.raises(DimensionError, match="groups"):
-            engine.batch_norm(constant(np.zeros((6, 2))), 4,
-                              np.ones(2), np.zeros(2), 1e-5)
+            engine.batch_norm(np.zeros((6, 2)), 4, np.ones(2), np.zeros(2),
+                              1e-5)
 
 
 class TestSyncedBn:
@@ -292,9 +305,10 @@ class TestShufflingBn:
         history = new_history(3)
         spec = teacher_norm(history, "shuffling", 1.0, history.record_rows(1),
                             3, np.arange(12))(layer)
-        got = engine.dense(x, layer.weight, layer.bias, False, spec)
+        got, _ = engine.dense(x.values, layer.weight.values,
+                              layer.bias.values, False, spec)
         want = layer_bn(x, "plain", 1.0, p, 3)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == want.values.tobytes()
 
     def test_single_worker_any_permutation_equals_plain(self):
         rng = np.random.default_rng(10)

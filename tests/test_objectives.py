@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from m2t import engine
 from m2t.config import INFONCE_LOG_LIMIT, ConfigError, TrainConfig
-from m2t.engine import backward, constant, parameter, record
 from m2t.model import MlpSpec, build_pair, mlp_spec
 
 from bn_reference import worker_slices
+from loss_reference import empty_queue
 from m2t.objectives import (
     LossValue,
     NegQueue,
@@ -24,27 +24,26 @@ from m2t.objectives import (
 
 class TestByolLoss:
     def test_aligned_vectors_give_zero(self):
-        p = constant([[1.0, 2.0], [0.5, 0.5]])
-        z = constant([[2.0, 4.0], [1.0, 1.0]])
+        p = np.array([[1.0, 2.0], [0.5, 0.5]])
+        z = np.array([[2.0, 4.0], [1.0, 1.0]])
         assert byol_loss(p, z)[0].item() == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_vectors_give_four(self):
-        p = constant([[1.0, 0.0]])
-        z = constant([[-3.0, 0.0]])
+        p = np.array([[1.0, 0.0]])
+        z = np.array([[-3.0, 0.0]])
         assert byol_loss(p, z)[0].item() == pytest.approx(4.0, abs=1e-12)
 
     def test_orthogonal_vectors_give_two(self):
-        p = constant([[1.0, 0.0]])
-        z = constant([[0.0, 5.0]])
+        p = np.array([[1.0, 0.0]])
+        z = np.array([[0.0, 5.0]])
         assert byol_loss(p, z)[0].item() == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_norm_row_guarded_and_counted(self):
-        p = constant([[0.0, 0.0], [1.0, 0.0]])
-        z = constant([[1.0, 0.0], [1.0, 0.0]])
-        with record() as tape:
-            loss, _ = byol_loss(p, z)
+        p = np.array([[0.0, 0.0], [1.0, 0.0]])
+        z = np.array([[1.0, 0.0], [1.0, 0.0]])
+        loss, _, _, zero_rows = byol_loss(p, z)
         assert np.isfinite(loss.item())
-        assert tape.zero_norm_rows == 1
+        assert zero_rows == 1
 
     @settings(max_examples=60)
     @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4),
@@ -52,29 +51,33 @@ class TestByolLoss:
     def test_range_and_positive_rescaling_invariance(self, vec, c):
         p_vals = np.array(vec).reshape(2, 2) + 0.1  # keep away from zero rows
         z_vals = np.array([[1.0, -0.5], [0.3, 2.0]])
-        base = byol_loss(constant(p_vals), constant(z_vals))[0].item()
+        base = byol_loss(np.array(p_vals), np.array(z_vals))[0].item()
         assert -1e-12 <= base <= 4.0 + 1e-12
-        scaled = byol_loss(constant(c * p_vals), constant(z_vals))[0].item()
+        scaled = byol_loss(np.array(c * p_vals), np.array(z_vals))[0].item()
         assert scaled == pytest.approx(base, abs=1e-9)
-        scaled_z = byol_loss(constant(p_vals), constant(c * z_vals))[0].item()
+        scaled_z = byol_loss(np.array(p_vals), np.array(c * z_vals))[0].item()
         assert scaled_z == pytest.approx(base, abs=1e-9)
 
     def test_gradient_only_into_student_branch(self):
         rng = np.random.default_rng(0)
-        p = parameter(rng.normal(size=(4, 3)))
-        z = parameter(rng.normal(size=(4, 3)))  # stands in for teacher output
-        with record():
-            loss, _ = byol_loss(p, z)
-        backward(loss)
-        assert p.grad is not None
-        assert z.grad is None  # detached inside the loss
+        p = rng.normal(size=(4, 3))
+        z = rng.normal(size=(4, 3))  # stands in for teacher output
+        _, backward, _, _ = byol_loss(p, z)
+        # The backward gives one gradient, the prediction's: the target is
+        # a constant of the loss.
+        dp = backward(1.0)
+        assert isinstance(dp, np.ndarray) and dp.shape == p.shape
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        p = parameter(rng.normal(size=(5, 4)))
-        z = constant(rng.normal(size=(5, 4)))
-        report = engine.finite_diff_check(lambda: byol_loss(p, z)[0],
-                                          [("p", p)])
+        p = rng.normal(size=(5, 4))
+        z = rng.normal(size=(5, 4))
+
+        def f():
+            loss, backward = byol_loss(p, z)[:2]
+            return loss, lambda w: (backward(w),)
+
+        report = engine.finite_diff_check(f, [("p", p)])
         assert report.passed, report.per_block
 
 
@@ -189,7 +192,7 @@ def fifo(queue: NegQueue) -> np.ndarray:
 
 class TestNegQueue:
     def test_fifo_eviction_keeps_newest_in_order(self):
-        queue = NegQueue(capacity=4, dim=2)
+        queue = empty_queue(4, 2)
         keys = np.array([[float(i + 1), 0.0] for i in range(6)])
         queue_update(queue, keys)
         # Keys 3..6 survive, oldest first, stored as given.
@@ -197,7 +200,7 @@ class TestNegQueue:
         assert len(queue) == 4
 
     def test_order_tracked_through_wraparound(self):
-        queue = NegQueue(capacity=3, dim=2)
+        queue = empty_queue(3, 2)
         for i in range(5):
             queue_update(queue, np.array([[1.0, float(i)]]))
         expected = np.array([[1.0, float(i)] for i in (2, 3, 4)])
@@ -206,7 +209,7 @@ class TestNegQueue:
     def test_batch_enqueue_across_wrap_matches_row_by_row(self):
         rng = np.random.default_rng(10)
         batches = [rng.normal(size=(n, 3)) for n in (3, 4, 2)]
-        batched, by_row = NegQueue(capacity=5, dim=3), NegQueue(capacity=5, dim=3)
+        batched, by_row = empty_queue(5, 3), empty_queue(5, 3)
         for keys in batches:
             # 3 rows leave the queue partly filled; the next 4 wrap past the
             # end, and 2 more wrap again from a mid-buffer cursor.
@@ -217,7 +220,7 @@ class TestNegQueue:
             assert len(batched) == len(by_row)
 
     def test_empty_enqueue_is_noop(self):
-        queue = NegQueue(capacity=4, dim=3)
+        queue = empty_queue(4, 3)
         queue_update(queue, np.zeros((0, 3)))
         assert len(queue) == 0
 
@@ -225,8 +228,8 @@ class TestNegQueue:
     def test_stored_keys_unit_norm(self, dim, n):
         # Keys normalized once are stored bit for bit, so they stay unit.
         rng = np.random.default_rng(dim * 100 + n)
-        queue = NegQueue(capacity=8, dim=dim)
-        keys = l2_normalize_rows(rng.normal(size=(n, dim))).values
+        queue = empty_queue(8, dim)
+        keys, _ = l2_normalize_rows(rng.normal(size=(n, dim)))
         queue_update(queue, keys)
         assert fifo(queue).tobytes() == keys[-8:].tobytes()
         norms = np.linalg.norm(queue.as_matrix(), axis=1)
@@ -240,27 +243,29 @@ class TestNegQueue:
 
 class TestInfoNce:
     def test_uniform_similarities_give_log_queue_plus_one(self):
-        queue = NegQueue(capacity=8, dim=4)
+        queue = empty_queue(8, 4)
         # All negatives equal to the positive key: every similarity matches.
         key = np.tile([[1.0, 0.0, 0.0, 0.0]], (8, 1))
         queue_update(queue, key)
-        q = constant(np.tile([[1.0, 0.0, 0.0, 0.0]], (5, 1)))
-        loss = infonce_loss(q, constant(key[:5]), queue, temperature=0.2)
+        q = np.array(np.tile([[1.0, 0.0, 0.0, 0.0]], (5, 1)))
+        loss, _, _ = infonce_loss(q, np.array(key[:5]), queue,
+                                  temperature=0.2)
         assert loss.item() == pytest.approx(math.log(1 + 8), rel=1e-12)
 
     def test_dominant_positive_drives_loss_to_zero(self):
-        queue = NegQueue(capacity=4, dim=2)
+        queue = empty_queue(4, 2)
         queue_update(queue, np.tile([[0.0, 1.0]], (4, 1)))
-        q = constant([[1.0, 0.0]])
-        k = constant([[1.0, 0.0]])
-        loss = infonce_loss(q, k, queue, temperature=0.005)
+        q = np.array([[1.0, 0.0]])
+        k = np.array([[1.0, 0.0]])
+        loss, _, _ = infonce_loss(q, k, queue, temperature=0.005)
         assert loss.item() < 1e-6
 
     def test_hand_computed_two_negatives(self):
-        queue = NegQueue(capacity=2, dim=2)
+        queue = empty_queue(2, 2)
         queue_update(queue, np.array([[0.0, 1.0], [0.0, -1.0]]))
-        q = constant([[1.0, 0.0]])
-        loss = infonce_loss(q, constant([[1.0, 0.0]]), queue, temperature=1.0)
+        q = np.array([[1.0, 0.0]])
+        loss, _, _ = infonce_loss(q, np.array([[1.0, 0.0]]), queue,
+                                  temperature=1.0)
         assert loss.item() == pytest.approx(math.log(1 + 2 * math.exp(-1.0)),
                                             rel=1e-12)
         assert loss.item() == pytest.approx(0.5514, abs=5e-5)
@@ -287,65 +292,62 @@ class TestInfoNce:
         rng = np.random.default_rng(capacity)
         for _ in range(50):
             x = rng.normal(size=(1, 8)) * 10.0 ** rng.uniform(-3, 3)
-            k_hat = l2_normalize_rows(x)
-            queue = NegQueue(capacity=capacity, dim=8)
-            queue_update(queue, np.tile(k_hat.values, (capacity, 1)))
-            q = parameter(x)
-            with record():
-                loss = infonce_loss(q, k_hat, queue, float(t))
-            backward(loss)
+            k_hat, _ = l2_normalize_rows(x)
+            queue = empty_queue(capacity, 8)
+            queue_update(queue, np.tile(k_hat, (capacity, 1)))
+            loss, backward, _ = infonce_loss(x, k_hat, queue, float(t))
             assert np.isfinite(loss.item())
-            assert np.isfinite(q.grad).all()
+            assert np.isfinite(backward(1.0)).all()
 
     def test_nonpositive_temperature_rejected(self):
-        queue = NegQueue(capacity=2, dim=2)
+        queue = empty_queue(2, 2)
         with pytest.raises(ValueError, match="temperature"):
-            infonce_loss(constant([[1.0, 0.0]]), constant([[1.0, 0.0]]),
+            infonce_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
                          queue, temperature=0.0)
 
     def test_empty_queue_degenerates_to_positive_only(self):
-        queue = NegQueue(capacity=4, dim=2)
-        q = constant([[1.0, 0.0]])
-        loss = infonce_loss(q, constant([[0.0, 1.0]]), queue, temperature=0.5)
+        queue = empty_queue(4, 2)
+        q = np.array([[1.0, 0.0]])
+        loss, _, _ = infonce_loss(q, np.array([[0.0, 1.0]]), queue,
+                                  temperature=0.5)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_decreasing_in_positive_similarity(self):
         rng = np.random.default_rng(6)
         queue = NegQueue(capacity=16, dim=3, rng=rng)
-        k = constant([[1.0, 0.0, 0.0]])
+        k = np.array([[1.0, 0.0, 0.0]])
         losses = []
         for angle in (1.2, 0.8, 0.4, 0.0):
-            q = constant([[math.cos(angle), math.sin(angle), 0.0]])
-            losses.append(infonce_loss(q, k, queue, temperature=0.2).item())
+            q = np.array([[math.cos(angle), math.sin(angle), 0.0]])
+            losses.append(infonce_loss(q, k, queue, temperature=0.2)[0])
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         queue = NegQueue(capacity=8, dim=3, rng=rng)
-        q = parameter(rng.normal(size=(4, 3)))
-        k = l2_normalize_rows(rng.normal(size=(4, 3)))
-        report = engine.finite_diff_check(
-            lambda: infonce_loss(q, k, queue, temperature=0.2), [("q", q)])
+        q = rng.normal(size=(4, 3))
+        k, _ = l2_normalize_rows(rng.normal(size=(4, 3)))
+
+        def f():
+            loss, backward, _ = infonce_loss(q, k, queue, temperature=0.2)
+            return loss, lambda w: (backward(w),)
+
+        report = engine.finite_diff_check(f, [("q", q)])
         assert report.passed, report.per_block
 
     def test_fresh_random_queue_initial_loss_near_log(self):
         rng = np.random.default_rng(8)
         queue = NegQueue(capacity=256, dim=64, rng=rng)
-        q = constant(rng.normal(size=(128, 64)))
-        k = l2_normalize_rows(rng.normal(size=(128, 64)))
-        loss = infonce_loss(q, k, queue, temperature=0.2).item()
+        q = np.array(rng.normal(size=(128, 64)))
+        k, _ = l2_normalize_rows(rng.normal(size=(128, 64)))
+        loss = infonce_loss(q, k, queue, temperature=0.2)[0].item()
         assert loss == pytest.approx(math.log(257), rel=0.05)
 
 
 def test_l2_normalize_rows_unit_norm():
     rng = np.random.default_rng(9)
-    x = constant(rng.normal(size=(6, 5)) * 10)
-    out = l2_normalize_rows(x)
-    np.testing.assert_allclose(np.linalg.norm(out.values, axis=1), 1.0,
+    x = rng.normal(size=(6, 5)) * 10
+    out, zero_rows = l2_normalize_rows(x)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0,
                                atol=1e-12)
-
-
-def test_l2_normalize_rows_rejects_tensors_that_need_grad():
-    # Its rows are gradient constants; a loss normalizes inside its op.
-    with pytest.raises(ValueError, match="requires grad"):
-        l2_normalize_rows(parameter(np.ones((2, 3))))
+    assert zero_rows == 0

@@ -6,7 +6,6 @@ import os
 import pkgutil
 import resource
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from m2t import trainer as trainer_module
 from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
-from m2t.engine import Tensor, backward, record
+from m2t.engine import Tensor
 from m2t.model import Arena, Param, forward_student, mlp_spec
 from m2t.trainer import (
     MetricsRecord,
@@ -30,6 +29,9 @@ from m2t.trainer import (
     run_training,
     sgd_step,
 )
+
+from engine_reference import spy_backwards
+from update_reference import ema_pairs
 
 
 def on_glibc() -> bool:
@@ -59,8 +61,7 @@ def small_config(**overrides):
 
 
 def param(name, values, exclude=False):
-    return Param(name=name, tensor=Tensor(np.asarray(values, dtype=float),
-                                          requires_grad=True),
+    return Param(name=name, tensor=Tensor(np.asarray(values, dtype=float)),
                  exclude=exclude)
 
 
@@ -155,13 +156,13 @@ class TestTrainStep:
         trainer = Trainer(cfg)
         student_before = [t.values.copy() for _, t, _ in
                           trainer.pair.student_params()]
-        teacher_before = [t.values.copy() for t, _ in trainer.pair.ema_pairs()]
+        teacher_before = [t.values.copy() for t, _ in ema_pairs(trainer.pair)]
         batch = trainer.dataset.samples[:16]
         rec = trainer.train_step(batch, k=0)
         for before, (_, t, _) in zip(student_before,
                                      trainer.pair.student_params()):
             np.testing.assert_array_equal(t.values, before)
-        for before, (t, _) in zip(teacher_before, trainer.pair.ema_pairs()):
+        for before, (t, _) in zip(teacher_before, ema_pairs(trainer.pair)):
             np.testing.assert_array_equal(t.values, before)
         assert rec.hist_drift > 0.0
         assert trainer.pair.history.initialized
@@ -187,8 +188,8 @@ class TestTrainStep:
         cfg = small_config()
         trainer = Trainer(cfg)
         trainer.train_step(trainer.dataset.samples[:16], k=0)
-        for t, _ in trainer.pair.ema_pairs():
-            assert t.grad is None and not t.requires_grad
+        for t, _ in ema_pairs(trainer.pair):
+            assert t.grad is None
 
     def test_nan_loss_aborts_with_diagnostic(self):
         cfg = small_config()
@@ -265,9 +266,9 @@ class TestRunTraining:
     def test_m_zero_schedule_freezes_teacher(self):
         cfg = small_config(m_base=0.0)
         trainer = Trainer(cfg)
-        init = [t.values.copy() for t, _ in trainer.pair.ema_pairs()]
+        init = [t.values.copy() for t, _ in ema_pairs(trainer.pair)]
         trainer.run()
-        for before, (t, _) in zip(init, trainer.pair.ema_pairs()):
+        for before, (t, _) in zip(init, ema_pairs(trainer.pair)):
             np.testing.assert_array_equal(t.values, before)
 
     def test_all_losses_finite_on_reference_config(self):
@@ -382,13 +383,17 @@ def moco_smoke_trainer(**overrides) -> Trainer:
 
 
 class TestMocoHasNoPredictor:
-    def test_student_tape_covers_encoder_and_projector_only(self):
+    def test_student_tape_covers_encoder_and_projector_only(self,
+                                                            monkeypatch):
+        # The student's backward chain runs one fused dense backward per
+        # layer: 2 encoder and 6 projector layers.
+        ran, _ = spy_backwards(monkeypatch, "dense")
         trainer = moco_smoke_trainer()
-        with record() as tape:
-            _, p = forward_student(trainer.pair, trainer.dataset.samples[:128],
-                                   4)
-        # One fused dense entry per layer: 2 encoder and 6 projector layers.
-        assert [e.op for e in tape.entries] == ["dense"] * (2 + 6)
+        z, p, backward = forward_student(trainer.pair,
+                                         trainer.dataset.samples[:128], 4)
+        trainer.pair.student.zero_grads()
+        backward(np.ones_like(z))
+        assert ran == ["dense"] * (2 + 6)
         assert p is None and trainer.pair.predictor is None
 
     def test_modeled_sec_per_iter_counts_no_predictor(self):
@@ -426,6 +431,22 @@ def test_no_module_holds_an_m2t_object():
         held += [f"{info.name}.{name}" for name, value in vars(module).items()
                  if type(value).__module__.split(".")[0] == "m2t"]
     assert held == []
+
+
+def test_no_module_holds_a_list_and_the_engine_no_tape():
+    """A run's backward is the chain of its ops' closures, held by the run:
+    no ``m2t`` module binds a list (a stack of tapes, say) that runs in one
+    process would share, and the engine defines no tape and no generic
+    backward."""
+    lists = []
+    for info in pkgutil.iter_modules(m2t.__path__, "m2t."):
+        module = importlib.import_module(info.name)
+        lists += [f"{info.name}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, list)]
+    assert lists == []
+    engine = importlib.import_module("m2t.engine")
+    assert [name for name in ("Tape", "record", "active_tape", "backward",
+                              "add") if hasattr(engine, name)] == []
 
 
 def test_no_public_function_takes_views():
@@ -488,18 +509,15 @@ def test_trainers_stepped_alternately_report_their_own_health():
 
 
 class TestIterationTape:
+    """A step's backward is its chain of op closures: one per student
+    layer and one for the loss, dropped when the step ends."""
+
     @pytest.fixture
     def backward_spy(self, monkeypatch):
-        """Each backward's tape, as (weakref, entry ops) taken before it."""
-        seen = []
-
-        def spy(loss):
-            tape = loss._tape
-            seen.append((weakref.ref(tape), [e.op for e in tape.entries]))
-            backward(loss)
-
-        monkeypatch.setattr(trainer_module, "backward", spy)
-        return seen
+        """The ops whose backwards ran, in order, and weak references to
+        every backward the ops returned."""
+        return spy_backwards(monkeypatch, "dense", "normalized_mse",
+                             "info_nce")
 
     # Besides the dense layers: byol's one two-view normalized MSE (one
     # student pass over both views stacked), moco's one InfoNCE.
@@ -513,7 +531,7 @@ class TestIterationTape:
     def test_one_dense_entry_per_layer(self, backward_spy, name, dense, total):
         trainer = Trainer(from_dict(preset(name)))
         trainer.train_step(trainer.dataset.samples[:128], 0)
-        [(_, ops)] = backward_spy
+        ops, _ = backward_spy
         assert ops.count("dense") == dense
         assert len(ops) == total
         assert [op for op in ops if op != "dense"] == self.LOSS_OPS[name]
@@ -525,8 +543,9 @@ class TestIterationTape:
         gc.disable()
         try:
             trainer.train_step(trainer.dataset.samples[:16], 0)
-            [(tape, _)] = backward_spy
-            assert tape() is None
+            ops, made = backward_spy
+            assert ops and made
+            assert [ref for ref in made if ref() is not None] == []
         finally:
             gc.enable()
 

@@ -8,8 +8,10 @@ block or layer gets its own numpy calls, and each result is a new array
 bound to its tensor, or (for a BN layer, which commits a state of its
 own) copied into its channel range of the teacher's history.
 ``symmetrized_loss`` runs one student and one teacher pass per view and
-sums the two losses with :func:`m2t.engine.add`. The arena updates and
-the stacked passes must reproduce them to the bit, signed zeros included.
+sums the two losses; its backward runs the second view's chain, then the
+first's. The arena updates and the stacked passes must reproduce them to
+the bit, signed zeros included. :func:`ema_pairs` pairs each teacher
+weight with the student weight it mirrors.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from m2t import engine
+from m2t.engine import Tensor
 from m2t.model import (Param, StudentTeacherPair, forward_student,
                        forward_teacher)
 from m2t.normalization import MomentumBNState, momentum_bn_lazy_commit
@@ -66,12 +69,18 @@ def sgd_step(params: list[Param], grads: list[np.ndarray],
         p.tensor.values = w - lr * buf
 
 
+def ema_pairs(pair: StudentTeacherPair) -> list[tuple[Tensor, Tensor]]:
+    """(teacher tensor, student tensor) for every mirrored weight."""
+    return [(t.tensor, s.tensor)
+            for t, s in zip(pair.teacher.params, pair.student.params)]
+
+
 def ema_update(pair: StudentTeacherPair, m: float) -> None:
     """teacher <- (1 - m) * teacher + m * student for every mirrored weight,
     including BN gamma/beta. Momentum BN histories are never touched here."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"EMA coefficient must lie in [0, 1], got {m}")
-    for t, s in pair.ema_pairs():
+    for t, s in ema_pairs(pair):
         t.values = (1.0 - m) * t.values + m * s.values
 
 
@@ -115,14 +124,18 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
     """Two-view symmetrized prediction loss, one pass per view: the student
     on ``v`` against the teacher on ``v2``, then the student on ``v2``
     against the teacher on ``v``, summed. The teacher passes leave view
-    ``v2``'s statistics pending first."""
-    _, p_v = forward_student(pair, v, workers)
+    ``v2``'s statistics pending first. The backward of the sum hands its
+    gradient to both terms and runs the later pass's chain first."""
+    _, p_v, student_v = forward_student(pair, v, workers)
     t_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
-    term1 = byol_loss(p_v, t_v2)[0]
+    term1, loss1_backward, _, zero1 = byol_loss(p_v, t_v2)
 
-    _, p_v2 = forward_student(pair, v2, workers)
+    _, p_v2, student_v2 = forward_student(pair, v2, workers)
     t_v = forward_teacher(pair, v, alpha, workers, perm_seed)
-    term2 = byol_loss(p_v2, t_v)[0]
+    term2, loss2_backward, _, zero2 = byol_loss(p_v2, t_v)
 
-    return LossValue(loss=engine.add(term1, term2), term_student_v=term1,
-                     term_student_v2=term2)
+    def backward(g):
+        student_v2(loss2_backward(g))
+        student_v(loss1_backward(g))
+
+    return LossValue(term1 + term2, term1, term2, zero1 + zero2, backward)
