@@ -3,10 +3,10 @@
 Vector data gets scale jitter, additive Gaussian noise and random
 coordinate masking; flattened images additionally support horizontal flip
 and pad-and-crop before the vector augmentations. Solarization (x -> 1 - x
-where x > 0.5) is applied with a per-view probability: by convention view
-one uses the first role's probability (default 0) and view two the
-second's (default 0.2), the one deliberately asymmetric element of the
-augmentation recipe.
+where x > 0.5) is applied with a per-view probability: view one, the
+student's, uses ``solarize_prob_student`` (default 0) and view two, the
+teacher's, ``solarize_prob_teacher`` (default 0.2), the one deliberately
+asymmetric element of the augmentation recipe.
 
 All randomness comes from the seed passed to :func:`make_views`, drawn in
 a fixed documented order, so identical seeds give identical views.
@@ -24,8 +24,6 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 SOLARIZE_THRESHOLD = 0.5
-
-ROLES = ("student_view", "teacher_view")
 
 
 class IdxFormatError(ValueError):
@@ -95,13 +93,6 @@ class AugmentSpec:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.crop_pad < 0:
             raise ValueError(f"crop_pad must be >= 0, got {self.crop_pad}")
-
-    def solarize_prob(self, role: str) -> float:
-        if role == "student_view":
-            return self.solarize_prob_student
-        if role == "teacher_view":
-            return self.solarize_prob_teacher
-        raise ValueError(f"unknown view role {role!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +203,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
 # augmentation
 
 
-def _augment_one_view(batch: np.ndarray, spec: AugmentSpec, role: str,
+def _augment_one_view(batch: np.ndarray, spec: AugmentSpec, prob: float,
                       rng: np.random.Generator,
                       image_hw: Optional[tuple[int, int]]) -> np.ndarray:
     n, d = batch.shape
@@ -241,7 +232,6 @@ def _augment_one_view(batch: np.ndarray, spec: AugmentSpec, role: str,
     if spec.mask_prob > 0:
         out = out * (rng.random(size=(n, d)) >= spec.mask_prob)
 
-    prob = spec.solarize_prob(role)
     if prob > 0:
         hit = rng.random(n) < prob
         sol = out[hit]
@@ -250,22 +240,20 @@ def _augment_one_view(batch: np.ndarray, spec: AugmentSpec, role: str,
 
 
 def make_views(batch: np.ndarray, spec: AugmentSpec, seed: int,
-               roles: tuple[str, str] = ROLES,
                image_hw: Optional[tuple[int, int]] = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Two independently augmented views of the batch, (v, v').
 
-    ``roles`` assigns each view its solarization probability; the default
-    pairing gives the first view the student-side probability and the
-    second the teacher-side one. View one consumes the seeded stream first,
-    then view two, always in the same internal draw order.
+    The first view solarizes with the student-side probability and the
+    second with the teacher-side one. View one consumes the seeded stream
+    first, then view two, always in the same internal draw order.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(f"batch must be 2-D, got shape {batch.shape}")
-    if len(roles) != 2:
-        raise ValueError("exactly two view roles are required")
     rng = np.random.default_rng(seed)
-    v = _augment_one_view(batch, spec, roles[0], rng, image_hw)
-    v2 = _augment_one_view(batch, spec, roles[1], rng, image_hw)
+    v = _augment_one_view(batch, spec, spec.solarize_prob_student, rng,
+                          image_hw)
+    v2 = _augment_one_view(batch, spec, spec.solarize_prob_teacher, rng,
+                           image_hw)
     return v, v2

@@ -62,16 +62,6 @@ class Tensor:
         return self.values.size
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _relu_grad_mask(values: np.ndarray) -> np.ndarray:
     # Subgradient convention: exactly-zero inputs pass no gradient. A bool
     # mask multiplies as 1.0/0.0 without a float copy of it.
@@ -333,7 +323,7 @@ def _unit_rows_grad(g_hat: np.ndarray, x: np.ndarray,
     """Gradient for ``x`` of :func:`unit_rows`, given the unit rows'
     accumulated gradient: the backward of ``x / sqrt(sum(x * x) + guard)``
     (div, sqrt, add, sum, then mul)."""
-    g_r = _unbroadcast(-g_hat * x / (r * r), r.shape)
+    g_r = (-g_hat * x / (r * r)).sum(axis=-1, keepdims=True)
     t = g_r / (2.0 * r) * x
     return (g_hat / r + t) + t
 

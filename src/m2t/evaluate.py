@@ -70,8 +70,8 @@ class ProbeDivergedError(RuntimeError):
 
 class _ProbeHead:
     """Whole-batch BN plus one linear layer. Inference normalizes with a
-    momentum-statistics history of the training batches: each step records
-    its batch in the history's first pending row and commits it at once."""
+    momentum-statistics history of the training batches: each step commits
+    its batch statistics, as one view's row, at once."""
 
     def __init__(self, dim: int, num_classes: int):
         self.arena = Arena([
@@ -87,10 +87,8 @@ class _ProbeHead:
         """``(logits, backward)`` of a training batch; ``backward(g)`` adds
         the head's gradients into its zeroed arena."""
         mean, var = constant_batch_stats(x)
-        row = self.history.record_rows(1)
-        self.history.pending_mean[row] = mean
-        self.history.pending_var[row] = var
-        momentum_bn_lazy_commit(self.history, HISTORY_MOMENTUM)
+        momentum_bn_lazy_commit(self.history, mean[None], var[None],
+                                HISTORY_MOMENTUM)
         h, bn_backward = engine.batch_norm(x, 1, self.gamma.values,
                                            self.beta.values, EPS,
                                            stats=(mean, var))

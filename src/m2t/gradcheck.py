@@ -177,7 +177,6 @@ def _case_symmetrized(rng):
     v2 = rng.uniform(-2, 2, size=(6, 3))
 
     def loss():
-        pair.history.pending_count = 0  # each call redoes one iteration
         lv = symmetrized_loss(pair, v1, v2, 2, alpha=1.0)
         return lv.loss, lv.backward
 

@@ -11,10 +11,10 @@ participate in gradients.
 Whatever BN variant the teacher runs, it keeps one momentum history of
 its BN layers' whole-batch statistics over every channel (the pair's
 ``history``), which each layer reaches through its channel range. A pass
-records its statistics once and :func:`commit_teacher_bn` commits them
-once per iteration. In momentum mode the history also drives the forward
-blend; in the baseline modes it exists purely so that frozen-feature
-evaluation has per-sample inference statistics.
+returns its per-view statistics and :func:`commit_teacher_bn` commits
+them once per iteration. In momentum mode the history also drives the
+forward blend; in the baseline modes it exists purely so that
+frozen-feature evaluation has per-sample inference statistics.
 
 Student, teacher and frozen inference run the same layer loop,
 :func:`forward_mlp` (one fused :func:`m2t.engine.dense` op per layer), and
@@ -395,26 +395,26 @@ def forward_student(pair: StudentTeacherPair, v: np.ndarray,
 
 
 def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
-                 rows: slice, workers: Optional[int] = None,
+                 out: tuple, workers: Optional[int] = None,
                  perm: Optional[np.ndarray] = None
                  ) -> Callable[[Layer], BNSpec]:
     """BN specs of one teacher pass with BN ``kind`` over one view or a
     stack of views, each view split into ``workers`` slices, for layers
     whose ``channels`` index ``history``.
 
-    The pass owns the pending ``rows`` of ``history``
-    (:meth:`MomentumBNState.record_rows`), one per view in stack order, and
-    every layer, whatever the kind, writes each view's statistics into its
-    channel range of them. Momentum BN normalizes each view with the blend
-    of its statistics with the history; the baseline kinds normalize with
-    batch statistics per worker (plain), over the whole view (synced) or
-    per worker after the permutation ``perm`` of each view's rows
+    Every layer, whatever the kind, writes each view's statistics into its
+    channel range of ``out``, the pass's ``(mean, var)`` arrays of one row
+    per view in stack order. Momentum BN normalizes each view with the
+    blend of its statistics with the history; the baseline kinds normalize
+    with batch statistics per worker (plain), over the whole view (synced)
+    or per worker after the permutation ``perm`` of each view's rows
     (shuffling).
     """
     momentum = kind == "momentum"
     if not momentum and workers is None:
         raise ValueError(f"teacher BN kind {kind!r} needs a worker count")
     groups = 1 if kind in ("momentum", "synced") else workers
+    out_mean, out_var = out
 
     def norm(layer: Layer) -> BNSpec:
         channels = layer.channels
@@ -423,8 +423,8 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
             # Per-view statistics go to the commit however the samples are
             # grouped; None normalizes with batch statistics.
             mean, var = constant_batch_stats(h)
-            history.pending_mean[rows, channels] = mean
-            history.pending_var[rows, channels] = var
+            out_mean[:, channels] = mean
+            out_var[:, channels] = var
             return momentum_stats(history, channels, mean, var, alpha) \
                 if momentum else None
 
@@ -435,24 +435,25 @@ def teacher_norm(history: MomentumBNState, kind: str, alpha: float,
 
 def forward_teacher(pair: StudentTeacherPair, v: np.ndarray, alpha: float,
                     workers: Optional[int] = None,
-                    perm_seed: Optional[int] = None) -> np.ndarray:
+                    perm_seed: Optional[int] = None) -> tuple:
     """Teacher pass over ``v``, (B, C) rows of one view or a (V, B, C)
-    stack of views: projection z', a gradient constant (the pass's backward
-    is dropped).
+    stack of views: ``(z, (mean, var))``, the projection z', a gradient
+    constant (the pass's backward is dropped), and the statistics of every
+    teacher BN channel, one row per view in stack order.
 
-    The pass records one pending row of ``pair.history`` per view, in
-    stack order, and writes the view's statistics there; commit them once
-    per iteration via :func:`commit_teacher_bn`. Shuffling BN permutes the
-    rows of every view by the same seeded permutation.
+    The pass reads ``pair.history`` and leaves it untouched; commit its
+    statistics once per iteration via :func:`commit_teacher_bn`. Shuffling
+    BN permutes the rows of every view by the same seeded permutation.
     """
     history, kind = pair.history, pair.teacher_bn
     perm = shuffle_permutation(v.shape[-2], perm_seed) \
         if kind == "shuffling" else None
-    rows = history.record_rows(v.shape[0] if v.ndim == 3 else 1)
-    norm = teacher_norm(history, kind, alpha, rows, workers, perm)
+    shape = (v.shape[0] if v.ndim == 3 else 1, history.hist_mean.size)
+    stats = np.empty(shape), np.empty(shape)
+    norm = teacher_norm(history, kind, alpha, stats, workers, perm)
     h, _ = forward_mlp(pair.t_encoder, v, norm)
     z, _ = forward_mlp(pair.t_projector, h, norm)
-    return z
+    return z, stats
 
 
 def history_norm(history: MomentumBNState) -> Callable[[Layer], BNSpec]:
@@ -482,21 +483,20 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
     t += m * pair.student.values[:t.size]
 
 
-def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
-    """Lazily commit the teacher's pending view statistics into its history
-    (one :func:`momentum_bn_lazy_commit`, which clears them). Returns the
-    history's total L2 drift, the per-iteration history-movement metric,
-    summed layer by layer (0.0 with no pending row)."""
+def commit_teacher_bn(pair: StudentTeacherPair, stats: tuple,
+                      alpha: float) -> float:
+    """Lazily commit the per-view ``stats`` of a teacher pass
+    (:func:`forward_teacher`) into the teacher's history (one
+    :func:`momentum_bn_lazy_commit`). Returns the history's total L2 drift,
+    the per-iteration history-movement metric, summed layer by layer."""
     history = pair.history
-    if not history.pending_count:
-        return 0.0
     # The commit writes the history in place, so keep a copy as the
     # "before"; the first commit measures drift from zero (x - 0.0 == x).
     before_mean = before_var = 0.0
     if history.initialized:
         before_mean = history.hist_mean.copy()
         before_var = history.hist_var.copy()
-    momentum_bn_lazy_commit(history, alpha)
+    momentum_bn_lazy_commit(history, *stats, alpha)
     d_mean = np.square(history.hist_mean - before_mean)
     d_var = np.square(history.hist_var - before_var)
     drift_sq = 0.0

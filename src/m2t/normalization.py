@@ -18,12 +18,13 @@ cover the student/teacher combinations studied here:
 * momentum: normalization uses a convex blend of the current batch
   statistics with an exponentially averaged history
   (:func:`momentum_stats`), and the history itself is only committed once
-  per iteration (lazily, :func:`momentum_bn_lazy_commit`), after both views
-  of a symmetrized step have been processed.
+  per iteration (lazily, :func:`momentum_bn_lazy_commit`), after the
+  teacher pass over both views of a symmetrized step.
 
 A :class:`MomentumBNState` is one such history: a teacher's covers all its
 BN layers, each using only its own channel range; the probe head has one.
-It owns the statistics rows pending for its next commit, too.
+It holds the history alone. A pass returns its per-view statistics, and
+its caller hands them to the commit.
 
 The blend coefficient ``alpha`` weights the current batch:
 
@@ -66,30 +67,12 @@ class NormParams:
 @dataclass
 class MomentumBNState:
     """Momentum history of a set of BN channels, allocated once (identity
-    statistics until its first commit), and the per-view statistics pending
-    for its next commit: one row of ``pending_mean``/``pending_var`` over
-    every channel per view of the current iteration, in the order the
-    teacher saw the views, ``pending_count`` of them (0 between
-    iterations). Every buffer is allocated here and written in place."""
+    statistics until its first commit) and written in place by
+    :func:`momentum_bn_lazy_commit`."""
 
     hist_mean: np.ndarray
     hist_var: np.ndarray
     initialized: bool = False
-
-    def __post_init__(self):
-        self.pending_count = 0
-        self.pending_mean = np.empty((2, self.hist_mean.size))
-        self.pending_var = np.empty((2, self.hist_mean.size))
-
-    def record_rows(self, count: int) -> slice:
-        """The next ``count`` pending rows, one per view of a pass, now
-        recorded (``ValueError`` past the two a commit takes)."""
-        rows = slice(self.pending_count, self.pending_count + count)
-        if rows.stop > 2:
-            raise ValueError(f"{rows.stop} pending view statistics; "
-                             f"expected 1 or 2")
-        self.pending_count = rows.stop
-        return rows
 
 
 def _check_alpha(alpha: float) -> None:
@@ -146,21 +129,21 @@ def momentum_stats(history: MomentumBNState, channels: slice,
             (1.0 - w_hist) * var + w_hist * history.hist_var[channels])
 
 
-def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
-    """Fold the average of the first and the last pending view's statistics
-    into the history, then clear the pending rows.
+def momentum_bn_lazy_commit(state: MomentumBNState, mean: np.ndarray,
+                            var: np.ndarray, alpha: float) -> None:
+    """Fold the average of the first and the last view's statistics, rows
+    of ``mean``/``var`` (one per view, over every channel of ``state``),
+    into the history.
 
-    Called exactly once per iteration, after both view forwards, so neither
-    view's statistics can leak into the other view's normalization within
-    the same iteration. A single pending view (one-view recipes) commits as
-    the average of itself with itself, which is that view's statistics.
+    Called exactly once per iteration, after the teacher pass over both
+    views, so neither view's statistics can leak into the other view's
+    normalization within the same iteration. A single view (one-view
+    recipes) commits as the average of itself with itself, which is that
+    view's statistics.
     """
     _check_alpha(alpha)
-    last = state.pending_count - 1
-    if last < 0:
-        raise ValueError("lazy commit with no pending view statistics")
-    avg_mean = 0.5 * (state.pending_mean[0] + state.pending_mean[last])
-    avg_var = 0.5 * (state.pending_var[0] + state.pending_var[last])
+    avg_mean = 0.5 * (mean[0] + mean[-1])
+    avg_var = 0.5 * (var[0] + var[-1])
     if state.initialized:
         w_hist = 1.0 - alpha
         avg_mean = (1.0 - w_hist) * avg_mean + w_hist * state.hist_mean
@@ -168,7 +151,6 @@ def momentum_bn_lazy_commit(state: MomentumBNState, alpha: float) -> None:
     state.hist_mean[...] = avg_mean
     state.hist_var[...] = avg_var
     state.initialized = True
-    state.pending_count = 0
 
 
 # ---------------------------------------------------------------------------

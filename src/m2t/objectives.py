@@ -15,9 +15,10 @@ axis of one (2, B, C) array: one student pass runs over it, one teacher
 pass over it reversed and one two-view loss over both; each equals its
 per-view calls bit for bit. The loss's backward is the loss op's closure
 followed by the student pass's. The teacher normalizes each view against the
-previous iteration's history; committing that history is left to the
-caller (one commit per iteration, after the pass), which is what keeps one
-view's statistics out of the other view's normalization.
+previous iteration's history and the loss carries the pass's per-view
+statistics; committing them is left to the caller (one commit per
+iteration, after the pass), which is what keeps one view's statistics out
+of the other view's normalization.
 """
 
 from __future__ import annotations
@@ -56,14 +57,17 @@ def byol_loss(p: np.ndarray, z_teacher: np.ndarray) -> tuple:
 @dataclass
 class LossValue:
     """A step's loss: the total, its two directional terms (the second
-    0.0 for a one-view loss), the zero-norm rows it met, and ``backward(g)``,
-    which adds the student's gradients of ``g`` times the loss into the
-    student arena."""
+    0.0 for a one-view loss), the zero-norm rows it met, the teacher pass's
+    per-view ``(mean, var)`` statistics for
+    :func:`m2t.model.commit_teacher_bn`, and ``backward(g)``, which adds
+    the student's gradients of ``g`` times the loss into the student
+    arena."""
 
     loss: np.ndarray
     term_student_v: np.ndarray
     term_student_v2: np.ndarray
     zero_norm_rows: int
+    teacher_stats: tuple
     backward: Callable[[float], None]
 
 
@@ -77,9 +81,9 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
     One student pass over the stack ``[v, v2]``, one teacher pass over
     ``[v2, v]`` (the same stack reversed) and one two-view loss, each
     equal to its per-view calls bit for bit. The teacher blends each
-    view's statistics with the history as it stood before this iteration
-    and records them in its pending rows, view ``v2`` first; the caller
-    must commit them exactly once afterwards.
+    view's statistics with the history as it stood before this iteration,
+    and the loss carries them, view ``v2`` first; the caller must commit
+    them exactly once afterwards.
     """
     v, v2 = np.asarray(v, dtype=np.float64), np.asarray(v2, dtype=np.float64)
     if v.shape != v2.shape:
@@ -87,9 +91,9 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
             f"view shapes differ: {v.shape} vs {v2.shape}")
     x = np.stack((v, v2))
     _, p, student_backward = forward_student(pair, x, workers)
-    z = forward_teacher(pair, x[::-1], alpha, workers, perm_seed)
+    z, stats = forward_teacher(pair, x[::-1], alpha, workers, perm_seed)
     loss, loss_backward, (term1, term2), zero_rows = byol_loss(p, z)
-    return LossValue(loss, term1, term2, zero_rows,
+    return LossValue(loss, term1, term2, zero_rows, stats,
                      lambda g: student_backward(loss_backward(g)))
 
 

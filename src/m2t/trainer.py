@@ -316,14 +316,14 @@ class Trainer:
 
         if self.is_moco:
             z, _, student_backward = forward_student(self.pair, v, cfg.workers)
-            k_pos = forward_teacher(self.pair, v2, alpha_k, cfg.workers,
-                                    perm_seed)
+            k_pos, stats = forward_teacher(self.pair, v2, alpha_k,
+                                           cfg.workers, perm_seed)
             # Unit keys, normalized once: the positive logit and the queue
             # use the same rows.
             k_hat, zero_keys = l2_normalize_rows(k_pos)
             loss, loss_backward, zero_rows = infonce_loss(
                 z, k_hat, self.queue, cfg.temperature)
-            lv = LossValue(loss, loss, 0.0, zero_keys + zero_rows,
+            lv = LossValue(loss, loss, 0.0, zero_keys + zero_rows, stats,
                            lambda g: student_backward(loss_backward(g)))
         else:
             lv = symmetrized_loss(self.pair, v, v2, cfg.workers, alpha_k,
@@ -338,9 +338,6 @@ class Trainer:
                                  hist_drift=drift, sec_per_iter=self._sec_model)
 
         def failed(what: str) -> NanLossError:
-            # No commit follows: drop the teacher pass's pending statistics,
-            # so that a later step records its own.
-            self.pair.history.pending_count = 0
             return NanLossError(f"non-finite {what} at iteration {k}",
                                 metrics(float("nan")))
 
@@ -354,7 +351,7 @@ class Trainer:
         sgd_step(self.opt, lr_k)
         if not np.isfinite(student.values).all():
             raise failed("parameter after the step")
-        drift = commit_teacher_bn(self.pair, alpha_k)
+        drift = commit_teacher_bn(self.pair, lv.teacher_stats, alpha_k)
         # The drift sums every history's change, so one check covers them all.
         if not np.isfinite(drift):
             raise NanLossError(

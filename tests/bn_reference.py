@@ -14,7 +14,8 @@ layer has an identity weight and a zero bias, so ``x @ I + 0`` is ``x``
 exactly in float64 and the output is that BN of ``x`` alone. A teacher
 layer's channel range is the whole of its history. Both take an array or a
 tape tensor (its values) and return the output as a tape constant, which
-compares with :func:`bn_apply`'s.
+compares with :func:`bn_apply`'s; :func:`layer_bn` returns the pass's
+statistics row with it.
 """
 
 from dataclasses import dataclass
@@ -111,21 +112,22 @@ def teacher_layer(p: NormParams) -> Layer:
 
 def layer_bn(x, kind: str, alpha: float, p: NormParams,
              workers: Optional[int] = None, perm_seed: Optional[int] = None,
-             history: Optional[MomentumBNState] = None) -> Tensor:
-    """``x`` normalized by the spec of a teacher pass with BN ``kind``
-    (:func:`m2t.model.teacher_norm`) over ``workers``, on a layer with
-    params ``p`` and momentum history ``history`` (a fresh one if None)."""
+             history: Optional[MomentumBNState] = None) -> tuple:
+    """``(y, (mean, var))``: ``x`` normalized by the spec of a teacher pass
+    with BN ``kind`` (:func:`m2t.model.teacher_norm`) over ``workers``, on a
+    layer with params ``p`` and momentum history ``history`` (a fresh one if
+    None), and the pass's statistics, one (1, C) row each."""
     x = _values(x)
     if history is None:
         history = new_history(p.gamma.shape[0])
     layer = teacher_layer(p)
     perm = shuffle_permutation(x.shape[0], perm_seed) \
         if kind == "shuffling" else None
-    norm = teacher_norm(history, kind, alpha, history.record_rows(1), workers,
-                        perm)
+    row = np.empty((1, x.shape[1])), np.empty((1, x.shape[1]))
+    norm = teacher_norm(history, kind, alpha, row, workers, perm)
     out, _ = engine.dense(x, layer.weight.values, layer.bias.values,
                           layer.relu, norm(layer))
-    return ref.constant(out)
+    return ref.constant(out), row
 
 
 def _values(x) -> np.ndarray:

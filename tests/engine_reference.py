@@ -32,8 +32,18 @@ from m2t.engine import (
     DimensionError,
     _check_matmul,
     _relu_grad_mask,
-    _unbroadcast,
 )
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
 
 # ---------------------------------------------------------------------------
 # tensors and the tape

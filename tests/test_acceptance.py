@@ -28,7 +28,7 @@ from m2t.schedules import apply_linear_scaling, cosine_value
 from bn_reference import (batch_stats, bn_apply, identity_norm_params,
                           layer_bn, student_bn)
 from engine_reference import constant
-from update_reference import ema_pairs
+from update_reference import ema_pairs, stack_stats
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -73,8 +73,8 @@ def test_criterion_2_synced_bn_equivalence():
         # the teacher's in teacher_norm.
         student_multi = student_bn(x, "synced", w, p)
         student_single = student_bn(x, "plain", 1, p)
-        teacher_multi = layer_bn(x, "synced", 1.0, p, w)
-        teacher_single = layer_bn(x, "plain", 1.0, p, 1)
+        teacher_multi, _ = layer_bn(x, "synced", 1.0, p, w)
+        teacher_single, _ = layer_bn(x, "plain", 1.0, p, 1)
         if (student_multi.values.tobytes() != student_single.values.tobytes()
                 or teacher_multi.values.tobytes()
                 != teacher_single.values.tobytes()):
@@ -96,7 +96,7 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        y = layer_bn(x, "momentum", 1.0, p, history=state)
+        y, _ = layer_bn(x, "momentum", 1.0, p, history=state)
         ref = bn_apply(x, batch_stats(x), p)
         if y.values.tobytes() != ref.values.tobytes():
             alpha1_failures += 1
@@ -110,15 +110,14 @@ def test_criterion_3_momentum_bn_degeneracy():
         state = MomentumBNState(hist_mean=rng.normal(size=c),
                                 hist_var=np.abs(rng.normal(size=c)) + 0.1,
                                 initialized=True)
-        base = layer_bn(constant(x), "momentum", 0.0, p, history=state)
-        state.pending_count = 0
+        base, _ = layer_bn(constant(x), "momentum", 0.0, p, history=state)
         row = int(rng.integers(0, n))
         perturbed = x.copy()
         mask = np.ones(n, dtype=bool)
         mask[row] = False
         perturbed[mask] += rng.normal(13.0, 40.0, size=(n - 1, c))
-        out = layer_bn(constant(perturbed), "momentum", 0.0, p,
-                       history=state)
+        out, _ = layer_bn(constant(perturbed), "momentum", 0.0, p,
+                          history=state)
         if base.values[row].tobytes() != out.values[row].tobytes():
             alpha0_failures += 1
 
@@ -145,10 +144,10 @@ def test_criterion_4_leakage_freedom():
             pair.history.hist_var[:] = 1.0
             pair.history.initialized = True
             alpha = 0.5
-            t_other = forward_teacher(pair, v_other, alpha)
-            t_v = forward_teacher(pair, v, alpha)
+            _, other_stats = forward_teacher(pair, v_other, alpha)
+            t_v, v_stats = forward_teacher(pair, v, alpha)
             from m2t.model import commit_teacher_bn
-            commit_teacher_bn(pair, alpha)
+            commit_teacher_bn(pair, stack_stats(other_stats, v_stats), alpha)
             return t_v.tobytes()
 
         base = teacher_of_v(rng.normal(size=(8, 4)))

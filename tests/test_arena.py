@@ -247,9 +247,7 @@ def state_arrays(trainer) -> dict:
               "optimizer buffer": opt.buffer,
               "teacher values": pair.teacher.values,
               "hist_mean": pair.history.hist_mean,
-              "hist_var": pair.history.hist_var,
-              "pending_mean": pair.history.pending_mean,
-              "pending_var": pair.history.pending_var}
+              "hist_var": pair.history.hist_var}
     if isinstance(opt.wd, np.ndarray):
         arrays["weight decay"] = opt.wd
     if trainer.queue is not None:
@@ -294,10 +292,9 @@ def test_probe_state_keeps_its_arrays(monkeypatch):
                       *(p.tensor.grad.base for p in arena.params)))
         real_step(opt, lr)
 
-    def commit(history, momentum):
-        commits.append((history.hist_mean, history.hist_var,
-                        history.pending_mean, history.pending_var))
-        real_commit(history, momentum)
+    def commit(history, mean, var, momentum):
+        commits.append((history.hist_mean, history.hist_var))
+        real_commit(history, mean, var, momentum)
 
     monkeypatch.setattr(evaluate, "sgd_step", step)
     monkeypatch.setattr(evaluate, "momentum_bn_lazy_commit", commit)
@@ -356,6 +353,13 @@ def test_ema_with_rewritten_blocks_equals_oracle():
             assert p.tensor.values.base is arena.values
 
 
+def pass_stats(pair, batches, alpha, k) -> tuple:
+    """The statistics rows of one teacher pass per batch, stacked."""
+    return ref.stack_stats(*(
+        forward_teacher(pair, v, alpha, workers=2, perm_seed=k)[1]
+        for v in batches))
+
+
 def commits_equal_oracle(got, want, views: int) -> list:
     """Run STEPS teacher iterations of ``views`` passes on twin pairs,
     committing ``got`` with :func:`commit_teacher_bn` and ``want`` with the
@@ -376,15 +380,15 @@ def commits_equal_oracle(got, want, views: int) -> list:
                 pair.history.hist_mean[ch] += 1.0
                 pair.history.hist_var[ch] = np.abs(
                     pair.history.hist_var[ch] - 0.5)
-        for pair in (got, want):
-            for v in batches:
-                forward_teacher(pair, v, alpha, workers=2, perm_seed=k)
-        drift = commit_teacher_bn(got, alpha)
-        assert_bits_equal(drift, ref.commit_teacher_bn(want, alpha),
+        got_stats, want_stats = (pass_stats(pair, batches, alpha, k)
+                                 for pair in (got, want))
+        drift = commit_teacher_bn(got, got_stats, alpha)
+        assert_bits_equal(drift, ref.commit_teacher_bn(want, want_stats,
+                                                       alpha),
                           f"drift at step {k}")
         assert_bits_equal(hist.hist_mean, want.history.hist_mean)
         assert_bits_equal(hist.hist_var, want.history.hist_var)
-        assert hist.initialized and hist.pending_count == 0
+        assert hist.initialized
         # Each history vector keeps its one array across commits, so every
         # layer's range of it stays a view of the committed history.
         assert hist.hist_mean is mean0 and hist.hist_var is var0

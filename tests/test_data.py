@@ -207,9 +207,3 @@ class TestMakeViews:
         v, v2 = make_views(batch, spec, seed=3, image_hw=hw)
         assert v.shape == batch.shape and v2.shape == batch.shape
         assert np.all(np.isfinite(v))
-
-    def test_bad_role_rejected(self):
-        spec = AugmentSpec()
-        with pytest.raises(ValueError, match="role"):
-            make_views(np.zeros((2, 2)), spec, seed=0,
-                       roles=("student_view", "nonsense"))

@@ -90,7 +90,7 @@ def test_full_iteration_matches_reference(trace, setup):
             np.testing.assert_allclose(s.mean.values, expected["mean"], atol=TOL)
             np.testing.assert_allclose(s.var.values, expected["var"], atol=TOL)
 
-    # The symmetrized pass: losses and pending teacher statistics.
+    # The symmetrized pass: losses and the teacher pass's statistics.
     out = symmetrized_loss(pair, v1, v2, 2, alpha)
     assert out.term_student_v.item() == pytest.approx(trace["loss_term_1"],
                                                       abs=TOL)
@@ -98,9 +98,9 @@ def test_full_iteration_matches_reference(trace, setup):
                                                        abs=TOL)
     assert out.loss.item() == pytest.approx(trace["loss_total"], abs=TOL)
 
-    assert state.pending_count == 2
+    assert all(rows.shape[0] == 2 for rows in out.teacher_stats)
     # The teacher saw view 2 first: (mean, var) rows of views 2 and 1.
-    pend_v2, pend_v1 = zip(state.pending_mean, state.pending_var)
+    pend_v2, pend_v1 = zip(*out.teacher_stats)
     np.testing.assert_allclose(pend_v2[0],
                                trace["teacher_batch_stats_v2"]["mean"], atol=TOL)
     np.testing.assert_allclose(pend_v2[1],
@@ -143,7 +143,7 @@ def test_full_iteration_matches_reference(trace, setup):
             err_msg=p.name)
 
     # History commit and teacher EMA.
-    commit_teacher_bn(pair, alpha)
+    commit_teacher_bn(pair, out.teacher_stats, alpha)
     np.testing.assert_allclose(state.hist_mean,
                                trace["history_commit"]["mean"], atol=TOL)
     np.testing.assert_allclose(state.hist_var,
@@ -169,10 +169,10 @@ def test_teacher_projections_match_reference(trace, setup):
     pair, state, v1, v2, cfg = setup
     from m2t.model import forward_teacher
 
-    z2 = forward_teacher(pair, v2, cfg["alpha"])
+    z2, _ = forward_teacher(pair, v2, cfg["alpha"])
     np.testing.assert_allclose(z2, trace["teacher_projection_v2"],
                                atol=TOL)
-    z1 = forward_teacher(pair, v1, cfg["alpha"])
+    z1, _ = forward_teacher(pair, v1, cfg["alpha"])
     np.testing.assert_allclose(z1, trace["teacher_projection_v1"],
                                atol=TOL)
 

@@ -118,7 +118,7 @@ class TestForwardTeacher:
         pair = tiny_pair(seed=4)
         v = np.random.default_rng(5).normal(size=(8, 4))
         z, _, _ = forward_student(pair, v, 1)
-        z_t = forward_teacher(pair, v, alpha=1.0, workers=1)
+        z_t, _ = forward_teacher(pair, v, alpha=1.0, workers=1)
         np.testing.assert_array_equal(z_t, z)
 
     def test_alpha_zero_is_per_sample_affine(self):
@@ -132,13 +132,12 @@ class TestForwardTeacher:
         pair.history.initialized = True
         rng = np.random.default_rng(7)
         v = rng.normal(size=(8, 4))
-        base = forward_teacher(pair, v, alpha=0.0).copy()
-        pair.history.pending_count = 0
+        base = forward_teacher(pair, v, alpha=0.0)[0].copy()
 
         # Perturb every other sample; row 0 must be bit-identical.
         v2 = v.copy()
         v2[1:] = rng.normal(50.0, 10.0, size=(7, 4))
-        out = forward_teacher(pair, v2, alpha=0.0)
+        out, _ = forward_teacher(pair, v2, alpha=0.0)
         assert out[0].tobytes() == base[0].tobytes()
 
     def test_no_gradients_anywhere_on_teacher(self, monkeypatch):
@@ -149,7 +148,7 @@ class TestForwardTeacher:
         pair = tiny_pair(seed=8)
         v = np.random.default_rng(9).normal(size=(8, 4))
         _, p, backward = forward_student(pair, v, 2)
-        t = forward_teacher(pair, v, alpha=1.0, workers=2)
+        t, _ = forward_teacher(pair, v, alpha=1.0, workers=2)
         pair.student.zero_grads()
         backward(2.0 * (p - t))
         assert ran == ["dense"] * 6
@@ -162,11 +161,11 @@ class TestForwardTeacher:
         pair = plain_pair_no_bn(seed=10, dim=5)
         v = np.random.default_rng(11).normal(size=(4, 5))
         z, _, _ = forward_student(pair, v, 1)
-        z_t = forward_teacher(pair, v, alpha=1.0)
+        z_t, _ = forward_teacher(pair, v, alpha=1.0)
         np.testing.assert_array_equal(z_t, z)
 
     def test_baseline_teacher_modes_also_record_pending(self, monkeypatch):
-        # One pending entry per pass, holding each layer's whole-batch
+        # One statistics row per pass, holding each layer's whole-batch
         # statistics in its channel range.
         for kind in ("plain", "synced", "shuffling"):
             layer_stats = []
@@ -178,10 +177,9 @@ class TestForwardTeacher:
             monkeypatch.setattr(model, "constant_batch_stats", spy)
             pair = tiny_pair(seed=12, teacher_bn=kind)
             v = np.random.default_rng(13).normal(size=(8, 4))
-            forward_teacher(pair, v, alpha=1.0, workers=2, perm_seed=0)
-            assert pair.history.pending_count == 1
-            seen_mean = pair.history.pending_mean[:1]
-            seen_var = pair.history.pending_var[:1]
+            _, (seen_mean, seen_var) = forward_teacher(
+                pair, v, alpha=1.0, workers=2, perm_seed=0)
+            assert seen_mean.shape == seen_var.shape == (1, 18)
             assert len(layer_stats) == len(pair.teacher_bn_layers()) == 3
             for layer, (mean, var) in zip(pair.teacher_bn_layers(),
                                           layer_stats):
@@ -267,16 +265,11 @@ class TestCommit:
     def test_one_commit_per_iteration_clears_pending(self):
         pair = tiny_pair(seed=23)
         v = np.random.default_rng(24).normal(size=(8, 4))
-        forward_teacher(pair, v, alpha=0.5)
-        forward_teacher(pair, v + 1.0, alpha=0.5)
-        drift = commit_teacher_bn(pair, alpha=0.5)
+        _, stats = forward_teacher(pair, np.stack((v, v + 1.0)), alpha=0.5)
+        drift = commit_teacher_bn(pair, stats, alpha=0.5)
         assert drift > 0.0
-        assert pair.history.pending_count == 0
+        assert all(rows.shape == (2, 18) for rows in stats)
         assert pair.history.initialized
-
-    def test_commit_with_no_pending_is_noop(self):
-        pair = tiny_pair(seed=25)
-        assert commit_teacher_bn(pair, 0.5) == 0.0
 
 
 class TestDumpTeacher:
@@ -311,8 +304,8 @@ def trained_teacher_pair(seed=29):
         layer.norm.gamma.values[...] = rng.uniform(0.5, 1.5, size=width)
         layer.norm.beta.values[...] = rng.normal(size=width)
     for _ in range(2):
-        forward_teacher(pair, rng.normal(size=(8, 4)), alpha=0.5)
-        commit_teacher_bn(pair, alpha=0.5)
+        _, stats = forward_teacher(pair, rng.normal(size=(8, 4)), alpha=0.5)
+        commit_teacher_bn(pair, stats, alpha=0.5)
     return pair
 
 
@@ -366,7 +359,8 @@ class TestLoadTeacher:
         x = np.random.default_rng(32).normal(size=(8, 4))
         payload = dump_teacher(pair.t_encoder)
 
+        rows = np.empty((1, pair.history.hist_mean.size))
         train_side, _ = forward_mlp(pair.t_encoder, x,
                                     teacher_norm(pair.history, "momentum", 0.0,
-                                                 pair.history.record_rows(1)))
+                                                 (rows, rows.copy())))
         assert train_side.tobytes() == extract_features(payload, x).tobytes()

@@ -35,6 +35,7 @@ from bn_reference import (
     teacher_layer,
     worker_slices,
 )
+from update_reference import stack_stats
 
 
 def two_pass_stats(x: np.ndarray):
@@ -163,7 +164,7 @@ class TestPlainBn:
         p = identity_norm_params(4)
         want = bn_apply(x, batch_stats(x), p).values.tobytes()
         assert student_bn(x, "plain", 1, p).values.tobytes() == want
-        assert layer_bn(x, "plain", 1.0, p, 1).values.tobytes() \
+        assert layer_bn(x, "plain", 1.0, p, 1)[0].values.tobytes() \
             == want
 
     def test_constant_slices_normalize_to_beta(self):
@@ -171,14 +172,14 @@ class TestPlainBn:
         p = norm.NormParams(gamma=constant([1.0]), beta=constant([0.5]))
         np.testing.assert_allclose(student_bn(x, "plain", 2, p).values, 0.5)
         np.testing.assert_allclose(
-            layer_bn(x, "plain", 1.0, p, 2).values, 0.5)
+            layer_bn(x, "plain", 1.0, p, 2)[0].values, 0.5)
 
     def test_matches_slice_wise_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(32, 8))
         p = identity_norm_params(8)
         student = student_bn(constant(x), "plain", 4, p)
-        teacher = layer_bn(constant(x), "plain", 1.0, p, 4)
+        teacher, _ = layer_bn(constant(x), "plain", 1.0, p, 4)
         for rows in worker_slices(32, 4):
             piece = constant(x[rows])
             ref = bn_apply(piece, batch_stats(piece), p)
@@ -275,10 +276,11 @@ class TestSyncedBn:
         x = constant(rng.normal(size=(24, 5)))
         p = identity_norm_params(5)
         student = student_bn(x, "plain", 1, p).values.tobytes()
-        teacher = layer_bn(x, "plain", 1.0, p, 1).values.tobytes()
+        teacher = layer_bn(x, "plain", 1.0, p, 1)[0].values.tobytes()
         for w in (2, 3, 4):
             assert student_bn(x, "synced", w, p).values.tobytes() == student
-            assert layer_bn(x, "synced", 1.0, p, w).values.tobytes() == teacher
+            assert layer_bn(x, "synced", 1.0, p, w)[0].values.tobytes() \
+                == teacher
 
     def test_hand_stats_over_union(self):
         x = constant([[0.0], [2.0], [4.0], [6.0]])
@@ -286,7 +288,7 @@ class TestSyncedBn:
         # union mean 3, union biased variance 5
         expected = (x.values - 3.0) / np.sqrt(5.0 + 1e-12)
         for y in (student_bn(x, "synced", 2, p),
-                  layer_bn(x, "synced", 1.0, p, 2)):
+                  layer_bn(x, "synced", 1.0, p, 2)[0]):
             np.testing.assert_allclose(y.values, expected, rtol=1e-12)
 
     def test_global_zero_mean(self):
@@ -303,19 +305,20 @@ class TestShufflingBn:
         p = identity_norm_params(3)
         layer = teacher_layer(p)
         history = new_history(3)
-        spec = teacher_norm(history, "shuffling", 1.0, history.record_rows(1),
-                            3, np.arange(12))(layer)
+        row = np.empty((1, 3)), np.empty((1, 3))
+        spec = teacher_norm(history, "shuffling", 1.0, row, 3,
+                            np.arange(12))(layer)
         got, _ = engine.dense(x.values, layer.weight.values,
                               layer.bias.values, False, spec)
-        want = layer_bn(x, "plain", 1.0, p, 3)
+        want, _ = layer_bn(x, "plain", 1.0, p, 3)
         assert got.tobytes() == want.values.tobytes()
 
     def test_single_worker_any_permutation_equals_plain(self):
         rng = np.random.default_rng(10)
         x = constant(rng.normal(size=(8, 2)))
         p = identity_norm_params(2)
-        got = layer_bn(x, "shuffling", 1.0, p, 1, 123)
-        want = layer_bn(x, "plain", 1.0, p, 1)
+        got, _ = layer_bn(x, "shuffling", 1.0, p, 1, 123)
+        want, _ = layer_bn(x, "plain", 1.0, p, 1)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
     def test_rows_normalized_by_shuffled_group_stats(self):
@@ -323,7 +326,7 @@ class TestShufflingBn:
         x = rng.normal(size=(16, 4))
         p = identity_norm_params(4)
         seed = 77
-        y = layer_bn(constant(x), "shuffling", 1.0, p, 4, seed)
+        y, _ = layer_bn(constant(x), "shuffling", 1.0, p, 4, seed)
 
         # Oracle: follow the permutation and recompute each group's stats.
         perm = np.random.default_rng(seed).permutation(16)
@@ -337,6 +340,7 @@ class TestShufflingBn:
 
 
 def momentum_bn(x, state, alpha, p):
+    """``(y, (mean, var))`` of :func:`layer_bn` with momentum BN."""
     return layer_bn(x, "momentum", alpha, p, history=state)
 
 
@@ -351,7 +355,7 @@ class TestMomentumBn:
         x = constant(rng.normal(size=(16, 4)))
         p = identity_norm_params(4)
         state = self._state(mean=np.zeros(4), var=np.ones(4))
-        y = momentum_bn(x, state, 1.0, p)
+        y, _ = momentum_bn(x, state, 1.0, p)
         want = bn_apply(x, batch_stats(x), p)
         assert y.values.tobytes() == want.values.tobytes()
 
@@ -359,30 +363,29 @@ class TestMomentumBn:
         x = constant([[3.0]])
         p = identity_norm_params(1, eps=1e-12)
         state = self._state(mean=[1.0], var=[4.0])
-        y = momentum_bn(x, state, 0.0, p)
+        y, _ = momentum_bn(x, state, 0.0, p)
         assert y.values[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_half_blend_hand_example(self):
         x = constant([[0.0], [2.0]])
         p = identity_norm_params(1, eps=1e-12)
         state = self._state(mean=[0.0], var=[1.0])
-        y = momentum_bn(x, state, 0.5, p)
+        y, (mean, _) = momentum_bn(x, state, 0.5, p)
         # batch mean 1, batch var 1 -> blended mean 0.5, blended var 1
         np.testing.assert_allclose(y.values, [[-0.5], [1.5]], atol=1e-9)
-        np.testing.assert_array_equal(
-            state.pending_mean[state.pending_count - 1], [1.0])
+        np.testing.assert_array_equal(mean, [[1.0]])
 
     def test_forward_does_not_touch_history(self):
         x = constant(np.random.default_rng(13).normal(size=(4, 2)))
         state = self._state(mean=[1.0, 1.0], var=[2.0, 2.0])
-        momentum_bn(x, state, 0.3, identity_norm_params(2))
+        _, row = momentum_bn(x, state, 0.3, identity_norm_params(2))
         np.testing.assert_array_equal(state.hist_mean, [1.0, 1.0])
         np.testing.assert_array_equal(state.hist_var, [2.0, 2.0])
-        assert state.pending_count == 1
+        assert all(r.shape == (1, 2) for r in row)
 
     def test_uninitialized_history_falls_back_to_batch(self):
         x = constant([[0.0], [2.0]])
-        y = momentum_bn(x, None, 0.25, identity_norm_params(1, eps=1e-12))
+        y, _ = momentum_bn(x, None, 0.25, identity_norm_params(1, eps=1e-12))
         np.testing.assert_allclose(y.values, [[-1.0], [1.0]], atol=1e-9)
 
     def test_alpha_out_of_range(self):
@@ -393,28 +396,27 @@ class TestMomentumBn:
 
 class TestLazyCommit:
     @staticmethod
-    def _record(state, *views):
-        """Record each ``(mean, var)`` view in the next pending row."""
-        for mean, var in views:
-            row = state.record_rows(1)
-            state.pending_mean[row] = mean
-            state.pending_var[row] = var
+    def _rows(*views):
+        """The ``(mean, var)`` rows of the given ``(mean, var)`` views."""
+        return tuple(np.array(rows, dtype=float) for rows in zip(*views))
 
     def test_fixed_point(self):
         state = MomentumBNState(hist_mean=np.array([2.0]), hist_var=np.array([3.0]),
                                 initialized=True)
         s = ([2.0], [3.0])
-        self._record(state, s, s)
-        momentum_bn_lazy_commit(state, 0.7)
+        rows = self._rows(s, s)
+        momentum_bn_lazy_commit(state, *rows, 0.7)
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [3.0])
-        assert state.pending_count == 0
+        # The commit reads its rows and writes only the history.
+        np.testing.assert_array_equal(rows[0], [[2.0], [2.0]])
+        np.testing.assert_array_equal(rows[1], [[3.0], [3.0]])
 
     def test_alpha_one_takes_view_average(self):
         state = MomentumBNState(hist_mean=np.array([9.0]), hist_var=np.array([9.0]),
                                 initialized=True)
-        self._record(state, ([1.0], [2.0]), ([3.0], [4.0]))
-        momentum_bn_lazy_commit(state, 1.0)
+        rows = self._rows(([1.0], [2.0]), ([3.0], [4.0]))
+        momentum_bn_lazy_commit(state, *rows, 1.0)
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [3.0])
 
@@ -422,47 +424,22 @@ class TestLazyCommit:
         state = MomentumBNState(hist_mean=np.array([0.0]), hist_var=np.array([1.0]),
                                 initialized=True)
         s = ([4.0], [1.0])
-        self._record(state, s, s)
-        momentum_bn_lazy_commit(state, 0.25)
+        momentum_bn_lazy_commit(state, *self._rows(s, s), 0.25)
         np.testing.assert_allclose(state.hist_mean, [1.0])
-
-    def test_commit_without_pending_rejected(self):
-        state = new_history(1)
-        with pytest.raises(ValueError, match="pending"):
-            momentum_bn_lazy_commit(state, 0.5)
 
     def test_single_pending_view_commits_its_stats(self):
         state = new_history(1)
-        self._record(state, ([1.5], [2.5]))
-        momentum_bn_lazy_commit(state, 0.3)
+        momentum_bn_lazy_commit(state, *self._rows(([1.5], [2.5])), 0.3)
         np.testing.assert_array_equal(state.hist_mean, [1.5])
         np.testing.assert_array_equal(state.hist_var, [2.5])
 
-    def test_more_than_two_pending_rejected(self):
-        state = new_history(1)
-        self._record(state, ([1.0], [1.0]), ([1.0], [1.0]))
-        with pytest.raises(ValueError, match="expected 1 or 2"):
-            self._record(state, ([1.0], [1.0]))
-        assert state.pending_count == 2
-
     def test_first_commit_seeds_history_with_view_average(self):
         state = new_history(1)
-        self._record(state, ([1.0], [2.0]), ([3.0], [6.0]))
-        momentum_bn_lazy_commit(state, 0.1)
+        rows = self._rows(([1.0], [2.0]), ([3.0], [6.0]))
+        momentum_bn_lazy_commit(state, *rows, 0.1)
         assert state.initialized
         np.testing.assert_array_equal(state.hist_mean, [2.0])
         np.testing.assert_array_equal(state.hist_var, [4.0])
-
-    def test_pending_buffers_exist_before_the_first_pass(self):
-        state = new_history(3)
-        buffers = state.pending_mean, state.pending_var
-        assert state.pending_count == 0
-        assert all(b.shape == (2, 3) for b in buffers)
-        for _ in range(3):
-            self._record(state, ([1.0] * 3, [2.0] * 3), ([3.0] * 3, [4.0] * 3))
-            momentum_bn_lazy_commit(state, 0.5)
-        assert state.pending_mean is buffers[0]
-        assert state.pending_var is buffers[1]
 
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10),
@@ -470,8 +447,8 @@ class TestLazyCommit:
     def test_history_variance_stays_nonnegative(self, steps):
         state = new_history(1)
         for v1, v2, alpha in steps:
-            self._record(state, ([0.0], [v1]), ([0.0], [v2]))
-            momentum_bn_lazy_commit(state, alpha)
+            rows = self._rows(([0.0], [v1]), ([0.0], [v2]))
+            momentum_bn_lazy_commit(state, *rows, alpha)
             assert state.hist_var[0] >= 0.0
 
 
@@ -486,9 +463,10 @@ class TestLeakageFreedom:
         def teacher_pass(other_view):
             state = MomentumBNState(hist_mean=np.zeros(3), hist_var=np.ones(3),
                                     initialized=True)
-            momentum_bn(constant(other_view), state, 0.5, p)
-            y_v = momentum_bn(constant(v), state, 0.5, p)
-            momentum_bn_lazy_commit(state, 0.5)
+            _, other_row = momentum_bn(constant(other_view), state, 0.5, p)
+            y_v, v_row = momentum_bn(constant(v), state, 0.5, p)
+            momentum_bn_lazy_commit(state, *stack_stats(other_row, v_row),
+                                    0.5)
             return y_v.values.tobytes()
 
         base = teacher_pass(rng.normal(size=(8, 3)))

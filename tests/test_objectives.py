@@ -106,7 +106,6 @@ class TestSymmetrizedLoss:
         v1 = rng.normal(size=(8, 4))
         v2 = rng.normal(size=(8, 4))
         a = symmetrized_loss(pair, v1, v2, 2, alpha=1.0)
-        pair.history.pending_count = 0
         b = symmetrized_loss(pair, v2, v1, 2, alpha=1.0)
         assert a.term_student_v.item() == pytest.approx(b.term_student_v2.item(), rel=1e-12)
         assert a.term_student_v2.item() == pytest.approx(b.term_student_v.item(), rel=1e-12)

@@ -17,7 +17,8 @@ from m2t.cli import keep_freed_memory
 from m2t.config import TrainConfig, DataConfig, from_dict, preset
 from m2t.data import AugmentSpec
 from m2t.engine import Tensor
-from m2t.model import Arena, Param, forward_student, mlp_spec
+from m2t.model import Arena, Param, forward_student, forward_teacher, mlp_spec
+from m2t.normalization import MomentumBNState
 from m2t.trainer import (
     MetricsRecord,
     NanLossError,
@@ -171,9 +172,9 @@ class TestTrainStep:
         commits = []
         real_commit = model.momentum_bn_lazy_commit
 
-        def spy(state, alpha):
+        def spy(state, mean, var, alpha):
             commits.append(state)
-            real_commit(state, alpha)
+            real_commit(state, mean, var, alpha)
 
         monkeypatch.setattr(model, "momentum_bn_lazy_commit", spy)
         cfg = small_config()
@@ -182,7 +183,6 @@ class TestTrainStep:
         total = cfg.epochs * trainer.iters_per_epoch
         assert len(commits) == total
         assert all(state is trainer.pair.history for state in commits)
-        assert trainer.pair.history.pending_count == 0
 
     def test_teacher_never_accumulates_gradients(self):
         cfg = small_config()
@@ -201,8 +201,8 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("mode", ["byol_m2t", "moco"])
     def test_step_after_a_failed_step_equals_a_fresh_step(self, mode):
-        # The failed step's teacher pass recorded pending statistics that no
-        # commit took; the next step, on another batch, must not find them.
+        # The failed step's teacher pass returned statistics that no commit
+        # took; the next step, on another batch, must not see them.
         cfg = small_config(mode=mode, queue_capacity=32)
         trainer = Trainer(cfg)
         batch, failing = np.split(trainer.dataset.samples[:32], 2)
@@ -212,6 +212,25 @@ class TestTrainStep:
         with pytest.raises(NanLossError):
             trainer.train_step(failing, k=0)
         weight[0, 0] = kept
+        assert trainer.train_step(batch, k=0) \
+            == Trainer(cfg).train_step(batch, k=0)
+
+    def test_step_after_a_teacher_pass_that_raised_equals_a_fresh_step(self):
+        # A plain teacher needs a worker count: a pass called without one
+        # raises, and leaves nothing behind for the next step to find.
+        cfg = small_config(teacher_bn="plain")
+        trainer = Trainer(cfg)
+        history = trainer.pair.history
+
+        def snapshot():
+            return (history.hist_mean.tobytes(), history.hist_var.tobytes(),
+                    history.initialized)
+
+        before = snapshot()
+        batch = trainer.dataset.samples[:16]
+        with pytest.raises(ValueError, match="worker count"):
+            forward_teacher(trainer.pair, batch, alpha=1.0)
+        assert snapshot() == before
         assert trainer.train_step(batch, k=0) \
             == Trainer(cfg).train_step(batch, k=0)
 
@@ -447,6 +466,25 @@ def test_no_module_holds_a_list_and_the_engine_no_tape():
     engine = importlib.import_module("m2t.engine")
     assert [name for name in ("Tape", "record", "active_tape", "backward",
                               "add") if hasattr(engine, name)] == []
+
+
+def test_history_holds_only_its_statistics():
+    """A teacher pass returns its statistics to its caller, so a BN history
+    holds its statistics alone, and no ``m2t`` module keeps statistics
+    pending between a pass and its commit."""
+    state = MomentumBNState(np.zeros(3), np.ones(3))
+    assert sorted(vars(state)) == ["hist_mean", "hist_var", "initialized"]
+    found = []
+    for info in pkgutil.iter_modules(m2t.__path__, "m2t."):
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            names = [attr]
+            if inspect.isclass(value) and value.__module__ == info.name:
+                names += [f"{attr}.{member}" for member in vars(value)]
+            found += [f"{info.name}.{name}" for name in names
+                      if name.rsplit(".", 1)[-1].startswith("pending")
+                      or name.rsplit(".", 1)[-1] == "record_rows"]
+    assert found == []
 
 
 def test_no_public_function_takes_views():

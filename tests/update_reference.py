@@ -9,8 +9,9 @@ bound to its tensor, or (for a BN layer, which commits a state of its
 own) copied into its channel range of the teacher's history.
 ``symmetrized_loss`` runs one student and one teacher pass per view and
 sums the two losses; its backward runs the second view's chain, then the
-first's. The arena updates and the stacked passes must reproduce them to
-the bit, signed zeros included. :func:`ema_pairs` pairs each teacher
+first's, and its teacher statistics are the two passes' rows stacked.
+The arena updates and the stacked passes must reproduce them to the bit,
+signed zeros included. :func:`ema_pairs` pairs each teacher
 weight with the student weight it mirrors.
 """
 
@@ -84,18 +85,24 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
         t.values = (1.0 - m) * t.values + m * s.values
 
 
-def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
-    """Lazily commit every teacher BN layer's pending view statistics, one
-    layer at a time: each layer commits a state of its own, made of fresh
-    copies of its channel range of the history and of the pending views.
+def stack_stats(*passes: tuple) -> tuple:
+    """The ``(mean, var)`` rows of several passes' statistics, in order, as
+    one pass over their stacked views would return them."""
+    return tuple(np.concatenate(rows) for rows in zip(*passes))
+
+
+def commit_teacher_bn(pair: StudentTeacherPair, stats: tuple,
+                      alpha: float) -> float:
+    """Lazily commit every teacher BN layer's view statistics, rows of the
+    ``(mean, var)`` pair ``stats``, one layer at a time: each layer commits
+    a state of its own, made of fresh copies of its channel range of the
+    history, with its channel range of the rows.
 
     Returns the total L2 drift of the histories, the per-iteration
     history-movement metric.
     """
     history = pair.history
-    views = history.pending_count
-    if not views:
-        return 0.0
+    mean, var = stats
     drift_sq = 0.0
     for layer in pair.teacher_bn_layers():
         ch = layer.channels
@@ -103,19 +110,16 @@ def commit_teacher_bn(pair: StudentTeacherPair, alpha: float) -> float:
             hist_mean=history.hist_mean[ch].copy(),
             hist_var=history.hist_var[ch].copy(),
             initialized=history.initialized)
-        rows = state.record_rows(views)
-        state.pending_mean[rows] = history.pending_mean[:views, ch]
-        state.pending_var[rows] = history.pending_var[:views, ch]
         # The first commit measures drift from zero (x - 0.0 == x exactly).
         before_mean = state.hist_mean.copy() if state.initialized else 0.0
         before_var = state.hist_var.copy() if state.initialized else 0.0
-        momentum_bn_lazy_commit(state, alpha)
+        momentum_bn_lazy_commit(state, mean[:, ch].copy(), var[:, ch].copy(),
+                                alpha)
         drift_sq += float(np.sum((state.hist_mean - before_mean) ** 2))
         drift_sq += float(np.sum((state.hist_var - before_var) ** 2))
         history.hist_mean[ch] = state.hist_mean
         history.hist_var[ch] = state.hist_var
     history.initialized = True
-    history.pending_count = 0
     return float(np.sqrt(drift_sq))
 
 
@@ -123,19 +127,20 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
                      alpha: float, perm_seed=None) -> LossValue:
     """Two-view symmetrized prediction loss, one pass per view: the student
     on ``v`` against the teacher on ``v2``, then the student on ``v2``
-    against the teacher on ``v``, summed. The teacher passes leave view
-    ``v2``'s statistics pending first. The backward of the sum hands its
+    against the teacher on ``v``, summed. The teacher statistics stack the
+    two passes' rows, view ``v2``'s first. The backward of the sum hands its
     gradient to both terms and runs the later pass's chain first."""
     _, p_v, student_v = forward_student(pair, v, workers)
-    t_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
+    t_v2, stats_v2 = forward_teacher(pair, v2, alpha, workers, perm_seed)
     term1, loss1_backward, _, zero1 = byol_loss(p_v, t_v2)
 
     _, p_v2, student_v2 = forward_student(pair, v2, workers)
-    t_v = forward_teacher(pair, v, alpha, workers, perm_seed)
+    t_v, stats_v = forward_teacher(pair, v, alpha, workers, perm_seed)
     term2, loss2_backward, _, zero2 = byol_loss(p_v2, t_v)
 
     def backward(g):
         student_v2(loss2_backward(g))
         student_v(loss1_backward(g))
 
-    return LossValue(term1 + term2, term1, term2, zero1 + zero2, backward)
+    return LossValue(term1 + term2, term1, term2, zero1 + zero2,
+                     stack_stats(stats_v2, stats_v), backward)
