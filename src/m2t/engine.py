@@ -3,14 +3,15 @@
 The engine is deliberately small: 2-D arrays of rows, or a ``(V, B, C)``
 stack of views, and the five fused ops a run executes. An MLP layer is one
 op, :func:`dense` (matmul, bias, optional BN, optional ReLU);
-:func:`batch_norm` is BN alone (the linear probe's). Both run the same BN
-arithmetic. Each loss is one op too: :func:`normalized_mse`,
-:func:`info_nce` and :func:`cross_entropy`. :func:`dense` and
-:func:`normalized_mse` also take a stack of views, the views on the leading
-axis, and equal one call per view bit for bit. The generic ops the fused
-ones stand for (matmul, add, mean, var, sqrt, exp, log and the rest), and
-the reverse-mode tape that composes them, are not part of the program;
-they live in the tests as the oracle that the fused ops equal bit for bit.
+:func:`batch_norm` is BN alone (the linear probe's), returning its
+statistics too. Both run the same BN arithmetic. Each loss is one op too:
+:func:`normalized_mse`, :func:`info_nce` and :func:`cross_entropy`.
+:func:`dense` and :func:`normalized_mse` also take a stack of views, the
+views on the leading axis, and equal one call per view bit for bit. The
+generic ops the fused ones stand for (matmul, add, mean, var, sqrt, exp,
+log and the rest), and the reverse-mode tape that composes them, are not
+part of the program; they live in the tests as the oracle that the fused
+ops equal bit for bit.
 Everything is double precision so that gradient checks and
 statistics-equivalence tests have numerical headroom.
 
@@ -92,11 +93,12 @@ def _sum_views(per_view: np.ndarray, stacked: bool) -> np.ndarray:
 
 
 def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
-        eps: float, stats: Optional[tuple], owned: bool = False) -> tuple:
+        eps: float, stats: Optional[tuple], owned: bool = False,
+        with_stats: bool = False) -> tuple:
     """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
     array or a (V, B, C) stack of views: ``(out, backward)``, with
     ``backward(g, need_dx=True, owned=False)`` giving ``(dx or None,
-    dgamma, dbeta)``.
+    dgamma, dbeta)``; ``with_stats`` adds :func:`batch_norm`'s third item.
 
     Each view splits into ``groups`` equal row groups, so a stack has V x
     ``groups`` of them and no group straddles two views. Each elementwise
@@ -164,6 +166,9 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         dx = np.multiply(1.0 / std, g_hat, out=g_hat)
         return dx.reshape(shape), dgamma, dbeta
 
+    if with_stats:
+        return out.reshape(shape), backward, (
+            (mu[:, 0], var[:, 0]) if stats is None else stats)
     return out.reshape(shape), backward
 
 
@@ -177,16 +182,17 @@ def batch_norm(x: np.ndarray, groups: int, gamma: np.ndarray,
     of the composed ``mean`` and ``var``, so results match the composed ops
     bit for bit) or with the given constants ``stats = (mean, var)``: one
     per channel, shape (C,), or one row per group, shape (groups, C).
-    Returns ``(out, backward)``; ``backward(g, need_dx=True)`` gives
-    ``(dx or None, dgamma, dbeta)`` in closed form: with inv = 1/sqrt(var +
-    eps) and g_hat = g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat *
-    mean(g_hat * xhat)) per group, or inv * g_hat for given stats. Neither
-    ``x`` nor the upstream gradient is written.
+    Returns ``(out, backward, (mean, var))``, the statistics it normalized
+    with: the given ones, or one row per group. ``backward(g,
+    need_dx=True)`` gives ``(dx or None, dgamma, dbeta)`` in closed form:
+    with inv = 1/sqrt(var + eps) and g_hat = g * gamma, dx = inv * (g_hat -
+    mean(g_hat) - xhat * mean(g_hat * xhat)) per group, or inv * g_hat for
+    given stats. Neither ``x`` nor the upstream gradient is written.
     """
     if x.ndim != 2:
         raise DimensionError(
             f"batch_norm expects batch x channels, got shape {x.shape}")
-    return _bn(x, groups, gamma, beta, eps, stats)
+    return _bn(x, groups, gamma, beta, eps, stats, with_stats=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,27 +402,31 @@ def info_nce(q: np.ndarray, k_hat: np.ndarray, negs: np.ndarray,
     return np.asarray(diff.mean()), backward, zero_rows
 
 
-def cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> tuple:
-    """Softmax cross-entropy, the batch mean of ``logsumexp(logits) -
-    <logits, onehot>``, shifted by the row max (the softmax is invariant to
-    it). Equals the composed sub, exp, sum, log, mul, sum, sub and mean.
-    Returns ``(loss, backward)``; ``backward(g)`` gives the gradient for
-    ``logits``."""
-    onehot = np.asarray(onehot, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """Softmax cross-entropy of (N, C) ``logits`` against class ``labels``
+    in [0, C), which the caller checks: the batch mean of
+    ``logsumexp(logits) - logits[label]``, shifted by the row max. Returns
+    ``(loss, backward)``; ``backward(g)`` gives the gradient for ``logits``.
+    Equals the composed sub, exp, sum, log, mul, sum, sub and mean against
+    one-hot rows, but reads the true-class logit by index (the one-hot
+    product only added +-0 terms), so a -inf logit of another class gives a
+    finite loss where ``-inf * 0`` gave NaN, and the same gradient."""
+    n, c = logits.shape
+    at_label = np.arange(0, n * c, c) + labels  # flat index of each label
+    # A max is exact in any order: reduce a class-major copy on its outer axis.
+    shifted = logits - np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
     e = np.exp(shifted)
-    sum_e = e.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_sum_e = np.log(sum_e)
-    diff = log_sum_e - (shifted * onehot).sum(axis=1, keepdims=True)
-    n = diff.size
+    sum_e = e.sum(axis=1, keepdims=True)  # >= 1 (the max's term) or NaN
+    diff = np.log(sum_e) - shifted.take(at_label)[:, None]
 
     def backward(g):
         g_diff = g / n                                  # mean
-        g_true = -g_diff * onehot                       # sub; sum; mul
-        return g_true + g_diff / sum_e * e              # log; sum; exp
+        grad = g_diff / sum_e * e                       # log; sum; exp
+        grad.reshape(-1)[at_label] -= g_diff            # sub; sum; mul
+        return grad
 
-    return np.asarray(diff.mean()), backward
+    # np.add.reduce(diff, axis=None) / n is the arithmetic of diff.mean().
+    return np.asarray(np.add.reduce(diff, axis=None) / n), backward
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from m2t import engine
-from m2t.engine import (
-    DimensionError,
-    _check_matmul,
-    _relu_grad_mask,
-)
+from m2t.engine import DimensionError
+
+
+def _relu_grad_mask(values: np.ndarray) -> np.ndarray:
+    # Subgradient convention: exactly-zero inputs pass no gradient.
+    return values > 0.0
+
+
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim not in (2, 3) or b.ndim != 2:
+        raise DimensionError(
+            f"matmul expects a 2-D or stacked 3-D input and a 2-D weight, "
+            f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
+        raise DimensionError(
+            f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -258,8 +269,8 @@ def dense(x, weight, bias, relu: bool,
 def batch_norm(x, groups: int, gamma, beta, eps: float,
                stats: Optional[tuple] = None) -> Tensor:
     x, gamma, beta = _input(x), _input(gamma), _input(beta)
-    out, bw = engine.batch_norm(x.values, groups, gamma.values, beta.values,
-                                eps, stats)
+    out, bw, _ = engine.batch_norm(x.values, groups, gamma.values,
+                                   beta.values, eps, stats)
     return recorded("batch_norm", (x, gamma, beta), out,
                     lambda g: bw(g, need_dx=x.requires_grad))
 
@@ -279,9 +290,9 @@ def info_nce(q, k_hat, negs, temperature: float) -> Tensor:
     return recorded("info_nce", (q,), loss, lambda g: (bw(g),), zero_rows)
 
 
-def cross_entropy(logits, onehot) -> Tensor:
+def cross_entropy(logits, labels) -> Tensor:
     logits = _input(logits)
-    loss, bw = engine.cross_entropy(logits.values, onehot)
+    loss, bw = engine.cross_entropy(logits.values, labels)
     return recorded("cross_entropy", (logits,), loss, lambda g: (bw(g),))
 
 

@@ -1,14 +1,15 @@
 """Composed loss references for the fused losses of :mod:`m2t.engine`.
 
 :func:`byol_terms`, :func:`infonce` and :func:`softmax_cross_entropy` spell
-the normalized MSE, InfoNCE and the probe's softmax cross-entropy out of
-the composed ops of ``engine_reference`` (mul, sum, sqrt, div, sub, exp,
-log, matmul, mean, add) on its tape, one entry each. Their forward and
-autodiff backward are what :func:`m2t.engine.normalized_mse`,
-:func:`m2t.engine.info_nce` and :func:`m2t.engine.cross_entropy` must
-reproduce bit for bit. :func:`byol_loss`, :func:`infonce_loss` and
-:func:`cross_entropy` run them in the form the program's losses take, so
-that a training step or a probe can run on them instead.
+the normalized MSE, InfoNCE and the probe's softmax cross-entropy (against
+one-hot rows) out of the composed ops of ``engine_reference`` (mul, sum,
+sqrt, div, sub, exp, log, matmul, mean, add) on its tape, one entry each.
+Their forward and autodiff backward are what
+:func:`m2t.engine.normalized_mse`, :func:`m2t.engine.info_nce` and
+:func:`m2t.engine.cross_entropy` must reproduce bit for bit.
+:func:`byol_loss`, :func:`infonce_loss` and :func:`cross_entropy` run them
+in the form the program's losses take, so that a training step or a probe
+can run on them instead.
 """
 
 import numpy as np
@@ -135,11 +136,17 @@ def infonce_loss(q: np.ndarray, k_pos: np.ndarray, queue,
     return loss, backward, zero_rows
 
 
-def cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> tuple:
-    """:func:`softmax_cross_entropy` as :func:`m2t.engine.cross_entropy`
-    returns it."""
+def onehot(labels, num_classes: int) -> np.ndarray:
+    """The one-hot rows of integer ``labels``."""
+    return np.eye(num_classes)[labels]
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """:func:`softmax_cross_entropy` against the one-hot rows of ``labels``,
+    called and returned as :func:`m2t.engine.cross_entropy`."""
+    rows = onehot(labels, np.shape(logits)[1])
     loss, backward, _, _ = _program_loss(
-        lambda t: (softmax_cross_entropy(t, onehot),), logits)
+        lambda t: (softmax_cross_entropy(t, rows),), logits)
     return loss, backward
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from m2t import engine, gradcheck
 from m2t.engine import DimensionError, finite_diff_check
-from m2t.normalization import NormParams
+from m2t.normalization import NormParams, constant_batch_stats
 
 import engine_reference as ref
 from engine_reference import Tensor, backward, constant, parameter, record
@@ -565,6 +565,26 @@ def test_every_op_has_a_gradcheck_suite():
     assert recorded == ops | set(ref.SUITES)
 
 
+def test_references_share_no_private_engine_name():
+    # An oracle that imports the program's shape check or ReLU mask would
+    # agree with the ops it checks on exactly what it should test: no
+    # reference module imports a private name of m2t.engine or reaches one
+    # through ``engine.``.
+    shared = []
+    for path in sorted(Path(ref.__file__).parent.glob("*_reference.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module == "m2t.engine"):
+                shared += [f"{path.name}: {alias.name}"
+                           for alias in node.names
+                           if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "engine" and node.attr.startswith("_")):
+                shared.append(f"{path.name}: engine.{node.attr}")
+    assert shared == []
+
+
 @pytest.mark.parametrize("name", list(ref.SUITES))
 def test_reference_suite_passes(name):
     worst = gradcheck.run_suite(ref.SUITES[name], trials=100, h=1e-5,
@@ -620,11 +640,27 @@ def test_batch_norm_writes_no_input(given, x_grad):
         y = ref.batch_norm(x, 2, gamma, beta, 1e-5, stats=stats)
     out = y.values.tobytes()
     backward(y, seed=g)
-    inferred, _ = engine.batch_norm(x.values, 2, gamma.values, beta.values,
-                                    1e-5, stats=stats)
+    inferred, _, _ = engine.batch_norm(x.values, 2, gamma.values,
+                                       beta.values, 1e-5, stats=stats)
     assert [a.tobytes() for a in held] == before
     assert y.values.tobytes() == out == inferred.tobytes()
     assert y.grad.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_batch_norm_returns_each_groups_batch_stats(groups):
+    # The statistics batch_norm normalized with are those of its own
+    # groups' rows, bit for bit: the probe commits them to its history.
+    rng = np.random.default_rng(14)
+    x = 3.0 * rng.normal(size=(12, 5)) + 1.0
+    gamma, beta = rng.uniform(0.5, 2.0, size=5), rng.normal(size=5)
+    _, _, (mean, var) = engine.batch_norm(x, groups, gamma, beta, 1e-5)
+    want = [constant_batch_stats(rows) for rows in np.split(x, groups)]
+    assert mean.shape == var.shape == (groups, 5)
+    assert mean.tobytes() == np.stack([m for m, _ in want]).tobytes()
+    assert var.tobytes() == np.stack([v for _, v in want]).tobytes()
+    given = (mean[0], var[0])
+    assert engine.batch_norm(x, groups, gamma, beta, 1e-5, given)[2] is given
 
 
 def test_bn_backward_does_not_keep_its_input_alive():

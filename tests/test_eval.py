@@ -1,12 +1,15 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
+from m2t import engine, evaluate
 from m2t.data import synth_clusters
 from m2t.evaluate import (ProbeDivergedError, extract_features, knn_eval,
                           linear_probe)
 from m2t.model import MlpSpec
+from m2t.objectives import l2_normalize_rows
 
 from engine_reference import spy_backwards
 
@@ -141,6 +144,42 @@ class TestLinearProbe:
         linear_probe(ds.samples, ds.labels, epochs=2, lr=0.5, seed=1)
         assert ran == ["cross_entropy", "dense", "batch_norm"] * 2
 
+    def test_step_runs_one_batch_norm_and_no_statistics_pass(self,
+                                                              monkeypatch):
+        # The head BN computes the batch statistics the history commits; no
+        # separate statistics pass recomputes them. Counted, not timed.
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def logged(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, logged)
+
+        spy(engine, "batch_norm")
+        spy(evaluate, "sgd_step")
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("m2t")
+                    and hasattr(module, "constant_batch_stats")):
+                spy(module, "constant_batch_stats")
+        ds = synth_clusters(num_classes=3, dim=8, per_class=200, spread=0.4,
+                            seed=8)
+        linear_probe(ds.samples, ds.labels, epochs=3, lr=0.5, seed=1)
+        # Three one-batch epochs, then one inference pass.
+        assert calls == ["batch_norm", "sgd_step"] * 3 + ["batch_norm"]
+
+    def test_negative_label_rejected(self):
+        # Read by index, a -1 would train as the last class.
+        rng = np.random.default_rng(12)
+        labels = rng.integers(0, 3, size=300)
+        labels[[17, 40]] = -1
+        with pytest.raises(ValueError,
+                           match=r"labels\[17\] = -1 lies outside \[0, 3\)"):
+            linear_probe(rng.normal(size=(300, 4)), labels, epochs=1, lr=0.1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_head_raises(self):
         ds = synth_clusters(num_classes=3, dim=8, per_class=60, spread=0.4,
@@ -156,7 +195,56 @@ class TestLinearProbe:
         assert acc >= counts.max() / counts.sum()
 
 
+def knn_per_row(features_train, labels_train, features_test, labels_test,
+                k):
+    """The kNN vote one test row at a time: a partition of each row's
+    negated similarities and a vote count per row."""
+    a = l2_normalize_rows(features_train)[0]
+    b = l2_normalize_rows(features_test)[0]
+    sims = b @ a.T
+    labels_train = np.asarray(labels_train, dtype=np.int64)
+    num_classes = int(labels_train.max()) + 1
+    correct = 0
+    for i in range(len(b)):
+        nearest = np.argpartition(-sims[i], k - 1)[:k]
+        counts = np.bincount(labels_train[nearest], minlength=num_classes)
+        winner = int(np.argmax(counts))  # argmax resolves ties downward
+        correct += int(winner == labels_test[i])
+    return correct / len(b)
+
+
 class TestKnn:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 24])
+    def test_equals_per_row_vote_on_exact_ties(self, k):
+        # Six training rows, each four times with labels 0-3, so every
+        # test row meets exact similarity ties, and the partition decides
+        # which tied points vote. k = 24 takes every training point.
+        rng = np.random.default_rng(13)
+        rows = rng.normal(size=(6, 5))
+        train = np.repeat(rows, 4, axis=0)
+        labels = np.tile(np.arange(4), 6)
+        test = np.concatenate([rows, 2.0 * rows[::-1],
+                               rng.normal(size=(8, 5))])
+        for test_labels in [rng.integers(0, 4, size=len(test)),
+                            *(np.full(len(test), c) for c in range(4))]:
+            assert (knn_eval(train, labels, test, test_labels, k=k)
+                    == knn_per_row(train, labels, test, test_labels, k))
+        for i in range(len(test)):
+            for c in range(4):
+                assert (knn_eval(train, labels, test[i:i + 1], [c], k=k)
+                        == knn_per_row(train, labels, test[i:i + 1], [c], k))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_negative_label_rejected(self, split):
+        rng = np.random.default_rng(14)
+        labels = {"train": rng.integers(0, 3, size=20),
+                  "test": rng.integers(0, 3, size=5)}
+        labels[split][3] = -2
+        with pytest.raises(ValueError, match=rf"labels_{split}\[3\] = -2 "
+                                             rf"lies outside \[0, 3\)"):
+            knn_eval(rng.normal(size=(20, 4)), labels["train"],
+                     rng.normal(size=(5, 4)), labels["test"], k=3)
+
     def test_exact_match_wins_at_k1(self):
         train = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 1, 2])

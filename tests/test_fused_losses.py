@@ -10,12 +10,15 @@ are compared the same way, with the program's losses swapped for the
 references.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from m2t import evaluate, objectives
+from m2t import engine, evaluate, objectives
 from m2t import trainer as trainer_module
 from m2t.evaluate import linear_probe
+from m2t.normalization import constant_batch_stats
 from m2t.objectives import NegQueue, queue_update
 from m2t.trainer import Trainer
 
@@ -214,34 +217,76 @@ class TestInfoNce:
         assert_bits_equal(value, want)
 
 
+def cross_entropy_oracle(logits, labels):
+    """The composed cross-entropy against the one-hot rows of ``labels``."""
+    return ref.softmax_cross_entropy(
+        logits, ref.onehot(labels, logits.shape[1]))
+
+
 class TestCrossEntropy:
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_composed(self, seed):
         rng = np.random.default_rng(seed)
         logits = parameter(3.0 * rng.normal(size=(9, 4)))
-        onehot = np.eye(4)[rng.integers(0, 4, size=9)]
+        labels = rng.integers(0, 4, size=9)
         assert_same_as_reference(
-            lambda: composed.cross_entropy(logits, onehot),
-            lambda: ref.softmax_cross_entropy(logits, onehot), [logits],
+            lambda: composed.cross_entropy(logits, labels),
+            lambda: cross_entropy_oracle(logits, labels), [logits],
             "cross_entropy")
 
     def test_tied_and_zero_logits(self):
         # Zero and tied logits, -0 included, exercise the signs of zeros.
         logits = parameter([[0.0, 0.0, 0.0], [-0.0, 1.0, 1.0],
                             [2.0, -0.0, 2.0]])
-        onehot = np.eye(3)[[0, 1, 2]]
+        labels = np.array([0, 1, 2])
         assert_same_as_reference(
-            lambda: composed.cross_entropy(logits, onehot),
-            lambda: ref.softmax_cross_entropy(logits, onehot), [logits],
+            lambda: composed.cross_entropy(logits, labels),
+            lambda: cross_entropy_oracle(logits, labels), [logits],
             "cross_entropy")
+
+    def test_underflowing_classes(self):
+        # exp of a class far below the row max is exactly 0, and so is its
+        # gradient, to which the one-hot product added a +-0, for upstream
+        # gradients of both signs.
+        logits = parameter([[0.0, -800.0, 1.0], [-900.0, 0.0, -0.0],
+                            [5.0, -760.0, -745.5]])
+        labels = np.array([1, 0, 0])
+        assert_same_as_reference(
+            lambda: composed.cross_entropy(logits, labels),
+            lambda: cross_entropy_oracle(logits, labels), [logits],
+            "cross_entropy")
+
+    def test_minus_inf_logit_of_another_class(self):
+        # The one-hot product met -inf * 0 = NaN there, so the composed loss
+        # is NaN. Reading the true class by index gives the loss of the
+        # same logits with that one far enough below the row max that its
+        # exp is 0, and the composed ops' gradient.
+        values = np.array([[1.0, -np.inf, 0.5], [-np.inf, 2.0, 0.0]])
+        labels = np.array([0, 1])
+        logits = parameter(values)
+        finite = parameter(np.where(np.isinf(values), -1e4, values))
+        for upstream in UPSTREAM:
+            value, grads, _, _ = run(
+                lambda: composed.cross_entropy(logits, labels), [logits],
+                upstream)
+            with np.errstate(invalid="ignore"):  # -inf * 0
+                nan_value, want_grads, _, _ = run(
+                    lambda: cross_entropy_oracle(logits, labels), [logits],
+                    upstream)
+            want_value, _, _, _ = run(
+                lambda: cross_entropy_oracle(finite, labels), [finite],
+                upstream)
+            assert np.isnan(nan_value) and np.isfinite(value)
+            assert_bits_equal(value, want_value)
+            assert_bits_equal(grads[0], want_grads[0])
 
     def test_constant_inputs_record_nothing(self):
         logits = constant([[1.0, 2.0], [0.5, -1.0]])
-        onehot = np.eye(2)
-        value, _, ops, _ = run(lambda: composed.cross_entropy(logits, onehot),
+        labels = np.array([0, 1])
+        value, _, ops, _ = run(lambda: composed.cross_entropy(logits, labels),
                                [])
-        want, _, want_ops, _ = run(lambda: ref.softmax_cross_entropy(logits, onehot),
-                                   [])
+        want, _, want_ops, _ = run(
+            lambda: cross_entropy_oracle(logits, labels), [])
         assert ops == want_ops == []
         assert_bits_equal(value, want)
 
@@ -273,51 +318,79 @@ def test_training_steps_equal_composed_losses(monkeypatch, mode):
         assert_bits_equal(a, b)
 
 
+def program_op(fn, *arrays):
+    """``fn`` over tape parameters holding ``arrays``, in the form of a
+    program op: ``(out, backward)``, where ``backward(g, need_dx=True)``
+    seeds the tape with ``g`` and gives every array's gradient."""
+    params = [parameter(a) for a in arrays]
+    with record():
+        out = fn(*params)
+
+    def op_backward(g, need_dx=True):
+        backward(out, seed=g)
+        return tuple(p.grad for p in params)
+
+    return out.values, op_backward
+
+
 def test_probe_steps_equal_composed_ops(monkeypatch):
-    """Every probe gradient (dense head and fused cross-entropy) equals the
-    composed matmul + add and reference cross-entropy bit for bit."""
+    """Every probe gradient (head BN on the statistics it computes, dense
+    layer and fused cross-entropy on labels) equals the composed BN on
+    constant batch statistics, matmul + add and one-hot reference
+    cross-entropy bit for bit, and so do the accuracy, the head and its
+    history."""
     rng = np.random.default_rng(7)
     features = rng.normal(size=(300, 6))
     labels = rng.integers(0, 3, size=300)
 
     real_step = evaluate.sgd_step
+    real_commit = evaluate.momentum_bn_lazy_commit
 
     def probe():
-        seen = []
+        seen, histories = [], []
 
-        def spy(opt, lr):
+        def step(opt, lr):
             seen.append([p.tensor.grad.copy() for p in opt.arena.params])
             real_step(opt, lr)
+            seen[-1].append(opt.arena.values.copy())
 
-        monkeypatch.setattr(evaluate, "sgd_step", spy)
+        def commit(state, mean, var, alpha):
+            real_commit(state, mean, var, alpha)
+            histories.append(state.hist_mean.tobytes()
+                             + state.hist_var.tobytes())
+
+        monkeypatch.setattr(evaluate, "sgd_step", step)
+        monkeypatch.setattr(evaluate, "momentum_bn_lazy_commit", commit)
         acc = linear_probe(features, labels, epochs=3, lr=0.5, seed=1)
-        return acc, seen
+        return acc, seen, histories
 
-    got_acc, got = probe()
+    got_acc, got, got_histories = probe()
 
-    def composed_logits(head, x):
-        mean, var = evaluate.constant_batch_stats(x)
-        evaluate.momentum_bn_lazy_commit(head.history, mean[None], var[None],
-                                         evaluate.HISTORY_MOMENTUM)
-        blocks = (head.gamma, head.beta, head.weight, head.bias)
-        gamma, beta, weight, bias = params = [parameter(t.values)
-                                              for t in blocks]
-        with record():
-            h = composed.batch_norm(x, 1, gamma, beta, evaluate.EPS,
-                                    stats=(mean, var))
-            logits = composed.add(composed.matmul(h, weight), bias)
+    def composed_batch_norm(x, groups, gamma, beta, eps, stats=None):
+        # Training passes batch statistics, taken apart as constants;
+        # inference passes the history's.
+        given = stats if stats is not None else constant_batch_stats(x)
+        out, bn_backward = program_op(
+            lambda x, gamma, beta: composed.batch_norm(x, groups, gamma, beta,
+                                                       eps, given),
+            x, gamma, beta)
+        if stats is None:
+            given = tuple(s[None] for s in given)
+        return out, bn_backward, given
 
-        def head_backward(g):
-            backward(logits, seed=g)
-            for t, p in zip(blocks, params):
-                t.grad += p.grad
+    def composed_dense(x, weight, bias, relu):
+        assert not relu
+        return program_op(
+            lambda x, weight, bias: composed.add(composed.matmul(x, weight),
+                                                 bias),
+            x, weight, bias)
 
-        return logits.values, head_backward
-
-    monkeypatch.setattr(evaluate._ProbeHead, "train_logits", composed_logits)
-    monkeypatch.setattr(evaluate, "_cross_entropy", ref.cross_entropy)
-    want_acc, want = probe()
+    monkeypatch.setattr(evaluate, "engine", SimpleNamespace(
+        batch_norm=composed_batch_norm, dense=composed_dense,
+        cross_entropy=ref.cross_entropy))
+    want_acc, want, want_histories = probe()
     assert got_acc == want_acc
+    assert got_histories == want_histories and len(got_histories) == 3
     assert len(got) == len(want) == 3
     for step_got, step_want in zip(got, want):
         for a, b in zip(step_got, step_want):
