@@ -31,6 +31,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import ConfigError, TrainConfig
+from .engine import GradCheckReport
 from .evaluate import (ProbeDivergedError, extract_features, holdout_split,
                        knn_eval, linear_probe)
 from .gradcheck import DEFAULT_TOL, run_all
@@ -247,8 +248,8 @@ def cmd_gradcheck(args) -> int:
     results = run_all(trials=args.trials, tol=args.tol)
     passed = results.pop("passed")
     for name in sorted(results):
-        status = "ok" if np.isfinite(results[name]) and results[name] <= args.tol \
-            else "FAIL"
+        ok = GradCheckReport.passes(results[name], args.tol)
+        status = "ok" if ok else "FAIL"
         print(f"{name:20s} worst rel. error {results[name]:.3e}  {status}")
     print("gradcheck:", "PASS" if passed else "FAIL")
     return EXIT_OK if passed else 1

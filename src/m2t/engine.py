@@ -44,9 +44,8 @@ class DimensionError(ValueError):
 
 class Tensor:
     """One parameter block: its float64 ``values`` and ``grad``, the array
-    a backward adds the block's gradient into (None until
-    :meth:`m2t.model.Arena.zero_grads` binds it to a view of its arena's
-    gradient vector)."""
+    a backward adds the block's gradient into (None until a
+    :class:`m2t.model.Arena` binds it to a view of its gradient vector)."""
 
     __slots__ = ("values", "grad")
 
@@ -93,12 +92,11 @@ def _sum_views(per_view: np.ndarray, stacked: bool) -> np.ndarray:
 
 
 def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
-        eps: float, stats: Optional[tuple], owned: bool = False,
-        with_stats: bool = False) -> tuple:
+        eps: float, stats: Optional[tuple], owned: bool = False) -> tuple:
     """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
-    array or a (V, B, C) stack of views: ``(out, backward)``, with
-    ``backward(g, need_dx=True, owned=False)`` giving ``(dx or None,
-    dgamma, dbeta)``; ``with_stats`` adds :func:`batch_norm`'s third item.
+    array or a (V, B, C) stack of views: ``(out, backward, (mean, var))``,
+    with ``backward(g, need_dx=True, owned=False)`` giving ``(dx or None,
+    dgamma, dbeta)`` and ``(mean, var)`` the statistics it normalized with.
 
     Each view splits into ``groups`` equal row groups, so a stack has V x
     ``groups`` of them and no group straddles two views. Each elementwise
@@ -166,10 +164,8 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         dx = np.multiply(1.0 / std, g_hat, out=g_hat)
         return dx.reshape(shape), dgamma, dbeta
 
-    if with_stats:
-        return out.reshape(shape), backward, (
-            (mu[:, 0], var[:, 0]) if stats is None else stats)
-    return out.reshape(shape), backward
+    return out.reshape(shape), backward, (
+        (mu[:, 0], var[:, 0]) if stats is None else stats)
 
 
 def batch_norm(x: np.ndarray, groups: int, gamma: np.ndarray,
@@ -192,7 +188,7 @@ def batch_norm(x: np.ndarray, groups: int, gamma: np.ndarray,
     if x.ndim != 2:
         raise DimensionError(
             f"batch_norm expects batch x channels, got shape {x.shape}")
-    return _bn(x, groups, gamma, beta, eps, stats, with_stats=True)
+    return _bn(x, groups, gamma, beta, eps, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +258,8 @@ def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool,
             h = h.take(perm, axis=-2)
         # h is this op's own buffer (the matmul's or the gather's), so BN
         # may normalize in it.
-        h, bn_backward = _bn(h, norm.groups, p.gamma.values, p.beta.values,
-                             p.eps, stats, owned=True)
+        h, bn_backward, _ = _bn(h, norm.groups, p.gamma.values,
+                                p.beta.values, p.eps, stats, owned=True)
         if perm is not None:
             inv = np.argsort(perm)
             h = h.take(inv, axis=-2)
@@ -453,8 +449,13 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        e = self.max_rel_error
-        return np.isfinite(e) and e <= self.tol
+        return self.passes(self.max_rel_error, self.tol)
+
+    @staticmethod
+    def passes(error: float, tol: float) -> bool:
+        """The gradient gate's pass rule: a relative error that is finite
+        and at most ``tol``."""
+        return bool(np.isfinite(error) and error <= tol)
 
 
 def finite_diff_check(f: Callable[[], tuple],

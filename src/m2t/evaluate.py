@@ -25,6 +25,9 @@ BATCH_SIZE = 256
 TEST_FRACTION = 0.2
 EPS = 1e-5
 HISTORY_MOMENTUM = 0.1  # weight of each training batch in the history
+# Test rows per kNN argpartition: kNN holds the similarity matrix and the
+# index array of one block, not a second matrix-sized array.
+KNN_BLOCK_ROWS = 128
 
 
 def extract_features(payload: dict, samples: np.ndarray) -> np.ndarray:
@@ -151,10 +154,11 @@ def knn_eval(features_train: np.ndarray, labels_train: np.ndarray,
              features_test: np.ndarray, labels_test: np.ndarray,
              k: int = 5) -> float:
     """Cosine-similarity k-nearest-neighbour vote; ties go to the smaller
-    class index. ``ValueError`` for a negative label of either split. One
-    ``argpartition`` of the negated similarities (``(-b) @ a.T``, which is
-    ``-(b @ a.T)`` up to the sign of zero) finds every test row's k
-    nearest, and one scatter-add counts their votes."""
+    class index. ``ValueError`` for a negative label of either split. The
+    negated similarities are one product (``(-b) @ a.T``, which is ``-(b @
+    a.T)`` up to the sign of zero); an ``argpartition`` of each block of
+    ``KNN_BLOCK_ROWS`` of its rows finds their k nearest (a row's partition
+    depends on that row alone), and one scatter-add counts every vote."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(features_train):
@@ -166,7 +170,11 @@ def knn_eval(features_train: np.ndarray, labels_train: np.ndarray,
                                labels_test=labels_test)
     a = l2_normalize_rows(features_train)[0]
     b = l2_normalize_rows(features_test)[0]
-    nearest = np.argpartition((-b) @ a.T, k - 1, axis=1)[:, :k]
+    sims = (-b) @ a.T
+    nearest = np.empty((len(b), k), dtype=np.intp)
+    for i in range(0, len(b), KNN_BLOCK_ROWS):
+        nearest[i:i + KNN_BLOCK_ROWS] = np.argpartition(
+            sims[i:i + KNN_BLOCK_ROWS], k - 1, axis=1)[:, :k]
     votes = np.zeros((len(b), num_classes), dtype=np.int64)
     np.add.at(votes, (np.arange(len(b))[:, None], labels_train[nearest]), 1)
     winner = votes.argmax(axis=1)  # argmax resolves ties downward

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import BNSpec, Tensor, finite_diff_check
+from .engine import BNSpec, GradCheckReport, Tensor, finite_diff_check
 from .model import MlpSpec, build_pair, forward_student, mlp_spec
 from .normalization import NormParams
 from .objectives import byol_loss, symmetrized_loss
@@ -220,12 +220,9 @@ def run_all(trials: int = DEFAULT_TRIALS, h: float = DEFAULT_H,
             tol: float = DEFAULT_TOL, seed: int = 0) -> dict:
     """All suites; returns {name: worst_error} plus a 'passed' flag entry."""
     results = {}
-    ok = True
     for name, build in SUITES.items():
         n = min(trials, _COMPOSITE_TRIALS.get(name, trials))
-        worst = run_suite(build, trials=n, h=h, tol=tol, seed=seed)
-        results[name] = worst
-        if not (np.isfinite(worst) and worst <= tol):
-            ok = False
-    results["passed"] = ok
+        results[name] = run_suite(build, trials=n, h=h, tol=tol, seed=seed)
+    results["passed"] = all(GradCheckReport.passes(worst, tol)
+                            for worst in results.values())
     return results

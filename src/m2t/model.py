@@ -131,9 +131,10 @@ class Arena:
     vector of the same layout; an update over all of them is then a few
     whole-vector numpy operations.
 
-    The two vectors are the only home of the blocks' values and gradients:
-    write parameter blocks in place (``t.values[...] = x``), never rebind
-    them. :meth:`check_views` rejects a block whose ``values`` was rebound;
+    The two vectors are the only home of the blocks' values and gradients,
+    and each tensor's ``values`` and ``grad`` are bound to their views at
+    construction: write blocks in place (``t.values[...] = x``), never
+    rebind them. :meth:`check_views` rejects a rebound block;
     :meth:`zero_grads` and :func:`ema_update` run it.
     """
 
@@ -145,32 +146,28 @@ class Arena:
         self.bounds = list(zip(ends, ends[1:]))
         self.values = np.empty(ends[-1])
         self.grads = np.zeros(ends[-1])
-        self._views = self._blocks(self.values)
-        self._grad_views = self._blocks(self.grads)
-        for p, view in zip(self.params, self._views):
-            view[...] = p.tensor.values
-            p.tensor.values = view
-
-    def _blocks(self, vector: np.ndarray) -> list:
-        return [vector[a:b].reshape(p.tensor.shape)
-                for p, (a, b) in zip(self.params, self.bounds)]
+        for p, (a, b) in zip(self.params, self.bounds):
+            t = p.tensor
+            view = self.values[a:b].reshape(t.shape)
+            view[...] = t.values
+            t.values, t.grad = view, self.grads[a:b].reshape(t.shape)
+        self._views = [(p.tensor.values, p.tensor.grad) for p in self.params]
 
     def check_views(self) -> None:
-        """``ValueError`` naming a block whose ``values`` is no longer its
-        view of the value vector."""
-        for p, view in zip(self.params, self._views):
-            if p.tensor.values is not view:
-                raise ValueError(f"{p.name}: values rebound away from the "
+        """``ValueError`` naming a block whose ``values`` or ``grad`` is no
+        longer its view of the arena's vectors."""
+        for p, (values, grad) in zip(self.params, self._views):
+            t = p.tensor
+            if t.values is not values or t.grad is not grad:
+                name = "values" if t.values is not values else "grad"
+                raise ValueError(f"{p.name}: {name} rebound away from the "
                                  f"arena; write parameter blocks in place")
 
     def zero_grads(self) -> None:
-        """Zero the gradient vector and bind each tensor's ``grad`` to its
-        view, which a backward adds the block's gradient into, after
-        :meth:`check_views`."""
+        """Zero the gradient vector, which a backward adds each block's
+        gradient into, after :meth:`check_views`."""
         self.check_views()
         self.grads.fill(0.0)
-        for p, grad in zip(self.params, self._grad_views):
-            p.tensor.grad = grad
 
 
 @dataclass

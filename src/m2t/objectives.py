@@ -100,47 +100,36 @@ def symmetrized_loss(pair: StudentTeacherPair, v, v2, workers: int,
 class NegQueue:
     """Fixed-capacity FIFO of unit-norm key vectors (the negatives bank).
 
-    Its buffer of ``capacity`` rows is allocated at construction and
-    :func:`queue_update` writes it in place, so the queue's state is that
-    one array, the write cursor and the number of stored keys."""
+    ``keys``, its ``(capacity, dim)`` rows, start as random unit vectors
+    and :func:`queue_update` overwrites them in place, so the bank is
+    always full: its state is ``keys`` and the write ``cursor``, the slot
+    of the oldest key."""
 
     def __init__(self, capacity: int, dim: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.dim = dim
-        self._cursor = 0
-        # A run starts with the queue full of random unit vectors.
-        self._buf = l2_normalize_rows(rng.normal(size=(capacity, dim)))[0]
-        self.size = capacity
-
-    def as_matrix(self) -> np.ndarray:
-        """Stored keys in arbitrary order (order is irrelevant to the loss)."""
-        return self._buf[:self.size]
-
-    def __len__(self) -> int:
-        return self.size
+        self.keys = l2_normalize_rows(rng.normal(size=(capacity, dim)))[0]
+        self.cursor = 0
 
 
 def queue_update(queue: NegQueue, new_keys: np.ndarray) -> None:
-    """Enqueue unit-norm keys as given, evicting the oldest beyond
-    capacity; a batch of ``capacity`` keys or more overwrites the buffer
-    with its newest ``capacity``."""
+    """Enqueue unit-norm keys as given, evicting the oldest; a batch of
+    ``capacity`` keys or more overwrites the bank with its newest
+    ``capacity``, in order from slot 0."""
     keys = np.asarray(new_keys, dtype=np.float64)
-    if keys.ndim != 2 or keys.shape[1] != queue.dim:
+    capacity, dim = queue.keys.shape
+    if keys.ndim != 2 or keys.shape[1] != dim:
         raise engine.DimensionError(
-            f"keys of shape {keys.shape} do not fit queue dim {queue.dim}")
-    if keys.shape[0] == 0:
-        return
-    if keys.shape[0] >= queue.capacity:
-        queue._buf[...] = keys[-queue.capacity:]
-        queue._cursor = 0
-        queue.size = queue.capacity
-        return
+            f"keys of shape {keys.shape} do not fit queue dim {dim}")
     n = keys.shape[0]
-    queue._buf[(queue._cursor + np.arange(n)) % queue.capacity] = keys
-    queue._cursor = (queue._cursor + n) % queue.capacity
-    queue.size = min(queue.size + n, queue.capacity)
+    # Slot order is InfoNCE's summation order over the negatives, so a
+    # batch this large lands from slot 0, not wherever the cursor stood.
+    if n >= capacity:
+        queue.keys[...] = keys[-capacity:]
+        queue.cursor = 0
+        return
+    queue.keys[(queue.cursor + np.arange(n)) % capacity] = keys
+    queue.cursor = (queue.cursor + n) % capacity
 
 
 def infonce_loss(q: np.ndarray, k_pos: np.ndarray, queue: NegQueue,
@@ -157,4 +146,4 @@ def infonce_loss(q: np.ndarray, k_pos: np.ndarray, queue: NegQueue,
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return engine.info_nce(q, k_pos, queue.as_matrix(), temperature)
+    return engine.info_nce(q, k_pos, queue.keys, temperature)

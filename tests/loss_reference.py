@@ -15,7 +15,6 @@ can run on them instead.
 import numpy as np
 
 from m2t import engine
-from m2t.objectives import NegQueue
 
 import engine_reference as ref
 from engine_reference import Tensor
@@ -66,9 +65,10 @@ def byol_terms(p: Tensor, z_teacher) -> tuple:
     return loss, tuple(term.values for term in terms)
 
 
-def infonce(q: Tensor, k_pos: np.ndarray, queue,
+def infonce(q: Tensor, k_pos: np.ndarray, negatives: np.ndarray,
             temperature: float) -> Tensor:
-    """Contrastive cross-entropy over one positive and the queued negatives.
+    """Contrastive cross-entropy over one positive and the rows of
+    ``negatives``, none or more.
 
     Queries are normalized here. The positive keys ``k_pos`` are unit rows
     and gradient constants, normalized once by the caller so that the queue
@@ -81,8 +81,8 @@ def infonce(q: Tensor, k_pos: np.ndarray, queue,
     q_hat = l2_normalize_rows(q)
     l_pos = ref.sum(ref.mul(q_hat, k_pos), axis=1, keepdims=True)
     exp_pos = ref.exp(ref.div(l_pos, temperature))
-    if len(queue) > 0:
-        negs = ref.constant(queue.as_matrix().T)
+    if len(negatives) > 0:
+        negs = ref.constant(negatives.T)
         l_neg = ref.matmul(q_hat, negs)
         e_neg = ref.exp(ref.div(l_neg, temperature))
         denom = ref.add(exp_pos, ref.sum(e_neg, axis=1, keepdims=True))
@@ -130,9 +130,10 @@ def byol_loss(p: np.ndarray, z_teacher: np.ndarray) -> tuple:
 
 def infonce_loss(q: np.ndarray, k_pos: np.ndarray, queue,
                  temperature: float) -> tuple:
-    """:func:`infonce` as :func:`m2t.objectives.infonce_loss` returns it."""
+    """:func:`infonce` over the queue's keys, as
+    :func:`m2t.objectives.infonce_loss` returns it."""
     loss, backward, zero_rows, _ = _program_loss(
-        lambda t: (infonce(t, k_pos, queue, temperature),), q)
+        lambda t: (infonce(t, k_pos, queue.keys, temperature),), q)
     return loss, backward, zero_rows
 
 
@@ -149,10 +150,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
         lambda t: (softmax_cross_entropy(t, rows),), logits)
     return loss, backward
 
-
-def empty_queue(capacity: int, dim: int) -> NegQueue:
-    """A queue that holds no key yet (a run's queue starts full)."""
-    queue = NegQueue(capacity, dim, np.random.default_rng(0))
-    queue._buf[...] = 0.0
-    queue.size = 0
-    return queue

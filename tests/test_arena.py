@@ -96,6 +96,35 @@ def test_zero_grads_rejects_a_rebound_block():
         arena.zero_grads()
 
 
+def test_zero_grads_rejects_a_rebound_grad():
+    # A backward adds into the arena's views, so a block whose grad was
+    # rebound would drop out of the update: rejected, before any write.
+    arena = Arena([Param(n, Tensor(np.ones(shape)), ex)
+                   for n, shape, ex in BLOCKS])
+    arena.grads[...] = 1.0
+    arena.params[3].tensor.grad = np.zeros(BLOCKS[3][1])
+    for check in (arena.check_views, arena.zero_grads):
+        with pytest.raises(ValueError, match="w1: grad rebound"):
+            check()
+    assert (arena.grads == 1.0).all()
+
+
+def test_gradient_views_are_bound_at_construction():
+    # Each block's grad is its range of the gradient vector from the
+    # arena's construction on, and zeroing keeps the same views.
+    arena = Arena([Param(n, Tensor(np.ones(shape)), ex)
+                   for n, shape, ex in BLOCKS])
+    views = [p.tensor.grad for p in arena.params]
+    arena.grads[...] = np.arange(arena.grads.size)
+    for p, grad, (a, b) in zip(arena.params, views, arena.bounds):
+        assert grad.shape == p.tensor.shape, p.name
+        assert grad.base is arena.grads, p.name
+        assert_bits_equal(grad.ravel(), np.arange(a, b, dtype=float), p.name)
+    arena.zero_grads()
+    assert all(p.tensor.grad is grad for p, grad in zip(arena.params, views))
+    assert not arena.grads.any()
+
+
 # ---------------------------------------------------------------------------
 # training runs: arena updates against the oracle, step by step
 
@@ -156,7 +185,7 @@ def snapshot(trainer) -> dict:
     out["hist_var"] = pair.history.hist_var
     out["hist_initialized"] = float(pair.history.initialized)
     if trainer.queue is not None:
-        out["queue"] = trainer.queue.as_matrix()
+        out["queue"] = trainer.queue.keys
     return out
 
 
@@ -251,7 +280,7 @@ def state_arrays(trainer) -> dict:
     if isinstance(opt.wd, np.ndarray):
         arrays["weight decay"] = opt.wd
     if trainer.queue is not None:
-        arrays["queue"] = trainer.queue.as_matrix().base
+        arrays["queue"] = trainer.queue.keys
     return arrays
 
 
@@ -259,6 +288,9 @@ def state_arrays(trainer) -> dict:
 def test_training_state_keeps_its_arrays(name):
     cfg = small_config(**STATE_CONFIGS[name])
     trainer = Trainer(cfg)
+    pair = trainer.pair
+    params = pair.student.params + pair.teacher.params
+    views = [(p.tensor.values, p.tensor.grad) for p in params]
     before = state_arrays(trainer)
     assert all(isinstance(a, np.ndarray) for a in before.values())
     assert ("weight decay" in before) == (cfg.optimizer == "lars")
@@ -272,12 +304,13 @@ def test_training_state_keeps_its_arrays(name):
     assert after.keys() == before.keys()
     for key in before:
         assert after[key] is before[key], key
-    pair = trainer.pair
     for arena in (pair.student, pair.teacher):
         for p in arena.params:
             assert p.tensor.values.base is arena.values, p.name
-    for p in pair.student.params:
-        assert p.tensor.grad.base is pair.student.grads, p.name
+            assert p.tensor.grad.base is arena.grads, p.name
+    # Every block keeps the views its arena bound at construction.
+    for p, (values, grad) in zip(params, views):
+        assert p.tensor.values is values and p.tensor.grad is grad, p.name
 
 
 def test_probe_state_keeps_its_arrays(monkeypatch):

@@ -607,7 +607,7 @@ def test_bn_reductions_equal_numpy_mean():
     gamma, beta = rng.uniform(0.5, 2.0, size=5), rng.normal(size=5)
     g = rng.normal(size=(12, 5))
     for groups in (1, 3):
-        out, bn_backward = engine._bn(x, groups, gamma, beta, 1e-5, None)
+        out, bn_backward, _ = engine._bn(x, groups, gamma, beta, 1e-5, None)
         dx, _, _ = bn_backward(g, True)
         x3 = x.reshape(groups, -1, 5)
         mu = x3.mean(axis=1, keepdims=True)
@@ -671,7 +671,7 @@ def test_bn_backward_does_not_keep_its_input_alive():
     for stats in (None, (np.zeros(3), np.ones(3))):
         x = rng.normal(size=(8, 3))
         alive = weakref.ref(x)
-        out, bn_backward = engine._bn(x, 2, gamma, beta, 1e-5, stats)
+        out, bn_backward, _ = engine._bn(x, 2, gamma, beta, 1e-5, stats)
         del x
         gc.collect()
         assert alive() is None

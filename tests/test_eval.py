@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,22 +196,27 @@ class TestLinearProbe:
         assert acc >= counts.max() / counts.sum()
 
 
-def knn_per_row(features_train, labels_train, features_test, labels_test,
-                k):
+def per_row_winners(features_train, labels_train, features_test, k):
     """The kNN vote one test row at a time: a partition of each row's
-    negated similarities and a vote count per row."""
+    negated similarities and a vote count per row; each row's winner."""
     a = l2_normalize_rows(features_train)[0]
     b = l2_normalize_rows(features_test)[0]
     sims = b @ a.T
     labels_train = np.asarray(labels_train, dtype=np.int64)
     num_classes = int(labels_train.max()) + 1
-    correct = 0
+    winners = []
     for i in range(len(b)):
         nearest = np.argpartition(-sims[i], k - 1)[:k]
         counts = np.bincount(labels_train[nearest], minlength=num_classes)
-        winner = int(np.argmax(counts))  # argmax resolves ties downward
-        correct += int(winner == labels_test[i])
-    return correct / len(b)
+        winners.append(int(np.argmax(counts)))  # ties go to the lower class
+    return np.array(winners)
+
+
+def knn_per_row(features_train, labels_train, features_test, labels_test,
+                k):
+    """The accuracy of :func:`per_row_winners`."""
+    winners = per_row_winners(features_train, labels_train, features_test, k)
+    return int(np.count_nonzero(winners == labels_test)) / len(winners)
 
 
 class TestKnn:
@@ -233,6 +239,40 @@ class TestKnn:
             for c in range(4):
                 assert (knn_eval(train, labels, test[i:i + 1], [c], k=k)
                         == knn_per_row(train, labels, test[i:i + 1], [c], k))
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_row_blocks_equal_per_row_vote(self, monkeypatch, block):
+        # 293 test rows leave a partial last block at each block size, and
+        # training rows three times over give exact similarity ties.
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(40, 6))
+        train = np.repeat(rows, 3, axis=0)
+        labels = np.tile(np.arange(3), 40)
+        test = np.concatenate([rows, -rows, rng.normal(size=(213, 6))])
+        monkeypatch.setattr(evaluate, "KNN_BLOCK_ROWS", block)
+        for k in (1, 2, 5, 120):
+            winners = per_row_winners(train, labels, test, k)
+            # Every row votes as it does alone.
+            assert knn_eval(train, labels, test, winners, k=k) == 1.0
+            test_labels = rng.integers(0, 3, size=len(test))
+            assert (knn_eval(train, labels, test, test_labels, k=k)
+                    == knn_per_row(train, labels, test, test_labels, k))
+
+    def test_memory_peak_is_one_matrix_and_one_block(self):
+        # The similarity matrix of 1000 x 4000 rows is 30.5 MiB; a second
+        # array of its size (an index array of the whole matrix) would
+        # take the peak past 60 MiB.
+        rng = np.random.default_rng(16)
+        train, test = rng.normal(size=(4000, 32)), rng.normal(size=(1000, 32))
+        labels_train = rng.integers(0, 10, size=4000)
+        labels_test = rng.integers(0, 10, size=1000)
+        tracemalloc.start()
+        try:
+            knn_eval(train, labels_train, test, labels_test, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2 ** 20
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_negative_label_rejected(self, split):

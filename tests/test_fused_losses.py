@@ -19,13 +19,12 @@ from m2t import engine, evaluate, objectives
 from m2t import trainer as trainer_module
 from m2t.evaluate import linear_probe
 from m2t.normalization import constant_batch_stats
-from m2t.objectives import NegQueue, queue_update
+from m2t.objectives import NegQueue
 from m2t.trainer import Trainer
 
 import engine_reference as composed
 import loss_reference as ref
 from engine_reference import backward, constant, parameter, record
-from loss_reference import empty_queue
 from test_trainer import small_config
 
 
@@ -165,19 +164,17 @@ class TestNormalizedMse:
         assert counted == want_counted == 1
 
 
-def queue_of(rng, state, capacity=6, dim=4):
-    if state == "full":
-        return NegQueue(capacity, dim, rng=rng)
-    queue = empty_queue(capacity, dim)
-    if state == "partial":
-        queue_update(queue, objectives.l2_normalize_rows(
-            rng.normal(size=(capacity // 2, dim)))[0])
-    return queue
+def negatives_of(rng, state, capacity=6, dim=4):
+    """A bank's keys, or none or half of them: the op takes any number of
+    negative rows."""
+    keys = NegQueue(capacity, dim, rng=rng).keys
+    return {"empty": keys[:0], "partial": keys[:capacity // 2],
+            "full": keys}[state]
 
 
-def info_nce(q, k, queue, temperature):
-    """The fused InfoNCE over ``queue``'s keys, recorded on the tape."""
-    return composed.info_nce(q, k, queue.as_matrix(), temperature)
+def info_nce(q, k, negatives, temperature):
+    """The fused InfoNCE over ``negatives``, recorded on the tape."""
+    return composed.info_nce(q, k, negatives, temperature)
 
 
 class TestInfoNce:
@@ -185,34 +182,34 @@ class TestInfoNce:
     @pytest.mark.parametrize("state", ["empty", "partial", "full"])
     def test_equals_composed(self, state, temperature):
         rng = np.random.default_rng(4)
-        queue = queue_of(rng, state)
+        negatives = negatives_of(rng, state)
         q = parameter(rng.normal(size=(5, 4)))
         k = objectives.l2_normalize_rows(rng.normal(size=(5, 4)))[0]
         assert_same_as_reference(
-            lambda: info_nce(q, k, queue, temperature),
-            lambda: ref.infonce(q, k, queue, temperature), [q],
+            lambda: info_nce(q, k, negatives, temperature),
+            lambda: ref.infonce(q, k, negatives, temperature), [q],
             "info_nce")
 
     @pytest.mark.parametrize("state", ["empty", "full"])
     def test_zero_norm_queries_and_keys(self, state):
         rng = np.random.default_rng(5)
-        queue = queue_of(rng, state)
+        negatives = negatives_of(rng, state)
         q = parameter(rows(rng, 5, 4, zero=(0,), negative_zero=(3,)))
         k = rows(rng, 5, 4, zero=(1,))  # a zero key: no positive
         assert_same_as_reference(
-            lambda: info_nce(q, k, queue, 0.2),
-            lambda: ref.infonce(q, k, queue, 0.2), [q], "info_nce")
-        _, _, _, counted = run(lambda: info_nce(q, k, queue, 0.2), [q])
+            lambda: info_nce(q, k, negatives, 0.2),
+            lambda: ref.infonce(q, k, negatives, 0.2), [q], "info_nce")
+        _, _, _, counted = run(lambda: info_nce(q, k, negatives, 0.2), [q])
         assert counted == 2
 
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(6)
-        queue = queue_of(rng, "full")
+        negatives = negatives_of(rng, "full")
         q = constant(rng.normal(size=(5, 4)))
         k = objectives.l2_normalize_rows(rng.normal(size=(5, 4)))[0]
-        value, _, ops, _ = run(lambda: info_nce(q, k, queue, 0.2), [])
+        value, _, ops, _ = run(lambda: info_nce(q, k, negatives, 0.2), [])
         want, _, want_ops, _ = run(
-            lambda: ref.infonce(q, k, queue, 0.2), [])
+            lambda: ref.infonce(q, k, negatives, 0.2), [])
         assert ops == want_ops == []
         assert_bits_equal(value, want)
 
@@ -306,7 +303,7 @@ def test_training_steps_equal_composed_losses(monkeypatch, mode):
         arrays += [layer.weight.values for layer in
                    trainer.pair.t_encoder.layers + trainer.pair.t_projector.layers]
         if trainer.queue is not None:
-            arrays.append(trainer.queue.as_matrix())
+            arrays.append(trainer.queue.keys)
         return [r.csv_row() for r in records], arrays
 
     got_rows, got = steps()

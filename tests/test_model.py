@@ -153,9 +153,10 @@ class TestForwardTeacher:
         backward(2.0 * (p - t))
         assert ran == ["dense"] * 6
         assert pair.student.grads.any()
+        assert not pair.teacher.grads.any()
         for t_mlp in (pair.t_encoder, pair.t_projector):
             for _, tensor, _ in t_mlp.params():
-                assert tensor.grad is None
+                assert tensor.grad.base is pair.teacher.grads
 
     def test_no_bn_teacher_copy_equals_student_truncation(self):
         pair = plain_pair_no_bn(seed=10, dim=5)

@@ -10,7 +10,6 @@ from m2t.config import INFONCE_LOG_LIMIT, ConfigError, TrainConfig
 from m2t.model import MlpSpec, build_pair, mlp_spec
 
 from bn_reference import worker_slices
-from loss_reference import empty_queue
 from m2t.objectives import (
     LossValue,
     NegQueue,
@@ -183,23 +182,41 @@ class TestSymmetrizedLoss:
         assert got.loss.item() == pytest.approx(expected, abs=1e-10)
 
 
+def full_queue(capacity: int, dim: int) -> NegQueue:
+    """A fresh bank: ``capacity`` random unit keys, as a run starts."""
+    return NegQueue(capacity, dim, np.random.default_rng(0))
+
+
 def fifo(queue: NegQueue) -> np.ndarray:
-    """Stored keys, oldest first: the write cursor marks the oldest row of a
-    full queue and equals the size of a partial one."""
-    return np.roll(queue.as_matrix(), -queue._cursor, axis=0)
+    """Stored keys, oldest first: the write cursor marks the oldest slot."""
+    return np.roll(queue.keys, -queue.cursor, axis=0)
 
 
 class TestNegQueue:
+    def test_holds_only_keys_and_cursor(self):
+        # The bank is full from construction on, so its capacity and width
+        # are its keys' shape and it tracks no fill level.
+        queue = full_queue(4, 2)
+        assert sorted(vars(queue)) == ["cursor", "keys"]
+        assert queue.keys.shape == (4, 2) and queue.cursor == 0
+        assert [name for name in ("size", "as_matrix", "__len__", "capacity",
+                                  "dim") if hasattr(queue, name)] == []
+
     def test_fifo_eviction_keeps_newest_in_order(self):
-        queue = empty_queue(4, 2)
+        queue = full_queue(4, 2)
+        start = queue.keys.copy()
         keys = np.array([[float(i + 1), 0.0] for i in range(6)])
+        queue_update(queue, keys[:1])
+        # One key evicts the oldest of the starting keys.
+        np.testing.assert_array_equal(fifo(queue),
+                                      np.vstack((start[1:], keys[:1])))
         queue_update(queue, keys)
         # Keys 3..6 survive, oldest first, stored as given.
         np.testing.assert_array_equal(fifo(queue), keys[2:])
-        assert len(queue) == 4
+        assert queue.keys.shape == (4, 2)
 
     def test_order_tracked_through_wraparound(self):
-        queue = empty_queue(3, 2)
+        queue = full_queue(3, 2)
         for i in range(5):
             queue_update(queue, np.array([[1.0, float(i)]]))
         expected = np.array([[1.0, float(i)] for i in (2, 3, 4)])
@@ -208,41 +225,45 @@ class TestNegQueue:
     def test_batch_enqueue_across_wrap_matches_row_by_row(self):
         rng = np.random.default_rng(10)
         batches = [rng.normal(size=(n, 3)) for n in (3, 4, 2)]
-        batched, by_row = empty_queue(5, 3), empty_queue(5, 3)
+        batched, by_row = full_queue(5, 3), full_queue(5, 3)
         for keys in batches:
-            # 3 rows leave the queue partly filled; the next 4 wrap past the
-            # end, and 2 more wrap again from a mid-buffer cursor.
+            # 3 rows stop mid-ring; the next 4 wrap past the end, and 2
+            # more wrap again from a mid-ring cursor.
             queue_update(batched, keys)
             for row in keys:
                 queue_update(by_row, row[None, :])
-            assert fifo(batched).tobytes() == fifo(by_row).tobytes()
-            assert len(batched) == len(by_row)
+            assert batched.keys.tobytes() == by_row.keys.tobytes()
+            assert batched.cursor == by_row.cursor
 
     def test_empty_enqueue_is_noop(self):
-        queue = empty_queue(4, 3)
+        queue = full_queue(4, 3)
+        queue_update(queue, np.ones((1, 3)))
+        keys, cursor = queue.keys.copy(), queue.cursor
         queue_update(queue, np.zeros((0, 3)))
-        assert len(queue) == 0
+        assert queue.keys.tobytes() == keys.tobytes()
+        assert queue.cursor == cursor == 1
 
     @given(st.integers(1, 5), st.integers(1, 12))
     def test_stored_keys_unit_norm(self, dim, n):
-        # Keys normalized once are stored bit for bit, so they stay unit.
+        # Keys normalized once are stored bit for bit, so they stay unit,
+        # and so do the starting keys they have not yet evicted.
         rng = np.random.default_rng(dim * 100 + n)
-        queue = empty_queue(8, dim)
+        queue = full_queue(8, dim)
         keys, _ = l2_normalize_rows(rng.normal(size=(n, dim)))
         queue_update(queue, keys)
-        assert fifo(queue).tobytes() == keys[-8:].tobytes()
-        norms = np.linalg.norm(queue.as_matrix(), axis=1)
+        assert fifo(queue)[8 - min(n, 8):].tobytes() == keys[-8:].tobytes()
+        norms = np.linalg.norm(queue.keys, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_fresh_queue_holds_unit_rows(self):
         queue = NegQueue(capacity=16, dim=5, rng=np.random.default_rng(12))
-        norms = np.linalg.norm(queue.as_matrix(), axis=1)
+        norms = np.linalg.norm(queue.keys, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestInfoNce:
     def test_uniform_similarities_give_log_queue_plus_one(self):
-        queue = empty_queue(8, 4)
+        queue = full_queue(8, 4)
         # All negatives equal to the positive key: every similarity matches.
         key = np.tile([[1.0, 0.0, 0.0, 0.0]], (8, 1))
         queue_update(queue, key)
@@ -252,7 +273,7 @@ class TestInfoNce:
         assert loss.item() == pytest.approx(math.log(1 + 8), rel=1e-12)
 
     def test_dominant_positive_drives_loss_to_zero(self):
-        queue = empty_queue(4, 2)
+        queue = full_queue(4, 2)
         queue_update(queue, np.tile([[0.0, 1.0]], (4, 1)))
         q = np.array([[1.0, 0.0]])
         k = np.array([[1.0, 0.0]])
@@ -260,7 +281,7 @@ class TestInfoNce:
         assert loss.item() < 1e-6
 
     def test_hand_computed_two_negatives(self):
-        queue = empty_queue(2, 2)
+        queue = full_queue(2, 2)
         queue_update(queue, np.array([[0.0, 1.0], [0.0, -1.0]]))
         q = np.array([[1.0, 0.0]])
         loss, _, _ = infonce_loss(q, np.array([[1.0, 0.0]]), queue,
@@ -292,23 +313,23 @@ class TestInfoNce:
         for _ in range(50):
             x = rng.normal(size=(1, 8)) * 10.0 ** rng.uniform(-3, 3)
             k_hat, _ = l2_normalize_rows(x)
-            queue = empty_queue(capacity, 8)
+            queue = full_queue(capacity, 8)
             queue_update(queue, np.tile(k_hat, (capacity, 1)))
             loss, backward, _ = infonce_loss(x, k_hat, queue, float(t))
             assert np.isfinite(loss.item())
             assert np.isfinite(backward(1.0)).all()
 
     def test_nonpositive_temperature_rejected(self):
-        queue = empty_queue(2, 2)
+        queue = full_queue(2, 2)
         with pytest.raises(ValueError, match="temperature"):
             infonce_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
                          queue, temperature=0.0)
 
     def test_empty_queue_degenerates_to_positive_only(self):
-        queue = empty_queue(4, 2)
+        # A bank is never empty; the op itself takes no negative rows.
         q = np.array([[1.0, 0.0]])
-        loss, _, _ = infonce_loss(q, np.array([[0.0, 1.0]]), queue,
-                                  temperature=0.5)
+        loss, _, _ = engine.info_nce(q, np.array([[0.0, 1.0]]),
+                                     np.zeros((0, 2)), temperature=0.5)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_decreasing_in_positive_similarity(self):

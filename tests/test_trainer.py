@@ -188,8 +188,10 @@ class TestTrainStep:
         cfg = small_config()
         trainer = Trainer(cfg)
         trainer.train_step(trainer.dataset.samples[:16], k=0)
+        # The teacher's gradient views stay zero: no backward reaches them.
+        assert not trainer.pair.teacher.grads.any()
         for t, _ in ema_pairs(trainer.pair):
-            assert t.grad is None
+            assert t.grad.base is trainer.pair.teacher.grads
 
     def test_nan_loss_aborts_with_diagnostic(self):
         cfg = small_config()
@@ -382,8 +384,11 @@ class TestRunTraining:
                            alpha_base=0.064, alpha_schedule="constant",
                            queue_capacity=32)
         trainer = Trainer(cfg)
+        start = trainer.queue.keys.copy()
         result = trainer.run()
-        assert len(trainer.queue) == 32
+        # Every slot of the bank holds a key of the run.
+        assert trainer.queue.keys.shape == (32, start.shape[1])
+        assert (trainer.queue.keys != start).any(axis=1).all()
         assert all(np.isfinite(m.loss) for m in result.metrics)
         # Contrastive mode builds no predictor, so none is optimized.
         assert not any(name.startswith("pred") for name in
@@ -434,7 +439,7 @@ def test_moco_keys_normalized_once_per_iteration():
     # Each zero key is counted once, and the queue holds the rows the
     # positive logit used.
     assert trainer.zero_norm_rows == 16
-    assert not trainer.queue.as_matrix()[:16].any()
+    assert not trainer.queue.keys[:16].any()
 
 
 # ---------------------------------------------------------------------------
