@@ -38,8 +38,8 @@ def run_one(seed: int, teacher_bn: str, epochs: int) -> float:
     )
     result = run_training(cfg)
     feats = extract_features(result.payload, result.dataset.samples)
-    return linear_probe(feats, result.dataset.labels, epochs=80, lr=0.5,
-                        seed=substream_int(seed, "probe"))
+    return linear_probe(feats, result.dataset.labels, epochs=cfg.probe_epochs,
+                        lr=cfg.probe_lr, seed=substream_int(seed, "probe"))
 
 
 def main() -> int:

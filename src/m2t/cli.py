@@ -127,7 +127,7 @@ def _load_config(args) -> TrainConfig:
 
 def _write_manifest(out_dir: Path, cfg: TrainConfig, outputs: dict) -> Path:
     manifest = {
-        "config": cfg.to_dict(),
+        "config": config_mod.encode(cfg),
         "seed": cfg.seed,
         "code_version": __version__,
         "start_timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -279,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("probe", "knn"), default="probe")
     p.add_argument("--k", type=int, default=5, help="neighbours for knn")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-epochs", type=int, default=80)
-    p.add_argument("--probe-lr", type=float, default=0.5)
+    p.add_argument("--probe-epochs", type=int,
+                   default=TrainConfig.probe_epochs)
+    p.add_argument("--probe-lr", type=float, default=TrainConfig.probe_lr)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient gate")

@@ -1,10 +1,13 @@
 """Run configuration: dataclasses, JSON (de)serialization, presets.
 
-Configs are plain JSON documents. Parsing is strict: unknown keys and type
-mismatches are reported with their full field path so a bad config fails
-loudly before any compute happens. ``key.path=value`` override strings
-(values parsed as JSON, falling back to raw strings) are applied to the
-document before validation.
+Configs are plain JSON documents. Every config dataclass (the run's, its
+data, augmentation and model specs, and a teacher dump's encoder spec)
+goes to and from JSON through one pair, :func:`decode` and :func:`encode`.
+Decoding is strict: unknown keys and type mismatches are reported with
+their full field path so a bad config fails loudly before any compute
+happens. ``key.path=value`` override strings (values parsed as JSON,
+falling back to raw strings) are applied to the document before
+validation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, get_args, get_origin, get_type_hints
 
 from .data import AugmentSpec
@@ -116,6 +119,7 @@ class TrainConfig:
     log_interval: int = 10
 
     def validate(self) -> None:
+        self.data.validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
         check_seed(self.seed, "seed")
@@ -178,23 +182,10 @@ class TrainConfig:
             raise ConfigError(f"teacher_bn: invalid kind {self.teacher_bn!r}")
         if self.mode == "moco" and self.predictor is not None:
             raise ConfigError("predictor: moco has no predictor")
-        self.data.validate()
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, DataConfig):
-                out[f.name] = {df.name: getattr(v, df.name)
-                               for df in fields(v)}
-            elif isinstance(v, (AugmentSpec, MlpSpec)):
-                out[f.name] = v.to_dict()
-            else:
-                out[f.name] = v
-        return out
+        return encode(self)
 
-
-_REQUIRED = ("mode", "seed", "epochs")
 
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                bool: (bool, "a boolean"), str: (str, "a string")}
@@ -209,9 +200,9 @@ def check_seed(seed: int, where: str) -> None:
 
 def check_type(value, hint, where: str) -> None:
     """Raise ConfigError unless the JSON value fits the field type ``hint``
-    (a nested spec takes an object, a ``tuple[...]`` a list of that many
-    items): a bool is no number, an int is a float, a float is finite, null
-    fits only ``Optional``."""
+    (a nested spec takes an object, a ``tuple[X, ...]`` a list and a
+    ``tuple[X, Y]`` a list of that many items): a bool is no number, an int
+    is a float, a float is finite, null fits only ``Optional``."""
     args = get_args(hint)
     if type(None) in args:
         if value is None:
@@ -219,7 +210,11 @@ def check_type(value, hint, where: str) -> None:
         hint = args[0]
     if get_origin(hint) is tuple:
         items = get_args(hint)
-        if not (isinstance(value, list) and len(value) == len(items)):
+        if items[-1] is Ellipsis:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}: expected a list, got {value!r}")
+            items = items[:1] * len(value)
+        elif not (isinstance(value, list) and len(value) == len(items)):
             raise ConfigError(
                 f"{where}: expected a list of {len(items)} items, got {value!r}")
         for i, (item, item_hint) in enumerate(zip(value, items)):
@@ -235,45 +230,58 @@ def check_type(value, hint, where: str) -> None:
         raise ConfigError(f"{where}: expected {name} of magnitude <= {bound}")
 
 
-def _check_fields(d: dict, cls, path: str) -> None:
+def decode(cls, doc, path: str = ""):
+    """The config dataclass ``cls`` of its JSON object at ``path`` (the
+    top level when empty): unknown keys, ill-typed values (see
+    :func:`check_type`) and missing fields without a default are rejected,
+    nested objects decode as their specs and lists as tuples. A
+    ``ValueError`` of the class's own checks is reported at ``path``."""
+    check_type(doc, dict, path or "config")
+    prefix = f"{path}." if path else ""
     hints = get_type_hints(cls)
-    for key, value in d.items():
-        where = f"{path}.{key}" if path else key
+    for key in doc:
         if key not in hints:
-            raise ConfigError(f"{where}: unknown field")
-        check_type(value, hints[key], where)
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    kwargs = {}
+    for f in fields(cls):
+        where = prefix + f.name
+        if f.name in doc:
+            kwargs[f.name] = _decode_value(doc[f.name], hints[f.name], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required field")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _decode_value(value, hint, where: str):
+    check_type(value, hint, where)
+    if isinstance(value, dict):  # a spec, or an Optional one, took it
+        return decode((get_args(hint) or (hint,))[0], value, where)
+    return tuple(value) if isinstance(value, list) else value
+
+
+def encode(spec) -> dict:
+    """The JSON object of a config dataclass; :func:`decode` inverts it."""
+    return {f.name: _encode_value(getattr(spec, f.name)) for f in fields(spec)}
+
+
+def _encode_value(value):
+    if is_dataclass(value):
+        return encode(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def data_from_dict(d, path: str = "data") -> DataConfig:
     """A validated DataConfig from its JSON object at ``path``."""
-    check_type(d, DataConfig, path)
-    _check_fields(d, DataConfig, path)
-    data = DataConfig(**d)
+    data = decode(DataConfig, d, path)
     data.validate(path)
     return data
 
 
 def from_dict(d) -> TrainConfig:
-    check_type(d, TrainConfig, "config")
-    _check_fields(d, TrainConfig, "")
-    for name in _REQUIRED:
-        if name not in d:
-            raise ConfigError(f"{name}: missing required field")
-    kwargs = dict(d)
-    if "data" in d:
-        kwargs["data"] = data_from_dict(d["data"])
-    if "augment" in d:
-        _check_fields(d["augment"], AugmentSpec, "augment")
-    for name, parse in (("augment", AugmentSpec.from_dict),
-                        ("encoder", MlpSpec.from_dict),
-                        ("projector", MlpSpec.from_dict),
-                        ("predictor", MlpSpec.from_dict)):
-        if d.get(name) is not None:
-            try:
-                kwargs[name] = parse(d[name])
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(f"{name}: {e}") from None
-    cfg = TrainConfig(**kwargs)
+    cfg = decode(TrainConfig, d)
     cfg.validate()
     return cfg
 

@@ -94,24 +94,6 @@ class AugmentSpec:
         if self.crop_pad < 0:
             raise ValueError(f"crop_pad must be >= 0, got {self.crop_pad}")
 
-    def to_dict(self) -> dict:
-        return {
-            "noise_std": self.noise_std,
-            "mask_prob": self.mask_prob,
-            "scale_range": list(self.scale_range),
-            "flip": self.flip,
-            "crop_pad": self.crop_pad,
-            "solarize_prob_student": self.solarize_prob_student,
-            "solarize_prob_teacher": self.solarize_prob_teacher,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AugmentSpec":
-        d = dict(d)
-        if "scale_range" in d:
-            d["scale_range"] = tuple(d["scale_range"])
-        return AugmentSpec(**d)
-
 
 # ---------------------------------------------------------------------------
 # synthetic data

@@ -32,7 +32,6 @@ none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -84,7 +83,7 @@ def _sum_views(per_view: np.ndarray, stacked: bool) -> np.ndarray:
     which one call per view, run backward in reverse, adds its gradient
     into the parameter's (the last call's comes first). One unstacked
     view's is returned as is."""
-    return reduce(np.add, per_view[::-1]) if stacked else per_view
+    return np.add.reduce(per_view[::-1], axis=0) if stacked else per_view
 
 
 # ---------------------------------------------------------------------------

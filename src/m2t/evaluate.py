@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
+from .config import TrainConfig
 from .engine import Tensor
 from .model import Arena, Param, forward_mlp, history_norm, load_teacher
 from .normalization import MomentumBNState, momentum_bn_lazy_commit
@@ -77,8 +78,9 @@ class ProbeDivergedError(RuntimeError):
     learning rate far too large), so it has no accuracy to report."""
 
 
-def linear_probe(features: np.ndarray, labels: np.ndarray, epochs: int = 80,
-                 lr: float = 0.5, seed: int = 0) -> float:
+def linear_probe(features: np.ndarray, labels: np.ndarray,
+                 epochs: int = TrainConfig.probe_epochs,
+                 lr: float = TrainConfig.probe_lr, seed: int = 0) -> float:
     """Train a whole-batch BN plus linear head on frozen features; top-1 on
     a seeded held-out ``TEST_FRACTION`` of them.
 

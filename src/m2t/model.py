@@ -56,9 +56,9 @@ TEACHER_BN_KINDS = ("momentum", "plain", "synced", "shuffling")
 class MlpSpec:
     """Layer widths plus per-layer BN/ReLU flags (one flag per layer)."""
 
-    widths: tuple
-    bn: tuple
-    relu: tuple
+    widths: tuple[int, ...]
+    bn: tuple[bool, ...]
+    relu: tuple[bool, ...]
 
     def __post_init__(self):
         if not (all(type(w) is int for w in self.widths)
@@ -85,15 +85,6 @@ class MlpSpec:
     @property
     def out_dim(self) -> int:
         return self.widths[-1]
-
-    def to_dict(self) -> dict:
-        return {"widths": list(self.widths), "bn": list(self.bn),
-                "relu": list(self.relu)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "MlpSpec":
-        return MlpSpec(widths=tuple(d["widths"]), bn=tuple(d["bn"]),
-                       relu=tuple(d["relu"]))
 
 
 def mlp_spec(widths: Sequence[int], final_plain: bool = True) -> MlpSpec:
@@ -514,6 +505,8 @@ def dump_teacher(encoder: Mlp) -> dict:
     (identity statistics before the first commit). This is the frozen
     feature extractor; the projector and the student's predictor are
     deliberately excluded."""
+    from .config import encode  # config imports this module
+
     arrays: dict[str, np.ndarray] = {}
     history = encoder.history
     bn_eps = []
@@ -528,7 +521,7 @@ def dump_teacher(encoder: Mlp) -> dict:
             arrays[f"enc{i}.hist_var"] = history.hist_var[ch].copy()
             bn_eps.append(layer.norm.eps)
     return {
-        "encoder_spec": encoder.spec.to_dict(),
+        "encoder_spec": encode(encoder.spec),
         "bn_initialized": [history.initialized] * len(bn_eps),
         "bn_eps": bn_eps,
         "arrays": arrays,
@@ -538,13 +531,14 @@ def dump_teacher(encoder: Mlp) -> dict:
 def load_teacher(payload: dict) -> Mlp:
     """The frozen teacher encoder of a :func:`dump_teacher` payload (its
     inverse; tensors share the payload's arrays, and the BN histories are
-    copied into one history). ``ValueError`` unless the payload has a valid
-    ``encoder_spec``, exactly its arrays and BN lists, and BN layers that
-    agree on whether their history is initialized."""
-    try:
-        spec = MlpSpec.from_dict(payload["encoder_spec"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"teacher dump: bad encoder_spec ({e!r})") from None
+    copied into one history). ``ValueError`` unless the payload has an
+    ``encoder_spec`` that decodes by the config rule (a
+    :class:`m2t.config.ConfigError` naming its path otherwise), exactly its
+    arrays and BN lists, and BN layers that agree on whether their history
+    is initialized."""
+    from .config import decode  # config imports this module
+
+    spec = decode(MlpSpec, payload.get("encoder_spec"), "encoder_spec")
     arrays = payload["arrays"]
     found = {name: arr.shape for name, arr in arrays.items()}
     want = expected_array_shapes(spec)

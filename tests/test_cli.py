@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from m2t import cli, engine
+from m2t import cli, config as config_mod, engine
 from m2t.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -20,7 +20,8 @@ from m2t.cli import keep_freed_memory, main, write_metrics_csv
 from m2t.config import DataConfig, TrainConfig
 from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec
 from m2t.evaluate import extract_features
-from m2t.model import load_teacher
+from m2t.model import (default_encoder_spec, default_predictor_spec,
+                       default_projector_spec, load_teacher)
 from m2t.trainer import run_training
 
 from idx_files import write_idx_images
@@ -362,6 +363,42 @@ class TestPretrainCommand:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("role, spec", [
+        ("encoder", default_encoder_spec(32)),
+        ("projector", default_projector_spec()),
+        ("predictor", default_predictor_spec()),
+    ])
+    def test_unknown_model_spec_key_exits_2(self, tmp_path, capsys, role,
+                                            spec):
+        doc = config_mod.preset("default-synth")
+        doc[role] = dict(config_mod.encode(spec), dropout=0.5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {role}.dropout: unknown field\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("encoder.widths=[4,8,8]", "encoder.bn: missing required field"),
+        (f'encoder={{"widths":[32,{10 ** 30},64],"bn":[true,true],'
+         '"relu":[true,true]}',
+         f"encoder.widths[1]: expected an integer of magnitude <= "
+         f"{2 ** 63 - 1}"),
+        ('encoder={"widths":[32,64,64],"bn":"x","relu":[true,true]}',
+         "encoder.bn: expected a list, got 'x'"),
+    ], ids=["widths-alone", "width-1e30", "string-bn"])
+    def test_ill_formed_model_spec_exits_2_naming_its_path(
+            self, tmp_path, capsys, setting, message):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--preset", "default-synth",
+                     "--set", setting, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("settings, field", [
         (["alpha_base=NaN"], "alpha_base"),
         (["m_base=NaN"], "m_base"),
@@ -665,6 +702,20 @@ class TestEvalCommand:
         assert "encoder_spec" in capsys.readouterr().err
         with pytest.raises(ValueError, match="encoder_spec"):
             load_teacher(load_checkpoint(bad))
+
+    def test_unknown_encoder_spec_key_exits_2_naming_it(self, run_dir,
+                                                        tmp_path, capsys):
+        out, ds = run_dir
+        raw = (out / "checkpoint.m2t").read_bytes()
+        header_end = 16 + struct.unpack_from("<I", raw, 12)[0]
+        header = json.loads(raw[16:header_end])
+        header["encoder_spec"]["dropout"] = 0.5
+        bad = tmp_path / "bad.m2t"
+        bad.write_bytes(raw_checkpoint(header, raw[header_end:]))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", str(ds)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: encoder_spec.dropout: unknown field\n"
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["encoder_spec"].update(widths=[8, 32, 32]),

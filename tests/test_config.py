@@ -3,7 +3,8 @@ import json
 import pytest
 
 from m2t import config as config_mod
-from m2t.config import ConfigError, TrainConfig, apply_overrides, from_dict
+from m2t.config import (ConfigError, TrainConfig, apply_overrides, decode,
+                        encode, from_dict)
 
 
 def minimal_doc(**extra):
@@ -84,10 +85,13 @@ class TestFromDict:
         (minimal_doc(data={"images_path": 3}), "data.images_path: expected a"),
         (minimal_doc(augment=None), "augment: expected an object"),
         (minimal_doc(encoder=5), "encoder: expected an object"),
+        # A regex "." stands for each bracket of a list item's path.
         (minimal_doc(encoder={"widths": [32, 2.5], "bn": [True],
-                              "relu": [True]}), "encoder: widths"),
+                              "relu": [True]}),
+         "^encoder.widths.1.: expected an integer, got 2.5"),
         (minimal_doc(encoder={"widths": [32, 64], "bn": [1],
-                              "relu": [True]}), "encoder: widths"),
+                              "relu": [True]}),
+         "^encoder.bn.0.: expected a boolean, got 1"),
         ([minimal_doc()], "config: expected an object"),
     ])
     def test_ill_typed_value_names_its_path(self, doc, message):
@@ -119,6 +123,11 @@ class TestRoundTrip:
         cfg2 = from_dict(cfg1.to_dict())
         assert cfg1 == cfg2
         assert cfg1.to_dict() == cfg2.to_dict()
+
+    @pytest.mark.parametrize("name", config_mod.PRESET_NAMES)
+    def test_decode_inverts_encode_on_presets(self, name):
+        cfg = from_dict(config_mod.preset(name))
+        assert decode(TrainConfig, encode(cfg)) == cfg
 
     def test_json_text_roundtrip(self):
         cfg1 = from_dict(minimal_doc())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from m2t import engine, evaluate
+from m2t.config import encode
 from m2t.data import synth_clusters
 from m2t.evaluate import (ProbeDivergedError, extract_features, knn_eval,
                           linear_probe)
@@ -19,7 +20,7 @@ def identity_payload(dim=4):
     spec = MlpSpec(widths=(dim, dim), bn=(False,), relu=(False,))
     return {
         "version": 1,
-        "encoder_spec": spec.to_dict(),
+        "encoder_spec": encode(spec),
         "bn_initialized": [],
         "bn_eps": [],
         "arrays": {"enc0.weight": np.eye(dim), "enc0.bias": np.zeros(dim)},
@@ -30,7 +31,7 @@ def bn_payload(dim=3):
     spec = MlpSpec(widths=(dim, dim), bn=(True,), relu=(False,))
     return {
         "version": 1,
-        "encoder_spec": spec.to_dict(),
+        "encoder_spec": encode(spec),
         "bn_initialized": [True],
         "bn_eps": [1e-5],
         "arrays": {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from m2t import engine, model
+from m2t.config import decode, encode
 from m2t.model import (
     MlpSpec,
     StudentTeacherPair,
@@ -58,7 +59,7 @@ class TestSpecs:
 
     def test_spec_roundtrip(self):
         spec = mlp_spec((8, 16, 4))
-        assert MlpSpec.from_dict(spec.to_dict()) == spec
+        assert decode(MlpSpec, encode(spec)) == spec
 
     def test_pair_shape_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -323,6 +324,12 @@ class TestLoadTeacher:
         assert set(again["arrays"]) == set(payload["arrays"])
         for name, arr in payload["arrays"].items():
             assert again["arrays"][name].tobytes() == arr.tobytes()
+
+    def test_dumped_encoder_spec_decodes_to_the_spec(self):
+        encoder = trained_teacher_pair().t_encoder
+        dumped = dump_teacher(encoder)["encoder_spec"]
+        assert dumped == encode(encoder.spec)
+        assert decode(MlpSpec, dumped, "encoder_spec") == encoder.spec
 
     def test_missing_array_rejected(self):
         payload = dump_teacher(tiny_pair(seed=31).t_encoder)

@@ -6,9 +6,10 @@ them, so every run checks the same examples."""
 
 import json
 import math
+import re
 import struct
 from dataclasses import fields
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from m2t.checkpoint import MAGIC
 from m2t.cli import main
-from m2t.config import ConfigError, DataConfig, TrainConfig, from_dict
+from m2t.config import (PRESET_NAMES, ConfigError, DataConfig, TrainConfig,
+                        from_dict, preset)
 from m2t.data import AugmentSpec, Dataset
+from m2t.model import MlpSpec
 from m2t.trainer import NanLossError, Trainer, build_dataset
 
 
@@ -114,6 +117,42 @@ def test_any_dataset_spec_exits_0_or_2(tiny_checkpoint, spec, mode):
     ds = root / "fuzzed.json"
     ds.write_text(json.dumps(spec))
     assert run_eval(checkpoint, ds, mode) in (0, 2)
+
+
+# A spec wherever a preset leaves the model to the package defaults, so
+# that every depth of the document exists; decoding fails before anything
+# checks that the widths chain.
+SPEC_DOC = {"widths": [32, 64], "bn": [True], "relu": [True]}
+SECTIONS = {"": TrainConfig, "data": DataConfig, "augment": AugmentSpec,
+            "encoder": MlpSpec, "projector": MlpSpec, "predictor": MlpSpec}
+
+
+def wrong_values(hint):
+    """JSON values of another kind than a field of type ``hint`` takes (a
+    tuple or a nested spec takes a list or an object, none of these)."""
+    args = get_args(hint)
+    hint = args[0] if type(None) in args else hint
+    return {bool: [1, "true", [True]], int: [2.5, "1", True, [1]],
+            float: ["0.5", True, [0.5]], str: [3, False, ["x"]]}.get(
+                hint, [7, "x", True, ["x"]])
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(PRESET_NAMES),
+       section=st.sampled_from(sorted(SECTIONS)), data=st.data())
+def test_bad_key_at_any_depth_is_named_by_its_path(name, section, data):
+    """An unknown key or a wrong-typed value at any depth of a preset
+    raises ConfigError whose message starts with that key's dotted path."""
+    doc = preset(name)
+    node = doc.setdefault(section, dict(SPEC_DOC)) if section else doc
+    hints = get_type_hints(SECTIONS[section])
+    key = data.draw(st.sampled_from(["bogus"] + sorted(hints)))
+    node[key] = data.draw(JSON if key == "bogus"
+                          else st.sampled_from(wrong_values(hints[key])))
+    path = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError) as info:
+        from_dict(doc)
+    assert re.match(rf"{re.escape(path)}[:\[]", str(info.value))
 
 
 def numeric_fields(cls, *prefix):
