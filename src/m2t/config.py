@@ -183,9 +183,6 @@ class TrainConfig:
         if self.mode == "moco" and self.predictor is not None:
             raise ConfigError("predictor: moco has no predictor")
 
-    def to_dict(self) -> dict:
-        return encode(self)
-
 
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                bool: (bool, "a boolean"), str: (str, "a string")}

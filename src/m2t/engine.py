@@ -20,9 +20,9 @@ closure over what the forward kept, mapping the output's gradient to the
 gradients of the op's inputs. Only the student back-propagates, and its
 pass is a fixed chain in which each activation is consumed once, so the
 caller runs the closures in reverse (:func:`m2t.model.forward_mlp`) and
-hands each input gradient straight to the op below. A forward-only caller
-(the teacher, inference) drops them. Nothing is recorded anywhere: a
-pass's activations live exactly as long as its closures.
+hands each input gradient straight to the op below. Nothing is recorded
+anywhere: a pass's activations live exactly as long as its closures, which
+only the student keeps, and only until its backward runs each one.
 
 The losses also return the zero-norm rows :func:`unit_rows` met, for the
 run that owns them to count: the engine keeps no counter, so runs share
@@ -42,9 +42,9 @@ class DimensionError(ValueError):
 
 
 class Tensor:
-    """One parameter block: its float64 ``values`` and ``grad``, the array
-    a backward adds the block's gradient into (None until a
-    :class:`m2t.model.Arena` binds it to a view of its gradient vector)."""
+    """One parameter block: its float64 ``values`` and ``grad``, the view
+    a backward adds its gradient into if an :class:`m2t.model.Arena` with
+    gradients (the student's) binds one, else None (the teacher's)."""
 
     __slots__ = ("values", "grad")
 
@@ -439,16 +439,9 @@ class GradCheckReport:
 
     @property
     def max_rel_error(self) -> float:
-        vals = [v for v in self.per_block.values()]
-        if not vals:
-            return 0.0
-        if any(not np.isfinite(v) for v in vals):
-            return float("nan")
-        return max(vals)
-
-    @property
-    def passed(self) -> bool:
-        return self.passes(self.max_rel_error, self.tol)
+        vals = list(self.per_block.values())
+        return max(vals, default=0.0) if np.isfinite(vals).all() \
+            else float("nan")
 
     @staticmethod
     def passes(error: float, tol: float) -> bool:

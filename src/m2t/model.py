@@ -18,11 +18,11 @@ frozen-feature evaluation has per-sample inference statistics.
 
 Student, teacher and frozen inference run the same layer loop,
 :func:`forward_mlp` (one fused :func:`m2t.engine.dense` op per layer), and
-differ only in the per-layer BN specs they pass. The loop returns its
-backward, the layers' closures chained in reverse; only the student runs
-it, and the teacher and inference drop it. The
-teacher-dump layout lives here alone: :func:`dump_teacher` writes it and
-:func:`load_teacher` checks it and reads it back.
+differ only in the per-layer BN specs they pass. The loop keeps a layer's
+closure for its backward only when the layer has gradients, as only the
+student's do. The teacher-dump layout lives here alone:
+:func:`dump_teacher` writes it and :func:`load_teacher` checks it and
+reads it back.
 
 The student's parameters and the teacher's mirrored weights each live in
 one flat :class:`Arena`, so with the one history the per-iteration updates
@@ -118,35 +118,36 @@ class Param(NamedTuple):
 
 class Arena:
     """Parameter tensors whose values are consecutive views of one float64
-    vector, in the given order, with their gradients views of a second
-    vector of the same layout; an update over all of them is then a few
-    whole-vector numpy operations.
+    vector, in the given order, and, with ``grads``, their gradients views
+    of a second one, ``grads`` (else it and every ``grad`` are None); an
+    update over all of them is then a few whole-vector numpy operations.
 
-    The two vectors are the only home of the blocks' values and gradients,
-    and each tensor's ``values`` and ``grad`` are bound to their views at
-    construction: write blocks in place (``t.values[...] = x``), never
-    rebind them. :meth:`check_views` rejects a rebound block;
-    :meth:`zero_grads` and :func:`ema_update` run it.
+    The vectors are the only home of the blocks' values and gradients, and
+    each tensor's ``values`` and ``grad`` are bound at construction: write
+    blocks in place (``t.values[...] = x``), never rebind them.
+    :meth:`check_views` rejects a rebound block; :meth:`zero_grads` and
+    :func:`ema_update` run it.
     """
 
-    def __init__(self, params: Sequence[Param]):
+    def __init__(self, params: Sequence[Param], grads: bool = True):
         self.params = tuple(params)
         ends = list(accumulate((p.tensor.size for p in self.params),
                                initial=0))
         #: (start, stop) of each parameter's block in the vectors.
         self.bounds = list(zip(ends, ends[1:]))
         self.values = np.empty(ends[-1])
-        self.grads = np.zeros(ends[-1])
+        self.grads = np.zeros(ends[-1]) if grads else None
         for p, (a, b) in zip(self.params, self.bounds):
             t = p.tensor
             view = self.values[a:b].reshape(t.shape)
             view[...] = t.values
-            t.values, t.grad = view, self.grads[a:b].reshape(t.shape)
+            t.values = view
+            t.grad = self.grads[a:b].reshape(t.shape) if grads else None
         self._views = [(p.tensor.values, p.tensor.grad) for p in self.params]
 
     def check_views(self) -> None:
         """``ValueError`` naming a block whose ``values`` or ``grad`` is no
-        longer its view of the arena's vectors."""
+        longer what the arena bound to it."""
         for p, (values, grad) in zip(self.params, self._views):
             t = p.tensor
             if t.values is not values or t.grad is not grad:
@@ -237,13 +238,13 @@ def _share_history(mlps: Sequence[Mlp]) -> MomentumBNState:
 
 class StudentTeacherPair:
     """Student (encoder, projector and, unless None, predictor) and its EMA
-    teacher (encoder, projector).
+    teacher (encoder, projector), which is never back-propagated.
 
     ``student`` is the arena of :meth:`student_params`. ``teacher`` is the
-    arena of the teacher's mirrored weights, laid out as the student
-    arena's encoder-plus-projector prefix. ``history`` is the teacher's one
-    BN history: every teacher BN channel, encoder first, then projector, in
-    layer order.
+    arena of the teacher's mirrored weights, values only, laid out as the
+    student arena's encoder-plus-projector prefix. ``history`` is the
+    teacher's one BN history: every teacher BN channel, encoder first,
+    then projector, in layer order.
     """
 
     def __init__(self, encoder: Mlp, projector: Mlp, predictor: Optional[Mlp],
@@ -262,7 +263,7 @@ class StudentTeacherPair:
         self.history = _share_history((self.t_encoder, self.t_projector))
         self.student = Arena(self.student_params())
         self.teacher = Arena(self.t_encoder.params()
-                             + self.t_projector.params())
+                             + self.t_projector.params(), grads=False)
 
     def student_mlps(self) -> list[Mlp]:
         return [m for m in (self.encoder, self.projector, self.predictor)
@@ -331,21 +332,28 @@ def forward_mlp(mlp: Mlp, x: np.ndarray,
     ``norm(layer)`` the BN spec of each BN layer. Each role (student,
     teacher, frozen inference) differs only in the specs it passes.
 
-    Returns ``(out, backward)``. ``backward(g, need_dx=True)`` runs the
-    layers' backwards in reverse, handing each input gradient straight to
-    the layer below, adds each parameter gradient into its tensor's
-    ``grad`` (the zeroed arena view) and returns the gradient of ``x``, or
-    None unless ``need_dx``. A forward-only caller drops it."""
+    Returns ``(out, backward)``, keeping a layer's closure (and so its
+    activations) only when its tensors have gradients: the student's.
+    ``backward(g, need_dx=True)`` runs the closures in reverse, dropping
+    each once run, hands each input gradient straight to the layer below,
+    adds each parameter gradient into its tensor's ``grad`` (the zeroed
+    arena view) and returns the gradient of ``x``, or None unless
+    ``need_dx``; a second call raises."""
     backwards = []
     for layer in mlp.layers:
         x, layer_backward = engine.dense(
             x, layer.weight.values, layer.bias.values, layer.relu,
             None if layer.norm is None else norm(layer))
-        backwards.append(layer_backward)
+        if layer.weight.grad is not None:
+            backwards.append(layer_backward)
+        del layer_backward  # else it holds this layer's buffers into the next
 
     def backward(g: np.ndarray, need_dx: bool = True) -> Optional[np.ndarray]:
+        if len(backwards) != len(mlp.layers):
+            raise RuntimeError(f"{mlp.name}: no backward to run; it ran "
+                               f"already or the layers have no gradients")
         for i in reversed(range(len(backwards))):
-            g, *grads = backwards[i](g, need_dx or i > 0)
+            g, *grads = backwards.pop()(g, need_dx or i > 0)
             for t, grad in zip(_layer_params(mlp.layers[i]), grads):
                 t.grad += grad
         return g
@@ -426,7 +434,7 @@ def forward_teacher(pair: StudentTeacherPair, v: np.ndarray, alpha: float,
                     perm_seed: Optional[int] = None) -> tuple:
     """Teacher pass over ``v``, (B, C) rows of one view or a (V, B, C)
     stack of views: ``(z, (mean, var))``, the projection z', a gradient
-    constant (the pass's backward is dropped), and the statistics of every
+    constant (the pass keeps no backward state), and the statistics of every
     teacher BN channel, one row per view in stack order.
 
     The pass reads ``pair.history`` and leaves it untouched; commit its

@@ -307,7 +307,11 @@ def test_training_state_keeps_its_arrays(name):
     for arena in (pair.student, pair.teacher):
         for p in arena.params:
             assert p.tensor.values.base is arena.values, p.name
-            assert p.tensor.grad.base is arena.grads, p.name
+    for p in pair.student.params:
+        assert p.tensor.grad.base is pair.student.grads, p.name
+    # The teacher arena holds values only.
+    assert pair.teacher.grads is None
+    assert all(p.tensor.grad is None for p in pair.teacher.params)
     # Every block keeps the views its arena bound at construction.
     for p, (values, grad) in zip(params, views):
         assert p.tensor.values is values and p.tensor.grad is grad, p.name

@@ -120,9 +120,9 @@ class TestRoundTrip:
                      "relu": [True, True]},
         )
         cfg1 = from_dict(doc)
-        cfg2 = from_dict(cfg1.to_dict())
+        cfg2 = from_dict(encode(cfg1))
         assert cfg1 == cfg2
-        assert cfg1.to_dict() == cfg2.to_dict()
+        assert encode(cfg1) == encode(cfg2)
 
     @pytest.mark.parametrize("name", config_mod.PRESET_NAMES)
     def test_decode_inverts_encode_on_presets(self, name):
@@ -131,7 +131,7 @@ class TestRoundTrip:
 
     def test_json_text_roundtrip(self):
         cfg1 = from_dict(minimal_doc())
-        cfg2 = from_dict(json.loads(json.dumps(cfg1.to_dict())))
+        cfg2 = from_dict(json.loads(json.dumps(encode(cfg1))))
         assert cfg1 == cfg2
 
 

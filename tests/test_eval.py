@@ -84,6 +84,34 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match="missing"):
             extract_features(payload, np.zeros((2, 4)))
 
+    def test_memory_peak_is_one_layer(self):
+        # A 32 -> 64 -> 64 encoder with BN over 30000 rows: the second
+        # layer holds its input, its pre-BN buffer and its output, three
+        # arrays of 30000 x 64 (14.6 MiB each). A fourth (a closure keeping
+        # the first layer's buffer alive) would take the peak past 58 MiB.
+        rng = np.random.default_rng(17)
+        spec = MlpSpec(widths=(32, 64, 64), bn=(True, True),
+                       relu=(True, True))
+        arrays = {}
+        for i, (fan_in, fan_out) in enumerate([(32, 64), (64, 64)]):
+            arrays[f"enc{i}.weight"] = rng.normal(size=(fan_in, fan_out))
+            arrays[f"enc{i}.bias"] = rng.normal(size=fan_out)
+            arrays[f"enc{i}.gamma"] = rng.uniform(0.5, 2.0, size=fan_out)
+            arrays[f"enc{i}.beta"] = rng.normal(size=fan_out)
+            arrays[f"enc{i}.hist_mean"] = rng.normal(size=fan_out)
+            arrays[f"enc{i}.hist_var"] = rng.uniform(0.5, 2.0, size=fan_out)
+        payload = {"version": 1, "encoder_spec": encode(spec),
+                   "bn_initialized": [True, True], "bn_eps": [1e-5, 1e-5],
+                   "arrays": arrays}
+        x = rng.normal(size=(30000, 32))
+        tracemalloc.start()
+        try:
+            extract_features(payload, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 30000 * 64 * 8 + 2 ** 18
+
 
 class TestLinearProbe:
     def test_one_hot_features_reach_perfect_accuracy(self):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -154,10 +157,10 @@ class TestForwardTeacher:
         backward(2.0 * (p - t))
         assert ran == ["dense"] * 6
         assert pair.student.grads.any()
-        assert not pair.teacher.grads.any()
+        assert pair.teacher.grads is None
         for t_mlp in (pair.t_encoder, pair.t_projector):
             for _, tensor, _ in t_mlp.params():
-                assert tensor.grad.base is pair.teacher.grads
+                assert tensor.grad is None
 
     def test_no_bn_teacher_copy_equals_student_truncation(self):
         pair = plain_pair_no_bn(seed=10, dim=5)
@@ -187,6 +190,79 @@ class TestForwardTeacher:
                                           layer_stats):
                 assert seen_mean[:, layer.channels].tobytes() == mean.tobytes()
                 assert seen_var[:, layer.channels].tobytes() == var.tobytes()
+
+
+class TestBackwardState:
+    """Only the student keeps backward closures, and only until its backward
+    runs them."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Weak references to every dense closure, and at each dense call the
+        count of earlier closures still alive; the cycle collector is off, so
+        a closure is dead exactly when nothing refers to it."""
+        made, alive = [], []
+        real = engine.dense
+
+        def dense(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            out, backward = real(*args)
+            made.append(weakref.ref(backward))
+            return out, backward
+
+        monkeypatch.setattr(engine, "dense", dense)
+        gc.collect()
+        gc.disable()
+        yield made, alive
+        gc.enable()
+
+    def test_student_backward_drops_each_closure_as_it_runs(self, spy):
+        made, alive = spy
+        pair = tiny_pair(seed=8)
+        v = np.random.default_rng(9).normal(size=(8, 4))
+        _, p, backward = forward_student(pair, v, 2)
+        assert alive == [0, 1, 2, 3, 4, 5]
+        assert all(ref() is not None for ref in made)
+        pair.student.zero_grads()
+        backward(np.ones_like(p))
+        assert all(ref() is None for ref in made)
+
+    def test_student_backward_twice_raises(self):
+        pair = tiny_pair(seed=8)
+        v = np.random.default_rng(9).normal(size=(8, 4))
+        _, p, backward = forward_student(pair, v, 2)
+        pair.student.zero_grads()
+        backward(np.ones_like(p))
+        grads = pair.student.grads.copy()
+        with pytest.raises(RuntimeError, match="pred: .* ran already"):
+            backward(np.ones_like(p))
+        assert pair.student.grads.tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize("kind", ["momentum", "shuffling"])
+    def test_teacher_pass_holds_one_layer_at_a_time(self, spy, kind):
+        made, alive = spy
+        pair = tiny_pair(seed=8, teacher_bn=kind)
+        v = np.random.default_rng(9).normal(size=(2, 8, 4))
+        forward_teacher(pair, v, alpha=0.5, workers=2, perm_seed=3)
+        assert alive == [0, 0, 0, 0]
+        assert all(ref() is None for ref in made)
+
+    def test_inference_pass_holds_one_layer_at_a_time(self, spy):
+        made, alive = spy
+        payload = dump_teacher(tiny_pair(seed=8).t_encoder)
+        extract_features(payload, np.random.default_rng(9).normal(size=(8, 4)))
+        assert alive == [0, 0]
+        assert all(ref() is None for ref in made)
+
+    def test_backward_over_teacher_layers_raises(self):
+        pair = tiny_pair(seed=8)
+        v = np.random.default_rng(9).normal(size=(8, 4))
+        rows = np.empty((1, pair.history.hist_mean.size))
+        h, backward = forward_mlp(pair.t_encoder, v,
+                                  teacher_norm(pair.history, "momentum", 0.5,
+                                               (rows, rows.copy())))
+        with pytest.raises(RuntimeError, match="t_enc: .* no gradients"):
+            backward(np.ones_like(h))
 
 
 class TestEmaUpdate:

@@ -8,7 +8,10 @@ import json
 import math
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -255,3 +258,32 @@ def test_empty_idx_pretrain_exits_0_or_2(tmp_path, capsys):
     code = main(["pretrain", "--preset", "default-synth",
                  "--set", f"data={json.dumps(data)}", "--out", str(out)])
     assert code in (0, 2)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_reports_and_the_session_goes_on(tmp_path):
+    # The suite's settings turn warnings into errors; one raised while
+    # hypothesis reports a failure would end the session with INTERNALERROR,
+    # leaving every later test unrun.
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]

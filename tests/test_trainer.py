@@ -188,10 +188,10 @@ class TestTrainStep:
         cfg = small_config()
         trainer = Trainer(cfg)
         trainer.train_step(trainer.dataset.samples[:16], k=0)
-        # The teacher's gradient views stay zero: no backward reaches them.
-        assert not trainer.pair.teacher.grads.any()
+        # The teacher has no gradients for a backward to reach.
+        assert trainer.pair.teacher.grads is None
         for t, _ in ema_pairs(trainer.pair):
-            assert t.grad.base is trainer.pair.teacher.grads
+            assert t.grad is None
 
     def test_nan_loss_aborts_with_diagnostic(self):
         cfg = small_config()
