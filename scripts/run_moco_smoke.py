@@ -4,7 +4,8 @@
 Runs the queue-based contrastive recipe twice, once with a shuffling-BN
 teacher and once with a momentum-BN teacher, and reports the initial loss
 (expected within a few percent of the uniform-softmax value ln(1+K) for a
-fresh random queue) and the last-epoch mean.
+fresh random queue) and the last-epoch mean. These are acceptance
+criterion 9's runs, and the exit status is its verdict.
 
 Usage: python3 scripts/run_moco_smoke.py
 """
@@ -16,40 +17,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from m2t.cli import keep_freed_memory
-from m2t.config import from_dict, preset
-from m2t.trainer import run_training
-
-
-def smoke_run(teacher_bn: str) -> tuple[float, float]:
-    """(first logged loss, last-epoch mean loss) of the moco-smoke preset
-    with the given teacher BN."""
-    doc = preset("moco-smoke")
-    doc["teacher_bn"] = teacher_bn
-    doc["log_interval"] = 1
-    result = run_training(from_dict(doc))
-    per_epoch = {}
-    for m in result.metrics:
-        per_epoch.setdefault(m.epoch, []).append(m.loss)
-    return result.metrics[0].loss, float(np.mean(per_epoch[max(per_epoch)]))
+from m2t.experiment import moco_smoke_cells, moco_smoke_passes, run_cells
 
 
 def main() -> int:
     keep_freed_memory()
-    target = math.log(1 + from_dict(preset("moco-smoke")).queue_capacity)
+    cells = moco_smoke_cells()
+    target = math.log(1 + cells[0].doc["queue_capacity"])
     print(f"uniform-softmax reference ln(1+K) = {target:.4f}\n")
+    t0 = time.perf_counter()
     ok = True
-    for teacher_bn in ("shuffling", "momentum"):
-        t0 = time.perf_counter()
-        initial, last = smoke_run(teacher_bn)
-        wall = time.perf_counter() - t0
-        dev = abs(initial - target) / target
-        print(f"{teacher_bn:10s}: initial {initial:.4f} ({dev:+.2%} vs ref), "
-              f"last-epoch mean {last:.4f} (x{last / initial:.3f}), "
-              f"{wall:.0f}s")
-        ok = ok and dev < 0.05 and last < 0.9 * initial
+    for cell, r in zip(cells, run_cells(cells)):
+        initial, last = r["first_loss"], r["last_epoch_loss"]
+        print(f"{cell.doc['teacher_bn']:10s}: initial {initial:.4f} "
+              f"({(initial - target) / target:+.2%} vs ref), last-epoch mean "
+              f"{last:.4f} (x{last / initial:.3f})")
+        ok &= moco_smoke_passes(initial, last, cell.doc["queue_capacity"])
+    print(f"{time.perf_counter() - t0:.0f}s total")
     return 0 if ok else 1
 
 

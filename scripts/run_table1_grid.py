@@ -23,8 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from m2t.cli import keep_freed_memory
-from m2t.config import apply_overrides, from_dict, preset
-from m2t.trainer import ablation_grid, grid_trainers
+from m2t.config import apply_overrides, preset
+from m2t.experiment import GRID_ROWS, grid_cells, run_cells
 
 
 def main() -> int:
@@ -38,24 +38,21 @@ def main() -> int:
     parser.add_argument("--probe-epochs", type=int, default=40)
     args = parser.parse_args()
 
+    seeds = range(args.seed, args.seed + args.seeds)
+    cells = [cell for seed in seeds for cell in grid_cells(apply_overrides(
+        preset("table1-grid"), [f"epochs={args.epochs}", f"seed={seed}",
+                                f"probe_epochs={args.probe_epochs}"]))]
     acc = defaultdict(list)
     cost = {}
     wall = defaultdict(float)
-    ranks = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        doc = apply_overrides(preset("table1-grid"), [
-            f"epochs={args.epochs}", f"seed={seed}",
-            f"probe_epochs={args.probe_epochs}",
-        ])
-        rows = ablation_grid(grid_trainers(from_dict(doc)))
-        ordered = sorted(rows, key=lambda r: -r["accuracy"])
-        ranks.append(1 + [(r["student"], r["teacher"]) for r in ordered]
-                     .index(("plain", "plain")))
-        for row in rows:
-            key = (row["student"], row["teacher"])
-            acc[key].append(row["accuracy"])
-            cost[key] = row["sec_per_iter_model"]
-            wall[key] += row["wall_seconds"]
+    for cell, row in zip(cells, run_cells(cells)):
+        key = (cell.doc["student_bn"], cell.doc["teacher_bn"])
+        acc[key].append(row["accuracy"])
+        cost[key] = row["sec_per_iter_model"]
+        wall[key] += row["wall_seconds"]
+    # Rank 1 is the best; a tie goes to the earlier grid row.
+    ranks = [1 + sorted(GRID_ROWS, key=lambda key: -acc[key][i])
+             .index(("plain", "plain")) for i in range(args.seeds)]
 
     print(f"{'student':>8}  {'teacher':>9}  {'top1':>7}  "
           f"{'model s/iter':>12}  {'wall s':>7}")

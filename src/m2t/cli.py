@@ -34,9 +34,9 @@ from .config import ConfigError, TrainConfig
 from .engine import GradCheckReport
 from .evaluate import (ProbeDivergedError, extract_features, holdout_split,
                        knn_eval, linear_probe)
+from .experiment import grid_cells, run_cells
 from .gradcheck import DEFAULT_TOL, run_all
-from .trainer import (MetricsRecord, NanLossError, Trainer, ablation_grid,
-                      build_dataset, grid_trainers)
+from .trainer import MetricsRecord, NanLossError, Trainer, build_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,23 +178,24 @@ def cmd_pretrain(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    # Built first: a config-time error must leave no manifest behind.
-    trainers = grid_trainers(cfg)
+    cells = grid_cells(config_mod.encode(cfg))
+    for cell in cells:  # a config-time error must leave no manifest behind
+        Trainer(config_mod.from_dict(cell.doc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = _write_manifest(out_dir, cfg, {"grid": str(out_dir / "grid.json")})
     try:
-        rows = ablation_grid(trainers)
+        rows = run_cells(cells)
     except (NanLossError, ProbeDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NAN
     summary = []
-    for row in rows:
-        name = f"metrics_{row['student']}_{row['teacher']}.csv"
-        write_metrics_csv(row["metrics"], out_dir / name)
-        summary.append({k: row[k] for k in
-                        ("student", "teacher", "accuracy",
-                         "sec_per_iter_model", "wall_seconds")})
+    for cell, row in zip(cells, rows):
+        row = {"student": cell.doc["student_bn"],
+               "teacher": cell.doc["teacher_bn"], **row}
+        write_metrics_csv(row.pop("metrics"), out_dir /
+                          f"metrics_{row['student']}_{row['teacher']}.csv")
+        summary.append(row)
     (out_dir / "grid.json").write_text(json.dumps(summary, indent=2),
                                        encoding="utf-8")
     _finish_manifest(manifest_path)

@@ -17,12 +17,13 @@ every gradient before the step and one every parameter after it.
 compute plus what the cross-worker BN traffic would cost at nominal
 latency/bandwidth), not a measurement, so that identical runs produce
 byte-identical metrics.
+
+One run only: experiments over many runs live in :mod:`m2t.experiment`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -145,12 +146,15 @@ class NanLossError(RuntimeError):
         self.diagnostic = diagnostic
         self.metrics = metrics or []
 
+    def __reduce__(self):
+        # Sent from a pool child; the default would rebuild it from args.
+        return type(self), (str(self), self.diagnostic, self.metrics)
+
 
 @dataclass
 class TrainResult:
     payload: dict
     metrics: list
-    config: TrainConfig
     health: dict
     dataset: Dataset
 
@@ -236,11 +240,10 @@ class Trainer:
     """Owns the pair, optimizer, schedules, (in contrastive mode) the
     negatives queue and the health count ``zero_norm_rows`` of one run."""
 
-    def __init__(self, cfg: TrainConfig, dataset: Optional[Dataset] = None):
+    def __init__(self, cfg: TrainConfig):
         cfg.validate()
         self.cfg = cfg
-        self.dataset = dataset if dataset is not None \
-            else build_dataset(cfg.data, cfg.seed)
+        self.dataset = build_dataset(cfg.data, cfg.seed)
         self.pair = build_model(cfg, self.dataset.dim)
 
         n = len(self.dataset)
@@ -393,62 +396,7 @@ class Trainer:
             raise NanLossError(f"non-finite teacher array {bad[0]} after "
                                f"iteration {k - 1}", rec,
                                [m for m in metrics if m is not rec])
-        return TrainResult(payload=payload, metrics=metrics, config=cfg,
+        return TrainResult(payload=payload, metrics=metrics,
                            health={"zero_norm_rows": self.zero_norm_rows},
                            dataset=self.dataset)
 
-
-def run_training(cfg: TrainConfig,
-                 dataset: Optional[Dataset] = None) -> TrainResult:
-    return Trainer(cfg, dataset=dataset).run()
-
-
-# ---------------------------------------------------------------------------
-# ablation grid
-
-
-GRID_ROWS = (
-    ("synced", "synced"),
-    ("plain", "synced"),
-    ("synced", "plain"),
-    ("plain", "plain"),
-    ("plain", "momentum"),
-    ("synced", "momentum"),
-)
-
-
-def grid_trainers(cfg: TrainConfig) -> list[Trainer]:
-    """One Trainer per ``GRID_ROWS`` combination of ``cfg`` (mode byol_m2t),
-    sharing one dataset; building them all first raises any config-time
-    error before a row runs."""
-    dataset = build_dataset(cfg.data, cfg.seed)
-    return [Trainer(replace(cfg, mode="byol_m2t", student_bn=student_bn,
-                            teacher_bn=teacher_bn), dataset=dataset)
-            for student_bn, teacher_bn in GRID_ROWS]
-
-
-def ablation_grid(trainers: list[Trainer]) -> list[dict]:
-    """Run every trainer of :func:`grid_trainers` (identical seeds and data
-    order); report probe accuracy and the modeled cost per iteration."""
-    from .evaluate import extract_features, linear_probe
-
-    rows = []
-    for trainer in trainers:
-        cfg = trainer.cfg
-        t0 = time.perf_counter()
-        result = trainer.run()
-        wall = time.perf_counter() - t0
-        feats = extract_features(result.payload, result.dataset.samples)
-        acc = linear_probe(feats, result.dataset.labels,
-                           epochs=cfg.probe_epochs, lr=cfg.probe_lr,
-                           seed=substream_int(cfg.seed, "probe"))
-        rows.append({
-            "student": cfg.student_bn,
-            "teacher": cfg.teacher_bn,
-            "accuracy": acc,
-            "sec_per_iter_model": trainer._sec_model,
-            "wall_seconds": wall,
-            "metrics": result.metrics,
-            "payload": result.payload,
-        })
-    return rows

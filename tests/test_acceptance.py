@@ -4,12 +4,13 @@ Run with:  pytest tests/test_acceptance.py -v
 
 The two desk-scale experiments (criteria 8 and 9) dominate the runtime;
 the whole suite stays within the stated budgets on an ordinary laptop
-core. Their runs are defined once, by the scripts that print them
-(scripts/run_bn_experiment.py, scripts/run_moco_smoke.py).
+core. Their runs and verdict rules are defined once, as cell lists and
+functions of ``m2t.experiment``, which the scripts that print them
+(scripts/run_bn_experiment.py, scripts/run_moco_smoke.py) call too; the
+runner spreads each experiment's runs over the usable CPUs.
 """
 
 import math
-import runpy
 import subprocess
 import sys
 import time
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from m2t.config import from_dict, preset
+from m2t.experiment import (bn_experiment_cells, bn_experiment_passes,
+                            moco_smoke_cells, moco_smoke_passes, run_cells)
 from m2t.gradcheck import run_all
 from m2t.model import (MlpSpec, build_pair, ema_update, forward_teacher,
                        mlp_spec)
@@ -29,14 +31,6 @@ from bn_reference import (batch_stats, bn_apply, identity_norm_params,
                           layer_bn, student_bn)
 from engine_reference import constant
 from update_reference import ema_pairs, stack_stats
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def script_function(script: str, name: str):
-    """A function defined by an experiment script (main() not run)."""
-    return runpy.run_path(str(SCRIPTS / script), run_name="not_main")[name]
-
 
 def announce(num: int, ok: bool, description: str) -> None:
     # Bypass pytest capture so one line per criterion always reaches the
@@ -221,41 +215,34 @@ def test_criterion_7_golden_trace():
 
 @pytest.mark.slow
 def test_criterion_8_directional_experiment():
-    run_one = script_function("run_bn_experiment.py", "run_one")
     t0 = time.perf_counter()
-    diffs = []
-    for seed in range(5):
-        acc_momentum = run_one(seed, "momentum", epochs=30)
-        acc_plain = run_one(seed, "plain", epochs=30)
-        diffs.append(acc_momentum - acc_plain)
+    results = run_cells(bn_experiment_cells(seeds=5, epochs=30))
     elapsed = time.perf_counter() - t0
+    acc = [r["accuracy"] for r in results]
+    diffs = [momentum - plain for momentum, plain in zip(acc[::2], acc[1::2])]
     positives = sum(d > 0 for d in diffs)
     mean_diff = float(np.mean(diffs))
-    ok = mean_diff >= 0 and positives >= 4 and elapsed < 600.0
+    ok = bn_experiment_passes(diffs) and elapsed < 600.0
     announce(8, ok, f"momentum teacher vs plain: mean diff {mean_diff:+.4f}, "
                     f"positive in {positives}/5 seeds, {elapsed:.0f}s")
-    assert positives >= 4, diffs
-    assert mean_diff >= 0, diffs
+    assert bn_experiment_passes(diffs), diffs
     assert elapsed < 600.0
 
 
 @pytest.mark.slow
 def test_criterion_9_moco_smoke():
-    smoke_run = script_function("run_moco_smoke.py", "smoke_run")
+    cells = moco_smoke_cells()
     t0 = time.perf_counter()
-    target = math.log(1 + from_dict(preset("moco-smoke")).queue_capacity)
-    results = {teacher_bn: smoke_run(teacher_bn)
-               for teacher_bn in ("shuffling", "momentum")}
+    results = {cell.doc["teacher_bn"]: (r["first_loss"], r["last_epoch_loss"])
+               for cell, r in zip(cells, run_cells(cells))}
     elapsed = time.perf_counter() - t0
-    init_ok = all(abs(i - target) / target < 0.05
-                  for i, _ in results.values())
-    drop_ok = all(l < 0.9 * i for i, l in results.values())
-    ok = init_ok and drop_ok and elapsed < 300.0
-    detail = ", ".join(f"{k}: {i:.3f}->{l:.3f}" for k, (i, l) in results.items())
-    announce(9, ok, f"contrastive smoke vs ln(1+K)={target:.3f} ({detail}), "
-                    f"{elapsed:.0f}s")
-    assert init_ok, (results, target)
-    assert drop_ok, results
+    k = cells[0].doc["queue_capacity"]
+    passed = all(moco_smoke_passes(i, l, k) for i, l in results.values())
+    ok = passed and elapsed < 300.0
+    detail = ", ".join(f"{t}: {i:.3f}->{l:.3f}" for t, (i, l) in results.items())
+    announce(9, ok, f"contrastive smoke vs ln(1+K)={math.log(1 + k):.3f} "
+                    f"({detail}), {elapsed:.0f}s")
+    assert passed, results
     assert elapsed < 300.0
 
 

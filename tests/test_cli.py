@@ -22,7 +22,7 @@ from m2t.data import IDX_IMAGES_MAGIC, AugmentSpec
 from m2t.evaluate import extract_features
 from m2t.model import (default_encoder_spec, default_predictor_spec,
                        default_projector_spec, load_teacher)
-from m2t.trainer import run_training
+from m2t.trainer import Trainer
 
 from idx_files import write_idx_images
 
@@ -35,7 +35,7 @@ def tiny_run(seed=0, epochs=1):
                         per_class=16, spread=0.3),
         augment=AugmentSpec(noise_std=0.2, solarize_prob_teacher=0.0),
     )
-    return run_training(cfg)
+    return Trainer(cfg).run()
 
 
 TINY_ARGS = [
@@ -60,13 +60,15 @@ def tiny_dataset_spec(tmp_path):
     return path
 
 
-def exits_3_quietly(capsys, argv) -> str:
+def exits_3_quietly(capfd, argv) -> str:
     """Run ``argv`` with every warning an error: it must exit 3 with one
-    ``error:`` line as its whole stderr, which is returned."""
+    ``error:`` line as its whole stderr, which is returned. The stderr read
+    is file descriptor 2's, so what a child process of the command writes
+    there counts too."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
-    lines = capsys.readouterr().err.splitlines()
+    lines = capfd.readouterr().err.splitlines()
     assert code == 3
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
@@ -218,9 +220,9 @@ class TestPretrainCommand:
         assert capsys.readouterr().err.startswith("error: temperature: ")
         assert not out.exists()
 
-    def test_overflowing_training_exits_3_quietly(self, tmp_path, capsys):
+    def test_overflowing_training_exits_3_quietly(self, tmp_path, capfd):
         # Finite samples whose statistics overflow in training.
-        line = exits_3_quietly(capsys, [
+        line = exits_3_quietly(capfd, [
             "pretrain", "--preset", "default-synth",
             "--set", "data.spread=1e200", "--set", "epochs=1",
             "--out", str(tmp_path / "run")])
@@ -642,9 +644,9 @@ class TestEvalCommand:
         assert "non-finite" in err and "allocate" not in err
         assert caught == []
 
-    def test_diverged_probe_exits_3_quietly(self, run_dir, capsys):
+    def test_diverged_probe_exits_3_quietly(self, run_dir, capfd):
         out, ds = run_dir
-        line = exits_3_quietly(capsys, [
+        line = exits_3_quietly(capfd, [
             "eval", "--checkpoint", str(out / "checkpoint.m2t"),
             "--dataset", str(ds), "--probe-lr", "1e300",
             "--probe-epochs", "3"])
@@ -859,8 +861,8 @@ class TestAblateCommand:
         assert message in capsys.readouterr().err
         assert not (out / "grid.json").exists()
 
-    def test_diverging_grid_exits_3_quietly(self, tmp_path, capsys):
-        line = exits_3_quietly(capsys, [
+    def test_diverging_grid_exits_3_quietly(self, tmp_path, capfd):
+        line = exits_3_quietly(capfd, [
             "ablate", "--preset", "table1-grid", "--set", "epochs=1",
             "--set", "data.per_class=8", "--set", "batch_size=8",
             "--set", "lr_base=1e12", "--out", str(tmp_path / "grid")])

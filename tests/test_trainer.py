@@ -24,10 +24,7 @@ from m2t.trainer import (
     NanLossError,
     OptimizerState,
     Trainer,
-    ablation_grid,
-    grid_trainers,
     modeled_sec_per_iter,
-    run_training,
     sgd_step,
 )
 
@@ -254,8 +251,8 @@ class TestRunTraining:
     def test_determinism_identical_metric_streams(self):
         cfg1 = small_config()
         cfg2 = small_config()
-        r1 = run_training(cfg1)
-        r2 = run_training(cfg2)
+        r1 = Trainer(cfg1).run()
+        r2 = Trainer(cfg2).run()
         rows1 = [m.csv_row() for m in r1.metrics]
         rows2 = [m.csv_row() for m in r2.metrics]
         assert rows1 == rows2
@@ -274,8 +271,8 @@ class TestRunTraining:
                              teacher_bn="synced", **base)
         plain = TrainConfig(mode="byol_m2t", workers=1, teacher_bn="plain",
                             **base)
-        r_synced = run_training(synced)
-        r_plain = run_training(plain)
+        r_synced = Trainer(synced).run()
+        r_plain = Trainer(plain).run()
         for a, b in zip(r_synced.metrics, r_plain.metrics):
             assert a.loss == b.loss
             assert a.l1 == b.l1 and a.l2 == b.l2
@@ -293,7 +290,7 @@ class TestRunTraining:
             np.testing.assert_array_equal(t.values, before)
 
     def test_all_losses_finite_on_reference_config(self):
-        result = run_training(small_config(epochs=3))
+        result = Trainer(small_config(epochs=3)).run()
         losses = [m.loss for m in result.metrics]
         assert all(np.isfinite(l) for l in losses)
         assert result.health == {"zero_norm_rows": 0}
@@ -398,7 +395,7 @@ class TestRunTraining:
         cfg = small_config(mode="moco", teacher_bn="shuffling", m_base=0.001,
                            m_schedule="constant", alpha_base=0.064,
                            alpha_schedule="constant", queue_capacity=32)
-        result = run_training(cfg)
+        result = Trainer(cfg).run()
         assert all(np.isfinite(m.loss) for m in result.metrics)
 
 
@@ -609,21 +606,3 @@ class TestCostModel:
         cost_m = modeled_sec_per_iter(cfg_m, Trainer(cfg_m).pair)
         cost_p = modeled_sec_per_iter(cfg_p, Trainer(cfg_p).pair)
         assert cost_m == cost_p
-
-
-class TestAblationGrid:
-    def test_grid_shape_and_shared_seeds(self):
-        cfg = small_config(epochs=1, probe_epochs=4)
-        rows = ablation_grid(grid_trainers(cfg))
-        assert len(rows) == 6
-        combos = {(r["student"], r["teacher"]) for r in rows}
-        assert combos == {("plain", "plain"), ("plain", "synced"),
-                          ("plain", "momentum"), ("synced", "plain"),
-                          ("synced", "synced"), ("synced", "momentum")}
-        for r in rows:
-            assert 0.0 <= r["accuracy"] <= 1.0
-        # Synced/synced must model slower iterations than plain/plain.
-        cost = {(r["student"], r["teacher"]): r["sec_per_iter_model"]
-                for r in rows}
-        assert cost[("synced", "synced")] > cost[("plain", "plain")]
-        assert cost[("plain", "momentum")] == cost[("plain", "plain")]
