@@ -2,9 +2,9 @@
 
 The engine is deliberately small: 2-D arrays of rows, or a ``(V, B, C)``
 stack of views, and the five fused ops a run executes. An MLP layer is one
-op, :func:`dense` (matmul, bias, optional BN, optional ReLU);
-:func:`batch_norm` is BN alone (the linear probe's), returning its
-statistics too. Both run the same BN arithmetic. Each loss is one op too:
+op, :func:`dense` (matmul, bias, optional BN, optional ReLU), and so is
+the linear probe's head, :func:`bn_linear` (BN folded into the linear
+layer), which returns its statistics too. Each loss is one op too:
 :func:`normalized_mse`, :func:`info_nce` and :func:`cross_entropy`.
 :func:`dense` and :func:`normalized_mse` also take a stack of views, the
 views on the leading axis, and equal one call per view bit for bit. The
@@ -90,24 +90,38 @@ def _sum_views(per_view: np.ndarray, stacked: bool) -> np.ndarray:
 # batch normalization
 
 
+def _batch_stats(x: np.ndarray, dev: Optional[np.ndarray] = None) -> tuple:
+    """``(mean, dev, var, sq)`` over the rows (axis -2, kept) of ``x``: the
+    centred rows go into ``dev`` when given, and ``sq``, the squared
+    deviations, is a buffer the caller may reuse. ``np.add.reduce(a, axis)
+    / n`` is the arithmetic of ``a.mean(axis)`` without its overhead."""
+    n = x.shape[-2]
+    mu = np.add.reduce(x, axis=-2, keepdims=True) / n
+    dev = np.subtract(x, mu, out=dev)
+    sq = np.multiply(dev, dev)
+    return mu, dev, np.add.reduce(sq, axis=-2, keepdims=True) / n, sq
+
+
 def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         eps: float, stats: Optional[tuple], owned: bool = False) -> tuple:
-    """The BN arithmetic of :func:`batch_norm` and :func:`dense` on a (B, C)
-    array or a (V, B, C) stack of views: ``(out, backward, (mean, var))``,
+    """gamma * (x - mean) / sqrt(var + eps) + beta, the BN of :func:`dense`,
+    on a (B, C) array or a (V, B, C) stack of views: ``(out, backward)``,
     with ``backward(g, need_dx=True, owned=False)`` giving ``(dx or None,
-    dgamma, dbeta)`` and ``(mean, var)`` the statistics it normalized with.
+    dgamma, dbeta)``.
 
     Each view splits into ``groups`` equal row groups, so a stack has V x
-    ``groups`` of them and no group straddles two views. Each elementwise
-    pass keeps the composed ops' expression and operand order, so it rounds
-    the same, but writes into a buffer the op owns. The centred rows are
-    normalized in place into ``xhat``, which the backward keeps, and the
-    output reuses the squared deviations. ``x`` is centred in place only
-    when ``owned`` (:func:`dense`'s own pre-BN buffer); otherwise it is
-    never written. Likewise the backward scales ``g`` in place and writes
-    ``dx`` over it only when ``owned``; otherwise ``dx`` goes into a scaled
-    copy. dgamma and dbeta are summed per view, then across views
-    (:func:`_sum_views`)."""
+    ``groups`` of them and no group straddles two views. With inv =
+    1/sqrt(var + eps) and g_hat = g * gamma, dx = inv * (g_hat -
+    mean(g_hat) - xhat * mean(g_hat * xhat)) per group, or inv * g_hat for
+    given stats. Each elementwise pass keeps the composed ops' expression
+    and operand order, so it rounds the same, but writes into a buffer the
+    op owns. The centred rows are normalized in place into ``xhat``, which
+    the backward keeps, and the output reuses the squared deviations. ``x``
+    is centred in place only when ``owned`` (:func:`dense`'s own pre-BN
+    buffer); otherwise it is never written. Likewise the backward scales
+    ``g`` in place and writes ``dx`` over it only when ``owned``; otherwise
+    ``dx`` goes into a scaled copy. dgamma and dbeta are summed per view,
+    then across views (:func:`_sum_views`)."""
     shape, stacked = x.shape, x.ndim == 3
     b, c = shape[-2:]
     if groups < 1 or b == 0 or b % groups != 0:
@@ -121,13 +135,8 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
     x3 = x.reshape(-1, n, c)
     dev = x3 if owned else None
     out = None
-    # np.add.reduce(a, axis) / n is the arithmetic of a.mean(axis), without
-    # the wrapper's Python overhead.
     if stats is None:
-        mu = np.add.reduce(x3, axis=1, keepdims=True) / n
-        dev = np.subtract(x3, mu, out=dev)
-        out = np.multiply(dev, dev)
-        var = np.add.reduce(out, axis=1, keepdims=True) / n
+        _, dev, var, out = _batch_stats(x3, dev)
     else:
         mu, var = (np.asarray(s, dtype=np.float64) for s in stats)
         if mu.shape != var.shape or mu.shape not in ((c,), (len(x3), c)):
@@ -163,31 +172,49 @@ def _bn(x: np.ndarray, groups: int, gamma: np.ndarray, beta: np.ndarray,
         dx = np.multiply(1.0 / std, g_hat, out=g_hat)
         return dx.reshape(shape), dgamma, dbeta
 
-    return out.reshape(shape), backward, (
-        (mu[:, 0], var[:, 0]) if stats is None else stats)
+    return out.reshape(shape), backward
 
 
-def batch_norm(x: np.ndarray, groups: int, gamma: np.ndarray,
-               beta: np.ndarray, eps: float,
-               stats: Optional[tuple] = None) -> tuple:
-    """gamma * (x - mean) / sqrt(var + eps) + beta over equal row groups.
+def bn_linear(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+              weight: np.ndarray, bias: np.ndarray, eps: float,
+              stats: Optional[tuple] = None) -> tuple:
+    """The linear probe's head: BN of the (N, C) data ``x``, then ``@ weight
+    + bias``, folded into one affine map, ``logits = (x - mean) @ ((gamma /
+    sigma)[:, None] * weight) + (beta @ weight + bias)`` with sigma =
+    sqrt(var + eps); the normalized rows are never formed. Returns
+    ``(logits, backward, (mean, var))``: the rows' own (C,) statistics
+    (:func:`_batch_stats`) or the given constants ``stats``, as given.
+    They are constants of the head, so ``backward(g)`` gives ``(dgamma,
+    dbeta, dweight, dbias)`` from one product ``(x - mean).T @ g`` and the
+    column sums of ``g``, with no ``dx``. Each expression is the autodiff
+    of the composed sub, add, sqrt, div, column reshape, mul and matmul,
+    so the head equals them bit for bit. No input is written."""
+    _check_matmul(x, weight)
+    shapes = [np.shape(a) for a in (gamma, beta, *(stats or ()))]
+    if x.ndim != 2 or any(s != x.shape[1:] for s in shapes):
+        raise DimensionError(f"bn_linear expects (N, C) rows and (C,) "
+                             f"affines and stats, got {x.shape}, {shapes}")
+    if stats is None:
+        mean, dev, var, _ = _batch_stats(x)
+        mean, var = mean[0], var[0]
+    else:
+        mean, var = stats
+        dev = x - mean
+    sigma = np.sqrt(var + eps)
+    scale = (gamma / sigma)[:, None]
+    beta_row = beta[None]
+    logits = np.matmul(dev, scale * weight)
+    logits += np.matmul(beta_row, weight) + bias
 
-    The (B, C) batch splits into ``groups`` contiguous blocks, each
-    normalized with its own mean and biased variance (the numpy operations
-    of the composed ``mean`` and ``var``, so results match the composed ops
-    bit for bit) or with the given constants ``stats = (mean, var)``: one
-    per channel, shape (C,), or one row per group, shape (groups, C).
-    Returns ``(out, backward, (mean, var))``, the statistics it normalized
-    with: the given ones, or one row per group. ``backward(g,
-    need_dx=True)`` gives ``(dx or None, dgamma, dbeta)`` in closed form:
-    with inv = 1/sqrt(var + eps) and g_hat = g * gamma, dx = inv * (g_hat -
-    mean(g_hat) - xhat * mean(g_hat * xhat)) per group, or inv * g_hat for
-    given stats. Neither ``x`` nor the upstream gradient is written.
-    """
-    if x.ndim != 2:
-        raise DimensionError(
-            f"batch_norm expects batch x channels, got shape {x.shape}")
-    return _bn(x, groups, gamma, beta, eps, stats)
+    def backward(g: np.ndarray) -> tuple:
+        m = np.matmul(dev.T, g)
+        gsum = np.add.reduce(g, axis=0, keepdims=True)
+        dweight = m * scale
+        dweight += np.matmul(beta_row.T, gsum)
+        dgamma = np.add.reduce(m * weight, axis=1) / sigma
+        return dgamma, np.matmul(gsum, weight.T)[0], dweight, gsum[0]
+
+    return logits, backward, (mean, var) if stats is None else stats
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +228,7 @@ class BNSpec:
     ``params`` holds the affine ``gamma``/``beta`` parameter tensors and
     ``eps`` (a :class:`m2t.normalization.NormParams`). The rows of each
     view split into ``groups`` equal blocks normalized with their own
-    statistics, as in :func:`batch_norm`, unless ``stats`` gives ``(mean,
+    mean and biased variance, unless ``stats`` gives ``(mean,
     var)`` constants, per channel or one row per group of every view (V x
     ``groups`` rows, view by view). ``stats`` may also be a function of the
     pre-BN activations (rows in their original order, every view) that
@@ -224,8 +251,8 @@ def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool,
 
     BN runs when ``norm`` is given and ReLU when ``relu`` is set. Forward
     and backward are the numpy expressions of the composed ``matmul``,
-    ``add``, :func:`batch_norm` (with row gathers around it under ``perm``)
-    and ``relu``, in that order, so the output and every gradient equal
+    ``add``, BN (with row gathers around it under ``perm``) and ``relu``,
+    in that order, so the output and every gradient equal
     those of the composed ops bit for bit. ``backward(g, need_dx=True)``
     gives ``(dx or None, dweight, dbias)``, followed by ``(dgamma, dbeta)``
     under BN; a first layer's input is data, and its caller asks for no
@@ -257,7 +284,7 @@ def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool,
             h = h.take(perm, axis=-2)
         # h is this op's own buffer (the matmul's or the gather's), so BN
         # may normalize in it.
-        h, bn_backward, _ = _bn(h, norm.groups, p.gamma.values,
+        h, bn_backward = _bn(h, norm.groups, p.gamma.values,
                                 p.beta.values, p.eps, stats, owned=True)
         if perm is not None:
             inv = np.argsort(perm)

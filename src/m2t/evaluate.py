@@ -5,7 +5,9 @@ every BN layer normalizes with its stored momentum history, which makes
 the feature of a sample independent of whatever batch it arrives in. The
 probe trains a BN + linear head on the frozen features with the trainer's
 primitives (momentum-SGD step, cosine schedule, momentum-statistics
-history); the backbone is never touched. Both reject a negative label.
+history); the head is one fused op, :func:`m2t.engine.bn_linear`, which
+folds the BN into the linear layer. The backbone is never touched. Both
+reject a negative label.
 """
 
 from __future__ import annotations
@@ -84,10 +86,12 @@ def linear_probe(features: np.ndarray, labels: np.ndarray,
     """Train a whole-batch BN plus linear head on frozen features; top-1 on
     a seeded held-out ``TEST_FRACTION`` of them.
 
-    Each step commits its BN's batch statistics at once, as one view's row,
-    to the momentum-statistics history that inference normalizes with.
-    Training is the trainer's momentum-SGD step (0.9, no weight decay) over
-    batches of ``BATCH_SIZE`` under a cosine learning-rate decay.
+    A step is :func:`m2t.engine.bn_linear` (the head, BN folded into the
+    linear layer) and the fused cross-entropy, then one momentum-SGD step
+    of the trainer's (0.9, no weight decay) over batches of ``BATCH_SIZE``
+    under a cosine learning-rate decay. Each step commits the batch
+    statistics the head normalized with at once, as one view's row, to the
+    momentum-statistics history; inference is the same op on the history.
     ``ValueError`` for a negative label; :class:`ProbeDivergedError` if a
     head array ends non-finite.
     """
@@ -108,7 +112,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray,
                   in (("gamma", np.ones(dim)), ("beta", np.zeros(dim)),
                       ("weight", np.zeros((dim, num_classes))),
                       ("bias", np.zeros(num_classes)))])
-    gamma, beta, weight, bias = blocks = [p.tensor for p in head.params]
+    blocks = [p.tensor for p in head.params]  # gamma, beta, weight, bias
     history = MomentumBNState(np.zeros(dim), np.ones(dim))
     opt = OptimizerState(head, momentum=0.9, weight_decay=0.0)
     n = len(train_idx)
@@ -121,16 +125,12 @@ def linear_probe(features: np.ndarray, labels: np.ndarray,
             # Rows gathered per step, so no copy of the training split.
             rows = train_idx[order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]]
             head.zero_grads()
-            h, bn_backward, (mean, var) = engine.batch_norm(
-                features.take(rows, axis=0), 1, gamma.values, beta.values,
-                EPS)
-            momentum_bn_lazy_commit(history, mean, var, HISTORY_MOMENTUM)
-            logits, dense_backward = engine.dense(
-                h, weight.values, bias.values, relu=False)
+            logits, head_backward, (mean, var) = engine.bn_linear(
+                features.take(rows, axis=0), *(t.values for t in blocks), EPS)
+            momentum_bn_lazy_commit(history, mean[None], var[None],
+                                    HISTORY_MOMENTUM)
             _, loss_backward = engine.cross_entropy(logits, labels[rows])
-            dh, dweight, dbias = dense_backward(loss_backward(1.0))
-            _, dgamma, dbeta = bn_backward(dh, need_dx=False)
-            for t, grad in zip(blocks, (dgamma, dbeta, dweight, dbias)):
+            for t, grad in zip(blocks, head_backward(loss_backward(1.0))):
                 t.grad += grad
             sgd_step(opt, cosine_value(lr, step, total_steps))
             step += 1
@@ -141,10 +141,10 @@ def linear_probe(features: np.ndarray, labels: np.ndarray,
             f"linear probe diverged: non-finite head {bad} after {step} "
             f"steps at lr {lr}")
 
-    h, _, _ = engine.batch_norm(features[test_idx], 1, gamma.values,
-                                beta.values, EPS,
-                                (history.hist_mean, history.hist_var))
-    pred = (h @ weight.values + bias.values).argmax(axis=1)
+    logits, _, _ = engine.bn_linear(features[test_idx],
+                                    *(t.values for t in blocks), EPS,
+                                    (history.hist_mean, history.hist_var))
+    pred = logits.argmax(axis=1)
     return float((pred == labels[test_idx]).mean())
 
 

@@ -9,11 +9,11 @@ upstream gradient and compares every gradient against central differences
 at h=1e-5, relative tolerance 1e-4. Every public op of the engine has a
 suite here (a test holds that), and so do the forms of
 :func:`m2t.engine.dense` and :func:`m2t.engine.normalized_mse` over a
-(V, B, C) stack of views and BN's per-group statistics. The composite
-suites run a small BN MLP under the prediction loss and the full two-view
-loss, which exercises the whole backward chain the trainer runs. The
-composed ops that the tests use as an oracle have their own suites beside
-them, in ``tests/engine_reference.py``.
+(V, B, C) stack of views. The composite suites run a small BN MLP under
+the prediction loss and the full two-view loss, which exercises the whole
+backward chain the trainer runs. The composed ops that the tests use as
+an oracle have their own suites beside them, in
+``tests/engine_reference.py``.
 """
 
 from __future__ import annotations
@@ -41,34 +41,19 @@ def _loss_case(name: str, op, x: np.ndarray, *args) -> tuple:
     return f, [(name, x)]
 
 
-def _batch_norm_inputs(rng) -> list:
-    """Named ``x``, ``gamma`` and ``beta`` of an (8, 3) batch."""
-    return [("x", rng.uniform(-2, 2, size=(8, 3))),
-            ("gamma", rng.uniform(0.5, 2.0, size=3)),
-            ("beta", rng.uniform(-2, 2, size=3))]
-
-
-def _batch_norm_case(params: list, groups: int, stats) -> tuple:
-    (_, x), (_, gamma), (_, beta) = params
-    return (lambda: engine.batch_norm(x, groups, gamma, beta, 1e-5,
-                                      stats)[:2], params)
-
-
-def _case_batch_norm(rng):
-    # Groups 1 and 2, each with batch and with given statistics.
-    params = _batch_norm_inputs(rng)
+def _case_bn_linear(rng):
+    # The probe head on data: batch and given statistics. Width 3 and 4
+    # classes, so a transposed product cannot pass.
+    x = rng.uniform(-2, 2, size=(8, 3))
+    params = [("gamma", rng.uniform(0.5, 2.0, size=3)),
+              ("beta", rng.uniform(-2, 2, size=3)),
+              ("weight", rng.uniform(-2, 2, size=(3, 4))),
+              ("bias", rng.uniform(-2, 2, size=4))]
+    arrays = [a for _, a in params]
     given = (rng.uniform(-1, 1, size=3), rng.uniform(0.5, 2.0, size=3))
-    return [_batch_norm_case(params, groups, stats)
-            for groups in (1, 2) for stats in (None, given)]
-
-
-def _case_batch_norm_group_stats(rng):
-    # Given statistics with one row per group, at 2 and 4 groups.
-    params = _batch_norm_inputs(rng)
-    return [_batch_norm_case(params, groups,
-                             (rng.uniform(-1, 1, size=(groups, 3)),
-                              rng.uniform(0.5, 2.0, size=(groups, 3))))
-            for groups in (2, 4)]
+    return [(lambda stats=stats: engine.bn_linear(x, *arrays, 1e-5,
+                                                  stats)[:2], params)
+            for stats in (None, given)]
 
 
 def _dense_cases(rng, x_shape: tuple, given: tuple) -> list:
@@ -184,8 +169,7 @@ def _case_symmetrized(rng):
 
 
 SUITES = {
-    "batch_norm": _case_batch_norm,
-    "batch_norm_group_stats": _case_batch_norm_group_stats,
+    "bn_linear": _case_bn_linear,
     "dense": _case_dense,
     "dense_views": _case_dense_views,
     "normalized_mse": _case_normalized_mse,

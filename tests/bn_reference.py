@@ -6,6 +6,14 @@ ops of ``engine_reference`` (mean, var, sub, div, sqrt, mul, add) on its
 tape, so its forward and its autodiff backward are independent of the
 fused op's closed form. The statistics are tape-linked whenever ``x`` is,
 so a student batch back-propagates through its mean and variance.
+:func:`batch_norm` is the closed form itself, as one tape entry: the BN
+that the composed oracle of :func:`m2t.engine.dense` runs.
+
+The probe head has two references: :func:`folded_head`, the composed ops
+whose autodiff :func:`m2t.engine.bn_linear` equals bit for bit, and
+:func:`bn_then_linear`, the BN-then-linear head it replaced (:func:`bn_apply`,
+then matmul and add). :func:`probe_op` runs either in the form of the
+program's op, so that a probe can run on it instead.
 
 :func:`student_bn` and :func:`layer_bn` normalize a batch the way a
 training run does: through :func:`m2t.model.forward_student`, or through
@@ -26,7 +34,8 @@ import numpy as np
 from m2t import engine
 from m2t.engine import DimensionError
 from m2t.model import Layer, MlpSpec, build_pair, forward_student, teacher_norm
-from m2t.normalization import MomentumBNState, NormParams, shuffle_permutation
+from m2t.normalization import (MomentumBNState, NormParams,
+                               constant_batch_stats, shuffle_permutation)
 
 import engine_reference as ref
 from engine_reference import Tensor
@@ -63,6 +72,87 @@ def bn_apply(x: Tensor, stats: TapeStats, p: NormParams) -> Tensor:
     xhat = ref.div(ref.sub(x, stats.mean),
                    ref.sqrt(ref.add(stats.var, p.eps)))
     return ref.add(ref.mul(p.gamma, xhat), p.beta)
+
+
+def batch_norm(x, groups: int, gamma, beta, eps: float,
+               stats: Optional[tuple] = None) -> Tensor:
+    """BN over ``groups`` equal row groups of the 2-D ``x``, each with its
+    own mean and biased variance or the given ``stats`` (per channel or one
+    row per group), as one tape entry over ``x``, ``gamma`` and ``beta``
+    with the closed-form backward: with inv = 1/sqrt(var + eps) and g_hat =
+    g * gamma, dx = inv * (g_hat - mean(g_hat) - xhat * mean(g_hat *
+    xhat)) per group, or inv * g_hat for given stats. Spelled in numpy's
+    mean-based expressions, in the composed ops' order."""
+    x, gamma, beta = (ref.as_tensor(t) for t in (x, gamma, beta))
+    b, c = x.shape
+    x3 = x.values.reshape(groups, -1, c)
+    if stats is None:
+        mu = x3.mean(axis=1, keepdims=True)
+        dev = x3 - mu
+        var = np.mean(dev * dev, axis=1, keepdims=True)
+    else:
+        mu, var = (np.reshape(s, (-1, 1, c)) for s in stats)
+        dev = x3 - mu
+    std = np.sqrt(var + eps)
+    xhat = dev / std
+
+    def bw(g):
+        g3 = g.reshape(x3.shape)
+        g_hat = g3 * gamma.values
+        if stats is None:
+            g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
+                     - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
+        return (((1.0 / std) * g_hat).reshape(b, c),
+                (g3 * xhat).reshape(b, c).sum(axis=0), g.sum(axis=0))
+
+    out = (gamma.values * xhat + beta.values).reshape(b, c)
+    return ref.recorded("batch_norm", (x, gamma, beta), out, bw)
+
+
+def folded_head(x: Tensor, gamma: Tensor, beta: Tensor, weight: Tensor,
+                bias: Tensor, eps: float, stats: tuple) -> Tensor:
+    """The probe head with BN folded into its linear layer, from composed
+    ops, on the data ``x`` and the constants ``stats = (mean, var)``: ``(x
+    - mean) @ (scale * weight) + (beta @ weight + bias)``, with ``scale``
+    the column ``gamma / sqrt(var + eps)`` and ``beta`` a row."""
+    c = x.shape[1]
+    mean, var = stats
+    scale = ref.reshape(ref.div(gamma, ref.sqrt(ref.add(var, eps))), (c, 1))
+    shift = ref.add(ref.matmul(ref.reshape(beta, (1, c)), weight), bias)
+    return ref.add(ref.matmul(ref.sub(x, mean), ref.mul(scale, weight)),
+                   shift)
+
+
+def bn_then_linear(x: Tensor, gamma: Tensor, beta: Tensor, weight: Tensor,
+                   bias: Tensor, eps: float, stats: tuple) -> Tensor:
+    """The probe head as BN of ``x`` on the constants ``stats = (mean,
+    var)`` (:func:`bn_apply`), then ``@ weight + bias``."""
+    mean, var = (ref.constant(s) for s in stats)
+    y = bn_apply(x, TapeStats(mean, var, x.shape[0]),
+                 NormParams(gamma, beta, eps))
+    return ref.add(ref.matmul(y, weight), bias)
+
+
+def probe_op(head):
+    """``head`` (:func:`folded_head` or :func:`bn_then_linear`) in the form
+    of :func:`m2t.engine.bn_linear`: ``(logits, backward, (mean, var))``.
+    Without given statistics it normalizes with the rows'
+    :func:`m2t.normalization.constant_batch_stats`, taken as constants, and
+    returns them; ``backward(g)`` seeds the tape with ``g`` and gives
+    ``(dgamma, dbeta, dweight, dbias)``."""
+    def op(x, gamma, beta, weight, bias, eps, stats=None):
+        given = constant_batch_stats(x) if stats is None else stats
+        params = [ref.parameter(a) for a in (gamma, beta, weight, bias)]
+        with ref.record():
+            out = head(ref.constant(x), *params, eps, given)
+
+        def backward(g):
+            ref.backward(out, seed=g)
+            return tuple(p.grad for p in params)
+
+        return out.values, backward, given
+
+    return op
 
 
 def identity_norm_params(channels: int, eps: float = 1e-5,

@@ -10,7 +10,7 @@ through ``gather_rows``) whose numpy expressions the fused ops run in
 order. The tests hold the fused ops to them bit for bit.
 
 :func:`recorded` records a program op's ``(out, backward)`` as one tape
-entry, and :func:`dense`, :func:`batch_norm`, :func:`normalized_mse`,
+entry, and :func:`dense`, :func:`bn_linear`, :func:`normalized_mse`,
 :func:`info_nce` and :func:`cross_entropy` are the program's fused ops so
 recorded, so that a fused op and its composition run on one tape. Each
 composed op has a finite-difference suite in :data:`SUITES` that the tests
@@ -266,13 +266,12 @@ def dense(x, weight, bias, relu: bool,
                     lambda g: bw(g, need_dx=x.requires_grad))
 
 
-def batch_norm(x, groups: int, gamma, beta, eps: float,
-               stats: Optional[tuple] = None) -> Tensor:
-    x, gamma, beta = _input(x), _input(gamma), _input(beta)
-    out, bw, _ = engine.batch_norm(x.values, groups, gamma.values,
-                                   beta.values, eps, stats)
-    return recorded("batch_norm", (x, gamma, beta), out,
-                    lambda g: bw(g, need_dx=x.requires_grad))
+def bn_linear(x, gamma, beta, weight, bias, eps: float,
+              stats: Optional[tuple] = None) -> Tensor:
+    """The probe head on the data ``x``, which gets no gradient."""
+    inputs = [_input(t) for t in (x, gamma, beta, weight, bias)]
+    out, bw, _ = engine.bn_linear(*(t.values for t in inputs), eps, stats)
+    return recorded("bn_linear", inputs, out, lambda g: (None, *bw(g)))
 
 
 def normalized_mse(p, z) -> tuple:
@@ -434,6 +433,16 @@ def log(x) -> Tensor:
     return _emit("log", (x,), out, bw)
 
 
+def reshape(x, shape: tuple) -> Tensor:
+    x = as_tensor(x)
+    out = x.values.reshape(shape)
+
+    def bw(g):
+        return (g.reshape(x.shape),)
+
+    return _emit("reshape", (x,), out, bw)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -578,6 +587,13 @@ def _case_reduce(op):
     return build
 
 
+def _case_reshape(rng):
+    # A row into a column, as the folded probe head reshapes its scale.
+    x = parameter(rng.uniform(-2, 2, size=6))
+    y = constant(rng.uniform(-2, 2, size=(6, 3)))
+    return [check_case(lambda: mul(reshape(x, (6, 1)), y), [("x", x)])]
+
+
 def _case_gather_rows(rng):
     # Repeated and skipped rows: the backward scatter-adds.
     x = parameter(rng.uniform(-2, 2, size=(4, 3)))
@@ -598,5 +614,6 @@ SUITES = {
     "mean": _case_reduce(mean),
     "sum": _case_reduce(sum),
     "var": _case_reduce(var),
+    "reshape": _case_reshape,
     "gather_rows": _case_gather_rows,
 }

@@ -822,7 +822,7 @@ class TestGradcheckCommand:
     def test_report_includes_per_op_error(self, capsys):
         main(["gradcheck", "--trials", "1"])
         out = capsys.readouterr().out
-        for op in ("dense", "batch_norm", "normalized_mse", "byol_mlp"):
+        for op in ("dense", "bn_linear", "normalized_mse", "byol_mlp"):
             assert op in out
 
 

@@ -13,6 +13,7 @@ from m2t import engine, gradcheck
 from m2t.engine import DimensionError, GradCheckReport, finite_diff_check
 from m2t.normalization import NormParams, constant_batch_stats
 
+import bn_reference
 import engine_reference as ref
 from engine_reference import Tensor, backward, constant, parameter, record
 
@@ -217,8 +218,8 @@ class TestRowOps:
 
 
 class TestDense:
-    """The fused layer equals the composed matmul + add + batch_norm + relu
-    bit for bit, forward and backward."""
+    """The fused layer equals the composed matmul + add, the BN of
+    ``bn_reference`` and relu bit for bit, forward and backward."""
 
     GIVEN = (np.array([0.3, -0.2, 0.1, 0.0, 0.5]),
              np.array([1.5, 0.7, 2.0, 1.0, 0.9]))
@@ -297,7 +298,8 @@ class TestDense:
                         stats = spec.stats
                     if perm is not None:
                         y = ref.gather_rows(y, perm)
-                    y = ref.batch_norm(y, groups, gamma, beta, 1e-5, stats)
+                    y = bn_reference.batch_norm(y, groups, gamma, beta,
+                                                1e-5, stats)
                     if perm is not None:
                         y = ref.gather_rows(y, np.argsort(perm))
                 if relu:
@@ -558,7 +560,7 @@ def test_every_op_has_a_gradcheck_suite():
               if inspect.isfunction(value) and not name.startswith("_")
               and value.__module__ == engine.__name__}
     ops = public - {"finite_diff_check", "unit_rows"}
-    assert ops == {"batch_norm", "dense", "normalized_mse", "info_nce",
+    assert ops == {"bn_linear", "dense", "normalized_mse", "info_nce",
                    "cross_entropy"}
     assert sorted(ops - set(gradcheck.SUITES)) == []
     recorded = emitted_op_names(Path(ref.__file__))
@@ -600,67 +602,117 @@ def test_reference_suite_fails_on_a_wrong_backward(monkeypatch):
 
 
 def test_bn_reductions_equal_numpy_mean():
-    # _bn spells a.mean(axis) as np.add.reduce(a, axis) / n; the statistics,
-    # the output and dx must be the mean-based expressions' bit for bit.
+    # _bn spells a.mean(axis) as np.add.reduce(a, axis) / n; the output and
+    # dx must be those of bn_reference's mean-based closed form bit for bit.
     rng = np.random.default_rng(11)
     x = rng.normal(size=(12, 5))
     gamma, beta = rng.uniform(0.5, 2.0, size=5), rng.normal(size=5)
     g = rng.normal(size=(12, 5))
     for groups in (1, 3):
-        out, bn_backward, _ = engine._bn(x, groups, gamma, beta, 1e-5, None)
+        out, bn_backward = engine._bn(x, groups, gamma, beta, 1e-5, None)
         dx, _, _ = bn_backward(g, True)
-        x3 = x.reshape(groups, -1, 5)
-        mu = x3.mean(axis=1, keepdims=True)
-        dev = x3 - mu
-        std = np.sqrt(np.mean(dev * dev, axis=1, keepdims=True) + 1e-5)
-        xhat = dev / std
-        g_hat = g.reshape(x3.shape) * gamma
-        g_hat = (g_hat - g_hat.mean(axis=1, keepdims=True)
-                 - xhat * (g_hat * xhat).mean(axis=1, keepdims=True))
-        np.testing.assert_array_equal(out, (gamma * xhat + beta).reshape(12, 5))
-        np.testing.assert_array_equal(dx, ((1.0 / std) * g_hat).reshape(12, 5))
+        x_ref = parameter(x)
+        with record():
+            y = bn_reference.batch_norm(x_ref, groups, gamma, beta, 1e-5)
+        backward(y, seed=g)
+        np.testing.assert_array_equal(out, y.values)
+        np.testing.assert_array_equal(dx, x_ref.grad)
 
 
-@pytest.mark.parametrize("x_grad", [False, True], ids=["data", "param"])
+class TestBnLinear:
+    """The probe head's fused op against its composed oracle (bit for bit)
+    and against the BN-then-linear head it folds (to rounding)."""
+
+    @staticmethod
+    def inputs(seed: int, given: bool) -> tuple:
+        """``(x, gamma, beta, weight, bias, stats, g)``: 12 rows of 5
+        channels into 3 classes (width and class count differ, so a
+        transposed product cannot pass), given statistics or None, and an
+        upstream gradient."""
+        rng = np.random.default_rng(seed)
+        x = 3.0 * rng.normal(size=(12, 5)) + 1.0
+        head = (rng.uniform(0.5, 2.0, size=5), rng.normal(size=5),
+                rng.normal(size=(5, 3)), rng.normal(size=3))
+        stats = (rng.normal(size=5), rng.uniform(0.5, 2.0, size=5))
+        return (x, *head, stats if given else None,
+                rng.normal(size=(12, 3)))
+
+    @staticmethod
+    def run(op, x, gamma, beta, weight, bias, stats, g) -> tuple:
+        """``(logits, (dgamma, dbeta, dweight, dbias), (mean, var))`` of a
+        program op or a :func:`bn_reference.probe_op`."""
+        logits, op_backward, out_stats = op(x, gamma, beta, weight, bias,
+                                            1e-5, stats)
+        return logits, op_backward(g), out_stats
+
+    @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_composed_oracle(self, seed, given):
+        inputs = self.inputs(seed, given)
+        out, grads, stats = self.run(engine.bn_linear, *inputs)
+        want_out, want_grads, want_stats = self.run(
+            bn_reference.probe_op(bn_reference.folded_head), *inputs)
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads + stats, want_grads + want_stats):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_bn_then_linear(self, seed, given):
+        # The fold changes the rounding only: the logits and every gradient
+        # of BN followed by the linear layer, within 1e-12 relative.
+        inputs = self.inputs(seed, given)
+        out, grads, _ = self.run(engine.bn_linear, *inputs)
+        want_out, want_grads, _ = self.run(
+            bn_reference.probe_op(bn_reference.bn_then_linear), *inputs)
+        for got, want in zip((out, *grads), (want_out, *want_grads)):
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * scale)
+
+    def test_recorded_op_gives_no_input_gradient(self):
+        x, gamma, beta, weight, bias, stats, g = self.inputs(0, False)
+        x = parameter(x)
+        params = [parameter(a) for a in (gamma, beta, weight, bias)]
+        with record():
+            y = ref.bn_linear(x, *params, 1e-5, stats)
+        backward(y, seed=g)
+        assert x.grad is None
+        _, want, _ = self.run(engine.bn_linear, x.values, gamma, beta,
+                              weight, bias, stats, g)
+        for p, grad in zip(params, want):
+            np.testing.assert_array_equal(p.grad, grad)
+
+
 @pytest.mark.parametrize("given", [True, False], ids=["given", "batch"])
-def test_batch_norm_writes_no_input(given, x_grad):
-    # With given statistics and data features, as the linear probe calls it
-    # (a training step through backward, then an inference pass without a
-    # tape), and with batch statistics and an input gradient as well.
-    rng = np.random.default_rng(13)
-    x = Tensor(rng.normal(size=(6, 4)), requires_grad=x_grad)
-    gamma = parameter(rng.uniform(0.5, 2.0, size=4))
-    beta = parameter(rng.normal(size=4))
-    stats = (rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
-    g = rng.normal(size=(6, 4))
-    held = [x.values, gamma.values, beta.values, *stats, g]
+def test_bn_linear_writes_no_input(given):
+    # With given statistics and with the batch's, as the linear probe calls
+    # it: a training step through backward, then an inference pass.
+    x, *head, stats, g = TestBnLinear.inputs(13, given)
+    held = [x, *head, *(stats or ()), g]
     before = [a.tobytes() for a in held]
-    stats = stats if given else None
-    with record():
-        y = ref.batch_norm(x, 2, gamma, beta, 1e-5, stats=stats)
-    out = y.values.tobytes()
-    backward(y, seed=g)
-    inferred, _, _ = engine.batch_norm(x.values, 2, gamma.values,
-                                       beta.values, 1e-5, stats=stats)
+    logits, head_backward, _ = engine.bn_linear(x, *head, 1e-5, stats)
+    out = logits.tobytes()
+    head_backward(g)
+    again, _, _ = engine.bn_linear(x, *head, 1e-5, stats)
     assert [a.tobytes() for a in held] == before
-    assert y.values.tobytes() == out == inferred.tobytes()
-    assert y.grad.tobytes() == g.tobytes()
+    assert logits.tobytes() == out == again.tobytes()
 
 
-@pytest.mark.parametrize("groups", [1, 2])
-def test_batch_norm_returns_each_groups_batch_stats(groups):
-    # The statistics batch_norm normalized with are those of its own
-    # groups' rows, bit for bit: the probe commits them to its history.
-    rng = np.random.default_rng(14)
-    x = 3.0 * rng.normal(size=(12, 5)) + 1.0
-    gamma, beta = rng.uniform(0.5, 2.0, size=5), rng.normal(size=5)
-    _, _, (mean, var) = engine.batch_norm(x, groups, gamma, beta, 1e-5)
-    want = [constant_batch_stats(rows) for rows in np.split(x, groups)]
-    assert mean.shape == var.shape == (groups, 5)
-    assert mean.tobytes() == np.stack([m for m, _ in want]).tobytes()
-    assert var.tobytes() == np.stack([v for _, v in want]).tobytes()
-    given = (mean[0], var[0])
-    assert engine.batch_norm(x, groups, gamma, beta, 1e-5, given)[2] is given
+@pytest.mark.parametrize("seed", range(3))
+def test_bn_linear_returns_its_batch_stats(seed):
+    # The statistics bn_linear normalized with are those of its rows, bit
+    # for bit: the probe commits them to its history. Given ones come back
+    # as given.
+    x, *head, _, _ = TestBnLinear.inputs(seed, False)
+    _, _, (mean, var) = engine.bn_linear(x, *head, 1e-5)
+    want_mean, want_var = constant_batch_stats(x)
+    assert mean.shape == var.shape == (5,)
+    assert mean.tobytes() == want_mean.tobytes()
+    assert var.tobytes() == want_var.tobytes()
+    given = (mean, var)
+    assert engine.bn_linear(x, *head, 1e-5, given)[2] is given
 
 
 def test_bn_backward_does_not_keep_its_input_alive():
@@ -671,7 +723,7 @@ def test_bn_backward_does_not_keep_its_input_alive():
     for stats in (None, (np.zeros(3), np.ones(3))):
         x = rng.normal(size=(8, 3))
         alive = weakref.ref(x)
-        out, bn_backward, _ = engine._bn(x, 2, gamma, beta, 1e-5, stats)
+        out, bn_backward = engine._bn(x, 2, gamma, beta, 1e-5, stats)
         del x
         gc.collect()
         assert alive() is None

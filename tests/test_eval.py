@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from m2t.evaluate import (ProbeDivergedError, extract_features, knn_eval,
 from m2t.model import MlpSpec
 from m2t.objectives import l2_normalize_rows
 
+from bn_reference import bn_then_linear, probe_op
 from engine_reference import spy_backwards
 
 
@@ -164,19 +166,18 @@ class TestLinearProbe:
                      for k in sorted(payload["arrays"]))).hexdigest()
         assert digest_before == digest_after
 
-    def test_step_is_three_tape_entries(self, monkeypatch):
-        # A step's backward is three op backwards, in reverse: the fused
-        # cross-entropy, the dense linear layer and the head BN.
-        ran, _ = spy_backwards(monkeypatch, "batch_norm", "dense",
-                               "cross_entropy")
+    def test_step_is_two_op_backwards(self, monkeypatch):
+        # A step's backward is two op backwards, in reverse: the fused
+        # cross-entropy and the head, BN folded into the linear layer.
+        ran, _ = spy_backwards(monkeypatch, "bn_linear", "cross_entropy")
         ds = synth_clusters(num_classes=3, dim=8, per_class=200, spread=0.4,
                             seed=8)
         linear_probe(ds.samples, ds.labels, epochs=2, lr=0.5, seed=1)
-        assert ran == ["cross_entropy", "dense", "batch_norm"] * 2
+        assert ran == ["cross_entropy", "bn_linear"] * 2
 
-    def test_step_runs_one_batch_norm_and_no_statistics_pass(self,
-                                                              monkeypatch):
-        # The head BN computes the batch statistics the history commits; no
+    def test_step_runs_one_bn_linear_and_no_statistics_pass(self,
+                                                            monkeypatch):
+        # The head computes the batch statistics the history commits; no
         # separate statistics pass recomputes them. Counted, not timed.
         calls = []
 
@@ -189,7 +190,7 @@ class TestLinearProbe:
 
             monkeypatch.setattr(module, name, logged)
 
-        spy(engine, "batch_norm")
+        spy(engine, "bn_linear")
         spy(evaluate, "sgd_step")
         for module in list(sys.modules.values()):
             if (module.__name__.startswith("m2t")
@@ -199,7 +200,28 @@ class TestLinearProbe:
                             seed=8)
         linear_probe(ds.samples, ds.labels, epochs=3, lr=0.5, seed=1)
         # Three one-batch epochs, then one inference pass.
-        assert calls == ["batch_norm", "sgd_step"] * 3 + ["batch_norm"]
+        assert calls == ["bn_linear", "sgd_step"] * 3 + ["bn_linear"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accuracy_equals_bn_then_linear_probe(self, monkeypatch, seed):
+        # Folding BN into the linear layer changes the head's rounding, not
+        # its accuracy: on features of a small BN encoder, the probe scores
+        # what the BN-then-linear head of composed ops scores.
+        ds = synth_clusters(num_classes=4, dim=3, per_class=150, spread=0.6,
+                            seed=seed)
+        features = extract_features(bn_payload(), ds.samples)
+        got = linear_probe(features, ds.labels, epochs=8, lr=0.5, seed=seed)
+        calls, parent_head = [], probe_op(bn_then_linear)
+
+        def head(x, gamma, beta, weight, bias, eps, stats=None):
+            calls.append(stats is None)  # training: the batch's statistics
+            return parent_head(x, gamma, beta, weight, bias, eps, stats)
+
+        monkeypatch.setattr(evaluate, "engine", SimpleNamespace(
+            bn_linear=head, cross_entropy=engine.cross_entropy))
+        want = linear_probe(features, ds.labels, epochs=8, lr=0.5, seed=seed)
+        assert calls == [True] * 8 + [False]
+        assert 0.4 < got == want < 1.0
 
     def test_negative_label_rejected(self):
         # Read by index, a -1 would train as the last class.

@@ -15,13 +15,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from m2t import engine, evaluate, objectives
+from m2t import evaluate, objectives
 from m2t import trainer as trainer_module
 from m2t.evaluate import linear_probe
-from m2t.normalization import constant_batch_stats
 from m2t.objectives import NegQueue
 from m2t.trainer import Trainer
 
+import bn_reference
 import engine_reference as composed
 import loss_reference as ref
 from engine_reference import backward, constant, parameter, record
@@ -315,27 +315,13 @@ def test_training_steps_equal_composed_losses(monkeypatch, mode):
         assert_bits_equal(a, b)
 
 
-def program_op(fn, *arrays):
-    """``fn`` over tape parameters holding ``arrays``, in the form of a
-    program op: ``(out, backward)``, where ``backward(g, need_dx=True)``
-    seeds the tape with ``g`` and gives every array's gradient."""
-    params = [parameter(a) for a in arrays]
-    with record():
-        out = fn(*params)
-
-    def op_backward(g, need_dx=True):
-        backward(out, seed=g)
-        return tuple(p.grad for p in params)
-
-    return out.values, op_backward
-
-
 def test_probe_steps_equal_composed_ops(monkeypatch):
-    """Every probe gradient (head BN on the statistics it computes, dense
-    layer and fused cross-entropy on labels) equals the composed BN on
-    constant batch statistics, matmul + add and one-hot reference
-    cross-entropy bit for bit, and so do the accuracy, the head and its
-    history."""
+    """Every probe gradient (the head, BN folded into its linear layer, on
+    the statistics it computes, and fused cross-entropy on labels) equals
+    the head's composed oracle on constant batch statistics and one-hot
+    reference cross-entropy bit for bit, and so do the accuracy, the head
+    and its history. The composed head counts its calls, so a probe that
+    bypasses the op it patches fails."""
     rng = np.random.default_rng(7)
     features = rng.normal(size=(300, 6))
     labels = rng.integers(0, 3, size=300)
@@ -363,29 +349,19 @@ def test_probe_steps_equal_composed_ops(monkeypatch):
 
     got_acc, got, got_histories = probe()
 
-    def composed_batch_norm(x, groups, gamma, beta, eps, stats=None):
-        # Training passes batch statistics, taken apart as constants;
-        # inference passes the history's.
-        given = stats if stats is not None else constant_batch_stats(x)
-        out, bn_backward = program_op(
-            lambda x, gamma, beta: composed.batch_norm(x, groups, gamma, beta,
-                                                       eps, given),
-            x, gamma, beta)
-        if stats is None:
-            given = tuple(s[None] for s in given)
-        return out, bn_backward, given
+    calls = []
+    folded = bn_reference.probe_op(bn_reference.folded_head)
 
-    def composed_dense(x, weight, bias, relu):
-        assert not relu
-        return program_op(
-            lambda x, weight, bias: composed.add(composed.matmul(x, weight),
-                                                 bias),
-            x, weight, bias)
+    def composed_head(x, gamma, beta, weight, bias, eps, stats=None):
+        # Training takes the rows' batch statistics, as constants;
+        # inference passes the history's.
+        calls.append("train" if stats is None else "inference")
+        return folded(x, gamma, beta, weight, bias, eps, stats)
 
     monkeypatch.setattr(evaluate, "engine", SimpleNamespace(
-        batch_norm=composed_batch_norm, dense=composed_dense,
-        cross_entropy=ref.cross_entropy))
+        bn_linear=composed_head, cross_entropy=ref.cross_entropy))
     want_acc, want, want_histories = probe()
+    assert calls == ["train"] * 3 + ["inference"]
     assert got_acc == want_acc
     assert got_histories == want_histories and len(got_histories) == 3
     assert len(got) == len(want) == 3

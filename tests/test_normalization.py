@@ -217,6 +217,14 @@ class TestPlainBn:
         assert norms[0].params is p and norms[0].groups == 4
 
 
+def kernel_bn(x, p: norm.NormParams, groups: int, stats=None):
+    """The BN kernel of :func:`m2t.engine.dense`, alone: one layer with an
+    identity weight and a zero bias (``x @ I + 0`` is ``x`` exactly)."""
+    c = x.shape[1]
+    return composed.dense(x, np.eye(c), np.zeros(c), False,
+                          BNSpec(p, groups, stats))
+
+
 class TestBatchNormKernel:
     @pytest.mark.parametrize("groups", [1, 2, 4])
     def test_gradients_match_composed_slices(self, groups):
@@ -230,8 +238,8 @@ class TestBatchNormKernel:
         per = 16 // groups
 
         def fused(x, p):
-            y = composed.batch_norm(x, groups, p.gamma, p.beta, p.eps)
-            return composed.sum(composed.mul(y, weights))
+            return composed.sum(composed.mul(kernel_bn(x, p, groups),
+                                             weights))
 
         def sliced(x, p):
             loss = 0.0
@@ -256,20 +264,20 @@ class TestBatchNormKernel:
 
     def test_given_stats_are_gradient_constants(self):
         x = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        gamma, beta = parameter([2.0, 0.5]), parameter([0.0, 0.0])
+        p = norm.NormParams(parameter([2.0, 0.5]), parameter([0.0, 0.0]))
         with record():
-            loss = composed.sum(composed.batch_norm(
-                x, 1, gamma, beta, 1e-5,
-                stats=(np.array([1.0, 1.0]), np.array([3.0, 3.0]))))
+            loss = composed.sum(kernel_bn(
+                x, p, 1, (np.array([1.0, 1.0]), np.array([3.0, 3.0]))))
         backward(loss)
         np.testing.assert_allclose(
             x.grad, np.tile(np.array([2.0, 0.5]) / np.sqrt(3.0 + 1e-5), (2, 1)),
             rtol=1e-15)
 
     def test_uneven_groups_rejected(self):
+        p = identity_norm_params(2)
         with pytest.raises(DimensionError, match="groups"):
-            engine.batch_norm(np.zeros((6, 2)), 4, np.ones(2), np.zeros(2),
-                              1e-5)
+            engine.dense(np.zeros((6, 2)), np.eye(2), np.zeros(2), False,
+                         BNSpec(p, 4))
 
 
 class TestSyncedBn:

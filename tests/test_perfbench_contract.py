@@ -17,7 +17,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Listed by the tracer but deliberately gone from the program; the tracer
 # skips and reports them. Every BN layer is normalized by its spec inside
 # ``engine.dense``, so the per-kind BN forwards are gone. The engine holds
-# only the ops a run executes (``batch_norm``, ``dense`` and the fused
+# only the ops a run executes (``bn_linear``, ``dense`` and the fused
 # losses), each returning its backward closure, so a run's backward is
 # their chain: ``backward`` and the tape are gone, and ``add``, like the
 # composed ops no run reaches, lives in ``tests/engine_reference.py``.
